@@ -68,9 +68,9 @@
 //! Steps advertise whether memoization pays through
 //! [`AnnotationStep::cacheable`](crate::step::AnnotationStep::cacheable)
 //! (default `true`). The executor never consults or fills the cache
-//! for a non-cacheable step — the built-in header step opts out
-//! because its memo traffic would rival the step itself — so such
-//! steps simply re-run on every crawl, which is output-identical by
+//! for a non-cacheable step — the built-in header step opts out, see
+//! [`HeaderStep::cacheable`](crate::step::HeaderStep) — so such steps
+//! simply re-run on every crawl, which is output-identical by
 //! determinism.
 //!
 //! [`StepContext`]: crate::step::StepContext

@@ -264,10 +264,9 @@ pub trait AnnotationStep: std::fmt::Debug + Send + Sync {
 
     /// Should the executor memoize this step's results in the
     /// [`StepCache`](crate::cache::StepCache)? Defaults to `true`.
-    /// Cheap steps whose memo traffic (fingerprint lookup + clone +
-    /// insert) rivals the step itself — the built-in [`HeaderStep`] —
-    /// return `false` and simply re-run on every crawl; the cache is
-    /// never consulted for them, so their
+    /// Steps that return `false` — the built-in [`HeaderStep`], see its
+    /// implementation for the measurements behind that — simply re-run
+    /// on every crawl; the cache is never consulted for them, so their
     /// [`StepTiming`](crate::prediction::StepTiming) reports zero
     /// hits, misses, and inserts.
     fn cacheable(&self) -> bool {
@@ -325,10 +324,17 @@ impl AnnotationStep for HeaderStep {
         scores
     }
 
-    /// Header matching is a hash-map probe plus one small embedding
-    /// similarity — the memo traffic (fingerprint keying, score clone,
-    /// LRU insert) costs about as much as just running it, so the
-    /// cache admission policy keeps it out (ROADMAP: cache admission).
+    /// Kept out of the step cache, so header matching re-runs on every
+    /// crawl. It is the cheapest built-in step: the traced serving
+    /// benchmark (`perfbench --trace 1`, seed 1, 2 vCPUs) measures
+    /// `step.header.us_per_col` at 88 µs on `crawl` and 78 µs on
+    /// `adapt`, against 307 / 395 µs for lookup and 417 / 460 µs for
+    /// embedding (444 / 460 µs before
+    /// [`HeaderMatcher`](crate::headerstep::HeaderMatcher) pruned its
+    /// candidates). Caching it would still cut latency, at a storage
+    /// cost: a variant returning `true` measured `crawl` `p50_ms` at
+    /// 1.7 ms against 2.8 ms (3 seeds) and wrote 2.9x the disk-tier
+    /// bytes per table.
     fn cacheable(&self) -> bool {
         false
     }
@@ -866,7 +872,7 @@ mod tests {
     #[test]
     fn cacheable_defaults_and_header_opt_out() {
         // Default admission is "cache everything"; only the header
-        // step opts out (memo overhead rivals the step itself).
+        // step opts out.
         assert!(!HeaderStep.cacheable());
         assert!(LookupStep.cacheable());
         assert!(EmbeddingStep.cacheable());

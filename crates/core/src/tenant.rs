@@ -17,8 +17,12 @@
 //!   consulted by both the server's admission path and the
 //!   [`AnnotationService`](crate::service::AnnotationService) batch
 //!   scheduler. An **in-quota** tenant (deficit remaining) draws on
-//!   the lane window like any request today, bounded by its deficit.
-//!   An **over-quota** tenant is capped at its weight share of the
+//!   the lane window like any request today, bounded by its deficit,
+//!   until it has spent its quantum of the current window. Past that,
+//!   its remaining (burst) credit is only spent from what the window
+//!   holds beyond the quanta other in-quota tenants have not yet spent
+//!   in it, so one tenant's burst cannot starve another's share. An
+//!   **over-quota** tenant is capped at its weight share of the
 //!   lane's *unreserved* remainder — the remainder minus the deficits
 //!   still owed to in-quota tenants — so heavy tenants degrade first
 //!   while light tenants keep finding their entitlement in the
@@ -79,6 +83,9 @@ struct TenantLaneAccount {
     /// Cumulative nanoseconds of step work charged to this tenant on
     /// this lane, across all windows. Monotone, for metrics.
     spent_nanos: u64,
+    /// Nanoseconds charged since the window last rolled: how much of
+    /// its quantum the tenant has used in the current window.
+    window_spent_nanos: u64,
     served: u64,
     shed: u64,
     degraded: u64,
@@ -320,11 +327,13 @@ impl TenantRegistry {
             let grant = scale_nanos(quantum, grants);
             let lane_acct = &mut account.lanes[li];
             lane_acct.deficit_nanos = lane_acct.deficit_nanos.saturating_add(grant).min(cap);
+            lane_acct.window_spent_nanos = 0;
         }
     }
 
     /// Charge `nanos` of step work to `id` on `lane`: drains the
-    /// deficit (saturating) and grows the cumulative spend.
+    /// deficit (saturating) and grows the window's and the cumulative
+    /// spend.
     pub fn charge(&self, id: TenantId, lane: TrafficLane, nanos: u64) {
         let mut inner = self.lock();
         let Some(account) = inner.accounts.get_mut(id.index()) else {
@@ -332,6 +341,7 @@ impl TenantRegistry {
         };
         let lane_acct = &mut account.lanes[lane_index(lane)];
         lane_acct.spent_nanos = lane_acct.spent_nanos.saturating_add(nanos);
+        lane_acct.window_spent_nanos = lane_acct.window_spent_nanos.saturating_add(nanos);
         lane_acct.deficit_nanos = lane_acct.deficit_nanos.saturating_sub(nanos);
     }
 
@@ -359,7 +369,12 @@ impl TenantRegistry {
     ///
     /// * unbudgeted lane, fairness disabled, or foreign id → no cap;
     /// * **in quota** (deficit left) → capped at the deficit, but only
-    ///   when the deficit is actually tighter than the lane remainder;
+    ///   when the deficit is actually tighter than the lane remainder.
+    ///   Once the tenant has spent its own quantum this window, the cap
+    ///   also leaves the other in-quota tenants the part of their
+    ///   quanta they have not spent yet (their claim): burst credit can
+    ///   be held while the rest of the window is claimed, and the cap
+    ///   is then 0;
     /// * **over quota** → weight share of the lane remainder *minus*
     ///   the deficits still owed to in-quota tenants (their
     ///   reservation), which can be 0: the request runs fully
@@ -377,25 +392,42 @@ impl TenantRegistry {
         let remaining = lane_remaining?;
         let inner = self.lock();
         let li = lane_index(lane);
-        inner.lanes[li].window_budget?;
+        let budget = inner.lanes[li].window_budget?;
         let account = inner.accounts.get(id.index())?;
+        let in_quota_others = || {
+            inner
+                .accounts
+                .iter()
+                .enumerate()
+                .filter(|(i, a)| *i != id.index() && a.lanes[li].deficit_nanos > 0)
+                .map(|(_, a)| a)
+        };
         let deficit = account.lanes[li].deficit_nanos;
         if deficit > 0 {
-            if deficit >= remaining {
-                // The lane window is the tighter bound: behave exactly
-                // like an unshapen request.
-                return None;
-            }
-            return Some(deficit);
+            let quantum = |a: &TenantAccount| quantum_nanos(budget, a.weight, inner.total_weight);
+            let cap = if account.lanes[li].window_spent_nanos < quantum(account) {
+                deficit
+            } else {
+                // Bursting: leave every other in-quota tenant the part
+                // of its quantum it has not spent yet this window.
+                let claimed: u64 = in_quota_others()
+                    .map(|a| {
+                        let lane_acct = &a.lanes[li];
+                        lane_acct
+                            .deficit_nanos
+                            .min(quantum(a).saturating_sub(lane_acct.window_spent_nanos))
+                    })
+                    .fold(0u64, u64::saturating_add);
+                deficit.min(remaining.saturating_sub(claimed))
+            };
+            // When the lane window is the tighter bound, behave exactly
+            // like an unshapen request.
+            return (cap < remaining).then_some(cap);
         }
         // Over quota: leave the in-quota tenants' outstanding deficits
         // alone and take only a weight share of what is left over.
-        let reserved: u64 = inner
-            .accounts
-            .iter()
-            .enumerate()
-            .filter(|(i, a)| *i != id.index() && a.lanes[li].deficit_nanos > 0)
-            .map(|(_, a)| a.lanes[li].deficit_nanos)
+        let reserved: u64 = in_quota_others()
+            .map(|a| a.lanes[li].deficit_nanos)
             .fold(0u64, u64::saturating_add);
         let unreserved = remaining.saturating_sub(reserved);
         let share = if inner.total_weight > 0.0 {
@@ -863,6 +895,41 @@ mod tests {
             reg.effective_cap(heavy, TrafficLane::Interactive, Some(800)),
             Some(350)
         );
+    }
+
+    #[test]
+    fn in_quota_bursts_leave_other_tenants_unspent_quanta() {
+        let reg = TenantRegistry::new();
+        let heavy = reg.register("heavy", 1.0);
+        let light = reg.register("light", 1.0);
+        let cap = |t, remaining| reg.effective_cap(t, TrafficLane::Interactive, Some(remaining));
+        // Budget 1000, two equal tenants: quantum 500, burst credit 1000.
+        reg.observe_window(TrafficLane::Interactive, 0, Some(1_000));
+        // Within its quantum, heavy draws on the window like any
+        // request.
+        assert_eq!(cap(heavy, 1_000), None);
+        // Light spends part of its quantum, heavy all of it. Heavy
+        // still holds burst credit, but the 200 left in the window are
+        // light's.
+        reg.charge(light, TrafficLane::Interactive, 300);
+        reg.charge(heavy, TrafficLane::Interactive, 500);
+        assert!(!reg.over_quota(heavy, TrafficLane::Interactive));
+        assert_eq!(cap(heavy, 200), Some(0));
+        assert_eq!(
+            cap(light, 200),
+            None,
+            "a late light request finds its share"
+        );
+        // Once light has used its quantum too, what is left of the
+        // window is open to either tenant's burst credit.
+        reg.charge(light, TrafficLane::Interactive, 200);
+        assert_eq!(cap(heavy, 300), None);
+        assert_eq!(cap(light, 300), None);
+        // A rolled window renews every claim: light's fresh quantum is
+        // reserved against heavy's burst again.
+        reg.observe_window(TrafficLane::Interactive, 1, Some(1_000));
+        reg.charge(heavy, TrafficLane::Interactive, 500);
+        assert_eq!(cap(heavy, 500), Some(0));
     }
 
     #[test]

@@ -28,10 +28,13 @@
 //! * **Tenants** ([`TenantRegistry`]): the `x-sigma-tenant` header
 //!   names the account a request's spend is charged to (absent =
 //!   the shared `anonymous` account). Per-tenant weighted deficits
-//!   decide who is over quota: an over-quota tenant's requests run
-//!   under a cap carved from the lane window's *unreserved* remainder
-//!   (in-quota tenants' outstanding deficits are protected), so heavy
-//!   tenants degrade first while light tenants keep their entitlement.
+//!   decide who is over quota. An in-quota tenant past its share of
+//!   the window spends burst credit only from budget that no other
+//!   in-quota tenant's unspent share claims, and an over-quota
+//!   tenant's requests run under a cap carved from the lane window's
+//!   *unreserved* remainder (in-quota tenants' outstanding deficits
+//!   are protected), so heavy tenants degrade first while light
+//!   tenants keep their entitlement.
 //!   Shaping never changes annotation results — only scheduling,
 //!   shedding, and which requests degrade.
 //! * **Workers**: a fixed pool popping jobs and driving the sync core —

@@ -13,10 +13,9 @@ use tu_ontology::{builtin_id, builtin_ontology};
 use tu_table::{Column, Table};
 
 /// Sum `(cacheable columns run, cache hits)` over a batch's step
-/// timings. The header step opts out of memoization (cache admission:
-/// the memo traffic would rival the step itself), so its re-runs are
-/// expected on every crawl and excluded from the "did the cache work"
-/// accounting.
+/// timings. The header step opts out of memoization (cache admission,
+/// see `HeaderStep::cacheable`), so its re-runs are expected on every
+/// crawl and excluded from the "did the cache work" accounting.
 fn counts(anns: &[sigmatyper::TableAnnotation]) -> (usize, usize) {
     anns.iter()
         .flat_map(|a| a.timings.iter())
