@@ -677,6 +677,7 @@ fn bench_budgeted(c: &mut Criterion) {
     let batch: Vec<Table> = (0..4).map(|_| wide.clone()).collect();
     let outcomes = service.annotate_batch_request(
         &batch,
+        &[],
         &RequestOptions::default()
             .with_budget_nanos(0)
             .with_policy(DegradationPolicy::DropTailSteps),
@@ -823,14 +824,13 @@ fn bench_server_roundtrip(c: &mut Criterion) {
 }
 
 /// The pluggable embedding backends (see `sigmatyper::backend`): the
-/// reference f32 forward pass vs quantized-i8 vs blocked-SIMD vs the
-/// batched whole-frontier path, timed over the same precomputed
-/// neighbor contexts so the MLP evaluation dominates. Before timing,
-/// the acceptance contract is checked once: `BatchedFrontier` must be
-/// bit-identical to `ReferenceF32`, and at least one of `QuantizedI8`
-/// / `BlockedSimd` must beat the reference on wall clock (the
-/// golden-tolerance suite in `tests/embed_backends.rs` owns the
-/// accuracy bar on the e1–e8 corpora).
+/// reference f32 forward pass vs blocked-SIMD, timed over the same
+/// precomputed neighbor contexts so the MLP evaluation dominates.
+/// Before timing, the acceptance contract is checked once:
+/// `BlockedSimd` must agree with `ReferenceF32` on most top-1 decisions
+/// and beat it on wall clock (the golden-tolerance suite in
+/// `tests/embed_backends.rs` owns the accuracy bar on the e1–e8
+/// corpora).
 fn bench_embed_backends(c: &mut Criterion) {
     use sigmatyper::EmbeddingBackendKind;
 
@@ -857,97 +857,55 @@ fn bench_embed_backends(c: &mut Criterion) {
             model.context_of(&refs)
         })
         .collect();
-    let backends: Vec<(EmbeddingBackendKind, Option<sigmatyper::BackendState>)> =
-        EmbeddingBackendKind::ALL
-            .into_iter()
-            .map(|kind| (kind, kind.backend().prepare(model)))
-            .collect();
-    let sweep = |kind: EmbeddingBackendKind, state: Option<&sigmatyper::BackendState>| {
+    let sweep = |kind: EmbeddingBackendKind| {
         let backend = kind.backend();
         columns
             .iter()
             .zip(&contexts)
-            .map(|(col, ctx)| backend.predict_with_context(model, state, col, ctx))
+            .map(|(col, ctx)| backend.predict_with_context(model, col, ctx))
             .collect::<Vec<_>>()
     };
 
-    // Acceptance: the bit-exact backends really are bit-exact.
-    let reference = sweep(EmbeddingBackendKind::ReferenceF32, None);
-    let items: Vec<(&Column, &[f32])> = columns
-        .iter()
-        .zip(&contexts)
-        .map(|(col, ctx)| (col, ctx.as_slice()))
-        .collect();
-    let batched = EmbeddingBackendKind::BatchedFrontier
-        .backend()
-        .predict_batch(model, None, &items);
-    for (a, b) in reference.iter().zip(&batched) {
-        assert_eq!(a.candidates.len(), b.candidates.len());
-        for (ca, cb) in a.candidates.iter().zip(&b.candidates) {
-            assert_eq!(ca.ty, cb.ty, "batched_frontier diverged from reference");
-            assert_eq!(ca.confidence.to_bits(), cb.confidence.to_bits());
-        }
-    }
-    // Sanity on the approximate backends: same decision on these easy
+    // Sanity on the approximate backend: same decision on these easy
     // columns for most of the sweep (the real tolerance bar lives in
     // the golden suite over the e1–e8 corpora).
-    for kind in [
-        EmbeddingBackendKind::QuantizedI8,
-        EmbeddingBackendKind::BlockedSimd,
-    ] {
-        let state = kind.backend().prepare(model);
-        let scores = sweep(kind, state.as_ref());
-        let agree = reference
-            .iter()
-            .zip(&scores)
-            .filter(|(a, b)| {
-                a.candidates.first().map(|c| c.ty) == b.candidates.first().map(|c| c.ty)
-            })
-            .count();
-        println!(
-            "pipeline/embed_backends  {} top-1 agreement: {agree}/{}",
-            kind.label(),
-            reference.len()
-        );
-        assert!(
-            agree * 10 >= reference.len() * 9,
-            "{} agreed on only {agree}/{} columns",
-            kind.label(),
-            reference.len()
-        );
-    }
+    let reference = sweep(EmbeddingBackendKind::ReferenceF32);
+    let blocked = sweep(EmbeddingBackendKind::BlockedSimd);
+    let agree = reference
+        .iter()
+        .zip(&blocked)
+        .filter(|(a, b)| a.candidates.first().map(|c| c.ty) == b.candidates.first().map(|c| c.ty))
+        .count();
+    println!(
+        "pipeline/embed_backends  blocked_simd top-1 agreement: {agree}/{}",
+        reference.len()
+    );
+    assert!(
+        agree * 10 >= reference.len() * 9,
+        "blocked_simd agreed on only {agree}/{} columns",
+        reference.len()
+    );
 
-    // Acceptance: a fast backend must actually be faster. Time each
-    // backend's full sweep (prepared state amortized, like the
-    // executor does per table).
+    // Acceptance: the fast backend must actually be faster.
     let time_of = |kind: EmbeddingBackendKind| {
-        let state = kind.backend().prepare(model);
         best_of_3(|| {
             for _ in 0..8 {
-                black_box(sweep(kind, state.as_ref()));
+                black_box(sweep(kind));
             }
         })
     };
     let ref_time = time_of(EmbeddingBackendKind::ReferenceF32);
-    let i8_time = time_of(EmbeddingBackendKind::QuantizedI8);
     let simd_time = time_of(EmbeddingBackendKind::BlockedSimd);
-    let batched_time = time_of(EmbeddingBackendKind::BatchedFrontier);
-    println!(
-        "pipeline/embed_backends  reference_f32 {ref_time:?} | quantized_i8 {i8_time:?} \
-         | blocked_simd {simd_time:?} | batched_frontier {batched_time:?}"
-    );
+    println!("pipeline/embed_backends  reference_f32 {ref_time:?} | blocked_simd {simd_time:?}");
     assert!(
-        i8_time.min(simd_time) < ref_time,
-        "neither quantized_i8 ({i8_time:?}) nor blocked_simd ({simd_time:?}) \
-         beat reference_f32 ({ref_time:?})"
+        simd_time < ref_time,
+        "blocked_simd ({simd_time:?}) did not beat reference_f32 ({ref_time:?})"
     );
 
     let mut group = c.benchmark_group("pipeline/embed_backends");
     group.sample_size(20);
-    for (kind, state) in &backends {
-        group.bench_function(kind.label(), |b| {
-            b.iter(|| black_box(sweep(*kind, state.as_ref())))
-        });
+    for kind in EmbeddingBackendKind::ALL {
+        group.bench_function(kind.label(), |b| b.iter(|| black_box(sweep(kind))));
     }
     group.finish();
 }

@@ -1,14 +1,13 @@
 //! Pluggable embedding-inference backends: the [`EmbeddingBackend`]
-//! trait and the four built-in implementations behind
+//! trait and the two built-in implementations behind
 //! [`EmbeddingBackendKind`].
 //!
 //! The table-embedding step is the dominant cold-path cost of the
-//! cascade, and "run the MLP head" is a seam with many profitable
-//! implementations: the reference f32 forward pass, an i8-quantized
-//! weight path, a blocked (8-lane, SIMD-friendly) f32 matmul, and a
-//! batched whole-frontier path that amortizes one matmul per executor
-//! chunk. Long-range, a remote model server is just another backend
-//! behind the same trait (PAPERS.md's LLM line).
+//! cascade, and "run the MLP head" is the seam where an alternative
+//! inference engine plugs in: the reference f32 forward pass and a
+//! blocked (8-lane, SIMD-friendly) f32 matmul ship today. Long-range, a
+//! remote model server is just another backend behind the same trait
+//! (PAPERS.md's LLM line).
 //!
 //! # Contract
 //!
@@ -20,14 +19,11 @@
 //! tail. Each backend declares an [`AccuracyClass`]:
 //!
 //! * [`BitExact`](AccuracyClass::BitExact) — produces the same bits as
-//!   [`ReferenceF32`] ([`BatchedFrontier`] evaluates each output
-//!   element in the reference accumulation order; only the loop
-//!   nesting changes).
+//!   [`ReferenceF32`] (the reference itself).
 //! * [`Approximate`](AccuracyClass::Approximate) — numerically close
-//!   but not bit-identical ([`QuantizedI8`] rounds weights and
-//!   activations to i8; [`BlockedSimd`] reassociates the f32
+//!   but not bit-identical ([`BlockedSimd`] reassociates the f32
 //!   accumulation into 8 independent lanes). The golden-tolerance
-//!   suite (`tests/embed_backends.rs`) holds these within tolerance on
+//!   suite (`tests/embed_backends.rs`) holds it within tolerance on
 //!   the e1–e8 eval corpora.
 //!
 //! Because approximate backends may change scores, the selected
@@ -42,16 +38,9 @@
 
 use crate::embedstep::TableEmbeddingModel;
 use crate::prediction::StepScores;
-use std::any::Any;
 use std::fmt;
 use tu_ml::Mlp;
 use tu_table::Column;
-
-/// Opaque per-model state a backend computes once per table (weight
-/// quantization, layout transforms) and reuses across every column —
-/// carried inside the [`EmbeddingStep`](crate::step::EmbeddingStep)'s
-/// table setup, so column-parallel chunks share one copy.
-pub type BackendState = Box<dyn Any + Send + Sync>;
 
 /// How a backend's scores relate to the reference implementation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,9 +54,7 @@ pub enum AccuracyClass {
 
 /// One embedding-inference strategy over a [`TableEmbeddingModel`].
 ///
-/// Implementations are stateless values (per-model working state rides
-/// the [`BackendState`] returned by
-/// [`prepare`](EmbeddingBackend::prepare)), shared by reference across
+/// Implementations are stateless values, shared by reference across
 /// the executor's worker threads — hence `Send + Sync`.
 pub trait EmbeddingBackend: fmt::Debug + Send + Sync {
     /// Stable wire name of this backend (what
@@ -87,45 +74,15 @@ pub trait EmbeddingBackend: fmt::Debug + Send + Sync {
         model.header_vector(header)
     }
 
-    /// Per-model working state computed once per `(model, table)` and
-    /// passed back into every predict call — e.g. [`QuantizedI8`]'s i8
-    /// weight copy. The default has none.
-    fn prepare(&self, model: &TableEmbeddingModel) -> Option<BackendState> {
-        let _ = model;
-        None
-    }
-
     /// Score one column with a precomputed neighbor context (the
     /// backend-dispatched form of
-    /// [`TableEmbeddingModel::predict_with_context`]). `state` is the
-    /// value [`prepare`](EmbeddingBackend::prepare) returned for this
-    /// model, when the caller amortized one; implementations must also
-    /// work from `None` (recomputing per call).
+    /// [`TableEmbeddingModel::predict_with_context`]).
     fn predict_with_context(
         &self,
         model: &TableEmbeddingModel,
-        state: Option<&BackendState>,
         column: &Column,
         context: &[f32],
     ) -> StepScores;
-
-    /// Score a whole frontier chunk in one call: one `(column,
-    /// context)` pair per pending column, one [`StepScores`] out per
-    /// pair, in order. The default maps
-    /// [`predict_with_context`](EmbeddingBackend::predict_with_context);
-    /// [`BatchedFrontier`] overrides it to run one matmul per layer
-    /// over the whole chunk.
-    fn predict_batch(
-        &self,
-        model: &TableEmbeddingModel,
-        state: Option<&BackendState>,
-        items: &[(&Column, &[f32])],
-    ) -> Vec<StepScores> {
-        items
-            .iter()
-            .map(|(column, context)| self.predict_with_context(model, state, column, context))
-            .collect()
-    }
 }
 
 /// Selector for the built-in backends — the `Copy` value that rides
@@ -139,24 +96,16 @@ pub enum EmbeddingBackendKind {
     /// to the seed transcription.
     #[default]
     ReferenceF32,
-    /// i8-quantized weights with one scale per layer and dynamic
-    /// per-vector activation quantization.
-    QuantizedI8,
     /// Blocked f32 matmul with 8 independent accumulator lanes (manual
     /// f32x8-style, no external deps).
     BlockedSimd,
-    /// Whole-frontier batched evaluation: one matmul per layer per
-    /// executor chunk instead of per column. Bit-exact.
-    BatchedFrontier,
 }
 
 impl EmbeddingBackendKind {
     /// Every built-in backend, in fingerprint-tag order.
-    pub const ALL: [EmbeddingBackendKind; 4] = [
+    pub const ALL: [EmbeddingBackendKind; 2] = [
         EmbeddingBackendKind::ReferenceF32,
-        EmbeddingBackendKind::QuantizedI8,
         EmbeddingBackendKind::BlockedSimd,
-        EmbeddingBackendKind::BatchedFrontier,
     ];
 
     /// The implementation behind this selector.
@@ -164,14 +113,11 @@ impl EmbeddingBackendKind {
     pub fn backend(self) -> &'static dyn EmbeddingBackend {
         match self {
             EmbeddingBackendKind::ReferenceF32 => &ReferenceF32,
-            EmbeddingBackendKind::QuantizedI8 => &QuantizedI8,
             EmbeddingBackendKind::BlockedSimd => &BlockedSimd,
-            EmbeddingBackendKind::BatchedFrontier => &BatchedFrontier,
         }
     }
 
-    /// Stable wire name (`"reference_f32"`, `"quantized_i8"`,
-    /// `"blocked_simd"`, `"batched_frontier"`).
+    /// Stable wire name (`"reference_f32"`, `"blocked_simd"`).
     #[must_use]
     pub fn label(self) -> &'static str {
         self.backend().name()
@@ -194,14 +140,14 @@ impl EmbeddingBackendKind {
     }
 
     /// Nonzero fingerprint tag for non-default backends (the default is
-    /// fingerprinted as absence — see the [module docs](self)).
+    /// fingerprinted as absence — see the [module docs](self)). Tags
+    /// are part of persisted cache keys, so a backend's tag never
+    /// changes: `BlockedSimd` entries written to a disk tier stay valid.
     #[must_use]
     pub(crate) fn fingerprint_tag(self) -> u8 {
         match self {
             EmbeddingBackendKind::ReferenceF32 => 0,
-            EmbeddingBackendKind::QuantizedI8 => 1,
             EmbeddingBackendKind::BlockedSimd => 2,
-            EmbeddingBackendKind::BatchedFrontier => 3,
         }
     }
 }
@@ -252,129 +198,10 @@ impl EmbeddingBackend for ReferenceF32 {
     fn predict_with_context(
         &self,
         model: &TableEmbeddingModel,
-        _state: Option<&BackendState>,
         column: &Column,
         context: &[f32],
     ) -> StepScores {
         model.predict_with_context(column, context)
-    }
-}
-
-/// i8-quantized inference: weights are rounded once per model to i8
-/// with one f32 scale per layer ([`prepare`](EmbeddingBackend::prepare)
-/// pays this once per table); activations are quantized dynamically per
-/// vector. The inner product accumulates in i32 — integer adds are
-/// associative, so the compiler is free to vectorize the i8×i8→i32
-/// kernel — and dequantizes with `weight_scale × activation_scale`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct QuantizedI8;
-
-/// One layer's quantized parameters.
-#[derive(Debug)]
-struct QuantizedLayer {
-    cols: usize,
-    q: Vec<i8>,
-    scale: f32,
-    bias: Vec<f32>,
-}
-
-/// The per-model state [`QuantizedI8`] prepares: every layer quantized.
-#[derive(Debug)]
-struct QuantizedMlp {
-    layers: Vec<QuantizedLayer>,
-}
-
-/// Round an f32 slice to i8 at `scale` (symmetric, clamped to ±127).
-fn quantize_i8(values: &[f32], scale: f32) -> Vec<i8> {
-    values
-        .iter()
-        .map(|&v| (v / scale).round().clamp(-127.0, 127.0) as i8)
-        .collect()
-}
-
-/// Symmetric quantization scale for a slice: `max|v| / 127`, with 1.0
-/// for an all-zero slice so the division stays finite.
-fn i8_scale(values: &[f32]) -> f32 {
-    let max = values.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-    if max > 0.0 {
-        max / 127.0
-    } else {
-        1.0
-    }
-}
-
-impl QuantizedMlp {
-    fn from_model(model: &TableEmbeddingModel) -> Self {
-        let mlp = model.mlp();
-        let layers = (0..mlp.n_layers())
-            .map(|i| {
-                let (w, b) = mlp.layer_params(i);
-                let scale = i8_scale(w.data());
-                QuantizedLayer {
-                    cols: w.cols,
-                    q: quantize_i8(w.data(), scale),
-                    scale,
-                    bias: b.to_vec(),
-                }
-            })
-            .collect();
-        QuantizedMlp { layers }
-    }
-
-    fn logits(&self, features: &[f32]) -> Vec<f32> {
-        let mut cur = features.to_vec();
-        for (li, layer) in self.layers.iter().enumerate() {
-            let a_scale = i8_scale(&cur);
-            let qx = quantize_i8(&cur, a_scale);
-            let out_scale = layer.scale * a_scale;
-            let rows = layer.bias.len();
-            let mut z = vec![0.0f32; rows];
-            for (r, zr) in z.iter_mut().enumerate() {
-                let row = &layer.q[r * layer.cols..(r + 1) * layer.cols];
-                let acc: i32 = row
-                    .iter()
-                    .zip(&qx)
-                    .map(|(&w, &a)| i32::from(w) * i32::from(a))
-                    .sum();
-                *zr = acc as f32 * out_scale + layer.bias[r];
-            }
-            if li + 1 != self.layers.len() {
-                for v in &mut z {
-                    *v = v.max(0.0); // ReLU
-                }
-            }
-            cur = z;
-        }
-        cur
-    }
-}
-
-impl EmbeddingBackend for QuantizedI8 {
-    fn name(&self) -> &'static str {
-        "quantized_i8"
-    }
-
-    fn accuracy_class(&self) -> AccuracyClass {
-        AccuracyClass::Approximate
-    }
-
-    fn prepare(&self, model: &TableEmbeddingModel) -> Option<BackendState> {
-        Some(Box::new(QuantizedMlp::from_model(model)))
-    }
-
-    fn predict_with_context(
-        &self,
-        model: &TableEmbeddingModel,
-        state: Option<&BackendState>,
-        column: &Column,
-        context: &[f32],
-    ) -> StepScores {
-        let f = model.features_with_context(column, context);
-        let logits = match state.and_then(|s| s.downcast_ref::<QuantizedMlp>()) {
-            Some(qm) => qm.logits(&f),
-            None => QuantizedMlp::from_model(model).logits(&f),
-        };
-        model.scores_from_logits(&logits)
     }
 }
 
@@ -445,83 +272,11 @@ impl EmbeddingBackend for BlockedSimd {
     fn predict_with_context(
         &self,
         model: &TableEmbeddingModel,
-        _state: Option<&BackendState>,
         column: &Column,
         context: &[f32],
     ) -> StepScores {
         let f = model.features_with_context(column, context);
         model.scores_from_logits(&blocked_logits(model.mlp(), &f))
-    }
-}
-
-/// Whole-frontier batched inference: featurize every pending column,
-/// then walk the layers once with the column loop *inside* — one
-/// logical matmul per layer per chunk, so each weight row is streamed
-/// through cache once per chunk instead of once per column. Every
-/// output element accumulates in the reference order
-/// ([`tu_ml::Matrix::matvec_into`]), so the result is bit-exact; only
-/// the loop nesting is amortized.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BatchedFrontier;
-
-/// Layer-major forward pass over a batch of feature vectors, reference
-/// accumulation order per element.
-fn batched_logits(mlp: &Mlp, batch: &mut [Vec<f32>]) {
-    for li in 0..mlp.n_layers() {
-        let (w, b) = mlp.layer_params(li);
-        let last = li + 1 == mlp.n_layers();
-        for x in batch.iter_mut() {
-            let mut z = vec![0.0f32; w.rows];
-            w.matvec_into(x, &mut z);
-            for (zi, &bi) in z.iter_mut().zip(b) {
-                *zi += bi;
-            }
-            if !last {
-                for v in &mut z {
-                    *v = v.max(0.0); // ReLU
-                }
-            }
-            *x = z;
-        }
-    }
-}
-
-impl EmbeddingBackend for BatchedFrontier {
-    fn name(&self) -> &'static str {
-        "batched_frontier"
-    }
-
-    fn accuracy_class(&self) -> AccuracyClass {
-        AccuracyClass::BitExact
-    }
-
-    fn predict_with_context(
-        &self,
-        model: &TableEmbeddingModel,
-        state: Option<&BackendState>,
-        column: &Column,
-        context: &[f32],
-    ) -> StepScores {
-        self.predict_batch(model, state, &[(column, context)])
-            .pop()
-            .expect("one score per item")
-    }
-
-    fn predict_batch(
-        &self,
-        model: &TableEmbeddingModel,
-        _state: Option<&BackendState>,
-        items: &[(&Column, &[f32])],
-    ) -> Vec<StepScores> {
-        let mut batch: Vec<Vec<f32>> = items
-            .iter()
-            .map(|(column, context)| model.features_with_context(column, context))
-            .collect();
-        batched_logits(model.mlp(), &mut batch);
-        batch
-            .iter()
-            .map(|logits| model.scores_from_logits(logits))
-            .collect()
     }
 }
 
@@ -559,14 +314,6 @@ mod tests {
             AccuracyClass::BitExact
         );
         assert_eq!(
-            K::BatchedFrontier.backend().accuracy_class(),
-            AccuracyClass::BitExact
-        );
-        assert_eq!(
-            K::QuantizedI8.backend().accuracy_class(),
-            AccuracyClass::Approximate
-        );
-        assert_eq!(
             K::BlockedSimd.backend().accuracy_class(),
             AccuracyClass::Approximate
         );
@@ -579,6 +326,9 @@ mod tests {
             assert!(seen.insert(kind.fingerprint_tag()));
         }
         assert_eq!(EmbeddingBackendKind::default().fingerprint_tag(), 0);
+        // Persisted cache keys carry the tag: deleting other backends
+        // must not renumber this one.
+        assert_eq!(EmbeddingBackendKind::BlockedSimd.fingerprint_tag(), 2);
     }
 
     #[test]
@@ -598,17 +348,5 @@ mod tests {
         // Degenerate shapes.
         assert_eq!(blocked_dot(&[], &[]), 0.0);
         assert_eq!(blocked_dot(&[2.0], &[3.0]), 6.0);
-    }
-
-    #[test]
-    fn i8_quantization_round_trips_within_scale() {
-        let values = [0.5f32, -1.0, 0.0, 0.25, -0.125];
-        let scale = i8_scale(&values);
-        let q = quantize_i8(&values, scale);
-        for (&v, &qi) in values.iter().zip(&q) {
-            let back = f32::from(qi) * scale;
-            assert!((v - back).abs() <= scale / 2.0 + 1e-7, "{v} -> {back}");
-        }
-        assert_eq!(i8_scale(&[0.0, 0.0]), 1.0);
     }
 }

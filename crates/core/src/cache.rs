@@ -517,17 +517,6 @@ pub trait StepCache: std::fmt::Debug + Send + Sync {
         self.insert(key, scores);
     }
 
-    /// Ask the backend to re-bound itself to about `capacity` entries,
-    /// evicting as needed. Returns `true` when the backend applied the
-    /// change; the default (for backends without a meaningful bound)
-    /// ignores the request and returns `false`. Used by the
-    /// [`AnnotationService`](crate::service::AnnotationService)
-    /// adaptive sizing loop.
-    fn resize(&self, capacity: usize) -> bool {
-        let _ = capacity;
-        false
-    }
-
     /// Flush buffered state to durable storage. In-memory backends
     /// have nothing to do; persistent ones override this to make prior
     /// inserts visible to a later (or concurrent) process.
@@ -607,9 +596,7 @@ impl CacheStats {
     /// occupancy*. A delta of a gauge is rarely meaningful (entries
     /// fall on eviction and clear), and sizing decisions want the
     /// absolute count next to the per-batch traffic, so that is what
-    /// this returns. Consumers such as the
-    /// [`AnnotationService`](crate::service::AnnotationService)
-    /// adaptive sizing loop must read `entries` as "occupancy now",
+    /// this returns. Consumers must read `entries` as "occupancy now",
     /// never as "entries added this batch" (that is `inserts` minus
     /// replacements).
     ///
@@ -745,33 +732,6 @@ impl LruShard {
         self.head = NIL;
         self.tail = NIL;
     }
-
-    /// Re-bound the shard to `capacity` entries, dropping LRU-first
-    /// when shrinking. Returns how many entries were evicted. The slot
-    /// vector is rebuilt (slots are only reusable at-capacity, so a
-    /// shrink must compact them) preserving recency order.
-    fn set_capacity(&mut self, capacity: usize) -> usize {
-        if capacity == self.capacity {
-            return 0;
-        }
-        // Drain in MRU → LRU order.
-        let mut order: Vec<usize> = Vec::with_capacity(self.entries.len());
-        let mut i = self.head;
-        while i != NIL {
-            order.push(i);
-            i = self.entries[i].next;
-        }
-        let evicted = order.len().saturating_sub(capacity);
-        order.truncate(capacity);
-        let mut fresh = LruShard::new(capacity);
-        // Insert LRU-first so push_front restores the original order.
-        for &slot in order.iter().rev() {
-            let e = &self.entries[slot];
-            fresh.insert(e.key, e.scores.clone());
-        }
-        *self = fresh;
-        evicted
-    }
 }
 
 impl std::fmt::Debug for LruShard {
@@ -897,23 +857,6 @@ impl StepCache for ShardedLruCache {
             evictions: self.evictions.load(Ordering::Relaxed),
             entries: self.len(),
         }
-    }
-
-    /// Re-bound the cache to about `capacity` total entries (divided
-    /// evenly across shards as in
-    /// [`with_shards`](ShardedLruCache::with_shards)), evicting
-    /// LRU-first where a shard shrinks. Entries dropped this way count
-    /// toward the `evictions` stat.
-    fn resize(&self, capacity: usize) -> bool {
-        let per_shard = capacity.div_ceil(self.shards.len()).max(1);
-        let mut evicted = 0u64;
-        for s in &self.shards {
-            evicted += Self::lock(s).set_capacity(per_shard) as u64;
-        }
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
-        true
     }
 }
 
@@ -1152,37 +1095,7 @@ mod tests {
     }
 
     #[test]
-    fn resize_shrinks_lru_first_and_grows_in_place() {
-        // One shard to make the recency order fully observable.
-        let cache = ShardedLruCache::with_shards(4, 1);
-        for n in 0..4 {
-            cache.insert(key(n), scores(0.1));
-        }
-        // MRU order is now 0, 3, 2, 1.
-        assert!(cache.get(&key(0)).is_some());
-        assert!(cache.resize(2));
-        assert_eq!(cache.capacity(), 2);
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats().evictions, 2);
-        assert!(cache.get(&key(0)).is_some());
-        assert!(cache.get(&key(3)).is_some());
-        assert!(cache.get(&key(2)).is_none());
-        assert!(cache.get(&key(1)).is_none());
-        // Growing keeps every surviving entry and restores headroom.
-        assert!(cache.resize(8));
-        assert_eq!(cache.capacity(), 8);
-        assert_eq!(cache.len(), 2);
-        for n in 10..16 {
-            cache.insert(key(n), scores(0.2));
-        }
-        assert_eq!(cache.len(), 8);
-        // Same-capacity resize is a no-op.
-        assert!(cache.resize(8));
-        assert_eq!(cache.len(), 8);
-    }
-
-    #[test]
-    fn trait_defaults_for_epoch_insert_and_resize() {
+    fn trait_defaults_for_epoch_insert_and_flush() {
         /// A minimal backend that accepts the trait defaults.
         #[derive(Debug)]
         struct NullCache;
@@ -1198,7 +1111,6 @@ mod tests {
         }
         let c = NullCache;
         c.insert_with_epoch(key(1), scores(0.5), 7);
-        assert!(!c.resize(128), "default resize must decline");
         assert!(c.flush().is_ok());
         assert_eq!(c.stats().entries, 0);
     }

@@ -758,10 +758,6 @@ impl StepCache for TieredStepCache {
         }
     }
 
-    fn resize(&self, capacity: usize) -> bool {
-        self.l1.resize(capacity)
-    }
-
     fn flush(&self) -> io::Result<()> {
         self.l2.flush()
     }
@@ -1242,8 +1238,7 @@ mod tests {
         // A total miss counts once.
         assert!(tiered.get(&key(9)).is_none());
         assert_eq!(tiered.stats().misses, 1);
-        // Resize reaches the L1; flush reaches the L2.
-        assert!(tiered.resize(8));
+        // Flush reaches the L2.
         tiered.flush().unwrap();
         tiered.clear();
         assert!(tiered.is_empty());

@@ -109,8 +109,8 @@ impl TableEmbeddingModel {
     }
 
     /// The MLP head. Read access for alternative inference backends
-    /// (see [`crate::backend`]): they quantize, block, or batch these
-    /// weights but never mutate them.
+    /// (see [`crate::backend`]): they may evaluate these weights in a
+    /// different order but never mutate them.
     #[must_use]
     pub fn mlp(&self) -> &Mlp {
         &self.mlp

@@ -70,8 +70,8 @@ pub mod system;
 pub mod tenant;
 
 pub use backend::{
-    AccuracyClass, BackendState, BatchedFrontier, BlockedSimd, EmbeddingBackend,
-    EmbeddingBackendKind, QuantizedI8, ReferenceF32, UnknownBackendError,
+    AccuracyClass, BlockedSimd, EmbeddingBackend, EmbeddingBackendKind, ReferenceF32,
+    UnknownBackendError,
 };
 pub use cache::{
     column_fingerprints, column_fingerprints_chained, CacheContext, CacheKey, CacheStats,
@@ -101,10 +101,7 @@ pub use request::{
     DegradationPolicy, DegradationReport, RequestOptions, SkipReason, SkippedStep,
     TelemetryVerbosity,
 };
-pub use service::{
-    AdaptiveSizer, AdaptiveSizingConfig, AnnotationService, BoundedQueue, LaneLedger,
-    QueueRejection, TrafficLane,
-};
+pub use service::{AnnotationService, BoundedQueue, LaneLedger, QueueRejection, TrafficLane};
 pub use step::{
     AnnotationStep, ColumnState, EmbeddingStep, HeaderStep, LookupStep, RegexOnlyStep, StepContext,
     TableSetup,

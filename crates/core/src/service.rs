@@ -38,169 +38,12 @@ use crate::global::GlobalModel;
 use crate::prediction::TableAnnotation;
 use crate::request::{AnnotationOutcome, BudgetLedger, RequestOptions};
 use crate::system::SigmaTyper;
-use crate::tenant::{ShapedBudget, TrafficShaper, ANONYMOUS_TENANT};
+use crate::tenant::{TrafficShaper, ANONYMOUS_TENANT};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 use tu_table::Table;
-
-/// Tuning knobs of the [`AnnotationService`] adaptive sizing loop (see
-/// [`AnnotationService::with_adaptive_sizing`]). The defaults are
-/// deliberately conservative: act only on real per-batch traffic, grow
-/// under thrash, shrink only with a wide safety margin.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveSizingConfig {
-    /// L1 capacity floor — shrinking never goes below this.
-    pub min_capacity: usize,
-    /// L1 capacity ceiling — growing never goes above this.
-    pub max_capacity: usize,
-    /// Grow (double) the capacity when a batch's hit rate falls below
-    /// this *and* the batch evicted entries: misses caused by churn,
-    /// not by cold keys.
-    pub grow_below_hit_rate: f64,
-    /// Shrink (halve) the capacity when a batch's hit rate is at least
-    /// this, nothing was evicted, and occupancy is under a quarter of
-    /// the capacity — the working set demonstrably fits in half.
-    pub shrink_above_hit_rate: f64,
-    /// Halve the worker-thread target when the fraction of degraded
-    /// outcomes in a batch exceeds this; a fully clean batch grows the
-    /// target back toward the configured thread count.
-    pub shed_rate_threshold: f64,
-    /// Minimum per-batch lookups (hits + misses) before any capacity
-    /// decision — tiny batches are noise.
-    pub min_lookups: u64,
-}
-
-impl Default for AdaptiveSizingConfig {
-    fn default() -> Self {
-        AdaptiveSizingConfig {
-            min_capacity: 256,
-            max_capacity: 1 << 20,
-            grow_below_hit_rate: 0.5,
-            shrink_above_hit_rate: 0.9,
-            shed_rate_threshold: 0.1,
-            min_lookups: 64,
-        }
-    }
-}
-
-/// The state of the adaptive sizing loop: current capacity and
-/// worker-thread targets plus the [`CacheStats`] baseline the next
-/// batch will be diffed against. Shared (`Arc`) across service clones
-/// so all of them steer one pair of targets.
-#[derive(Debug)]
-pub struct AdaptiveSizer {
-    config: AdaptiveSizingConfig,
-    capacity: AtomicUsize,
-    threads: AtomicUsize,
-    /// Ceiling for thread-target regrowth: the service's configured
-    /// thread count when the sizer was attached.
-    max_threads: usize,
-    baseline: Mutex<CacheStats>,
-}
-
-impl AdaptiveSizer {
-    /// A sizer starting from `initial_capacity` (clamped into the
-    /// configured bounds) and `max_threads` worker threads.
-    ///
-    /// The bounds themselves are normalized first (`max_capacity` at
-    /// least 1, `min_capacity` at most `max_capacity`), so an inverted
-    /// configuration degrades to a sane range instead of panicking in
-    /// `clamp` — and every later growth/shrink decision uses the same
-    /// normalized bounds, keeping the capacity inside
-    /// `[min_capacity, max_capacity]` under any batch sequence.
-    #[must_use]
-    pub fn new(config: AdaptiveSizingConfig, initial_capacity: usize, max_threads: usize) -> Self {
-        let mut config = config;
-        config.max_capacity = config.max_capacity.max(1);
-        config.min_capacity = config.min_capacity.min(config.max_capacity);
-        let capacity = initial_capacity.clamp(config.min_capacity, config.max_capacity);
-        AdaptiveSizer {
-            config,
-            capacity: AtomicUsize::new(capacity),
-            threads: AtomicUsize::new(max_threads.max(1)),
-            max_threads: max_threads.max(1),
-            baseline: Mutex::new(CacheStats::default()),
-        }
-    }
-
-    /// The current L1 capacity target.
-    #[must_use]
-    pub fn capacity_target(&self) -> usize {
-        self.capacity.load(Ordering::Relaxed)
-    }
-
-    /// The current worker-thread target (the service additionally
-    /// clamps this to its configured thread count at batch start).
-    #[must_use]
-    pub fn thread_target(&self) -> usize {
-        self.threads.load(Ordering::Relaxed)
-    }
-
-    /// Decide a new L1 capacity from one batch's traffic delta, or
-    /// `None` to hold. **Field forms matter** (see
-    /// [`CacheStats::since`]): `hits`/`misses`/`evictions` here are
-    /// per-batch deltas, while `entries` is the *current absolute
-    /// occupancy* — exactly what the shrink guard needs; treating it
-    /// as a delta would make the guard vacuous after any eviction.
-    pub fn plan_capacity(&self, delta: &CacheStats) -> Option<usize> {
-        if delta.hits + delta.misses < self.config.min_lookups {
-            return None;
-        }
-        let capacity = self.capacity.load(Ordering::Relaxed);
-        let hit_rate = delta.hit_rate();
-        let target = if delta.evictions > 0 && hit_rate < self.config.grow_below_hit_rate {
-            // Thrash: the batch churned the LRU and paid for it in
-            // misses. Double, up to the ceiling.
-            capacity.saturating_mul(2).min(self.config.max_capacity)
-        } else if hit_rate >= self.config.shrink_above_hit_rate
-            && delta.evictions == 0
-            && delta.entries.saturating_mul(4) <= capacity
-        {
-            // Comfortably oversized: high hit rate, no pressure, and
-            // the resident set fits in a quarter of the bound. Halve —
-            // still leaving 2× headroom over current occupancy.
-            (capacity / 2).max(self.config.min_capacity)
-        } else {
-            capacity
-        };
-        if target == capacity {
-            return None;
-        }
-        self.capacity.store(target, Ordering::Relaxed);
-        Some(target)
-    }
-
-    /// Update the worker-thread target from one batch's shed rate (the
-    /// fraction of outcomes that degraded): over the threshold halves
-    /// the target, a fully clean batch doubles it back toward the
-    /// configured count.
-    pub fn plan_threads(&self, shed_rate: f64) -> usize {
-        let current = self.threads.load(Ordering::Relaxed);
-        let target = if shed_rate > self.config.shed_rate_threshold {
-            (current / 2).max(1)
-        } else if shed_rate == 0.0 {
-            current.saturating_mul(2).min(self.max_threads)
-        } else {
-            current
-        };
-        self.threads.store(target, Ordering::Relaxed);
-        target
-    }
-
-    /// Diff `stats` against the stored baseline and advance the
-    /// baseline to `stats` — one batch's traffic, exactly once.
-    fn take_delta(&self, stats: CacheStats) -> CacheStats {
-        let mut baseline = self
-            .baseline
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let delta = stats.since(&baseline);
-        *baseline = stats;
-        delta
-    }
-}
 
 /// The two production traffic classes of the serving front-end
 /// (ROADMAP item 5's two-lane scheduling): latency-sensitive
@@ -527,10 +370,6 @@ impl<T> BoundedQueue<T> {
 pub struct AnnotationService {
     typer: SigmaTyper,
     threads: usize,
-    /// Optional adaptive sizing loop (see
-    /// [`AnnotationService::with_adaptive_sizing`]); shared across
-    /// clones so every front-end steers one pair of targets.
-    sizing: Option<Arc<AdaptiveSizer>>,
 }
 
 impl AnnotationService {
@@ -544,7 +383,6 @@ impl AnnotationService {
         AnnotationService {
             typer: SigmaTyper::new(global, config),
             threads,
-            sizing: None,
         }
     }
 
@@ -553,11 +391,7 @@ impl AnnotationService {
     #[must_use]
     pub fn for_customer(typer: SigmaTyper) -> Self {
         let threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        AnnotationService {
-            typer,
-            threads,
-            sizing: None,
-        }
+        AnnotationService { typer, threads }
     }
 
     /// Set the worker-thread count.
@@ -593,53 +427,6 @@ impl AnnotationService {
     #[must_use]
     pub fn cached(self, capacity: usize) -> Self {
         self.with_cache(Arc::new(ShardedLruCache::new(capacity)))
-    }
-
-    /// Enable the adaptive sizing loop: after every batch the service
-    /// diffs the attached cache's [`CacheStats`] (via
-    /// [`CacheStats::since`]) and the batch's degradation rate, then
-    /// re-aims two knobs:
-    ///
-    /// * **L1 capacity** — doubled when a batch thrashes (evictions
-    ///   plus a hit rate below
-    ///   [`grow_below_hit_rate`](AdaptiveSizingConfig::grow_below_hit_rate)),
-    ///   halved when the resident set is comfortably small at a high
-    ///   hit rate; applied through [`StepCache::resize`], so it reaches
-    ///   the in-memory LRU (or the L1 of a
-    ///   [`TieredStepCache`](crate::diskcache::TieredStepCache) — the
-    ///   disk tier is unbounded and unaffected).
-    /// * **worker threads** — halved when more than
-    ///   [`shed_rate_threshold`](AdaptiveSizingConfig::shed_rate_threshold)
-    ///   of a request batch degraded (the machine is oversubscribed —
-    ///   more workers burning one shared budget would only shed more),
-    ///   regrown toward the configured count on clean batches.
-    ///
-    /// `initial_capacity` should match the attached cache's bound.
-    /// Attach *after* [`with_threads`](AnnotationService::with_threads)
-    /// so the regrowth ceiling snapshots the intended thread count.
-    /// Sizing is deterministic in the observed stats; it never changes
-    /// annotation *results*, only cache bound and parallelism.
-    #[must_use]
-    pub fn with_adaptive_sizing(
-        mut self,
-        config: AdaptiveSizingConfig,
-        initial_capacity: usize,
-    ) -> Self {
-        self.sizing = Some(Arc::new(AdaptiveSizer::new(
-            config,
-            initial_capacity,
-            self.threads,
-        )));
-        self
-    }
-
-    /// The adaptive sizer, when
-    /// [`with_adaptive_sizing`](AnnotationService::with_adaptive_sizing)
-    /// was configured — for observing the current capacity and thread
-    /// targets.
-    #[must_use]
-    pub fn adaptive_sizer(&self) -> Option<&Arc<AdaptiveSizer>> {
-        self.sizing.as_ref()
     }
 
     /// Set the customer's intra-table [`ParallelismPolicy`] — when a
@@ -689,11 +476,23 @@ impl AnnotationService {
     /// column level instead of idling them.
     #[must_use]
     pub fn annotate_batch(&self, tables: &[Table]) -> Vec<TableAnnotation> {
-        let annotations = two_level_annotate(&self.typer, tables, self.effective_threads());
-        // Plain batches never degrade (no budget), so the shed rate
-        // is 0 — thread targets only regrow here.
-        self.adapt_after_batch(0, tables.len());
-        annotations
+        let policy = self.typer.config().parallelism;
+        let defaults = RequestOptions::default();
+        let (budget, _) = defaults.resolved();
+        // Each table gets its own default-request ledger, exactly as a
+        // loop of `SigmaTyper::annotate` calls would.
+        two_level_run(tables.len(), self.threads, policy, &|i, executor| {
+            self.typer.annotate_request_shared_with_base(
+                &tables[i],
+                None,
+                executor,
+                &defaults,
+                &BudgetLedger::from_budget(budget),
+            )
+        })
+        .into_iter()
+        .map(AnnotationOutcome::into_annotation)
+        .collect()
     }
 
     /// Request-level batch annotation: the same two-level scheduler,
@@ -708,11 +507,23 @@ impl AnnotationService {
     /// [`DegradationReport`] (per-table spend, batch-wide remainder),
     /// in input order.
     ///
-    /// With default options (`Strict`, unbounded) every annotation is
-    /// bit-identical to [`AnnotationService::annotate_batch`]. The
-    /// request's `parallelism` override replaces the customer's
-    /// configured policy for this batch; `column_threads` is ignored
-    /// (the scheduler owns the thread split).
+    /// `bases` is positional: `bases[i]` is the previously annotated
+    /// version of `tables[i]`, turning that table into an
+    /// **incremental recrawl** (see
+    /// [`SigmaTyper::annotate_request_shared_with_base`]) — per-step
+    /// reuse of the base crawl's cached scores for columns whose delta
+    /// movement stays under the sensitivity threshold (`options`'
+    /// `delta_sensitivity`, defaulting to the customer config). A
+    /// table with no slot in `bases`, or a `None` slot, has no base,
+    /// so callers without bases pass `&[]`. At sensitivity 0 the batch
+    /// is bit-identical to one without bases.
+    ///
+    /// With default options (`Strict`, unbounded) and no bases every
+    /// annotation is bit-identical to
+    /// [`AnnotationService::annotate_batch`]. The request's
+    /// `parallelism` override replaces the customer's configured
+    /// policy for this batch; `column_threads` is ignored (the
+    /// scheduler owns the thread split).
     ///
     /// [`DegradationPolicy`]: crate::request::DegradationPolicy
     /// [`DegradationReport`]: crate::request::DegradationReport
@@ -720,83 +531,21 @@ impl AnnotationService {
     pub fn annotate_batch_request(
         &self,
         tables: &[Table],
-        options: &RequestOptions,
-    ) -> Vec<AnnotationOutcome> {
-        self.annotate_batch_request_with_bases(tables, &vec![None; tables.len()], options)
-    }
-
-    /// [`annotate_batch_request`](AnnotationService::annotate_batch_request)
-    /// for **incremental recrawls**: `bases[i]` is the previously
-    /// annotated version of `tables[i]` (or `None` for a first crawl).
-    /// Each table with a base runs the delta-aware path of
-    /// [`SigmaTyper::annotate_request_shared_with_base`] — chained
-    /// fingerprints instead of full rehashes, and per-step reuse of
-    /// the base crawl's cached scores for columns whose delta movement
-    /// stays under the sensitivity threshold (`options`'
-    /// `delta_sensitivity`, defaulting to the customer config). At
-    /// sensitivity 0 the batch is bit-identical to a from-scratch
-    /// [`annotate_batch_request`](AnnotationService::annotate_batch_request).
-    ///
-    /// `bases` is positional and must be exactly as long as `tables`.
-    #[must_use]
-    pub fn annotate_batch_request_with_bases(
-        &self,
-        tables: &[Table],
         bases: &[Option<&Table>],
         options: &RequestOptions,
     ) -> Vec<AnnotationOutcome> {
         let (budget, _) = options.resolved();
-        let ledger = BudgetLedger::from_budget(budget);
-        self.annotate_batch_request_on_ledger(tables, bases, options, &ledger)
+        self.run_batch(tables, bases, options, &BudgetLedger::from_budget(budget))
     }
 
-    /// The shared-ledger core of the request-level batch entry points:
-    /// run the batch charging the **caller-provided** ledger instead of
-    /// resolving a fresh one from `options`. This is how a serving
-    /// front-end makes a batch draw on a lane window ledger (all
-    /// concurrent lane traffic collectively drains one budget) or on a
-    /// tenant-capped local ledger — `options.budget_nanos` is ignored
-    /// here; the ledger *is* the budget.
-    ///
-    /// `bases` is positional and must be exactly as long as `tables`.
-    #[must_use]
-    pub fn annotate_batch_request_on_ledger(
-        &self,
-        tables: &[Table],
-        bases: &[Option<&Table>],
-        options: &RequestOptions,
-        ledger: &BudgetLedger,
-    ) -> Vec<AnnotationOutcome> {
-        assert_eq!(
-            tables.len(),
-            bases.len(),
-            "one base slot (Some or None) per table"
-        );
-        let policy = options
-            .parallelism
-            .unwrap_or(self.typer.config().parallelism);
-        let outcomes = two_level_run(
-            &self.typer,
-            tables,
-            self.effective_threads(),
-            policy,
-            &|typer, i, table, executor| {
-                typer.annotate_request_shared_with_base(table, bases[i], executor, options, ledger)
-            },
-        );
-        let degraded = outcomes.iter().filter(|o| o.degraded()).count();
-        self.adapt_after_batch(degraded, outcomes.len());
-        outcomes
-    }
-
-    /// Traffic-shaped batch annotation: resolve the request's budget
-    /// through `shaper` ([`TrafficShaper::request_budget`] — lane
-    /// window remainder ∧ tenant fairness cap ∧ explicit request
-    /// budget), run the batch on the granted ledger, then settle the
-    /// spend back into lane, tenant, and serving counters. The tenant
-    /// is taken from `options.tenant`, defaulting to the shaper's
-    /// [`ANONYMOUS_TENANT`] account;
-    /// every returned [`DegradationReport`] echoes it.
+    /// Traffic-shaped batch annotation: the batch runs as one request
+    /// through [`TrafficShaper::serve`] — its budget granted from the
+    /// lane window remainder, the tenant fairness cap and the explicit
+    /// request budget, its spend settled back into lane, tenant, and
+    /// serving counters. The tenant is taken from `options.tenant`,
+    /// defaulting to the shaper's [`ANONYMOUS_TENANT`] account; every
+    /// returned [`DegradationReport`] echoes it. `bases` follows
+    /// [`annotate_batch_request`](AnnotationService::annotate_batch_request).
     ///
     /// When shaping imposes nothing — unbudgeted request, tenant in
     /// quota with the lane window as the tighter bound — the batch
@@ -820,27 +569,9 @@ impl AnnotationService {
         let mut options = *options;
         options.tenant = Some(tenant);
         let (budget, _) = options.resolved();
-        let grant = shaper.request_budget(lane, tenant, budget);
-        let outcomes = match &grant {
-            ShapedBudget::Shared(ledger) => {
-                self.annotate_batch_request_on_ledger(tables, bases, &options, ledger)
-            }
-            ShapedBudget::Local { cap_nanos, .. } => {
-                let local = BudgetLedger::bounded(*cap_nanos);
-                self.annotate_batch_request_on_ledger(tables, bases, &options, &local)
-            }
-        };
-        let spent: u64 = outcomes
-            .iter()
-            .map(|o| o.degradation.spent_nanos)
-            .fold(0, u64::saturating_add);
-        let degraded = outcomes.iter().filter(|o| o.degraded()).count() as u64;
-        let delta_reused = outcomes
-            .iter()
-            .map(|o| o.degradation.delta_reused as u64)
-            .fold(0, u64::saturating_add);
-        shaper.settle(lane, tenant, &grant, spent, degraded, delta_reused);
-        outcomes
+        shaper.serve(lane, tenant, budget, |ledger| {
+            self.run_batch(tables, bases, &options, ledger)
+        })
     }
 
     /// Aggregate counters of the attached step cache (`None` when the
@@ -867,59 +598,37 @@ impl AnnotationService {
         }
     }
 
-    /// The worker budget for the next batch: the configured thread
-    /// count, reduced (never raised) by the adaptive sizer's target.
-    fn effective_threads(&self) -> usize {
-        self.sizing
-            .as_ref()
-            .map_or(self.threads, |s| s.thread_target().clamp(1, self.threads))
+    /// The shared-ledger core of the request-level batch entry points:
+    /// run the batch charging `ledger`, every table through the one
+    /// request core with its positional base (if any).
+    fn run_batch(
+        &self,
+        tables: &[Table],
+        bases: &[Option<&Table>],
+        options: &RequestOptions,
+        ledger: &BudgetLedger,
+    ) -> Vec<AnnotationOutcome> {
+        let policy = options
+            .parallelism
+            .unwrap_or(self.typer.config().parallelism);
+        two_level_run(tables.len(), self.threads, policy, &|i, executor| {
+            let base = bases.get(i).copied().flatten();
+            self.typer
+                .annotate_request_shared_with_base(&tables[i], base, executor, options, ledger)
+        })
     }
-
-    /// One turn of the sizing loop after a batch: diff the cache
-    /// stats, re-aim the capacity target (applying it through
-    /// [`StepCache::resize`]) and the thread target.
-    fn adapt_after_batch(&self, degraded: usize, total: usize) {
-        let Some(sizer) = &self.sizing else { return };
-        if total == 0 {
-            return;
-        }
-        if let Some(cache) = self.typer.step_cache() {
-            let delta = sizer.take_delta(cache.stats());
-            if let Some(capacity) = sizer.plan_capacity(&delta) {
-                cache.resize(capacity);
-            }
-        }
-        sizer.plan_threads(degraded as f64 / total as f64);
-    }
-}
-
-/// The annotation-returning scheduler used by the classic batch entry
-/// points: [`two_level_run`] with the customer's configured policy and
-/// plain [`SigmaTyper::annotate_with`].
-fn two_level_annotate(typer: &SigmaTyper, tables: &[Table], budget: usize) -> Vec<TableAnnotation> {
-    let policy = typer.config().parallelism;
-    two_level_run(
-        typer,
-        tables,
-        budget,
-        policy,
-        &|typer, _, table, executor| typer.annotate_with(table, executor),
-    )
 }
 
 /// The shared scheduling core: `budget` worker threads split across
 /// table workers (level 1, dynamic queue) and per-worker column
-/// budgets (level 2, handed to the [`CascadeExecutor`]), output in
-/// input order. Generic over what one table's annotation produces, so
-/// the plain and request-level batch entry points share one scheduler.
-fn two_level_run<T: Send + Sync>(
-    typer: &SigmaTyper,
-    tables: &[Table],
+/// budgets (level 2, handed to the [`CascadeExecutor`]), annotating
+/// tables `0..n` through `annotate_one`, output in input order.
+fn two_level_run(
+    n: usize,
     budget: usize,
     policy: ParallelismPolicy,
-    annotate_one: &(dyn Fn(&SigmaTyper, usize, &Table, &CascadeExecutor) -> T + Sync),
-) -> Vec<T> {
-    let n = tables.len();
+    annotate_one: &(dyn Fn(usize, &CascadeExecutor) -> AnnotationOutcome + Sync),
+) -> Vec<AnnotationOutcome> {
     if n == 0 {
         return Vec::new();
     }
@@ -935,18 +644,14 @@ fn two_level_run<T: Send + Sync>(
         |worker: usize| CascadeExecutor::new(policy, column_budget(budget, outer, worker));
     if outer == 1 {
         let executor = executor_for(0);
-        return tables
-            .iter()
-            .enumerate()
-            .map(|(i, t)| annotate_one(typer, i, t, &executor))
-            .collect();
+        return (0..n).map(|i| annotate_one(i, &executor)).collect();
     }
     // Level 1: a dynamic queue instead of pre-cut shards, so one slow
     // (huge) table delays only the worker that holds it — the others
     // keep draining the queue. Each result lands in its input-index
     // slot, so output order is position-stable by construction.
     let next = AtomicUsize::new(0);
-    let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
+    let slots: Vec<OnceLock<AnnotationOutcome>> = (0..n).map(|_| OnceLock::new()).collect();
     std::thread::scope(|scope| {
         // `move` closures below take the (Copy) executor by value and
         // these shared handles by reference.
@@ -958,7 +663,7 @@ fn two_level_run<T: Send + Sync>(
                 if i >= n {
                     break;
                 }
-                let ann = annotate_one(typer, i, &tables[i], &executor);
+                let ann = annotate_one(i, &executor);
                 assert!(
                     slots[i].set(ann).is_ok(),
                     "queue indices are unique; every slot is filled exactly once"
@@ -1054,33 +759,43 @@ mod tests {
             .with_threads(4)
             .cached(1 << 14);
         let bases = batch(0xBA5E, 4);
-        let _ = service.annotate_batch_request(&bases, &RequestOptions::default());
+        let _ = service.annotate_batch_request(&bases, &[], &RequestOptions::default());
         let tables: Vec<Table> = bases.iter().map(|t| recrawled(t, 1)).collect();
         let base_refs: Vec<Option<&Table>> = bases.iter().map(Some).collect();
 
         // A generous sensitivity: the one-row appends reuse the base
         // crawl's cached scores instead of re-running cacheable steps.
         let relaxed = RequestOptions::default().with_delta_sensitivity(0.5);
-        let reusing = service.annotate_batch_request_with_bases(&tables, &base_refs, &relaxed);
+        let reusing = service.annotate_batch_request(&tables, &base_refs, &relaxed);
         let reused: usize = reusing.iter().map(|o| o.degradation.delta_reused).sum();
         assert!(reused > 0, "small appends must reuse base-crawl scores");
 
         // Sensitivity 0 turns reuse off entirely and is bit-identical
         // to annotating the recrawled tables from scratch.
         let zero = RequestOptions::default().with_delta_sensitivity(0.0);
-        let strict = service.annotate_batch_request_with_bases(&tables, &base_refs, &zero);
+        let strict = service.annotate_batch_request(&tables, &base_refs, &zero);
         let uncached_service = AnnotationService::new(global(), SigmaTyperConfig::default());
-        let fresh = uncached_service.annotate_batch_request(&tables, &RequestOptions::default());
+        let fresh =
+            uncached_service.annotate_batch_request(&tables, &[], &RequestOptions::default());
         for (a, b) in strict.iter().zip(&fresh) {
             assert_eq!(a.degradation.delta_reused, 0, "sensitivity 0 never reuses");
             assert_identical(&a.annotation, &b.annotation);
         }
 
-        // Bases are positional: a length mismatch is a caller bug.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            service.annotate_batch_request_with_bases(&tables, &base_refs[..1], &zero)
-        }));
-        assert!(result.is_err(), "mismatched bases length must panic");
+        // Bases are positional: a table with no slot has no base, so a
+        // one-slot `bases` makes only table 0 a delta recrawl. (Fresh
+        // two-row appends: the recrawls above cached their own exact
+        // fingerprints, which would hit instead of reusing.)
+        let grown: Vec<Table> = bases.iter().map(|t| recrawled(t, 2)).collect();
+        let partial = service.annotate_batch_request(&grown, &base_refs[..1], &relaxed);
+        assert_eq!(partial.len(), grown.len());
+        assert!(
+            partial[0].degradation.delta_reused > 0,
+            "table 0 has a base"
+        );
+        for outcome in &partial[1..] {
+            assert_eq!(outcome.degradation.delta_reused, 0, "no slot, no base");
+        }
     }
 
     #[test]
@@ -1365,7 +1080,7 @@ mod tests {
         let service = AnnotationService::new(global(), SigmaTyperConfig::default()).with_threads(4);
         let tables = batch(0xB0D6, 7);
         let plain = service.annotate_batch(&tables);
-        let outcomes = service.annotate_batch_request(&tables, &RequestOptions::default());
+        let outcomes = service.annotate_batch_request(&tables, &[], &RequestOptions::default());
         assert_eq!(outcomes.len(), plain.len());
         for (outcome, ann) in outcomes.iter().zip(&plain) {
             assert!(!outcome.degraded());
@@ -1382,7 +1097,7 @@ mod tests {
         let options = RequestOptions::default()
             .with_budget_nanos(0)
             .with_policy(DegradationPolicy::DropTailSteps);
-        let outcomes = service.annotate_batch_request(&tables, &options);
+        let outcomes = service.annotate_batch_request(&tables, &[], &options);
         assert_eq!(outcomes.len(), tables.len());
         for (outcome, table) in outcomes.iter().zip(&tables) {
             // Zero budget: every table in the batch sheds its whole
@@ -1407,7 +1122,7 @@ mod tests {
         let options = RequestOptions::default()
             .with_budget_nanos(u64::MAX / 2)
             .with_policy(DegradationPolicy::DropTailSteps);
-        let outcomes = service.annotate_batch_request(&tables, &options);
+        let outcomes = service.annotate_batch_request(&tables, &[], &options);
         let total_spent: u64 = outcomes.iter().map(|o| o.degradation.spent_nanos).sum();
         assert!(total_spent > 0);
         for outcome in &outcomes {
@@ -1454,143 +1169,6 @@ mod tests {
         assert_eq!(total.hits, warm.hits);
         assert_eq!(total.misses, cold.misses);
         assert!(total.hit_rate() > 0.0);
-    }
-
-    #[test]
-    fn sizer_capacity_rules_use_delta_counters_and_absolute_entries() {
-        let sizer = AdaptiveSizer::new(AdaptiveSizingConfig::default(), 1024, 4);
-        // Too little traffic: hold.
-        let tiny = CacheStats {
-            hits: 1,
-            misses: 1,
-            ..CacheStats::default()
-        };
-        assert_eq!(sizer.plan_capacity(&tiny), None);
-        // Thrash (low hit rate + evictions): double.
-        let thrash = CacheStats {
-            hits: 10,
-            misses: 90,
-            inserts: 90,
-            evictions: 50,
-            entries: 1024,
-        };
-        assert_eq!(sizer.plan_capacity(&thrash), Some(2048));
-        assert_eq!(sizer.capacity_target(), 2048);
-        // Low hit rate but no evictions = cold keys, not churn: hold.
-        let cold = CacheStats {
-            hits: 0,
-            misses: 100,
-            inserts: 100,
-            evictions: 0,
-            entries: 100,
-        };
-        assert_eq!(sizer.plan_capacity(&cold), None);
-        // Comfortably oversized (high hit rate, no evictions, small
-        // *absolute* occupancy — `entries` is not a delta): halve.
-        let cozy = CacheStats {
-            hits: 95,
-            misses: 5,
-            inserts: 0,
-            evictions: 0,
-            entries: 100,
-        };
-        assert_eq!(sizer.plan_capacity(&cozy), Some(1024));
-        // Same traffic at high occupancy must NOT shrink — this is
-        // exactly where misreading `entries` as a per-batch delta
-        // (usually 0 or small) would shrink a full cache.
-        let full = CacheStats {
-            entries: 1000,
-            ..cozy
-        };
-        assert_eq!(sizer.plan_capacity(&full), None);
-        // Bounds: growth is capped, shrink is floored.
-        let bounded = AdaptiveSizer::new(
-            AdaptiveSizingConfig {
-                min_capacity: 512,
-                max_capacity: 1500,
-                ..AdaptiveSizingConfig::default()
-            },
-            1024,
-            4,
-        );
-        assert_eq!(bounded.plan_capacity(&thrash), Some(1500));
-        let empty_cozy = CacheStats { entries: 0, ..cozy };
-        assert_eq!(bounded.plan_capacity(&empty_cozy), Some(750));
-        assert_eq!(bounded.plan_capacity(&empty_cozy), Some(512));
-        assert_eq!(bounded.plan_capacity(&empty_cozy), None, "at the floor");
-    }
-
-    #[test]
-    fn sizer_thread_rules_halve_on_shed_and_regrow_to_ceiling() {
-        let sizer = AdaptiveSizer::new(AdaptiveSizingConfig::default(), 1024, 8);
-        assert_eq!(sizer.thread_target(), 8);
-        assert_eq!(sizer.plan_threads(0.5), 4);
-        assert_eq!(sizer.plan_threads(0.5), 2);
-        assert_eq!(sizer.plan_threads(1.0), 1);
-        assert_eq!(sizer.plan_threads(1.0), 1, "floor of one worker");
-        // Mild shedding (at/below threshold but nonzero): hold.
-        assert_eq!(sizer.plan_threads(0.05), 1);
-        // Clean batches double back, capped at the attach-time count.
-        assert_eq!(sizer.plan_threads(0.0), 2);
-        assert_eq!(sizer.plan_threads(0.0), 4);
-        assert_eq!(sizer.plan_threads(0.0), 8);
-        assert_eq!(sizer.plan_threads(0.0), 8, "ceiling");
-    }
-
-    #[test]
-    fn adaptive_sizing_grows_a_thrashing_live_cache() {
-        // One two-slot shard: a cold batch's distinct column keys are
-        // guaranteed to churn it, whatever the hash spread.
-        let lru = Arc::new(ShardedLruCache::with_shards(2, 1));
-        let service = AnnotationService::new(global(), SigmaTyperConfig::default())
-            .with_threads(4)
-            .with_cache(lru.clone() as Arc<dyn StepCache>)
-            .with_adaptive_sizing(
-                AdaptiveSizingConfig {
-                    min_capacity: 1,
-                    min_lookups: 1,
-                    ..AdaptiveSizingConfig::default()
-                },
-                2,
-            );
-        let tables = batch(0xADA7, 10);
-        assert_eq!(lru.capacity(), 2);
-        let _ = service.annotate_batch(&tables);
-        // The cold batch churned the tiny LRU (all misses, evictions),
-        // so the loop doubles and applies it via resize.
-        let sizer = service.adaptive_sizer().expect("sizing configured");
-        assert_eq!(sizer.capacity_target(), 4);
-        assert_eq!(lru.capacity(), 4, "resize reached the live cache");
-        // Plain batches never shed, so the thread target stays put.
-        assert_eq!(sizer.thread_target(), 4);
-    }
-
-    #[test]
-    fn adaptive_sizing_sheds_threads_on_degraded_batches_and_recovers() {
-        use crate::request::{DegradationPolicy, RequestOptions};
-        let service = AnnotationService::new(global(), SigmaTyperConfig::default())
-            .with_threads(4)
-            .cached(1 << 14)
-            .with_adaptive_sizing(AdaptiveSizingConfig::default(), 1 << 14);
-        let tables = batch(0x5ED, 6);
-        let strangled = RequestOptions::default()
-            .with_budget_nanos(0)
-            .with_policy(DegradationPolicy::DropTailSteps);
-        let outcomes = service.annotate_batch_request(&tables, &strangled);
-        assert!(outcomes.iter().all(AnnotationOutcome::degraded));
-        let sizer = service.adaptive_sizer().unwrap();
-        assert_eq!(sizer.thread_target(), 2, "full shed halves the target");
-        let _ = service.annotate_batch_request(&tables, &strangled);
-        assert_eq!(sizer.thread_target(), 1);
-        // The next batch really runs narrower…
-        assert_eq!(service.effective_threads(), 1);
-        // …and clean batches regrow toward the configured count.
-        let clean = service.annotate_batch_request(&tables, &RequestOptions::default());
-        assert!(clean.iter().all(|o| !o.degraded()));
-        assert_eq!(sizer.thread_target(), 2);
-        let _ = service.annotate_batch(&tables);
-        assert_eq!(sizer.thread_target(), 4);
-        assert_eq!(service.effective_threads(), 4);
     }
 
     #[test]
@@ -1695,80 +1273,6 @@ mod tests {
         queue.close();
         let total: u32 = workers.into_iter().map(|w| w.join().unwrap()).sum();
         assert_eq!(total, 1 + 2 + 3 + 4, "every admitted item is served");
-    }
-
-    /// Satellite regression: inverted bounds must normalize instead of
-    /// panicking, and a pathological shed/thrash oscillation must stay
-    /// inside `[min_capacity, max_capacity]` and at most the attach-time
-    /// thread count — forever, not just for one step.
-    #[test]
-    fn sizer_bounds_survive_inversion_and_oscillation() {
-        // min > max: normalized (max wins), no panic.
-        let inverted = AdaptiveSizer::new(
-            AdaptiveSizingConfig {
-                min_capacity: 4096,
-                max_capacity: 512,
-                ..AdaptiveSizingConfig::default()
-            },
-            1024,
-            4,
-        );
-        assert_eq!(inverted.capacity_target(), 512);
-        // max 0: degrades to 1.
-        let zeroed = AdaptiveSizer::new(
-            AdaptiveSizingConfig {
-                min_capacity: 0,
-                max_capacity: 0,
-                ..AdaptiveSizingConfig::default()
-            },
-            1024,
-            4,
-        );
-        assert_eq!(zeroed.capacity_target(), 1);
-
-        let config = AdaptiveSizingConfig {
-            min_capacity: 256,
-            max_capacity: 2048,
-            min_lookups: 1,
-            ..AdaptiveSizingConfig::default()
-        };
-        let sizer = AdaptiveSizer::new(config, 1024, 6);
-        let thrash = CacheStats {
-            hits: 0,
-            misses: 100,
-            inserts: 100,
-            evictions: 80,
-            entries: 2048,
-        };
-        let cozy = CacheStats {
-            hits: 99,
-            misses: 1,
-            inserts: 0,
-            evictions: 0,
-            entries: 1,
-        };
-        for round in 0..50 {
-            let _ = sizer.plan_capacity(if round % 2 == 0 { &thrash } else { &cozy });
-            let _ = sizer.plan_threads(if round % 2 == 0 { 1.0 } else { 0.0 });
-            let cap = sizer.capacity_target();
-            assert!(
-                (config.min_capacity..=config.max_capacity).contains(&cap),
-                "round {round}: capacity {cap} escaped the bounds"
-            );
-            let threads = sizer.thread_target();
-            assert!(
-                (1..=6).contains(&threads),
-                "round {round}: thread target {threads} escaped [1, attach-time 6]"
-            );
-        }
-        // Sustained thrash + clean batches pin to the configured caps,
-        // never beyond.
-        for _ in 0..20 {
-            let _ = sizer.plan_capacity(&thrash);
-            let _ = sizer.plan_threads(0.0);
-        }
-        assert_eq!(sizer.capacity_target(), 2048);
-        assert_eq!(sizer.thread_target(), 6);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! runs an ordered list of them; user code registers additional steps
 //! through [`SigmaTyper::builder`](crate::system::SigmaTyper::builder).
 
-use crate::backend::{BackendState, EmbeddingBackend};
+use crate::backend::EmbeddingBackend;
 use crate::cache::ColumnFingerprint;
 use crate::config::SigmaTyperConfig;
 use crate::embedstep::TableEmbeddingModel;
@@ -485,7 +485,7 @@ impl AnnotationStep for EmbeddingStep {
                 .collect();
             let refs: Vec<&[f32]> = vecs.iter().map(Vec::as_slice).collect();
             let context = model.context_of(&refs);
-            backend.predict_with_context(model, None, column, &context)
+            backend.predict_with_context(model, column, &context)
         };
         let global_scores = scores_for(&ctx.global.embedding);
         match &ctx.local.finetuned {
@@ -549,19 +549,15 @@ impl AnnotationStep for EmbeddingStep {
 }
 
 /// [`EmbeddingStep`]'s table-level setup: the resolved
-/// [`EmbeddingBackend`], each header's phrase vector (encoded once per
-/// model through the backend), and the backend's prepared per-model
-/// state (e.g. [`QuantizedI8`](crate::backend::QuantizedI8)'s i8
-/// weight copy — paid once per table, shared by every column-parallel
-/// chunk). The finetuned model's embedder is a clone of the global
-/// one, but its vectors are encoded through its own instance so the
+/// [`EmbeddingBackend`] and each header's phrase vector, encoded once
+/// per model through the backend and shared by every column-parallel
+/// chunk. The finetuned model's embedder is a clone of the global one,
+/// but its vectors are encoded through its own instance so the
 /// equivalence argument never leans on clone identity.
 struct EmbedSetup {
     backend: &'static dyn EmbeddingBackend,
     global_vecs: Vec<Vec<f32>>,
     local_vecs: Option<Vec<Vec<f32>>>,
-    global_state: Option<BackendState>,
-    local_state: Option<BackendState>,
 }
 
 impl std::fmt::Debug for EmbedSetup {
@@ -570,8 +566,6 @@ impl std::fmt::Debug for EmbedSetup {
             .field("backend", &self.backend.name())
             .field("global_vecs", &self.global_vecs.len())
             .field("local_vecs", &self.local_vecs.as_ref().map(Vec::len))
-            .field("global_state", &self.global_state.is_some())
-            .field("local_state", &self.local_state.is_some())
             .finish()
     }
 }
@@ -580,83 +574,60 @@ impl EmbedSetup {
     fn for_table(ctx: &StepContext<'_>) -> Self {
         let backend = ctx.config.embedding_backend.backend();
         let headers = ctx.table.headers();
-        let global_model = &ctx.global.embedding;
-        let local_model = ctx.local.finetuned.as_ref();
+        let encode = |model: &TableEmbeddingModel| -> Vec<Vec<f32>> {
+            headers
+                .iter()
+                .map(|h| backend.encode_header(model, h))
+                .collect()
+        };
         EmbedSetup {
             backend,
-            global_vecs: headers
-                .iter()
-                .map(|h| backend.encode_header(global_model, h))
-                .collect(),
-            local_vecs: local_model.map(|m| {
-                headers
-                    .iter()
-                    .map(|h| backend.encode_header(m, h))
-                    .collect()
-            }),
-            global_state: backend.prepare(global_model),
-            local_state: local_model.and_then(|m| backend.prepare(m)),
+            global_vecs: encode(&ctx.global.embedding),
+            local_vecs: ctx.local.finetuned.as_ref().map(encode),
         }
     }
 }
 
 impl EmbeddingStep {
     /// The shared scoring core over precomputed header vectors: build
-    /// every pending column's neighbor context, then hand the whole
-    /// chunk to the backend's
-    /// [`predict_batch`](EmbeddingBackend::predict_batch) — one call
-    /// per model per chunk, which is what lets
-    /// [`BatchedFrontier`](crate::backend::BatchedFrontier) amortize
-    /// one matmul per layer across the frontier.
+    /// each pending column's neighbor context and score it through the
+    /// backend, once per model.
     fn scores_with(
         &self,
         ctx: &StepContext<'_>,
         cols: &[usize],
         setup: &EmbedSetup,
     ) -> Vec<StepScores> {
-        let global_model = &ctx.global.embedding;
-        let local_model = ctx.local.finetuned.as_ref();
-        fn neighbors_of(vecs: &[Vec<f32>], ci: usize) -> Vec<&[f32]> {
-            vecs.iter()
+        let scores_for = |model: &TableEmbeddingModel, vecs: &[Vec<f32>], ci: usize| {
+            let neighbors: Vec<&[f32]> = vecs
+                .iter()
                 .enumerate()
                 .filter(|(i, _)| *i != ci)
                 .map(|(_, v)| v.as_slice())
-                .collect()
-        }
-        let batch_for =
-            |model: &TableEmbeddingModel, vecs: &[Vec<f32>], state: Option<&BackendState>| {
-                let contexts: Vec<Vec<f32>> = cols
-                    .iter()
-                    .map(|&ci| model.context_of(&neighbors_of(vecs, ci)))
-                    .collect();
-                let items: Vec<(&Column, &[f32])> = cols
-                    .iter()
-                    .zip(&contexts)
-                    .map(|(&ci, c)| {
-                        let column = ctx.table.column(ci).expect("column in range");
-                        (column, c.as_slice())
-                    })
-                    .collect();
-                setup.backend.predict_batch(model, state, &items)
-            };
-        let global_batch = batch_for(
-            global_model,
-            &setup.global_vecs,
-            setup.global_state.as_ref(),
-        );
-        match (local_model, &setup.local_vecs) {
-            (Some(m), Some(lv)) => {
-                let local_batch = batch_for(m, lv, setup.local_state.as_ref());
-                cols.iter()
-                    .zip(global_batch.iter().zip(&local_batch))
-                    .map(|(&ci, (global_scores, local_scores))| {
+                .collect();
+            let context = model.context_of(&neighbors);
+            let column = ctx.table.column(ci).expect("column in range");
+            setup.backend.predict_with_context(model, column, &context)
+        };
+        let global_model = &ctx.global.embedding;
+        cols.iter()
+            .map(|&ci| {
+                let global_scores = scores_for(global_model, &setup.global_vecs, ci);
+                match (ctx.local.finetuned.as_ref(), &setup.local_vecs) {
+                    (Some(m), Some(lv)) => {
+                        let local_scores = scores_for(m, lv, ci);
                         let c = ctx.for_column(ci);
-                        blend(global_scores, local_scores, c.local, c.normalized_header())
-                    })
-                    .collect()
-            }
-            _ => global_batch,
-        }
+                        blend(
+                            &global_scores,
+                            &local_scores,
+                            c.local,
+                            c.normalized_header(),
+                        )
+                    }
+                    _ => global_scores,
+                }
+            })
+            .collect()
     }
 }
 

@@ -247,11 +247,9 @@ impl SigmaTyperBuilder {
     /// Select the embedding-inference backend for this instance (see
     /// [`crate::backend`] for the built-in choices). The default,
     /// [`EmbeddingBackendKind::ReferenceF32`], is bit-identical to the
-    /// original hardwired f32 path; `QuantizedI8` and `BlockedSimd`
-    /// trade bit-identity for raw speed (held within a golden
-    /// tolerance on the eval corpora), and `BatchedFrontier` amortizes
-    /// one matmul per frontier chunk while staying bit-exact. A
-    /// request may override the choice per call via
+    /// original hardwired f32 path; `BlockedSimd` trades bit-identity
+    /// for an 8-lane accumulation (held within a golden tolerance on
+    /// the eval corpora). A request may override the choice per call via
     /// [`RequestOptions::with_embedding_backend`]. Non-default
     /// backends fingerprint their own cache keys, so switching never
     /// serves one backend's cached scores to another.
@@ -264,7 +262,7 @@ impl SigmaTyperBuilder {
     /// # let corpus = generate_corpus(&ontology, &CorpusConfig::database_like(3, 6));
     /// # let global = sigmatyper::train_global(ontology, &corpus, &TrainingConfig::fast());
     /// let typer = SigmaTyper::builder(std::sync::Arc::new(global))
-    ///     .embedding_backend(EmbeddingBackendKind::QuantizedI8)
+    ///     .embedding_backend(EmbeddingBackendKind::BlockedSimd)
     ///     .build();
     /// ```
     #[must_use]
@@ -551,79 +549,36 @@ impl SigmaTyper {
         if let Some(threads) = request.options.column_threads {
             config.column_threads = threads;
         }
-        self.annotate_request_with(request, &CascadeExecutor::from_config(&config))
-    }
-
-    /// [`SigmaTyper::annotate_request`] through an explicitly
-    /// constructed [`CascadeExecutor`] (the executor wins over the
-    /// request's parallelism overrides — callers managing their own
-    /// worker budgets, like the batch scheduler, already resolved
-    /// them).
-    #[must_use]
-    pub fn annotate_request_with(
-        &self,
-        request: &AnnotationRequest<'_>,
-        executor: &CascadeExecutor,
-    ) -> AnnotationOutcome {
         let (budget, _) = request.options.resolved();
-        let ledger = BudgetLedger::from_budget(budget);
         self.annotate_request_shared_with_base(
             request.table,
             request.base,
-            executor,
+            &CascadeExecutor::from_config(&config),
             &request.options,
-            &ledger,
+            &BudgetLedger::from_budget(budget),
         )
     }
 
-    /// [`SigmaTyper::annotate`] through an explicitly constructed
-    /// [`CascadeExecutor`] — for callers that manage their own worker
-    /// budgets, like the two-level scheduler in
-    /// [`AnnotationService`](crate::service::AnnotationService), which
-    /// hands each table worker its share of the batch-wide budget.
-    /// Any executor produces bit-identical annotations; only the wall
-    /// clock differs.
-    ///
-    /// A thin wrapper over [`SigmaTyper::annotate_request_with`] with
-    /// default options — every public entry point funnels into the one
-    /// request core, [`SigmaTyper::annotate_request_shared`].
-    #[must_use]
-    pub fn annotate_with(&self, table: &Table, executor: &CascadeExecutor) -> TableAnnotation {
-        self.annotate_request_with(&AnnotationRequest::new(table), executor)
-            .into_annotation()
-    }
-
-    /// The request core, against an **externally owned**
-    /// [`BudgetLedger`] — this is how
-    /// [`AnnotationService::annotate_batch_request`] shares one
-    /// batch-wide ledger across its worker threads (degrade the
-    /// batch, don't queue it). The ledger must be consistent with
-    /// `options` ([`RequestOptions::resolved`] decides budget and
-    /// policy); single-request callers should prefer
+    /// The request core every annotate entry point funnels into: run
+    /// the cascade through `executor`, charging the **externally
+    /// owned** `ledger`. This is how a serving front-end makes a
+    /// request draw on a shared budget — a lane window ledger, a
+    /// tenant-capped local ledger (see
+    /// [`TrafficShaper::serve`](crate::tenant::TrafficShaper::serve)),
+    /// or one ledger shared by a whole batch. The ledger must be
+    /// consistent with `options` ([`RequestOptions::resolved`] decides
+    /// budget and policy); single-request callers should prefer
     /// [`SigmaTyper::annotate_request`], which owns its ledger.
     ///
-    /// [`AnnotationService::annotate_batch_request`]:
-    ///     crate::service::AnnotationService::annotate_batch_request
-    #[must_use]
-    pub fn annotate_request_shared(
-        &self,
-        table: &Table,
-        executor: &CascadeExecutor,
-        options: &RequestOptions,
-        ledger: &BudgetLedger,
-    ) -> AnnotationOutcome {
-        self.annotate_request_shared_with_base(table, None, executor, options, ledger)
-    }
-
-    /// [`SigmaTyper::annotate_request_shared`] with an optional base
-    /// crawl, enabling the delta-aware recrawl path (see
-    /// [`AnnotationRequest::with_base`]): per-column deltas are diffed
-    /// against `base`, the new crawl's fingerprints are derived
-    /// through fingerprint delta chains (O(changed cells) instead of
-    /// rehashing the table), and cacheable steps whose input signal
+    /// An optional `base` crawl enables the delta-aware recrawl path
+    /// (see [`AnnotationRequest::with_base`]): per-column deltas are
+    /// diffed against `base`, and cacheable steps whose input signal
     /// moved less than their sensitivity threshold reuse the base
-    /// crawl's cached scores. Falls back to the plain path when the
-    /// table's shape changed, the cache is off, or `base` is `None`.
+    /// crawl's cached scores. Fingerprinting is not incremental: the
+    /// base is fingerprinted in full, and every new column's hash
+    /// state is rebuilt from the base column before the delta is
+    /// folded in. Falls back to the plain path when the table's shape
+    /// changed, the cache is off, or `base` is `None`.
     #[must_use]
     pub fn annotate_request_shared_with_base(
         &self,

@@ -36,7 +36,7 @@
 //! tighter caps only make degradation (which removes votes, never
 //! fabricates) engage earlier for the tenants that earned it.
 
-use crate::request::BudgetLedger;
+use crate::request::{AnnotationOutcome, BudgetLedger};
 use crate::service::{BoundedQueue, LaneLedger, QueueRejection, TrafficLane};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -720,6 +720,41 @@ impl TrafficShaper {
         }
     }
 
+    /// Serve one request from `tenant` on `lane` — the grant → run →
+    /// settle sequence every serving front-end shares. The grant comes
+    /// from [`request_budget`](TrafficShaper::request_budget); `run`
+    /// annotates against the ledger it is handed (the lane's shared
+    /// window ledger, or a private [`BudgetLedger::bounded`] at the
+    /// granted cap), and [`settle`](TrafficShaper::settle) then
+    /// accounts the sums of spend, degraded outcomes and base-crawl
+    /// reuses over the outcomes `run` returned. A batch counts as one
+    /// served request; a single request is a batch of one.
+    pub fn serve(
+        &self,
+        lane: TrafficLane,
+        tenant: TenantId,
+        request_budget: Option<u64>,
+        run: impl FnOnce(&BudgetLedger) -> Vec<AnnotationOutcome>,
+    ) -> Vec<AnnotationOutcome> {
+        let grant = self.request_budget(lane, tenant, request_budget);
+        let outcomes = match &grant {
+            ShapedBudget::Shared(ledger) => run(ledger),
+            ShapedBudget::Local { cap_nanos, .. } => run(&BudgetLedger::bounded(*cap_nanos)),
+        };
+        let sum = |of: fn(&AnnotationOutcome) -> u64| {
+            outcomes.iter().map(of).fold(0, u64::saturating_add)
+        };
+        self.settle(
+            lane,
+            tenant,
+            &grant,
+            sum(|o| o.degradation.spent_nanos),
+            sum(|o| u64::from(o.degraded())),
+            sum(|o| o.degradation.delta_reused as u64),
+        );
+        outcomes
+    }
+
     /// Account one served request: charge `spent_nanos` back to the
     /// lane window (only for [`ShapedBudget::Local`] runs — shared
     /// runs charged the window ledger directly), charge the tenant's
@@ -1004,14 +1039,7 @@ mod tests {
 
     #[test]
     fn request_budget_composes_lane_tenant_and_request_bounds() {
-        let registry = Arc::new(TenantRegistry::new());
-        let shaper = TrafficShaper::new(
-            Arc::clone(&registry),
-            Some(10_000),
-            None,
-            Duration::from_secs(600),
-        );
-        let t = registry.intern("t");
+        let (registry, shaper, t) = budgeted_shaper();
         // Unbudgeted request, in-quota tenant with burst ≥ window:
         // shares the lane ledger (the unshapen path).
         match shaper.request_budget(TrafficLane::Interactive, t, None) {
@@ -1051,14 +1079,7 @@ mod tests {
 
     #[test]
     fn settle_charges_lane_tenant_and_counters() {
-        let registry = Arc::new(TenantRegistry::new());
-        let shaper = TrafficShaper::new(
-            Arc::clone(&registry),
-            Some(10_000),
-            None,
-            Duration::from_secs(600),
-        );
-        let t = registry.intern("t");
+        let (registry, shaper, t) = budgeted_shaper();
         let grant = shaper.request_budget(TrafficLane::Interactive, t, Some(4_000));
         shaper.settle(TrafficLane::Interactive, t, &grant, 2_500, 1, 3);
         assert_eq!(
@@ -1076,5 +1097,113 @@ mod tests {
         assert_eq!(counters.served(), 1);
         assert_eq!(counters.degraded(), 1);
         assert_eq!(counters.delta_reused(), 3);
+    }
+
+    /// An outcome that charged `ledger` `spent` nanoseconds, reused
+    /// `delta_reused` base-crawl scores, and degraded when `degraded`.
+    fn outcome(
+        ledger: &BudgetLedger,
+        spent: u64,
+        degraded: bool,
+        delta_reused: usize,
+    ) -> AnnotationOutcome {
+        use crate::prediction::{StepId, TableAnnotation};
+        use crate::request::{DegradationPolicy, DegradationReport, SkipReason, SkippedStep};
+        ledger.charge(spent);
+        let skipped = degraded.then(|| SkippedStep {
+            step: StepId::EMBEDDING,
+            name: "embedding".into(),
+            reason: SkipReason::BudgetExhausted,
+            pending: 1,
+            ran: 0,
+        });
+        AnnotationOutcome {
+            annotation: TableAnnotation {
+                columns: Vec::new(),
+                timings: Vec::new(),
+            },
+            degradation: DegradationReport {
+                policy: DegradationPolicy::BestEffort,
+                budget_nanos: ledger.budget(),
+                spent_nanos: spent,
+                remaining_nanos: ledger.remaining(),
+                skipped: skipped.into_iter().collect(),
+                delta_reused,
+                tenant: None,
+            },
+        }
+    }
+
+    /// A shaper whose interactive lane grants 10 µs of step work per
+    /// 10-minute window and whose crawl lane is unbudgeted, plus one
+    /// interned tenant.
+    fn budgeted_shaper() -> (Arc<TenantRegistry>, TrafficShaper, TenantId) {
+        let registry = Arc::new(TenantRegistry::new());
+        let shaper = TrafficShaper::new(
+            Arc::clone(&registry),
+            Some(10_000),
+            None,
+            Duration::from_secs(600),
+        );
+        let tenant = registry.intern("t");
+        (registry, shaper, tenant)
+    }
+
+    #[test]
+    fn serve_charges_a_local_grant_back_to_the_lane_exactly_once() {
+        let (registry, shaper, t) = budgeted_shaper();
+        let lane = TrafficLane::Interactive;
+        // An explicit request budget runs on a private ledger capped at
+        // the grant, never on the lane window itself.
+        let outcomes = shaper.serve(lane, t, Some(4_000), |ledger| {
+            assert_eq!(ledger.budget(), Some(4_000), "private capped ledger");
+            vec![outcome(ledger, 2_500, false, 0)]
+        });
+        assert_eq!(outcomes.len(), 1);
+        assert_eq!(shaper.lane_ledger(lane).remaining_nanos(), Some(7_500));
+        assert_eq!(shaper.lane_ledger(lane).total_spent_nanos(), 2_500);
+        let snap = registry.snapshot();
+        assert_eq!(snap[t.index()].lanes[lane_index(lane)].spent_nanos, 2_500);
+    }
+
+    #[test]
+    fn serve_does_not_charge_a_shared_grant_twice() {
+        let (registry, shaper, t) = budgeted_shaper();
+        let lane = TrafficLane::Interactive;
+        // Unbudgeted request from an in-quota tenant: `run` charges the
+        // lane window ledger itself, so settling must not charge it
+        // again.
+        let _ = shaper.serve(lane, t, None, |ledger| {
+            assert_eq!(ledger.budget(), Some(10_000), "the lane window ledger");
+            vec![outcome(ledger, 1_200, false, 0)]
+        });
+        assert_eq!(shaper.lane_ledger(lane).remaining_nanos(), Some(8_800));
+        assert_eq!(shaper.lane_ledger(lane).total_spent_nanos(), 1_200);
+        // The tenant is charged either way.
+        let snap = registry.snapshot();
+        assert_eq!(snap[t.index()].lanes[lane_index(lane)].spent_nanos, 1_200);
+    }
+
+    #[test]
+    fn serve_counts_one_request_and_sums_the_outcomes() {
+        let (registry, shaper, t) = budgeted_shaper();
+        let lane = TrafficLane::Interactive;
+        let outcomes = shaper.serve(lane, t, Some(9_000), |ledger| {
+            vec![
+                outcome(ledger, 100, true, 2),
+                outcome(ledger, 200, false, 3),
+                outcome(ledger, 300, true, 0),
+            ]
+        });
+        assert_eq!(outcomes.len(), 3, "every outcome comes back");
+        let counters = shaper.counters(lane);
+        assert_eq!(counters.served(), 1, "a batch is one served request");
+        assert_eq!(counters.degraded(), 2);
+        assert_eq!(counters.delta_reused(), 5);
+        assert_eq!(shaper.lane_ledger(lane).total_spent_nanos(), 600);
+        let snap = registry.snapshot();
+        let account = &snap[t.index()].lanes[lane_index(lane)];
+        assert_eq!((account.served, account.degraded), (1, 2));
+        assert_eq!(account.spent_nanos, 600);
     }
 }

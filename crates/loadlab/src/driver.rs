@@ -1,19 +1,19 @@
 //! In-process replay driver.
 //!
-//! Mirrors the HTTP server's serving shape without the wire: a bounded
-//! admission queue, a worker pool driving the sync core, and the same
-//! [`TrafficShaper`] admission/budget/settle path `tu_server` uses —
-//! so fairness behavior measured here is the behavior the server
-//! ships. Clients are closed-loop: each submits its slice of the
-//! workload in order and blocks for the reply before sending the next
-//! operation.
+//! The HTTP server's serving shape without the wire: a bounded
+//! admission queue, a worker pool driving the sync core, and the
+//! server's own shaping calls — [`TrafficShaper::admit`] at the door
+//! and [`TrafficShaper::serve`] around every annotate — so fairness
+//! behavior measured here is the behavior the server ships. Clients
+//! are closed-loop: each submits its slice of the workload in order
+//! and blocks for the reply before sending the next operation.
 
 use crate::report::{LoadReport, OpResult};
 use crate::workload::{LabOp, Workload};
 use sigmatyper::executor::CascadeExecutor;
-use sigmatyper::request::{BudgetLedger, DegradationPolicy, RequestOptions};
+use sigmatyper::request::{DegradationPolicy, RequestOptions};
 use sigmatyper::service::BoundedQueue;
-use sigmatyper::tenant::{ShapedBudget, TenantId, TenantRegistry, TrafficShaper};
+use sigmatyper::tenant::{TenantId, TenantRegistry, TrafficShaper};
 use sigmatyper::{GlobalModel, ShardedLruCache, SigmaTyper, StableHasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -79,9 +79,8 @@ struct LabJob {
     reply: mpsc::Sender<OpResult>,
 }
 
-/// One worker: the in-process mirror of the server's `serve_single` —
-/// resolve the shaped budget, annotate, settle spend back to the lane
-/// and tenant.
+/// One worker's job: annotate `op` through [`TrafficShaper::serve`],
+/// the grant → run → settle sequence the server's single requests use.
 fn serve_op(
     typer: &SigmaTyper,
     executor: &CascadeExecutor,
@@ -102,35 +101,18 @@ fn serve_op(
         tenant: Some(tenant),
         ..RequestOptions::default()
     };
-    let grant = shaper.request_budget(op.lane, tenant, None);
-    let outcome = match &grant {
-        ShapedBudget::Shared(ledger) => typer.annotate_request_shared_with_base(
-            &op.table,
-            op.base.as_ref(),
-            executor,
-            &options,
-            ledger,
-        ),
-        ShapedBudget::Local { cap_nanos, .. } => {
-            let local = BudgetLedger::bounded(*cap_nanos);
-            typer.annotate_request_shared_with_base(
+    let outcome = shaper
+        .serve(op.lane, tenant, None, |ledger| {
+            vec![typer.annotate_request_shared_with_base(
                 &op.table,
                 op.base.as_ref(),
                 executor,
                 &options,
-                &local,
-            )
-        }
-    };
+                ledger,
+            )]
+        })
+        .remove(0);
     let degraded = outcome.degraded();
-    shaper.settle(
-        op.lane,
-        tenant,
-        &grant,
-        outcome.degradation.spent_nanos,
-        u64::from(degraded),
-        outcome.degradation.delta_reused as u64,
-    );
     OpResult {
         op: op.id,
         tenant: op.tenant,

@@ -122,9 +122,8 @@ impl Mlp {
 
     /// Read access to layer `i`'s parameters: the `out × in` row-major
     /// weight matrix and the `out`-length bias vector. This is the seam
-    /// alternative inference backends (quantized, blocked-SIMD, batched)
-    /// build their own weight representations from; training state stays
-    /// private.
+    /// alternative inference backends (blocked SIMD today) evaluate the
+    /// layers through; training state stays private.
     ///
     /// # Panics
     /// Panics when `i >= n_layers()`.

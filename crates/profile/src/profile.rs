@@ -1,7 +1,7 @@
 //! Column profiling: the statistical snapshot DPBD builds LFs from.
 
 use tu_table::stats::{value_counts, NumericSummary};
-use tu_table::{Column, ColumnDelta, DataType, Value};
+use tu_table::{Column, DataType};
 
 /// Character-composition fractions over a column's rendered values.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -119,97 +119,6 @@ impl ColumnProfile {
         }
     }
 
-    /// Update this profile — computed from the *base* column — so it
-    /// describes `new`, where `delta` is
-    /// [`ColumnDelta::between`]`(base, new)`. Returns `true` when the
-    /// update was incremental, i.e. O(|appended rows|) instead of
-    /// O(|column|).
-    ///
-    /// Incremental updates happen only for pure appends. They merge
-    /// the *decomposable* signals exactly: `n`, `null_fraction`,
-    /// `lengths` (min/max/count-weighted mean), and `chars`
-    /// (char-count-weighted composition) all match a fresh
-    /// [`ColumnProfile::of`]`(new)` up to float associativity. The
-    /// *distributional* signals — `dtype`, `distinct_fraction`,
-    /// `numeric`, `top_values`, `entropy` — need a full pass
-    /// (quantiles, value counts) and are carried over from the base
-    /// unchanged. That trade is sound exactly where this method is
-    /// used: the incremental-recrawl path only trusts a stale profile
-    /// while the column's [`ColumnDelta::movement`] stays under the
-    /// reuse sensitivity, i.e. while those distributions have barely
-    /// moved. Recompute with `ColumnProfile::of` when they must be
-    /// exact.
-    ///
-    /// Any other delta — truncation, rewrite, a header change — falls
-    /// back to a full recompute of `new` (and returns `false`).
-    pub fn apply_delta(&mut self, new: &Column, delta: &ColumnDelta) -> bool {
-        if delta.is_empty() {
-            return true;
-        }
-        let appended = match (delta.header_changed, delta.appended()) {
-            (false, Some(values)) => values,
-            _ => {
-                *self = ColumnProfile::of(new);
-                return false;
-            }
-        };
-        let base_n = self.n;
-        let base_nulls = (self.null_fraction * base_n as f64).round() as usize;
-        let base_non_null = base_n.saturating_sub(base_nulls);
-        let appended_nulls = appended.iter().filter(|v| v.is_null()).count();
-        let rendered: Vec<String> = appended
-            .iter()
-            .filter(|v| !v.is_null())
-            .map(Value::render)
-            .collect();
-
-        self.n = base_n + appended.len();
-        self.null_fraction = if self.n == 0 {
-            0.0
-        } else {
-            (base_nulls + appended_nulls) as f64 / self.n as f64
-        };
-
-        if !rendered.is_empty() {
-            let lens: Vec<usize> = rendered.iter().map(|s| s.chars().count()).collect();
-            let app_min = *lens.iter().min().expect("nonempty");
-            let app_max = *lens.iter().max().expect("nonempty");
-            let app_sum = lens.iter().sum::<usize>();
-            // Total chars in the base reconstruct exactly from the
-            // count-weighted mean; composition merges by char mass.
-            let base_chars = self.lengths.mean * base_non_null as f64;
-            let app_comp = CharComposition::of(&rendered);
-            let app_chars = app_sum as f64;
-            let total_chars = base_chars + app_chars;
-            if total_chars > 0.0 {
-                let merge = |base_frac: f64, app_frac: f64| {
-                    (base_frac * base_chars + app_frac * app_chars) / total_chars
-                };
-                self.chars = CharComposition {
-                    digits: merge(self.chars.digits, app_comp.digits),
-                    letters: merge(self.chars.letters, app_comp.letters),
-                    whitespace: merge(self.chars.whitespace, app_comp.whitespace),
-                    punctuation: merge(self.chars.punctuation, app_comp.punctuation),
-                };
-            }
-            self.lengths = if base_non_null == 0 {
-                LengthStats {
-                    min: app_min,
-                    max: app_max,
-                    mean: app_sum as f64 / lens.len() as f64,
-                }
-            } else {
-                LengthStats {
-                    min: self.lengths.min.min(app_min),
-                    max: self.lengths.max.max(app_max),
-                    mean: (self.lengths.mean * base_non_null as f64 + app_sum as f64)
-                        / (base_non_null + lens.len()) as f64,
-                }
-            };
-        }
-        true
-    }
-
     /// `true` when the column is (dominantly) numeric.
     #[must_use]
     pub fn is_numeric(&self) -> bool {
@@ -294,83 +203,6 @@ mod tests {
         assert!(p.numeric.is_none());
         assert_eq!(p.lengths, LengthStats::default());
         assert!(!p.looks_like_key());
-    }
-
-    #[test]
-    fn apply_delta_merges_decomposable_fields_exactly_for_appends() {
-        let base = col(&["alpha", "beta", "", "gamma-7"]);
-        let new = col(&["alpha", "beta", "", "gamma-7", "delta 99", "", "x"]);
-        let delta = ColumnDelta::between(&base, &new);
-        assert!(delta.appended().is_some());
-
-        let mut p = ColumnProfile::of(&base);
-        assert!(p.apply_delta(&new, &delta), "appends update incrementally");
-        let fresh = ColumnProfile::of(&new);
-        assert_eq!(p.n, fresh.n);
-        assert!((p.null_fraction - fresh.null_fraction).abs() < 1e-12);
-        assert_eq!(p.lengths.min, fresh.lengths.min);
-        assert_eq!(p.lengths.max, fresh.lengths.max);
-        assert!((p.lengths.mean - fresh.lengths.mean).abs() < 1e-12);
-        for (got, want) in [
-            (p.chars.digits, fresh.chars.digits),
-            (p.chars.letters, fresh.chars.letters),
-            (p.chars.whitespace, fresh.chars.whitespace),
-            (p.chars.punctuation, fresh.chars.punctuation),
-        ] {
-            assert!((got - want).abs() < 1e-12, "got {got}, want {want}");
-        }
-        // Distributional signals are carried from the base — the
-        // documented approximation, not an accident.
-        let base_profile = ColumnProfile::of(&base);
-        assert_eq!(p.entropy, base_profile.entropy);
-        assert_eq!(p.top_values, base_profile.top_values);
-    }
-
-    #[test]
-    fn apply_delta_from_empty_base_matches_fresh_profile() {
-        let base = Column::new("c", vec![]);
-        let new = col(&["one", "two"]);
-        let delta = ColumnDelta::between(&base, &new);
-        let mut p = ColumnProfile::of(&base);
-        assert!(p.apply_delta(&new, &delta));
-        let fresh = ColumnProfile::of(&new);
-        assert_eq!(p.n, fresh.n);
-        assert_eq!(p.lengths.min, fresh.lengths.min);
-        assert_eq!(p.lengths.max, fresh.lengths.max);
-        assert!((p.lengths.mean - fresh.lengths.mean).abs() < 1e-12);
-        assert!((p.chars.letters - fresh.chars.letters).abs() < 1e-12);
-    }
-
-    #[test]
-    fn apply_delta_recomputes_fully_for_non_appends() {
-        let base = col(&["1", "2", "3", "4"]);
-        for new in [col(&["1", "2"]), col(&["9", "8", "7", "6"])] {
-            let delta = ColumnDelta::between(&base, &new);
-            let mut p = ColumnProfile::of(&base);
-            assert!(!p.apply_delta(&new, &delta), "must report full recompute");
-            let fresh = ColumnProfile::of(&new);
-            assert_eq!(p.n, fresh.n);
-            assert_eq!(p.top_values, fresh.top_values);
-            assert_eq!(p.entropy, fresh.entropy);
-            assert_eq!(p.numeric.unwrap(), fresh.numeric.unwrap());
-        }
-        // A header change alone also forces the recompute path.
-        let renamed = Column::from_raw("other", &["1", "2", "3", "4"]);
-        let delta = ColumnDelta::between(&base, &renamed);
-        let mut p = ColumnProfile::of(&base);
-        assert!(!p.apply_delta(&renamed, &delta));
-        assert_eq!(p.n, 4);
-    }
-
-    #[test]
-    fn apply_delta_is_a_no_op_for_empty_deltas() {
-        let base = col(&["a", "b"]);
-        let delta = ColumnDelta::between(&base, &base);
-        assert!(delta.is_empty());
-        let mut p = ColumnProfile::of(&base);
-        let before = (p.n, p.null_fraction, p.lengths, p.chars);
-        assert!(p.apply_delta(&base, &delta));
-        assert_eq!((p.n, p.null_fraction, p.lengths, p.chars), before);
     }
 
     #[test]

@@ -37,10 +37,14 @@
 //!   tenants keep their entitlement.
 //!   Shaping never changes annotation results — only scheduling,
 //!   shedding, and which requests degrade.
-//! * **Workers**: a fixed pool popping jobs and driving the sync core —
-//!   singles via [`SigmaTyper::annotate_request_shared`], batches via
-//!   the [`AnnotationService`] two-level scheduler.
-//! * **Feedback**: `POST /feedback` takes the customer write lock,
+//! * **Workers**: a fixed pool popping jobs and driving one long-lived
+//!   [`AnnotationService`] — singles through
+//!   [`TrafficShaper::serve`] into
+//!   [`SigmaTyper::annotate_request_shared_with_base`], batches through
+//!   the service's two-level scheduler. A job that panics costs only
+//!   itself: the worker answers `500` with a JSON error, counts the
+//!   panic in `/metrics`, and pops the next job.
+//! * **Feedback**: `POST /feedback` takes the service write lock,
 //!   runs the paper's adaptation loop, and bumps the epoch — connected
 //!   clients observe the invalidation on their next request.
 //! * **Graceful shutdown** ([`AnnotationServer::shutdown`]): stop
@@ -56,7 +60,7 @@
 //! | POST   | `/annotate`       | `{"table": …, "options"?: …}` → one outcome |
 //! | POST   | `/annotate_batch` | `{"tables": […], "options"?: …}` → outcomes in order |
 //! | POST   | `/feedback`       | `{"table": …, "col_idx": n, "type": "name"}` → adaptation + epoch bump |
-//! | GET    | `/metrics`        | queue depth, in-flight, per-lane spend/shed, per-tenant counters, cache stats + delta |
+//! | GET    | `/metrics`        | queue depth, in-flight, panics, per-lane spend/shed, per-tenant counters, cache stats + delta |
 //! | GET    | `/healthz`        | liveness |
 //! | POST   | `/shutdown`       | request graceful drain (for operators/CI) |
 //!
@@ -71,17 +75,18 @@ use httpshim::{HttpServer, Request, Response};
 use jsonshim::Json;
 use sigmatyper::cache::CacheStats;
 use sigmatyper::executor::CascadeExecutor;
-use sigmatyper::request::{BudgetLedger, RequestOptions};
+use sigmatyper::request::RequestOptions;
 use sigmatyper::service::{AnnotationService, BoundedQueue, QueueRejection, TrafficLane};
 use sigmatyper::tenant::{
-    ShapedBudget, TenantId, TenantRegistry, TenantSnapshot, TrafficShaper, ANONYMOUS_TENANT,
+    TenantId, TenantRegistry, TenantSnapshot, TrafficShaper, ANONYMOUS_TENANT,
 };
 use sigmatyper::SigmaTyper;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -133,7 +138,8 @@ impl Default for ServerConfig {
 }
 
 /// A job admitted into the queue: the parsed request plus the reply
-/// channel its connection thread blocks on.
+/// channel its connection thread blocks on (the worker sends the
+/// response body, or `None` when serving the job panicked).
 enum Job {
     Single {
         table: tu_table::Table,
@@ -143,24 +149,30 @@ enum Job {
         options: RequestOptions,
         lane: TrafficLane,
         tenant: TenantId,
-        reply: mpsc::Sender<String>,
+        reply: mpsc::Sender<Option<String>>,
     },
     Batch {
         tables: Vec<tu_table::Table>,
         options: RequestOptions,
         lane: TrafficLane,
         tenant: TenantId,
-        reply: mpsc::Sender<String>,
+        reply: mpsc::Sender<Option<String>>,
     },
 }
 
 struct ServerState {
-    typer: RwLock<SigmaTyper>,
+    /// The customer's one long-lived service: workers annotate under
+    /// the read lock, `/feedback` adapts under the write lock.
+    service: RwLock<AnnotationService>,
     queue: BoundedQueue<Job>,
     /// Lane ledgers, lane/tenant counters, and the tenant registry —
     /// every admission and budget decision flows through here.
     shaper: TrafficShaper,
     in_flight: AtomicUsize,
+    /// Jobs whose serving panicked (answered `500`, never counted as
+    /// served): with the lanes' served and shed counts this accounts
+    /// for every arrival.
+    panics: AtomicU64,
     workers: usize,
     retry_after_secs: u32,
     shutdown_requested: AtomicBool,
@@ -170,6 +182,12 @@ struct ServerState {
 }
 
 impl ServerState {
+    fn service(&self) -> RwLockReadGuard<'_, AnnotationService> {
+        self.service
+            .read()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     /// Lane- and tenant-tiered admission (see [`TrafficShaper::admit`]):
     /// over-quota crawl sheds at a quarter of capacity, in-quota crawl
     /// and over-quota interactive at half, in-quota interactive only
@@ -209,7 +227,8 @@ impl ServerState {
 }
 
 /// A running annotation server: HTTP front-end, admission queue, and
-/// worker pool over one customer [`SigmaTyper`].
+/// worker pool over one customer [`SigmaTyper`], served through one
+/// long-lived [`AnnotationService`].
 pub struct AnnotationServer {
     http: HttpServer,
     state: Arc<ServerState>,
@@ -232,8 +251,9 @@ impl AnnotationServer {
         for (name, weight) in &config.tenant_weights {
             registry.register(name, *weight);
         }
+        let workers = config.workers.max(1);
         let state = Arc::new(ServerState {
-            typer: RwLock::new(typer),
+            service: RwLock::new(AnnotationService::for_customer(typer).with_threads(workers)),
             queue: BoundedQueue::new(config.queue_capacity),
             shaper: TrafficShaper::new(
                 registry,
@@ -242,7 +262,8 @@ impl AnnotationServer {
                 config.budget_window,
             ),
             in_flight: AtomicUsize::new(0),
-            workers: config.workers.max(1),
+            panics: AtomicU64::new(0),
+            workers,
             retry_after_secs: config.retry_after_secs,
             shutdown_requested: AtomicBool::new(false),
             metrics_baseline: Mutex::new(CacheStats::default()),
@@ -297,23 +318,17 @@ impl AnnotationServer {
             let _ = worker.join();
         }
         // 3. Durable state: sync the cache segment.
-        let typer = self
-            .state
-            .typer
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        match typer.step_cache() {
-            Some(cache) => cache.flush(),
-            None => Ok(()),
-        }
+        self.state.service().flush()
     }
 }
 
 /// One worker: pop until the queue closes and drains, annotate, reply.
+/// A job that panics is answered `500` (a `None` reply) and counted;
+/// the worker survives to pop the next one.
 fn worker_loop(state: &ServerState) {
     while let Some(job) = state.queue.pop() {
         state.in_flight.fetch_add(1, Ordering::SeqCst);
-        let (body, reply) = match job {
+        let (served, reply) = match job {
             Job::Single {
                 table,
                 base,
@@ -322,7 +337,9 @@ fn worker_loop(state: &ServerState) {
                 tenant,
                 reply,
             } => (
-                serve_single(state, &table, base.as_ref(), &options, lane, tenant),
+                catch_unwind(AssertUnwindSafe(|| {
+                    serve_single(state, &table, base.as_ref(), &options, lane, tenant)
+                })),
                 reply,
             ),
             Job::Batch {
@@ -331,25 +348,32 @@ fn worker_loop(state: &ServerState) {
                 lane,
                 tenant,
                 reply,
-            } => (serve_batch(state, &tables, &options, lane, tenant), reply),
+            } => (
+                catch_unwind(AssertUnwindSafe(|| {
+                    serve_batch(state, &tables, &options, lane, tenant)
+                })),
+                reply,
+            ),
         };
+        if served.is_err() {
+            state.panics.fetch_add(1, Ordering::SeqCst);
+        }
         // Decrement before replying: a client that scrapes `/metrics`
         // right after its response must not observe its own finished
         // request as still in flight.
         state.in_flight.fetch_sub(1, Ordering::SeqCst);
-        let _ = reply.send(body);
+        let _ = reply.send(served.ok());
     }
 }
 
-/// Resolve the ledger a single request charges through the shaper.
-/// An unbudgeted request from an in-quota tenant charges the lane's
-/// shared window ledger directly — the bit-exact unshapen path, so
-/// concurrent traffic on the lane collectively drains one budget and
-/// lane spend metrics accumulate. A request with its own budget, or
-/// from an over-quota tenant, runs on a local ledger capped by the
-/// tighter of request budget, tenant cap, and lane remainder;
-/// [`TrafficShaper::settle`] charges its spend back to the lane and
-/// the tenant account either way.
+/// Serve one request through [`TrafficShaper::serve`]: an unbudgeted
+/// request from an in-quota tenant charges the lane's shared window
+/// ledger directly — the bit-exact unshapen path, so concurrent
+/// traffic on the lane collectively drains one budget and lane spend
+/// metrics accumulate. A request with its own budget, or from an
+/// over-quota tenant, runs on a local ledger capped by the tighter of
+/// request budget, tenant cap, and lane remainder; the spend is
+/// settled back to the lane and the tenant account either way.
 fn serve_single(
     state: &ServerState,
     table: &tu_table::Table,
@@ -358,50 +382,23 @@ fn serve_single(
     lane: TrafficLane,
     tenant: TenantId,
 ) -> String {
-    let typer = state
-        .typer
-        .read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    // Mirror `SigmaTyper::annotate_request`: per-request parallelism
-    // overrides resolve into the executor, so an HTTP annotate is the
-    // same computation as the direct call.
-    let mut config = *typer.config();
-    if let Some(policy) = options.parallelism {
-        config.parallelism = policy;
-    }
-    if let Some(threads) = options.column_threads {
-        config.column_threads = threads;
-    }
-    let executor = CascadeExecutor::from_config(&config);
+    let service = state.service();
+    let typer = service.typer();
+    let executor = CascadeExecutor::from_config(typer.config());
     let mut options = *options;
     options.tenant = Some(tenant);
     let (request_budget, _) = options.resolved();
-    let grant = state.shaper.request_budget(lane, tenant, request_budget);
-    let outcome = match &grant {
-        ShapedBudget::Shared(ledger) => {
-            typer.annotate_request_shared_with_base(table, base, &executor, &options, ledger)
-        }
-        ShapedBudget::Local { cap_nanos, .. } => {
-            let local = BudgetLedger::bounded(*cap_nanos);
-            typer.annotate_request_shared_with_base(table, base, &executor, &options, &local)
-        }
-    };
-    state.shaper.settle(
-        lane,
-        tenant,
-        &grant,
-        outcome.degradation.spent_nanos,
-        u64::from(outcome.degraded()),
-        outcome.degradation.delta_reused as u64,
-    );
-    wire::outcome_to_json(&outcome, typer.ontology()).to_string()
+    let outcomes = state.shaper.serve(lane, tenant, request_budget, |ledger| {
+        vec![typer.annotate_request_shared_with_base(table, base, &executor, &options, ledger)]
+    });
+    wire::outcome_to_json(&outcomes[0], typer.ontology()).to_string()
 }
 
-/// Batches ride the existing two-level scheduler through
-/// [`AnnotationService::annotate_batch_request_shaped`], which owns
-/// one batch-wide ledger bounded by the shaper's grant (lane window
-/// remainder ∧ tenant cap ∧ request budget) and settles the batch's
-/// spend back to the lane and tenant when it completes.
+/// Batches ride the service's two-level scheduler through
+/// [`AnnotationService::annotate_batch_request_shaped`]: one
+/// batch-wide ledger bounded by the shaper's grant (lane window
+/// remainder ∧ tenant cap ∧ request budget), with the batch's spend
+/// settled back to the lane and tenant when it completes.
 fn serve_batch(
     state: &ServerState,
     tables: &[tu_table::Table],
@@ -409,22 +406,18 @@ fn serve_batch(
     lane: TrafficLane,
     tenant: TenantId,
 ) -> String {
-    let typer = state
-        .typer
-        .read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let service = state.service();
     let mut options = *options;
     options.tenant = Some(tenant);
-    let service = AnnotationService::for_customer(typer.clone()).with_threads(state.workers);
-    let bases: Vec<Option<&tu_table::Table>> = vec![None; tables.len()];
     let outcomes =
-        service.annotate_batch_request_shaped(tables, &bases, &options, &state.shaper, lane);
+        service.annotate_batch_request_shaped(tables, &[], &options, &state.shaper, lane);
+    let ontology = service.typer().ontology();
     let body = Json::object(vec![(
         "outcomes",
         Json::Arr(
             outcomes
                 .iter()
-                .map(|o| wire::outcome_to_json(o, typer.ontology()))
+                .map(|o| wire::outcome_to_json(o, ontology))
                 .collect(),
         ),
     )]);
@@ -475,14 +468,19 @@ fn enqueue_and_wait(
     state: &ServerState,
     lane: TrafficLane,
     tenant: TenantId,
-    build: impl FnOnce(mpsc::Sender<String>) -> Job,
+    build: impl FnOnce(mpsc::Sender<Option<String>>) -> Job,
 ) -> Response {
     let (tx, rx) = mpsc::channel();
     match state.admit(lane, tenant, build(tx)) {
         Ok(()) => match rx.recv() {
-            Ok(body) => Response::json(body),
-            Err(_) => Response::status(500)
-                .with_json(Json::object(vec![("error", Json::from("worker died"))]).to_string()),
+            Ok(Some(body)) => Response::json(body),
+            Ok(None) | Err(_) => Response::status(500).with_json(
+                Json::object(vec![(
+                    "error",
+                    Json::from("annotation failed: internal error"),
+                )])
+                .to_string(),
+            ),
         },
         Err(why) => state.shed_response(lane, why),
     }
@@ -568,7 +566,7 @@ fn handle_annotate_batch(state: &ServerState, req: &Request) -> Response {
 }
 
 /// `POST /feedback`: the paper's adaptation loop over HTTP. Takes the
-/// customer write lock (adaptation is single-writer by design), so it
+/// service write lock (adaptation is single-writer by design), so it
 /// serializes against in-flight annotates; the epoch bump it performs
 /// invalidates stale cache entries for every subsequent request.
 fn handle_feedback(state: &ServerState, req: &Request) -> Response {
@@ -595,10 +593,11 @@ fn handle_feedback(state: &ServerState, req: &Request) -> Response {
     let Some(type_name) = body.get("type").and_then(Json::as_str) else {
         return bad_request("feedback body must have a string \"type\"");
     };
-    let mut typer = state
-        .typer
+    let mut service = state
+        .service
         .write()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let typer = service.typer_mut();
     let Some(ty) = typer.ontology().lookup_exact(type_name) else {
         return bad_request(&format!("unknown type {type_name:?}"));
     };
@@ -673,13 +672,10 @@ fn cache_stats_json(stats: &CacheStats) -> Json {
 }
 
 fn handle_metrics(state: &ServerState) -> Response {
-    let typer = state
-        .typer
-        .read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let cache = typer.step_cache().map(|c| c.stats());
-    let epoch = typer.cache_epoch();
-    drop(typer);
+    let service = state.service();
+    let cache = service.cache_stats();
+    let epoch = service.typer().cache_epoch();
+    drop(service);
     let (cache_json, delta_json) = match cache {
         Some(stats) => {
             let mut baseline = state
@@ -712,6 +708,7 @@ fn handle_metrics(state: &ServerState) -> Response {
             Json::from(state.in_flight.load(Ordering::SeqCst)),
         ),
         ("workers", Json::from(state.workers)),
+        ("panics", Json::from(state.panics.load(Ordering::SeqCst))),
         ("epoch", Json::from(epoch)),
         (
             "lanes",

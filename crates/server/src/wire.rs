@@ -9,8 +9,7 @@
 //! * **Options in** (all fields optional): `{"budget_nanos": u64,
 //!   "policy": "strict"|"drop_tail"|"best_effort", "bypass_cache":
 //!   bool, "telemetry": "full"|"timings_only"|"minimal",
-//!   "embedding_backend": "reference_f32"|"quantized_i8"|
-//!   "blocked_simd"|"batched_frontier",
+//!   "embedding_backend": "reference_f32"|"blocked_simd",
 //!   "delta_sensitivity": f64 ≥ 0}`.
 //! * **Base table in**: `POST /annotate` additionally accepts a
 //!   `"base"` table (same shape as `"table"`) — the previously crawled
@@ -299,7 +298,7 @@ mod tests {
     fn options_decode_with_lossless_budget() {
         assert_eq!(options_from_json(None).unwrap(), RequestOptions::default());
         let doc = format!(
-            r#"{{"budget_nanos":{},"policy":"drop_tail","bypass_cache":true,"telemetry":"minimal","embedding_backend":"quantized_i8","delta_sensitivity":0.125}}"#,
+            r#"{{"budget_nanos":{},"policy":"drop_tail","bypass_cache":true,"telemetry":"minimal","embedding_backend":"blocked_simd","delta_sensitivity":0.125}}"#,
             u64::MAX
         );
         let options = options_from_json(Some(&Json::parse(&doc).unwrap())).unwrap();
@@ -309,7 +308,7 @@ mod tests {
         assert_eq!(options.telemetry, TelemetryVerbosity::Minimal);
         assert_eq!(
             options.embedding_backend,
-            Some(EmbeddingBackendKind::QuantizedI8)
+            Some(EmbeddingBackendKind::BlockedSimd)
         );
         assert_eq!(options.delta_sensitivity, Some(0.125));
 

@@ -106,6 +106,7 @@ fn main() {
     let batch: Vec<Table> = (0..6).map(|_| table.clone()).collect();
     let outcomes = service.annotate_batch_request(
         &batch,
+        &[],
         &RequestOptions::default()
             .with_budget_nanos(5_000_000) // 5 ms for the whole batch
             .with_policy(DegradationPolicy::DropTailSteps),

@@ -6,16 +6,13 @@
 //! computes:
 //!
 //! * `reference_f32` — the seed MLP, bit-identical, the default;
-//! * `quantized_i8` — i8 weights with per-layer scales (approximate);
 //! * `blocked_simd` — 8-lane blocked f32 dot products (approximate
-//!   only in summation order);
-//! * `batched_frontier` — one whole-frontier matmul per chunk,
-//!   bit-identical to the reference.
+//!   only in summation order).
 //!
 //! This walkthrough wires a backend in both ways (per-typer via the
 //! builder, per-request via [`RequestOptions`]), measures wall clock
 //! for each backend on an opaque crawl, and shows that the approximate
-//! backends agree with the reference on essentially every column.
+//! backend agrees with the reference on essentially every column.
 //!
 //! ```text
 //! cargo run --release --example embed_backends
@@ -92,8 +89,8 @@ fn main() {
 
     // The end-to-end numbers above are dominated by featurization and
     // the rest of the cascade. Timing the embedding arithmetic alone —
-    // tiny single-cell columns so featurization is negligible, with
-    // prepared state amortized — shows what each backend actually buys.
+    // tiny single-cell columns so featurization is negligible — shows
+    // what each backend actually buys.
     let model = &global.embedding;
     let sweep_cols: Vec<Column> = (0..64)
         .map(|i| Column::from_raw(format!("col_{i}"), &[format!("item {}", i % 7)]))
@@ -117,18 +114,12 @@ fn main() {
     let mut reference_secs = None;
     for kind in EmbeddingBackendKind::ALL {
         let backend = kind.backend();
-        let state = backend.prepare(model);
         let mut best = f64::INFINITY;
         for _ in 0..3 {
             let started = Instant::now();
             for _ in 0..64 {
                 for (col, ctx) in sweep_cols.iter().zip(&contexts) {
-                    std::hint::black_box(backend.predict_with_context(
-                        model,
-                        state.as_ref(),
-                        col,
-                        ctx,
-                    ));
+                    std::hint::black_box(backend.predict_with_context(model, col, ctx));
                 }
             }
             best = best.min(started.elapsed().as_secs_f64());
@@ -148,25 +139,25 @@ fn main() {
     }
 
     // The same switch per request: a default (reference) typer answers
-    // one request with the quantized engine — no rebuild, and the
-    // cache keys the override so entries never cross-serve.
+    // one request with the blocked engine — no rebuild, and the cache
+    // keys the override so entries never cross-serve.
     let typer = SigmaTyper::new(global, SigmaTyperConfig::default());
-    let quantized = typer.annotate_request(&AnnotationRequest::with_options(
+    let blocked = typer.annotate_request(&AnnotationRequest::with_options(
         &table,
         RequestOptions::default()
             .with_cache_bypassed()
-            .with_embedding_backend(EmbeddingBackendKind::QuantizedI8),
+            .with_embedding_backend(EmbeddingBackendKind::BlockedSimd),
     ));
     let golden = reference.expect("reference backend ran first");
     let agree = golden
         .columns
         .iter()
-        .zip(&quantized.annotation.columns)
+        .zip(&blocked.annotation.columns)
         .filter(|(a, b)| a.predicted == b.predicted)
         .count();
     println!("— per-request override on a default typer —");
     println!(
-        "  quantized_i8 via RequestOptions: agrees on {agree}/{} columns",
+        "  blocked_simd via RequestOptions: agrees on {agree}/{} columns",
         golden.columns.len()
     );
 }

@@ -68,7 +68,7 @@ fn main() {
     // Crawl 1 (cold): every step runs; the cache fills under the base
     // fingerprints.
     let t0 = Instant::now();
-    let cold = service.annotate_batch_request(&warehouse, &defaults);
+    let cold = service.annotate_batch_request(&warehouse, &[], &defaults);
     let cold_time = t0.elapsed();
     let (cold_runs, _) = counts(&cold);
     println!("crawl 1 (cold):            {cold_runs:>4} step-columns run      {cold_time:>10.2?}");
@@ -81,7 +81,7 @@ fn main() {
     let recrawl: Vec<Table> = warehouse.iter().map(recrawled).collect();
     let bases: Vec<Option<&Table>> = warehouse.iter().map(Some).collect();
     let t1 = Instant::now();
-    let delta = service.annotate_batch_request_with_bases(&recrawl, &bases, &defaults);
+    let delta = service.annotate_batch_request(&recrawl, &bases, &defaults);
     let delta_time = t1.elapsed();
     let (delta_runs, delta_reused) = counts(&delta);
     println!(
@@ -92,7 +92,7 @@ fn main() {
     // The same recrawl without bases: every cacheable step recomputes
     // from scratch — the cost the delta path avoided.
     let t2 = Instant::now();
-    let full = service.annotate_batch_request(&recrawl, &defaults);
+    let full = service.annotate_batch_request(&recrawl, &[], &defaults);
     let full_time = t2.elapsed();
     let (full_runs, _) = counts(&full);
     println!("crawl 2 (no base):         {full_runs:>4} step-columns run      {full_time:>10.2?}");
@@ -102,7 +102,7 @@ fn main() {
     // request still carries a base, but nothing is reused and the
     // result is bit-identical to full recomputation.
     let exact_opts = RequestOptions::default().with_delta_sensitivity(0.0);
-    let exact = service.annotate_batch_request_with_bases(&recrawl, &bases, &exact_opts);
+    let exact = service.annotate_batch_request(&recrawl, &bases, &exact_opts);
     let (_, exact_reused) = counts(&exact);
     assert_eq!(exact_reused, 0, "sensitivity 0 must not reuse");
     for (a, b) in exact.iter().zip(&full) {

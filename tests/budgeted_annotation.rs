@@ -330,7 +330,7 @@ fn batch_requests_degrade_under_a_shared_exhausted_ledger() {
     let options = RequestOptions::default()
         .with_budget_nanos(0)
         .with_policy(DegradationPolicy::DropTailSteps);
-    let outcomes = service.annotate_batch_request(&tables, &options);
+    let outcomes = service.annotate_batch_request(&tables, &[], &options);
     assert_eq!(
         outcomes
             .iter()
@@ -362,7 +362,7 @@ fn generous_batch_budget_matches_the_unbudgeted_batch() {
     let options = RequestOptions::default()
         .with_budget_nanos(u64::MAX)
         .with_policy(DegradationPolicy::DropTailSteps);
-    let outcomes = service.annotate_batch_request(&tables, &options);
+    let outcomes = service.annotate_batch_request(&tables, &[], &options);
     // The unbudgeted reference comes from per-table Strict requests
     // (annotate_batch would re-resolve the environment).
     let strict = RequestOptions::default()

@@ -1,18 +1,19 @@
 //! End-to-end tests of the HTTP annotation server: the loopback wire
 //! path must be **bit-identical** to the direct in-process call, the
 //! bounded queue must shed with 503 (crawl lane first), feedback must
-//! invalidate the warm cache through an epoch bump, and graceful
-//! shutdown must lose no in-flight response while leaving the disk
-//! tier consistent for a warm restart.
+//! invalidate the warm cache through an epoch bump, a panicking step
+//! must cost one request and never a worker, and graceful shutdown
+//! must lose no in-flight response while leaving the disk tier
+//! consistent for a warm restart.
 
 use httpshim::HttpClient;
 use jsonshim::Json;
 use sigmatyper::{
-    train_global, AnnotationRequest, DurableEpochSource, GlobalModel, SigmaTyper, TieredStepCache,
-    TrainingConfig,
+    train_global, AnnotationRequest, AnnotationStep, DurableEpochSource, GlobalModel, SigmaTyper,
+    StepContext, StepId, StepScores, TieredStepCache, TrainingConfig,
 };
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 use tu_corpus::{generate_corpus, CorpusConfig};
 use tu_ontology::builtin_ontology;
@@ -414,7 +415,7 @@ fn feedback_bumps_epoch_and_invalidates_the_warm_cache() {
     let table = &tables[0];
     let tier = TieredStepCache::open(scratch.0.join("cache"), 1 << 14).expect("open tier");
     let epochs = DurableEpochSource::open(scratch.0.join("epoch")).expect("open epochs");
-    let typer = SigmaTyper::builder(global)
+    let typer = SigmaTyper::builder(Arc::clone(&global))
         .step_cache(Arc::new(tier))
         .epoch_source(Arc::new(epochs))
         .build();
@@ -468,6 +469,40 @@ fn feedback_bumps_epoch_and_invalidates_the_warm_cache() {
     );
     let epoch_before = warm.get("epoch").and_then(Json::as_u64).expect("epoch");
 
+    // The feedback below, replayed on uncached in-process customers:
+    // what the server must answer before and after adapting.
+    let before = SigmaTyper::builder(Arc::clone(&global)).build();
+    let mut adapted = SigmaTyper::builder(Arc::clone(&global)).build();
+    let name = adapted.ontology().lookup_exact("name").expect("name type");
+    adapted.feedback(&wire_table(table), 0, name, None);
+    let direct = |typer: &SigmaTyper, t: &Table| {
+        let outcome = typer.annotate_request(&AnnotationRequest::new(&wire_table(t)));
+        normalize_outcome(&tu_server::wire::outcome_to_json(
+            &outcome,
+            typer.ontology(),
+        ))
+    };
+    // A second table whose answer the feedback changes, with a column
+    // that reaches a cacheable step (every step after the header
+    // matcher memoizes), cached under the old epoch before the
+    // feedback.
+    let (other, adapted_outcome) = tables[1..]
+        .iter()
+        .find_map(|t| {
+            let reaches_cache = before
+                .annotate(&wire_table(t))
+                .columns
+                .iter()
+                .any(|c| c.steps_run.iter().any(|&s| s != StepId::HEADER));
+            let want = direct(&adapted, t);
+            (reaches_cache && want != direct(&before, t)).then_some((t, want))
+        })
+        .expect("a table the feedback changes, with a column past the header step");
+    let pre = client
+        .post_json("/annotate", &annotate_body(other), &[])
+        .expect("pre-feedback annotate of the second table");
+    assert_eq!(pre.status, 200);
+
     // Feedback: the adaptation loop runs and the epoch advances, so
     // every warm entry keyed under the old epoch is dead.
     let feedback_body = format!(
@@ -505,6 +540,48 @@ fn feedback_bumps_epoch_and_invalidates_the_warm_cache() {
         "metrics must observe the new epoch"
     );
 
+    // A batch after the adaptation runs on the adapted model: the
+    // second table misses everywhere (its entries are keyed under the
+    // old epoch), and the batch answers what the adapted customer
+    // answers — as does a single annotate, now served from the cache.
+    let batch = client
+        .post_json(
+            "/annotate_batch",
+            &format!(r#"{{"tables":[{}]}}"#, table_to_request_json(other)),
+            &[],
+        )
+        .expect("post-feedback batch");
+    assert_eq!(batch.status, 200, "body: {}", batch.body_str());
+    let after_batch = scrape(&mut client);
+    assert!(
+        cache_field(&after_batch, "cache_delta", "misses") > 0,
+        "post-feedback batch must recompute: {after_batch}"
+    );
+    assert_eq!(
+        cache_field(&after_batch, "cache_delta", "hits"),
+        0,
+        "post-feedback batch must not read the old epoch's entries: {after_batch}"
+    );
+    let batch_json = Json::parse(&batch.body_str()).expect("batch json");
+    let batch_outcome = &batch_json
+        .get("outcomes")
+        .and_then(Json::as_array)
+        .expect("outcomes array")[0];
+    assert_eq!(
+        normalize_outcome(batch_outcome),
+        adapted_outcome,
+        "the post-feedback batch must run on the adapted model"
+    );
+    let single = client
+        .post_json("/annotate", &annotate_body(other), &[])
+        .expect("post-feedback annotate of the second table");
+    assert_eq!(single.status, 200);
+    assert_eq!(
+        normalize_body(&single.body_str()),
+        adapted_outcome,
+        "a single annotate must agree with the batch"
+    );
+
     // Unknown type names are a client error, not a crash.
     let bad = client
         .post_json(
@@ -517,6 +594,104 @@ fn feedback_bumps_epoch_and_invalidates_the_warm_cache() {
         )
         .expect("bad feedback");
     assert_eq!(bad.status, 400);
+
+    server.shutdown().expect("shutdown");
+}
+
+/// The column header [`PanicOnMarker`] panics on.
+const PANIC_MARKER: &str = "panic-marker";
+
+/// A custom step with no opinion that panics on any column headed
+/// [`PANIC_MARKER`] — a stand-in for a bug in a customer's step.
+#[derive(Debug)]
+struct PanicOnMarker;
+
+impl AnnotationStep for PanicOnMarker {
+    fn id(&self) -> StepId {
+        StepId::custom(7)
+    }
+
+    fn name(&self) -> &str {
+        "panic_on_marker"
+    }
+
+    fn skip(&self, _ctx: &StepContext<'_>) -> bool {
+        false
+    }
+
+    fn run(&self, ctx: &StepContext<'_>) -> StepScores {
+        assert_ne!(ctx.column().name, PANIC_MARKER, "marker column reached");
+        StepScores::default()
+    }
+}
+
+/// A panic inside a step costs the one request that hit it: that
+/// request gets a JSON `500`, the single worker survives to serve the
+/// next request, and `/metrics` counts the panic while `in_flight`
+/// returns to zero.
+#[test]
+fn panicking_step_fails_one_request_and_keeps_the_worker() {
+    let (global, tables) = demo_global(46);
+    let typer = SigmaTyper::builder(global)
+        .step_at(0, PanicOnMarker)
+        .build();
+    let server = AnnotationServer::start(
+        "127.0.0.1:0",
+        typer,
+        &ServerConfig {
+            workers: 1,
+            queue_capacity: 4,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("start server");
+    let addr = server.local_addr();
+    let mut client = HttpClient::connect(addr).expect("connect");
+
+    let marker = format!(
+        r#"{{"table":{{"name":"boom","columns":[{{"header":"{PANIC_MARKER}","values":["x","y"]}}]}}}}"#
+    );
+    let failed = client
+        .post_json("/annotate", &marker, &[])
+        .expect("marker request");
+    assert_eq!(failed.status, 500, "body: {}", failed.body_str());
+    let error = Json::parse(&failed.body_str()).expect("500 body is JSON");
+    assert!(
+        error.get("error").and_then(Json::as_str).is_some(),
+        "{error}"
+    );
+
+    // A lost worker would leave this request queued forever, so wait
+    // for it on a side thread with a deadline instead of hanging.
+    let (tx, rx) = mpsc::channel();
+    let body = annotate_body(&tables[0]);
+    let follow_up = std::thread::spawn(move || {
+        let mut client = HttpClient::connect(addr).expect("connect");
+        let _ = tx.send(client.post_json("/annotate", &body, &[]));
+    });
+    let next = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the worker must survive a panicking job")
+        .expect("follow-up request");
+    follow_up.join().expect("follow-up client thread");
+    assert_eq!(next.status, 200, "body: {}", next.body_str());
+
+    let m = Json::parse(&client.get("/metrics").expect("metrics").body_str()).expect("metrics");
+    let field = |name: &str| m.get(name).and_then(Json::as_u64);
+    assert_eq!(field("in_flight"), Some(0), "{m}");
+    assert_eq!(field("panics"), Some(1), "{m}");
+    assert_eq!(field("workers"), Some(1), "{m}");
+    // Served + shed + panics accounts for both arrivals.
+    let interactive = |f: &str| {
+        m.get("lanes")
+            .and_then(|l| l.get("interactive"))
+            .and_then(|l| l.get(f))
+            .and_then(Json::as_u64)
+    };
+    assert_eq!(
+        (interactive("served"), interactive("shed")),
+        (Some(1), Some(0))
+    );
 
     server.shutdown().expect("shutdown");
 }
