@@ -294,21 +294,11 @@ fn bench_cached_recrawl(c: &mut Criterion) {
         );
     }
     let total_cold_runs: usize = cold_counts.iter().map(|c| c.1).sum();
-    // The header step opts out of memoization (cache admission), so
-    // its re-runs are expected on the warm pass and excluded from the
-    // "did the cache absorb the work" accounting.
-    let total_warm_runs: usize = warm_counts
-        .iter()
-        .filter(|c| c.0 != "header")
-        .map(|c| c.1)
-        .sum();
+    let total_warm_runs: usize = warm_counts.iter().map(|c| c.1).sum();
     let total_warm_hits: usize = warm_counts.iter().map(|c| c.2).sum();
     assert!(total_cold_runs > 0, "cold pass must execute steps");
     assert!(total_warm_hits > 0, "warm pass must hit the cache");
-    assert_eq!(
-        total_warm_runs, 0,
-        "warm pass must skip every cacheable step run"
-    );
+    assert_eq!(total_warm_runs, 0, "warm pass must run no step");
     let cache = warm_typer.step_cache().expect("cache configured");
     println!(
         "  cache: {} entries after recrawl (hits counted above)",
@@ -348,9 +338,8 @@ fn bench_cached_recrawl(c: &mut Criterion) {
 /// every step runs and is appended to disk) vs. a warm in-memory
 /// recrawl (L1 LRU hit) vs. a **disk-warm restart** — a fresh
 /// `SigmaTyper` per iteration, L1 empty, reopening the segment and
-/// serving every cacheable step from L2. Before timing, the restart
-/// contract is checked once: the fresh instance must run zero
-/// cacheable steps.
+/// serving every step from L2. Before timing, the restart contract is
+/// checked once: the fresh instance must run zero steps.
 fn bench_persistent_recrawl(c: &mut Criterion) {
     let f = BenchFixture::new();
     let tables: Vec<Table> = f.corpus.tables.iter().map(|at| at.table.clone()).collect();
@@ -368,7 +357,7 @@ fn bench_persistent_recrawl(c: &mut Criterion) {
 
     // Populate the segment once, then check the restart contract: a
     // fresh instance (empty L1) recrawls without running a single
-    // cacheable step.
+    // step.
     {
         let typer = open_typer();
         for table in &tables {
@@ -378,9 +367,9 @@ fn bench_persistent_recrawl(c: &mut Criterion) {
     }
     let fresh = open_typer();
     let counts = crawl_counts(&fresh, &tables);
-    let runs: usize = counts.iter().filter(|c| c.0 != "header").map(|c| c.1).sum();
+    let runs: usize = counts.iter().map(|c| c.1).sum();
     let hits: usize = counts.iter().map(|c| c.2).sum();
-    assert_eq!(runs, 0, "disk-warm restart must run zero cacheable steps");
+    assert_eq!(runs, 0, "disk-warm restart must run zero steps");
     assert!(hits > 0, "disk-warm restart must hit the persistent tier");
     // The disk tier holds a single-writer advisory lock; release it
     // before the benches below reopen the directory.
@@ -446,11 +435,10 @@ fn bench_persistent_recrawl(c: &mut Criterion) {
 /// and the warm delta recrawl beats the cold annotate by ≥ 10x.
 fn bench_incremental_recrawl(c: &mut Criterion) {
     let f = BenchFixture::new();
-    // Tall, opaque-headed free-text tables: the (uncacheable, cheap
-    // per-table) header step resolves nothing, so the expensive
-    // value-scanning tail steps carry the cost — the regime where the
-    // paper's production recrawls live and where skipping a re-run is
-    // worth the bookkeeping.
+    // Tall, opaque-headed free-text tables: the header step resolves
+    // nothing, so the expensive value-scanning tail steps carry the
+    // cost — the regime where the paper's production recrawls live and
+    // where skipping a re-run is worth the bookkeeping.
     let bases: Vec<Table> = (0..4)
         .map(|t| {
             let columns: Vec<Column> = (0..8)
@@ -489,10 +477,10 @@ fn bench_incremental_recrawl(c: &mut Criterion) {
         .collect();
     // Both sides run the ablated customer (header step off, the
     // established ablation from the golden suites): opaque headers
-    // resolve nothing here, and the header step is deliberately
-    // uncacheable (cache admission opt-out), so it would only add an
-    // identical constant to cold and warm alike and mask the recrawl
-    // machinery this bench isolates.
+    // resolve nothing here, and the header step's entries are keyed by
+    // header text, so the warm side would hit them while the cold side
+    // pays for them — a saving that has nothing to do with the
+    // delta-reuse machinery this bench isolates.
     let ablated = || {
         let mut t = f.customer();
         t.config_mut().enable_header = false;

@@ -63,16 +63,21 @@
 //! and adaptation-heavy customers; `tests/persistent_cache.rs` extends
 //! the proof across a simulated process restart.
 //!
-//! # Admission
+//! # Scopes
 //!
-//! Steps advertise whether memoization pays through
-//! [`AnnotationStep::cacheable`](crate::step::AnnotationStep::cacheable)
-//! (default `true`). The executor never consults or fills the cache
-//! for a non-cacheable step — the built-in header step opts out, see
-//! [`HeaderStep::cacheable`](crate::step::HeaderStep) — so such steps
-//! simply re-run on every crawl, which is output-identical by
-//! determinism.
+//! Every step is memoized; its
+//! [`AnnotationStep::cache_scope`](crate::step::AnnotationStep::cache_scope)
+//! says what the key hashes. [`CacheScope::Column`] steps (the
+//! default) are keyed by the [`ColumnFingerprint`] above.
+//! [`CacheScope::Header`] steps — the built-in header step — read only
+//! the header text, so their key hashes just that, the config and the
+//! epoch, in a hash domain of its own: one entry serves every column
+//! with that header in every table until the next adaptation. Both
+//! kinds of entry share the LRU, the disk tier and its compaction, and
+//! both move with the epoch.
 //!
+//! [`CacheScope::Column`]: crate::step::CacheScope::Column
+//! [`CacheScope::Header`]: crate::step::CacheScope::Header
 //! [`StepContext`]: crate::step::StepContext
 //! [`SigmaTyperConfig`]: crate::config::SigmaTyperConfig
 
@@ -216,6 +221,8 @@ impl StableHasher {
 /// miss. Computed once per column per table by
 /// [`column_fingerprints`] and exposed to steps through
 /// [`StepContext::fingerprint`](crate::step::StepContext::fingerprint).
+/// The keys of header-scoped steps use the same type, hashed over the
+/// header text alone (see [Scopes](self#scopes)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ColumnFingerprint([u64; 2]);
 
@@ -465,6 +472,35 @@ pub fn column_fingerprints_chained(
     }
     let col_hashes: Vec<[u64; 2]> = states.iter().map(ColumnHashState::content_hash).collect();
     fingerprints_from_col_hashes(table, step_ids, config, epoch, &col_hashes)
+}
+
+/// Domain tag absorbed first by every header key, so a header key and
+/// a [`ColumnFingerprint`] never hash the same byte stream.
+const HEADER_KEY_DOMAIN: &str = "sigmatyper/header-scope";
+
+/// The cache identity, per column of `table`, of a
+/// [`CacheScope::Header`](crate::step::CacheScope::Header) step: the
+/// column's header text under `config` and the customer's cache
+/// `epoch`, hashed in a domain of its own. Columns with equal headers
+/// share an identity across tables, until the epoch moves.
+pub(crate) fn header_fingerprints(
+    table: &Table,
+    config: &SigmaTyperConfig,
+    epoch: u64,
+) -> Vec<ColumnFingerprint> {
+    let mut base = StableHasher::new();
+    base.write_str(HEADER_KEY_DOMAIN);
+    config.fingerprint_into(&mut base);
+    base.write_u64(epoch);
+    table
+        .columns()
+        .iter()
+        .map(|col| {
+            let mut h = base.clone();
+            h.write_str(&col.name);
+            ColumnFingerprint(h.finish128())
+        })
+        .collect()
 }
 
 /// A pluggable store of per-step annotation results.

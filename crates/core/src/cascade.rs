@@ -224,8 +224,8 @@ impl Cascade {
     }
 
     /// [`Cascade::run`] with an optional step cache: before running a
-    /// [`cacheable`](AnnotationStep::cacheable) step on a column, the
-    /// cache is consulted under the column's fingerprint (see
+    /// step on a column, the cache is consulted under the key the
+    /// step's [`cache_scope`](AnnotationStep::cache_scope) names (see
     /// [`crate::cache`]); a hit pushes the stored scores into the
     /// trace exactly as a run would, a miss runs the step and inserts
     /// the result. Per-step hit/miss/insert counts are reported in the

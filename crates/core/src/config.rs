@@ -69,7 +69,7 @@ pub struct SigmaTyperConfig {
     /// Base sensitivity threshold for delta-aware recrawls: when an
     /// annotation request carries a base table
     /// ([`AnnotationRequest::with_base`](crate::request::AnnotationRequest::with_base)),
-    /// a cacheable step reuses the base crawl's cached scores for a
+    /// a column-scoped step reuses the base crawl's cached scores for a
     /// column whose [`movement`](tu_table::ColumnDelta::movement)
     /// stayed at or below this threshold scaled by the step's own
     /// [`sensitivity_factor`](crate::step::AnnotationStep::sensitivity_factor).

@@ -9,11 +9,12 @@
 //!
 //! 1. **Frontier.** Every column is checked against the step's
 //!    [`skip`](crate::step::AnnotationStep::skip) predicate (by default
-//!    the paper's confidence-threshold early exit, §4.3). For
-//!    [`cacheable`](crate::step::AnnotationStep::cacheable) steps the
-//!    cache is consulted per surviving column; hits enter the trace
-//!    exactly like runs. What remains — not skipped, not cached — is
-//!    the step's *pending-column frontier*.
+//!    the paper's confidence-threshold early exit, §4.3). With a
+//!    cache configured it is consulted per surviving column, under the
+//!    key the step's
+//!    [`cache_scope`](crate::step::AnnotationStep::cache_scope) names;
+//!    hits enter the trace exactly like runs. What remains — not
+//!    skipped, not cached — is the step's *pending-column frontier*.
 //! 2. **Chunking.** The [`ParallelismPolicy`] decides how the frontier
 //!    is split into chunks, each executed with one
 //!    [`run_batch`](crate::step::AnnotationStep::run_batch) call.
@@ -39,14 +40,16 @@
 //! count — CI uses this to exercise the parallel path on machines
 //! where the default heuristics would pick sequential.
 
-use crate::cache::{column_fingerprints, CacheContext, CacheKey, ColumnFingerprint};
+use crate::cache::{
+    column_fingerprints, header_fingerprints, CacheContext, CacheKey, ColumnFingerprint,
+};
 use crate::cascade::{Cascade, CascadeTrace};
 use crate::config::SigmaTyperConfig;
 use crate::global::GlobalModel;
 use crate::local::LocalModel;
 use crate::prediction::{StepId, StepScores, StepTiming};
 use crate::request::{BudgetContext, BudgetLedger, DegradationPolicy, SkipReason, SkippedStep};
-use crate::step::{AnnotationStep, ColumnState, StepContext};
+use crate::step::{AnnotationStep, CacheScope, ColumnState, StepContext};
 use std::sync::OnceLock;
 use std::time::Instant;
 use tu_ontology::TypeId;
@@ -108,8 +111,8 @@ pub fn forced_column_parallelism() -> bool {
 /// the base crawl's fingerprints, and how far each column's signal
 /// moved.
 ///
-/// With a delta context installed, a cacheable step that misses the
-/// exact cache for a column whose movement is at or below
+/// With a delta context installed, a [`CacheScope::Column`] step that
+/// misses the exact cache for a column whose movement is at or below
 /// `sensitivity ×`
 /// [`sensitivity_factor`](crate::step::AnnotationStep::sensitivity_factor)
 /// reuses the *base* crawl's cached scores for that column instead of
@@ -305,6 +308,9 @@ impl CascadeExecutor {
             Some(d) => d.fingerprints.to_vec(),
             None => column_fingerprints(table, &cascade.step_ids(), config, cc.epoch),
         });
+        // Keys of header-scoped steps: one short hash per header text.
+        let header_keys: Option<Vec<ColumnFingerprint>> =
+            cache.map(|cc| header_fingerprints(table, config, cc.epoch));
         let mut per_column: Vec<Vec<(StepId, StepScores)>> = vec![Vec::new(); n];
         let mut timings = Vec::with_capacity(cascade.len());
         let mut skipped: Vec<SkippedStep> = Vec::new();
@@ -385,34 +391,42 @@ impl CascadeExecutor {
             }
 
             // Phase 1: build the pending-column frontier — skip gates
-            // first, then (for cacheable steps) the exact cache, then
+            // first, then the exact cache under the step's scope, then
             // the delta-reuse gate: an exact miss on a column whose
             // signal moved less than the step's sensitivity threshold
             // is answered from the *base* crawl's entry instead of
             // re-running. At sensitivity 0 the threshold is 0 and any
             // real change has positive movement, so reuse never fires
             // and the walk stays bit-identical to a from-scratch run.
-            let step_cache = cache.filter(|_| step.cacheable());
-            let reuse_threshold = delta
+            // Header-scoped keys ignore cell values, so those steps
+            // skip the reuse gate: an unchanged header is already an
+            // exact hit, and a changed one moved without bound.
+            let scope = step.cache_scope();
+            let step_cache = cache.zip(match scope {
+                CacheScope::Column => fingerprints.as_deref(),
+                CacheScope::Header => header_keys.as_deref(),
+            });
+            let reuse_delta = delta.filter(|_| scope == CacheScope::Column);
+            let reuse_threshold = reuse_delta
                 .map(|d| d.sensitivity * step.sensitivity_factor())
                 .unwrap_or(0.0);
             let (mut hits, mut misses) = (0usize, 0usize);
             let mut delta_reused = 0usize;
             let mut cached_scores: Vec<(usize, StepScores)> = Vec::new();
             let mut frontier: Vec<usize> = Vec::new();
-            for (ci, state) in states.iter().enumerate() {
+            for ci in 0..n {
                 if step.skip(&ctx_for(ci)) {
                     continue;
                 }
-                if let (Some(cc), Some(fp)) = (step_cache, state.fingerprint) {
-                    let key = CacheKey::for_step(fp, step.id());
+                if let Some((cc, keys)) = step_cache {
+                    let key = CacheKey::for_step(keys[ci], step.id());
                     if let Some(scores) = cc.cache.get(&key) {
                         hits += 1;
                         cached_scores.push((ci, scores));
                         continue;
                     }
                     misses += 1;
-                    if let Some(d) = delta {
+                    if let Some(d) = reuse_delta {
                         if reuse_threshold > 0.0 && d.movements[ci] <= reuse_threshold {
                             let base_key = CacheKey::for_step(d.base_fingerprints[ci], step.id());
                             if let Some(scores) = cc.cache.get(&base_key) {
@@ -503,19 +517,17 @@ impl CascadeExecutor {
             // computed at step start, before any of this step's
             // results existed.)
             let mut inserts = 0usize;
-            if let Some(cc) = step_cache.filter(|_| !tainted) {
+            if let Some((cc, keys)) = step_cache.filter(|_| !tainted) {
                 for (ci, scores) in &run.pairs {
-                    if let Some(fp) = states[*ci].fingerprint {
-                        // Epoch-tagged insert: persistent backends
-                        // record which epoch produced the entry so
-                        // compaction can drop adapted-away epochs.
-                        cc.cache.insert_with_epoch(
-                            CacheKey::for_step(fp, step.id()),
-                            scores.clone(),
-                            cc.epoch,
-                        );
-                        inserts += 1;
-                    }
+                    // Epoch-tagged insert: persistent backends record
+                    // which epoch produced the entry so compaction can
+                    // drop adapted-away epochs.
+                    cc.cache.insert_with_epoch(
+                        CacheKey::for_step(keys[*ci], step.id()),
+                        scores.clone(),
+                        cc.epoch,
+                    );
+                    inserts += 1;
                 }
             }
             tainted |= delta_reused > 0;

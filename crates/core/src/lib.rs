@@ -103,8 +103,8 @@ pub use request::{
 };
 pub use service::{AnnotationService, BoundedQueue, LaneLedger, QueueRejection, TrafficLane};
 pub use step::{
-    AnnotationStep, ColumnState, EmbeddingStep, HeaderStep, LookupStep, RegexOnlyStep, StepContext,
-    TableSetup,
+    AnnotationStep, CacheScope, ColumnState, EmbeddingStep, HeaderStep, LookupStep, RegexOnlyStep,
+    StepContext, TableSetup,
 };
 pub use system::{SigmaTyper, SigmaTyperBuilder};
 pub use tenant::{

@@ -174,21 +174,19 @@ pub struct StepTiming {
     pub nanos: u128,
     /// How many columns the step actually ran on — neither skipped nor
     /// served from the step cache. On a warm repeat crawl this drops
-    /// toward zero for [`cacheable`] steps while `cache_hits` absorbs
-    /// the difference; non-cacheable steps (e.g. the header step) keep
-    /// re-running their frontier.
-    ///
-    /// [`cacheable`]: crate::step::AnnotationStep::cacheable
+    /// to zero for every step while `cache_hits` absorbs the
+    /// difference; a header-scoped step (see
+    /// [`CacheScope`](crate::step::CacheScope)) already hits on a cold
+    /// crawl for a header text it has seen at the same epoch.
     pub columns: usize,
     /// Columns answered from the step cache instead of running the
     /// step (always 0 when no cache is configured).
     pub cache_hits: usize,
-    /// Columns the cache was consulted for but had no entry (equals
-    /// `columns` when a cache is configured and the step is
-    /// [`cacheable`]; 0 otherwise — non-cacheable steps are never
-    /// consulted, so they run with `cache_misses == 0`).
-    ///
-    /// [`cacheable`]: crate::step::AnnotationStep::cacheable
+    /// Columns the cache was consulted for but had no entry (0 when no
+    /// cache is configured). A miss runs the step (counted in
+    /// `columns`), reuses the base crawl's entry on a delta-aware
+    /// recrawl (counted in `delta_reused`), or is dropped by budget
+    /// degradation.
     pub cache_misses: usize,
     /// Results inserted into the step cache after running.
     pub cache_inserts: usize,

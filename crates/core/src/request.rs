@@ -340,7 +340,7 @@ impl<'a> AnnotationRequest<'a> {
     /// previous crawl of the same table), enabling delta-aware
     /// re-annotation: per-column deltas are diffed against the base,
     /// fingerprints for append-only columns are derived through
-    /// delta chains instead of full rehashes, and cacheable steps
+    /// delta chains instead of full rehashes, and column-scoped steps
     /// whose input signal moved less than their sensitivity threshold
     /// reuse the base crawl's cached scores instead of re-running.
     ///

@@ -262,22 +262,19 @@ pub trait AnnotationStep: std::fmt::Debug + Send + Sync {
         self.run_batch(ctx, cols)
     }
 
-    /// Should the executor memoize this step's results in the
-    /// [`StepCache`](crate::cache::StepCache)? Defaults to `true`.
-    /// Steps that return `false` — the built-in [`HeaderStep`], see its
-    /// implementation for the measurements behind that — simply re-run
-    /// on every crawl; the cache is never consulted for them, so their
-    /// [`StepTiming`](crate::prediction::StepTiming) reports zero
-    /// hits, misses, and inserts.
-    fn cacheable(&self) -> bool {
-        true
+    /// What the executor keys this step's entries in the
+    /// [`StepCache`](crate::cache::StepCache) by, and so how widely one
+    /// entry is shared. Defaults to [`CacheScope::Column`]; the
+    /// built-in [`HeaderStep`] returns [`CacheScope::Header`].
+    fn cache_scope(&self) -> CacheScope {
+        CacheScope::Column
     }
 
     /// How tolerant this step's signal is to small column deltas, as a
     /// multiplier on the request's base sensitivity threshold (see
     /// [`SigmaTyperConfig::delta_sensitivity`](crate::config::SigmaTyperConfig::delta_sensitivity)).
-    /// During a delta-aware recrawl a cacheable step reuses the base
-    /// crawl's cached scores for a column whose
+    /// During a delta-aware recrawl a [`CacheScope::Column`] step
+    /// reuses the base crawl's cached scores for a column whose
     /// [`movement`](tu_table::ColumnDelta::movement) is at or below
     /// `base_sensitivity × sensitivity_factor()`.
     ///
@@ -291,6 +288,29 @@ pub trait AnnotationStep: std::fmt::Debug + Send + Sync {
     fn sensitivity_factor(&self) -> f64 {
         1.0
     }
+}
+
+/// What keys a step's entries in the
+/// [`StepCache`](crate::cache::StepCache) — see
+/// [`AnnotationStep::cache_scope`].
+///
+/// Both scopes share the cache's LRU, disk tier, epoch invalidation and
+/// compaction; they differ only in what the key hashes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CacheScope {
+    /// The column's [`ColumnFingerprint`]: its header and values, the
+    /// rest of the table, the cascade's step order, the config and the
+    /// cache epoch. Right for any deterministic step.
+    Column,
+    /// The column's header text, the config and the cache epoch, so
+    /// one entry serves every column with that header in any table. A
+    /// step may declare this scope only when its scores depend on
+    /// nothing else in the [`StepContext`] — no cell values, neighbors,
+    /// tentative types or `best_so_far` (the executor evaluates
+    /// [`skip`](AnnotationStep::skip) before it consults the cache).
+    /// Such steps never take the delta-reuse path: an unchanged header
+    /// is already an exact hit.
+    Header,
 }
 
 /// Built-in step 1: header matching (syntactic + semantic), with the
@@ -324,19 +344,14 @@ impl AnnotationStep for HeaderStep {
         scores
     }
 
-    /// Kept out of the step cache, so header matching re-runs on every
-    /// crawl. It is the cheapest built-in step: the traced serving
-    /// benchmark (`perfbench --trace 1`, seed 1, 2 vCPUs) measures
-    /// `step.header.us_per_col` at 88 µs on `crawl` and 78 µs on
-    /// `adapt`, against 307 / 395 µs for lookup and 417 / 460 µs for
-    /// embedding (444 / 460 µs before
-    /// [`HeaderMatcher`](crate::headerstep::HeaderMatcher) pruned its
-    /// candidates). Caching it would still cut latency, at a storage
-    /// cost: a variant returning `true` measured `crawl` `p50_ms` at
-    /// 1.7 ms against 2.8 ms (3 seeds) and wrote 2.9x the disk-tier
-    /// bytes per table.
-    fn cacheable(&self) -> bool {
-        false
+    /// Keyed by header text: `run` reads the raw and normalized header,
+    /// the config, the global model and the customer's `Wg` discount,
+    /// and the header key covers all of them (the global model never
+    /// changes, the local model only with the cache epoch). One entry
+    /// serves every column with this header in every table until the
+    /// next adaptation, so a warm crawl runs no header matching.
+    fn cache_scope(&self) -> CacheScope {
+        CacheScope::Header
     }
 }
 
@@ -841,13 +856,11 @@ mod tests {
     }
 
     #[test]
-    fn cacheable_defaults_and_header_opt_out() {
-        // Default admission is "cache everything"; only the header
-        // step opts out.
-        assert!(!HeaderStep.cacheable());
-        assert!(LookupStep.cacheable());
-        assert!(EmbeddingStep.cacheable());
-        assert!(RegexOnlyStep.cacheable());
+    fn cache_scope_defaults_to_column_and_header_step_is_header_scoped() {
+        assert_eq!(HeaderStep.cache_scope(), CacheScope::Header);
+        assert_eq!(LookupStep.cache_scope(), CacheScope::Column);
+        assert_eq!(EmbeddingStep.cache_scope(), CacheScope::Column);
+        assert_eq!(RegexOnlyStep.cache_scope(), CacheScope::Column);
     }
 
     #[test]

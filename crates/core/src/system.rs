@@ -572,8 +572,8 @@ impl SigmaTyper {
     ///
     /// An optional `base` crawl enables the delta-aware recrawl path
     /// (see [`AnnotationRequest::with_base`]): per-column deltas are
-    /// diffed against `base`, and cacheable steps whose input signal
-    /// moved less than their sensitivity threshold reuse the base
+    /// diffed against `base`, and column-scoped steps whose input
+    /// signal moved less than their sensitivity threshold reuse the base
     /// crawl's cached scores. Fingerprinting is not incremental: the
     /// base is fingerprinted in full, and every new column's hash
     /// state is rebuilt from the base column before the delta is
@@ -1154,6 +1154,19 @@ mod tests {
         }
     }
 
+    /// `(columns run, cache hits, misses, inserts)` summed over every
+    /// step of one annotation.
+    fn cache_totals(ann: &TableAnnotation) -> (usize, usize, usize, usize) {
+        ann.timings.iter().fold((0, 0, 0, 0), |(r, h, m, i), t| {
+            (
+                r + t.columns,
+                h + t.cache_hits,
+                m + t.cache_misses,
+                i + t.cache_inserts,
+            )
+        })
+    }
+
     #[test]
     fn cached_annotation_is_identical_and_hits_on_recrawl() {
         let global = shared_global();
@@ -1162,7 +1175,7 @@ mod tests {
         assert!(cached.step_cache().is_some());
         assert!(plain.step_cache().is_none());
         // Opaque headers push columns past the header step, so the
-        // cacheable tail steps (lookup, embedding) actually execute.
+        // lookup and embedding steps actually execute.
         let table = Table::new(
             "t",
             vec![
@@ -1173,50 +1186,32 @@ mod tests {
         )
         .unwrap();
 
-        // The header step opts out of memoization (cache admission):
-        // its counters stay quiet on every crawl while cacheable steps
-        // insert on cold and hit on warm.
-        let split = |ann: &TableAnnotation| {
-            let (mut header_runs, mut runs, mut hits, mut misses, mut inserts) = (0, 0, 0, 0, 0);
-            for t in &ann.timings {
-                if t.step == StepId::HEADER {
-                    header_runs += t.columns;
-                    assert_eq!(
-                        (t.cache_hits, t.cache_misses, t.cache_inserts),
-                        (0, 0, 0),
-                        "non-cacheable step must never touch the cache"
-                    );
-                } else {
-                    runs += t.columns;
-                    hits += t.cache_hits;
-                    misses += t.cache_misses;
-                    inserts += t.cache_inserts;
-                }
-            }
-            (header_runs, runs, hits, misses, inserts)
-        };
-
-        // Cold crawl: nothing to hit; every executed cacheable column
-        // inserted.
+        // Cold crawl: three distinct headers and a fresh cache, so
+        // nothing hits; every executed column — header step included —
+        // missed and inserted.
         let cold = cached.annotate(&table);
         assert_same_annotation(&plain.annotate(&table), &cold);
-        let (cold_header, cold_runs, cold_hits, cold_misses, cold_inserts) = split(&cold);
-        assert!(cold_header > 0);
-        assert!(cold_runs > 0);
+        let header_runs: usize = cold
+            .timings
+            .iter()
+            .filter(|t| t.step == StepId::HEADER)
+            .map(|t| t.columns)
+            .sum();
+        assert_eq!(header_runs, 3);
+        let (cold_runs, cold_hits, cold_misses, cold_inserts) = cache_totals(&cold);
+        assert!(cold_runs > header_runs, "the tail steps ran too");
         assert_eq!(cold_hits, 0);
-        assert_eq!(cold_inserts, cold_runs);
         assert_eq!(cold_misses, cold_runs);
+        assert_eq!(cold_inserts, cold_runs);
 
-        // Warm recrawl of the same table: bit-identical; cacheable
-        // steps run nothing (served from cache), the header step
-        // simply re-runs its frontier.
+        // Warm recrawl of the same table: bit-identical, and no step
+        // runs at all — every executed column of the cold crawl hits.
         let warm = cached.annotate(&table);
         assert_same_annotation(&cold, &warm);
-        let (warm_header, warm_runs, warm_hits, _, warm_inserts) = split(&warm);
-        assert_eq!(warm_header, cold_header);
+        let (warm_runs, warm_hits, warm_misses, warm_inserts) = cache_totals(&warm);
         assert_eq!(warm_runs, 0);
         assert_eq!(warm_hits, cold_runs);
-        assert_eq!(warm_inserts, 0);
+        assert_eq!((warm_misses, warm_inserts), (0, 0));
         // Uncached instances report quiet counters.
         let plain_ann = plain.annotate(&table);
         assert!(plain_ann
@@ -1335,81 +1330,67 @@ mod tests {
         assert!(cached.annotate(&t).timings.iter().any(|x| x.cache_hits > 0));
     }
 
-    /// A cheap custom step that opts out of memoization.
-    #[derive(Debug)]
-    struct UncachedStep;
-
-    impl AnnotationStep for UncachedStep {
-        fn id(&self) -> StepId {
-            StepId::custom(9)
-        }
-
-        fn name(&self) -> &str {
-            "uncached"
-        }
-
-        fn skip(&self, _ctx: &StepContext<'_>) -> bool {
-            false
-        }
-
-        fn run(&self, _ctx: &StepContext<'_>) -> StepScores {
-            StepScores::default()
-        }
-
-        fn cacheable(&self) -> bool {
-            false
-        }
-    }
-
-    /// Cache admission: non-cacheable steps (the built-in header step
-    /// and any custom step returning `cacheable() == false`) must
-    /// never insert into — or even consult — the step cache.
+    /// The header step's entries are keyed by header text: a second
+    /// table sharing a header with the first hits them, a renamed
+    /// header misses, and feedback that discounts the header's type
+    /// (`Wg`) moves the epoch, so the next read misses and answers as
+    /// an uncached adapted typer does.
     #[test]
-    fn non_cacheable_steps_never_touch_the_cache() {
-        let cache = Arc::new(crate::cache::ShardedLruCache::new(1 << 12));
-        let mut typer = SigmaTyper::builder(shared_global())
-            .step_cache(cache.clone())
-            .build();
-        typer.cascade_mut().push(UncachedStep);
-        // Opaque headers force the cacheable tail steps to execute, so
-        // the insert accounting below is non-trivial.
-        let table = Table::new(
-            "t",
-            vec![
-                Column::from_raw("c_17", &["ada@x.com", "bob@y.org", "eve@z.net"]),
-                Column::from_raw("xq7_zz", &["lorem ipsum", "dolor sit", "amet"]),
-            ],
-        )
-        .unwrap();
-        let inserts_before = cache.stats().inserts;
-        for _ in 0..2 {
-            let ann = typer.annotate(&table);
-            for t in &ann.timings {
-                if t.step == StepId::HEADER || t.step == StepId::custom(9) {
-                    assert!(t.columns > 0, "{}: non-cacheable step must run", t.name);
-                    assert_eq!(
-                        (t.cache_hits, t.cache_misses, t.cache_inserts),
-                        (0, 0, 0),
-                        "{}: non-cacheable step touched the cache",
-                        t.name
-                    );
-                }
-            }
-        }
-        // Every insert that did happen came from a cacheable step.
-        let ann = typer.annotate(&table);
-        let cacheable_runs: usize = ann
-            .timings
-            .iter()
-            .filter(|t| t.step != StepId::HEADER && t.step != StepId::custom(9))
-            .map(|t| t.columns + t.cache_hits)
-            .sum();
-        assert!(cacheable_runs > 0, "cacheable tail steps must execute");
-        assert_eq!(
-            cache.stats().inserts - inserts_before,
-            cacheable_runs as u64,
-            "insert volume must equal cold cacheable executions"
+    fn header_step_entries_are_keyed_by_header_text() {
+        let mut cached = SigmaTyper::builder(shared_global()).cached(4096).build();
+        let mut plain = cached.clone();
+        plain.set_step_cache(None);
+        let header = |ann: &TableAnnotation| {
+            ann.timings
+                .iter()
+                .find(|t| t.step == StepId::HEADER)
+                .map(|t| (t.columns, t.cache_hits, t.cache_misses))
+                .expect("header step timed")
+        };
+        let salaries = |name: &str, header: &str, vals: &[&str]| {
+            Table::new(
+                name,
+                vec![
+                    Column::from_raw(header, vals),
+                    Column::from_raw("xq7_zz", &["lorem ipsum", "dolor sit", "amet"]),
+                ],
+            )
+            .unwrap()
+        };
+        let first = salaries("payroll", "salary", &["50000", "61000", "72000"]);
+        let second = salaries("staff", "salary", &["48000", "52000", "99000"]);
+        assert_eq!(header(&cached.annotate(&first)), (2, 0, 2));
+
+        // Same headers, other table and values: both header columns
+        // hit, and the answer is the uncached one bit for bit.
+        let shared = cached.annotate(&second);
+        assert_eq!(header(&shared), (0, 2, 0));
+        assert_same_annotation(&plain.annotate(&second), &shared);
+
+        // A renamed header misses; the unchanged neighbor still hits.
+        let renamed = salaries("staff", "annual_pay", &["48000", "52000", "99000"]);
+        assert_eq!(header(&cached.annotate(&renamed)), (1, 1, 1));
+
+        // Correct the "salary" column to another type on both
+        // instances: `Wg` now discounts salary under this header.
+        let salary = builtin_id(cached.ontology(), "salary");
+        let age = builtin_id(cached.ontology(), "age");
+        let before = plain.annotate(&second);
+        assert_eq!(before.columns[0].predicted, salary);
+        let wg = cached.local().wg(salary, "salary");
+        cached.feedback(&first, 0, age, None);
+        plain.feedback(&first, 0, age, None);
+        assert!(cached.local().wg(salary, "salary") < wg, "Wg moved");
+        let adapted = cached.annotate(&second);
+        assert_eq!(header(&adapted), (2, 0, 2), "a new epoch misses");
+        assert_same_annotation(&plain.annotate(&second), &adapted);
+        assert_ne!(
+            adapted.columns[0].step_scores[0].candidates,
+            before.columns[0].step_scores[0].candidates,
+            "the discount reached the header scores"
         );
+        // ... and the adapted entries serve the next read.
+        assert_eq!(header(&cached.annotate(&second)), (0, 2, 0));
     }
 
     /// An opaque table no step resolves cheaply: every column walks

@@ -33,7 +33,7 @@ use sigmatyper::request::{
 };
 use sigmatyper::ColumnAnnotation;
 use tu_ontology::Ontology;
-use tu_table::{Column, Table};
+use tu_table::{Column, Table, Value};
 
 /// Decode a request table. Errors are human-readable and become the
 /// 400 response body verbatim.
@@ -56,12 +56,15 @@ pub fn table_from_json(v: &Json) -> Result<Table, String> {
             .get("values")
             .and_then(Json::as_array)
             .ok_or_else(|| format!("column {i} must have a \"values\" array"))?;
+        // Each cell is typed straight from the parsed string, exactly
+        // as `Column::from_raw` would type it (`null` is the empty
+        // cell, which infers to `Value::Null`).
         let mut values = Vec::with_capacity(values_json.len());
         for (j, cell) in values_json.iter().enumerate() {
             if cell.is_null() {
-                values.push(String::new());
+                values.push(Value::Null);
             } else if let Some(s) = cell.as_str() {
-                values.push(s.to_owned());
+                values.push(Value::infer(s));
             } else {
                 return Err(format!(
                     "column {i} value {j} must be a string or null (send numbers as strings; \
@@ -69,7 +72,7 @@ pub fn table_from_json(v: &Json) -> Result<Table, String> {
                 ));
             }
         }
-        columns.push(Column::from_raw(header, &values));
+        columns.push(Column::new(header, values));
     }
     Table::new(name, columns).map_err(|e| format!("invalid table: {e:?}"))
 }
@@ -292,6 +295,49 @@ mod tests {
             let err = table_from_json(&Json::parse(doc).unwrap()).unwrap_err();
             assert!(err.contains(needle), "{doc} -> {err}");
         }
+    }
+
+    /// Decoding types each cell straight from the parsed string; the
+    /// result must equal `Column::from_raw` over the same cells, with
+    /// `null` as the empty cell.
+    #[test]
+    fn decoded_cells_type_like_from_raw() {
+        let doc = r#"{"name":"t","columns":[
+            {"header":"mixed","values":[null,"","  x ","NA","00156","1e3",
+                "42","-7.5","TRUE","2021-03-04","say \"hi\"\n","tab\there",
+                "\u00e9t\u00e9","Größe","名前","\ud83d\ude00"]},
+            {"header":"Ünïcode \"h\"","values":["a","b","c","d","e","f","g","h",
+                "i","j","k","l","m","n","o","p"]}
+        ]}"#;
+        let table = table_from_json(&Json::parse(doc).unwrap()).unwrap();
+        let raw = [
+            "",
+            "",
+            "  x ",
+            "NA",
+            "00156",
+            "1e3",
+            "42",
+            "-7.5",
+            "TRUE",
+            "2021-03-04",
+            "say \"hi\"\n",
+            "tab\there",
+            "été",
+            "Größe",
+            "名前",
+            "\u{1F600}",
+        ];
+        let letters: Vec<String> = ('a'..='p').map(String::from).collect();
+        let expected = Table::new(
+            "t",
+            vec![
+                Column::from_raw("mixed", &raw),
+                Column::from_raw("Ünïcode \"h\"", &letters),
+            ],
+        )
+        .unwrap();
+        assert_eq!(table, expected);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! in-memory LRU dies with the process, so before the disk tier every
 //! restart meant a full recrawl. Here we crawl once, "restart" (a
 //! fresh `SigmaTyper` over the same cache directory), and watch the
-//! new process recrawl without running a single cacheable step — then
+//! new process recrawl without running a single step — then
 //! adapt the customer and watch the *durable* epoch invalidate the
 //! on-disk entries for every future process.
 //!
@@ -14,7 +14,7 @@
 //! ```
 
 use sigmatyper::{
-    train_global, DurableEpochSource, GlobalModel, SigmaTyper, StepCache, StepId, TieredStepCache,
+    train_global, DurableEpochSource, GlobalModel, SigmaTyper, StepCache, TieredStepCache,
     TrainingConfig,
 };
 use std::path::Path;
@@ -23,18 +23,12 @@ use tu_corpus::{generate_corpus, CorpusConfig};
 use tu_ontology::{builtin_id, builtin_ontology};
 use tu_table::Table;
 
-/// Sum `(cacheable columns run, cache hits)` over a batch; the header
-/// step opts out of memoization and is excluded.
+/// Sum `(step-columns run, cache hits)` over a batch.
 fn counts(anns: &[sigmatyper::TableAnnotation]) -> (usize, usize) {
     anns.iter()
         .flat_map(|a| a.timings.iter())
         .fold((0, 0), |(runs, hits), t| {
-            let cacheable = if t.step == StepId::HEADER {
-                0
-            } else {
-                t.columns
-            };
-            (runs + cacheable, hits + t.cache_hits)
+            (runs + t.columns, hits + t.cache_hits)
         })
 }
 
@@ -63,19 +57,17 @@ fn main() {
     let typer = start_process(Arc::clone(&global), &dir);
     let cold: Vec<_> = warehouse.iter().map(|t| typer.annotate(t)).collect();
     let (cold_runs, _) = counts(&cold);
-    println!("process 1 (cold):     {cold_runs:>4} cacheable step-columns run");
+    println!("process 1 (cold):     {cold_runs:>4} step-columns run");
     typer.step_cache().expect("cache").flush().expect("flush");
     drop(typer); // deploy, crash, autoscale-down — the process exits.
 
     // Process 2: fresh instance, same directory. The L1 LRU is empty,
-    // but the segment file serves every cacheable step — and the
-    // annotations are bit-identical to the cold crawl's.
+    // but the segment file serves every step, header step included —
+    // and the annotations are bit-identical to the cold crawl's.
     let typer = start_process(Arc::clone(&global), &dir);
     let warm: Vec<_> = warehouse.iter().map(|t| typer.annotate(t)).collect();
     let (warm_runs, warm_hits) = counts(&warm);
-    println!(
-        "process 2 (restart):  {warm_runs:>4} cacheable step-columns run, {warm_hits:>4} disk hits"
-    );
+    println!("process 2 (restart):  {warm_runs:>4} step-columns run, {warm_hits:>4} disk hits");
     assert_eq!(warm_runs, 0, "a restart must not forfeit the cache");
     for (a, b) in cold.iter().zip(&warm) {
         assert_eq!(a.predictions(), b.predictions(), "cache must be invisible");
@@ -100,7 +92,9 @@ fn main() {
     let typer = start_process(global, &dir);
     let adapted: Vec<_> = warehouse.iter().map(|t| typer.annotate(t)).collect();
     let (adapted_runs, adapted_hits) = counts(&adapted);
-    println!("process 3 (adapted):  {adapted_runs:>4} cacheable step-columns run, {adapted_hits:>4} disk hits");
+    println!(
+        "process 3 (adapted):  {adapted_runs:>4} step-columns run, {adapted_hits:>4} disk hits"
+    );
     assert!(adapted_runs > 0, "stale entries must not serve");
     let live = typer.cache_epoch();
     drop(typer);

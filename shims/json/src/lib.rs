@@ -75,7 +75,11 @@ impl Json {
     /// garbage is an error).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let bytes = input.as_bytes();
-        let mut p = Parser { bytes, at: 0 };
+        let mut p = Parser {
+            text: input,
+            bytes,
+            at: 0,
+        };
         p.skip_ws();
         let value = p.value(0)?;
         p.skip_ws();
@@ -303,6 +307,9 @@ impl fmt::Display for Json {
 }
 
 struct Parser<'a> {
+    /// The input, for slicing out runs that end on ASCII delimiters
+    /// (always char boundaries) without re-validating UTF-8.
+    text: &'a str,
     bytes: &'a [u8],
     at: usize,
 }
@@ -433,9 +440,9 @@ impl Parser<'_> {
                 self.at += 1;
             }
             if self.at > start {
-                // The input is valid UTF-8 (a &str) and we only stopped
-                // on ASCII delimiters, so this slice stays valid UTF-8.
-                out.push_str(std::str::from_utf8(&self.bytes[start..self.at]).unwrap());
+                // The run started after an ASCII byte and stopped on
+                // one (or at the end), so both ends are char boundaries.
+                out.push_str(&self.text[start..self.at]);
             }
             match self.peek() {
                 Some(b'"') => {
@@ -539,8 +546,8 @@ impl Parser<'_> {
                 self.at += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.at])
-            .map_err(|_| self.err("invalid number"))?;
+        // Only ASCII bytes were consumed since `start`.
+        let text = &self.text[start..self.at];
         if integral {
             // Exact integers first, falling back to f64 for magnitudes
             // beyond u64/i64 (matching what serde_json calls

@@ -156,14 +156,71 @@ fn shaping_bounds_light_tenant_impact_under_zipf_flood() {
     // enough that the heavy tenant (≳70% of spend, 50% burst
     // entitlement of its lane) must overrun, loose enough that a light
     // tenant (≲10% of spend) fits comfortably inside its entitlement.
-    let unbudgeted = TargetConfig::default();
-    let calibration = run_in_process(Arc::clone(&global), &workload, &unbudgeted);
-    calibration.validate().expect("calibration run accounts");
+    // Every replay runs without a step cache: a cache shared across
+    // tenants makes the heavy tenant's repeated tables nearly free, and
+    // spend then stops following the tenant mix this scenario is about.
+    // Spend is wall-clock, so one replay's split between tenants moves
+    // with how their tables happened to overlap on the workers; the
+    // calibration averages three replays.
+    let unbudgeted = TargetConfig {
+        cache_capacity: 0,
+        ..TargetConfig::default()
+    };
+    const CALIBRATION_REPLAYS: u64 = 3;
+    let calibrations: Vec<_> = (0..CALIBRATION_REPLAYS)
+        .map(|_| run_in_process(Arc::clone(&global), &workload, &unbudgeted))
+        .collect();
+    for calibration in &calibrations {
+        calibration.validate().expect("calibration run accounts");
+    }
+    let calibrated = |tenant: Option<usize>, lane| {
+        calibrations
+            .iter()
+            .map(|c| c.bucket(tenant, Some(lane)).spent_nanos)
+            .sum::<u64>()
+            / CALIBRATION_REPLAYS
+    };
     let lane_budget = |lane| {
-        let spent = calibration.bucket(None, Some(lane)).spent_nanos;
+        let spent = calibrated(None, lane);
         assert!(spent > 0, "calibration must measure real {lane:?} spend");
         Some(spent * 6 / 10)
     };
+    // The premise, on the calibration spend: in each lane the heavy
+    // tenant spends more than its quantum (the lane window split by
+    // weight) and each light tenant less.
+    let total_weight: f64 = workload.tenants.iter().map(|(_, w)| w).sum();
+    for lane in [TrafficLane::Interactive, TrafficLane::Crawl] {
+        let window = lane_budget(lane).expect("budgeted lane") as f64;
+        let quantum = |t: usize| window * workload.tenants[t].1 / total_weight;
+        let spent = |t: usize| calibrated(Some(t), lane) as f64;
+        let lane_spent = calibrated(None, lane) as f64;
+        println!(
+            "calibration {lane:?} (share of lane spend / quantum): {:?}",
+            (0..workload.tenants.len())
+                .map(|t| format!(
+                    "tenant-{t} {:.3}/{:.3}",
+                    spent(t) / lane_spent,
+                    quantum(t) / lane_spent
+                ))
+                .collect::<Vec<_>>()
+        );
+        assert!(
+            spent(heavy) > quantum(heavy),
+            "premise: tenant-{heavy} must overrun its {lane:?} quantum \
+             ({:.0} vs {:.0} ns)",
+            spent(heavy),
+            quantum(heavy)
+        );
+        for light in lights {
+            assert!(
+                spent(light) < quantum(light),
+                "premise: tenant-{light} must fit its {lane:?} quantum \
+                 ({:.0} vs {:.0} ns)",
+                spent(light),
+                quantum(light)
+            );
+        }
+    }
     // One hour-long window: the whole replay happens inside a single
     // budget window, so standings depend on spend, not on wall-clock
     // races with the refill timer.
@@ -172,6 +229,7 @@ fn shaping_bounds_light_tenant_impact_under_zipf_flood() {
         crawl_budget_nanos: lane_budget(TrafficLane::Crawl),
         budget_window: Duration::from_secs(3600),
         shaping,
+        cache_capacity: 0,
         ..TargetConfig::default()
     };
 

@@ -8,8 +8,8 @@
 //! fix end to end:
 //!
 //! * a fresh `SigmaTyper` in a "new process" (fresh instance, same
-//!   global model, same cache directory) reruns **zero** cacheable
-//!   steps and produces bit-identical annotations;
+//!   global model, same cache directory) reruns **zero** steps and
+//!   produces bit-identical annotations;
 //! * a truncated segment file degrades to a *cold* cache — correct
 //!   answers, never garbage, never a panic;
 //! * an adaptation in one instance advances the durable epoch, so a
@@ -23,6 +23,7 @@ use sigmatyper::{
     train_global, DurableEpochSource, GlobalModel, SigmaTyper, SigmaTyperConfig, StepCache, StepId,
     TableAnnotation, TieredStepCache, TrainingConfig,
 };
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 use tu_corpus::{generate_corpus, CorpusConfig};
@@ -74,19 +75,48 @@ impl Drop for Scratch {
     }
 }
 
-/// `(cacheable step-columns run, cache hits)` summed over a batch;
-/// the header step opts out of memoization, so it is excluded.
-fn counts(anns: &[TableAnnotation]) -> (usize, usize) {
-    anns.iter()
-        .flat_map(|a| a.timings.iter())
-        .fold((0, 0), |(runs, hits), t| {
-            let cacheable = if t.step == StepId::HEADER {
-                0
-            } else {
-                t.columns
-            };
-            (runs + cacheable, hits + t.cache_hits)
-        })
+/// Step tallies summed over a batch.
+#[derive(Debug, Default)]
+struct Counts {
+    /// Step-columns run, every step included.
+    runs: usize,
+    /// Cache hits of the header step.
+    header_hits: usize,
+    /// Cache hits of every other step.
+    other_hits: usize,
+}
+
+fn counts(anns: &[TableAnnotation]) -> Counts {
+    let mut c = Counts::default();
+    for t in anns.iter().flat_map(|a| a.timings.iter()) {
+        c.runs += t.columns;
+        if t.step == StepId::HEADER {
+            c.header_hits += t.cache_hits;
+        } else {
+            c.other_hits += t.cache_hits;
+        }
+    }
+    c
+}
+
+/// Header columns − distinct header texts: the header hits of a
+/// sequential cold crawl, each on an entry an earlier table of the
+/// same crawl inserted at the same epoch.
+fn repeated_headers(tables: &[Table]) -> usize {
+    let distinct: HashSet<&str> = tables.iter().flat_map(Table::headers).collect();
+    tables.iter().map(Table::n_cols).sum::<usize>() - distinct.len()
+}
+
+/// A cold crawl runs every step; its only hits are header entries it
+/// inserted itself.
+fn assert_cold(c: &Counts, tables: &[Table]) {
+    assert!(c.runs > 0, "a cold crawl must actually run steps");
+    assert_eq!(c.other_hits, 0, "only header entries can hit cold");
+    assert_eq!(
+        c.header_hits,
+        repeated_headers(tables),
+        "header hits must come from this crawl's own entries"
+    );
 }
 
 /// Everything except wall-clock timings must match bit for bit.
@@ -126,9 +156,7 @@ fn restart_roundtrip_is_warm_and_bit_identical() {
     let first = {
         let typer = open_typer(&scratch.0);
         let anns: Vec<TableAnnotation> = tables.iter().map(|t| typer.annotate(t)).collect();
-        let (runs, hits) = counts(&anns);
-        assert!(runs > 0, "cold crawl must actually run steps");
-        assert_eq!(hits, 0, "nothing to hit on the first crawl");
+        assert_cold(&counts(&anns), &tables);
         typer
             .step_cache()
             .expect("cache attached")
@@ -138,12 +166,16 @@ fn restart_roundtrip_is_warm_and_bit_identical() {
     }; // typer dropped: the "process" exits.
 
     // "Process B": fresh instance, same directory. The L1 LRU is
-    // empty, but the disk tier serves every cacheable step.
+    // empty, but the disk tier serves every step, header included.
     let typer = open_typer(&scratch.0);
     let again: Vec<TableAnnotation> = tables.iter().map(|t| typer.annotate(t)).collect();
-    let (runs, hits) = counts(&again);
-    assert_eq!(runs, 0, "restart recrawl must run zero cacheable steps");
-    assert!(hits > 0, "the disk tier served the recrawl");
+    let c = counts(&again);
+    assert_eq!(c.runs, 0, "restart recrawl must run zero steps");
+    assert!(c.other_hits > 0, "the disk tier served the recrawl");
+    assert!(
+        c.header_hits > repeated_headers(&tables),
+        "and its header entries"
+    );
     for (a, b) in first.iter().zip(&again) {
         assert_identical(a, b);
     }
@@ -199,8 +231,8 @@ fn truncated_segment_is_cold_never_garbage() {
     drop(file);
     let typer = open_typer(&scratch.0);
     let cold: Vec<TableAnnotation> = tables.iter().map(|t| typer.annotate(t)).collect();
-    let (runs, hits) = counts(&cold);
-    assert!(runs > 0 && hits == 0, "empty segment means a cold crawl");
+    // An empty segment means a cold crawl.
+    assert_cold(&counts(&cold), &tables);
     for (a, b) in reference.iter().zip(&cold) {
         assert_identical(a, b);
     }
@@ -236,9 +268,9 @@ fn adaptation_in_one_process_invalidates_entries_read_by_another() {
         "the durable epoch carried the adaptation across processes"
     );
     let anns: Vec<TableAnnotation> = tables.iter().map(|t| typer.annotate(t)).collect();
-    let (runs, hits) = counts(&anns);
-    assert!(runs > 0, "stale entries must not satisfy the recrawl");
-    assert_eq!(hits, 0, "no pre-correction score may be served");
+    // No pre-correction score may be served: the recrawl is cold, its
+    // only hits header entries it inserted itself at the new epoch.
+    assert_cold(&counts(&anns), &tables);
 
     // Compaction under the live epoch reclaims A's unreachable
     // entries while keeping B's fresh ones. Dropping the typer first

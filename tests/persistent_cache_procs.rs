@@ -17,8 +17,8 @@
 //! The write phase crawls a deterministic warehouse through the disk
 //! tier and dumps every decision (type + confidence bits) to a golden
 //! file. The read phase — a different PID, a different address space —
-//! reopens the directory, asserts the recrawl runs **zero** cacheable
-//! steps, and bit-compares its decisions against the golden dump.
+//! reopens the directory, asserts the recrawl runs **zero** steps,
+//! and bit-compares its decisions against the golden dump.
 //! With the env vars unset (the normal `cargo test` run) the test is
 //! a no-op.
 
@@ -26,6 +26,7 @@ use sigmatyper::{
     train_global, DurableEpochSource, GlobalModel, SigmaTyper, SigmaTyperConfig, StepId,
     TableAnnotation, TieredStepCache, TrainingConfig,
 };
+use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
@@ -60,19 +61,24 @@ fn open_typer(global: Arc<GlobalModel>, dir: &Path) -> SigmaTyper {
         .build()
 }
 
-/// `(cacheable step-columns run, cache hits)`; the header step opts
-/// out of memoization and is excluded.
-fn counts(anns: &[TableAnnotation]) -> (usize, usize) {
+/// `(step-columns run, header-step hits, other hits)` over a batch.
+fn counts(anns: &[TableAnnotation]) -> (usize, usize, usize) {
     anns.iter()
         .flat_map(|a| a.timings.iter())
-        .fold((0, 0), |(runs, hits), t| {
-            let cacheable = if t.step == StepId::HEADER {
-                0
+        .fold((0, 0, 0), |(runs, header, other), t| {
+            if t.step == StepId::HEADER {
+                (runs + t.columns, header + t.cache_hits, other)
             } else {
-                t.columns
-            };
-            (runs + cacheable, hits + t.cache_hits)
+                (runs + t.columns, header, other + t.cache_hits)
+            }
         })
+}
+
+/// Header columns − distinct header texts: the header hits of a
+/// sequential cold crawl on entries it inserted itself.
+fn repeated_headers(tables: &[Table]) -> usize {
+    let distinct: HashSet<&str> = tables.iter().flat_map(Table::headers).collect();
+    tables.iter().map(Table::n_cols).sum::<usize>() - distinct.len()
 }
 
 /// One line per column: everything that must survive the restart bit
@@ -116,9 +122,10 @@ fn persist_phase() {
         "write" => {
             let typer = open_typer(global, &dir);
             let anns: Vec<TableAnnotation> = tables.iter().map(|t| typer.annotate(t)).collect();
-            let (runs, hits) = counts(&anns);
+            let (runs, header_hits, other_hits) = counts(&anns);
             assert!(runs > 0, "cold crawl must run steps");
-            assert_eq!(hits, 0, "first crawl cannot hit");
+            assert_eq!(other_hits, 0, "first crawl hits only header entries");
+            assert_eq!(header_hits, repeated_headers(&tables));
             typer
                 .step_cache()
                 .unwrap()
@@ -131,9 +138,9 @@ fn persist_phase() {
                 std::fs::read_to_string(dir.join("golden.txt")).expect("golden dump from phase 1");
             let typer = open_typer(global, &dir);
             let anns: Vec<TableAnnotation> = tables.iter().map(|t| typer.annotate(t)).collect();
-            let (runs, hits) = counts(&anns);
+            let (runs, _, other_hits) = counts(&anns);
             assert_eq!(runs, 0, "fresh process must recrawl warm from disk");
-            assert!(hits > 0, "the disk tier served the recrawl");
+            assert!(other_hits > 0, "the disk tier served the recrawl");
             assert_eq!(
                 golden_dump(&anns),
                 golden,
