@@ -970,6 +970,43 @@ fn bench_load_lab(c: &mut Criterion) {
     group.finish();
 }
 
+/// The DPBD adaptation loop (Figure 3 ①–④): a fresh cached customer
+/// takes 32 corrections in a fixed rotation over the fixture's
+/// database-like tables, each labeling one column with its true type.
+/// Every correction re-annotates the table, infers LFs, admits the
+/// column to the local training set and refits the local model over
+/// every example admitted so far, so one iteration times the whole
+/// growing sequence. Only `SigmaTyper::feedback` is called.
+fn bench_feedback(c: &mut Criterion) {
+    const CORRECTIONS: usize = 32;
+    let f = BenchFixture::new();
+    let mut fresh = f.customer();
+    fresh.set_step_cache(Some(Arc::new(ShardedLruCache::new(1 << 16))));
+    let tables = &f.corpus.tables;
+    let corrections: Vec<(&Table, usize, tu_ontology::TypeId)> = (0..CORRECTIONS)
+        .map(|k| {
+            let at = &tables[k % tables.len()];
+            let col = (k / tables.len() + 3 * k) % at.table.n_cols();
+            (&at.table, col, at.labels[col])
+        })
+        .collect();
+    let correct_all = || {
+        let mut typer = fresh.clone();
+        for &(table, col, ty) in &corrections {
+            typer.feedback(black_box(table), col, ty, None);
+        }
+        typer
+    };
+    let adapted = correct_all();
+    assert_eq!(adapted.local().training.len(), CORRECTIONS);
+    assert!(adapted.local().finetuned.is_some());
+
+    let mut group = c.benchmark_group("pipeline/feedback");
+    group.sample_size(10);
+    group.bench_function("32_corrections", |b| b.iter(correct_all));
+    group.finish();
+}
+
 /// Crawl once; per step return `(name, columns_run, hits, inserts)`
 /// summed over the corpus.
 fn crawl_counts(
@@ -1003,6 +1040,7 @@ criterion_group!(
     bench_budgeted,
     bench_server_roundtrip,
     bench_embed_backends,
-    bench_load_lab
+    bench_load_lab,
+    bench_feedback
 );
 criterion_main!(benches);

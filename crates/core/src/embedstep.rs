@@ -152,19 +152,14 @@ impl TableEmbeddingModel {
         f64::from(probs[0])
     }
 
-    /// Finetune on additional labeled columns (weak labels from DPBD).
-    /// `examples` pairs `(column, neighbor headers, label)`.
-    pub fn partial_fit(&mut self, examples: &[(&Column, Vec<&str>, TypeId)], epochs: usize) {
-        if examples.is_empty() {
-            return;
-        }
-        let x: Vec<Vec<f32>> = examples
-            .iter()
-            .map(|(c, n, _)| self.featurize(c, &n.iter().map(|s| &**s).collect::<Vec<_>>()))
-            .collect();
-        let y: Vec<usize> = examples.iter().map(|(_, _, t)| t.index()).collect();
-        let ds = Dataset::new(x, y, self.n_classes);
-        self.mlp.partial_fit(&ds, epochs);
+    /// Finetune the MLP head for `epochs` passes over `rows`: feature
+    /// vectors from [`TableEmbeddingModel::featurize`] with class
+    /// labels (weak labels from DPBD). Only the head trains — the
+    /// extractor and scaler never change — so rows featurized once
+    /// stay valid for every later call, and a call costs the epochs
+    /// over the rows, never a featurization.
+    pub fn partial_fit(&mut self, rows: &Dataset, epochs: usize) {
+        self.mlp.partial_fit(rows, epochs);
     }
 }
 
@@ -363,8 +358,12 @@ mod tests {
             .collect();
         let col = Column::from_raw("contact", &vals);
         let before = model.predict(&col, &[]).confidence_for(phone);
-        let examples: Vec<(&Column, Vec<&str>, TypeId)> = vec![(&col, vec![], phone); 8];
-        model.partial_fit(&examples, 25);
+        let rows = Dataset::new(
+            vec![model.featurize(&col, &[]); 8],
+            vec![phone.index(); 8],
+            model.n_classes(),
+        );
+        model.partial_fit(&rows, 25);
         let after = model.predict(&col, &[]).confidence_for(phone);
         assert!(
             after > before,

@@ -106,7 +106,7 @@ pub use step::{
     AnnotationStep, CacheScope, ColumnState, EmbeddingStep, HeaderStep, LookupStep, RegexOnlyStep,
     StepContext, TableSetup,
 };
-pub use system::{SigmaTyper, SigmaTyperBuilder};
+pub use system::{CustomTypeError, SigmaTyper, SigmaTyperBuilder};
 pub use tenant::{
     admission_cutoff, LaneCounters, ShapedBudget, TenantId, TenantLaneSnapshot, TenantRegistry,
     TenantSnapshot, TrafficShaper, ANONYMOUS_TENANT,

@@ -1,15 +1,17 @@
 //! The per-customer local model (paper §4.2, Figure 2).
 //!
 //! Holds the customer's inferred labeling functions, a lazily finetuned
-//! copy of the global embedding model, and the per-type feedback counts
-//! that drive the `Wl` weight vector: "the influence of the local model
-//! on the final prediction increases over time".
+//! copy of the global embedding model with the featurized examples it
+//! trains on, and the per-type feedback counts that drive the `Wl`
+//! weight vector: "the influence of the local model on the final
+//! prediction increases over time".
 
 use crate::embedstep::TableEmbeddingModel;
 use std::collections::HashMap;
 use tu_dp::LabelingFunction;
+use tu_ml::Dataset;
 use tu_ontology::TypeId;
-use tu_table::Column;
+use tu_table::Table;
 
 /// Shrinkage constant: `wl = n / (n + K)` after `n` feedback events.
 pub const WL_SHRINKAGE: f64 = 2.0;
@@ -23,14 +25,18 @@ pub const WG_SHRINKAGE: f64 = 2.0;
 pub struct LocalModel {
     /// DPBD-inferred labeling functions.
     pub lfs: Vec<LabelingFunction>,
-    /// Finetuned copy of the global embedding model (lazy).
+    /// Finetuned copy of the global embedding model, created by the
+    /// first [`LocalModel::add_training`].
     pub finetuned: Option<TableEmbeddingModel>,
     feedback_counts: HashMap<TypeId, u32>,
     overridden_counts: HashMap<(TypeId, String), u32>,
-    /// Accumulated local training examples `(column, neighbor headers,
-    /// label)` — "the entire table with its labels is then added to the
-    /// training data".
-    pub training: Vec<(Column, Vec<String>, TypeId)>,
+    /// Accumulated local training examples — "the entire table with its
+    /// labels is then added to the training data" — as the feature rows
+    /// the finetuned model trains on, one row and label per example in
+    /// arrival order. Each example is featurized once, when
+    /// [`LocalModel::add_training`] admits it; a refit runs 6 epochs
+    /// over these rows and featurizes nothing.
+    pub training: Dataset,
 }
 
 impl LocalModel {
@@ -108,15 +114,41 @@ impl LocalModel {
         }
     }
 
-    /// Append local training examples.
-    pub fn add_training(&mut self, examples: Vec<(Column, Vec<String>, TypeId)>) {
-        self.training.extend(examples);
+    /// Admit column `col_idx` of `table`, labeled `label`, into the
+    /// local training set: featurize it once, with the other columns'
+    /// headers as context, through the finetuned model — cloned from
+    /// `global` on first use — and append the row. The featurizer
+    /// (extractor and scaler) is never trained, so a stored row stays
+    /// exactly what featurizing the column again would give.
+    ///
+    /// # Panics
+    /// Panics when `col_idx` is out of range.
+    pub fn add_training(
+        &mut self,
+        global: &TableEmbeddingModel,
+        table: &Table,
+        col_idx: usize,
+        label: TypeId,
+    ) {
+        let column = table.column(col_idx).expect("column in range");
+        let neighbors: Vec<&str> = table
+            .headers()
+            .into_iter()
+            .enumerate()
+            .filter(|(i, _)| *i != col_idx)
+            .map(|(_, h)| h)
+            .collect();
+        let model = self.finetuned.get_or_insert_with(|| global.clone());
+        self.training.n_classes = model.n_classes();
+        self.training.x.push(model.featurize(column, &neighbors));
+        self.training.y.push(label.index());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tu_table::Column;
 
     #[test]
     fn wl_grows_with_feedback() {
@@ -167,9 +199,28 @@ mod tests {
 
     #[test]
     fn training_accumulates() {
+        let o = tu_ontology::builtin_ontology();
+        let corpus = tu_corpus::generate_corpus(&o, &tu_corpus::CorpusConfig::database_like(5, 6));
+        let global = crate::embedstep::train_embedding_model(
+            &o,
+            &corpus,
+            &tu_embed::Embedder::untrained(8),
+            &crate::config::TrainingConfig::fast(),
+        );
+        let table = Table::new(
+            "t",
+            vec![Column::from_raw("c", &["1"]), Column::from_raw("d", &["2"])],
+        )
+        .unwrap();
         let mut m = LocalModel::new();
-        m.add_training(vec![(Column::from_raw("c", &["1"]), vec![], TypeId(1))]);
-        m.add_training(vec![(Column::from_raw("d", &["2"]), vec![], TypeId(2))]);
+        m.add_training(&global, &table, 0, TypeId(1));
+        assert!(m.finetuned.is_some(), "first admission clones the model");
+        m.add_training(&global, &table, 1, TypeId(2));
         assert_eq!(m.training.len(), 2);
+        assert_eq!(m.training.y, vec![1, 2]);
+        assert_eq!(m.training.n_classes, global.n_classes());
+        // A stored row is what featurizing the column now would give.
+        let d = table.column(1).unwrap();
+        assert_eq!(m.training.x[1], global.featurize(d, &["c"]));
     }
 }

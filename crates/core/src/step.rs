@@ -898,13 +898,18 @@ mod tests {
             .collect();
         let tentative = vec![TypeId::UNKNOWN; 4];
         let states = vec![ColumnState::default(); 4];
-        // Engage the finetuned-blend path of the embedding step too.
-        local.add_training(vec![(
-            Column::from_raw("contact", &["20000001", "20000002"]),
-            vec!["name".to_owned()],
-            TypeId(2),
-        )]);
-        local.finetuned = Some(g.embedding.clone());
+        // Engage the finetuned-blend path of the embedding step too:
+        // the first admitted example creates the finetuned model.
+        let example = Table::new(
+            "contacts",
+            vec![
+                Column::from_raw("name", &["Ada", "Bob"]),
+                Column::from_raw("contact", &["20000001", "20000002"]),
+            ],
+        )
+        .unwrap();
+        local.add_training(&g.embedding, &example, 1, TypeId(2));
+        assert!(local.finetuned.is_some());
         let steps: [&dyn AnnotationStep; 3] = [&LookupStep, &EmbeddingStep, &RegexOnlyStep];
         for step in steps {
             let mut ctx = ctx_for(&table, 0, &normalized, &tentative, &g, &local, &config);

@@ -18,11 +18,47 @@ use crate::request::{
     RequestOptions, TelemetryVerbosity,
 };
 use crate::step::AnnotationStep;
+use std::fmt;
 use std::sync::Arc;
 use tu_corpus::Corpus;
 use tu_dp::{infer_lfs, mine_weak_labels, Demonstration, InferConfig, MiningConfig};
 use tu_ontology::{Category, Ontology, TypeId, ValueKind};
 use tu_table::{Table, TableDelta};
+
+/// Why [`SigmaTyper::register_custom_type`] refused a type.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CustomTypeError {
+    /// The name is already a canonical name or alias of `existing`.
+    AlreadyKnown {
+        /// The requested name.
+        name: String,
+        /// The type that name already denotes.
+        existing: TypeId,
+    },
+    /// Every MLP class is taken: the ontology already has as many types
+    /// as the global model has classes (its types plus
+    /// `TrainingConfig::reserve_classes`).
+    ReservedClassesExhausted {
+        /// The global model's class count.
+        classes: usize,
+    },
+}
+
+impl fmt::Display for CustomTypeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CustomTypeError::AlreadyKnown { name, existing } => {
+                write!(f, "{name:?} already names semantic type {existing:?}")
+            }
+            CustomTypeError::ReservedClassesExhausted { classes } => write!(
+                f,
+                "all {classes} model classes are taken; raise TrainingConfig::reserve_classes"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for CustomTypeError {}
 
 /// One customer's SigmaTyper instance: the shared global model plus this
 /// customer's local model (Figure 2's `Customer_i` box), annotating
@@ -500,23 +536,34 @@ impl SigmaTyper {
     /// through locally inferred LFs and learned by the finetuned local
     /// embedding model via one of the reserved MLP classes.
     ///
-    /// # Panics
-    /// Panics when all reserved classes are exhausted.
+    /// # Errors
+    /// [`CustomTypeError::AlreadyKnown`] when `name` is already a
+    /// canonical name or alias in this customer's ontology, and
+    /// [`CustomTypeError::ReservedClassesExhausted`] when every
+    /// reserved MLP class is taken. Both are checked before anything
+    /// changes: on `Err` the ontology and the cache epoch are as
+    /// they were.
     pub fn register_custom_type(
         &mut self,
         name: &str,
         kind: ValueKind,
         aliases: &[&str],
-    ) -> TypeId {
+    ) -> Result<TypeId, CustomTypeError> {
+        if let Some(existing) = self.ontology.lookup_exact(name) {
+            return Err(CustomTypeError::AlreadyKnown {
+                name: name.to_owned(),
+                existing,
+            });
+        }
+        let classes = self.global.embedding.n_classes();
+        if self.ontology.len() >= classes {
+            return Err(CustomTypeError::ReservedClassesExhausted { classes });
+        }
         let id = self
             .ontology
             .register(name, Category::Misc, kind, aliases, None);
-        assert!(
-            id.index() < self.global.embedding.n_classes(),
-            "reserved class space exhausted; raise TrainingConfig::reserve_classes"
-        );
         self.bump_epoch();
-        id
+        Ok(id)
     }
 
     /// Annotate a table: run the configured cascade per column,
@@ -766,6 +813,11 @@ impl SigmaTyper {
     /// the customer's table history for weak labels ③/④, extend the
     /// local training set, finetune the local model, and grow `Wl`.
     ///
+    /// The finetune featurizes only the examples this call admits (the
+    /// demonstrated column plus any mined ones, once each), then runs 6
+    /// epochs of the local MLP head over every row admitted so far (see
+    /// [`LocalModel::training`]).
+    ///
     /// The prediction being corrected is recomputed through the
     /// configured cascade, so feedback works over custom pipelines too.
     ///
@@ -812,33 +864,21 @@ impl SigmaTyper {
         self.local.record_feedback(ty);
 
         // Demonstrated column itself becomes a training example.
-        let neighbors: Vec<String> = table
-            .headers()
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != col_idx)
-            .map(|(_, h)| (*h).to_owned())
-            .collect();
-        let mut examples = vec![(column.clone(), neighbors, ty)];
+        self.local
+            .add_training(&self.global.embedding, table, col_idx, ty);
 
         // ③/④ Mine the customer's history with the full local LF bank.
         if let Some(history) = history {
             let mined = mine_weak_labels(history, &self.local.lfs, &MiningConfig::default());
             for m in mined {
-                let at = &history.tables[m.table_idx];
-                let col = at.table.column(m.col_idx).expect("mined column");
-                let headers: Vec<String> = at
-                    .table
-                    .headers()
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| *i != m.col_idx)
-                    .map(|(_, h)| (*h).to_owned())
-                    .collect();
-                examples.push((col.clone(), headers, m.label.ty));
+                self.local.add_training(
+                    &self.global.embedding,
+                    &history.tables[m.table_idx].table,
+                    m.col_idx,
+                    m.label.ty,
+                );
             }
         }
-        self.local.add_training(examples);
         self.refit_local();
         // The local model changed: retire every cached step result.
         self.bump_epoch();
@@ -849,25 +889,26 @@ impl SigmaTyper {
     /// predicted column to the local training set. The annotation may
     /// come from any cascade configuration — only the final per-column
     /// decisions matter here.
+    ///
+    /// When it admits any column, the finetune featurizes just those
+    /// columns (once each), then runs 6 epochs of the local MLP head
+    /// over every row admitted so far, as [`SigmaTyper::feedback`] does.
     pub fn implicit_approve(&mut self, table: &Table, annotation: &TableAnnotation) {
-        let headers = table.headers();
-        let mut examples = Vec::new();
+        let mut admitted = false;
         for col_ann in &annotation.columns {
             if col_ann.abstained() {
                 continue;
             }
-            let neighbors: Vec<String> = headers
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != col_ann.col_idx)
-                .map(|(_, h)| (*h).to_owned())
-                .collect();
-            let column = table.column(col_ann.col_idx).expect("column in range");
-            examples.push((column.clone(), neighbors, col_ann.predicted));
+            self.local.add_training(
+                &self.global.embedding,
+                table,
+                col_ann.col_idx,
+                col_ann.predicted,
+            );
             self.local.record_feedback(col_ann.predicted);
+            admitted = true;
         }
-        if !examples.is_empty() {
-            self.local.add_training(examples);
+        if admitted {
             self.refit_local();
         }
         // `Wl` grew (feedback counts) even when no training example was
@@ -875,23 +916,17 @@ impl SigmaTyper {
         self.bump_epoch();
     }
 
-    /// Finetune the local embedding model on all accumulated local
-    /// training data.
+    /// Finetune the local embedding model: 6 epochs over every
+    /// featurized row in the local training set. Featurizes nothing —
+    /// [`LocalModel::add_training`] featurized each row on admission
+    /// and created the finetuned model with the first one, so callers
+    /// refit only after admitting an example.
     fn refit_local(&mut self) {
-        if self.local.training.is_empty() {
-            return;
-        }
-        let model = self
-            .local
+        self.local
             .finetuned
-            .get_or_insert_with(|| self.global.embedding.clone());
-        let examples: Vec<(&tu_table::Column, Vec<&str>, TypeId)> = self
-            .local
-            .training
-            .iter()
-            .map(|(c, n, t)| (c, n.iter().map(String::as_str).collect(), *t))
-            .collect();
-        model.partial_fit(&examples, 6);
+            .as_mut()
+            .expect("the first admitted example created the finetuned model")
+            .partial_fit(&self.local.training, 6);
     }
 }
 
@@ -1053,7 +1088,9 @@ mod tests {
     #[test]
     fn custom_type_registration_and_learning() {
         let mut st = system();
-        let gene = st.register_custom_type("gene id", ValueKind::Identifier, &["ensembl id"]);
+        let gene = st
+            .register_custom_type("gene id", ValueKind::Identifier, &["ensembl id"])
+            .expect("new type name");
         assert!(gene.index() >= st.global().ontology.len());
         // Teach it via feedback.
         let mk = |seed: u64| {
@@ -1074,6 +1111,41 @@ mod tests {
             ann.columns[0].predicted, gene,
             "custom type must be learnable"
         );
+    }
+
+    #[test]
+    fn refused_custom_types_leave_the_customer_unchanged() {
+        let mut st = system();
+        let unchanged = |st: &SigmaTyper, len: usize, epoch: u64| {
+            assert_eq!(st.ontology().len(), len);
+            assert_eq!(st.cache_epoch(), epoch);
+        };
+        let (len, epoch) = (st.ontology().len(), st.cache_epoch());
+        let city = builtin_id(st.ontology(), "city");
+        assert_eq!(
+            st.register_custom_type("city", ValueKind::Textual, &[]),
+            Err(CustomTypeError::AlreadyKnown {
+                name: "city".into(),
+                existing: city,
+            })
+        );
+        unchanged(&st, len, epoch);
+        // Fill every reserved class; the next registration is refused.
+        let reserved = TrainingConfig::fast().reserve_classes;
+        for i in 0..reserved {
+            st.register_custom_type(&format!("custom {i}"), ValueKind::Textual, &[])
+                .expect("a reserved class is free");
+        }
+        let (len, epoch) = (st.ontology().len(), st.cache_epoch());
+        assert_eq!(len, st.global().embedding.n_classes());
+        let refused = st.register_custom_type("one too many", ValueKind::Textual, &[]);
+        assert_eq!(
+            refused,
+            Err(CustomTypeError::ReservedClassesExhausted { classes: len })
+        );
+        assert!(refused.unwrap_err().to_string().contains("reserve_classes"));
+        unchanged(&st, len, epoch);
+        assert_eq!(st.ontology().lookup_exact("one too many"), None);
     }
 
     #[test]
@@ -1240,7 +1312,8 @@ mod tests {
         st.feedback(&table, 1, builtin_id(st.ontology(), "salary"), None);
         let e2 = st.cache_epoch();
         assert!(e2 > e1);
-        st.register_custom_type("widget", ValueKind::Textual, &[]);
+        st.register_custom_type("widget", ValueKind::Textual, &[])
+            .expect("new type name");
         let e3 = st.cache_epoch();
         assert!(e3 > e2);
         let _ = st.cascade_mut();
@@ -1773,7 +1846,9 @@ mod tests {
         // Register the custom type first (on a throwaway instance) so we
         // know its id, then build the custom cascade.
         let mut typer = SigmaTyper::builder(global).build();
-        let ticket = typer.register_custom_type("ticket id", ValueKind::Identifier, &[]);
+        let ticket = typer
+            .register_custom_type("ticket id", ValueKind::Identifier, &[])
+            .expect("new type name");
         typer.cascade_mut().insert(1, TicketStep { ty: ticket });
         typer.cascade_mut().set_weight(StepId::custom(0), 2.0);
 

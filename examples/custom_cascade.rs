@@ -69,7 +69,9 @@ fn main() {
 
     // Register the customer's own semantic type and the custom step
     // that detects it, running before everything else.
-    let ticket = typer.register_custom_type("ticket id", ValueKind::Identifier, &["ticket ref"]);
+    let ticket = typer
+        .register_custom_type("ticket id", ValueKind::Identifier, &["ticket ref"])
+        .expect("\"ticket id\" is not a built-in type");
     typer.cascade_mut().insert(
         0,
         TicketPrefixStep {

@@ -9,27 +9,32 @@
 //! [`criterion_group!`] / [`criterion_main!`] macros.
 //!
 //! Measurement is intentionally simple: each benchmark is warmed up,
-//! then timed over enough iterations to fill a short measurement
+//! then timed in batches until a short measurement window is spent and
+//! at least [`MIN_SAMPLES`] batches (samples) were taken, whatever the
 //! window; median-of-batches nanoseconds per iteration are printed to
-//! stdout. No plots, no statistics files — just honest wall-clock
-//! numbers suitable for before/after comparisons.
+//! stdout with the fastest and slowest batch. No plots, no statistics
+//! files — just honest wall-clock numbers suitable for before/after
+//! comparisons.
 //!
 //! # Smoke mode
 //!
 //! `cargo bench -- --smoke` (or `BENCH_SMOKE=1 cargo bench`) shrinks
 //! the warmup and measurement windows to a few milliseconds so every
 //! benchmark still compiles and **executes at least once** while the
-//! whole suite finishes in seconds. CI runs this on every push: the
-//! numbers are meaningless, but a bench that panics, hangs, or no
-//! longer builds fails the pipeline instead of rotting silently.
+//! whole suite finishes in seconds, and drops the sample floor to one
+//! sample. CI runs this on every push: the numbers are meaningless,
+//! but a bench that panics, hangs, or no longer builds fails the
+//! pipeline instead of rotting silently.
 //!
 //! # Machine-readable reports
 //!
 //! When the `BENCH_JSON_DIR` environment variable names a directory,
 //! each bench binary additionally writes
 //! `BENCH_<bench-name>.json` there on exit — a flat list of
-//! `{name, ns_per_iter, iters}` records (median nanoseconds per
-//! iteration, exactly what the console lines print). CI uploads the
+//! `{name, ns_per_iter, iters, min_ns, max_ns, samples}` records:
+//! median, fastest and slowest batch in nanoseconds per iteration
+//! (exactly what the console lines print), iterations timed, and the
+//! number of batches the three figures come from. CI uploads the
 //! directory as an artifact on every push, so the perf trajectory
 //! accumulates per commit instead of living only in scrollback.
 
@@ -46,10 +51,19 @@ pub fn black_box<T>(x: T) -> T {
     std_black_box(x)
 }
 
+/// The fewest timed batches a real-mode benchmark reports: sampling
+/// continues past the measurement window until this many were taken,
+/// so a millisecond-scale row is never the median of one or two.
+pub const MIN_SAMPLES: usize = 10;
+
+/// The most timed batches one benchmark takes.
+const MAX_SAMPLES: usize = 64;
+
 /// Top-level benchmark driver.
 pub struct Criterion {
     warmup: Duration,
     measurement: Duration,
+    min_samples: usize,
 }
 
 /// `true` when the process was asked for a smoke pass: `--smoke` on
@@ -69,11 +83,13 @@ impl Default for Criterion {
             Criterion {
                 warmup: Duration::from_millis(2),
                 measurement: Duration::from_millis(8),
+                min_samples: 1,
             }
         } else {
             Criterion {
                 warmup: Duration::from_millis(80),
                 measurement: Duration::from_millis(320),
+                min_samples: MIN_SAMPLES,
             }
         }
     }
@@ -85,7 +101,7 @@ impl Criterion {
     where
         F: FnMut(&mut Bencher),
     {
-        let mut b = Bencher::new(self.warmup, self.measurement);
+        let mut b = Bencher::new(self.warmup, self.measurement, self.min_samples);
         f(&mut b);
         b.report(name);
         self
@@ -109,7 +125,9 @@ pub struct BenchmarkGroup<'a> {
 }
 
 impl BenchmarkGroup<'_> {
-    /// Adjust the sample budget (relative to criterion's default 100).
+    /// Scale the warmup and measurement windows (relative to
+    /// criterion's default sample size of 100). The sample floor
+    /// ([`MIN_SAMPLES`] in real mode) holds whatever the window.
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.sample_scale = (n as f64 / 100.0).clamp(0.05, 4.0);
         self
@@ -124,6 +142,7 @@ impl BenchmarkGroup<'_> {
         let mut b = Bencher::new(
             self.criterion.warmup.mul_f64(self.sample_scale),
             self.criterion.measurement.mul_f64(self.sample_scale),
+            self.criterion.min_samples,
         );
         f(&mut b);
         b.report(&format!("{}/{}", self.name, id.label));
@@ -179,17 +198,33 @@ impl From<String> for BenchmarkId {
 pub struct Bencher {
     warmup: Duration,
     measurement: Duration,
-    ns_per_iter: Option<f64>,
+    min_samples: usize,
+    measured: Option<Measurement>,
+}
+
+/// One benchmark's result: batch statistics in nanoseconds per
+/// iteration.
+#[derive(Debug, Clone, Copy)]
+struct Measurement {
+    /// Median batch.
+    median_ns: f64,
+    /// Fastest batch.
+    min_ns: f64,
+    /// Slowest batch.
+    max_ns: f64,
+    /// Iterations timed across all batches.
     iters: u64,
+    /// Batches timed.
+    samples: usize,
 }
 
 impl Bencher {
-    fn new(warmup: Duration, measurement: Duration) -> Self {
+    fn new(warmup: Duration, measurement: Duration, min_samples: usize) -> Self {
         Bencher {
             warmup,
             measurement,
-            ns_per_iter: None,
-            iters: 0,
+            min_samples,
+            measured: None,
         }
     }
 
@@ -207,45 +242,55 @@ impl Bencher {
         }
         let est = warm_start.elapsed().as_nanos() as f64 / warm_iters.max(1) as f64;
 
-        // Time batches until the measurement window is spent; keep the
-        // median batch to damp scheduler noise.
+        // Time batches until the measurement window is spent and the
+        // sample floor is met; keep the median batch to damp scheduler
+        // noise.
         let batch = ((self.measurement.as_nanos() as f64 / 8.0 / est.max(1.0)) as u64).max(1);
         let mut samples = Vec::new();
         let meas_start = Instant::now();
         let mut total_iters = 0u64;
-        while meas_start.elapsed() < self.measurement || samples.is_empty() {
+        while (meas_start.elapsed() < self.measurement || samples.len() < self.min_samples)
+            && samples.len() < MAX_SAMPLES
+        {
             let t0 = Instant::now();
             for _ in 0..batch {
                 std_black_box(f());
             }
             samples.push(t0.elapsed().as_nanos() as f64 / batch as f64);
             total_iters += batch;
-            if samples.len() >= 64 {
-                break;
-            }
         }
         samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        self.ns_per_iter = Some(samples[samples.len() / 2]);
-        self.iters = total_iters;
+        self.measured = Some(Measurement {
+            median_ns: samples[samples.len() / 2],
+            min_ns: samples[0],
+            max_ns: samples[samples.len() - 1],
+            iters: total_iters,
+            samples: samples.len(),
+        });
     }
 
     fn report(&self, name: &str) {
-        match self.ns_per_iter {
-            Some(ns) => {
-                let (value, unit) = if ns >= 1e9 {
-                    (ns / 1e9, "s")
+        match self.measured {
+            Some(m) => {
+                let ns = m.median_ns;
+                let (scale, unit) = if ns >= 1e9 {
+                    (1e9, "s")
                 } else if ns >= 1e6 {
-                    (ns / 1e6, "ms")
+                    (1e6, "ms")
                 } else if ns >= 1e3 {
-                    (ns / 1e3, "µs")
+                    (1e3, "µs")
                 } else {
-                    (ns, "ns")
+                    (1.0, "ns")
                 };
                 println!(
-                    "{name:<48} time: {value:>10.3} {unit}/iter ({} iters)",
-                    self.iters
+                    "{name:<48} time: {:>10.3} {unit}/iter [{:.3} .. {:.3}] ({} iters, {} samples)",
+                    ns / scale,
+                    m.min_ns / scale,
+                    m.max_ns / scale,
+                    m.iters,
+                    m.samples
                 );
-                record_result(name, ns, self.iters);
+                record_result(name, m);
             }
             None => println!("{name:<48} (no measurement taken)"),
         }
@@ -253,16 +298,16 @@ impl Bencher {
 }
 
 /// The per-process result registry feeding the JSON report.
-fn results() -> &'static Mutex<Vec<(String, f64, u64)>> {
-    static RESULTS: OnceLock<Mutex<Vec<(String, f64, u64)>>> = OnceLock::new();
+fn results() -> &'static Mutex<Vec<(String, Measurement)>> {
+    static RESULTS: OnceLock<Mutex<Vec<(String, Measurement)>>> = OnceLock::new();
     RESULTS.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-fn record_result(name: &str, ns_per_iter: f64, iters: u64) {
+fn record_result(name: &str, measurement: Measurement) {
     results()
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .push((name.to_owned(), ns_per_iter, iters));
+        .push((name.to_owned(), measurement));
 }
 
 /// The bench binary's logical name: the executable file stem with
@@ -322,11 +367,16 @@ pub fn write_json_report() {
     body.push_str(&format!("  \"bench\": \"{}\",\n", json_escape(&name)));
     body.push_str(&format!("  \"smoke\": {},\n", smoke_mode()));
     body.push_str("  \"results\": [\n");
-    for (i, (bench, ns, iters)) in results.iter().enumerate() {
+    for (i, (bench, m)) in results.iter().enumerate() {
         let comma = if i + 1 < results.len() { "," } else { "" };
         body.push_str(&format!(
-            "    {{\"name\": \"{}\", \"ns_per_iter\": {ns:.3}, \"iters\": {iters}}}{comma}\n",
-            json_escape(bench)
+            "    {{\"name\": \"{}\", \"ns_per_iter\": {:.3}, \"iters\": {}, \"min_ns\": {:.3}, \"max_ns\": {:.3}, \"samples\": {}}}{comma}\n",
+            json_escape(bench),
+            m.median_ns,
+            m.iters,
+            m.min_ns,
+            m.max_ns,
+            m.samples
         ));
     }
     body.push_str("  ]\n}\n");
@@ -361,4 +411,33 @@ macro_rules! criterion_main {
             $crate::write_json_report();
         }
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Time a ~1 ms body under a window far shorter than one call.
+    fn measure(min_samples: usize) -> Measurement {
+        let mut b = Bencher::new(Duration::ZERO, Duration::from_micros(1), min_samples);
+        b.iter(|| std::thread::sleep(Duration::from_millis(1)));
+        b.measured.expect("iter always measures")
+    }
+
+    #[test]
+    fn real_mode_samples_at_least_the_floor_whatever_the_window() {
+        let m = measure(MIN_SAMPLES);
+        assert_eq!(m.samples, MIN_SAMPLES);
+        assert_eq!(m.iters, MIN_SAMPLES as u64, "one iteration per batch");
+        assert!(m.min_ns <= m.median_ns && m.median_ns <= m.max_ns);
+        assert!(m.min_ns >= 1e6, "each batch slept 1 ms: {m:?}");
+    }
+
+    #[test]
+    fn smoke_floor_takes_a_single_sample() {
+        let m = measure(1);
+        assert_eq!(m.samples, 1);
+        assert_eq!(m.min_ns, m.max_ns);
+        assert_eq!(m.median_ns, m.min_ns);
+    }
 }

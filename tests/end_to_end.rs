@@ -115,7 +115,9 @@ fn implicit_approval_counts_as_feedback() {
 #[test]
 fn custom_type_learned_end_to_end() {
     let mut typer = customer();
-    let gene = typer.register_custom_type("gene id", ValueKind::Identifier, &["ensembl"]);
+    let gene = typer
+        .register_custom_type("gene id", ValueKind::Identifier, &["ensembl"])
+        .expect("new type name");
     assert!(typer.ontology().lookup_exact("gene id").is_some());
     let mk = |seed: u64| {
         let vals: Vec<String> = (0..25)
