@@ -712,21 +712,24 @@ fn bench_server_roundtrip(c: &mut Criterion) {
     let f = BenchFixture::new();
     let typer = f.customer();
     let table = &f.corpus.tables[0].table;
-    let columns: Vec<Json> = table
-        .columns()
-        .iter()
-        .map(|col| {
-            let values: Vec<Json> = col.values.iter().map(|v| Json::from(v.render())).collect();
-            Json::object(vec![
-                ("header", Json::from(col.name.as_str())),
-                ("values", Json::Arr(values)),
-            ])
-        })
-        .collect();
-    let table_json = Json::object(vec![
-        ("name", Json::from(table.name.as_str())),
-        ("columns", Json::Arr(columns)),
-    ]);
+    let to_json = |table: &Table| {
+        let columns: Vec<Json> = table
+            .columns()
+            .iter()
+            .map(|col| {
+                let values: Vec<Json> = col.values.iter().map(|v| Json::from(v.render())).collect();
+                Json::object(vec![
+                    ("header", Json::from(col.name.as_str())),
+                    ("values", Json::Arr(values)),
+                ])
+            })
+            .collect();
+        Json::object(vec![
+            ("name", Json::from(table.name.as_str())),
+            ("columns", Json::Arr(columns)),
+        ])
+    };
+    let table_json = to_json(table);
     let body = format!(r#"{{"table":{table_json}}}"#);
 
     let server = AnnotationServer::start(
@@ -773,6 +776,70 @@ fn bench_server_roundtrip(c: &mut Criterion) {
         "HTTP outcome must be bit-identical to direct annotate"
     );
 
+    // A warm recrawl as a catalog crawl sends it: the table grown tall
+    // by cycling its rows, then 1% more rows appended, posted with the
+    // previous crawl as `base` (at least 30 KB, the size of the crawl
+    // workload's median request) to a server whose step cache already
+    // holds the answer.
+    let cycled = |rows: usize| {
+        let columns = table
+            .columns()
+            .iter()
+            .map(|col| {
+                let values = (0..rows)
+                    .map(|r| col.values[r % col.values.len()].clone())
+                    .collect();
+                Column::new(col.name.clone(), values)
+            })
+            .collect();
+        Table::new(table.name.clone(), columns).expect("cycled rows stay rectangular")
+    };
+    let mut base_rows = table.n_rows();
+    while to_json(&cycled(base_rows)).to_string().len() < 15_500 {
+        base_rows += table.n_rows();
+    }
+    let recrawl_body = format!(
+        r#"{{"table":{},"base":{}}}"#,
+        to_json(&cycled(base_rows + (base_rows / 100).max(1))),
+        to_json(&cycled(base_rows))
+    );
+    assert!(recrawl_body.len() >= 30_000, "{} bytes", recrawl_body.len());
+    let mut cached = f.customer();
+    cached.set_step_cache(Some(Arc::new(ShardedLruCache::new(1 << 16))));
+    let recrawl_server = AnnotationServer::start(
+        "127.0.0.1:0",
+        cached.clone(),
+        &ServerConfig {
+            workers: cores().clamp(2, 8),
+            queue_capacity: 64,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("start server");
+    let recrawl_json = Json::parse(&recrawl_body).expect("recrawl json");
+    let wire_part = |key: &str| {
+        tu_server::wire::table_from_json(recrawl_json.get(key).expect("recrawl part"))
+            .expect("wire table")
+    };
+    let (recrawl_table, recrawl_base) = (wire_part("table"), wire_part("base"));
+    // The direct call fills the cache the server shares; the server's
+    // warm answer must match it.
+    let recrawl_request = AnnotationRequest::new(&recrawl_table).with_base(&recrawl_base);
+    let direct_recrawl = cached.annotate_request(&recrawl_request);
+    let mut recrawl_probe = HttpClient::connect(recrawl_server.local_addr()).expect("connect");
+    let resp = recrawl_probe
+        .post_json("/annotate", &recrawl_body, &[])
+        .expect("recrawl");
+    assert_eq!(resp.status, 200);
+    assert_eq!(
+        zero_spent(Json::parse(&resp.body_str()).expect("outcome json")),
+        zero_spent(tu_server::wire::outcome_to_json(
+            &direct_recrawl,
+            cached.ontology()
+        )),
+        "HTTP recrawl must be bit-identical to the direct call"
+    );
+
     let mut group = c.benchmark_group("pipeline/server_roundtrip");
     group.sample_size(10);
     group.bench_function("direct", |b| {
@@ -783,6 +850,15 @@ fn bench_server_roundtrip(c: &mut Criterion) {
             let resp = probe
                 .post_json("/annotate", black_box(&body), &[])
                 .expect("annotate");
+            assert_eq!(resp.status, 200);
+            black_box(resp.body.len())
+        })
+    });
+    group.bench_function("http_1_conn_recrawl", |b| {
+        b.iter(|| {
+            let resp = recrawl_probe
+                .post_json("/annotate", black_box(&recrawl_body), &[])
+                .expect("recrawl");
             assert_eq!(resp.status, 200);
             black_box(resp.body.len())
         })
@@ -809,6 +885,7 @@ fn bench_server_roundtrip(c: &mut Criterion) {
     });
     group.finish();
     server.shutdown().expect("graceful shutdown");
+    recrawl_server.shutdown().expect("graceful shutdown");
 }
 
 /// The pluggable embedding backends (see `sigmatyper::backend`): the

@@ -86,7 +86,7 @@ use crate::prediction::{StepId, StepScores};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use tu_table::{Column, ColumnDelta, Table, Value};
+use tu_table::{Column, ColumnDelta, ColumnDeltaKind, Table, TableDelta, Value};
 
 /// A deterministic 128-bit streaming hasher (two FNV-1a/64 lanes with
 /// distinct offset bases, avalanche-finalized).
@@ -281,7 +281,7 @@ pub const MAX_FINGERPRINT_CHAIN: usize = 16;
 /// tag plus length-prefixed payloads) and the count comes *last*, so
 /// the state after `name + cells` is a valid prefix of the hash of any
 /// extension of the column: an
-/// [`ColumnDeltaKind::Appended`](tu_table::ColumnDeltaKind::Appended)
+/// [`ColumnDeltaKind::Appended`]
 /// delta
 /// folds just the new cells into the retained hasher — O(delta), not
 /// O(column) — and [`content_hash`](ColumnHashState::content_hash)
@@ -348,9 +348,7 @@ impl ColumnHashState {
     /// hashing the materialized column from scratch.
     #[must_use]
     pub fn content_hash(&self) -> [u64; 2] {
-        let mut h = self.hasher.clone();
-        h.write_usize(self.len);
-        h.finish128()
+        finish_content_hash(&self.hasher, self.len)
     }
 
     /// Rows absorbed so far.
@@ -370,6 +368,15 @@ impl ColumnHashState {
     pub fn chain_len(&self) -> usize {
         self.chain_len
     }
+}
+
+/// A column's content hash from a hasher that absorbed its header and
+/// its first `rows` cells: the row count comes last, so the state
+/// before it is a prefix of the hash of any extension of the column.
+fn finish_content_hash(hasher: &StableHasher, rows: usize) -> [u64; 2] {
+    let mut h = hasher.clone();
+    h.write_usize(rows);
+    h.finish128()
 }
 
 /// Shared-base fingerprint derivation from precomputed per-column
@@ -472,6 +479,63 @@ pub fn column_fingerprints_chained(
     }
     let col_hashes: Vec<[u64; 2]> = states.iter().map(ColumnHashState::content_hash).collect();
     fingerprints_from_col_hashes(table, step_ids, config, epoch, &col_hashes)
+}
+
+/// The fingerprints of a recrawl's `base` and new `table`, `(base,
+/// new)`, equal to [`column_fingerprints`] on each, with each new
+/// column hashed once.
+///
+/// `delta` must be `TableDelta::between(base, table)`. Where it says a
+/// base column is an unchanged or appended prefix of the new column
+/// under the same header, the base column's content hash is the new
+/// column's hash state at the base's row count, so its cells are not
+/// hashed again. Every other base column is hashed in full, and so is
+/// one whose shared prefix holds a float zero: the delta compares cells
+/// with `==`, under which `0.0` equals `-0.0`, but the hash absorbs
+/// float bits.
+pub(crate) fn recrawl_fingerprints(
+    base: &Table,
+    table: &Table,
+    delta: &TableDelta,
+    step_ids: &[StepId],
+    config: &SigmaTyperConfig,
+    epoch: u64,
+) -> (Vec<ColumnFingerprint>, Vec<ColumnFingerprint>) {
+    let mut base_hashes = Vec::with_capacity(table.n_cols());
+    let mut new_hashes = Vec::with_capacity(table.n_cols());
+    for ((base_col, col), d) in base
+        .columns()
+        .iter()
+        .zip(table.columns())
+        .zip(&delta.columns)
+    {
+        let prefix = !d.header_changed
+            && matches!(
+                d.kind,
+                ColumnDeltaKind::Unchanged | ColumnDeltaKind::Appended { .. }
+            );
+        let shared = if prefix { base_col.len() } else { 0 };
+        let mut hasher = StableHasher::new();
+        hasher.write_str(&col.name);
+        let mut float_zero = false;
+        for v in &col.values[..shared] {
+            float_zero |= matches!(v, Value::Float(f) if *f == 0.0);
+            hasher.write_value(v);
+        }
+        base_hashes.push(if prefix && !float_zero {
+            finish_content_hash(&hasher, shared)
+        } else {
+            ColumnHashState::of(base_col).content_hash()
+        });
+        for v in &col.values[shared..] {
+            hasher.write_value(v);
+        }
+        new_hashes.push(finish_content_hash(&hasher, col.len()));
+    }
+    (
+        fingerprints_from_col_hashes(base, step_ids, config, epoch, &base_hashes),
+        fingerprints_from_col_hashes(table, step_ids, config, epoch, &new_hashes),
+    )
 }
 
 /// Domain tag absorbed first by every header key, so a header key and
@@ -971,6 +1035,86 @@ mod tests {
             ..config
         };
         assert_ne!(base, column_fingerprints(&t, &steps, &tweaked, 0));
+    }
+
+    /// The recrawl fingerprints equal `column_fingerprints` on both
+    /// crawls, whatever each column's delta: unchanged, appended,
+    /// truncated, rewritten, renamed, empty, appended onto an empty
+    /// base, and float zeros whose signs differ (equal under the
+    /// delta's `==`, different to the hash).
+    #[test]
+    fn recrawl_fingerprints_equal_full_fingerprints_of_both_crawls() {
+        let config = SigmaTyperConfig::default();
+        let steps = [StepId::HEADER, StepId::LOOKUP, StepId::EMBEDDING];
+        let col = |header: &str, vals: &[&str]| Column::from_raw(header, vals);
+        let zeros = |vals: &[f64]| -> Column {
+            Column::new("z", vals.iter().map(|&f| Value::Float(f)).collect())
+        };
+        let pairs: Vec<(&str, Vec<Column>, Vec<Column>)> = vec![
+            (
+                "every kind at once",
+                vec![
+                    col("same", &["a", "1", ""]),
+                    col("grown", &["a", "b", "c"]),
+                    col("cut", &["a", "b", "c"]),
+                    col("edited", &["a", "b", "c"]),
+                    col("renamed", &["a", "b", "c"]),
+                ],
+                vec![
+                    col("same", &["a", "1", "", ""]),
+                    col("grown", &["a", "b", "c", "d"]),
+                    col("cut", &["a", "b", "", ""]),
+                    col("edited", &["a", "X", "c", "d"]),
+                    col("renamed2", &["a", "b", "c", "d"]),
+                ],
+            ),
+            (
+                "unchanged",
+                vec![col("a", &["x", "2021-01-02", "TRUE"])],
+                vec![col("a", &["x", "2021-01-02", "TRUE"])],
+            ),
+            (
+                "truncated",
+                vec![col("a", &["x", "y", "z"])],
+                vec![col("a", &["x"])],
+            ),
+            ("empty", vec![col("a", &[])], vec![col("a", &[])]),
+            (
+                "appended onto an empty base",
+                vec![col("a", &[])],
+                vec![col("a", &["x", "y"])],
+            ),
+            (
+                "renamed, unchanged values",
+                vec![col("a", &["x", "y"])],
+                vec![col("b", &["x", "y"])],
+            ),
+            (
+                "float zeros of either sign",
+                vec![zeros(&[-0.0, 1.5]), col("c", &["p", "q"])],
+                vec![zeros(&[0.0, 1.5, 0.0]), col("c", &["p", "q", "r"])],
+            ),
+            ("no columns", vec![], vec![]),
+        ];
+        for (what, base_cols, new_cols) in pairs {
+            let base = Table::new("t", base_cols).unwrap();
+            let table = Table::new("t", new_cols).unwrap();
+            let delta = TableDelta::between(&base, &table).unwrap();
+            for epoch in [0, 7] {
+                let (base_fps, new_fps) =
+                    recrawl_fingerprints(&base, &table, &delta, &steps, &config, epoch);
+                assert_eq!(
+                    base_fps,
+                    column_fingerprints(&base, &steps, &config, epoch),
+                    "{what}: base"
+                );
+                assert_eq!(
+                    new_fps,
+                    column_fingerprints(&table, &steps, &config, epoch),
+                    "{what}: new"
+                );
+            }
+        }
     }
 
     #[test]

@@ -106,10 +106,12 @@ pub fn forced_column_parallelism() -> bool {
 
 /// Inputs for the delta-aware recrawl path of
 /// [`CascadeExecutor::run_budgeted`]: precomputed fingerprints for the
-/// new crawl (typically derived through fingerprint delta chains, see
-/// [`column_fingerprints_chained`](crate::cache::column_fingerprints_chained)),
-/// the base crawl's fingerprints, and how far each column's signal
-/// moved.
+/// new crawl and the base crawl, and how far each column's signal
+/// moved. The request core
+/// ([`SigmaTyper::annotate_request_shared_with_base`](crate::system::SigmaTyper::annotate_request_shared_with_base))
+/// computes both sets of fingerprints in one pass over the new
+/// crawl's cells, plus a full pass over each base column that is not
+/// a prefix of its new column.
 ///
 /// With a delta context installed, a [`CacheScope::Column`] step that
 /// misses the exact cache for a column whose movement is at or below
@@ -128,10 +130,11 @@ pub struct DeltaContext<'a> {
     /// Fingerprints of the new crawl's columns — must be bit-identical
     /// to what
     /// [`column_fingerprints`]
-    /// would compute for the table (delta chains guarantee this), so
-    /// exact cache hits keep working unchanged.
+    /// would compute for the table, so exact cache hits keep working
+    /// unchanged.
     pub fingerprints: &'a [ColumnFingerprint],
-    /// Fingerprints of the base crawl's columns, for reuse lookups.
+    /// Fingerprints of the base crawl's columns, for reuse lookups —
+    /// what [`column_fingerprints`] computes for the base.
     pub base_fingerprints: &'a [ColumnFingerprint],
     /// Per-column [`movement`](tu_table::ColumnDelta::movement), in
     /// column order of the new crawl.

@@ -339,8 +339,9 @@ impl<'a> AnnotationRequest<'a> {
     /// Builder-style: mark this request as a recrawl of `base` (a
     /// previous crawl of the same table), enabling delta-aware
     /// re-annotation: per-column deltas are diffed against the base,
-    /// fingerprints for append-only columns are derived through
-    /// delta chains instead of full rehashes, and column-scoped steps
+    /// base columns that are unchanged or appended-to prefixes take
+    /// their fingerprints from the new crawl's hashing pass instead of
+    /// a rehash, and column-scoped steps
     /// whose input signal moved less than their sensitivity threshold
     /// reuse the base crawl's cached scores instead of re-running.
     ///

@@ -3,8 +3,7 @@
 use crate::aggregate::{apply_tau, soft_majority_vote_with};
 use crate::backend::EmbeddingBackendKind;
 use crate::cache::{
-    column_fingerprints, column_fingerprints_chained, CacheContext, ColumnFingerprint,
-    ColumnHashState, EpochSource, ShardedLruCache, StepCache,
+    recrawl_fingerprints, CacheContext, ColumnFingerprint, EpochSource, ShardedLruCache, StepCache,
 };
 use crate::cascade::Cascade;
 use crate::config::SigmaTyperConfig;
@@ -621,10 +620,11 @@ impl SigmaTyper {
     /// (see [`AnnotationRequest::with_base`]): per-column deltas are
     /// diffed against `base`, and column-scoped steps whose input
     /// signal moved less than their sensitivity threshold reuse the base
-    /// crawl's cached scores. Fingerprinting is not incremental: the
-    /// base is fingerprinted in full, and every new column's hash
-    /// state is rebuilt from the base column before the delta is
-    /// folded in. Falls back to the plain path when the table's shape
+    /// crawl's cached scores. Each new column is hashed once; a base
+    /// column that the delta shows to be an unchanged or appended
+    /// prefix under the same header takes its hash from that pass at
+    /// the base's row count, and any other base column is hashed in
+    /// full. Falls back to the plain path when the table's shape
     /// changed, the cache is off, or `base` is `None`.
     #[must_use]
     pub fn annotate_request_shared_with_base(
@@ -655,14 +655,13 @@ impl SigmaTyper {
                 epoch: self.cache_epoch(),
             })
         };
-        // Delta-aware recrawl: diff against the base crawl, advance
-        // retained column-hash states over the deltas (chained
-        // fingerprints are bit-identical to fresh ones), and hand the
-        // executor the base fingerprints + per-column movements for
-        // the sensitivity-gated reuse path. A shape change (column
-        // count) diffs to `None` and falls back to a full recompute.
-        // Owned backing for the borrowed `DeltaContext` handed to the
-        // executor below.
+        // Delta-aware recrawl: diff against the base crawl,
+        // fingerprint both crawls with each new column hashed once,
+        // and hand the executor the base fingerprints + per-column
+        // movements for the sensitivity-gated reuse path. A shape
+        // change (column count) diffs to `None` and falls back to a
+        // full recompute. Owned backing for the borrowed
+        // `DeltaContext` handed to the executor below.
         struct DeltaData {
             fingerprints: Vec<ColumnFingerprint>,
             base_fingerprints: Vec<ColumnFingerprint>,
@@ -672,20 +671,8 @@ impl SigmaTyper {
         let delta_data: Option<DeltaData> = match (base, cache_ctx) {
             (Some(base), Some(cc)) => TableDelta::between(base, table).map(|table_delta| {
                 let step_ids = self.cascade.step_ids();
-                let base_fps = column_fingerprints(base, &step_ids, &config, cc.epoch);
-                let states: Vec<ColumnHashState> = base
-                    .columns()
-                    .iter()
-                    .zip(table.columns())
-                    .zip(&table_delta.columns)
-                    .map(|((base_col, new_col), delta)| {
-                        let mut state = ColumnHashState::of(base_col);
-                        state.apply_delta(new_col, delta);
-                        state
-                    })
-                    .collect();
-                let new_fps =
-                    column_fingerprints_chained(table, &step_ids, &config, cc.epoch, &states);
+                let (base_fps, new_fps) =
+                    recrawl_fingerprints(base, table, &table_delta, &step_ids, &config, cc.epoch);
                 let sensitivity = options
                     .delta_sensitivity
                     .unwrap_or(config.delta_sensitivity)

@@ -71,6 +71,7 @@
 
 pub mod wire;
 
+use crate::wire::{AnnotateBody, BatchBody, FeedbackBody};
 use httpshim::{HttpServer, Request, Response};
 use jsonshim::Json;
 use sigmatyper::cache::CacheStats;
@@ -391,7 +392,7 @@ fn serve_single(
     let outcomes = state.shaper.serve(lane, tenant, request_budget, |ledger| {
         vec![typer.annotate_request_shared_with_base(table, base, &executor, &options, ledger)]
     });
-    wire::outcome_to_json(&outcomes[0], typer.ontology()).to_string()
+    wire::encode_outcome(&outcomes[0], typer.ontology())
 }
 
 /// Batches ride the service's two-level scheduler through
@@ -411,17 +412,7 @@ fn serve_batch(
     options.tenant = Some(tenant);
     let outcomes =
         service.annotate_batch_request_shaped(tables, &[], &options, &state.shaper, lane);
-    let ontology = service.typer().ontology();
-    let body = Json::object(vec![(
-        "outcomes",
-        Json::Arr(
-            outcomes
-                .iter()
-                .map(|o| wire::outcome_to_json(o, ontology))
-                .collect(),
-        ),
-    )]);
-    body.to_string()
+    wire::encode_outcomes(&outcomes, service.typer().ontology())
 }
 
 fn lane_from_request(req: &Request) -> Result<TrafficLane, Response> {
@@ -456,11 +447,38 @@ fn bad_request(message: &str) -> Response {
     Response::status(400).with_json(Json::object(vec![("error", Json::from(message))]).to_string())
 }
 
-fn parse_body(req: &Request) -> Result<Json, Response> {
-    let body = req
+/// A request body read by [`read_body`]: decoded by the streaming
+/// codec, or, when that declined it, parsed into the tree the
+/// reference decoder reads and words its 400 from.
+enum Body<T> {
+    Streamed(T),
+    Tree(Json),
+}
+
+/// Read a request body: the streaming decoder first, else the parse
+/// that yields the reference path's UTF-8 or JSON error. Header checks
+/// belong between this and [`Body::decode`]: on the reference path a
+/// parse error has always been reported before a bad header, and a
+/// bad header before a bad table.
+fn read_body<T>(req: &Request, stream: fn(&str) -> Option<T>) -> Result<Body<T>, Response> {
+    let text = req
         .body_str()
         .ok_or_else(|| bad_request("request body must be UTF-8"))?;
-    Json::parse(body).map_err(|e| bad_request(&format!("invalid JSON body: {e}")))
+    if let Some(decoded) = stream(text) {
+        return Ok(Body::Streamed(decoded));
+    }
+    Json::parse(text)
+        .map(Body::Tree)
+        .map_err(|e| bad_request(&format!("invalid JSON body: {e}")))
+}
+
+impl<T> Body<T> {
+    fn decode(self, from_json: fn(&Json) -> Result<T, String>) -> Result<T, Response> {
+        match self {
+            Body::Streamed(decoded) => Ok(decoded),
+            Body::Tree(json) => from_json(&json).map_err(|e| bad_request(&e)),
+        }
+    }
 }
 
 /// Admit a job and block this connection thread on the worker's reply.
@@ -487,8 +505,8 @@ fn enqueue_and_wait(
 }
 
 fn handle_annotate(state: &ServerState, req: &Request) -> Response {
-    let body = match parse_body(req) {
-        Ok(v) => v,
+    let body = match read_body(req, AnnotateBody::stream) {
+        Ok(body) => body,
         Err(resp) => return resp,
     };
     let lane = match lane_from_request(req) {
@@ -499,25 +517,13 @@ fn handle_annotate(state: &ServerState, req: &Request) -> Response {
         Ok(tenant) => tenant,
         Err(resp) => return resp,
     };
-    let table_json = body.get("table").unwrap_or(&body);
-    let table = match wire::table_from_json(table_json) {
-        Ok(t) => t,
-        Err(e) => return bad_request(&e),
-    };
-    // Optional previously-crawled version: its presence turns the
-    // request into an incremental recrawl (delta-aware cache reuse
-    // under the options' `delta_sensitivity`).
-    let base = match body.get("base") {
-        None => None,
-        Some(v) if v.is_null() => None,
-        Some(v) => match wire::table_from_json(v) {
-            Ok(t) => Some(t),
-            Err(e) => return bad_request(&format!("base: {e}")),
-        },
-    };
-    let options = match wire::options_from_json(body.get("options")) {
-        Ok(o) => o,
-        Err(e) => return bad_request(&e),
+    let AnnotateBody {
+        table,
+        base,
+        options,
+    } = match body.decode(AnnotateBody::from_json) {
+        Ok(body) => body,
+        Err(resp) => return resp,
     };
     enqueue_and_wait(state, lane, tenant, |reply| Job::Single {
         table,
@@ -530,8 +536,8 @@ fn handle_annotate(state: &ServerState, req: &Request) -> Response {
 }
 
 fn handle_annotate_batch(state: &ServerState, req: &Request) -> Response {
-    let body = match parse_body(req) {
-        Ok(v) => v,
+    let body = match read_body(req, BatchBody::stream) {
+        Ok(body) => body,
         Err(resp) => return resp,
     };
     let lane = match lane_from_request(req) {
@@ -542,19 +548,9 @@ fn handle_annotate_batch(state: &ServerState, req: &Request) -> Response {
         Ok(tenant) => tenant,
         Err(resp) => return resp,
     };
-    let Some(tables_json) = body.get("tables").and_then(Json::as_array) else {
-        return bad_request("batch body must have a \"tables\" array");
-    };
-    let mut tables = Vec::with_capacity(tables_json.len());
-    for (i, t) in tables_json.iter().enumerate() {
-        match wire::table_from_json(t) {
-            Ok(table) => tables.push(table),
-            Err(e) => return bad_request(&format!("table {i}: {e}")),
-        }
-    }
-    let options = match wire::options_from_json(body.get("options")) {
-        Ok(o) => o,
-        Err(e) => return bad_request(&e),
+    let BatchBody { tables, options } = match body.decode(BatchBody::from_json) {
+        Ok(body) => body,
+        Err(resp) => return resp,
     };
     enqueue_and_wait(state, lane, tenant, |reply| Job::Batch {
         tables,
@@ -570,35 +566,20 @@ fn handle_annotate_batch(state: &ServerState, req: &Request) -> Response {
 /// serializes against in-flight annotates; the epoch bump it performs
 /// invalidates stale cache entries for every subsequent request.
 fn handle_feedback(state: &ServerState, req: &Request) -> Response {
-    let body = match parse_body(req) {
-        Ok(v) => v,
+    let FeedbackBody {
+        table,
+        col_idx,
+        type_name,
+    } = match read_body(req, FeedbackBody::stream).and_then(|b| b.decode(FeedbackBody::from_json)) {
+        Ok(body) => body,
         Err(resp) => return resp,
-    };
-    let Some(table_json) = body.get("table") else {
-        return bad_request("feedback body must have a \"table\"");
-    };
-    let table = match wire::table_from_json(table_json) {
-        Ok(t) => t,
-        Err(e) => return bad_request(&e),
-    };
-    let Some(col_idx) = body.get("col_idx").and_then(Json::as_usize) else {
-        return bad_request("feedback body must have an integer \"col_idx\"");
-    };
-    if col_idx >= table.n_cols() {
-        return bad_request(&format!(
-            "col_idx {col_idx} out of range for a {}-column table",
-            table.n_cols()
-        ));
-    }
-    let Some(type_name) = body.get("type").and_then(Json::as_str) else {
-        return bad_request("feedback body must have a string \"type\"");
     };
     let mut service = state
         .service
         .write()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     let typer = service.typer_mut();
-    let Some(ty) = typer.ontology().lookup_exact(type_name) else {
+    let Some(ty) = typer.ontology().lookup_exact(&type_name) else {
         return bad_request(&format!("unknown type {type_name:?}"));
     };
     typer.feedback(&table, col_idx, ty, None);

@@ -24,14 +24,34 @@
 //! shortest-round-trip `f64` formatting — so an HTTP round trip is
 //! **bit-identical** to the in-process call, which the E2E golden
 //! suite asserts.
+//!
+//! # Two codecs, one format
+//!
+//! The server decodes bodies with a **streaming** codec:
+//! [`AnnotateBody::stream`], [`BatchBody::stream`] and
+//! [`FeedbackBody::stream`] walk the body with jsonshim's
+//! [`JsonReader`] and type each cell through [`Value::infer`] straight
+//! from its slice of the body — one allocation per text cell, none per
+//! JSON node. Responses are written straight into one `String`
+//! ([`encode_outcome`], [`encode_outcomes`]) through jsonshim's own
+//! escape and float writers.
+//!
+//! The **reference** codec builds a [`Json`] tree: [`table_from_json`],
+//! [`options_from_json`], the `from_json` decoders and
+//! [`outcome_to_json`]. The streaming decoders accept exactly the
+//! bodies the reference accepts, with equal results; a body they
+//! decline is answered through the reference, whose error text is the
+//! 400 body. The encoders are byte-identical to
+//! `outcome_to_json(..).to_string()`.
 
-use jsonshim::Json;
+use jsonshim::{Json, JsonError, JsonReader, ValueKind};
 use sigmatyper::backend::EmbeddingBackendKind;
 use sigmatyper::request::{
     AnnotationOutcome, DegradationPolicy, DegradationReport, RequestOptions, SkipReason,
     TelemetryVerbosity,
 };
 use sigmatyper::ColumnAnnotation;
+use std::fmt::{self, Write as _};
 use tu_ontology::Ontology;
 use tu_table::{Column, Table, Value};
 
@@ -257,6 +277,497 @@ pub fn outcome_to_json(outcome: &AnnotationOutcome, ontology: &Ontology) -> Json
         ("degraded", Json::from(outcome.degraded())),
         ("degradation", report_to_json(&outcome.degradation)),
     ])
+}
+
+/// A `POST /annotate` body: `{"table": …, "base"?: …, "options"?: …}`,
+/// or the bare table itself (`{"name"?: …, "columns": […]}`, which may
+/// carry `"base"` and `"options"` beside its own members).
+#[derive(Debug, PartialEq)]
+pub struct AnnotateBody {
+    /// The table to annotate.
+    pub table: Table,
+    /// The previously crawled version, when the client sent one (a
+    /// `null` base is no base).
+    pub base: Option<Table>,
+    /// The request options.
+    pub options: RequestOptions,
+}
+
+impl AnnotateBody {
+    /// Decode with the streaming codec. `None` exactly when
+    /// [`AnnotateBody::from_json`] would reject the parsed body (or it
+    /// does not parse).
+    #[must_use]
+    pub fn stream(body: &str) -> Option<AnnotateBody> {
+        let mut reader = JsonReader::new(body);
+        let mut table = None;
+        let mut base = None;
+        let mut options = None;
+        let mut bare = TableParts::default();
+        reader
+            .object(|r, key| {
+                match key {
+                    "table" if table.is_none() => table = Some(stream_table(r)?),
+                    "base" if base.is_none() => {
+                        base = Some(if r.peek_kind()? == ValueKind::Null {
+                            r.value()?;
+                            None
+                        } else {
+                            Some(stream_table(r)?)
+                        });
+                    }
+                    "options" if options.is_none() => options = Some(r.value()?),
+                    _ => bare.member_or_skip(r, key)?,
+                }
+                Ok(())
+            })
+            .ok()?;
+        reader.finish().ok()?;
+        let table = match table {
+            Some(table) => table?,
+            None => bare.finish()?,
+        };
+        let base = match base {
+            Some(Some(base)) => Some(base?),
+            _ => None,
+        };
+        let options = options_from_json(options.as_ref()).ok()?;
+        Some(AnnotateBody {
+            table,
+            base,
+            options,
+        })
+    }
+
+    /// Decode with the reference codec; the error is the 400 body.
+    pub fn from_json(body: &Json) -> Result<AnnotateBody, String> {
+        let table = table_from_json(body.get("table").unwrap_or(body))?;
+        // Optional previously-crawled version: its presence turns the
+        // request into an incremental recrawl (delta-aware cache reuse
+        // under the options' `delta_sensitivity`).
+        let base = match body.get("base") {
+            None => None,
+            Some(v) if v.is_null() => None,
+            Some(v) => Some(table_from_json(v).map_err(|e| format!("base: {e}"))?),
+        };
+        let options = options_from_json(body.get("options"))?;
+        Ok(AnnotateBody {
+            table,
+            base,
+            options,
+        })
+    }
+}
+
+/// A `POST /annotate_batch` body: `{"tables": […], "options"?: …}`.
+#[derive(Debug, PartialEq)]
+pub struct BatchBody {
+    /// The tables, in request order.
+    pub tables: Vec<Table>,
+    /// Options shared by the whole batch.
+    pub options: RequestOptions,
+}
+
+impl BatchBody {
+    /// Decode with the streaming codec. `None` exactly when
+    /// [`BatchBody::from_json`] would reject the parsed body (or it
+    /// does not parse).
+    #[must_use]
+    pub fn stream(body: &str) -> Option<BatchBody> {
+        let mut reader = JsonReader::new(body);
+        let mut tables: Option<Option<Vec<Table>>> = None;
+        let mut options = None;
+        reader
+            .object(|r, key| {
+                match key {
+                    "tables" if tables.is_none() => tables = Some(stream_tables(r)?),
+                    "options" if options.is_none() => options = Some(r.value()?),
+                    _ => {
+                        r.value()?;
+                    }
+                }
+                Ok(())
+            })
+            .ok()?;
+        reader.finish().ok()?;
+        let tables = tables??;
+        let options = options_from_json(options.as_ref()).ok()?;
+        Some(BatchBody { tables, options })
+    }
+
+    /// Decode with the reference codec; the error is the 400 body.
+    pub fn from_json(body: &Json) -> Result<BatchBody, String> {
+        let tables_json = body
+            .get("tables")
+            .and_then(Json::as_array)
+            .ok_or("batch body must have a \"tables\" array")?;
+        let mut tables = Vec::with_capacity(tables_json.len());
+        for (i, t) in tables_json.iter().enumerate() {
+            tables.push(table_from_json(t).map_err(|e| format!("table {i}: {e}"))?);
+        }
+        let options = options_from_json(body.get("options"))?;
+        Ok(BatchBody { tables, options })
+    }
+}
+
+/// A `POST /feedback` body: `{"table": …, "col_idx": n, "type":
+/// "name"}`, with `col_idx` in range for the table. Whether `type`
+/// names a type of the customer's ontology is the server's check.
+#[derive(Debug, PartialEq)]
+pub struct FeedbackBody {
+    /// The table the correction is about.
+    pub table: Table,
+    /// The corrected column.
+    pub col_idx: usize,
+    /// The type name the customer says the column has.
+    pub type_name: String,
+}
+
+impl FeedbackBody {
+    /// Decode with the streaming codec. `None` exactly when
+    /// [`FeedbackBody::from_json`] would reject the parsed body (or it
+    /// does not parse).
+    #[must_use]
+    pub fn stream(body: &str) -> Option<FeedbackBody> {
+        let mut reader = JsonReader::new(body);
+        let mut table = None;
+        let mut col_idx = None;
+        let mut type_name = None;
+        reader
+            .object(|r, key| {
+                match key {
+                    "table" if table.is_none() => table = Some(stream_table(r)?),
+                    "col_idx" if col_idx.is_none() => col_idx = Some(r.value()?),
+                    "type" if type_name.is_none() => type_name = Some(r.value()?),
+                    _ => {
+                        r.value()?;
+                    }
+                }
+                Ok(())
+            })
+            .ok()?;
+        reader.finish().ok()?;
+        let table = table??;
+        let col_idx = col_idx?.as_usize().filter(|&c| c < table.n_cols())?;
+        let Json::Str(type_name) = type_name? else {
+            return None;
+        };
+        Some(FeedbackBody {
+            table,
+            col_idx,
+            type_name,
+        })
+    }
+
+    /// Decode with the reference codec; the error is the 400 body.
+    pub fn from_json(body: &Json) -> Result<FeedbackBody, String> {
+        let table_json = body
+            .get("table")
+            .ok_or("feedback body must have a \"table\"")?;
+        let table = table_from_json(table_json)?;
+        let col_idx = body
+            .get("col_idx")
+            .and_then(Json::as_usize)
+            .ok_or("feedback body must have an integer \"col_idx\"")?;
+        if col_idx >= table.n_cols() {
+            return Err(format!(
+                "col_idx {col_idx} out of range for a {}-column table",
+                table.n_cols()
+            ));
+        }
+        let type_name = body
+            .get("type")
+            .and_then(Json::as_str)
+            .ok_or("feedback body must have a string \"type\"")?;
+        Ok(FeedbackBody {
+            table,
+            col_idx,
+            type_name: type_name.to_owned(),
+        })
+    }
+}
+
+// Streaming decode. Each reader returns `Err` only for a body that is
+// not JSON; a well-formed value of the wrong shape is read to its end
+// and comes back as `None`, because a member the reference ignores
+// (say, top-level `"columns"` beside a `"table"`) must not make the
+// body fail. Repeated keys: the first occurrence wins, as in
+// `Json::get`.
+
+/// The members of one table object as they arrive.
+#[derive(Default)]
+struct TableParts {
+    /// `None` until seen; then the name, if it was a string.
+    name: Option<Option<String>>,
+    /// `None` until seen; then the columns, if well-formed.
+    columns: Option<Option<Vec<Column>>>,
+}
+
+impl TableParts {
+    /// Read `key`'s value into the parts if it is the first `"name"` or
+    /// `"columns"`; skip it otherwise.
+    fn member_or_skip(&mut self, r: &mut JsonReader<'_>, key: &str) -> Result<(), JsonError> {
+        match key {
+            "name" if self.name.is_none() => {
+                self.name = Some(match r.value()? {
+                    Json::Str(name) => Some(name),
+                    _ => None,
+                });
+            }
+            "columns" if self.columns.is_none() => self.columns = Some(stream_columns(r)?),
+            _ => {
+                r.value()?;
+            }
+        }
+        Ok(())
+    }
+
+    fn finish(self) -> Option<Table> {
+        let name = self.name.flatten();
+        let columns = self.columns??;
+        Table::new(name.as_deref().unwrap_or("request-table"), columns).ok()
+    }
+}
+
+/// `true` when the next value is of `kind`; otherwise reads past it
+/// and returns `false`.
+fn next_is(r: &mut JsonReader<'_>, kind: ValueKind) -> Result<bool, JsonError> {
+    if r.peek_kind()? == kind {
+        return Ok(true);
+    }
+    r.value()?;
+    Ok(false)
+}
+
+/// Push a valid `item`; an invalid one spoils `items` for good.
+fn push_valid<T>(items: &mut Option<Vec<T>>, item: Option<T>) {
+    match (items.as_mut(), item) {
+        (Some(items), Some(item)) => items.push(item),
+        _ => *items = None,
+    }
+}
+
+fn stream_table(r: &mut JsonReader<'_>) -> Result<Option<Table>, JsonError> {
+    if !next_is(r, ValueKind::Object)? {
+        return Ok(None);
+    }
+    let mut parts = TableParts::default();
+    r.object(|r, key| parts.member_or_skip(r, key))?;
+    Ok(parts.finish())
+}
+
+fn stream_tables(r: &mut JsonReader<'_>) -> Result<Option<Vec<Table>>, JsonError> {
+    if !next_is(r, ValueKind::Array)? {
+        return Ok(None);
+    }
+    let mut tables = Some(Vec::new());
+    r.array(|r| {
+        push_valid(&mut tables, stream_table(r)?);
+        Ok(())
+    })?;
+    Ok(tables)
+}
+
+fn stream_columns(r: &mut JsonReader<'_>) -> Result<Option<Vec<Column>>, JsonError> {
+    if !next_is(r, ValueKind::Array)? {
+        return Ok(None);
+    }
+    let mut columns = Some(Vec::new());
+    // Unescaped text of a cell that held escapes, reused across cells.
+    let mut escaped = String::new();
+    r.array(|r| {
+        push_valid(&mut columns, stream_column(r, &mut escaped)?);
+        Ok(())
+    })?;
+    Ok(columns)
+}
+
+fn stream_column(
+    r: &mut JsonReader<'_>,
+    escaped: &mut String,
+) -> Result<Option<Column>, JsonError> {
+    if !next_is(r, ValueKind::Object)? {
+        return Ok(None);
+    }
+    let mut header = None;
+    let mut values = None;
+    r.object(|r, key| {
+        match key {
+            "header" if header.is_none() => header = Some(r.value()?),
+            "values" if values.is_none() => values = Some(stream_values(r, escaped)?),
+            _ => {
+                r.value()?;
+            }
+        }
+        Ok(())
+    })?;
+    Ok(match (header, values) {
+        (Some(Json::Str(header)), Some(Some(values))) => Some(Column::new(header, values)),
+        _ => None,
+    })
+}
+
+/// Type each cell as [`table_from_json`] does: `null` is the empty
+/// cell, a string goes through [`Value::infer`], anything else makes
+/// the column invalid.
+fn stream_values(
+    r: &mut JsonReader<'_>,
+    escaped: &mut String,
+) -> Result<Option<Vec<Value>>, JsonError> {
+    if !next_is(r, ValueKind::Array)? {
+        return Ok(None);
+    }
+    let mut values = Some(Vec::new());
+    r.array(|r| {
+        let cell = match r.peek_kind()? {
+            ValueKind::Str => Some(Value::infer(r.str(escaped)?)),
+            ValueKind::Null => {
+                r.value()?;
+                Some(Value::Null)
+            }
+            _ => {
+                r.value()?;
+                None
+            }
+        };
+        push_valid(&mut values, cell);
+        Ok(())
+    })?;
+    Ok(values)
+}
+
+/// The `POST /annotate` response body: byte-identical to
+/// `outcome_to_json(outcome, ontology).to_string()`, written straight
+/// into one `String`.
+#[must_use]
+pub fn encode_outcome(outcome: &AnnotationOutcome, ontology: &Ontology) -> String {
+    let mut out = String::new();
+    write_outcome(&mut out, outcome, ontology).expect("writing into a String cannot fail");
+    out
+}
+
+/// The `POST /annotate_batch` response body, `{"outcomes":[…]}`:
+/// byte-identical to the same object built around
+/// [`outcome_to_json`] and printed.
+#[must_use]
+pub fn encode_outcomes(outcomes: &[AnnotationOutcome], ontology: &Ontology) -> String {
+    let mut out = String::from("{\"outcomes\":[");
+    for (i, outcome) in outcomes.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_outcome(&mut out, outcome, ontology).expect("writing into a String cannot fail");
+    }
+    out.push_str("]}");
+    out
+}
+
+fn write_outcome(
+    out: &mut String,
+    outcome: &AnnotationOutcome,
+    ontology: &Ontology,
+) -> fmt::Result {
+    out.push_str("{\"columns\":[");
+    for (i, col) in outcome.annotation.columns.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_column(out, col, ontology)?;
+    }
+    write!(
+        out,
+        "],\"degraded\":{},\"degradation\":",
+        outcome.degraded()
+    )?;
+    write_report(out, &outcome.degradation)?;
+    out.push('}');
+    Ok(())
+}
+
+fn write_column(out: &mut String, col: &ColumnAnnotation, ontology: &Ontology) -> fmt::Result {
+    write!(out, "{{\"col_idx\":{},\"predicted\":", col.col_idx)?;
+    if col.abstained() {
+        out.push_str("null");
+    } else {
+        jsonshim::write_string(out, ontology.name(col.predicted))?;
+    }
+    out.push_str(",\"confidence\":");
+    jsonshim::write_float(out, col.confidence)?;
+    write!(out, ",\"abstained\":{},\"top_k\":", col.abstained())?;
+    write_candidates(out, &col.top_k, ontology)?;
+    out.push_str(",\"steps_run\":[");
+    for (i, step) in col.steps_run.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        jsonshim::write_string(out, step.name())?;
+    }
+    out.push_str("],\"step_scores\":[");
+    for (i, scores) in col.step_scores.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_candidates(out, &scores.candidates, ontology)?;
+    }
+    out.push_str("]}");
+    Ok(())
+}
+
+fn write_candidates(
+    out: &mut String,
+    candidates: &[sigmatyper::Candidate],
+    ontology: &Ontology,
+) -> fmt::Result {
+    out.push('[');
+    for (i, c) in candidates.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"type\":");
+        jsonshim::write_string(out, ontology.name(c.ty))?;
+        out.push_str(",\"confidence\":");
+        jsonshim::write_float(out, c.confidence)?;
+        out.push('}');
+    }
+    out.push(']');
+    Ok(())
+}
+
+fn write_report(out: &mut String, report: &DegradationReport) -> fmt::Result {
+    out.push_str("{\"policy\":");
+    jsonshim::write_string(out, policy_label(report.policy))?;
+    out.push_str(",\"budget_nanos\":");
+    write_opt_u64(out, report.budget_nanos)?;
+    write!(out, ",\"spent_nanos\":{}", report.spent_nanos)?;
+    out.push_str(",\"remaining_nanos\":");
+    write_opt_u64(out, report.remaining_nanos)?;
+    write!(
+        out,
+        ",\"delta_reused\":{},\"skipped\":[",
+        report.delta_reused
+    )?;
+    for (i, s) in report.skipped.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"step\":");
+        jsonshim::write_string(out, &s.name)?;
+        out.push_str(",\"reason\":");
+        jsonshim::write_string(out, skip_reason_label(s.reason))?;
+        write!(out, ",\"pending\":{},\"ran\":{}}}", s.pending, s.ran)?;
+    }
+    out.push_str("]}");
+    Ok(())
+}
+
+fn write_opt_u64(out: &mut String, n: Option<u64>) -> fmt::Result {
+    match n {
+        Some(n) => write!(out, "{n}"),
+        None => {
+            out.push_str("null");
+            Ok(())
+        }
+    }
 }
 
 #[cfg(test)]

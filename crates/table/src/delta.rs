@@ -9,8 +9,10 @@
 //! delta per column. Downstream, the annotation pipeline uses deltas
 //! twice:
 //!
-//! * **fingerprint delta chains** — an append-only delta extends a
-//!   retained column-hash mid-state instead of rehashing every value;
+//! * **recrawl fingerprints** — where a base column is an unchanged or
+//!   appended prefix of its new column under the same header, the
+//!   base's content hash is read off the new column's hashing pass
+//!   instead of hashing the base's cells again;
 //! * **sensitivity-gated step reuse** — a step whose input signal
 //!   moved less than its threshold (see [`ColumnDelta::movement`])
 //!   reuses the base crawl's cached scores instead of re-running.
@@ -18,6 +20,7 @@
 use crate::column::Column;
 use crate::table::Table;
 use crate::value::Value;
+use std::fmt::{self, Write as _};
 
 /// How one column's values changed relative to a base crawl.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,33 +63,68 @@ pub struct ColumnDelta {
     drift: f64,
 }
 
+/// Counts of ASCII-digit / letter / whitespace / other characters in
+/// the text written to it.
+struct CharClassCounts([usize; 4]);
+
+impl fmt::Write for CharClassCounts {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for c in s.chars() {
+            // ASCII answers first; the Unicode tests decide the rest.
+            let slot = match c {
+                '0'..='9' => 0,
+                'a'..='z' | 'A'..='Z' => 1,
+                ' ' | '\t'..='\r' => 2,
+                c if c.is_ascii() => 3,
+                c if c.is_alphabetic() => 1,
+                c if c.is_whitespace() => 2,
+                _ => 3,
+            };
+            self.0[slot] += 1;
+        }
+        Ok(())
+    }
+}
+
 /// Fractions of ASCII-digit / letter / whitespace / other characters
 /// over the rendered non-null values — a four-number sketch of what
-/// the value-shape signals (regex bank, char features) consume.
+/// the value-shape signals (regex bank, char features) consume. Each
+/// value counts as its `Display` rendering would, without building
+/// it: text is counted as itself, integers, booleans and dates by
+/// their digit and letter counts, floats through `Display`.
 fn char_class_fractions(values: &[Value]) -> [f64; 4] {
-    let mut counts = [0usize; 4];
+    let mut counts = CharClassCounts([0; 4]);
     for v in values {
-        if v.is_null() {
-            continue;
-        }
-        for c in v.render().chars() {
-            let slot = if c.is_ascii_digit() {
-                0
-            } else if c.is_alphabetic() {
-                1
-            } else if c.is_whitespace() {
-                2
-            } else {
-                3
-            };
-            counts[slot] += 1;
+        match v {
+            Value::Null => {}
+            Value::Text(s) => counts
+                .write_str(s)
+                .expect("counting characters cannot fail"),
+            Value::Int(i) => {
+                counts.0[0] += decimal_digits(i.unsigned_abs());
+                counts.0[3] += usize::from(*i < 0);
+            }
+            Value::Bool(b) => counts.0[1] += if *b { 4 } else { 5 },
+            Value::Date(d) => {
+                // `{:04}-{:02}-{:02}`: the year's sign takes one of its
+                // four places; month and day always print two digits.
+                let year = decimal_digits(d.year.unsigned_abs().into());
+                counts.0[0] += year.max(if d.year < 0 { 3 } else { 4 }) + 4;
+                counts.0[3] += 2 + usize::from(d.year < 0);
+            }
+            v => write!(counts, "{v}").expect("counting characters cannot fail"),
         }
     }
+    let counts = counts.0;
     let total: usize = counts.iter().sum();
     if total == 0 {
         return [0.0; 4];
     }
     counts.map(|c| c as f64 / total as f64)
+}
+
+fn decimal_digits(n: u64) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
 }
 
 fn null_fraction(values: &[Value]) -> f64 {
@@ -356,6 +394,125 @@ mod tests {
         let homogeneous = ColumnDelta::between(&base, &Column::from_raw("c", &same));
         let drifted = ColumnDelta::between(&base, &Column::from_raw("c", &odd));
         assert!(drifted.movement() > homogeneous.movement());
+    }
+
+    /// The drift sketch, and so `movement()`, is bit-identical to the
+    /// sketch as first written, which rendered every value to a fresh
+    /// `String` — transcribed here literally, over every value type
+    /// and the float forms `format_float` distinguishes.
+    #[test]
+    fn movement_matches_the_allocating_sketch_to_the_bit() {
+        fn old_char_class_fractions(values: &[Value]) -> [f64; 4] {
+            let mut counts = [0usize; 4];
+            for v in values {
+                if v.is_null() {
+                    continue;
+                }
+                for c in v.render().chars() {
+                    let slot = if c.is_ascii_digit() {
+                        0
+                    } else if c.is_alphabetic() {
+                        1
+                    } else if c.is_whitespace() {
+                        2
+                    } else {
+                        3
+                    };
+                    counts[slot] += 1;
+                }
+            }
+            let total: usize = counts.iter().sum();
+            if total == 0 {
+                return [0.0; 4];
+            }
+            counts.map(|c| c as f64 / total as f64)
+        }
+        /// `(drift, movement)`: movement reads the drift only when it
+        /// exceeds 1, so the drift is compared on its own too.
+        fn old_drift_and_movement(base: &Column, new: &Column) -> (f64, f64) {
+            let values = &new.values[base.len()..];
+            let base_frac = old_char_class_fractions(&base.values);
+            let app_frac = old_char_class_fractions(values);
+            let drift: f64 = base_frac
+                .iter()
+                .zip(&app_frac)
+                .map(|(b, a)| (b - a).abs())
+                .sum();
+            let grow = values.len() as f64 / new.len().max(1) as f64;
+            let null_shift = grow * null_fraction(values);
+            (drift, grow.max(null_shift).max(grow * drift))
+        }
+        let pool = [
+            Value::Null,
+            Value::Int(-42),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::Int(0),
+            Value::Int(10),
+            Value::Bool(false),
+            Value::Text("\u{b}\u{85}\u{a0}\u{3000}٣ß!".into()),
+            Value::Float(3.0),
+            Value::Float(-0.0),
+            Value::Float(2.5e-7),
+            Value::Float(1e300),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NAN),
+            Value::Bool(true),
+            Value::Date(crate::value::Date::new(2021, 3, 4).unwrap()),
+            Value::Date(crate::value::Date {
+                year: -5,
+                month: 12,
+                day: 31,
+            }),
+            Value::Date(crate::value::Date {
+                year: 12_345,
+                month: 1,
+                day: 9,
+            }),
+            Value::Date(crate::value::Date {
+                year: -12_345,
+                month: 1,
+                day: 9,
+            }),
+            Value::Date(crate::value::Date {
+                year: 7,
+                month: 1,
+                day: 9,
+            }),
+            Value::Text("Größe 名前 \t x".into()),
+            Value::Text("a-b_c 12".into()),
+            Value::Text(String::new()),
+        ];
+        let mut appends = 0;
+        for split in 0..pool.len() {
+            for extra in 1..=3 {
+                let base = Column::new("c", pool[..split].to_vec());
+                let mut grown = base.values.clone();
+                grown.extend(
+                    pool.iter()
+                        .cycle()
+                        .skip(split * 5 + extra)
+                        .take(extra)
+                        .cloned(),
+                );
+                let new = Column::new("c", grown);
+                let d = ColumnDelta::between(&base, &new);
+                if d.appended().is_none() {
+                    // A NaN in the base is unequal to itself: a rewrite.
+                    continue;
+                }
+                appends += 1;
+                let (drift, movement) = old_drift_and_movement(&base, &new);
+                assert_eq!(
+                    (d.drift.to_bits(), d.movement().to_bits()),
+                    (drift.to_bits(), movement.to_bits()),
+                    "base {:?} + {:?}",
+                    base.values,
+                    d.appended()
+                );
+            }
+        }
+        assert!(appends >= 24, "only {appends} appends checked");
     }
 
     #[test]

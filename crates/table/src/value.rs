@@ -239,6 +239,16 @@ impl Value {
     #[must_use]
     pub fn infer(raw: &str) -> Value {
         let t = raw.trim();
+        // Every form tried below starts with a digit, a sign, a dot, or
+        // an ASCII `n`, `t` or `f` in either case; any other first
+        // character is text, so most free-text cells skip the checks.
+        if let Some(&first) = t.as_bytes().first() {
+            let letter = first.is_ascii_alphabetic()
+                && !matches!(first.to_ascii_lowercase(), b'n' | b't' | b'f');
+            if letter || !first.is_ascii() {
+                return Value::Text(t.to_owned());
+            }
+        }
         if t.is_empty()
             || t.eq_ignore_ascii_case("null")
             || t.eq_ignore_ascii_case("na")
@@ -276,9 +286,17 @@ impl Value {
     }
 }
 
+/// Writes exactly what [`Value::render`] returns, without allocating.
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.render())
+        match self {
+            Value::Null => Ok(()),
+            Value::Int(i) => write!(f, "{i}"),
+            Value::Float(x) => write_float(f, *x),
+            Value::Bool(b) => write!(f, "{b}"),
+            Value::Date(d) => write!(f, "{d}"),
+            Value::Text(s) => f.write_str(s),
+        }
     }
 }
 
@@ -312,16 +330,119 @@ fn looks_like_number(s: &str) -> bool {
 /// (`3.0`) so the type stays recoverable on re-parse.
 #[must_use]
 pub fn format_float(f: f64) -> String {
+    let mut out = String::new();
+    write_float(&mut out, f).expect("writing into a String cannot fail");
+    out
+}
+
+fn write_float(out: &mut impl fmt::Write, f: f64) -> fmt::Result {
     if f.is_finite() && f.fract() == 0.0 && f.abs() < 1e15 {
-        format!("{f:.1}")
+        write!(out, "{f:.1}")
     } else {
-        format!("{f}")
+        write!(out, "{f}")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The text fast path at the top of `infer` changes no answer: the
+    /// rules as they stand below it, transcribed without the fast path,
+    /// agree on cells of every first character and shape.
+    #[test]
+    fn infer_fast_path_matches_the_full_rules() {
+        fn full_rules(raw: &str) -> Value {
+            let t = raw.trim();
+            if t.is_empty()
+                || t.eq_ignore_ascii_case("null")
+                || t.eq_ignore_ascii_case("na")
+                || t.eq_ignore_ascii_case("n/a")
+                || t.eq_ignore_ascii_case("none")
+            {
+                return Value::Null;
+            }
+            let has_leading_zero = {
+                let digits = t.strip_prefix(['+', '-']).unwrap_or(t);
+                digits.len() > 1 && digits.starts_with('0') && !digits.contains('.')
+            };
+            if !has_leading_zero {
+                if let Ok(i) = t.parse::<i64>() {
+                    return Value::Int(i);
+                }
+                if looks_like_number(t) {
+                    if let Ok(f) = t.parse::<f64>() {
+                        return Value::Float(f);
+                    }
+                }
+            }
+            if t.eq_ignore_ascii_case("true") {
+                return Value::Bool(true);
+            }
+            if t.eq_ignore_ascii_case("false") {
+                return Value::Bool(false);
+            }
+            if let Some(d) = Date::parse(t) {
+                return Value::Date(d);
+            }
+            Value::Text(t.to_owned())
+        }
+        let firsts = [
+            "", " ", "\t", "a", "e", "E", "i", "z", "Q", "n", "N", "t", "T", "f", "F", "0", "1",
+            "9", "+", "-", ".", "/", "@", "é", "名", "\u{a0}",
+        ];
+        let rests = [
+            "",
+            "ull",
+            "ULL",
+            "a",
+            "/a",
+            "one",
+            "rue",
+            "RUE",
+            "alse",
+            "ALSE",
+            "nf",
+            "aN",
+            "5",
+            "0",
+            ".5",
+            "e3",
+            "1e-3",
+            "021-03-04",
+            "2/31/1999",
+            "1.12.1999",
+            "999-12-31",
+            " x ",
+            "00",
+            "123456789012345678901",
+            "x@y.org",
+            "é",
+            "-",
+            "1.2.3",
+        ];
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        for _ in 0..20_000 {
+            let mut cell = String::from(firsts[next(firsts.len())]);
+            for _ in 0..next(3) {
+                cell.push_str(rests[next(rests.len())]);
+            }
+            if next(4) == 0 {
+                cell.push(' ');
+            }
+            let (got, want) = (Value::infer(&cell), full_rules(&cell));
+            match (&got, &want) {
+                (Value::Float(a), Value::Float(b)) => assert_eq!(a.to_bits(), b.to_bits()),
+                _ => assert_eq!(got, want, "{cell:?}"),
+            }
+        }
+    }
 
     #[test]
     fn infer_null_variants() {

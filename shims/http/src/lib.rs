@@ -19,6 +19,9 @@
 //! * hard limits: oversized bodies get `413`, oversized or malformed
 //!   heads get `400`, both closing the connection — never unbounded
 //!   buffering of untrusted input;
+//! * `Expect: 100-continue`: an accepted head carrying it is answered
+//!   `100 Continue` at once, so clients that wait for it before sending
+//!   a large body (curl does past 1 MiB) do not stall;
 //! * [`HttpClient`] — a keep-alive client (with one transparent
 //!   reconnect when the server closed an idle connection) used by the
 //!   integration tests, the smoke-client example, and the loopback
@@ -306,24 +309,32 @@ enum ReadError {
 /// Read one request off the connection. `buf` carries bytes between
 /// calls (keep-alive pipelining). `Ok(None)` means the peer closed
 /// cleanly or shutdown arrived while the connection was idle.
+///
+/// The head is parsed once, as soon as it is complete. The body is
+/// then read into a buffer sized to its (already capped)
+/// `Content-Length` and moved into the [`Request`]; only bytes past
+/// the body stay in `buf`. A head carrying `Expect: 100-continue` is
+/// answered `100 Continue` once it is accepted, so a client waiting to
+/// send its body does not stall.
 fn read_request(
     stream: &mut TcpStream,
     buf: &mut Vec<u8>,
     stop: &AtomicBool,
 ) -> Result<Option<Request>, ReadError> {
     let mut chunk = [0u8; 8192];
-    loop {
-        if let Some(parsed) = try_parse_request(buf)? {
-            return Ok(Some(parsed));
+    let mut scanned = 0;
+    let head_end = loop {
+        // A terminator may straddle two reads: rescan its last 3 bytes.
+        if let Some(at) = find_head_end(&buf[scanned..]) {
+            break scanned + at;
+        }
+        scanned = buf.len().saturating_sub(3);
+        if buf.len() > MAX_HEAD_BYTES {
+            return Err(ReadError::TooLarge);
         }
         match stream.read(&mut chunk) {
-            Ok(0) => {
-                return if buf.is_empty() {
-                    Ok(None)
-                } else {
-                    Err(ReadError::Io)
-                };
-            }
+            Ok(0) if buf.is_empty() => return Ok(None),
+            Ok(0) => return Err(ReadError::Io),
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
@@ -336,22 +347,57 @@ fn read_request(
             }
             Err(_) => return Err(ReadError::Io),
         }
-    }
-}
-
-/// Parse a complete request out of the front of `buf`, draining the
-/// consumed bytes. `Ok(None)` means more input is needed.
-fn try_parse_request(buf: &mut Vec<u8>) -> Result<Option<Request>, ReadError> {
-    let Some(head_end) = find_head_end(buf) else {
-        if buf.len() > MAX_HEAD_BYTES {
-            return Err(ReadError::TooLarge);
-        }
-        return Ok(None);
     };
     if head_end > MAX_HEAD_BYTES {
         return Err(ReadError::TooLarge);
     }
-    let head = std::str::from_utf8(&buf[..head_end])
+    let head = parse_head(&buf[..head_end])?;
+    if head.expect_continue {
+        stream
+            .write_all(b"HTTP/1.1 100 Continue\r\n\r\n")
+            .map_err(|_| ReadError::Io)?;
+    }
+    let body_start = head_end + 4;
+    let buffered = (buf.len() - body_start).min(head.content_length);
+    let mut body = Vec::with_capacity(head.content_length);
+    body.extend_from_slice(&buf[body_start..body_start + buffered]);
+    buf.drain(..body_start + buffered);
+    while body.len() < head.content_length {
+        // Reads land straight in the body's reserved capacity; only
+        // bytes that arrived touch memory.
+        let missing = (head.content_length - body.len()) as u64;
+        match stream.take(missing).read_to_end(&mut body) {
+            Ok(0) => return Err(ReadError::Io),
+            Ok(_) => {}
+            Err(e)
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
+            }
+            Err(_) => return Err(ReadError::Io),
+        }
+    }
+    Ok(Some(Request {
+        method: head.method,
+        path: head.path,
+        query: head.query,
+        headers: head.headers,
+        body,
+    }))
+}
+
+/// A parsed request head.
+struct Head {
+    method: String,
+    path: String,
+    query: String,
+    headers: Vec<(String, String)>,
+    content_length: usize,
+    expect_continue: bool,
+}
+
+/// Parse a complete request head (without its terminating blank
+/// line), refusing a body over [`MAX_BODY_BYTES`].
+fn parse_head(head: &[u8]) -> Result<Head, ReadError> {
+    let head = std::str::from_utf8(head)
         .map_err(|_| ReadError::Malformed("non-UTF-8 request head".into()))?;
     let mut lines = head.split("\r\n");
     let request_line = lines
@@ -381,19 +427,20 @@ fn try_parse_request(buf: &mut Vec<u8>) -> Result<Option<Request>, ReadError> {
             .ok_or_else(|| ReadError::Malformed("bad header line".into()))?;
         headers.push((name.trim().to_owned(), value.trim().to_owned()));
     }
-    let content_length = headers
-        .iter()
-        .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
-        .map(|(_, v)| {
+    let header = |name: &str| {
+        headers
+            .iter()
+            .find(|(k, _)| k.eq_ignore_ascii_case(name))
+            .map(|(_, v)| v.as_str())
+    };
+    let content_length = header("content-length")
+        .map(|v| {
             v.parse::<usize>()
                 .map_err(|_| ReadError::Malformed("bad Content-Length".into()))
         })
         .transpose()?
         .unwrap_or(0);
-    if headers
-        .iter()
-        .any(|(k, _)| k.eq_ignore_ascii_case("transfer-encoding"))
-    {
+    if header("transfer-encoding").is_some() {
         return Err(ReadError::Malformed(
             "chunked encoding not supported".into(),
         ));
@@ -401,24 +448,19 @@ fn try_parse_request(buf: &mut Vec<u8>) -> Result<Option<Request>, ReadError> {
     if content_length > MAX_BODY_BYTES {
         return Err(ReadError::TooLarge);
     }
-    let body_start = head_end + 4;
-    if buf.len() < body_start + content_length {
-        return Ok(None);
-    }
+    let expect_continue = header("expect").is_some_and(|v| v.eq_ignore_ascii_case("100-continue"));
     let (path, query) = match target.split_once('?') {
         Some((p, q)) => (p.to_owned(), q.to_owned()),
         None => (target.to_owned(), String::new()),
     };
-    let method = method.to_owned();
-    let body = buf[body_start..body_start + content_length].to_vec();
-    buf.drain(..body_start + content_length);
-    Ok(Some(Request {
-        method,
+    Ok(Head {
+        method: method.to_owned(),
         path,
         query,
         headers,
-        body,
-    }))
+        content_length,
+        expect_continue,
+    })
 }
 
 fn find_head_end(buf: &[u8]) -> Option<usize> {
@@ -679,6 +721,88 @@ mod tests {
         let mut out = String::new();
         raw.read_to_string(&mut out).unwrap();
         assert!(out.starts_with("HTTP/1.1 413"), "{out}");
+        server.join();
+    }
+
+    /// A client that sends `Expect: 100-continue` waits for the interim
+    /// response before its body; without one it would stall until its
+    /// own timeout. The short read timeout turns a missing interim
+    /// line into a failure instead of a hang.
+    #[test]
+    fn expect_continue_gets_an_interim_response() {
+        let mut server = echo_server();
+        let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        raw.write_all(
+            b"POST /annotate HTTP/1.1\r\nContent-Length: 7\r\nExpect: 100-continue\r\n\r\n",
+        )
+        .unwrap();
+        let interim = b"HTTP/1.1 100 Continue\r\n\r\n";
+        let mut got = [0u8; 25];
+        raw.read_exact(&mut got)
+            .expect("interim response before the body");
+        assert_eq!(&got, interim);
+        raw.write_all(b"{\"a\":1}").unwrap();
+        let resp = read_client_response(&mut raw).unwrap();
+        assert_eq!(resp.status, 200);
+        assert!(resp.body_str().contains("\"len\":7"), "{}", resp.body_str());
+
+        // An oversized body is refused outright: 413, no interim line.
+        let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        raw.write_all(
+            format!(
+                "POST /annotate HTTP/1.1\r\nContent-Length: {}\r\nExpect: 100-continue\r\n\r\n",
+                MAX_BODY_BYTES + 1
+            )
+            .as_bytes(),
+        )
+        .unwrap();
+        let mut out = String::new();
+        raw.read_to_string(&mut out).unwrap();
+        assert!(out.starts_with("HTTP/1.1 413"), "{out}");
+        server.join();
+    }
+
+    /// A body arriving in many small writes is read to its full length,
+    /// and requests sent back to back in one write are each decoded.
+    #[test]
+    fn bodies_in_pieces_and_pipelined_requests_decode() {
+        let mut server = echo_server();
+        let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let len = 1 << 20;
+        raw.write_all(format!("POST /big HTTP/1.1\r\nContent-Length: {len}\r\n\r\n").as_bytes())
+            .unwrap();
+        let piece = [b'x'; 1024];
+        for _ in 0..len / piece.len() {
+            raw.write_all(&piece).unwrap();
+        }
+        let resp = read_client_response(&mut raw).unwrap();
+        assert_eq!(resp.status, 200);
+        assert!(
+            resp.body_str().contains(&format!("\"len\":{len}")),
+            "{}",
+            resp.body_str()
+        );
+
+        // The second request closes the connection, so both responses
+        // are read to the end of the stream.
+        raw.write_all(
+            b"POST /one HTTP/1.1\r\nContent-Length: 3\r\n\r\nabc\
+              GET /two?q=2 HTTP/1.1\r\nConnection: close\r\n\r\n",
+        )
+        .unwrap();
+        let mut out = String::new();
+        raw.read_to_string(&mut out).unwrap();
+        let first = out
+            .find("{\"method\":\"POST\",\"path\":\"/one\",\"query\":\"\",\"len\":3}")
+            .expect("first response");
+        let second = out
+            .find("{\"method\":\"GET\",\"path\":\"/two\",\"query\":\"q=2\",\"len\":0}")
+            .expect("second response");
+        assert!(first < second, "{out}");
+        assert_eq!(out.matches("HTTP/1.1 200 OK").count(), 2, "{out}");
         server.join();
     }
 

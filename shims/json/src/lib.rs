@@ -11,11 +11,17 @@
 //!   serialized through Rust's shortest-round-trip `Display` — so an
 //!   `f64` confidence parses back **bit-identical**, which the golden
 //!   HTTP-equivalence suite relies on;
-//! * [`Json::parse`] — a recursive-descent parser with a depth bound,
-//!   full string-escape handling (`\uXXXX` incl. surrogate pairs), and
-//!   precise error offsets;
-//! * `Json::to_string` (via `Display`) — compact serialization with
-//!   escaping of control characters, quotes, and backslashes;
+//! * [`JsonReader`] — a pull reader over one document, with a depth
+//!   bound, full string-escape handling (`\uXXXX` incl. surrogate
+//!   pairs), and precise error offsets. Callers walk objects and arrays
+//!   through closures and read strings as borrowed slices of the input,
+//!   so a decoder can type cells without building a tree;
+//! * [`Json::parse`] — the same reader building a [`Json`] tree, so
+//!   both accept and reject exactly the same documents with the same
+//!   errors;
+//! * `Json::to_string` (via `Display`) — compact serialization through
+//!   [`write_string`] and [`write_float`], which a caller can also use
+//!   to write a document straight into a `String`;
 //! * ergonomic accessors (`get`, `as_str`, `as_u64`, …) and builder
 //!   helpers (`Json::object`, `From` impls) so call sites stay short.
 //!
@@ -74,18 +80,9 @@ impl Json {
     /// Parse one JSON document (trailing whitespace allowed, trailing
     /// garbage is an error).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let bytes = input.as_bytes();
-        let mut p = Parser {
-            text: input,
-            bytes,
-            at: 0,
-        };
-        p.skip_ws();
-        let value = p.value(0)?;
-        p.skip_ws();
-        if p.at != bytes.len() {
-            return Err(p.err("trailing characters after the document"));
-        }
+        let mut reader = JsonReader::new(input);
+        let value = reader.value()?;
+        reader.finish()?;
         Ok(value)
     }
 
@@ -235,19 +232,50 @@ impl<T: Into<Json>> From<Option<T>> for Json {
     }
 }
 
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+/// Write `s` as a JSON string literal: quoted, with `"`, `\`, and
+/// control characters escaped. This is exactly what
+/// `Json::Str(s).to_string()` prints.
+pub fn write_string<W: fmt::Write + ?Sized>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    // Every byte that needs escaping is ASCII, and no byte of a
+    // multi-byte UTF-8 sequence is, so `run..i` always slices on char
+    // boundaries.
+    let mut run = 0;
+    for (i, &byte) in s.as_bytes().iter().enumerate() {
+        let escape = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => {
+                out.write_str(&s[run..i])?;
+                write!(out, "\\u{byte:04x}")?;
+                run = i + 1;
+                continue;
             }
-            c => out.push(c),
-        }
+            _ => continue,
+        };
+        out.write_str(&s[run..i])?;
+        out.write_str(escape)?;
+        run = i + 1;
+    }
+    out.write_str(&s[run..])?;
+    out.write_char('"')
+}
+
+/// Write `x` as a JSON number, exactly as `Json::Float(x).to_string()`
+/// prints it: Rust's shortest-round-trip decimal, so the printed text
+/// parses back to the identical bits; integral values keep a `.0` so
+/// they re-parse as floats; NaN and the infinities, which JSON cannot
+/// express, become `null` rather than an unparseable document.
+pub fn write_float<W: fmt::Write + ?Sized>(out: &mut W, x: f64) -> fmt::Result {
+    if !x.is_finite() {
+        out.write_str("null")
+    } else if x.fract() == 0.0 && x.abs() < 1e15 {
+        write!(out, "{x:.1}")
+    } else {
+        write!(out, "{x}")
     }
 }
 
@@ -258,28 +286,8 @@ impl fmt::Display for Json {
             Json::Bool(b) => write!(f, "{b}"),
             Json::UInt(n) => write!(f, "{n}"),
             Json::Int(n) => write!(f, "{n}"),
-            Json::Float(x) => {
-                if x.is_finite() {
-                    // Rust's shortest-round-trip Display: the printed
-                    // decimal parses back to the identical f64 bits.
-                    // Bare integers get a ".0" so they re-parse as
-                    // Float, keeping Display→parse the identity.
-                    if x.fract() == 0.0 && x.abs() < 1e15 {
-                        write!(f, "{x:.1}")
-                    } else {
-                        write!(f, "{x}")
-                    }
-                } else {
-                    // JSON has no NaN/Infinity; degrade to null rather
-                    // than emit an unparseable document.
-                    f.write_str("null")
-                }
-            }
-            Json::Str(s) => {
-                let mut buf = String::with_capacity(s.len() + 2);
-                escape_into(&mut buf, s);
-                write!(f, "\"{buf}\"")
-            }
+            Json::Float(x) => write_float(f, *x),
+            Json::Str(s) => write_string(f, s),
             Json::Arr(items) => {
                 f.write_str("[")?;
                 for (i, item) in items.iter().enumerate() {
@@ -296,9 +304,8 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    let mut buf = String::with_capacity(k.len() + 2);
-                    escape_into(&mut buf, k);
-                    write!(f, "\"{buf}\":{v}")?;
+                    write_string(f, k)?;
+                    write!(f, ":{v}")?;
                 }
                 f.write_str("}")
             }
@@ -306,16 +313,91 @@ impl fmt::Display for Json {
     }
 }
 
-struct Parser<'a> {
+/// What kind of value comes next in a [`JsonReader`], judged from its
+/// first byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ValueKind {
+    /// `null`.
+    Null,
+    /// `true` or `false`.
+    Bool,
+    /// A number.
+    Number,
+    /// A string.
+    Str,
+    /// An array.
+    Array,
+    /// An object.
+    Object,
+}
+
+/// A pull reader over one JSON document — the tokenizer
+/// [`Json::parse`] is built on.
+///
+/// The caller walks the document value by value: [`peek_kind`] says
+/// what comes next, [`object`] and [`array`] hand each member or item
+/// to a closure, [`str`] reads a string as a slice of the input (or of
+/// a scratch buffer, when it held escapes), and [`value`] reads any
+/// value into a [`Json`] tree. Every read enforces the nesting bound
+/// and reports errors at the same offsets, with the same messages, as
+/// [`Json::parse`]. [`finish`] checks that nothing but whitespace
+/// follows the document.
+///
+/// ```
+/// use jsonshim::JsonReader;
+///
+/// let mut reader = JsonReader::new(r#"{"cells": ["a", "b\n"], "n": 2}"#);
+/// let mut cells = Vec::new();
+/// let mut scratch = String::new();
+/// reader
+///     .object(|r, key| {
+///         if key == "cells" {
+///             r.array(|r| {
+///                 cells.push(r.str(&mut scratch)?.len());
+///                 Ok(())
+///             })
+///         } else {
+///             r.value().map(drop)
+///         }
+///     })
+///     .unwrap();
+/// reader.finish().unwrap();
+/// assert_eq!(cells, [1, 2]);
+/// ```
+///
+/// [`peek_kind`]: JsonReader::peek_kind
+/// [`object`]: JsonReader::object
+/// [`array`]: JsonReader::array
+/// [`str`]: JsonReader::str
+/// [`value`]: JsonReader::value
+/// [`finish`]: JsonReader::finish
+#[derive(Debug)]
+pub struct JsonReader<'a> {
     /// The input, for slicing out runs that end on ASCII delimiters
     /// (always char boundaries) without re-validating UTF-8.
     text: &'a str,
     bytes: &'a [u8],
     at: usize,
+    /// Arrays and objects open around the next value.
+    depth: usize,
 }
 
-impl Parser<'_> {
-    fn err(&self, message: &str) -> JsonError {
+impl<'a> JsonReader<'a> {
+    /// A reader positioned at the document's first value (leading
+    /// whitespace skipped).
+    #[must_use]
+    pub fn new(input: &'a str) -> Self {
+        let mut reader = JsonReader {
+            text: input,
+            bytes: input.as_bytes(),
+            at: 0,
+            depth: 0,
+        };
+        reader.skip_ws();
+        reader
+    }
+
+    fn error(&self, message: &str) -> JsonError {
         JsonError {
             offset: self.at,
             message: message.to_owned(),
@@ -327,8 +409,173 @@ impl Parser<'_> {
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        let rest = &self.bytes[self.at..];
+        self.at += rest
+            .iter()
+            .position(|c| !matches!(c, b' ' | b'\t' | b'\n' | b'\r'))
+            .unwrap_or(rest.len());
+    }
+
+    /// The kind of the next value. Fails, as [`Json::parse`] would
+    /// here, when the value is nested too deeply, starts with a byte no
+    /// value starts with, or is missing.
+    pub fn peek_kind(&self) -> Result<ValueKind, JsonError> {
+        if self.depth > MAX_DEPTH {
+            return Err(self.error("document nested too deeply"));
+        }
+        match self.peek() {
+            Some(b'n') => Ok(ValueKind::Null),
+            Some(b't' | b'f') => Ok(ValueKind::Bool),
+            Some(b'"') => Ok(ValueKind::Str),
+            Some(b'[') => Ok(ValueKind::Array),
+            Some(b'{') => Ok(ValueKind::Object),
+            Some(c) if c == b'-' || c.is_ascii_digit() => Ok(ValueKind::Number),
+            Some(_) => Err(self.error("unexpected character")),
+            None => Err(self.error("unexpected end of input")),
+        }
+    }
+
+    fn expect_kind(&self, kind: ValueKind, message: &str) -> Result<(), JsonError> {
+        if self.peek_kind()? == kind {
+            Ok(())
+        } else {
+            Err(self.error(message))
+        }
+    }
+
+    /// Read the next value, which must be an array, calling `item` once
+    /// per element with the reader positioned at it. `item` must read
+    /// exactly one value.
+    pub fn array(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.expect_kind(ValueKind::Array, "expected an array")?;
+        self.at += 1; // consume `[`
+        self.depth += 1;
+        self.skip_ws();
+        if self.peek() == Some(b']') {
             self.at += 1;
+            self.depth -= 1;
+            return Ok(());
+        }
+        loop {
+            self.skip_ws();
+            item(self)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.at += 1,
+                Some(b']') => {
+                    self.at += 1;
+                    self.depth -= 1;
+                    return Ok(());
+                }
+                _ => return Err(self.error("expected `,` or `]` in array")),
+            }
+        }
+    }
+
+    /// Read the next value, which must be an object, calling `member`
+    /// once per member, in document order, with its (unescaped) key
+    /// and the reader positioned at its value. `member` must read
+    /// exactly one value. Duplicate keys are all passed on.
+    pub fn object(
+        &mut self,
+        mut member: impl FnMut(&mut Self, &str) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.expect_kind(ValueKind::Object, "expected an object")?;
+        self.at += 1; // consume `{`
+        self.depth += 1;
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.at += 1;
+            self.depth -= 1;
+            return Ok(());
+        }
+        let mut escaped_key = String::new();
+        loop {
+            self.skip_ws();
+            if self.peek() != Some(b'"') {
+                return Err(self.error("expected string key in object"));
+            }
+            let key = match self.scan_string(&mut escaped_key)? {
+                Some(raw) => raw,
+                None => escaped_key.as_str(),
+            };
+            self.skip_ws();
+            if self.peek() != Some(b':') {
+                return Err(self.error("expected `:` after object key"));
+            }
+            self.at += 1;
+            self.skip_ws();
+            member(self, key)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.at += 1,
+                Some(b'}') => {
+                    self.at += 1;
+                    self.depth -= 1;
+                    return Ok(());
+                }
+                _ => return Err(self.error("expected `,` or `}` in object")),
+            }
+        }
+    }
+
+    /// Read the next value, which must be a string. Returns a slice of
+    /// the input when the string holds no escapes — no copy at all —
+    /// and otherwise decodes it into `scratch` and returns that.
+    pub fn str<'s>(&mut self, scratch: &'s mut String) -> Result<&'s str, JsonError>
+    where
+        'a: 's,
+    {
+        self.expect_kind(ValueKind::Str, "expected a string")?;
+        Ok(match self.scan_string(scratch)? {
+            Some(raw) => raw,
+            None => scratch.as_str(),
+        })
+    }
+
+    /// Read the next value, of any kind, into a [`Json`] tree.
+    pub fn value(&mut self) -> Result<Json, JsonError> {
+        match self.peek_kind()? {
+            ValueKind::Null => self.eat("null", Json::Null),
+            ValueKind::Bool if self.peek() == Some(b't') => self.eat("true", Json::Bool(true)),
+            ValueKind::Bool => self.eat("false", Json::Bool(false)),
+            ValueKind::Number => self.number(),
+            ValueKind::Str => {
+                let mut escaped = String::new();
+                Ok(Json::Str(match self.scan_string(&mut escaped)? {
+                    Some(raw) => raw.to_owned(),
+                    None => escaped,
+                }))
+            }
+            ValueKind::Array => {
+                let mut items = Vec::new();
+                self.array(|r| {
+                    items.push(r.value()?);
+                    Ok(())
+                })?;
+                Ok(Json::Arr(items))
+            }
+            ValueKind::Object => {
+                let mut members = Vec::new();
+                self.object(|r, key| {
+                    members.push((key.to_owned(), r.value()?));
+                    Ok(())
+                })?;
+                Ok(Json::Obj(members))
+            }
+        }
+    }
+
+    /// Check that only whitespace follows the document's value.
+    pub fn finish(mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.at == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(self.error("trailing characters after the document"))
         }
     }
 
@@ -337,81 +584,7 @@ impl Parser<'_> {
             self.at += token.len();
             Ok(value)
         } else {
-            Err(self.err(&format!("expected `{token}`")))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("document nested too deeply"));
-        }
-        match self.peek() {
-            Some(b'n') => self.eat("null", Json::Null),
-            Some(b't') => self.eat("true", Json::Bool(true)),
-            Some(b'f') => self.eat("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(_) => Err(self.err("unexpected character")),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.at += 1; // consume `[`
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.at += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.at += 1,
-                Some(b']') => {
-                    self.at += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected `,` or `]` in array")),
-            }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.at += 1; // consume `{`
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.at += 1;
-            return Ok(Json::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            if self.peek() != Some(b'"') {
-                return Err(self.err("expected string key in object"));
-            }
-            let key = self.string()?;
-            self.skip_ws();
-            if self.peek() != Some(b':') {
-                return Err(self.err("expected `:` after object key"));
-            }
-            self.at += 1;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.at += 1,
-                Some(b'}') => {
-                    self.at += 1;
-                    return Ok(Json::Obj(members));
-                }
-                _ => return Err(self.err("expected `,` or `}` in object")),
-            }
+            Err(self.error(&format!("expected `{token}`")))
         }
     }
 
@@ -420,104 +593,96 @@ impl Parser<'_> {
         let slice = self
             .bytes
             .get(self.at..end)
-            .ok_or_else(|| self.err("truncated \\u escape"))?;
-        let s = std::str::from_utf8(slice).map_err(|_| self.err("invalid \\u escape"))?;
-        let code = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid \\u escape"))?;
+            .ok_or_else(|| self.error("truncated \\u escape"))?;
+        let s = std::str::from_utf8(slice).map_err(|_| self.error("invalid \\u escape"))?;
+        let code = u32::from_str_radix(s, 16).map_err(|_| self.error("invalid \\u escape"))?;
         self.at = end;
         Ok(code)
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// Advance over a run of bytes a string holds verbatim.
+    fn skip_plain(&mut self) {
+        let rest = &self.bytes[self.at..];
+        self.at += rest
+            .iter()
+            .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+            .unwrap_or(rest.len());
+    }
+
+    /// Read the string whose opening quote is next. `Some(raw)` is the
+    /// string itself, sliced from the input, when it holds no escapes;
+    /// `None` means it was decoded into `escaped` (cleared first).
+    fn scan_string(&mut self, escaped: &mut String) -> Result<Option<&'a str>, JsonError> {
+        let text = self.text;
         self.at += 1; // consume `"`
-        let mut out = String::new();
+        let start = self.at;
+        self.skip_plain();
+        if self.peek() == Some(b'"') {
+            self.at += 1;
+            // The run started after an ASCII byte and stopped on one,
+            // so both ends are char boundaries.
+            return Ok(Some(&text[start..self.at - 1]));
+        }
+        escaped.clear();
+        escaped.push_str(&text[start..self.at]);
         loop {
-            let start = self.at;
-            // Fast path: run of plain bytes.
-            while let Some(c) = self.peek() {
-                if c == b'"' || c == b'\\' || c < 0x20 {
-                    break;
-                }
-                self.at += 1;
-            }
-            if self.at > start {
-                // The run started after an ASCII byte and stopped on
-                // one (or at the end), so both ends are char boundaries.
-                out.push_str(&self.text[start..self.at]);
-            }
             match self.peek() {
                 Some(b'"') => {
                     self.at += 1;
-                    return Ok(out);
+                    return Ok(None);
                 }
                 Some(b'\\') => {
                     self.at += 1;
-                    match self.peek() {
-                        Some(b'"') => {
-                            out.push('"');
-                            self.at += 1;
-                        }
-                        Some(b'\\') => {
-                            out.push('\\');
-                            self.at += 1;
-                        }
-                        Some(b'/') => {
-                            out.push('/');
-                            self.at += 1;
-                        }
-                        Some(b'b') => {
-                            out.push('\u{8}');
-                            self.at += 1;
-                        }
-                        Some(b'f') => {
-                            out.push('\u{c}');
-                            self.at += 1;
-                        }
-                        Some(b'n') => {
-                            out.push('\n');
-                            self.at += 1;
-                        }
-                        Some(b'r') => {
-                            out.push('\r');
-                            self.at += 1;
-                        }
-                        Some(b't') => {
-                            out.push('\t');
-                            self.at += 1;
-                        }
-                        Some(b'u') => {
-                            self.at += 1;
-                            let hi = self.hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: require the low half.
-                                if self.peek() == Some(b'\\')
-                                    && self.bytes.get(self.at + 1) == Some(&b'u')
-                                {
-                                    self.at += 2;
-                                    let lo = self.hex4()?;
-                                    if !(0xDC00..0xE000).contains(&lo) {
-                                        return Err(self.err("invalid low surrogate"));
-                                    }
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                                } else {
-                                    return Err(self.err("unpaired high surrogate"));
-                                }
-                            } else if (0xDC00..0xE000).contains(&hi) {
-                                return Err(self.err("unpaired low surrogate"));
-                            } else {
-                                hi
-                            };
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("invalid \\u code point"))?,
-                            );
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
+                    let simple = match self.peek() {
+                        Some(b'"') => Some('"'),
+                        Some(b'\\') => Some('\\'),
+                        Some(b'/') => Some('/'),
+                        Some(b'b') => Some('\u{8}'),
+                        Some(b'f') => Some('\u{c}'),
+                        Some(b'n') => Some('\n'),
+                        Some(b'r') => Some('\r'),
+                        Some(b't') => Some('\t'),
+                        Some(b'u') => None,
+                        _ => return Err(self.error("invalid escape")),
+                    };
+                    self.at += 1;
+                    let c = match simple {
+                        Some(c) => c,
+                        None => self.unicode_escape()?,
+                    };
+                    escaped.push(c);
                 }
-                Some(_) => return Err(self.err("unescaped control character in string")),
-                None => return Err(self.err("unterminated string")),
+                Some(_) => return Err(self.error("unescaped control character in string")),
+                None => return Err(self.error("unterminated string")),
             }
+            let run = self.at;
+            self.skip_plain();
+            escaped.push_str(&text[run..self.at]);
         }
+    }
+
+    /// Decode the `XXXX` (and, for a high surrogate, the `\uXXXX` low
+    /// half) following a `\u`.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let hi = self.hex4()?;
+        let code = if (0xD800..0xDC00).contains(&hi) {
+            // Surrogate pair: require the low half.
+            if self.peek() == Some(b'\\') && self.bytes.get(self.at + 1) == Some(&b'u') {
+                self.at += 2;
+                let lo = self.hex4()?;
+                if !(0xDC00..0xE000).contains(&lo) {
+                    return Err(self.error("invalid low surrogate"));
+                }
+                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+            } else {
+                return Err(self.error("unpaired high surrogate"));
+            }
+        } else if (0xDC00..0xE000).contains(&hi) {
+            return Err(self.error("unpaired low surrogate"));
+        } else {
+            hi
+        };
+        char::from_u32(code).ok_or_else(|| self.error("invalid \\u code point"))
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -561,7 +726,7 @@ impl Parser<'_> {
         }
         text.parse::<f64>()
             .map(Json::Float)
-            .map_err(|_| self.err("invalid number"))
+            .map_err(|_| self.error("invalid number"))
     }
 }
 
@@ -666,6 +831,100 @@ mod tests {
     fn duplicate_keys_resolve_to_first() {
         let v = Json::parse(r#"{"a":1,"a":2}"#).unwrap();
         assert_eq!(v.get("a").and_then(Json::as_u64), Some(1));
+    }
+
+    #[test]
+    fn reader_borrows_plain_strings_and_unescapes_the_rest() {
+        let doc = r#"{"a": ["plain", "esc\"aped", "\u00e9"], "a": null}"#;
+        let mut reader = JsonReader::new(doc);
+        let mut keys = Vec::new();
+        let mut cells = Vec::new();
+        let mut scratch = String::new();
+        reader
+            .object(|r, key| {
+                keys.push(key.to_owned());
+                if r.peek_kind()? == ValueKind::Null {
+                    return r.value().map(drop);
+                }
+                r.array(|r| {
+                    let s = r.str(&mut scratch)?;
+                    // Only the escape-free string is a slice of `doc`.
+                    let borrowed = doc.as_bytes().as_ptr_range().contains(&s.as_ptr());
+                    cells.push((s.to_owned(), borrowed));
+                    Ok(())
+                })
+            })
+            .unwrap();
+        reader.finish().unwrap();
+        assert_eq!(keys, ["a", "a"], "duplicate keys are all passed on");
+        assert_eq!(
+            cells,
+            [
+                ("plain".to_owned(), true),
+                ("esc\"aped".to_owned(), false),
+                ("é".to_owned(), false)
+            ]
+        );
+    }
+
+    #[test]
+    fn reader_rejects_like_parse() {
+        // Wrong kinds, trailing garbage, and the depth bound reached
+        // through `array` rather than `value`.
+        let mut scratch = String::new();
+        assert!(JsonReader::new("7").str(&mut scratch).is_err());
+        assert!(JsonReader::new("[]").object(|_, _| Ok(())).is_err());
+        assert!(JsonReader::new("{}").array(|_| Ok(())).is_err());
+        assert_eq!(
+            JsonReader::new("[1] x").value().map(|_| ()),
+            Ok(()),
+            "value reads one value"
+        );
+        let mut reader = JsonReader::new("[1] x");
+        reader.value().unwrap();
+        assert_eq!(
+            reader.finish().unwrap_err(),
+            Json::parse("[1] x").unwrap_err()
+        );
+        fn descend(r: &mut JsonReader<'_>) -> Result<(), JsonError> {
+            match r.peek_kind()? {
+                ValueKind::Array => r.array(descend),
+                _ => r.value().map(drop),
+            }
+        }
+        let deep = "[".repeat(200) + &"]".repeat(200);
+        assert_eq!(
+            descend(&mut JsonReader::new(&deep)).unwrap_err(),
+            Json::parse(&deep).unwrap_err()
+        );
+        let ok = "[".repeat(100) + "1" + &"]".repeat(100);
+        let mut reader = JsonReader::new(&ok);
+        descend(&mut reader).unwrap();
+        reader.finish().unwrap();
+    }
+
+    #[test]
+    fn writers_print_what_display_prints() {
+        for s in ["", "plain", "q\"b\\s\n\r\t\u{1}\u{1f}\u{7f}", "é😀名"] {
+            let mut out = String::new();
+            write_string(&mut out, s).unwrap();
+            assert_eq!(out, Json::from(s).to_string());
+            assert_eq!(Json::parse(&out).unwrap().as_str(), Some(s));
+        }
+        for x in [
+            0.0,
+            -0.0,
+            3.0,
+            0.1,
+            1e15,
+            1e300,
+            f64::NAN,
+            f64::NEG_INFINITY,
+        ] {
+            let mut out = String::new();
+            write_float(&mut out, x).unwrap();
+            assert_eq!(out, Json::Float(x).to_string());
+        }
     }
 
     #[test]
