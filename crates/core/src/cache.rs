@@ -444,7 +444,11 @@ pub fn column_fingerprints(
 }
 
 /// [`column_fingerprints`] from retained [`ColumnHashState`]s instead
-/// of rehashing every cell — the delta-chain fast path for recrawls.
+/// of rehashing every cell. No request path calls it: recrawls take
+/// their fingerprints from `recrawl_fingerprints`. It stays public
+/// only because the serving benchmark's in-process twin still hashes
+/// through it, until that twin reads its layers from the server
+/// (ROADMAP item 7).
 ///
 /// `states` must hold one state per column of `table`, already
 /// advanced over the deltas that produced this crawl (see

@@ -304,9 +304,9 @@ impl CascadeExecutor {
                 && d.movements.len() == n
         });
         // One pass over the table's cells, shared by every step — or,
-        // on the delta path, the chained fingerprints computed by the
-        // caller from retained hash states (bit-identical, O(changed
-        // cells) instead of O(cells)).
+        // on the delta path, the fingerprints the caller computed with
+        // the base's (`recrawl_fingerprints`: each new cell hashed
+        // once, bit-identical to this pass).
         let fingerprints: Option<Vec<ColumnFingerprint>> = cache.map(|cc| match delta {
             Some(d) => d.fingerprints.to_vec(),
             None => column_fingerprints(table, &cascade.step_ids(), config, cc.epoch),

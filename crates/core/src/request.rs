@@ -7,10 +7,10 @@
 //! queue** when load spikes. The bare `annotate(&Table)` call cannot
 //! express any of that, so the entry points take an
 //! [`AnnotationRequest`] — a table plus [`RequestOptions`] carrying a
-//! per-request nanosecond budget, a [`DegradationPolicy`], and
-//! execution overrides — and return an [`AnnotationOutcome`]: the
-//! annotation plus a [`DegradationReport`] recording exactly which
-//! steps were skipped or truncated, why, and the budget accounting.
+//! per-request nanosecond budget and a [`DegradationPolicy`] — and
+//! return an [`AnnotationOutcome`]: the annotation plus a
+//! [`DegradationReport`] recording exactly which steps were skipped or
+//! truncated, why, and the budget accounting.
 //!
 //! # Degradation semantics
 //!
@@ -55,7 +55,6 @@
 
 use crate::backend::EmbeddingBackendKind;
 use crate::cost::CostModel;
-use crate::executor::ParallelismPolicy;
 use crate::prediction::{StepId, TableAnnotation};
 use crate::tenant::TenantId;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -101,9 +100,13 @@ pub enum TelemetryVerbosity {
     Minimal,
 }
 
-/// Per-request options: budget, degradation policy, and execution
-/// overrides. `Default` is `Strict`, unbounded, no overrides — the
-/// exact behavior of `annotate(&Table)`.
+/// Per-request options: budget, degradation policy, cache and
+/// telemetry choices. `Default` is `Strict`, unbounded, no overrides —
+/// the exact behavior of `annotate(&Table)`. How a request runs is
+/// never its own choice: the parallelism policy is the customer's
+/// [`SigmaTyperConfig`](crate::config::SigmaTyperConfig), and the
+/// column threads are the config's, or the serving
+/// [`AnnotationService`](crate::service::AnnotationService)'s share.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RequestOptions {
     /// Nanosecond budget for this request (`None` = unbounded; see
@@ -114,16 +117,6 @@ pub struct RequestOptions {
     /// What to do when the budget no longer covers the remaining
     /// cascade.
     pub policy: DegradationPolicy,
-    /// Override the customer's configured
-    /// [`ParallelismPolicy`] for
-    /// this request only (`None` = use
-    /// [`SigmaTyperConfig::parallelism`](crate::config::SigmaTyperConfig::parallelism)).
-    pub parallelism: Option<ParallelismPolicy>,
-    /// Override the intra-table column-worker budget for this request
-    /// only (`None` = use
-    /// [`SigmaTyperConfig::column_threads`](crate::config::SigmaTyperConfig::column_threads)).
-    /// Ignored by the batch scheduler, which owns the thread split.
-    pub column_threads: Option<usize>,
     /// Skip the step cache entirely for this request: no consults, no
     /// inserts. For forced recomputation (an operator suspecting a
     /// poisoned backend) — output is bit-identical either way.
@@ -133,11 +126,9 @@ pub struct RequestOptions {
     /// Override the embedding-inference backend for this request only
     /// (`None` = use
     /// [`SigmaTyperConfig::embedding_backend`](crate::config::SigmaTyperConfig::embedding_backend)).
-    /// Unlike the execution overrides above, a backend override *does*
-    /// move the cache fingerprint when it selects a non-default
-    /// backend: approximate backends score differently, so their
-    /// cached step results must never cross-serve (see
-    /// [`crate::backend`]).
+    /// A non-default backend moves the cache fingerprint: approximate
+    /// backends score differently, so their cached step results must
+    /// never cross-serve (see [`crate::backend`]).
     pub embedding_backend: Option<EmbeddingBackendKind>,
     /// Override the delta-reuse sensitivity threshold for this request
     /// only (`None` = use
@@ -168,20 +159,6 @@ impl RequestOptions {
     #[must_use]
     pub fn with_policy(mut self, policy: DegradationPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Builder-style: override the parallelism policy.
-    #[must_use]
-    pub fn with_parallelism(mut self, policy: ParallelismPolicy) -> Self {
-        self.parallelism = Some(policy);
-        self
-    }
-
-    /// Builder-style: override the column-worker budget.
-    #[must_use]
-    pub fn with_column_threads(mut self, threads: usize) -> Self {
-        self.column_threads = Some(threads);
         self
     }
 
@@ -306,7 +283,7 @@ pub fn forced_step_budget_nanos() -> Option<u64> {
 pub struct AnnotationRequest<'a> {
     /// The table to annotate.
     pub table: &'a Table,
-    /// Budget, policy, and execution overrides.
+    /// Budget, policy, cache and telemetry options.
     pub options: RequestOptions,
     /// A previous crawl of the same table, enabling the delta-aware
     /// recrawl path (see [`with_base`](AnnotationRequest::with_base)).
@@ -375,20 +352,6 @@ impl<'a> AnnotationRequest<'a> {
     #[must_use]
     pub fn with_policy(mut self, policy: DegradationPolicy) -> Self {
         self.options = self.options.with_policy(policy);
-        self
-    }
-
-    /// Builder-style: override the parallelism policy.
-    #[must_use]
-    pub fn with_parallelism(mut self, policy: ParallelismPolicy) -> Self {
-        self.options = self.options.with_parallelism(policy);
-        self
-    }
-
-    /// Builder-style: override the column-worker budget.
-    #[must_use]
-    pub fn with_column_threads(mut self, threads: usize) -> Self {
-        self.options = self.options.with_column_threads(threads);
         self
     }
 
@@ -662,8 +625,6 @@ mod tests {
         let opts = RequestOptions::default();
         assert_eq!(opts.policy, DegradationPolicy::Strict);
         assert_eq!(opts.budget_nanos, None);
-        assert_eq!(opts.parallelism, None);
-        assert_eq!(opts.column_threads, None);
         assert!(!opts.bypass_cache);
         assert_eq!(opts.telemetry, TelemetryVerbosity::Full);
         assert_eq!(opts.delta_sensitivity, None);
@@ -675,15 +636,11 @@ mod tests {
         let opts = RequestOptions::default()
             .with_budget_nanos(500)
             .with_policy(DegradationPolicy::BestEffort)
-            .with_parallelism(ParallelismPolicy::Off)
-            .with_column_threads(2)
             .with_cache_bypassed()
             .with_telemetry(TelemetryVerbosity::Minimal)
             .with_delta_sensitivity(0.1);
         assert_eq!(opts.budget_nanos, Some(500));
         assert_eq!(opts.policy, DegradationPolicy::BestEffort);
-        assert_eq!(opts.parallelism, Some(ParallelismPolicy::Off));
-        assert_eq!(opts.column_threads, Some(2));
         assert!(opts.bypass_cache);
         assert_eq!(opts.telemetry, TelemetryVerbosity::Minimal);
         assert_eq!(opts.delta_sensitivity, Some(0.1));

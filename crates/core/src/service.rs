@@ -429,17 +429,6 @@ impl AnnotationService {
         self.with_cache(Arc::new(ShardedLruCache::new(capacity)))
     }
 
-    /// Set the customer's intra-table [`ParallelismPolicy`] — when a
-    /// table worker may fan a step's pending columns out across its
-    /// budget share (see the [module docs](self) for the two-level
-    /// split). Execution strategy only: output is bit-identical under
-    /// any policy.
-    #[must_use]
-    pub fn with_parallelism(mut self, policy: ParallelismPolicy) -> Self {
-        self.typer.config_mut().parallelism = policy;
-        self
-    }
-
     /// The configured worker-thread count.
     #[must_use]
     pub fn threads(&self) -> usize {
@@ -520,10 +509,9 @@ impl AnnotationService {
     ///
     /// With default options (`Strict`, unbounded) and no bases every
     /// annotation is bit-identical to
-    /// [`AnnotationService::annotate_batch`]. The request's
-    /// `parallelism` override replaces the customer's configured
-    /// policy for this batch; `column_threads` is ignored (the
-    /// scheduler owns the thread split).
+    /// [`AnnotationService::annotate_batch`]. Chunking follows the
+    /// customer's configured [`ParallelismPolicy`]; the scheduler owns
+    /// the thread split.
     ///
     /// [`DegradationPolicy`]: crate::request::DegradationPolicy
     /// [`DegradationReport`]: crate::request::DegradationReport
@@ -608,9 +596,7 @@ impl AnnotationService {
         options: &RequestOptions,
         ledger: &BudgetLedger,
     ) -> Vec<AnnotationOutcome> {
-        let policy = options
-            .parallelism
-            .unwrap_or(self.typer.config().parallelism);
+        let policy = self.typer.config().parallelism;
         two_level_run(tables.len(), self.threads, policy, &|i, executor| {
             let base = bases.get(i).copied().flatten();
             self.typer
@@ -705,6 +691,14 @@ mod tests {
                 Arc::new(train_global(ontology, &corpus, &TrainingConfig::fast()))
             })
             .clone()
+    }
+
+    /// The default customer config with `parallelism` as its policy.
+    fn config_with(parallelism: ParallelismPolicy) -> SigmaTyperConfig {
+        SigmaTyperConfig {
+            parallelism,
+            ..SigmaTyperConfig::default()
+        }
     }
 
     fn batch(seed: u64, n: usize) -> Vec<Table> {
@@ -934,9 +928,11 @@ mod tests {
     /// threads idle.
     #[test]
     fn lone_wide_table_gets_the_whole_budget_as_column_chunks() {
-        let service = AnnotationService::new(global(), SigmaTyperConfig::default())
-            .with_threads(4)
-            .with_parallelism(ParallelismPolicy::PerTableThreshold { min_columns: 2 });
+        let service = AnnotationService::new(
+            global(),
+            config_with(ParallelismPolicy::PerTableThreshold { min_columns: 2 }),
+        )
+        .with_threads(4);
         // Opaque headers keep a wide frontier alive past the header step.
         let columns: Vec<tu_table::Column> = (0..8)
             .map(|i| {
@@ -959,9 +955,8 @@ mod tests {
                 .collect::<Vec<_>>()
         );
         // And the chunked result is bit-identical to a sequential one.
-        let sequential = AnnotationService::new(global(), SigmaTyperConfig::default())
-            .with_threads(1)
-            .with_parallelism(ParallelismPolicy::Off);
+        let sequential =
+            AnnotationService::new(global(), config_with(ParallelismPolicy::Off)).with_threads(1);
         assert_identical(&sequential.annotate_batch(&[wide])[0], &anns[0]);
     }
 
@@ -984,9 +979,11 @@ mod tests {
         // Behavior: a 5-table batch on an 8-thread budget stays
         // bit-identical to the sequential pass whatever worker picked
         // up which table (chunked or not).
-        let service = AnnotationService::new(global(), SigmaTyperConfig::default())
-            .with_threads(8)
-            .with_parallelism(ParallelismPolicy::PerTableThreshold { min_columns: 2 });
+        let service = AnnotationService::new(
+            global(),
+            config_with(ParallelismPolicy::PerTableThreshold { min_columns: 2 }),
+        )
+        .with_threads(8);
         let mk_wide = |seed: usize| {
             let columns: Vec<tu_table::Column> = (0..6)
                 .map(|i| {
@@ -1001,9 +998,8 @@ mod tests {
         let tables: Vec<Table> = (0..5).map(mk_wide).collect();
         let anns = service.annotate_batch(&tables);
         assert_eq!(anns.len(), 5);
-        let sequential = AnnotationService::new(global(), SigmaTyperConfig::default())
-            .with_threads(1)
-            .with_parallelism(ParallelismPolicy::Off);
+        let sequential =
+            AnnotationService::new(global(), config_with(ParallelismPolicy::Off)).with_threads(1);
         for (a, b) in anns.iter().zip(&sequential.annotate_batch(&tables)) {
             assert_identical(a, b);
         }
@@ -1014,9 +1010,11 @@ mod tests {
     /// tables interleaved, batch larger than the budget).
     #[test]
     fn two_level_scheduler_matches_sequential_on_mixed_batches() {
-        let service = AnnotationService::new(global(), SigmaTyperConfig::default())
-            .with_threads(3)
-            .with_parallelism(ParallelismPolicy::FixedChunk { columns: 2 });
+        let service = AnnotationService::new(
+            global(),
+            config_with(ParallelismPolicy::FixedChunk { columns: 2 }),
+        )
+        .with_threads(3);
         let mut tables = batch(0x31, 7);
         let wide_cols: Vec<tu_table::Column> = (0..9)
             .map(|i| tu_table::Column::from_raw(format!("zz_{i}"), &["alpha beta", "gamma delta"]))

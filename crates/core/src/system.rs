@@ -581,25 +581,19 @@ impl SigmaTyper {
             .into_annotation()
     }
 
-    /// Annotate under a typed [`AnnotationRequest`]: budget, degradation
-    /// policy, and execution overrides per request (see
-    /// [`crate::request`] for the semantics). Returns the annotation
+    /// Annotate under a typed [`AnnotationRequest`]: budget and
+    /// degradation policy per request (see [`crate::request`] for the
+    /// semantics), executed as [`SigmaTyperConfig::parallelism`] and
+    /// [`SigmaTyperConfig::column_threads`] say. Returns the annotation
     /// plus the [`DegradationReport`] recording which steps were
     /// skipped or truncated and the budget accounting.
     #[must_use]
     pub fn annotate_request(&self, request: &AnnotationRequest<'_>) -> AnnotationOutcome {
-        let mut config = self.config;
-        if let Some(policy) = request.options.parallelism {
-            config.parallelism = policy;
-        }
-        if let Some(threads) = request.options.column_threads {
-            config.column_threads = threads;
-        }
         let (budget, _) = request.options.resolved();
         self.annotate_request_shared_with_base(
             request.table,
             request.base,
-            &CascadeExecutor::from_config(&config),
+            &CascadeExecutor::from_config(&self.config),
             &request.options,
             &BudgetLedger::from_budget(budget),
         )
@@ -1670,30 +1664,6 @@ mod tests {
                 assert_eq!(a.steps_run, b.steps_run);
             }
         }
-    }
-
-    #[test]
-    fn request_parallelism_override_chunks_without_touching_config() {
-        use crate::request::AnnotationRequest;
-        let st = system();
-        assert_eq!(
-            st.config().parallelism,
-            ParallelismPolicy::default(),
-            "sanity: config stays on the default policy"
-        );
-        let table = opaque_table(4);
-        let outcome = st.annotate_request(
-            &AnnotationRequest::new(&table)
-                .with_parallelism(ParallelismPolicy::FixedChunk { columns: 1 })
-                .with_column_threads(2),
-        );
-        assert!(
-            outcome.annotation.timings.iter().any(|t| t.chunks >= 2),
-            "FixedChunk{{1}} over a 4-column frontier must chunk"
-        );
-        // And the override is per-request: output stays bit-identical
-        // to the plain path (execution strategy is output-invariant).
-        assert_same_annotation(&st.annotate(&table), &outcome.annotation);
     }
 
     #[test]

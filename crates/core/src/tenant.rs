@@ -218,11 +218,21 @@ impl TenantRegistry {
     /// every budgeted lane, so a newcomer is never over quota before
     /// it has spent anything.
     pub fn intern(&self, name: &str) -> TenantId {
+        self.intern_bounded(name, usize::MAX)
+            .expect("no registry holds usize::MAX tenants")
+    }
+
+    /// [`intern`](TenantRegistry::intern), unless `name` is new and the
+    /// registry already holds `max_tenants` tenants: then `None`, and
+    /// nothing is interned. The check and the insert share one lock,
+    /// so concurrent new names cannot overshoot the bound.
+    pub fn intern_bounded(&self, name: &str, max_tenants: usize) -> Option<TenantId> {
         let mut inner = self.lock();
         if let Some(&idx) = inner.names.get(name) {
-            return TenantId(idx);
+            return Some(TenantId(idx));
         }
-        self.insert_locked(&mut inner, name, DEFAULT_WEIGHT)
+        (inner.accounts.len() < max_tenants)
+            .then(|| self.insert_locked(&mut inner, name, DEFAULT_WEIGHT))
     }
 
     /// Intern `name` with an explicit fairness weight (clamped to a
@@ -581,9 +591,9 @@ pub enum ShapedBudget {
 }
 
 /// The two lane ledgers, their serving counters, and the tenant
-/// registry — one shaping decision surface consulted by the HTTP
-/// server's admission/serve path and the load lab's in-process driver,
-/// so both enforce byte-for-byte the same policy.
+/// registry — one shaping decision surface, consulted by the serve
+/// loop the HTTP server and the load lab's in-process driver share
+/// (`tu_server::WorkerPool`), so both enforce the same policy.
 #[derive(Debug)]
 pub struct TrafficShaper {
     lanes: [ShapedLane; 2],
@@ -836,6 +846,28 @@ mod tests {
         assert_eq!(reg.lookup("beta"), Some(b));
         assert_eq!(reg.lookup("gamma"), None);
         assert_eq!(reg.weight(a), Some(DEFAULT_WEIGHT));
+    }
+
+    #[test]
+    fn bounded_interning_stops_at_the_cap_under_contention() {
+        let reg = TenantRegistry::new();
+        let known = reg.register("known", 2.0);
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let reg = &reg;
+                scope.spawn(move || {
+                    for i in 0..8 {
+                        let _ = reg.intern_bounded(&format!("t{t}-{i}"), 8);
+                    }
+                });
+            }
+        });
+        assert_eq!(reg.len(), 8, "racing new names never overshoot the cap");
+        assert_eq!(reg.intern_bounded("fresh", 8), None);
+        assert_eq!(reg.lookup("fresh"), None, "a refused name is not interned");
+        assert_eq!(reg.intern_bounded("known", 8), Some(known));
+        assert_eq!(reg.weight(known), Some(2.0));
+        assert_eq!(reg.len(), 8);
     }
 
     #[test]

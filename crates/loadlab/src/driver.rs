@@ -1,23 +1,25 @@
 //! In-process replay driver.
 //!
-//! The HTTP server's serving shape without the wire: a bounded
-//! admission queue, a worker pool driving the sync core, and the
-//! server's own shaping calls — [`TrafficShaper::admit`] at the door
-//! and [`TrafficShaper::serve`] around every annotate — so fairness
-//! behavior measured here is the behavior the server ships. Clients
-//! are closed-loop: each submits its slice of the workload in order
-//! and blocks for the reply before sending the next operation.
+//! The HTTP server's serve loop without the wire: workloads replay on
+//! the server's own [`WorkerPool`] — its bounded admission queue
+//! through [`TrafficShaper::admit`], its workers, its panic
+//! containment — and every operation is served as a batch of one
+//! through [`AnnotationService::annotate_batch_request_shaped`], the
+//! call every served request makes. Fairness behaviour measured here
+//! is therefore the behaviour the server ships. Clients are
+//! closed-loop: each submits its slice of the workload in order and
+//! blocks for the reply before sending the next operation.
 
 use crate::report::{LoadReport, OpResult};
 use crate::workload::{LabOp, Workload};
-use sigmatyper::executor::CascadeExecutor;
 use sigmatyper::request::{DegradationPolicy, RequestOptions};
-use sigmatyper::service::BoundedQueue;
+use sigmatyper::service::AnnotationService;
 use sigmatyper::tenant::{TenantId, TenantRegistry, TrafficShaper};
 use sigmatyper::{GlobalModel, ShardedLruCache, SigmaTyper, StableHasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+use tu_server::WorkerPool;
 
 /// The serving stack a workload is replayed against.
 #[derive(Debug, Clone)]
@@ -74,21 +76,15 @@ fn outcome_digest(annotation: &sigmatyper::TableAnnotation) -> [u64; 2] {
     h.finish128()
 }
 
-struct LabJob {
-    op: usize,
-    reply: mpsc::Sender<OpResult>,
-}
-
-/// One worker's job: annotate `op` through [`TrafficShaper::serve`],
-/// the grant → run → settle sequence the server's single requests use.
+/// One operation on a worker: annotate `op` as a batch of one,
+/// timed from when the worker picked it up.
 fn serve_op(
-    typer: &SigmaTyper,
-    executor: &CascadeExecutor,
+    service: &AnnotationService,
     shaper: &TrafficShaper,
     op: &LabOp,
     tenant: TenantId,
-    submitted: Instant,
 ) -> OpResult {
+    let started = Instant::now();
     // BestEffort everywhere: the load lab exists to measure graceful
     // degradation, so every operation opts into the truncating path.
     // Sensitivity 0 pins recrawls to the bit-exact delta path: reuse
@@ -101,16 +97,14 @@ fn serve_op(
         tenant: Some(tenant),
         ..RequestOptions::default()
     };
-    let outcome = shaper
-        .serve(op.lane, tenant, None, |ledger| {
-            vec![typer.annotate_request_shared_with_base(
-                &op.table,
-                op.base.as_ref(),
-                executor,
-                &options,
-                ledger,
-            )]
-        })
+    let outcome = service
+        .annotate_batch_request_shaped(
+            std::slice::from_ref(&op.table),
+            &[op.base.as_ref()],
+            &options,
+            shaper,
+            op.lane,
+        )
         .remove(0);
     let degraded = outcome.degraded();
     OpResult {
@@ -121,7 +115,7 @@ fn serve_op(
         degraded,
         delta_reused: outcome.degradation.delta_reused as u64,
         spent_nanos: outcome.degradation.spent_nanos,
-        latency_nanos: submitted.elapsed().as_nanos() as u64,
+        latency_nanos: started.elapsed().as_nanos() as u64,
         digest: (!degraded).then(|| outcome_digest(&outcome.annotation)),
     }
 }
@@ -140,7 +134,6 @@ pub fn run_in_process(
     if target.cache_capacity > 0 {
         builder = builder.step_cache(Arc::new(ShardedLruCache::new(target.cache_capacity)));
     }
-    let typer = builder.build();
     let registry = Arc::new(if target.shaping {
         TenantRegistry::new()
     } else {
@@ -157,98 +150,47 @@ pub fn run_in_process(
         target.crawl_budget_nanos,
         target.budget_window,
     );
-    let queue: BoundedQueue<LabJob> = BoundedQueue::new(target.queue_capacity);
-    let executor = CascadeExecutor::from_config(typer.config());
-    let results: Mutex<Vec<OpResult>> = Mutex::new(Vec::with_capacity(workload.ops.len()));
-    let started = Instant::now();
-    let clients = target.clients.max(1);
+    let pool = WorkerPool::start(
+        AnnotationService::for_customer(builder.build()),
+        shaper,
+        target.workers,
+        target.queue_capacity,
+    );
+    // Jobs outlive this call's borrows, so they share the operations
+    // through one `Arc`, copied before the replay clock starts.
+    let ops: Arc<[LabOp]> = workload.ops.clone().into();
+    let results: Mutex<Vec<OpResult>> = Mutex::new(Vec::with_capacity(ops.len()));
     // Clients pull the next unclaimed operation from a shared cursor,
     // preserving global submission order while keeping every client
     // busy.
     let cursor = AtomicUsize::new(0);
+    let started = Instant::now();
 
     std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..target.workers.max(1))
-            .map(|_| {
-                let queue = &queue;
-                let typer = &typer;
-                let executor = &executor;
-                let shaper = &shaper;
-                let workload = &workload;
-                let tenant_ids = &tenant_ids;
-                scope.spawn(move || {
-                    while let Some(job) = queue.pop() {
-                        let op = &workload.ops[job.op];
-                        let result = serve_op(
-                            typer,
-                            executor,
-                            shaper,
-                            op,
-                            tenant_ids[op.tenant],
-                            Instant::now(),
-                        );
-                        let _ = job.reply.send(result);
-                    }
-                })
-            })
-            .collect();
-
-        let client_handles: Vec<_> = (0..clients)
-            .map(|_| {
-                let queue = &queue;
-                let shaper = &shaper;
-                let workload = &workload;
-                let tenant_ids = &tenant_ids;
-                let results = &results;
-                let cursor = &cursor;
-                scope.spawn(move || loop {
-                    let idx = cursor.fetch_add(1, Ordering::SeqCst);
-                    let Some(op) = workload.ops.get(idx) else {
-                        break;
-                    };
-                    let submitted = Instant::now();
-                    let (tx, rx) = mpsc::channel();
-                    let job = LabJob { op: idx, reply: tx };
-                    let result = match shaper.admit(queue, op.lane, tenant_ids[op.tenant], job) {
-                        Ok(()) => rx.recv().unwrap_or_else(|_| OpResult {
-                            op: op.id,
-                            tenant: op.tenant,
-                            lane: op.lane,
-                            served: false,
-                            degraded: false,
-                            delta_reused: 0,
-                            spent_nanos: 0,
-                            latency_nanos: submitted.elapsed().as_nanos() as u64,
-                            digest: None,
-                        }),
-                        Err(_) => OpResult {
-                            op: op.id,
-                            tenant: op.tenant,
-                            lane: op.lane,
-                            served: false,
-                            degraded: false,
-                            delta_reused: 0,
-                            spent_nanos: 0,
-                            latency_nanos: submitted.elapsed().as_nanos() as u64,
-                            digest: None,
-                        },
-                    };
-                    results
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .push(result);
-                })
-            })
-            .collect();
-
-        for handle in client_handles {
-            let _ = handle.join();
-        }
-        queue.close();
-        for handle in workers {
-            let _ = handle.join();
+        for _ in 0..target.clients.max(1) {
+            scope.spawn(|| loop {
+                let idx = cursor.fetch_add(1, Ordering::SeqCst);
+                let Some(op) = ops.get(idx) else {
+                    break;
+                };
+                let tenant = tenant_ids[op.tenant];
+                let submitted = Instant::now();
+                let job_ops = Arc::clone(&ops);
+                let served = pool.submit(op.lane, tenant, move |service, shaper| {
+                    serve_op(service, shaper, &job_ops[idx], tenant)
+                });
+                let result = served.ok().flatten().unwrap_or_else(|| {
+                    OpResult::unserved(op, submitted.elapsed().as_nanos() as u64)
+                });
+                results
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .push(result);
+            });
         }
     });
+    pool.shutdown();
+    let cache = pool.service().cache_stats();
 
     let mut results = results
         .into_inner()
@@ -258,6 +200,6 @@ pub fn run_in_process(
         tenants: workload.tenants.iter().map(|(n, _)| n.clone()).collect(),
         results,
         wall_nanos: started.elapsed().as_nanos() as u64,
-        cache: typer.step_cache().map(|c| c.stats()),
+        cache,
     }
 }

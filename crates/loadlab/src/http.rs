@@ -45,7 +45,7 @@ fn op_body(op: &LabOp) -> String {
         ("table", table_json(&op.table)),
         (
             "options",
-            // Mirrors the in-process driver: BestEffort degradation,
+            // The in-process driver's options: BestEffort degradation,
             // recrawls pinned to the bit-exact sensitivity-0 path.
             Json::object(vec![
                 ("policy", Json::from("best_effort")),
@@ -140,17 +140,7 @@ pub fn run_http(addr: SocketAddr, workload: &Workload, clients: usize) -> LoadRe
                                 digest: (!degraded).then(|| wire_digest(&outcome)),
                             }
                         }
-                        503 => OpResult {
-                            op: op.id,
-                            tenant: op.tenant,
-                            lane: op.lane,
-                            served: false,
-                            degraded: false,
-                            delta_reused: 0,
-                            spent_nanos: 0,
-                            latency_nanos,
-                            digest: None,
-                        },
+                        503 => OpResult::unserved(op, latency_nanos),
                         status => {
                             panic!("op {idx}: unexpected status {status}: {}", resp.body_str())
                         }

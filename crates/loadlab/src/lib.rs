@@ -15,10 +15,11 @@
 //!   fingerprint reuse), and delta-recrawl sequences exercising the
 //!   incremental path. The same seed always produces the same
 //!   operations ([`Workload::digest`] proves it).
-//! * Drivers: [`run_in_process`] replays a workload against the sync
-//!   core through the same [`TrafficShaper`] admission/budget path the
-//!   HTTP server uses (closed-loop clients, a bounded queue, a worker
-//!   pool); [`run_http`] replays it against a live annotation server
+//! * Drivers: [`run_in_process`] replays a workload as closed-loop
+//!   clients of the HTTP server's own [`WorkerPool`] — its admission
+//!   through [`TrafficShaper`], its workers, its panic containment —
+//!   with every operation served by the call every served request
+//!   makes; [`run_http`] replays it against a live annotation server
 //!   over the wire.
 //! * [`LoadReport`]: structured results — per-lane *and* per-tenant
 //!   served/shed/degraded counts, spend, p50/p99 latency, cache hit
@@ -29,6 +30,7 @@
 //!   are bit-identical between shaped and unshapen runs).
 //!
 //! [`TrafficShaper`]: sigmatyper::TrafficShaper
+//! [`WorkerPool`]: tu_server::WorkerPool
 
 #![warn(missing_docs)]
 

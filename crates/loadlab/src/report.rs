@@ -23,7 +23,9 @@ pub struct OpResult {
     pub tenant: usize,
     /// Lane the operation targeted.
     pub lane: TrafficLane,
-    /// Admitted and annotated (`false` = shed at admission).
+    /// Admitted and annotated. `false` = shed at admission or, in
+    /// [`run_in_process`](crate::run_in_process) only, a run that
+    /// panicked; the report counts both as shed.
     pub served: bool,
     /// Did the annotation degrade (steps skipped or truncated)?
     pub degraded: bool,
@@ -40,6 +42,24 @@ pub struct OpResult {
     pub digest: Option<[u64; 2]>,
 }
 
+impl OpResult {
+    /// The result of `op` when it was not served: shed at admission,
+    /// or its job panicked.
+    pub(crate) fn unserved(op: &crate::workload::LabOp, latency_nanos: u64) -> OpResult {
+        OpResult {
+            op: op.id,
+            tenant: op.tenant,
+            lane: op.lane,
+            served: false,
+            degraded: false,
+            delta_reused: 0,
+            spent_nanos: 0,
+            latency_nanos,
+            digest: None,
+        }
+    }
+}
+
 /// Aggregated counters for one slice of a report (a lane, a tenant, a
 /// tenant×lane cell, or everything).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -48,7 +68,8 @@ pub struct BucketStats {
     pub submitted: u64,
     /// Operations annotated.
     pub served: u64,
-    /// Operations refused at admission.
+    /// Operations not served: refused at admission, or (in-process)
+    /// whose run panicked.
     pub shed: u64,
     /// Served operations that degraded.
     pub degraded: u64,

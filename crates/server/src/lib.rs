@@ -7,12 +7,12 @@
 //! # Architecture
 //!
 //! ```text
-//! clients ──HTTP──▶ httpshim (1 thread/conn) ──▶ BoundedQueue ──▶ worker pool ──▶ SigmaTyper
-//!                        │ 503 + Retry-After ◀──┘ (full)              │
-//!                        ◀──────────────── reply channel ◀────────────┘
+//! clients ──HTTP──▶ httpshim (1 thread/conn) ──▶ WorkerPool: BoundedQueue ──▶ workers ──▶ AnnotationService
+//!                        │ 503 + Retry-After ◀──┘ (full)                         │
+//!                        ◀──────────────────── reply channel ◀───────────────────┘
 //! ```
 //!
-//! * **Admission** ([`BoundedQueue`] + [`TrafficShaper`]): every
+//! * **Admission** ([`WorkerPool`] + [`TrafficShaper`]): every
 //!   request is queued or shed — never buffered without bound. A full
 //!   queue answers `503 Service Unavailable` with a `Retry-After`
 //!   derived from the shedding lane's actual window-refill time (the
@@ -27,23 +27,26 @@
 //!   degrade per their policy while the other lane is untouched.
 //! * **Tenants** ([`TenantRegistry`]): the `x-sigma-tenant` header
 //!   names the account a request's spend is charged to (absent =
-//!   the shared `anonymous` account). Per-tenant weighted deficits
-//!   decide who is over quota. An in-quota tenant past its share of
-//!   the window spends burst credit only from budget that no other
-//!   in-quota tenant's unspent share claims, and an over-quota
+//!   the shared `anonymous` account). New names are interned only
+//!   while the registry holds fewer than 1,024 tenants; past that, a
+//!   name it does not hold is refused with `400`. Per-tenant weighted
+//!   deficits decide who is over quota. An in-quota tenant past its
+//!   share of the window spends burst credit only from budget that no
+//!   other in-quota tenant's unspent share claims, and an over-quota
 //!   tenant's requests run under a cap carved from the lane window's
 //!   *unreserved* remainder (in-quota tenants' outstanding deficits
 //!   are protected), so heavy tenants degrade first while light
 //!   tenants keep their entitlement.
 //!   Shaping never changes annotation results — only scheduling,
 //!   shedding, and which requests degrade.
-//! * **Workers**: a fixed pool popping jobs and driving one long-lived
-//!   [`AnnotationService`] — singles through
-//!   [`TrafficShaper::serve`] into
-//!   [`SigmaTyper::annotate_request_shared_with_base`], batches through
-//!   the service's two-level scheduler. A job that panics costs only
-//!   itself: the worker answers `500` with a JSON error, counts the
-//!   panic in `/metrics`, and pops the next job.
+//! * **Workers** ([`WorkerPool`]): a fixed pool popping jobs and
+//!   driving one long-lived [`AnnotationService`]. Every served
+//!   request is one call to
+//!   [`AnnotationService::annotate_batch_request_shaped`]: a batch is
+//!   one shaped batch, and a single `/annotate` is a batch of one
+//!   with its optional base. A job that panics costs only itself: the
+//!   worker answers `500` with a JSON error, counts the panic in
+//!   `/metrics`, and pops the next job.
 //! * **Feedback**: `POST /feedback` takes the service write lock,
 //!   runs the paper's adaptation loop, and bumps the epoch — connected
 //!   clients observe the invalidation on their next request.
@@ -69,31 +72,38 @@
 
 #![warn(missing_docs)]
 
+mod pool;
 pub mod wire;
+
+pub use crate::pool::WorkerPool;
 
 use crate::wire::{AnnotateBody, BatchBody, FeedbackBody};
 use httpshim::{HttpServer, Request, Response};
 use jsonshim::Json;
 use sigmatyper::cache::CacheStats;
-use sigmatyper::executor::CascadeExecutor;
-use sigmatyper::request::RequestOptions;
-use sigmatyper::service::{AnnotationService, BoundedQueue, QueueRejection, TrafficLane};
+use sigmatyper::request::{AnnotationOutcome, RequestOptions};
+use sigmatyper::service::{AnnotationService, QueueRejection, TrafficLane};
 use sigmatyper::tenant::{
     TenantId, TenantRegistry, TenantSnapshot, TrafficShaper, ANONYMOUS_TENANT,
 };
 use sigmatyper::SigmaTyper;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
+use tu_ontology::Ontology;
+use tu_table::Table;
 
 /// Longest accepted `x-sigma-tenant` value: tenant names are interned
 /// forever, so unbounded attacker-chosen names would be a memory leak.
 const MAX_TENANT_NAME_LEN: usize = 128;
+
+/// Most tenants the registry may hold before an `x-sigma-tenant` name
+/// it does not know is refused: every interned tenant lives forever,
+/// shows up in `/metrics`, is walked by every shaping decision, and
+/// dilutes every other tenant's quantum with its weight.
+const MAX_TENANTS: usize = 1024;
 
 /// Serving knobs of an [`AnnotationServer`].
 #[derive(Debug, Clone)]
@@ -120,7 +130,8 @@ pub struct ServerConfig {
     /// (`(name, weight)`); weight is relative share of each lane's
     /// window. Tenants not listed here are interned on first sight at
     /// weight 1.0, as is the `anonymous` account for requests without
-    /// an `x-sigma-tenant` header.
+    /// an `x-sigma-tenant` header; a new header name is interned only
+    /// while the registry holds fewer than 1,024 tenants.
     pub tenant_weights: Vec<(String, f64)>,
 }
 
@@ -138,43 +149,10 @@ impl Default for ServerConfig {
     }
 }
 
-/// A job admitted into the queue: the parsed request plus the reply
-/// channel its connection thread blocks on (the worker sends the
-/// response body, or `None` when serving the job panicked).
-enum Job {
-    Single {
-        table: tu_table::Table,
-        /// Previously crawled version of `table`, when the client sent
-        /// one: the request becomes an incremental recrawl.
-        base: Option<tu_table::Table>,
-        options: RequestOptions,
-        lane: TrafficLane,
-        tenant: TenantId,
-        reply: mpsc::Sender<Option<String>>,
-    },
-    Batch {
-        tables: Vec<tu_table::Table>,
-        options: RequestOptions,
-        lane: TrafficLane,
-        tenant: TenantId,
-        reply: mpsc::Sender<Option<String>>,
-    },
-}
-
 struct ServerState {
-    /// The customer's one long-lived service: workers annotate under
-    /// the read lock, `/feedback` adapts under the write lock.
-    service: RwLock<AnnotationService>,
-    queue: BoundedQueue<Job>,
-    /// Lane ledgers, lane/tenant counters, and the tenant registry —
-    /// every admission and budget decision flows through here.
-    shaper: TrafficShaper,
-    in_flight: AtomicUsize,
-    /// Jobs whose serving panicked (answered `500`, never counted as
-    /// served): with the lanes' served and shed counts this accounts
-    /// for every arrival.
-    panics: AtomicU64,
-    workers: usize,
+    /// The serve loop: admission queue, workers, the long-lived
+    /// service and the shaper. A job answers with its response body.
+    pool: WorkerPool<String>,
     retry_after_secs: u32,
     shutdown_requested: AtomicBool,
     /// Baseline for the `/metrics` cache delta: stats at the previous
@@ -183,28 +161,13 @@ struct ServerState {
 }
 
 impl ServerState {
-    fn service(&self) -> RwLockReadGuard<'_, AnnotationService> {
-        self.service
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Lane- and tenant-tiered admission (see [`TrafficShaper::admit`]):
-    /// over-quota crawl sheds at a quarter of capacity, in-quota crawl
-    /// and over-quota interactive at half, in-quota interactive only
-    /// when genuinely full. The shaper records the shed against both
-    /// the lane and the tenant.
-    fn admit(&self, lane: TrafficLane, tenant: TenantId, job: Job) -> Result<(), QueueRejection> {
-        self.shaper.admit(&self.queue, lane, tenant, job)
-    }
-
     /// `Retry-After` for a shed on `lane`: time until the lane's
     /// budget window refills (rounded up), floored at the configured
     /// constant. Unbudgeted lanes have no refill event, so they
     /// advertise the floor.
     fn retry_after_secs(&self, lane: TrafficLane) -> u64 {
         let floor = u64::from(self.retry_after_secs);
-        match self.shaper.lane_ledger(lane).window_remaining() {
+        match self.pool.shaper().lane_ledger(lane).window_remaining() {
             Some(left) => floor.max(left.as_secs_f64().ceil() as u64),
             None => floor,
         }
@@ -227,13 +190,12 @@ impl ServerState {
     }
 }
 
-/// A running annotation server: HTTP front-end, admission queue, and
-/// worker pool over one customer [`SigmaTyper`], served through one
-/// long-lived [`AnnotationService`].
+/// A running annotation server: the HTTP front on a [`WorkerPool`]
+/// over one customer [`SigmaTyper`], served through one long-lived
+/// [`AnnotationService`].
 pub struct AnnotationServer {
     http: HttpServer,
     state: Arc<ServerState>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl AnnotationServer {
@@ -252,39 +214,26 @@ impl AnnotationServer {
         for (name, weight) in &config.tenant_weights {
             registry.register(name, *weight);
         }
-        let workers = config.workers.max(1);
+        let shaper = TrafficShaper::new(
+            registry,
+            config.interactive_budget_nanos,
+            config.crawl_budget_nanos,
+            config.budget_window,
+        );
         let state = Arc::new(ServerState {
-            service: RwLock::new(AnnotationService::for_customer(typer).with_threads(workers)),
-            queue: BoundedQueue::new(config.queue_capacity),
-            shaper: TrafficShaper::new(
-                registry,
-                config.interactive_budget_nanos,
-                config.crawl_budget_nanos,
-                config.budget_window,
+            pool: WorkerPool::start(
+                AnnotationService::for_customer(typer),
+                shaper,
+                config.workers,
+                config.queue_capacity,
             ),
-            in_flight: AtomicUsize::new(0),
-            panics: AtomicU64::new(0),
-            workers,
             retry_after_secs: config.retry_after_secs,
             shutdown_requested: AtomicBool::new(false),
             metrics_baseline: Mutex::new(CacheStats::default()),
         });
-        let workers = (0..state.workers)
-            .map(|i| {
-                let state = Arc::clone(&state);
-                std::thread::Builder::new()
-                    .name(format!("annotate-worker-{i}"))
-                    .spawn(move || worker_loop(&state))
-                    .expect("spawn worker thread")
-            })
-            .collect();
         let handler_state = Arc::clone(&state);
         let http = HttpServer::bind(addr, move |req: &Request| route(&handler_state, req))?;
-        Ok(AnnotationServer {
-            http,
-            state,
-            workers,
-        })
+        Ok(AnnotationServer { http, state })
     }
 
     /// The bound address.
@@ -312,107 +261,12 @@ impl AnnotationServer {
         //    they are serving (each blocks on its worker's reply).
         self.http.shutdown();
         self.http.join();
-        // 2. No connections remain, so no new jobs can arrive: close
-        //    the queue and let the workers drain what was admitted.
-        self.state.queue.close();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+        // 2. No connections remain, so no new jobs can arrive: let the
+        //    workers drain what was admitted.
+        self.state.pool.shutdown();
         // 3. Durable state: sync the cache segment.
-        self.state.service().flush()
+        self.state.pool.service().flush()
     }
-}
-
-/// One worker: pop until the queue closes and drains, annotate, reply.
-/// A job that panics is answered `500` (a `None` reply) and counted;
-/// the worker survives to pop the next one.
-fn worker_loop(state: &ServerState) {
-    while let Some(job) = state.queue.pop() {
-        state.in_flight.fetch_add(1, Ordering::SeqCst);
-        let (served, reply) = match job {
-            Job::Single {
-                table,
-                base,
-                options,
-                lane,
-                tenant,
-                reply,
-            } => (
-                catch_unwind(AssertUnwindSafe(|| {
-                    serve_single(state, &table, base.as_ref(), &options, lane, tenant)
-                })),
-                reply,
-            ),
-            Job::Batch {
-                tables,
-                options,
-                lane,
-                tenant,
-                reply,
-            } => (
-                catch_unwind(AssertUnwindSafe(|| {
-                    serve_batch(state, &tables, &options, lane, tenant)
-                })),
-                reply,
-            ),
-        };
-        if served.is_err() {
-            state.panics.fetch_add(1, Ordering::SeqCst);
-        }
-        // Decrement before replying: a client that scrapes `/metrics`
-        // right after its response must not observe its own finished
-        // request as still in flight.
-        state.in_flight.fetch_sub(1, Ordering::SeqCst);
-        let _ = reply.send(served.ok());
-    }
-}
-
-/// Serve one request through [`TrafficShaper::serve`]: an unbudgeted
-/// request from an in-quota tenant charges the lane's shared window
-/// ledger directly — the bit-exact unshapen path, so concurrent
-/// traffic on the lane collectively drains one budget and lane spend
-/// metrics accumulate. A request with its own budget, or from an
-/// over-quota tenant, runs on a local ledger capped by the tighter of
-/// request budget, tenant cap, and lane remainder; the spend is
-/// settled back to the lane and the tenant account either way.
-fn serve_single(
-    state: &ServerState,
-    table: &tu_table::Table,
-    base: Option<&tu_table::Table>,
-    options: &RequestOptions,
-    lane: TrafficLane,
-    tenant: TenantId,
-) -> String {
-    let service = state.service();
-    let typer = service.typer();
-    let executor = CascadeExecutor::from_config(typer.config());
-    let mut options = *options;
-    options.tenant = Some(tenant);
-    let (request_budget, _) = options.resolved();
-    let outcomes = state.shaper.serve(lane, tenant, request_budget, |ledger| {
-        vec![typer.annotate_request_shared_with_base(table, base, &executor, &options, ledger)]
-    });
-    wire::encode_outcome(&outcomes[0], typer.ontology())
-}
-
-/// Batches ride the service's two-level scheduler through
-/// [`AnnotationService::annotate_batch_request_shaped`]: one
-/// batch-wide ledger bounded by the shaper's grant (lane window
-/// remainder ∧ tenant cap ∧ request budget), with the batch's spend
-/// settled back to the lane and tenant when it completes.
-fn serve_batch(
-    state: &ServerState,
-    tables: &[tu_table::Table],
-    options: &RequestOptions,
-    lane: TrafficLane,
-    tenant: TenantId,
-) -> String {
-    let service = state.service();
-    let mut options = *options;
-    options.tenant = Some(tenant);
-    let outcomes =
-        service.annotate_batch_request_shaped(tables, &[], &options, &state.shaper, lane);
-    wire::encode_outcomes(&outcomes, service.typer().ontology())
 }
 
 fn lane_from_request(req: &Request) -> Result<TrafficLane, Response> {
@@ -426,21 +280,36 @@ fn lane_from_request(req: &Request) -> Result<TrafficLane, Response> {
     }
 }
 
-/// Resolve the tenant a request bills to from its `x-sigma-tenant`
-/// header. Absent → the shared `anonymous` account; present → interned
-/// on first sight (weight 1.0 unless pre-registered via
-/// [`ServerConfig::tenant_weights`]). Empty or oversized names are
-/// rejected — interned names live forever, so unbounded
-/// attacker-chosen values would leak memory.
-fn tenant_from_request(state: &ServerState, req: &Request) -> Result<TenantId, Response> {
+/// The tenant name a request bills to, from its `x-sigma-tenant`
+/// header: absent → the shared `anonymous` account. Empty or oversized
+/// names are rejected here, before the body's table is checked; the
+/// name is interned only after the table decoded ([`intern_tenant`]).
+fn tenant_name(req: &Request) -> Result<&str, Response> {
     match req.header("x-sigma-tenant") {
-        None => Ok(state.shaper.registry().intern(ANONYMOUS_TENANT)),
+        None => Ok(ANONYMOUS_TENANT),
         Some("") => Err(bad_request("x-sigma-tenant must not be empty when present")),
         Some(name) if name.len() > MAX_TENANT_NAME_LEN => Err(bad_request(&format!(
             "x-sigma-tenant is limited to {MAX_TENANT_NAME_LEN} bytes"
         ))),
-        Some(name) => Ok(state.shaper.registry().intern(name)),
+        Some(name) => Ok(name),
     }
+}
+
+/// Resolve `name` to its tenant. `anonymous` and every name the
+/// registry already holds (pre-registered ones included) resolve as
+/// always; a new name is interned at weight 1.0 only while the
+/// registry holds fewer than [`MAX_TENANTS`], and refused otherwise.
+fn intern_tenant(state: &ServerState, name: &str) -> Result<TenantId, Response> {
+    let registry = state.pool.shaper().registry();
+    if name == ANONYMOUS_TENANT {
+        return Ok(registry.intern(name));
+    }
+    registry.intern_bounded(name, MAX_TENANTS).ok_or_else(|| {
+        bad_request(&format!(
+            "x-sigma-tenant {name:?} is not a known tenant, and the server already \
+             tracks its limit of {MAX_TENANTS} tenants"
+        ))
+    })
 }
 
 fn bad_request(message: &str) -> Response {
@@ -481,84 +350,87 @@ impl<T> Body<T> {
     }
 }
 
-/// Admit a job and block this connection thread on the worker's reply.
-fn enqueue_and_wait(
+/// Serve `tables` (the first with `/annotate`'s optional `base`) on
+/// the pool as one call to
+/// [`AnnotationService::annotate_batch_request_shaped`] and answer
+/// with `encode`'s body: `503` when admission sheds it, `500` when it
+/// panicked. The tenant is interned only now, after the tables
+/// decoded.
+fn serve(
     state: &ServerState,
     lane: TrafficLane,
-    tenant: TenantId,
-    build: impl FnOnce(mpsc::Sender<Option<String>>) -> Job,
-) -> Response {
-    let (tx, rx) = mpsc::channel();
-    match state.admit(lane, tenant, build(tx)) {
-        Ok(()) => match rx.recv() {
-            Ok(Some(body)) => Response::json(body),
-            Ok(None) | Err(_) => Response::status(500).with_json(
-                Json::object(vec![(
-                    "error",
-                    Json::from("annotation failed: internal error"),
-                )])
-                .to_string(),
-            ),
-        },
+    tenant: &str,
+    tables: Vec<Table>,
+    base: Option<Table>,
+    options: RequestOptions,
+    encode: fn(&[AnnotationOutcome], &Ontology) -> String,
+) -> Result<Response, Response> {
+    let tenant = intern_tenant(state, tenant)?;
+    let options = RequestOptions {
+        tenant: Some(tenant),
+        ..options
+    };
+    let served = state.pool.submit(lane, tenant, move |service, shaper| {
+        let outcomes = service.annotate_batch_request_shaped(
+            &tables,
+            &[base.as_ref()],
+            &options,
+            shaper,
+            lane,
+        );
+        encode(&outcomes, service.typer().ontology())
+    });
+    Ok(match served {
+        Ok(Some(body)) => Response::json(body),
+        Ok(None) => Response::status(500).with_json(
+            Json::object(vec![(
+                "error",
+                Json::from("annotation failed: internal error"),
+            )])
+            .to_string(),
+        ),
         Err(why) => state.shed_response(lane, why),
-    }
+    })
 }
 
+/// `POST /annotate`: a batch of one, with the body's optional base.
+/// Errors are reported in the order the reference path always has:
+/// body, lane header, tenant header, then the body's tables.
 fn handle_annotate(state: &ServerState, req: &Request) -> Response {
-    let body = match read_body(req, AnnotateBody::stream) {
-        Ok(body) => body,
-        Err(resp) => return resp,
-    };
-    let lane = match lane_from_request(req) {
-        Ok(lane) => lane,
-        Err(resp) => return resp,
-    };
-    let tenant = match tenant_from_request(state, req) {
-        Ok(tenant) => tenant,
-        Err(resp) => return resp,
-    };
-    let AnnotateBody {
-        table,
-        base,
-        options,
-    } = match body.decode(AnnotateBody::from_json) {
-        Ok(body) => body,
-        Err(resp) => return resp,
-    };
-    enqueue_and_wait(state, lane, tenant, |reply| Job::Single {
-        table,
-        base,
-        options,
-        lane,
-        tenant,
-        reply,
-    })
+    read_body(req, AnnotateBody::stream)
+        .and_then(|body| {
+            let (lane, tenant) = (lane_from_request(req)?, tenant_name(req)?);
+            let body = body.decode(AnnotateBody::from_json)?;
+            serve(
+                state,
+                lane,
+                tenant,
+                vec![body.table],
+                body.base,
+                body.options,
+                |outcomes, ontology| wire::encode_outcome(&outcomes[0], ontology),
+            )
+        })
+        .unwrap_or_else(|resp| resp)
 }
 
+/// `POST /annotate_batch`: the body's tables as one shaped batch.
 fn handle_annotate_batch(state: &ServerState, req: &Request) -> Response {
-    let body = match read_body(req, BatchBody::stream) {
-        Ok(body) => body,
-        Err(resp) => return resp,
-    };
-    let lane = match lane_from_request(req) {
-        Ok(lane) => lane,
-        Err(resp) => return resp,
-    };
-    let tenant = match tenant_from_request(state, req) {
-        Ok(tenant) => tenant,
-        Err(resp) => return resp,
-    };
-    let BatchBody { tables, options } = match body.decode(BatchBody::from_json) {
-        Ok(body) => body,
-        Err(resp) => return resp,
-    };
-    enqueue_and_wait(state, lane, tenant, |reply| Job::Batch {
-        tables,
-        options,
-        lane,
-        tenant,
-        reply,
-    })
+    read_body(req, BatchBody::stream)
+        .and_then(|body| {
+            let (lane, tenant) = (lane_from_request(req)?, tenant_name(req)?);
+            let body = body.decode(BatchBody::from_json)?;
+            serve(
+                state,
+                lane,
+                tenant,
+                body.tables,
+                None,
+                body.options,
+                wire::encode_outcomes,
+            )
+        })
+        .unwrap_or_else(|resp| resp)
 }
 
 /// `POST /feedback`: the paper's adaptation loop over HTTP. Takes the
@@ -574,10 +446,7 @@ fn handle_feedback(state: &ServerState, req: &Request) -> Response {
         Ok(body) => body,
         Err(resp) => return resp,
     };
-    let mut service = state
-        .service
-        .write()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut service = state.pool.service_mut();
     let typer = service.typer_mut();
     let Some(ty) = typer.ontology().lookup_exact(&type_name) else {
         return bad_request(&format!("unknown type {type_name:?}"));
@@ -589,9 +458,9 @@ fn handle_feedback(state: &ServerState, req: &Request) -> Response {
     )
 }
 
-fn lane_metrics(state: &ServerState, lane: TrafficLane) -> Json {
-    let counters = state.shaper.counters(lane);
-    let ledger = state.shaper.lane_ledger(lane);
+fn lane_metrics(shaper: &TrafficShaper, lane: TrafficLane) -> Json {
+    let counters = shaper.counters(lane);
+    let ledger = shaper.lane_ledger(lane);
     Json::object(vec![
         ("served", Json::from(counters.served())),
         ("shed", Json::from(counters.shed())),
@@ -653,7 +522,8 @@ fn cache_stats_json(stats: &CacheStats) -> Json {
 }
 
 fn handle_metrics(state: &ServerState) -> Response {
-    let service = state.service();
+    let pool = &state.pool;
+    let service = pool.service();
     let cache = service.cache_stats();
     let epoch = service.typer().cache_epoch();
     drop(service);
@@ -669,10 +539,11 @@ fn handle_metrics(state: &ServerState) -> Response {
         }
         None => (Json::Null, Json::Null),
     };
+    let shaper = pool.shaper();
     let mut served = 0u64;
     let mut shed = 0u64;
     for lane in TrafficLane::ALL {
-        let c = state.shaper.counters(lane);
+        let c = shaper.counters(lane);
         served += c.served();
         shed += c.shed();
     }
@@ -682,33 +553,27 @@ fn handle_metrics(state: &ServerState) -> Response {
         shed as f64 / (served + shed) as f64
     };
     let body = Json::object(vec![
-        ("queue_depth", Json::from(state.queue.len())),
-        ("queue_capacity", Json::from(state.queue.capacity())),
-        (
-            "in_flight",
-            Json::from(state.in_flight.load(Ordering::SeqCst)),
-        ),
-        ("workers", Json::from(state.workers)),
-        ("panics", Json::from(state.panics.load(Ordering::SeqCst))),
+        ("queue_depth", Json::from(pool.queue_depth())),
+        ("queue_capacity", Json::from(pool.queue_capacity())),
+        ("in_flight", Json::from(pool.in_flight())),
+        ("workers", Json::from(pool.workers())),
+        ("panics", Json::from(pool.panics())),
         ("epoch", Json::from(epoch)),
         (
             "lanes",
             Json::object(vec![
                 (
                     TrafficLane::Interactive.label(),
-                    lane_metrics(state, TrafficLane::Interactive),
+                    lane_metrics(shaper, TrafficLane::Interactive),
                 ),
                 (
                     TrafficLane::Crawl.label(),
-                    lane_metrics(state, TrafficLane::Crawl),
+                    lane_metrics(shaper, TrafficLane::Crawl),
                 ),
             ]),
         ),
         ("shed_rate", Json::from(shed_rate)),
-        (
-            "tenants",
-            tenant_metrics(&state.shaper.registry().snapshot()),
-        ),
+        ("tenants", tenant_metrics(&shaper.registry().snapshot())),
         ("cache", cache_json),
         ("cache_delta", delta_json),
     ]);

@@ -6,9 +6,10 @@
 //! * **Table in**: `{"name": "...", "columns": [{"header": "...",
 //!   "values": ["...", ...]}, ...]}` — values are strings (`null`
 //!   becomes the empty cell); typing them is the *server's* job.
-//! * **Options in** (all fields optional): `{"budget_nanos": u64,
-//!   "policy": "strict"|"drop_tail"|"best_effort", "bypass_cache":
-//!   bool, "telemetry": "full"|"timings_only"|"minimal",
+//! * **Options in** (all fields optional; `null` means absent):
+//!   `{"budget_nanos": u64, "policy":
+//!   "strict"|"drop_tail"|"best_effort", "bypass_cache": bool,
+//!   "telemetry": "full"|"timings_only"|"minimal",
 //!   "embedding_backend": "reference_f32"|"blocked_simd",
 //!   "delta_sensitivity": f64 ≥ 0}`.
 //! * **Base table in**: `POST /annotate` additionally accepts a
@@ -97,22 +98,22 @@ pub fn table_from_json(v: &Json) -> Result<Table, String> {
     Table::new(name, columns).map_err(|e| format!("invalid table: {e:?}"))
 }
 
-/// Decode the optional `"options"` object of a request body.
+/// Decode the optional `"options"` object of a request body. A `null`
+/// object, and a `null` field inside it, mean the same as leaving it
+/// out.
 pub fn options_from_json(v: Option<&Json>) -> Result<RequestOptions, String> {
     let mut options = RequestOptions::default();
-    let Some(v) = v else { return Ok(options) };
-    if v.is_null() {
+    let Some(v) = v.filter(|v| !v.is_null()) else {
         return Ok(options);
+    };
+    let field = |name: &str| v.get(name).filter(|f| !f.is_null());
+    if let Some(budget) = field("budget_nanos") {
+        let nanos = budget
+            .as_u64()
+            .ok_or("\"budget_nanos\" must be an unsigned integer")?;
+        options = options.with_budget_nanos(nanos);
     }
-    if let Some(budget) = v.get("budget_nanos") {
-        if !budget.is_null() {
-            let nanos = budget
-                .as_u64()
-                .ok_or("\"budget_nanos\" must be an unsigned integer")?;
-            options = options.with_budget_nanos(nanos);
-        }
-    }
-    if let Some(policy) = v.get("policy") {
+    if let Some(policy) = field("policy") {
         let label = policy.as_str().ok_or("\"policy\" must be a string")?;
         options = options.with_policy(match label {
             "strict" => DegradationPolicy::Strict,
@@ -126,7 +127,7 @@ pub fn options_from_json(v: Option<&Json>) -> Result<RequestOptions, String> {
             }
         });
     }
-    if let Some(bypass) = v.get("bypass_cache") {
+    if let Some(bypass) = field("bypass_cache") {
         if bypass
             .as_bool()
             .ok_or("\"bypass_cache\" must be a boolean")?
@@ -134,7 +135,7 @@ pub fn options_from_json(v: Option<&Json>) -> Result<RequestOptions, String> {
             options = options.with_cache_bypassed();
         }
     }
-    if let Some(telemetry) = v.get("telemetry") {
+    if let Some(telemetry) = field("telemetry") {
         let label = telemetry.as_str().ok_or("\"telemetry\" must be a string")?;
         options = options.with_telemetry(match label {
             "full" => TelemetryVerbosity::Full,
@@ -148,7 +149,7 @@ pub fn options_from_json(v: Option<&Json>) -> Result<RequestOptions, String> {
             }
         });
     }
-    if let Some(backend) = v.get("embedding_backend") {
+    if let Some(backend) = field("embedding_backend") {
         let label = backend
             .as_str()
             .ok_or("\"embedding_backend\" must be a string")?;
@@ -158,18 +159,16 @@ pub fn options_from_json(v: Option<&Json>) -> Result<RequestOptions, String> {
         let kind = EmbeddingBackendKind::parse(label).map_err(|e| e.to_string())?;
         options = options.with_embedding_backend(kind);
     }
-    if let Some(sensitivity) = v.get("delta_sensitivity") {
-        if !sensitivity.is_null() {
-            let s = sensitivity
-                .as_f64()
-                .ok_or("\"delta_sensitivity\" must be a number")?;
-            if !s.is_finite() || s < 0.0 {
-                return Err(format!(
-                    "\"delta_sensitivity\" must be a finite number >= 0, got {s}"
-                ));
-            }
-            options = options.with_delta_sensitivity(s);
+    if let Some(sensitivity) = field("delta_sensitivity") {
+        let s = sensitivity
+            .as_f64()
+            .ok_or("\"delta_sensitivity\" must be a number")?;
+        if !s.is_finite() || s < 0.0 {
+            return Err(format!(
+                "\"delta_sensitivity\" must be a finite number >= 0, got {s}"
+            ));
         }
+        options = options.with_delta_sensitivity(s);
     }
     Ok(options)
 }
@@ -882,6 +881,26 @@ mod tests {
             let err = options_from_json(Some(&Json::parse(doc).unwrap())).unwrap_err();
             assert!(err.contains("delta_sensitivity"), "{doc} -> {err}");
         }
+        // A `null` field means absent, for every field.
+        for field in [
+            "budget_nanos",
+            "policy",
+            "bypass_cache",
+            "telemetry",
+            "embedding_backend",
+            "delta_sensitivity",
+        ] {
+            let doc = Json::parse(&format!(r#"{{"{field}":null}}"#)).unwrap();
+            assert_eq!(
+                options_from_json(Some(&doc)),
+                Ok(RequestOptions::default()),
+                "{field}: null"
+            );
+        }
+        assert_eq!(
+            options_from_json(Some(&Json::Null)),
+            Ok(RequestOptions::default())
+        );
     }
 
     /// An unknown backend name is a typed parse error surfaced as the

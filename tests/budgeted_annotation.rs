@@ -233,15 +233,26 @@ fn degraded_outcomes_never_fabricate() {
     }
 }
 
+/// The customer's execution settings: `parallelism` on `threads`
+/// column workers.
+fn typer_with(parallelism: ParallelismPolicy, column_threads: usize) -> SigmaTyper {
+    SigmaTyper::new(
+        global(),
+        SigmaTyperConfig {
+            parallelism,
+            column_threads,
+            ..SigmaTyperConfig::default()
+        },
+    )
+}
+
 /// `FixedChunk { columns: 0 }` must clamp, not divide by zero — end to
-/// end, through request overrides, with and without a budget.
+/// end, from the customer's config, with and without a budget.
 #[test]
 fn fixed_chunk_zero_columns_clamps_end_to_end() {
-    let st = typer();
+    let st = typer_with(ParallelismPolicy::FixedChunk { columns: 0 }, 3);
     let table = opaque_table(4);
     let request = AnnotationRequest::new(&table)
-        .with_parallelism(ParallelismPolicy::FixedChunk { columns: 0 })
-        .with_column_threads(3)
         .with_budget_nanos(u64::MAX)
         .with_policy(DegradationPolicy::DropTailSteps);
     let outcome = st.annotate_request(&request);
@@ -257,7 +268,6 @@ fn fixed_chunk_zero_columns_clamps_end_to_end() {
     // And the degenerate combination budget-0 × chunk-0 stays graceful.
     let degenerate = st.annotate_request(
         &AnnotationRequest::new(&table)
-            .with_parallelism(ParallelismPolicy::FixedChunk { columns: 0 })
             .with_budget_nanos(0)
             .with_policy(DegradationPolicy::BestEffort),
     );
@@ -274,13 +284,11 @@ fn fixed_chunk_zero_columns_clamps_end_to_end() {
 /// only come from the in-flight re-check.
 #[test]
 fn best_effort_rechecks_budget_between_chunks() {
-    let st = typer();
+    let st = typer_with(ParallelismPolicy::FixedChunk { columns: 1 }, 2);
     let cols = 8;
     let table = opaque_table(cols);
     let outcome = st.annotate_request(
         &AnnotationRequest::new(&table)
-            .with_parallelism(ParallelismPolicy::FixedChunk { columns: 1 })
-            .with_column_threads(2)
             .with_budget_nanos(1)
             .with_policy(DegradationPolicy::BestEffort),
     );

@@ -913,3 +913,174 @@ fn annotate_with_base_reuses_cache_and_is_exact_at_zero_sensitivity() {
 
     server.shutdown().expect("shutdown");
 }
+
+/// A table wide enough for `ParallelismPolicy::default()` to split a
+/// step's frontier across threads: 16 opaque headers over free text,
+/// so no column resolves at the header step. A table of fewer rows is
+/// a prefix of one with more, so the smaller one is the larger one's
+/// base crawl.
+fn wide_opaque_table(rows: usize) -> Table {
+    use tu_table::Column;
+    let words = [
+        "lorem ipsum",
+        "dolor sit",
+        "amet consect",
+        "adipiscing elit",
+        "sed do",
+        "eiusmod tempor",
+    ];
+    let columns = (0..16)
+        .map(|c| {
+            let values: Vec<String> = (0..rows)
+                .map(|r| format!("{} {r}", words[(c + r) % words.len()]))
+                .collect();
+            Column::from_raw(format!("xq_{c}"), &values)
+        })
+        .collect();
+    Table::new("wide", columns).expect("rectangular")
+}
+
+/// A served single is a batch of one on the pool's service, so a wide
+/// table gets the service's whole thread budget for its column chunks
+/// (the machine's cores, whatever the worker count), while a batch
+/// splits that budget between its tables. On a 1-worker and a 3-worker
+/// server, `/annotate` (with and without a base) and `/annotate_batch`
+/// must answer bit-identically to the direct call.
+#[test]
+fn wide_tables_over_http_are_bit_identical_to_direct() {
+    let (typer, _) = demo_typer(48);
+    let base = wire_table(&wide_opaque_table(12));
+    let table = wire_table(&wide_opaque_table(14));
+    let direct = |request: AnnotationRequest<'_>| {
+        normalize_outcome(&tu_server::wire::outcome_to_json(
+            &typer.annotate_request(&request),
+            typer.ontology(),
+        ))
+    };
+    let expected_base = direct(AnnotationRequest::new(&base));
+    let expected = direct(AnnotationRequest::new(&table));
+    let expected_recrawl = direct(AnnotationRequest::new(&table).with_base(&base));
+
+    for workers in [1, 3] {
+        let server = AnnotationServer::start(
+            "127.0.0.1:0",
+            typer.clone(),
+            &ServerConfig {
+                workers,
+                queue_capacity: 8,
+                ..ServerConfig::default()
+            },
+        )
+        .expect("start server");
+        let mut client = HttpClient::connect(server.local_addr()).expect("connect");
+        let mut post = |path: &str, body: &str| {
+            let resp = client.post_json(path, body, &[]).expect("request");
+            assert_eq!(resp.status, 200, "{workers} workers: {}", resp.body_str());
+            resp.body_str()
+        };
+
+        let single = post("/annotate", &annotate_body(&table));
+        assert_eq!(normalize_body(&single), expected, "{workers} workers");
+        let recrawl = post(
+            "/annotate",
+            &format!(
+                r#"{{"table":{},"base":{}}}"#,
+                table_to_request_json(&table),
+                table_to_request_json(&base)
+            ),
+        );
+        assert_eq!(
+            normalize_body(&recrawl),
+            expected_recrawl,
+            "{workers} workers"
+        );
+        let batch = post(
+            "/annotate_batch",
+            &format!(
+                r#"{{"tables":[{},{}]}}"#,
+                table_to_request_json(&base),
+                table_to_request_json(&table)
+            ),
+        );
+        let parsed = Json::parse(&batch).expect("batch json");
+        let outcomes = parsed
+            .get("outcomes")
+            .and_then(Json::as_array)
+            .expect("outcomes array");
+        assert_eq!(outcomes.len(), 2);
+        assert_eq!(
+            normalize_outcome(&outcomes[0]),
+            expected_base,
+            "{workers} workers"
+        );
+        assert_eq!(
+            normalize_outcome(&outcomes[1]),
+            expected,
+            "{workers} workers"
+        );
+
+        server.shutdown().expect("shutdown");
+    }
+}
+
+/// `x-sigma-tenant` cannot grow the tenant registry without bound:
+/// once it holds 1,024 tenants, a name it does not know gets a `400`
+/// naming the limit and interns nothing, while a registered name is
+/// served as before. A new name on a request whose table is malformed
+/// interns nothing either: the table is checked first.
+#[test]
+fn tenant_header_cannot_grow_the_registry_past_its_cap() {
+    const CAP: usize = 1024;
+    let (typer, tables) = demo_typer(47);
+    let server = AnnotationServer::start(
+        "127.0.0.1:0",
+        typer,
+        &ServerConfig {
+            workers: 1,
+            queue_capacity: 4,
+            tenant_weights: (0..CAP).map(|i| (format!("tenant-{i}"), 1.0)).collect(),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("start server");
+    let mut client = HttpClient::connect(server.local_addr()).expect("connect");
+    let tenant_count = |client: &mut HttpClient| {
+        let m = Json::parse(&client.get("/metrics").expect("metrics").body_str()).expect("json");
+        match m.get("tenants") {
+            Some(Json::Obj(tenants)) => tenants.len(),
+            other => panic!("metrics tenants must be an object: {other:?}"),
+        }
+    };
+    let body = annotate_body(&tables[0]);
+    assert_eq!(tenant_count(&mut client), CAP);
+
+    let refused = client
+        .post_json("/annotate", &body, &[("x-sigma-tenant", "newcomer")])
+        .expect("new tenant");
+    assert_eq!(refused.status, 400, "body: {}", refused.body_str());
+    assert!(
+        refused.body_str().contains("1024"),
+        "the 400 names the limit: {}",
+        refused.body_str()
+    );
+    let bad_table = client
+        .post_json(
+            "/annotate",
+            r#"{"table":{"columns":"nope"}}"#,
+            &[("x-sigma-tenant", "newcomer")],
+        )
+        .expect("bad table");
+    assert_eq!(bad_table.status, 400);
+    assert!(
+        bad_table.body_str().contains("columns"),
+        "the table is checked before the tenant: {}",
+        bad_table.body_str()
+    );
+    let known = client
+        .post_json("/annotate", &body, &[("x-sigma-tenant", "tenant-17")])
+        .expect("registered tenant");
+    assert_eq!(known.status, 200, "body: {}", known.body_str());
+    assert_eq!(tenant_count(&mut client), CAP, "no request interned a name");
+
+    server.shutdown().expect("shutdown");
+}
