@@ -1082,6 +1082,21 @@ fn bench_feedback(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("32_corrections", |b| b.iter(correct_all));
     group.finish();
+
+    // `pipeline/step2_value_lookup`'s column and call, consulting the
+    // local bank the corrections left as well as the global one.
+    let at = &tables[0];
+    let col = at.table.column(0).expect("column");
+    let normalized = tu_text::normalize_header(at.table.headers()[0]);
+    let banks = [&f.lab.global.global_lfs[..], &adapted.local().lfs[..]];
+    c.bench_function("pipeline/step2_value_lookup_adapted", |b| {
+        b.iter(|| {
+            f.lab
+                .global
+                .lookup
+                .lookup(black_box(col), &normalized, &[], &banks, adapted.config())
+        })
+    });
 }
 
 /// Crawl once; per step return `(name, columns_run, hits, inserts)`

@@ -9,7 +9,7 @@
 use crate::config::SigmaTyperConfig;
 use crate::prediction::{Candidate, StepScores};
 use crate::regexbank::RegexBank;
-use tu_dp::{context, LabelingFunction};
+use tu_dp::{context, LabelingFunction, LfContext};
 use tu_kb::KnowledgeBase;
 use tu_ontology::TypeId;
 use tu_table::Column;
@@ -145,6 +145,13 @@ impl ValueLookup {
 
     /// [`ValueLookup::lookup_weighted`] over a prefiltered
     /// identity-LF list (see [`ValueLookup::identity_lfs`]).
+    ///
+    /// Renders the column's `config.lookup_sample`-value sample and
+    /// collects its numeric values once, and builds one
+    /// [`LfContext`] for every LF of the list. When the lookup sample
+    /// has the LFs' size ([`tu_dp::lf::SAMPLE`], both 40 by default),
+    /// the context reuses the lookup's rendering instead of making its
+    /// own.
     #[must_use]
     pub fn lookup_with_lfs(
         &self,
@@ -161,6 +168,11 @@ impl ValueLookup {
             .into_iter()
             .map(tu_table::Value::render)
             .collect();
+        let ctx = if config.lookup_sample == tu_dp::lf::SAMPLE {
+            LfContext::with_sample(column, &sample, normalized_header, neighbor_types)
+        } else {
+            context(column, normalized_header, neighbor_types)
+        };
 
         if !sample.is_empty() {
             // Source 2: knowledge-base dictionaries.
@@ -177,7 +189,7 @@ impl ValueLookup {
             // Source 3b: numeric ranges — ambiguous alone, so scaled down
             // to keep them from resolving the cascade unassisted.
             cands.extend(self.bank.score_ranges(
-                &column.numeric_values(),
+                ctx.numeric(),
                 config.range_lf_scale,
                 global_weight,
             ));
@@ -185,7 +197,6 @@ impl ValueLookup {
 
         // Source 1: labeling functions (global + local). Strong LFs carry
         // full weight; contextual LFs are scaled like range rules.
-        let ctx = context(column, normalized_header, neighbor_types);
         for lf in identity_lfs {
             if let Some(ty) = lf.vote(&ctx) {
                 let mut confidence = 0.95;

@@ -318,6 +318,31 @@ mod tests {
     }
 
     #[test]
+    fn giant_cells_give_no_regex_lf() {
+        // A shaped column with one giant cell: a 1,000,000-digit run, or
+        // 100,000 alternating letter/digit runs. Either shape is too
+        // long to keep, so no Pattern LF reaches the bank.
+        let long_run = format!("a{}", "1".repeat(1_000_000));
+        let many_runs = "a1".repeat(50_000);
+        for giant in [long_run, many_runs] {
+            let mut vals: Vec<String> = (0..20).map(|i| format!("AB-{:04}", i * 7)).collect();
+            vals[3] = giant;
+            let column = Column::from_raw("ids", &vals);
+            let demo = Demonstration {
+                column: &column,
+                neighbor_types: &[],
+                ty: TypeId(30),
+            };
+            let lfs = infer_lfs(&demo, &InferConfig::default());
+            assert!(
+                !lfs.iter().any(|l| matches!(l.kind, LfKind::Pattern(_))),
+                "{:?}",
+                lfs.iter().map(|l| &l.name).collect::<Vec<_>>()
+            );
+        }
+    }
+
+    #[test]
     fn letters_only_patterns_rejected() {
         assert!(!pattern_is_selective("[A-Z][a-z]{2,9}"));
         assert!(!pattern_is_selective("[a-zA-Z]{1,12}"));

@@ -4,6 +4,8 @@
 //! range (LF2), co-occurring columns (LF3), header match (LF4), plus the
 //! dictionary and synthesized-regex forms the lookup step uses.
 
+use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::collections::HashSet;
 use tu_ontology::TypeId;
 use tu_regex::Regex;
@@ -19,15 +21,70 @@ pub enum LfSource {
     Local,
 }
 
-/// Everything an LF may look at when voting on a column.
-#[derive(Debug, Clone, Copy)]
+/// Everything an LF may look at when voting on a column, computed once
+/// per column and shared by every LF that votes on it: the column's
+/// [`SAMPLE`]-value rendered sample, its lowercased form (on the first
+/// dictionary vote), and the numeric values with their mean. A vote
+/// reads only this context, so a bank of `n` LFs samples, renders and
+/// lowercases the column once, not `n` times.
+#[derive(Debug, Clone)]
 pub struct LfContext<'a> {
-    /// The column under consideration.
-    pub column: &'a Column,
-    /// Normalized header of the column.
-    pub header: &'a str,
-    /// Detected/known types of the *other* columns in the same table.
-    pub neighbor_types: &'a [TypeId],
+    header: &'a str,
+    neighbor_types: &'a [TypeId],
+    sample: Cow<'a, [String]>,
+    lowercase: OnceCell<Vec<String>>,
+    numeric: Vec<f64>,
+    mean: f64,
+}
+
+impl<'a> LfContext<'a> {
+    /// The context of `column`, reusing `sample`: the caller's rendering
+    /// of `column.sample(SAMPLE)`, in order (the lookup step renders it
+    /// anyway when its sample size is [`SAMPLE`]).
+    #[must_use]
+    pub fn with_sample(
+        column: &Column,
+        sample: &'a [String],
+        normalized_header: &'a str,
+        neighbor_types: &'a [TypeId],
+    ) -> Self {
+        Self::build(
+            column,
+            Cow::Borrowed(sample),
+            normalized_header,
+            neighbor_types,
+        )
+    }
+
+    fn build(
+        column: &Column,
+        sample: Cow<'a, [String]>,
+        header: &'a str,
+        neighbor_types: &'a [TypeId],
+    ) -> Self {
+        let numeric = column.numeric_values();
+        let mean = tu_table::stats::mean(&numeric);
+        LfContext {
+            header,
+            neighbor_types,
+            sample,
+            lowercase: OnceCell::new(),
+            numeric,
+            mean,
+        }
+    }
+
+    /// The column's numeric values, every row (not just the sample).
+    #[must_use]
+    pub fn numeric(&self) -> &[f64] {
+        &self.numeric
+    }
+
+    /// The sample, lowercased (computed once, on first use).
+    fn lowercase(&self) -> &[String] {
+        self.lowercase
+            .get_or_init(|| self.sample.iter().map(|v| v.to_lowercase()).collect())
+    }
 }
 
 /// The voting body of a labeling function.
@@ -118,52 +175,38 @@ impl LabelingFunction {
     }
 
     /// Vote: `Some(ty)` when the LF fires, `None` to abstain.
+    ///
+    /// Reads only `ctx`: range LFs count over its numeric values, a mean
+    /// LF compares its mean, and dictionary and pattern LFs check its
+    /// rendered (or lowercased) sample, all computed once per column.
     #[must_use]
     pub fn vote(&self, ctx: &LfContext<'_>) -> Option<TypeId> {
         let fires = match &self.kind {
             LfKind::ValueRange { min, max } => {
-                let nums = ctx.column.numeric_values();
-                if nums.is_empty() {
-                    false
-                } else {
+                let nums = ctx.numeric();
+                !nums.is_empty() && {
                     let hits = nums.iter().filter(|v| **v >= *min && **v <= *max).count();
                     hits as f64 / nums.len() as f64 >= VALUE_PASS
                 }
             }
             LfKind::MeanRange { min, max } => {
-                let nums = ctx.column.numeric_values();
-                if nums.is_empty() {
-                    false
-                } else {
-                    let m = tu_table::stats::mean(&nums);
-                    m >= *min && m <= *max
-                }
+                !ctx.numeric().is_empty() && ctx.mean >= *min && ctx.mean <= *max
             }
             LfKind::CoOccurrence { required } => {
                 !required.is_empty() && required.iter().all(|t| ctx.neighbor_types.contains(t))
             }
             LfKind::HeaderEquals(h) => ctx.header == h,
             LfKind::Dictionary(set) => {
-                let sample = ctx.column.sample(SAMPLE);
-                if sample.is_empty() {
-                    false
-                } else {
-                    let hits = sample
-                        .iter()
-                        .filter(|v| set.contains(&v.render().to_lowercase()))
-                        .count();
+                let sample = &ctx.sample;
+                !sample.is_empty() && {
+                    let hits = ctx.lowercase().iter().filter(|v| set.contains(*v)).count();
                     hits as f64 / sample.len() as f64 >= DICT_PASS
                 }
             }
             LfKind::Pattern(re) => {
-                let sample = ctx.column.sample(SAMPLE);
-                if sample.is_empty() {
-                    false
-                } else {
-                    let hits = sample
-                        .iter()
-                        .filter(|v| re.is_full_match(&v.render()))
-                        .count();
+                let sample = &ctx.sample;
+                !sample.is_empty() && {
+                    let hits = sample.iter().filter(|v| re.is_full_match(v)).count();
                     hits as f64 / sample.len() as f64 >= VALUE_PASS
                 }
             }
@@ -172,18 +215,25 @@ impl LabelingFunction {
     }
 }
 
-/// Build an [`LfContext`] with a normalized header.
+/// The [`LfContext`] of `column`: renders its [`SAMPLE`]-value sample
+/// and collects its numeric values, once for every LF that votes on it.
 #[must_use]
 pub fn context<'a>(
-    column: &'a Column,
+    column: &Column,
     normalized_header: &'a str,
     neighbor_types: &'a [TypeId],
 ) -> LfContext<'a> {
-    LfContext {
+    let sample = column
+        .sample(SAMPLE)
+        .into_iter()
+        .map(tu_table::Value::render)
+        .collect();
+    LfContext::build(
         column,
-        header: normalized_header,
+        Cow::Owned(sample),
+        normalized_header,
         neighbor_types,
-    }
+    )
 }
 
 /// Normalize a raw header for LF matching.

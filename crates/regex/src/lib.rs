@@ -23,5 +23,5 @@ pub mod synthesize;
 
 pub use ast::{Ast, CharMatcher, ClassItem};
 pub use nfa::Regex;
-pub use parser::{parse, ParseError};
-pub use synthesize::{synthesize, SynthesisConfig, SynthesizedRegex};
+pub use parser::{parse, ParseError, MAX_REPEAT};
+pub use synthesize::{synthesize, SynthesisConfig, SynthesizedRegex, MAX_SYNTHESIZED_STATES};

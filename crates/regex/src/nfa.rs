@@ -5,6 +5,7 @@
 //! step executed on every column of every customer table).
 
 use crate::ast::{Ast, CharMatcher};
+use std::cell::RefCell;
 
 /// One NFA state.
 #[derive(Debug, Clone)]
@@ -31,6 +32,46 @@ pub struct Regex {
 
 /// Sentinel for "not yet patched" transition targets.
 const HOLE: usize = usize::MAX;
+
+/// Per-thread buffers of the Pike VM, reused by every match on the
+/// thread: the current and next state lists, the explicit stack of the
+/// epsilon closure, and one visited stamp per state. A list's states are
+/// marked with a fresh generation instead of clearing the stamps, which
+/// are zeroed only when the counter wraps.
+struct Scratch {
+    current: Vec<usize>,
+    next: Vec<usize>,
+    stack: Vec<usize>,
+    marks: Vec<u32>,
+    generation: u32,
+}
+
+impl Scratch {
+    const fn new() -> Self {
+        Scratch {
+            current: Vec::new(),
+            next: Vec::new(),
+            stack: Vec::new(),
+            marks: Vec::new(),
+            generation: 0,
+        }
+    }
+
+    /// Empty the next list and take a visited stamp no state carries
+    /// yet, zeroing every stamp when the counter wraps.
+    fn clear_next(&mut self) {
+        self.next.clear();
+        if self.generation == u32::MAX {
+            self.marks.fill(0);
+            self.generation = 0;
+        }
+        self.generation += 1;
+    }
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = const { RefCell::new(Scratch::new()) };
+}
 
 struct Compiler {
     states: Vec<State>,
@@ -255,114 +296,112 @@ impl Regex {
         self.states.len()
     }
 
-    /// Add `state` plus its epsilon closure to `set`.
-    fn add_state(
-        &self,
-        set: &mut Vec<usize>,
-        on: &mut [bool],
-        state: usize,
-        at_start: bool,
-        at_end: bool,
-    ) {
-        if on[state] {
-            return;
-        }
-        on[state] = true;
-        match &self.states[state] {
-            State::Split(a, b) => {
-                let (a, b) = (*a, *b);
-                self.add_state(set, on, a, at_start, at_end);
-                self.add_state(set, on, b, at_start, at_end);
-            }
-            State::AssertStart(next) => {
-                let next = *next;
-                if at_start {
-                    self.add_state(set, on, next, at_start, at_end);
-                }
-            }
-            State::AssertEnd(next) => {
-                let next = *next;
-                if at_end {
-                    self.add_state(set, on, next, at_start, at_end);
-                }
-            }
-            State::Char(..) | State::Match => set.push(state),
-        }
-    }
-
     /// Does the pattern match the **entire** input string?
     ///
     /// This is the semantics used by the value-lookup step: a cell either
     /// *is* a phone number or it is not; substring hits would inflate
     /// confidence.
+    ///
+    /// Runs the Pike VM shared with [`Regex::is_match`]: it walks
+    /// `input.chars()` with one character of lookahead and keeps its two
+    /// state lists and visited marks in a per-thread scratch, so a match
+    /// allocates nothing per character, and nothing per call once the
+    /// thread's buffers have grown to the largest regex it has run.
     #[must_use]
     pub fn is_full_match(&self, input: &str) -> bool {
-        let chars: Vec<char> = input.chars().collect();
-        let n = chars.len();
-        let mut current: Vec<usize> = Vec::with_capacity(self.states.len());
-        let mut on = vec![false; self.states.len()];
-        self.add_state(&mut current, &mut on, self.start, true, n == 0);
-        for (i, &c) in chars.iter().enumerate() {
-            let at_end_next = i + 1 == n;
-            let mut next: Vec<usize> = Vec::with_capacity(self.states.len());
-            let mut on_next = vec![false; self.states.len()];
-            for &s in &current {
-                if let State::Char(m, to) = &self.states[s] {
-                    if m.matches(c) {
-                        self.add_state(&mut next, &mut on_next, *to, false, at_end_next);
-                    }
-                }
-            }
-            current = next;
-            on = on_next;
-            if current.is_empty() {
-                return false;
-            }
-        }
-        let _ = on;
-        current
-            .iter()
-            .any(|&s| matches!(self.states[s], State::Match))
+        self.run(input, true)
     }
 
     /// Does the pattern match anywhere in the input (unanchored search)?
+    ///
+    /// The same allocation-free simulation as [`Regex::is_full_match`],
+    /// restarting the pattern after every character.
     #[must_use]
     pub fn is_match(&self, input: &str) -> bool {
-        let chars: Vec<char> = input.chars().collect();
-        let n = chars.len();
-        let mut current: Vec<usize> = Vec::with_capacity(self.states.len());
-        let mut on = vec![false; self.states.len()];
-        self.add_state(&mut current, &mut on, self.start, true, n == 0);
-        if current
-            .iter()
-            .any(|&s| matches!(self.states[s], State::Match))
-        {
-            return true;
-        }
-        for (i, &c) in chars.iter().enumerate() {
-            let at_end_next = i + 1 == n;
-            let mut next: Vec<usize> = Vec::with_capacity(self.states.len());
-            let mut on_next = vec![false; self.states.len()];
-            for &s in &current {
-                if let State::Char(m, to) = &self.states[s] {
-                    if m.matches(c) {
-                        self.add_state(&mut next, &mut on_next, *to, false, at_end_next);
-                    }
-                }
+        self.run(input, false)
+    }
+
+    /// The Pike VM both matchers share. `anchored` asks for a full
+    /// match: the simulation stops as soon as no thread is alive and
+    /// answers at the end of input. Unanchored, it re-enters the start
+    /// state after each character and answers at the first `Match`.
+    fn run(&self, input: &str, anchored: bool) -> bool {
+        SCRATCH.with(|cell| {
+            let mut scratch = cell.borrow_mut();
+            let s = &mut *scratch;
+            if s.marks.len() < self.states.len() {
+                s.marks.resize(self.states.len(), 0);
             }
-            // Unanchored: also restart the pattern at position i+1.
-            self.add_state(&mut next, &mut on_next, self.start, false, at_end_next);
-            current = next;
-            on = on_next;
-            if current
-                .iter()
-                .any(|&s| matches!(self.states[s], State::Match))
-            {
+            let mut chars = input.chars();
+            let mut c = chars.next();
+            s.clear_next();
+            self.add_state(s, self.start, true, c.is_none());
+            std::mem::swap(&mut s.current, &mut s.next);
+            if !anchored && self.any_match(&s.current) {
                 return true;
             }
+            while let Some(ch) = c {
+                c = chars.next();
+                let at_end = c.is_none();
+                s.clear_next();
+                for i in 0..s.current.len() {
+                    if let State::Char(m, to) = &self.states[s.current[i]] {
+                        if m.matches(ch) {
+                            self.add_state(s, *to, false, at_end);
+                        }
+                    }
+                }
+                if !anchored {
+                    self.add_state(s, self.start, false, at_end);
+                }
+                std::mem::swap(&mut s.current, &mut s.next);
+                if anchored {
+                    if s.current.is_empty() {
+                        return false;
+                    }
+                } else if self.any_match(&s.current) {
+                    return true;
+                }
+            }
+            anchored && self.any_match(&s.current)
+        })
+    }
+
+    fn any_match(&self, list: &[usize]) -> bool {
+        list.iter().any(|&s| matches!(self.states[s], State::Match))
+    }
+
+    /// Add `state` plus its epsilon closure to the scratch's next list,
+    /// stamping each visited state with the current generation.
+    /// Depth-first with an explicit stack, the second branch of a split
+    /// after the whole closure of the first, so consuming states land in
+    /// the list in the order a recursive walk would put them and no
+    /// pattern can overflow the call stack.
+    fn add_state(&self, s: &mut Scratch, state: usize, at_start: bool, at_end: bool) {
+        s.stack.push(state);
+        while let Some(state) = s.stack.pop() {
+            if s.marks[state] == s.generation {
+                continue;
+            }
+            s.marks[state] = s.generation;
+            match &self.states[state] {
+                State::Split(a, b) => {
+                    s.stack.push(*b);
+                    s.stack.push(*a);
+                }
+                State::AssertStart(next) => {
+                    if at_start {
+                        s.stack.push(*next);
+                    }
+                }
+                State::AssertEnd(next) => {
+                    if at_end {
+                        s.stack.push(*next);
+                    }
+                }
+                State::Char(..) | State::Match => s.next.push(state),
+            }
         }
-        let _ = on;
-        false
     }
 
     /// Fraction of `values` that fully match; `0.0` for an empty slice.
@@ -519,6 +558,65 @@ mod tests {
         let r = re("(ab{2}){2}");
         assert!(r.is_full_match("abbabb"));
         assert!(!r.is_full_match("abab"));
+    }
+
+    /// A ~2,000-state regex: `\d{1000}` then one to 500 letters.
+    fn big() -> Regex {
+        let r = re(r"\d{1000}[a-z]{1,500}");
+        assert!((1_900..=2_100).contains(&r.n_states()), "{}", r.n_states());
+        r
+    }
+
+    /// Interleave a ~2-state and a ~2,000-state regex on one thread's
+    /// scratch, checking every answer: buffers sized for one must not
+    /// leak stale marks into the other.
+    fn interleave(small: &Regex, big: &Regex) {
+        let digits = "7".repeat(1000);
+        assert!(big.is_match(&format!("--{digits}q")));
+        for round in 0..20 {
+            assert!(small.is_full_match("ab"));
+            assert!(!small.is_full_match("abb"));
+            assert!(big.is_full_match(&format!("{digits}xyz")));
+            assert!(!big.is_full_match(&digits), "round {round}");
+            assert!(small.is_match("zzabzz"));
+            assert!(!big.is_full_match(&format!("{digits}x1")));
+            assert!(!big.is_match("x1"));
+            assert!(!small.is_match("ba"));
+        }
+    }
+
+    #[test]
+    fn small_and_large_regexes_share_scratch() {
+        let small = re("ab");
+        assert!(small.n_states() <= 3);
+        let big = big();
+        interleave(&small, &big);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| interleave(&small, &big));
+            }
+        });
+        interleave(&small, &big);
+    }
+
+    #[test]
+    fn generation_wraparound_clears_marks() {
+        let small = re("ab");
+        let big = big();
+        // A fresh thread: its first match stamps states with the lowest
+        // generations, which the counter hands out again once it wraps.
+        std::thread::spawn(move || {
+            let input = format!("{}xyz", "7".repeat(1000));
+            assert!(big.is_full_match(&input));
+            SCRATCH.with(|s| s.borrow_mut().generation = u32::MAX);
+            assert!(big.is_full_match(&input), "stale stamps after the wrap");
+            SCRATCH.with(|s| s.borrow_mut().generation = u32::MAX - 3);
+            interleave(&small, &big);
+            let generation = SCRATCH.with(|s| s.borrow().generation);
+            assert!(generation < 1_000_000, "counter wrapped: {generation}");
+        })
+        .join()
+        .expect("no panic");
     }
 
     #[test]

@@ -6,6 +6,11 @@
 
 use crate::ast::{Ast, CharMatcher, ClassItem};
 
+/// Largest count a quantifier (`{m}`, `{m,}`, `{m,n}`) may name. The
+/// NFA expands counted repeats into copies, so the cap bounds the states
+/// one quantifier can add; the synthesizer renders no larger count.
+pub const MAX_REPEAT: u32 = 1_000;
+
 /// Parse error with a byte position into the pattern.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -154,8 +159,8 @@ impl Parser {
         if self.pos == start {
             return self.err("expected number");
         }
-        if n > 1000 {
-            return self.err("quantifier above 1000 not supported");
+        if n > MAX_REPEAT {
+            return self.err(format!("quantifier above {MAX_REPEAT} not supported"));
         }
         Ok(n)
     }

@@ -10,6 +10,7 @@
 
 use crate::ast::{Ast, CharMatcher, ClassItem};
 use crate::nfa::Regex;
+use crate::parser::MAX_REPEAT;
 
 /// Character class of a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -149,12 +150,21 @@ fn class_pattern(class: RunClass) -> String {
     }
 }
 
-fn render_runs(runs: &[GenRun], slack: usize) -> (Ast, String) {
+/// Render one shape branch as an AST and pattern text, with the number
+/// of NFA states it compiles to: a run of `min..=max` copies is `min`
+/// consuming states plus a split and a copy per optional one. `None`
+/// when a run's count would pass the parser's [`MAX_REPEAT`].
+fn render_runs(runs: &[GenRun], slack: usize) -> Option<(Ast, String, usize)> {
     let mut parts = Vec::with_capacity(runs.len());
     let mut pattern = String::new();
+    let mut states = 0;
     for r in runs {
         let min = r.min.saturating_sub(slack).max(1);
         let max = r.max + slack;
+        if max > MAX_REPEAT as usize {
+            return None;
+        }
+        states += min + 2 * (max - min);
         let node = class_ast(r.class);
         pattern.push_str(&class_pattern(r.class));
         if min == 1 && max == 1 {
@@ -172,13 +182,19 @@ fn render_runs(runs: &[GenRun], slack: usize) -> (Ast, String) {
             });
         }
     }
-    (Ast::Concat(parts), pattern)
+    Some((Ast::Concat(parts), pattern, states))
 }
+
+/// Most NFA states a synthesized regex may compile to. Shapes of real
+/// cells stay far below it (a few hundred states at most); a longer
+/// regex comes from one giant cell and would cost every later lookup.
+pub const MAX_SYNTHESIZED_STATES: usize = 4_096;
 
 /// A synthesized regex: pattern text plus the compiled matcher.
 #[derive(Debug, Clone)]
 pub struct SynthesizedRegex {
-    /// Rendered pattern (parseable by [`Regex::new`]).
+    /// Rendered pattern, parseable by [`Regex::new`]: no quantifier in
+    /// it passes [`MAX_REPEAT`].
     pub pattern: String,
     /// Compiled matcher.
     pub regex: Regex,
@@ -206,8 +222,11 @@ impl Default for SynthesisConfig {
 /// Synthesize a full-match regex generalizing the example strings.
 ///
 /// Returns `None` when the examples are too heterogeneous to describe with
-/// at most `max_groups` shape alternatives (e.g. free text). The returned
-/// regex is guaranteed to fully match every example.
+/// at most `max_groups` shape alternatives (e.g. free text), and, before
+/// compiling anything, when the shape is too long to keep: a run whose
+/// count would pass [`MAX_REPEAT`], or a regex of more than
+/// [`MAX_SYNTHESIZED_STATES`] states. The returned regex is guaranteed to
+/// fully match every example.
 #[must_use]
 pub fn synthesize(examples: &[&str], config: &SynthesisConfig) -> Option<SynthesizedRegex> {
     let examples: Vec<&str> = examples.iter().filter(|s| !s.is_empty()).copied().collect();
@@ -232,11 +251,17 @@ pub fn synthesize(examples: &[&str], config: &SynthesisConfig) -> Option<Synthes
 
     let mut branches = Vec::with_capacity(grouped.len());
     let mut patterns = Vec::with_capacity(grouped.len());
+    // One split per extra branch, and the final match state.
+    let mut states = grouped.len();
     for group in &grouped {
         let gens = generalize_group(group);
-        let (ast, pattern) = render_runs(&gens, config.length_slack);
+        let (ast, pattern, n) = render_runs(&gens, config.length_slack)?;
+        states += n;
         branches.push(ast);
         patterns.push(pattern);
+    }
+    if states > MAX_SYNTHESIZED_STATES {
+        return None;
     }
     let (ast, pattern) = if branches.len() == 1 {
         (
@@ -247,6 +272,7 @@ pub fn synthesize(examples: &[&str], config: &SynthesisConfig) -> Option<Synthes
         (Ast::Alt(branches), patterns.join("|"))
     };
     let regex = Regex::from_ast(&ast, &pattern);
+    debug_assert_eq!(regex.n_states(), states);
     // Postcondition: every example must match.
     if examples.iter().any(|e| !regex.is_full_match(e)) {
         return None;
@@ -371,6 +397,36 @@ mod tests {
         let s = synth(&["a--b", "c--d"]);
         assert!(s.regex.is_full_match("x--y"));
         assert!(!s.regex.is_full_match("x-y"));
+    }
+
+    #[test]
+    fn giant_cells_give_no_regex() {
+        let long_run = format!("a{}", "1".repeat(1_000_000));
+        assert!(synthesize(&[&long_run], &SynthesisConfig::default()).is_none());
+        let many_runs = "a1".repeat(50_000);
+        assert!(synthesize(&[&many_runs], &SynthesisConfig::default()).is_none());
+        assert!(synthesize(&["555-0199", &many_runs], &SynthesisConfig::default()).is_none());
+    }
+
+    #[test]
+    fn bounds_are_tight_and_every_pattern_reparses() {
+        let config = SynthesisConfig::default();
+        let check = |example: &str| -> Option<usize> {
+            let s = synthesize(&[example], &config)?;
+            let reparsed = Regex::new(&s.pattern).expect("pattern re-parses");
+            assert_eq!(reparsed.n_states(), s.regex.n_states());
+            assert!(reparsed.is_full_match(example));
+            assert!(s.regex.n_states() <= MAX_SYNTHESIZED_STATES);
+            Some(s.regex.n_states())
+        };
+        // One run: its count plus the slack may reach MAX_REPEAT, not pass it.
+        let cap = MAX_REPEAT as usize;
+        assert!(check(&"1".repeat(cap - config.length_slack)).is_some());
+        assert!(check(&"1".repeat(cap - config.length_slack + 1)).is_none());
+        // Many runs: each single-character run compiles to three states.
+        let fits = (MAX_SYNTHESIZED_STATES - 1) / 6;
+        assert_eq!(check(&"a1".repeat(fits)), Some(6 * fits + 1));
+        assert!(check(&"a1".repeat(fits + 1)).is_none());
     }
 
     #[test]
