@@ -219,8 +219,7 @@ impl StableHasher {
 /// bit-identical scores for the column at every step (see the module
 /// docs for the correctness model); two unequal fingerprints merely
 /// miss. Computed once per column per table by
-/// [`column_fingerprints`] and exposed to steps through
-/// [`StepContext::fingerprint`](crate::step::StepContext::fingerprint).
+/// [`column_fingerprints`].
 /// The keys of header-scoped steps use the same type, hashed over the
 /// header text alone (see [Scopes](self#scopes)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -655,8 +654,8 @@ pub trait EpochSource: std::fmt::Debug + Send + Sync {
 }
 
 /// A borrowed cache plus the epoch to fingerprint with — what
-/// [`Cascade::run_cached`](crate::cascade::Cascade::run_cached) needs
-/// from the owning [`SigmaTyper`](crate::system::SigmaTyper).
+/// [`CascadeExecutor::run_budgeted`](crate::executor::CascadeExecutor::run_budgeted)
+/// needs from the owning [`SigmaTyper`](crate::system::SigmaTyper).
 #[derive(Debug, Clone, Copy)]
 pub struct CacheContext<'a> {
     /// The step cache to consult and fill.

@@ -8,7 +8,6 @@
 //! configured, and the steps can be any mix of built-ins and
 //! user-registered implementations.
 
-use crate::cache::CacheContext;
 use crate::config::SigmaTyperConfig;
 use crate::executor::CascadeExecutor;
 use crate::global::GlobalModel;
@@ -205,11 +204,14 @@ impl Cascade {
 
     /// Run every configured step over every column of `table`, honoring
     /// each step's skip predicate (by default the cascade-threshold
-    /// early exit).
+    /// early exit), with no cache and no budget.
     ///
     /// Returns the per-column `(step, scores)` traces in execution
     /// order plus per-step timings. Aggregation (vote, specificity
-    /// tie-break, τ) happens in [`SigmaTyper::annotate`].
+    /// tie-break, τ) happens in [`SigmaTyper::annotate`]. Execution —
+    /// the frontier loop and the (config-governed) column-parallel
+    /// path — lives in [`CascadeExecutor`]; this method builds one
+    /// from `config`.
     ///
     /// [`SigmaTyper::annotate`]: crate::system::SigmaTyper::annotate
     #[must_use]
@@ -220,38 +222,9 @@ impl Cascade {
         local: &LocalModel,
         config: &SigmaTyperConfig,
     ) -> CascadeTrace {
-        self.run_cached(table, global, local, config, None)
-    }
-
-    /// [`Cascade::run`] with an optional step cache: before running a
-    /// step on a column, the cache is consulted under the key the
-    /// step's [`cache_scope`](AnnotationStep::cache_scope) names (see
-    /// [`crate::cache`]); a hit pushes the stored scores into the
-    /// trace exactly as a run would, a miss runs the step and inserts
-    /// the result. Per-step hit/miss/insert counts are reported in the
-    /// [`StepTiming`] records; cache hits do not count toward
-    /// [`StepTiming::columns`].
-    ///
-    /// Cached and uncached runs are bit-identical: a cached score was
-    /// produced by the same deterministic step under a context with
-    /// the same fingerprint, and the skip predicates and tentative
-    /// types downstream of it see identical inputs either way.
-    ///
-    /// Execution — the frontier loop, cache consults, and the
-    /// (config-governed) column-parallel path — lives in
-    /// [`CascadeExecutor`]; this method builds one from `config` and
-    /// delegates. Callers that manage their own worker budgets (the
-    /// batch service) construct the executor directly.
-    #[must_use]
-    pub fn run_cached(
-        &self,
-        table: &Table,
-        global: &GlobalModel,
-        local: &LocalModel,
-        config: &SigmaTyperConfig,
-        cache: Option<CacheContext<'_>>,
-    ) -> CascadeTrace {
-        CascadeExecutor::from_config(config).run(self, table, global, local, config, cache)
+        CascadeExecutor::from_config(config)
+            .run_budgeted(self, table, global, local, config, None, None, None)
+            .trace
     }
 }
 

@@ -1,8 +1,10 @@
 //! Pipeline step 3: the table-embedding model (paper §4.3).
 //!
-//! The TaBERT substitute (see DESIGN.md): a column is encoded from its
-//! own content (Sherlock-style features + value/header embeddings) plus
-//! *table context* (the mean embedding of the neighboring headers), and
+//! A substitute for TaBERT, the pretrained table-and-text language model
+//! behind the paper's embedding step, small enough to train from scratch
+//! on the generated corpus: a column is encoded from its own content
+//! (Sherlock-style features + value/header embeddings) plus *table
+//! context* (the mean embedding of the neighboring headers), and
 //! classified by an MLP head whose class 0 is the background `unknown`
 //! type — the out-of-distribution mechanism the paper adopts from
 //! Dhamija et al. \[30\]. Supports incremental finetuning for local models.
@@ -61,12 +63,12 @@ impl TableEmbeddingModel {
     }
 
     /// Phrase vector of one raw header under this model's embedder —
-    /// the reusable unit of the neighbor-context encoding. Batch
-    /// callers ([`EmbeddingStep::run_batch`]) encode each header of a
-    /// table once and share the vectors across columns instead of
+    /// the reusable unit of the neighbor-context encoding. The
+    /// embedding step's per-table [`scorer`] encodes each header of a
+    /// table once and shares the vectors across columns instead of
     /// re-encoding every neighbor per column.
     ///
-    /// [`EmbeddingStep::run_batch`]: crate::step::EmbeddingStep
+    /// [`scorer`]: crate::step::AnnotationStep::scorer
     #[must_use]
     pub fn header_vector(&self, header: &str) -> Vec<f32> {
         self.extractor

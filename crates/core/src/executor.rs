@@ -15,11 +15,13 @@
 //!    [`cache_scope`](crate::step::AnnotationStep::cache_scope) names;
 //!    hits enter the trace exactly like runs. What remains — not
 //!    skipped, not cached — is the step's *pending-column frontier*.
-//! 2. **Chunking.** The [`ParallelismPolicy`] decides how the frontier
-//!    is split into chunks, each executed with one
-//!    [`run_batch`](crate::step::AnnotationStep::run_batch) call.
-//!    Sequential execution is the single-chunk special case, so the
-//!    batch-amortized step implementations serve both paths.
+//! 2. **Chunking.** The step builds its
+//!    [`scorer`](crate::step::AnnotationStep::scorer) once for the
+//!    table, paying any table-level setup there, and the
+//!    [`ParallelismPolicy`] splits the frontier into chunks whose
+//!    columns are each scored by one call of that closure. Sequential
+//!    execution is the single-chunk special case, so the same scorer
+//!    serves both paths.
 //! 3. **Workers.** When more than one chunk is planned and the worker
 //!    budget allows, chunks are distributed over
 //!    [`std::thread::scope`] threads. Steps are deterministic and
@@ -63,8 +65,7 @@ use tu_table::Table;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParallelismPolicy {
     /// Never parallelize within a table: every frontier runs as one
-    /// sequential [`run_batch`](crate::step::AnnotationStep::run_batch)
-    /// call.
+    /// chunk on the calling thread.
     Off,
     /// Parallelize a step only when its frontier has at least
     /// `min_columns` pending columns (and the worker budget allows),
@@ -77,10 +78,9 @@ pub enum ParallelismPolicy {
     /// Always split the frontier into chunks of `columns` columns;
     /// chunks run on up to the budgeted number of workers (with a
     /// budget of 1 they run sequentially, which still exercises the
-    /// chunked batch path). Mostly a testing/tuning policy.
+    /// chunked path). Mostly a testing/tuning policy.
     FixedChunk {
-        /// Columns per [`run_batch`](crate::step::AnnotationStep::run_batch)
-        /// call.
+        /// Columns per chunk.
         columns: usize,
     },
 }
@@ -244,32 +244,14 @@ impl CascadeExecutor {
     /// docs](self). Returns the per-column `(step, scores)` traces in
     /// execution order plus one [`StepTiming`] per configured step.
     ///
-    /// Unbudgeted convenience over
-    /// [`run_budgeted`](CascadeExecutor::run_budgeted) — no ledger, no
-    /// degradation, every step runs.
-    #[must_use]
-    pub fn run(
-        &self,
-        cascade: &Cascade,
-        table: &Table,
-        global: &GlobalModel,
-        local: &LocalModel,
-        config: &SigmaTyperConfig,
-        cache: Option<CacheContext<'_>>,
-    ) -> CascadeTrace {
-        self.run_budgeted(cascade, table, global, local, config, cache, None, None)
-            .trace
-    }
-
-    /// [`run`](CascadeExecutor::run) under an optional
-    /// [`BudgetContext`]: after every executed step the ledger is
-    /// charged with the larger of the step's wall-clock and summed
-    /// in-chunk nanoseconds, and — when the policy allows degradation
-    /// — steps are dropped or truncated as described in
+    /// Under an optional [`BudgetContext`], after every executed step
+    /// the ledger is charged with the larger of the step's wall-clock
+    /// and summed in-chunk nanoseconds, and — when the policy allows
+    /// degradation — steps are dropped or truncated as described in
     /// [`crate::request`]. With `budget == None` (or a
     /// [`Strict`](crate::request::DegradationPolicy::Strict) policy)
-    /// the walk is identical to the unbudgeted one, which is what
-    /// keeps plain `annotate` calls bit-identical to default requests.
+    /// every step runs, which is what keeps plain `annotate` calls
+    /// bit-identical to default requests.
     ///
     /// An optional [`DeltaContext`] engages the delta-aware recrawl
     /// path (see its docs): precomputed fingerprints replace the
@@ -277,7 +259,7 @@ impl CascadeExecutor {
     /// crawl's cached scores. With `delta == None` — or a sensitivity
     /// of 0 — the walk is bit-identical to a from-scratch run.
     #[must_use]
-    #[allow(clippy::too_many_arguments)] // run()'s signature + the budget and delta contexts
+    #[allow(clippy::too_many_arguments)] // the models, config and cache plus the budget and delta contexts
     pub fn run_budgeted(
         &self,
         cascade: &Cascade,
@@ -337,10 +319,8 @@ impl CascadeExecutor {
             let tentative: Vec<TypeId> = per_column.iter().map(|steps| best_type(steps)).collect();
             let states: Vec<ColumnState> = per_column
                 .iter()
-                .enumerate()
-                .map(|(ci, steps)| ColumnState {
+                .map(|steps| ColumnState {
                     best_so_far: best_so_far(steps),
-                    fingerprint: fingerprints.as_ref().map(|f| f[ci]),
                 })
                 .collect();
             let ctx_for = |ci: usize| StepContext {
@@ -352,7 +332,6 @@ impl CascadeExecutor {
                 global,
                 local,
                 config,
-                fingerprint: states[ci].fingerprint,
                 column_states: &states,
             };
 
@@ -600,27 +579,15 @@ impl CascadeExecutor {
         }
         let (chunk_size, workers) = self.plan(frontier.len());
         let chunks: Vec<&[usize]> = frontier.chunks(chunk_size).collect();
-        // Table-level setup, computed once per (step, table) and
-        // shared by reference across every chunk — including chunks on
-        // other worker threads. Steps that return None fall back to
-        // plain run_batch (which may amortize per call, but re-pays
-        // per chunk).
-        let setup = step.prepare(&ctx_for(frontier[0]));
+        // Built once per (step, table) and shared by reference across
+        // every chunk, including chunks on other worker threads, so a
+        // step's table-level setup is paid once however the frontier
+        // is split.
+        let score = step.scorer(ctx_for(frontier[0]));
         let run_chunk = |chunk: &[usize]| -> (Vec<StepScores>, u128) {
             let t0 = Instant::now();
-            let ctx = ctx_for(chunk[0]);
-            let scores = match &setup {
-                Some(setup) => step.run_prepared(&ctx, chunk, setup),
-                None => step.run_batch(&ctx, chunk),
-            };
-            let busy = t0.elapsed().as_nanos();
-            assert_eq!(
-                scores.len(),
-                chunk.len(),
-                "step '{}': run_batch must return one StepScores per column",
-                step.name()
-            );
-            (scores, busy)
+            let scores = chunk.iter().map(|&ci| score(ci)).collect();
+            (scores, t0.elapsed().as_nanos())
         };
         // One worker's share of the chunks, run sequentially with the
         // mid-step re-check between its own chunks.
@@ -643,9 +610,8 @@ impl CascadeExecutor {
             share
         };
         if workers <= 1 {
-            // Inline: still one run_batch call per chunk, so a
-            // FixedChunk policy exercises the batch path even with a
-            // budget of one.
+            // Inline: still chunk by chunk, so a FixedChunk policy
+            // exercises the chunked path even with a budget of one.
             return run_share(&chunks);
         }
         // Parallel: contiguous runs of chunks per worker, results
@@ -704,8 +670,7 @@ impl FrontierRun {
 #[derive(Debug)]
 pub struct BudgetedTrace {
     /// Per-column `(step, scores)` traces plus one [`StepTiming`] per
-    /// configured step — the same shape [`CascadeExecutor::run`]
-    /// returns.
+    /// configured step — the same shape [`Cascade::run`] returns.
     pub trace: CascadeTrace,
     /// Steps skipped or truncated to honor the budget, in cascade
     /// order (empty when nothing degraded).

@@ -104,7 +104,7 @@ pub use request::{
 pub use service::{AnnotationService, BoundedQueue, LaneLedger, QueueRejection, TrafficLane};
 pub use step::{
     AnnotationStep, CacheScope, ColumnState, EmbeddingStep, HeaderStep, LookupStep, RegexOnlyStep,
-    StepContext, TableSetup,
+    StepContext,
 };
 pub use system::{CustomTypeError, SigmaTyper, SigmaTyperBuilder};
 pub use tenant::{

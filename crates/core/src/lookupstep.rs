@@ -9,7 +9,7 @@
 use crate::config::SigmaTyperConfig;
 use crate::prediction::{Candidate, StepScores};
 use crate::regexbank::RegexBank;
-use tu_dp::{context, LabelingFunction, LfContext};
+use tu_dp::{context, LabelingFunction, LfContext, LfKind};
 use tu_kb::KnowledgeBase;
 use tu_ontology::TypeId;
 use tu_table::Column;
@@ -73,6 +73,20 @@ impl ValueLookup {
     /// *globally sourced* candidate (KB, regex bank, global LFs). The
     /// customer's local LFs are never discounted — this is how `Wg`
     /// shrinks when the local context contradicts global knowledge.
+    ///
+    /// Renders the column's `config.lookup_sample`-value sample and
+    /// collects its numeric values once, and builds one
+    /// [`LfContext`] for every LF of the banks. When the lookup sample
+    /// has the LFs' size ([`tu_dp::lf::SAMPLE`], both 40 by default),
+    /// the context reuses the lookup's rendering instead of making its
+    /// own.
+    ///
+    /// Only identity-style LFs (header, dictionary, shape) vote, in
+    /// bank order. Numeric envelopes and co-occurrence are
+    /// *data-programming* LFs: they mine weakly labeled training data
+    /// (tu-dp), where the min-votes/strong gating controls their
+    /// noise, but as direct voters they fire on far too many columns
+    /// (measured in experiment E1).
     #[must_use]
     pub fn lookup_weighted(
         &self,
@@ -80,85 +94,6 @@ impl ValueLookup {
         normalized_header: &str,
         neighbor_types: &[TypeId],
         lf_banks: &[&[LabelingFunction]],
-        config: &SigmaTyperConfig,
-        global_weight: &dyn Fn(TypeId) -> f64,
-    ) -> StepScores {
-        self.lookup_with_lfs(
-            column,
-            normalized_header,
-            neighbor_types,
-            &Self::identity_lfs(lf_banks),
-            config,
-            global_weight,
-        )
-    }
-
-    /// The identity-style subset of `lf_banks`, in bank order.
-    ///
-    /// Only identity-style LFs (header, dictionary, shape) vote at
-    /// inference time. Numeric envelopes and co-occurrence are
-    /// *data-programming* LFs: they mine weakly labeled training data
-    /// (tu-dp), where the min-votes/strong gating controls their
-    /// noise, but as direct voters they fire on far too many columns
-    /// (measured in experiment E1).
-    ///
-    /// The filter is order-preserving, so feeding the result to
-    /// [`ValueLookup::lookup_with_lfs`] is bit-identical to
-    /// [`ValueLookup::lookup_weighted`] over the raw banks — which is
-    /// what lets [`LookupStep::run_batch`](crate::step::LookupStep)
-    /// filter once per table instead of once per column.
-    #[must_use]
-    pub fn identity_lfs<'a>(lf_banks: &[&'a [LabelingFunction]]) -> Vec<&'a LabelingFunction> {
-        Self::identity_lf_indices(lf_banks)
-            .into_iter()
-            .map(|(bank, lf)| &lf_banks[bank][lf])
-            .collect()
-    }
-
-    /// The positions of the identity-style subset of `lf_banks`, as
-    /// `(bank index, LF index)` pairs in bank order — the borrow-free
-    /// twin of [`ValueLookup::identity_lfs`] (which is implemented on
-    /// top of it, so the two can never drift). Positions are what the
-    /// lookup step's table-level [`prepare`] setup stores: indices are
-    /// `'static`, so one filter pass can be shared across
-    /// column-parallel chunk workers and re-borrowed against each
-    /// chunk's own bank references.
-    ///
-    /// [`prepare`]: crate::step::AnnotationStep::prepare
-    #[must_use]
-    pub fn identity_lf_indices(lf_banks: &[&[LabelingFunction]]) -> Vec<(usize, usize)> {
-        lf_banks
-            .iter()
-            .enumerate()
-            .flat_map(|(bi, bank)| bank.iter().enumerate().map(move |(li, lf)| (bi, li, lf)))
-            .filter(|(_, _, lf)| {
-                matches!(
-                    lf.kind,
-                    tu_dp::LfKind::HeaderEquals(_)
-                        | tu_dp::LfKind::Dictionary(_)
-                        | tu_dp::LfKind::Pattern(_)
-                )
-            })
-            .map(|(bi, li, _)| (bi, li))
-            .collect()
-    }
-
-    /// [`ValueLookup::lookup_weighted`] over a prefiltered
-    /// identity-LF list (see [`ValueLookup::identity_lfs`]).
-    ///
-    /// Renders the column's `config.lookup_sample`-value sample and
-    /// collects its numeric values once, and builds one
-    /// [`LfContext`] for every LF of the list. When the lookup sample
-    /// has the LFs' size ([`tu_dp::lf::SAMPLE`], both 40 by default),
-    /// the context reuses the lookup's rendering instead of making its
-    /// own.
-    #[must_use]
-    pub fn lookup_with_lfs(
-        &self,
-        column: &Column,
-        normalized_header: &str,
-        neighbor_types: &[TypeId],
-        identity_lfs: &[&LabelingFunction],
         config: &SigmaTyperConfig,
         global_weight: &dyn Fn(TypeId) -> f64,
     ) -> StepScores {
@@ -197,6 +132,12 @@ impl ValueLookup {
 
         // Source 1: labeling functions (global + local). Strong LFs carry
         // full weight; contextual LFs are scaled like range rules.
+        let identity_lfs = lf_banks.iter().flat_map(|bank| bank.iter()).filter(|lf| {
+            matches!(
+                lf.kind,
+                LfKind::HeaderEquals(_) | LfKind::Dictionary(_) | LfKind::Pattern(_)
+            )
+        });
         for lf in identity_lfs {
             if let Some(ty) = lf.vote(&ctx) {
                 let mut confidence = 0.95;
@@ -293,45 +234,96 @@ mod tests {
         assert!(s.candidates.is_empty());
     }
 
+    /// Only identity-style LFs vote at lookup time: range, mean and
+    /// co-occurrence LFs that would vote on the column add nothing, in
+    /// either bank, while header, dictionary and pattern LFs do.
     #[test]
-    fn identity_lf_prefilter_preserves_bank_order_and_votes() {
+    fn only_identity_lfs_vote_in_either_bank() {
         let (o, l, cfg) = setup();
-        let salary = builtin_id(&o, "salary");
-        let age = builtin_id(&o, "age");
-        let mk = |name: &str, ty: TypeId, kind: tu_dp::LfKind| tu_dp::LabelingFunction {
+        let ty = |name: &str| builtin_id(&o, name);
+        let mk = |name: &str, ty: TypeId, kind: LfKind| LabelingFunction {
             name: name.into(),
             ty,
             source: tu_dp::LfSource::Local,
             kind,
         };
-        let bank_a = vec![
-            mk("h", salary, tu_dp::LfKind::HeaderEquals("income".into())),
-            // Data-programming-only kind: must be filtered out.
+        let range = |name: &str| {
             mk(
-                "r",
-                age,
-                tu_dp::LfKind::ValueRange {
+                name,
+                ty("age"),
+                LfKind::ValueRange {
                     min: 0.0,
-                    max: 120.0,
+                    max: 1000.0,
                 },
-            ),
-        ];
-        let bank_b = vec![mk(
-            "d",
-            salary,
-            tu_dp::LfKind::HeaderEquals("salary".into()),
-        )];
-        let banks: [&[tu_dp::LabelingFunction]; 2] = [&bank_a, &bank_b];
-        let identity = ValueLookup::identity_lfs(&banks);
-        assert_eq!(identity.len(), 2);
-        assert_eq!(identity[0].name, "h");
-        assert_eq!(identity[1].name, "d");
-        // Prefiltered path is bit-identical to the raw-bank path.
-        let col = Column::from_raw("Income", &["100", "200"]);
-        let direct = l.lookup_weighted(&col, "income", &[], &banks, &cfg, &|_| 1.0);
-        let prefiltered = l.lookup_with_lfs(&col, "income", &[], &identity, &cfg, &|_| 1.0);
-        assert_eq!(direct.candidates, prefiltered.candidates);
-        assert!(direct.confidence_for(salary) > 0.9);
+            )
+        };
+        let mean = mk(
+            "mean",
+            ty("month"),
+            LfKind::MeanRange {
+                min: 0.0,
+                max: 1000.0,
+            },
+        );
+        let cooc = |name: &str| {
+            mk(
+                name,
+                ty("weekday"),
+                LfKind::CoOccurrence {
+                    required: vec![ty("city")],
+                },
+            )
+        };
+        let header = mk(
+            "header",
+            ty("salary"),
+            LfKind::HeaderEquals("income".into()),
+        );
+        let dict = mk(
+            "dict",
+            ty("email"),
+            LfKind::Dictionary(["100", "200", "300"].map(String::from).into()),
+        );
+        let pattern = mk(
+            "pattern",
+            ty("city"),
+            LfKind::Pattern(tu_regex::Regex::new("[0-9]+").expect("valid regex")),
+        );
+        let col = Column::from_raw("Income", &["100", "200", "300"]);
+        let neighbors = [ty("city")];
+        let lf_ctx = context(&col, "income", &neighbors);
+        let lookup = |banks: &[&[LabelingFunction]]| {
+            l.lookup_weighted(&col, "income", &neighbors, banks, &cfg, &|_| 1.0)
+        };
+
+        let dp_only = [range("range-a"), mean.clone(), cooc("cooc-a")];
+        let dp_only_b = [cooc("cooc-b"), range("range-b")];
+        for lf in dp_only.iter().chain(&dp_only_b) {
+            assert!(lf.vote(&lf_ctx).is_some(), "{} must fire here", lf.name);
+        }
+        let bare = lookup(&[]);
+        assert_eq!(lookup(&[&dp_only, &dp_only_b]).candidates, bare.candidates);
+
+        let identity_a = [header.clone(), dict.clone()];
+        let identity_b = [pattern.clone()];
+        let mixed_a = [range("range-a"), header, cooc("cooc-a"), dict];
+        let mixed_b = [mean, pattern, range("range-b")];
+        let voted = lookup(&[&mixed_a, &mixed_b]);
+        assert_eq!(
+            voted.candidates,
+            lookup(&[&identity_a, &identity_b]).candidates
+        );
+        for name in ["salary", "email", "city"] {
+            assert_eq!(bare.confidence_for(ty(name)), 0.0, "{name}");
+            assert!(voted.confidence_for(ty(name)) > 0.9, "{name}: {voted:?}");
+        }
+        for name in ["age", "month", "weekday"] {
+            assert_eq!(
+                voted.confidence_for(ty(name)),
+                bare.confidence_for(ty(name)),
+                "{name}"
+            );
+        }
     }
 
     #[test]

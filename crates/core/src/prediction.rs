@@ -190,22 +190,20 @@ pub struct StepTiming {
     pub cache_misses: usize,
     /// Results inserted into the step cache after running.
     pub cache_inserts: usize,
-    /// How many [`run_batch`] invocations (chunks) the executor issued
-    /// for this step's frontier: 0 when nothing ran, 1 on the
-    /// sequential path, more when the frontier was chunked for
-    /// column-parallel execution (see
+    /// How many chunks of this step's frontier the executor ran: 0
+    /// when nothing ran, 1 on the sequential path, more when the
+    /// frontier was chunked for column-parallel execution (see
     /// [`CascadeExecutor`](crate::executor::CascadeExecutor)).
-    ///
-    /// [`run_batch`]: crate::step::AnnotationStep::run_batch
     pub chunks: usize,
-    /// Nanoseconds spent *inside* the step's [`run_batch`] calls,
-    /// summed across chunks — a CPU-time proxy. On the column-parallel
+    /// Nanoseconds spent *inside* the step's chunks, scoring their
+    /// columns through the step's [`scorer`], summed across chunks —
+    /// a CPU-time proxy that leaves out building the scorer. On the column-parallel
     /// path this exceeds the step's share of the wall-clock [`nanos`],
     /// and the ratio `parallel_nanos / nanos` approximates the
     /// intra-table speedup; the cost-aware-ordering roadmap item keys
     /// off this field.
     ///
-    /// [`run_batch`]: crate::step::AnnotationStep::run_batch
+    /// [`scorer`]: crate::step::AnnotationStep::scorer
     /// [`nanos`]: StepTiming::nanos
     pub parallel_nanos: u128,
     /// Columns answered by reusing the *base crawl's* cached scores on

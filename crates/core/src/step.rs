@@ -10,14 +10,11 @@
 //! runs an ordered list of them; user code registers additional steps
 //! through [`SigmaTyper::builder`](crate::system::SigmaTyper::builder).
 
-use crate::backend::EmbeddingBackend;
-use crate::cache::ColumnFingerprint;
 use crate::config::SigmaTyperConfig;
 use crate::embedstep::TableEmbeddingModel;
 use crate::global::GlobalModel;
 use crate::local::LocalModel;
 use crate::prediction::{Candidate, StepId, StepScores};
-use tu_dp::LabelingFunction;
 use tu_ontology::TypeId;
 use tu_table::{Column, Table};
 
@@ -28,15 +25,12 @@ use tu_table::{Column, Table};
 /// The [`CascadeExecutor`](crate::executor::CascadeExecutor) recomputes
 /// one `ColumnState` per column before each step and exposes the full
 /// slice through [`StepContext::column_states`], which is what lets
-/// [`AnnotationStep::run_batch`] derive exact per-column contexts via
+/// [`AnnotationStep::scorer`] derive exact per-column contexts via
 /// [`StepContext::for_column`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ColumnState {
     /// Best confidence any earlier step achieved for this column.
     pub best_so_far: f64,
-    /// The column's cache fingerprint for the current run (`None`
-    /// when no step cache is configured).
-    pub fingerprint: Option<ColumnFingerprint>,
 }
 
 /// Everything a step may consult when scoring one column.
@@ -65,12 +59,6 @@ pub struct StepContext<'a> {
     pub local: &'a LocalModel,
     /// The active configuration.
     pub config: &'a SigmaTyperConfig,
-    /// This column's cache identity for the current run, when the
-    /// owning [`SigmaTyper`](crate::system::SigmaTyper) has a step
-    /// cache configured (`None` otherwise). Computed once per column
-    /// per table by the cascade; steps may use it to key caches of
-    /// their own.
-    pub fingerprint: Option<ColumnFingerprint>,
     /// Per-column cascade state for *every* column of the table at
     /// this step, indexed by column. The executor always fills this;
     /// hand-constructed contexts (the fields are public for testing
@@ -137,32 +125,24 @@ impl<'a> StepContext<'a> {
     }
 
     /// The same table-level context re-focused on a sibling column:
-    /// everything shared stays shared, while `col_idx`, `best_so_far`,
-    /// and `fingerprint` are taken from [`StepContext::column_states`].
-    /// This is how [`AnnotationStep::run_batch`] derives the exact
-    /// per-column context the sequential path would have built.
+    /// everything shared stays shared, while `col_idx` and
+    /// `best_so_far` are taken from [`StepContext::column_states`].
+    /// This is how the default [`AnnotationStep::scorer`] derives the
+    /// exact per-column context the executor would have built.
     ///
     /// Hand-constructed contexts with an empty `column_states` slice
-    /// fall back to [`ColumnState::default`] (no prior confidence, no
-    /// fingerprint) for columns the slice does not cover.
+    /// fall back to [`ColumnState::default`] (no prior confidence) for
+    /// columns the slice does not cover.
     #[must_use]
     pub fn for_column(&self, col_idx: usize) -> StepContext<'a> {
         let state = self.column_states.get(col_idx).copied().unwrap_or_default();
         StepContext {
             col_idx,
             best_so_far: state.best_so_far,
-            fingerprint: state.fingerprint,
             ..*self
         }
     }
 }
-
-/// Opaque table-level setup produced once per `(step, table)` by
-/// [`AnnotationStep::prepare`] and shared by reference across every
-/// chunk of the step's frontier — including chunks running on
-/// different worker threads (hence `Send + Sync`). Steps downcast it
-/// back in [`AnnotationStep::run_prepared`].
-pub type TableSetup = Box<dyn std::any::Any + Send + Sync>;
 
 /// One pluggable stage of the annotation cascade.
 ///
@@ -196,70 +176,28 @@ pub trait AnnotationStep: std::fmt::Debug + Send + Sync {
     /// nothing" from "skipped").
     fn run(&self, ctx: &StepContext<'_>) -> StepScores;
 
-    /// Score a batch of columns of one table in a single call.
+    /// Build this step's scorer for one table: a closure the
+    /// [`CascadeExecutor`](crate::executor::CascadeExecutor) calls once
+    /// per pending column, by column index, on whichever worker thread
+    /// runs that column's chunk.
     ///
-    /// `ctx` is the context of `cols[0]`; implementations derive the
-    /// other columns' contexts with [`StepContext::for_column`]. The
-    /// returned vector must hold exactly one [`StepScores`] per entry
-    /// of `cols`, in order — the
-    /// [`CascadeExecutor`](crate::executor::CascadeExecutor) enforces
-    /// the length.
+    /// The executor calls `scorer` once per `(step, table)` with a
+    /// non-empty frontier, on the context of the frontier's first
+    /// column, and shares the closure by reference across every chunk
+    /// (hence `Sync`). That makes this the place for table-level setup
+    /// a step wants paid once rather than once per column: compute it
+    /// here and move it into the closure. The built-in
+    /// [`EmbeddingStep`] encodes each header once per model here
+    /// instead of once per `(column, neighbor)` pair.
     ///
-    /// The default loops [`AnnotationStep::run`]. Override it when
-    /// per-table setup is worth amortizing across columns (the
-    /// built-in [`EmbeddingStep`] encodes each header once per table
-    /// instead of once per neighbor pair; [`LookupStep`] filters the
-    /// labeling-function banks once per table) — but any override
-    /// **must** stay bit-identical to mapping `run` over the same
-    /// per-column contexts, and must produce the same bits regardless
-    /// of how the executor chunks the frontier across calls. The
-    /// golden-equivalence suite (`tests/golden_cascade.rs`) holds the
-    /// built-ins to that contract.
-    fn run_batch(&self, ctx: &StepContext<'_>, cols: &[usize]) -> Vec<StepScores> {
-        cols.iter()
-            .map(|&ci| self.run(&ctx.for_column(ci)))
-            .collect()
-    }
-
-    /// Compute the table-level setup this step wants amortized across
-    /// *all* chunks of one frontier — not just within one
-    /// [`run_batch`](AnnotationStep::run_batch) call. The
-    /// [`CascadeExecutor`](crate::executor::CascadeExecutor) calls
-    /// this exactly once per `(step, table)` with a non-empty frontier
-    /// and hands the result (by reference) to every chunk's
-    /// [`run_prepared`](AnnotationStep::run_prepared), so
-    /// column-parallel workers share one setup instead of each paying
-    /// it inside their own thread.
-    ///
-    /// The default returns `None` (no shared setup; chunks fall back
-    /// to [`run_batch`](AnnotationStep::run_batch)). Overriders must
-    /// keep the setup a pure function of the table-level context —
-    /// anything per-column belongs in `run_prepared`.
-    fn prepare(&self, ctx: &StepContext<'_>) -> Option<TableSetup> {
-        let _ = ctx;
-        None
-    }
-
-    /// Score a batch of columns using a setup produced by
-    /// [`prepare`](AnnotationStep::prepare) on the same table. Same
-    /// contract as [`run_batch`](AnnotationStep::run_batch): one
-    /// [`StepScores`] per entry of `cols`, in order, bit-identical to
-    /// mapping [`run`](AnnotationStep::run) — regardless of chunking
-    /// *and* regardless of whether the setup was shared or rebuilt.
-    ///
-    /// The default ignores the setup and delegates to
-    /// [`run_batch`](AnnotationStep::run_batch); implementations that
-    /// override [`prepare`](AnnotationStep::prepare) should downcast
-    /// `setup` and fall back to `run_batch` when the downcast fails (a
-    /// foreign executor may hand them someone else's setup).
-    fn run_prepared(
-        &self,
-        ctx: &StepContext<'_>,
-        cols: &[usize],
-        setup: &TableSetup,
-    ) -> Vec<StepScores> {
-        let _ = setup;
-        self.run_batch(ctx, cols)
+    /// The default runs [`run`](AnnotationStep::run) on
+    /// [`ctx.for_column(ci)`](StepContext::for_column). An override
+    /// **must** return, for every column, exactly what that default
+    /// returns, in whatever order and on whatever thread the columns
+    /// are scored; the golden-equivalence suite
+    /// (`tests/golden_cascade.rs`) holds the built-ins to it.
+    fn scorer<'a>(&'a self, ctx: StepContext<'a>) -> Box<dyn Fn(usize) -> StepScores + Sync + 'a> {
+        Box::new(move |ci| self.run(&ctx.for_column(ci)))
     }
 
     /// What the executor keys this step's entries in the
@@ -298,9 +236,10 @@ pub trait AnnotationStep: std::fmt::Debug + Send + Sync {
 /// compaction; they differ only in what the key hashes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheScope {
-    /// The column's [`ColumnFingerprint`]: its header and values, the
-    /// rest of the table, the cascade's step order, the config and the
-    /// cache epoch. Right for any deterministic step.
+    /// The column's [`ColumnFingerprint`](crate::cache::ColumnFingerprint):
+    /// its header and values, the rest of the table, the cascade's step
+    /// order, the config and the cache epoch. Right for any
+    /// deterministic step.
     Column,
     /// The column's header text, the config and the cache epoch, so
     /// one entry serves every column with that header in any table. A
@@ -385,89 +324,6 @@ impl AnnotationStep for LookupStep {
             &|t| ctx.local.wg(t, ctx.normalized_header()),
         )
     }
-
-    /// Batch override: the identity-LF subset of the global + local
-    /// banks is the same for every column of the table, so it is
-    /// filtered once per batch instead of once per column — on an
-    /// adapted customer the local bank grows with every feedback
-    /// event, and the per-column filter pass grows with it.
-    fn run_batch(&self, ctx: &StepContext<'_>, cols: &[usize]) -> Vec<StepScores> {
-        self.scores_with(ctx, cols, &LookupSetup::for_table(ctx))
-    }
-
-    /// Table-level setup shared across *chunks*: the identity-LF
-    /// filter pass over the global + local banks, stored as positions
-    /// (`'static`, so one pass serves every column-parallel worker —
-    /// the per-chunk `run_batch` override above only amortized it
-    /// within a chunk).
-    fn prepare(&self, ctx: &StepContext<'_>) -> Option<TableSetup> {
-        Some(Box::new(LookupSetup::for_table(ctx)))
-    }
-
-    fn run_prepared(
-        &self,
-        ctx: &StepContext<'_>,
-        cols: &[usize],
-        setup: &TableSetup,
-    ) -> Vec<StepScores> {
-        match setup.downcast_ref::<LookupSetup>() {
-            Some(setup) => self.scores_with(ctx, cols, setup),
-            // Foreign setup (a custom executor mixed things up): stay
-            // correct by rebuilding our own.
-            None => self.run_batch(ctx, cols),
-        }
-    }
-}
-
-/// [`LookupStep`]'s table-level setup: positions of the identity-style
-/// LFs within the `[global, local]` bank pair (see
-/// [`ValueLookup::identity_lf_indices`](crate::lookupstep::ValueLookup::identity_lf_indices)).
-#[derive(Debug)]
-struct LookupSetup {
-    identity: Vec<(usize, usize)>,
-}
-
-impl LookupSetup {
-    fn for_table(ctx: &StepContext<'_>) -> Self {
-        let banks: [&[LabelingFunction]; 2] = [&ctx.global.global_lfs, &ctx.local.lfs];
-        LookupSetup {
-            identity: crate::lookupstep::ValueLookup::identity_lf_indices(&banks),
-        }
-    }
-}
-
-impl LookupStep {
-    /// The shared scoring core: re-borrow the prefiltered LF positions
-    /// against this context's banks and run the per-column lookups.
-    /// Order-preserving, so the result is bit-identical to the
-    /// unfiltered per-column path (proven in the golden suite).
-    fn scores_with(
-        &self,
-        ctx: &StepContext<'_>,
-        cols: &[usize],
-        setup: &LookupSetup,
-    ) -> Vec<StepScores> {
-        let banks: [&[LabelingFunction]; 2] = [&ctx.global.global_lfs, &ctx.local.lfs];
-        let identity: Vec<&LabelingFunction> = setup
-            .identity
-            .iter()
-            .map(|&(bank, lf)| &banks[bank][lf])
-            .collect();
-        cols.iter()
-            .map(|&ci| {
-                let c = ctx.for_column(ci);
-                let neighbors = c.neighbor_types();
-                c.global.lookup.lookup_with_lfs(
-                    c.column(),
-                    c.normalized_header(),
-                    &neighbors,
-                    &identity,
-                    c.config,
-                    &|t| c.local.wg(t, c.normalized_header()),
-                )
-            })
-            .collect()
-    }
 }
 
 /// Built-in step 3: the table-embedding model, blending the finetuned
@@ -517,40 +373,52 @@ impl AnnotationStep for EmbeddingStep {
         }
     }
 
-    /// Batch override: each header's phrase vector is encoded once per
-    /// batch call instead of once per `(column, neighbor)` — the
-    /// neighbor-context encoding is quadratic in table width on the
-    /// per-column path. The per-column mean is accumulated over the
-    /// precomputed vectors in the same order `predict` would have
-    /// used, so the result is bit-identical (see
-    /// [`TableEmbeddingModel::context_of`]). Chunked executors share
-    /// one encoding across *all* chunks through
-    /// [`prepare`](AnnotationStep::prepare)/[`run_prepared`](AnnotationStep::run_prepared)
-    /// below, so even a `FixedChunk { columns: 1 }` policy pays the
-    /// setup once per table.
+    /// Each header's phrase vector is encoded once per model per table
+    /// instead of once per `(column, neighbor)` pair: the
+    /// neighbor-context encoding is quadratic in table width in `run`.
+    /// The closure averages the precomputed vectors in the order
+    /// `run` encodes them, so its scores are bit-identical (see
+    /// [`TableEmbeddingModel::context_of`]). The finetuned model's
+    /// embedder is a clone of the global one, but its vectors are
+    /// encoded through its own instance so the equivalence never
+    /// leans on clone identity.
     ///
     /// [`TableEmbeddingModel::context_of`]: crate::embedstep::TableEmbeddingModel::context_of
-    fn run_batch(&self, ctx: &StepContext<'_>, cols: &[usize]) -> Vec<StepScores> {
-        self.scores_with(ctx, cols, &EmbedSetup::for_table(ctx))
-    }
-
-    /// Table-level setup shared across chunks: every header encoded
-    /// once per `(model, table)` — previously each column-parallel
-    /// chunk re-encoded its own copy inside its worker thread.
-    fn prepare(&self, ctx: &StepContext<'_>) -> Option<TableSetup> {
-        Some(Box::new(EmbedSetup::for_table(ctx)))
-    }
-
-    fn run_prepared(
-        &self,
-        ctx: &StepContext<'_>,
-        cols: &[usize],
-        setup: &TableSetup,
-    ) -> Vec<StepScores> {
-        match setup.downcast_ref::<EmbedSetup>() {
-            Some(setup) => self.scores_with(ctx, cols, setup),
-            None => self.run_batch(ctx, cols),
-        }
+    fn scorer<'a>(&'a self, ctx: StepContext<'a>) -> Box<dyn Fn(usize) -> StepScores + Sync + 'a> {
+        let backend = ctx.config.embedding_backend.backend();
+        let headers = ctx.table.headers();
+        let encode = |model: &'a TableEmbeddingModel| -> (&'a TableEmbeddingModel, Vec<Vec<f32>>) {
+            let vecs = headers
+                .iter()
+                .map(|h| backend.encode_header(model, h))
+                .collect();
+            (model, vecs)
+        };
+        let global = encode(&ctx.global.embedding);
+        let local = ctx.local.finetuned.as_ref().map(encode);
+        let scores_for = move |(model, vecs): &(&TableEmbeddingModel, Vec<Vec<f32>>), ci: usize| {
+            let neighbors: Vec<&[f32]> = vecs
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| *i != ci)
+                .map(|(_, v)| v.as_slice())
+                .collect();
+            let context = model.context_of(&neighbors);
+            let column = ctx.table.column(ci).expect("column in range");
+            backend.predict_with_context(model, column, &context)
+        };
+        Box::new(move |ci| {
+            let global_scores = scores_for(&global, ci);
+            match &local {
+                Some(local) => blend(
+                    &global_scores,
+                    &scores_for(local, ci),
+                    ctx.local,
+                    &ctx.normalized_headers[ci],
+                ),
+                None => global_scores,
+            }
+        })
     }
 
     /// The embedding signal is a mean over sampled cell vectors: a few
@@ -560,89 +428,6 @@ impl AnnotationStep for EmbeddingStep {
     /// step, so each avoided re-run is worth the most.
     fn sensitivity_factor(&self) -> f64 {
         2.0
-    }
-}
-
-/// [`EmbeddingStep`]'s table-level setup: the resolved
-/// [`EmbeddingBackend`] and each header's phrase vector, encoded once
-/// per model through the backend and shared by every column-parallel
-/// chunk. The finetuned model's embedder is a clone of the global one,
-/// but its vectors are encoded through its own instance so the
-/// equivalence argument never leans on clone identity.
-struct EmbedSetup {
-    backend: &'static dyn EmbeddingBackend,
-    global_vecs: Vec<Vec<f32>>,
-    local_vecs: Option<Vec<Vec<f32>>>,
-}
-
-impl std::fmt::Debug for EmbedSetup {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EmbedSetup")
-            .field("backend", &self.backend.name())
-            .field("global_vecs", &self.global_vecs.len())
-            .field("local_vecs", &self.local_vecs.as_ref().map(Vec::len))
-            .finish()
-    }
-}
-
-impl EmbedSetup {
-    fn for_table(ctx: &StepContext<'_>) -> Self {
-        let backend = ctx.config.embedding_backend.backend();
-        let headers = ctx.table.headers();
-        let encode = |model: &TableEmbeddingModel| -> Vec<Vec<f32>> {
-            headers
-                .iter()
-                .map(|h| backend.encode_header(model, h))
-                .collect()
-        };
-        EmbedSetup {
-            backend,
-            global_vecs: encode(&ctx.global.embedding),
-            local_vecs: ctx.local.finetuned.as_ref().map(encode),
-        }
-    }
-}
-
-impl EmbeddingStep {
-    /// The shared scoring core over precomputed header vectors: build
-    /// each pending column's neighbor context and score it through the
-    /// backend, once per model.
-    fn scores_with(
-        &self,
-        ctx: &StepContext<'_>,
-        cols: &[usize],
-        setup: &EmbedSetup,
-    ) -> Vec<StepScores> {
-        let scores_for = |model: &TableEmbeddingModel, vecs: &[Vec<f32>], ci: usize| {
-            let neighbors: Vec<&[f32]> = vecs
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != ci)
-                .map(|(_, v)| v.as_slice())
-                .collect();
-            let context = model.context_of(&neighbors);
-            let column = ctx.table.column(ci).expect("column in range");
-            setup.backend.predict_with_context(model, column, &context)
-        };
-        let global_model = &ctx.global.embedding;
-        cols.iter()
-            .map(|&ci| {
-                let global_scores = scores_for(global_model, &setup.global_vecs, ci);
-                match (ctx.local.finetuned.as_ref(), &setup.local_vecs) {
-                    (Some(m), Some(lv)) => {
-                        let local_scores = scores_for(m, lv, ci);
-                        let c = ctx.for_column(ci);
-                        blend(
-                            &global_scores,
-                            &local_scores,
-                            c.local,
-                            c.normalized_header(),
-                        )
-                    }
-                    _ => global_scores,
-                }
-            })
-            .collect()
     }
 }
 
@@ -764,7 +549,6 @@ mod tests {
             global,
             local,
             config,
-            fingerprint: None,
             column_states: &[],
         }
     }
@@ -873,11 +657,11 @@ mod tests {
         assert!(EmbeddingStep.sensitivity_factor() > 1.0);
     }
 
-    /// The batch overrides must be bit-identical to mapping `run` over
-    /// the same per-column contexts — and invariant to how the batch
-    /// is chunked.
+    /// Every built-in step's scorer must return, for each column, what
+    /// `run` returns on `for_column(ci)`, whatever order the columns
+    /// are scored in: the executor hands one scorer to every chunk.
     #[test]
-    fn run_batch_overrides_match_sequential_run() {
+    fn builtin_scorers_match_run_in_any_column_order() {
         let g = global();
         let mut local = LocalModel::new();
         let config = SigmaTyperConfig::default();
@@ -896,8 +680,11 @@ mod tests {
             .iter()
             .map(|h| tu_text::normalize_header(h))
             .collect();
-        let tentative = vec![TypeId::UNKNOWN; 4];
-        let states = vec![ColumnState::default(); 4];
+        let tentative = vec![TypeId::UNKNOWN, TypeId(3), TypeId::UNKNOWN, TypeId(5)];
+        let states: Vec<ColumnState> = [0.1, 0.4, 0.0, 0.2]
+            .into_iter()
+            .map(|best_so_far| ColumnState { best_so_far })
+            .collect();
         // Engage the finetuned-blend path of the embedding step too:
         // the first admitted example creates the finetuned model.
         let example = Table::new(
@@ -910,18 +697,24 @@ mod tests {
         .unwrap();
         local.add_training(&g.embedding, &example, 1, TypeId(2));
         assert!(local.finetuned.is_some());
-        let steps: [&dyn AnnotationStep; 3] = [&LookupStep, &EmbeddingStep, &RegexOnlyStep];
+        let steps: [&dyn AnnotationStep; 4] =
+            [&HeaderStep, &LookupStep, &EmbeddingStep, &RegexOnlyStep];
         for step in steps {
-            let mut ctx = ctx_for(&table, 0, &normalized, &tentative, &g, &local, &config);
+            let mut ctx = ctx_for(&table, 2, &normalized, &tentative, &g, &local, &config);
             ctx.column_states = &states;
-            let sequential: Vec<StepScores> =
+            let expected: Vec<StepScores> =
                 (0..4).map(|ci| step.run(&ctx.for_column(ci))).collect();
-            let whole = step.run_batch(&ctx, &[0, 1, 2, 3]);
-            assert_eq!(whole, sequential, "{}: whole batch diverged", step.name());
-            // Chunked invocation must concatenate to the same bits.
-            let mut chunked = step.run_batch(&ctx, &[0, 1]);
-            chunked.extend(step.run_batch(&ctx.for_column(2), &[2, 3]));
-            assert_eq!(chunked, sequential, "{}: chunking diverged", step.name());
+            let score = step.scorer(ctx);
+            for order in [[0, 1, 2, 3], [3, 1, 0, 2], [2, 2, 0, 3]] {
+                for ci in order {
+                    assert_eq!(
+                        score(ci),
+                        expected[ci],
+                        "{}: column {ci} in order {order:?}",
+                        step.name()
+                    );
+                }
+            }
         }
     }
 
@@ -938,14 +731,8 @@ mod tests {
         let normalized = vec!["a".to_owned(), "b".to_owned()];
         let tentative = vec![TypeId::UNKNOWN; 2];
         let states = vec![
-            ColumnState {
-                best_so_far: 0.9,
-                fingerprint: None,
-            },
-            ColumnState {
-                best_so_far: 0.2,
-                fingerprint: None,
-            },
+            ColumnState { best_so_far: 0.9 },
+            ColumnState { best_so_far: 0.2 },
         ];
         let mut ctx = ctx_for(&table, 0, &normalized, &tentative, &g, &local, &config);
         ctx.column_states = &states;
@@ -956,7 +743,6 @@ mod tests {
         // Out-of-range / empty column_states fall back to the default.
         let bare = ctx_for(&table, 0, &normalized, &tentative, &g, &local, &config);
         assert_eq!(bare.for_column(1).best_so_far, 0.0);
-        assert!(bare.for_column(1).fingerprint.is_none());
     }
 
     #[test]

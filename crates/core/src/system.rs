@@ -1883,21 +1883,21 @@ mod tests {
         }
     }
 
-    /// A step that counts how often its table-level setup is computed
-    /// vs how many chunk calls consumed it.
+    /// A step that counts how often its per-table scorer is built and
+    /// how many columns that scorer scored.
     #[derive(Debug)]
-    struct PrepareCountingStep {
-        prepares: Arc<std::sync::atomic::AtomicUsize>,
-        chunk_calls: Arc<std::sync::atomic::AtomicUsize>,
+    struct ScorerCountingStep {
+        scorers: Arc<std::sync::atomic::AtomicUsize>,
+        columns: Arc<std::sync::atomic::AtomicUsize>,
     }
 
-    impl AnnotationStep for PrepareCountingStep {
+    impl AnnotationStep for ScorerCountingStep {
         fn id(&self) -> StepId {
             StepId::custom(5)
         }
 
         fn name(&self) -> &str {
-            "prepare-counter"
+            "scorer-counter"
         }
 
         fn skip(&self, _ctx: &StepContext<'_>) -> bool {
@@ -1908,37 +1908,31 @@ mod tests {
             StepScores::default()
         }
 
-        fn prepare(&self, _ctx: &StepContext<'_>) -> Option<crate::step::TableSetup> {
-            self.prepares
+        fn scorer<'a>(
+            &'a self,
+            ctx: StepContext<'a>,
+        ) -> Box<dyn Fn(usize) -> StepScores + Sync + 'a> {
+            self.scorers
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            Some(Box::new(()))
-        }
-
-        fn run_prepared(
-            &self,
-            ctx: &StepContext<'_>,
-            cols: &[usize],
-            _setup: &crate::step::TableSetup,
-        ) -> Vec<StepScores> {
-            self.chunk_calls
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            cols.iter()
-                .map(|&ci| self.run(&ctx.for_column(ci)))
-                .collect()
+            Box::new(move |ci| {
+                self.columns
+                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                self.run(&ctx.for_column(ci))
+            })
         }
     }
 
-    /// The executor must compute a step's table-level setup once per
-    /// (step, table) and share it across *all* chunks — including
-    /// column-parallel ones — instead of once per chunk worker.
+    /// The executor must build a step's scorer once per (step, table)
+    /// and share it across *all* chunks — including column-parallel
+    /// ones — instead of once per chunk, and call it once per column.
     #[test]
-    fn table_setup_is_prepared_once_across_chunks() {
-        let prepares = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let chunk_calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    fn scorer_is_built_once_per_table_across_chunks() {
+        let scorers = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let columns = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let typer = SigmaTyper::builder(shared_global())
-            .step(PrepareCountingStep {
-                prepares: Arc::clone(&prepares),
-                chunk_calls: Arc::clone(&chunk_calls),
+            .step(ScorerCountingStep {
+                scorers: Arc::clone(&scorers),
+                columns: Arc::clone(&columns),
             })
             .parallelism(ParallelismPolicy::FixedChunk { columns: 1 })
             .column_threads(3)
@@ -1950,14 +1944,23 @@ mod tests {
                 .collect(),
         )
         .unwrap();
+        let annotation = typer.annotate(&table);
+        let timing = annotation
+            .timings
+            .iter()
+            .find(|t| t.step == StepId::custom(5))
+            .expect("the counting step's timing");
+        assert_eq!(
+            timing.chunks, 4,
+            "FixedChunk{{1}} over 4 columns is 4 chunks"
+        );
+        let count =
+            |c: &std::sync::atomic::AtomicUsize| c.load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(count(&scorers), 1, "one scorer per table");
+        assert_eq!(count(&columns), 4, "one scorer call per column");
+        // A second table builds its own scorer exactly once more.
         let _ = typer.annotate(&table);
-        let p = prepares.load(std::sync::atomic::Ordering::Relaxed);
-        let c = chunk_calls.load(std::sync::atomic::Ordering::Relaxed);
-        assert_eq!(p, 1, "setup must be hoisted to once per table");
-        assert_eq!(c, 4, "FixedChunk{{1}} over 4 columns is 4 chunk calls");
-        // A second table pays its own setup exactly once more.
-        let _ = typer.annotate(&table);
-        assert_eq!(prepares.load(std::sync::atomic::Ordering::Relaxed), 2);
+        assert_eq!((count(&scorers), count(&columns)), (2, 8));
     }
 
     #[test]

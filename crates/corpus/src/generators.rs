@@ -3,7 +3,8 @@
 //! One generator per built-in ontology type. Generators are seeded-RNG
 //! functions so corpora are fully reproducible; they consult the same
 //! dictionaries the knowledge base indexes, keeping generation and lookup
-//! consistent (the GitTables substitution described in DESIGN.md).
+//! consistent (why corpora are generated rather than mined from GitTables
+//! is in the crate docs).
 
 use crate::params::GenParams;
 use rand::prelude::*;

@@ -1,8 +1,10 @@
 //! # tu-corpus
 //!
-//! The synthetic GitTables substitute (see DESIGN.md): a seeded generator
-//! of annotated relational tables with ground-truth semantic column
-//! types. Provides per-type value generators backed by the knowledge-base
+//! A synthetic substitute for GitTables, the corpus of relational tables
+//! from CSV files on GitHub that SigmaTyper pretrains on. No such corpus
+//! ships with this workspace, so this crate generates one: a seeded
+//! generator of annotated relational tables with ground-truth semantic
+//! column types. Provides per-type value generators backed by the knowledge-base
 //! dictionaries, schema templates with realistic column co-occurrence,
 //! database-like vs. web-like structural profiles (§2.2 of the paper),
 //! covariate-shift knobs, label-shift remapping, and out-of-distribution

@@ -2,9 +2,11 @@
 //!
 //! The experiment harness: operationalizes every figure and quantitative
 //! claim of *Making Table Understanding Work in Practice* (CIDR'22) as a
-//! measurable experiment over the synthetic GitTables substitute. See
-//! DESIGN.md for the experiment index (E1–E8) and EXPERIMENTS.md for the
-//! recorded results.
+//! measurable experiment over the synthetic GitTables substitute
+//! (`tu_corpus`). The experiments are E1–E8, each in a module of its own
+//! (`e1_covariate` … `e8_representativeness`) whose docs name the figure
+//! or claim it measures; [`run_all`] runs them in order, and the
+//! `reproduce` binary of `tu_bench` prints their tables.
 
 #![warn(missing_docs)]
 

@@ -2,9 +2,14 @@
 //! replay it in process through the shaped serving stack, validate the
 //! report's accounting, and print the structured report JSON.
 //!
+//! ```text
+//! loadlab-smoke [SEED]   # SEED: an unsigned integer, default 7
+//! ```
+//!
 //! Exits non-zero if generation is non-deterministic or the report
 //! violates its accounting contract — the cheap invariants that make
-//! the rest of the lab trustworthy.
+//! the rest of the lab trustworthy. Any other arguments print a usage
+//! line and exit with code 2.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -12,11 +17,22 @@ use tu_corpus::{generate_corpus, CorpusConfig};
 use tu_loadlab::{generate_workload, run_in_process, TargetConfig, WorkloadConfig};
 use tu_ontology::builtin_ontology;
 
+/// The seed a run without arguments replays.
+const DEFAULT_SEED: u64 = 7;
+
 fn main() -> ExitCode {
-    let seed = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(7u64);
+    let args: Vec<_> = std::env::args_os().skip(1).collect();
+    let seed = match args.as_slice() {
+        [] => Some(DEFAULT_SEED),
+        [seed] => seed.to_str().and_then(|s| s.parse().ok()),
+        _ => None,
+    };
+    let Some(seed) = seed else {
+        eprintln!(
+            "usage: loadlab-smoke [SEED]  (SEED: an unsigned integer, default {DEFAULT_SEED})"
+        );
+        return ExitCode::from(2);
+    };
     let ontology = builtin_ontology();
     let config = WorkloadConfig::smoke(seed);
     let workload = generate_workload(&ontology, &config);

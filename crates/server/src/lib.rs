@@ -89,6 +89,7 @@ use sigmatyper::tenant::{
 use sigmatyper::SigmaTyper;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -382,15 +383,20 @@ fn serve(
     });
     Ok(match served {
         Ok(Some(body)) => Response::json(body),
-        Ok(None) => Response::status(500).with_json(
-            Json::object(vec![(
-                "error",
-                Json::from("annotation failed: internal error"),
-            )])
-            .to_string(),
-        ),
+        Ok(None) => internal_error(),
         Err(why) => state.shed_response(lane, why),
     })
+}
+
+/// The JSON `500` a request gets when a step panicked while serving it.
+fn internal_error() -> Response {
+    Response::status(500).with_json(
+        Json::object(vec![(
+            "error",
+            Json::from("annotation failed: internal error"),
+        )])
+        .to_string(),
+    )
 }
 
 /// `POST /annotate`: a batch of one, with the body's optional base.
@@ -436,7 +442,10 @@ fn handle_annotate_batch(state: &ServerState, req: &Request) -> Response {
 /// `POST /feedback`: the paper's adaptation loop over HTTP. Takes the
 /// service write lock (adaptation is single-writer by design), so it
 /// serializes against in-flight annotates; the epoch bump it performs
-/// invalidates stale cache entries for every subsequent request.
+/// invalidates stale cache entries for every subsequent request. A
+/// step that panics inside the loop costs this request only: it gets
+/// the JSON `500`, and the epoch still moves on, since the loop may
+/// have changed the local model before the panic.
 fn handle_feedback(state: &ServerState, req: &Request) -> Response {
     let FeedbackBody {
         table,
@@ -451,7 +460,16 @@ fn handle_feedback(state: &ServerState, req: &Request) -> Response {
     let Some(ty) = typer.ontology().lookup_exact(&type_name) else {
         return bad_request(&format!("unknown type {type_name:?}"));
     };
-    typer.feedback(&table, col_idx, ty, None);
+    // Caught while the write guard is held, so the lock is never
+    // poisoned.
+    if catch_unwind(AssertUnwindSafe(|| {
+        typer.feedback(&table, col_idx, ty, None)
+    }))
+    .is_err()
+    {
+        typer.invalidate_cache();
+        return internal_error();
+    }
     let epoch = typer.cache_epoch();
     Response::json(
         Json::object(vec![("ok", Json::from(true)), ("epoch", Json::from(epoch))]).to_string(),

@@ -696,6 +696,86 @@ fn panicking_step_fails_one_request_and_keeps_the_worker() {
     server.shutdown().expect("shutdown");
 }
 
+/// A panic inside `/feedback`'s own annotate costs that one request
+/// too: it gets the JSON `500` instead of a dropped connection, the
+/// cache epoch still moves on, and the same server then answers an
+/// annotate and a valid feedback.
+#[test]
+fn panicking_step_inside_feedback_fails_one_request() {
+    let (global, tables) = demo_global(46);
+    let typer = SigmaTyper::builder(global)
+        .step_at(0, PanicOnMarker)
+        .build();
+    let server = AnnotationServer::start(
+        "127.0.0.1:0",
+        typer,
+        &ServerConfig {
+            workers: 1,
+            queue_capacity: 4,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("start server");
+    let addr = server.local_addr();
+    // Each request on a fresh connection, waited for with a deadline:
+    // a handler that dies, or a lock it leaves held, must fail the
+    // test rather than hang it.
+    let post = |path: &'static str, body: String| {
+        let (tx, rx) = mpsc::channel();
+        let client = std::thread::spawn(move || {
+            let mut client = HttpClient::connect(addr).expect("connect");
+            let _ = tx.send(client.post_json(path, &body, &[]));
+        });
+        let response = rx
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("{path} must answer within the deadline"))
+            .unwrap_or_else(|e| panic!("{path} must get a response: {e}"));
+        client.join().expect("client thread");
+        response
+    };
+
+    let epoch = || {
+        let mut client = HttpClient::connect(addr).expect("connect");
+        let metrics = client.get("/metrics").expect("metrics");
+        Json::parse(&metrics.body_str())
+            .expect("metrics json")
+            .get("epoch")
+            .and_then(Json::as_u64)
+            .expect("metrics epoch")
+    };
+
+    let epoch_before = epoch();
+    let marker = format!(
+        r#"{{"table":{{"name":"boom","columns":[{{"header":"{PANIC_MARKER}","values":["x","y"]}}]}},"col_idx":0,"type":"name"}}"#
+    );
+    let failed = post("/feedback", marker);
+    assert_eq!(failed.status, 500, "body: {}", failed.body_str());
+    let error = Json::parse(&failed.body_str()).expect("500 body is JSON");
+    assert!(
+        error.get("error").and_then(Json::as_str).is_some(),
+        "{error}"
+    );
+    // The loop may have changed the local model before it panicked, so
+    // nothing cached before it may be served again.
+    assert!(
+        epoch() > epoch_before,
+        "a panicked feedback must still move the cache epoch"
+    );
+
+    let annotated = post("/annotate", annotate_body(&tables[0]));
+    assert_eq!(annotated.status, 200, "body: {}", annotated.body_str());
+    let adapted = post(
+        "/feedback",
+        format!(
+            r#"{{"table":{},"col_idx":0,"type":"name"}}"#,
+            table_to_request_json(&tables[0])
+        ),
+    );
+    assert_eq!(adapted.status, 200, "body: {}", adapted.body_str());
+
+    server.shutdown().expect("shutdown");
+}
+
 #[test]
 fn graceful_shutdown_drains_in_flight_and_leaves_disk_state_warm() {
     let scratch = Scratch::new("shutdown");
