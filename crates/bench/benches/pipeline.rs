@@ -4,8 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sigmatyper::{
-    AnnotationRequest, AnnotationService, DegradationPolicy, DurableEpochSource, ParallelismPolicy,
-    RequestOptions, ShardedLruCache, SigmaTyper, TieredStepCache,
+    AnnotationRequest, AnnotationService, AnnotationStep, DegradationPolicy, DurableEpochSource,
+    EmbeddingStep, ParallelismPolicy, RequestOptions, ShardedLruCache, SigmaTyper, StepContext,
+    TieredStepCache,
 };
 use std::hint::black_box;
 use std::sync::Arc;
@@ -63,6 +64,34 @@ fn bench_steps(c: &mut Criterion) {
     });
     c.bench_function("pipeline/step3_embedding_predict", |b| {
         b.iter(|| f.lab.global.embedding.predict(black_box(col), &neighbors))
+    });
+
+    // Every column of the fixture corpus featurized with its neighbor
+    // headers: the work start-up training does per column.
+    let model = &f.lab.global.embedding;
+    let corpus_columns: Vec<(&Column, Vec<&str>)> = f
+        .corpus
+        .tables
+        .iter()
+        .flat_map(|at| {
+            let headers = at.table.headers();
+            at.table.columns().iter().enumerate().map(move |(ci, col)| {
+                let neighbors = headers
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| *i != ci)
+                    .map(|(_, h)| *h)
+                    .collect();
+                (col, neighbors)
+            })
+        })
+        .collect();
+    c.bench_function("pipeline/featurize_corpus", |b| {
+        b.iter(|| {
+            for (col, neighbors) in &corpus_columns {
+                black_box(model.featurize(black_box(col), neighbors));
+            }
+        })
     });
 }
 
@@ -893,11 +922,13 @@ fn bench_server_roundtrip(c: &mut Criterion) {
 /// precomputed neighbor contexts so the MLP evaluation dominates.
 /// Before timing, the acceptance contract is checked once:
 /// `BlockedSimd` must agree with `ReferenceF32` on most top-1 decisions
-/// and beat it on wall clock (the golden-tolerance suite in
-/// `tests/embed_backends.rs` owns the accuracy bar on the e1–e8
-/// corpora).
+/// and beat it on wall clock at the MLP head (the golden-tolerance
+/// suite in `tests/embed_backends.rs` owns the accuracy bar on the
+/// e1–e8 corpora).
 fn bench_embed_backends(c: &mut Criterion) {
     use sigmatyper::EmbeddingBackendKind;
+    /// Alternating samples per backend in the speed check.
+    const HEAD_SAMPLES: usize = 10;
 
     let f = BenchFixture::new();
     let model = &f.lab.global.embedding;
@@ -951,17 +982,51 @@ fn bench_embed_backends(c: &mut Criterion) {
         reference.len()
     );
 
-    // Acceptance: the fast backend must actually be faster.
-    let time_of = |kind: EmbeddingBackendKind| {
-        best_of_3(|| {
-            for _ in 0..8 {
-                black_box(sweep(kind));
-            }
+    // Acceptance: the fast backend must actually be faster at what the
+    // backends differ in, `EmbeddingBackend::logits`. Featurization is
+    // most of a `predict_with_context` call and the same on both sides,
+    // so it is done once up front: each sample runs the head over the
+    // feature vectors of every training column, the backends take
+    // turns, and each keeps its fastest sample.
+    let training_features: Vec<Vec<f32>> = f
+        .lab
+        .pretrain
+        .tables
+        .iter()
+        .flat_map(|at| {
+            let headers = at.table.headers();
+            (0..headers.len())
+                .map(|ci| {
+                    let neighbors: Vec<&str> = headers
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| *i != ci)
+                        .map(|(_, h)| *h)
+                        .collect();
+                    let col = at.table.column(ci).expect("column in range");
+                    model.featurize(col, &neighbors)
+                })
+                .collect::<Vec<_>>()
         })
+        .collect();
+    let head_sample = |kind: EmbeddingBackendKind| {
+        let backend = kind.backend();
+        let t0 = Instant::now();
+        for features in &training_features {
+            black_box(backend.logits(model.mlp(), black_box(features)));
+        }
+        t0.elapsed()
     };
-    let ref_time = time_of(EmbeddingBackendKind::ReferenceF32);
-    let simd_time = time_of(EmbeddingBackendKind::BlockedSimd);
-    println!("pipeline/embed_backends  reference_f32 {ref_time:?} | blocked_simd {simd_time:?}");
+    let (mut ref_time, mut simd_time) = (Duration::MAX, Duration::MAX);
+    for _ in 0..HEAD_SAMPLES {
+        ref_time = ref_time.min(head_sample(EmbeddingBackendKind::ReferenceF32));
+        simd_time = simd_time.min(head_sample(EmbeddingBackendKind::BlockedSimd));
+    }
+    println!(
+        "pipeline/embed_backends  head over {} columns, min of {HEAD_SAMPLES}: \
+         reference_f32 {ref_time:?} | blocked_simd {simd_time:?}",
+        training_features.len()
+    );
     assert!(
         simd_time < ref_time,
         "blocked_simd ({simd_time:?}) did not beat reference_f32 ({ref_time:?})"
@@ -1096,6 +1161,33 @@ fn bench_feedback(c: &mut Criterion) {
                 .lookup
                 .lookup(black_box(col), &normalized, &[], &banks, adapted.config())
         })
+    });
+
+    // `pipeline/step3_embedding_predict`'s column through the embedding
+    // step of the adapted customer, so the finetuned head runs beside
+    // the global one: the step's per-table scorer, built and called
+    // for that one column as the executor does for a one-column
+    // frontier.
+    let normalized_headers: Vec<String> = at
+        .table
+        .headers()
+        .iter()
+        .map(|h| tu_text::normalize_header(h))
+        .collect();
+    let tentative = vec![tu_ontology::TypeId::UNKNOWN; at.table.n_cols()];
+    let ctx = StepContext {
+        table: &at.table,
+        col_idx: 0,
+        normalized_headers: &normalized_headers,
+        tentative: &tentative,
+        best_so_far: 0.0,
+        global: adapted.global(),
+        local: adapted.local(),
+        config: adapted.config(),
+        column_states: &[],
+    };
+    c.bench_function("pipeline/step3_embedding_adapted", |b| {
+        b.iter(|| EmbeddingStep.scorer(black_box(ctx))(0))
     });
 }
 

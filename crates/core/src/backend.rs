@@ -11,12 +11,19 @@
 //!
 //! # Contract
 //!
-//! Backends differ **only** in how they evaluate the MLP head.
+//! Backends differ **only** in how they evaluate the MLP head: a
+//! backend implements [`EmbeddingBackend::logits`], and
+//! [`EmbeddingBackend::predict_with_context`] is provided over it.
 //! Featurization ([`TableEmbeddingModel::features_with_context`]),
 //! temperature calibration, and candidate thresholding
 //! ([`TableEmbeddingModel::scores_from_logits`]) are shared, so every
 //! backend scores the same feature vector through the same calibration
-//! tail. Each backend declares an [`AccuracyClass`]:
+//! tail. [`EmbeddingBackend::encode_header`] must depend only on the
+//! model's featurizer: the embedding step encodes a table's headers
+//! once for two models that
+//! [share one](TableEmbeddingModel::shares_featurizer), featurizes each
+//! column once, and runs both heads' `logits` on that one vector. Each
+//! backend declares an [`AccuracyClass`]:
 //!
 //! * [`BitExact`](AccuracyClass::BitExact) — produces the same bits as
 //!   [`ReferenceF32`] (the reference itself).
@@ -69,20 +76,31 @@ pub trait EmbeddingBackend: fmt::Debug + Send + Sync {
     /// Phrase vector of one raw header under `model`'s embedder — the
     /// unit of the neighbor-context encoding. The default delegates to
     /// [`TableEmbeddingModel::header_vector`]; a remote backend would
-    /// encode through its own service here.
+    /// encode through its own service here. It may read only the
+    /// model's featurizer (see the [module docs](self)).
     fn encode_header(&self, model: &TableEmbeddingModel, header: &str) -> Vec<f32> {
         model.header_vector(header)
     }
 
-    /// Score one column with a precomputed neighbor context (the
-    /// backend-dispatched form of
-    /// [`TableEmbeddingModel::predict_with_context`]).
+    /// Raw logits of the MLP head `mlp` over one scaled feature vector
+    /// ([`TableEmbeddingModel::features_with_context`]): the one thing
+    /// backends differ in.
+    fn logits(&self, mlp: &Mlp, features: &[f32]) -> Vec<f32>;
+
+    /// Score one column with a precomputed neighbor context: the
+    /// model's shared featurization, this backend's
+    /// [`logits`](EmbeddingBackend::logits), and the shared calibration
+    /// tail. Provided; the embedding step's scorer calls the same three
+    /// pieces directly, so an override must return exactly this.
     fn predict_with_context(
         &self,
         model: &TableEmbeddingModel,
         column: &Column,
         context: &[f32],
-    ) -> StepScores;
+    ) -> StepScores {
+        let f = model.features_with_context(column, context);
+        model.scores_from_logits(&self.logits(model.mlp(), &f))
+    }
 }
 
 /// Selector for the built-in backends — the `Copy` value that rides
@@ -195,13 +213,8 @@ impl EmbeddingBackend for ReferenceF32 {
         AccuracyClass::BitExact
     }
 
-    fn predict_with_context(
-        &self,
-        model: &TableEmbeddingModel,
-        column: &Column,
-        context: &[f32],
-    ) -> StepScores {
-        model.predict_with_context(column, context)
+    fn logits(&self, mlp: &Mlp, features: &[f32]) -> Vec<f32> {
+        mlp.logits(features)
     }
 }
 
@@ -241,25 +254,6 @@ fn blocked_dot(row: &[f32], x: &[f32]) -> f32 {
     ((half[0] + half[2]) + (half[1] + half[3])) + tail
 }
 
-/// Blocked forward pass over the model's own f32 weights.
-fn blocked_logits(mlp: &Mlp, features: &[f32]) -> Vec<f32> {
-    let mut cur = features.to_vec();
-    for li in 0..mlp.n_layers() {
-        let (w, b) = mlp.layer_params(li);
-        let mut z = vec![0.0f32; w.rows];
-        for (r, zr) in z.iter_mut().enumerate() {
-            *zr = blocked_dot(w.row(r), &cur) + b[r];
-        }
-        if li + 1 != mlp.n_layers() {
-            for v in &mut z {
-                *v = v.max(0.0); // ReLU
-            }
-        }
-        cur = z;
-    }
-    cur
-}
-
 impl EmbeddingBackend for BlockedSimd {
     fn name(&self) -> &'static str {
         "blocked_simd"
@@ -269,14 +263,24 @@ impl EmbeddingBackend for BlockedSimd {
         AccuracyClass::Approximate
     }
 
-    fn predict_with_context(
-        &self,
-        model: &TableEmbeddingModel,
-        column: &Column,
-        context: &[f32],
-    ) -> StepScores {
-        let f = model.features_with_context(column, context);
-        model.scores_from_logits(&blocked_logits(model.mlp(), &f))
+    /// The forward pass over the model's own f32 weights, every dot
+    /// product over 8 accumulator lanes.
+    fn logits(&self, mlp: &Mlp, features: &[f32]) -> Vec<f32> {
+        let mut cur = features.to_vec();
+        for li in 0..mlp.n_layers() {
+            let (w, b) = mlp.layer_params(li);
+            let mut z = vec![0.0f32; w.rows];
+            for (r, zr) in z.iter_mut().enumerate() {
+                *zr = blocked_dot(w.row(r), &cur) + b[r];
+            }
+            if li + 1 != mlp.n_layers() {
+                for v in &mut z {
+                    *v = v.max(0.0); // ReLU
+                }
+            }
+            cur = z;
+        }
+        cur
     }
 }
 

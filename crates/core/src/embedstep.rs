@@ -11,6 +11,7 @@
 
 use crate::config::TrainingConfig;
 use crate::prediction::{Candidate, StepScores};
+use std::sync::Arc;
 use tu_corpus::Corpus;
 use tu_embed::Embedder;
 use tu_features::{FeatureConfig, FeatureExtractor};
@@ -18,14 +19,31 @@ use tu_ml::{fit_temperature, Dataset, Mlp, MlpConfig, StandardScaler, Temperatur
 use tu_ontology::{Ontology, TypeId};
 use tu_table::Column;
 
-/// The trained table-embedding classifier.
-#[derive(Debug, Clone)]
-pub struct TableEmbeddingModel {
+/// What turns a column and its neighbor context into the scaled
+/// feature vector a head scores: the extractor and the scaler fit on
+/// the training rows. Nothing trains it after fitting, so every model
+/// holding the same one gives a column the same feature vector.
+#[derive(Debug)]
+struct Featurizer {
     extractor: FeatureExtractor,
     scaler: StandardScaler,
+    embed_dim: usize,
+}
+
+/// The trained table-embedding classifier.
+///
+/// Its featurizer sits behind one [`Arc`]: a clone — the finetuned
+/// copy [`LocalModel::add_training`] makes of the global model —
+/// shares it and owns only its MLP head and calibration, and
+/// [`TableEmbeddingModel::shares_featurizer`] tells two such models
+/// apart from independently trained ones.
+///
+/// [`LocalModel::add_training`]: crate::local::LocalModel::add_training
+#[derive(Debug, Clone)]
+pub struct TableEmbeddingModel {
+    featurizer: Arc<Featurizer>,
     mlp: Mlp,
     temperature: Temperature,
-    embed_dim: usize,
     n_classes: usize,
 }
 
@@ -33,7 +51,7 @@ impl TableEmbeddingModel {
     /// Feature dimensionality: column features + neighbor-header context.
     #[must_use]
     pub fn dim(&self) -> usize {
-        self.extractor.dim() + self.embed_dim
+        self.featurizer.extractor.dim() + self.featurizer.embed_dim
     }
 
     /// Number of classes (ontology size, class 0 = `unknown`).
@@ -42,60 +60,63 @@ impl TableEmbeddingModel {
         self.n_classes
     }
 
-    /// Encode one column with its neighbor headers.
+    /// Whether `self` and `other` featurize through the same extractor
+    /// and scaler — always true of a model and its clones, so of the
+    /// global model and the finetuned copy
+    /// [`LocalModel::add_training`] clones from it. Models that share
+    /// a featurizer give every column the same feature vector and every
+    /// header the same phrase vector, so one featurization serves both.
+    ///
+    /// [`LocalModel::add_training`]: crate::local::LocalModel::add_training
+    #[must_use]
+    pub fn shares_featurizer(&self, other: &TableEmbeddingModel) -> bool {
+        Arc::ptr_eq(&self.featurizer, &other.featurizer)
+    }
+
+    /// Encode one column with its neighbor headers: each neighbor
+    /// header is encoded once ([`TableEmbeddingModel::header_vector`]),
+    /// the vectors averaged ([`TableEmbeddingModel::context_of`]), and
+    /// the column featurized with that context
+    /// ([`TableEmbeddingModel::features_with_context`]) — the same
+    /// calls, in the same order, as training and the embedding step's
+    /// scorer, so the rows agree bit for bit.
     #[must_use]
     pub fn featurize(&self, column: &Column, neighbor_headers: &[&str]) -> Vec<f32> {
-        let mut f = self.extractor.extract(column);
-        f.extend(context_vector(
-            self.extractor.embedder(),
-            self.embed_dim,
-            neighbor_headers,
-        ));
-        self.scaler.transform_inplace(&mut f);
-        f
+        let vecs: Vec<Vec<f32>> = neighbor_headers
+            .iter()
+            .map(|h| self.header_vector(h))
+            .collect();
+        let refs: Vec<&[f32]> = vecs.iter().map(Vec::as_slice).collect();
+        self.features_with_context(column, &self.context_of(&refs))
     }
 
     /// Predict calibrated class probabilities.
     #[must_use]
     pub fn predict(&self, column: &Column, neighbor_headers: &[&str]) -> StepScores {
         let f = self.featurize(column, neighbor_headers);
-        self.scores_from_features(&f)
+        self.scores_from_logits(&self.mlp.logits(&f))
     }
 
     /// Phrase vector of one raw header under this model's embedder —
     /// the reusable unit of the neighbor-context encoding. The
-    /// embedding step's per-table [`scorer`] encodes each header of a
-    /// table once and shares the vectors across columns instead of
-    /// re-encoding every neighbor per column.
+    /// embedding step's per-table [`scorer`], training and
+    /// [`TableEmbeddingModel::featurize`] encode each header of a table
+    /// once and share the vectors across its columns.
     ///
     /// [`scorer`]: crate::step::AnnotationStep::scorer
     #[must_use]
     pub fn header_vector(&self, header: &str) -> Vec<f32> {
-        self.extractor
-            .embedder()
-            .phrase_vector(&tu_text::normalize_header(header))
+        header_vector(self.featurizer.extractor.embedder(), header)
     }
 
     /// Mean context vector over precomputed neighbor vectors (zero
-    /// vector when there are none). The accumulation order matches the
-    /// internal path of [`TableEmbeddingModel::predict`] exactly, so a
-    /// context assembled from [`TableEmbeddingModel::header_vector`]
-    /// results is bit-identical to the one `predict` would compute
-    /// from the raw headers.
+    /// vector when there are none), accumulated in the order given.
     #[must_use]
     pub fn context_of(&self, neighbor_vectors: &[&[f32]]) -> Vec<f32> {
-        mean_vectors(self.embed_dim, neighbor_vectors)
+        mean_vectors(self.featurizer.embed_dim, neighbor_vectors)
     }
 
-    /// [`TableEmbeddingModel::predict`] with a precomputed neighbor
-    /// context (see [`TableEmbeddingModel::context_of`]).
-    #[must_use]
-    pub fn predict_with_context(&self, column: &Column, context: &[f32]) -> StepScores {
-        let f = self.features_with_context(column, context);
-        self.scores_from_features(&f)
-    }
-
-    /// The exact feature vector the predict paths score: column
+    /// The exact feature vector every predict path scores: column
     /// features, the precomputed neighbor context appended, scaled
     /// in place. Public so [`EmbeddingBackend`] implementations share
     /// the reference featurization bit for bit and differ only in how
@@ -104,9 +125,10 @@ impl TableEmbeddingModel {
     /// [`EmbeddingBackend`]: crate::backend::EmbeddingBackend
     #[must_use]
     pub fn features_with_context(&self, column: &Column, context: &[f32]) -> Vec<f32> {
-        let mut f = self.extractor.extract(column);
+        let mut f = Vec::with_capacity(self.dim());
+        self.featurizer.extractor.extract_into(column, &mut f);
         f.extend_from_slice(context);
-        self.scaler.transform_inplace(&mut f);
+        self.featurizer.scaler.transform_inplace(&mut f);
         f
     }
 
@@ -116,12 +138,6 @@ impl TableEmbeddingModel {
     #[must_use]
     pub fn mlp(&self) -> &Mlp {
         &self.mlp
-    }
-
-    /// Shared tail of the predict paths: calibrated probabilities →
-    /// thresholded, truncated candidate list.
-    fn scores_from_features(&self, f: &[f32]) -> StepScores {
-        self.scores_from_logits(&self.mlp.logits(f))
     }
 
     /// Calibrated candidate scores from raw logits: temperature
@@ -157,28 +173,23 @@ impl TableEmbeddingModel {
     /// Finetune the MLP head for `epochs` passes over `rows`: feature
     /// vectors from [`TableEmbeddingModel::featurize`] with class
     /// labels (weak labels from DPBD). Only the head trains — the
-    /// extractor and scaler never change — so rows featurized once
-    /// stay valid for every later call, and a call costs the epochs
-    /// over the rows, never a featurization.
+    /// featurizer never changes, and a clone keeps sharing it — so rows
+    /// featurized once stay valid for every later call, and a call
+    /// costs the epochs over the rows, never a featurization.
     pub fn partial_fit(&mut self, rows: &Dataset, epochs: usize) {
         self.mlp.partial_fit(rows, epochs);
     }
 }
 
-/// Mean embedding of neighbor headers (zero vector when none).
-fn context_vector(embedder: &Embedder, dim: usize, neighbor_headers: &[&str]) -> Vec<f32> {
-    let vecs: Vec<Vec<f32>> = neighbor_headers
-        .iter()
-        .map(|h| embedder.phrase_vector(&tu_text::normalize_header(h)))
-        .collect();
-    let refs: Vec<&[f32]> = vecs.iter().map(Vec::as_slice).collect();
-    mean_vectors(dim, &refs)
+/// Phrase vector of a raw header's normalized form.
+fn header_vector(embedder: &Embedder, header: &str) -> Vec<f32> {
+    embedder.phrase_vector(&tu_text::normalize_header(header))
 }
 
-/// Element-wise mean of vectors (zero vector when none). One shared
-/// accumulation loop for the per-column and batch paths — identical
-/// operations in identical order is what makes the batch amortization
-/// bit-identical.
+/// Element-wise mean of vectors (zero vector when none). The one
+/// accumulation loop behind every neighbor context — training,
+/// [`TableEmbeddingModel::featurize`] and the embedding step — so equal
+/// vectors in equal order give equal bits.
 fn mean_vectors(dim: usize, vecs: &[&[f32]]) -> Vec<f32> {
     let mut acc = vec![0.0f32; dim];
     if vecs.is_empty() {
@@ -198,7 +209,9 @@ fn mean_vectors(dim: usize, vecs: &[&[f32]]) -> Vec<f32> {
 /// Train the table-embedding model on an annotated corpus.
 ///
 /// Columns labeled `unknown` (injected OOD columns) become background
-/// training data. A calibration split fits the temperature.
+/// training data. A calibration split fits the temperature. Each
+/// table's headers are encoded once, and every column's context is the
+/// mean of the other columns' vectors.
 #[must_use]
 pub fn train_embedding_model(
     ontology: &Ontology,
@@ -216,16 +229,22 @@ pub fn train_embedding_model(
     let mut x: Vec<Vec<f32>> = Vec::with_capacity(corpus.n_columns());
     let mut y: Vec<usize> = Vec::with_capacity(corpus.n_columns());
     for at in &corpus.tables {
-        let headers = at.table.headers();
+        let header_vecs: Vec<Vec<f32>> = at
+            .table
+            .headers()
+            .iter()
+            .map(|h| header_vector(embedder, h))
+            .collect();
         for (ci, col) in at.table.columns().iter().enumerate() {
-            let neighbors: Vec<&str> = headers
+            let neighbors: Vec<&[f32]> = header_vecs
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| *i != ci)
-                .map(|(_, h)| *h)
+                .map(|(_, v)| v.as_slice())
                 .collect();
-            let mut f = extractor.extract(col);
-            f.extend(context_vector(embedder, embed_dim, &neighbors));
+            let mut f = Vec::with_capacity(extractor.dim() + embed_dim);
+            extractor.extract_into(col, &mut f);
+            f.extend(mean_vectors(embed_dim, &neighbors));
             x.push(f);
             y.push(at.labels[ci].index());
         }
@@ -253,11 +272,13 @@ pub fn train_embedding_model(
     let temperature = fit_temperature(&logits, &cal.y);
 
     TableEmbeddingModel {
-        extractor,
-        scaler,
+        featurizer: Arc::new(Featurizer {
+            extractor,
+            scaler,
+            embed_dim,
+        }),
         mlp,
         temperature,
-        embed_dim,
         n_classes,
     }
 }
@@ -265,6 +286,7 @@ pub fn train_embedding_model(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{EmbeddingBackend, ReferenceF32};
     use tu_corpus::{generate_corpus, CorpusConfig};
     use tu_ontology::{builtin_id, builtin_ontology};
 
@@ -395,7 +417,7 @@ mod tests {
                 .map(|(_, v)| v.as_slice())
                 .collect();
             let ctx = model.context_of(&neighbor_vecs);
-            let batched = model.predict_with_context(col, &ctx);
+            let batched = ReferenceF32.predict_with_context(&model, col, &ctx);
             assert_eq!(direct.candidates.len(), batched.candidates.len());
             for (a, b) in direct.candidates.iter().zip(&batched.candidates) {
                 assert_eq!(a.ty, b.ty);
@@ -406,16 +428,38 @@ mod tests {
         let col = at.table.column(0).unwrap();
         let lonely = model.predict(col, &[]);
         let zero_ctx = model.context_of(&[]);
-        let batched = model.predict_with_context(col, &zero_ctx);
+        let batched = ReferenceF32.predict_with_context(&model, col, &zero_ctx);
         assert_eq!(lonely.candidates, batched.candidates);
     }
 
     #[test]
     fn context_vector_shapes() {
-        let e = Embedder::untrained(8);
-        assert_eq!(context_vector(&e, 8, &[]), vec![0.0; 8]);
-        let v = context_vector(&e, 8, &["salary", "name"]);
-        assert_eq!(v.len(), 8);
+        let (_, _, model) = trained();
+        assert_eq!(model.context_of(&[]), vec![0.0; 16]);
+        let (a, b) = (model.header_vector("salary"), model.header_vector("name"));
+        let v = model.context_of(&[&a, &b]);
+        assert_eq!(v.len(), 16);
         assert!(v.iter().any(|x| *x != 0.0));
+    }
+
+    #[test]
+    fn clones_share_the_featurizer_and_retrained_models_do_not() {
+        let (o, corpus, model) = trained();
+        let mut finetuned = model.clone();
+        let col = corpus.tables[0].table.column(0).unwrap();
+        let rows = Dataset::new(
+            vec![model.featurize(col, &[]); 2],
+            vec![1, 1],
+            model.n_classes(),
+        );
+        finetuned.partial_fit(&rows, 2);
+        assert!(finetuned.shares_featurizer(&model));
+        let retrained = train_embedding_model(
+            &o,
+            &corpus,
+            &Embedder::untrained(16),
+            &TrainingConfig::fast(),
+        );
+        assert!(!retrained.shares_featurizer(&model));
     }
 }

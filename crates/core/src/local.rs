@@ -26,7 +26,12 @@ pub struct LocalModel {
     /// DPBD-inferred labeling functions.
     pub lfs: Vec<LabelingFunction>,
     /// Finetuned copy of the global embedding model, created by the
-    /// first [`LocalModel::add_training`].
+    /// first [`LocalModel::add_training`]. A copy made there shares the
+    /// global model's featurizer (see
+    /// [`TableEmbeddingModel::shares_featurizer`]), so the embedding
+    /// step featurizes each column once for both heads; a model
+    /// assigned here with a featurizer of its own is featurized through
+    /// that one.
     pub finetuned: Option<TableEmbeddingModel>,
     feedback_counts: HashMap<TypeId, u32>,
     overridden_counts: HashMap<(TypeId, String), u32>,
@@ -117,9 +122,10 @@ impl LocalModel {
     /// Admit column `col_idx` of `table`, labeled `label`, into the
     /// local training set: featurize it once, with the other columns'
     /// headers as context, through the finetuned model — cloned from
-    /// `global` on first use — and append the row. The featurizer
-    /// (extractor and scaler) is never trained, so a stored row stays
-    /// exactly what featurizing the column again would give.
+    /// `global` on first use, sharing its featurizer (extractor and
+    /// scaler) behind one `Arc` and owning only its MLP head — and
+    /// append the row. The featurizer is never trained, so a stored row
+    /// stays exactly what featurizing the column again would give.
     ///
     /// # Panics
     /// Panics when `col_idx` is out of range.
@@ -214,7 +220,11 @@ mod tests {
         .unwrap();
         let mut m = LocalModel::new();
         m.add_training(&global, &table, 0, TypeId(1));
-        assert!(m.finetuned.is_some(), "first admission clones the model");
+        let finetuned = m
+            .finetuned
+            .as_ref()
+            .expect("first admission clones the model");
+        assert!(finetuned.shares_featurizer(&global));
         m.add_training(&global, &table, 1, TypeId(2));
         assert_eq!(m.training.len(), 2);
         assert_eq!(m.training.y, vec![1, 2]);

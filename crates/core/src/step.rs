@@ -187,8 +187,9 @@ pub trait AnnotationStep: std::fmt::Debug + Send + Sync {
     /// (hence `Sync`). That makes this the place for table-level setup
     /// a step wants paid once rather than once per column: compute it
     /// here and move it into the closure. The built-in
-    /// [`EmbeddingStep`] encodes each header once per model here
-    /// instead of once per `(column, neighbor)` pair.
+    /// [`EmbeddingStep`] encodes each header once here instead of once
+    /// per `(column, neighbor)` pair, and its closure featurizes each
+    /// column once for both of its heads.
     ///
     /// The default runs [`run`](AnnotationStep::run) on
     /// [`ctx.for_column(ci)`](StepContext::for_column). An override
@@ -373,51 +374,67 @@ impl AnnotationStep for EmbeddingStep {
         }
     }
 
-    /// Each header's phrase vector is encoded once per model per table
-    /// instead of once per `(column, neighbor)` pair: the
-    /// neighbor-context encoding is quadratic in table width in `run`.
-    /// The closure averages the precomputed vectors in the order
-    /// `run` encodes them, so its scores are bit-identical (see
-    /// [`TableEmbeddingModel::context_of`]). The finetuned model's
-    /// embedder is a clone of the global one, but its vectors are
-    /// encoded through its own instance so the equivalence never
-    /// leans on clone identity.
+    /// Each header's phrase vector is encoded once per table instead of
+    /// once per `(column, neighbor)` pair, and each column is
+    /// featurized once for both heads. When the finetuned model
+    /// [shares the global model's featurizer] — always, for one
+    /// [`LocalModel::add_training`] cloned — the header vectors, the
+    /// neighbor context and the feature vector are the same for both,
+    /// so the closure computes them once and runs the backend's
+    /// [`logits`] for each head on that one vector. A finetuned model
+    /// with a featurizer of its own gets its own header vectors and
+    /// feature vectors, as in `run`. Either way the closure averages
+    /// the vectors in the order `run` encodes them, so its scores are
+    /// bit-identical to `run`'s.
     ///
-    /// [`TableEmbeddingModel::context_of`]: crate::embedstep::TableEmbeddingModel::context_of
+    /// [shares the global model's featurizer]: TableEmbeddingModel::shares_featurizer
+    /// [`logits`]: crate::backend::EmbeddingBackend::logits
     fn scorer<'a>(&'a self, ctx: StepContext<'a>) -> Box<dyn Fn(usize) -> StepScores + Sync + 'a> {
         let backend = ctx.config.embedding_backend.backend();
         let headers = ctx.table.headers();
-        let encode = |model: &'a TableEmbeddingModel| -> (&'a TableEmbeddingModel, Vec<Vec<f32>>) {
-            let vecs = headers
+        let encode = |model: &TableEmbeddingModel| -> Vec<Vec<f32>> {
+            headers
                 .iter()
                 .map(|h| backend.encode_header(model, h))
-                .collect();
-            (model, vecs)
+                .collect()
         };
-        let global = encode(&ctx.global.embedding);
-        let local = ctx.local.finetuned.as_ref().map(encode);
-        let scores_for = move |(model, vecs): &(&TableEmbeddingModel, Vec<Vec<f32>>), ci: usize| {
+        let global = &ctx.global.embedding;
+        let global_vecs = encode(global);
+        // The finetuned head, with header vectors of its own only when
+        // it featurizes through a featurizer of its own.
+        let local = ctx.local.finetuned.as_ref().map(|model| {
+            let own_vecs = (!model.shares_featurizer(global)).then(|| encode(model));
+            (model, own_vecs)
+        });
+        let features = move |model: &TableEmbeddingModel, vecs: &[Vec<f32>], ci: usize| {
             let neighbors: Vec<&[f32]> = vecs
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| *i != ci)
                 .map(|(_, v)| v.as_slice())
                 .collect();
-            let context = model.context_of(&neighbors);
             let column = ctx.table.column(ci).expect("column in range");
-            backend.predict_with_context(model, column, &context)
+            model.features_with_context(column, &model.context_of(&neighbors))
+        };
+        let scores = move |model: &TableEmbeddingModel, f: &[f32]| {
+            model.scores_from_logits(&backend.logits(model.mlp(), f))
         };
         Box::new(move |ci| {
-            let global_scores = scores_for(&global, ci);
-            match &local {
-                Some(local) => blend(
-                    &global_scores,
-                    &scores_for(local, ci),
-                    ctx.local,
-                    &ctx.normalized_headers[ci],
-                ),
-                None => global_scores,
-            }
+            let f = features(global, &global_vecs, ci);
+            let global_scores = scores(global, &f);
+            let Some((model, own_vecs)) = &local else {
+                return global_scores;
+            };
+            let local_scores = match own_vecs {
+                None => scores(model, &f),
+                Some(vecs) => scores(model, &features(model, vecs, ci)),
+            };
+            blend(
+                &global_scores,
+                &local_scores,
+                ctx.local,
+                &ctx.normalized_headers[ci],
+            )
         })
     }
 
@@ -716,6 +733,88 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The finetuned model `add_training` clones shares the global
+    /// featurizer, so the scorer featurizes each column once for both
+    /// heads; a finetuned model assigned with a featurizer of its own
+    /// is still featurized through that one, as `run` does.
+    #[test]
+    fn embedding_scorer_featurizes_through_each_heads_own_featurizer() {
+        let g = global();
+        let config = SigmaTyperConfig::default();
+        let table = Table::new(
+            "t",
+            vec![
+                Column::from_raw("mail", &["ada@x.com", "bob@y.org", "eve@z.net"]),
+                Column::from_raw("town", &["Oslo", "Lima", "Kyiv"]),
+                Column::from_raw("qty", &["21", "34", "57"]),
+            ],
+        )
+        .unwrap();
+        let headers = table.headers();
+        let normalized: Vec<String> = headers
+            .iter()
+            .map(|h| tu_text::normalize_header(h))
+            .collect();
+        let tentative = vec![TypeId::UNKNOWN; 3];
+        let mut local = LocalModel::new();
+        local.add_training(&g.embedding, &table, 2, TypeId(2));
+        let cloned = local
+            .finetuned
+            .clone()
+            .expect("add_training made a finetuned model");
+        assert!(cloned.shares_featurizer(&g.embedding));
+
+        let corpus = generate_corpus(&g.ontology, &CorpusConfig::database_like(0x0E5, 8));
+        let own = crate::embedstep::train_embedding_model(
+            &g.ontology,
+            &corpus,
+            &tu_embed::Embedder::untrained(16),
+            &TrainingConfig::fast(),
+        );
+        assert!(!own.shares_featurizer(&g.embedding));
+        assert_eq!(own.dim(), g.embedding.dim());
+        local.finetuned = Some(own.clone());
+        // Give the local head weight in the blend for every type.
+        for ty in 0..g.embedding.n_classes() {
+            local.record_feedback(TypeId(ty as u16));
+        }
+        let ctx = ctx_for(&table, 0, &normalized, &tentative, &g, &local, &config);
+        let score = EmbeddingStep.scorer(ctx);
+        let mut differs = false;
+        for (ci, column) in table.columns().iter().enumerate() {
+            let neighbors: Vec<&str> = headers
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| *i != ci)
+                .map(|(_, h)| *h)
+                .collect();
+            let global_scores = g.embedding.predict(column, &neighbors);
+            let expected = blend(
+                &global_scores,
+                &own.predict(column, &neighbors),
+                &local,
+                &normalized[ci],
+            );
+            assert_eq!(score(ci), expected, "column {ci}");
+            assert_eq!(
+                score(ci),
+                EmbeddingStep.run(&ctx.for_column(ci)),
+                "column {ci}"
+            );
+            // Scoring the assigned head on the global featurizer's
+            // vector would have been a different answer.
+            let shared = g.embedding.featurize(column, &neighbors);
+            let via_global = blend(
+                &global_scores,
+                &own.scores_from_logits(&own.mlp().logits(&shared)),
+                &local,
+                &normalized[ci],
+            );
+            differs |= via_global != expected;
+        }
+        assert!(differs, "the two featurizers must disagree somewhere");
     }
 
     #[test]

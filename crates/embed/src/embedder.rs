@@ -1,9 +1,23 @@
 //! The embedder: trained word vectors + subword hashing (FastText-like).
 
-use crate::hashing::{fnv1a, hash_vector};
+use crate::hashing::{fnv1a_extend, hash_vector, FNV1A_OFFSET};
 use crate::skipgram::{cosine, train, SkipGramConfig, SkipGramModel};
 use crate::vocab::Vocabulary;
-use tu_text::{char_ngrams, word_tokens};
+
+/// Reusable buffers for [`Embedder::phrase_into`]: the current token,
+/// its lowercased form, its padded characters and the vectors of one
+/// n-gram and one word. They grow to the longest word seen and are
+/// never shrunk, so embedding many phrases through one scratch
+/// allocates nothing per phrase or n-gram, and per word only to
+/// lowercase a non-ASCII one.
+#[derive(Debug, Clone, Default)]
+pub struct EmbedScratch {
+    token: String,
+    lower: String,
+    padded: Vec<char>,
+    gram: Vec<f32>,
+    word: Vec<f32>,
+}
 
 /// Word/phrase embedder combining trained skip-gram vectors with
 /// deterministic subword (character n-gram) hash vectors.
@@ -73,24 +87,65 @@ impl Embedder {
         self.vocab.len()
     }
 
-    fn subword_vector(&self, word: &str) -> Vec<f32> {
-        let mut acc = vec![0.0f32; self.dim];
+    /// Mean of the hash vectors of `word`'s character n-grams (sizes
+    /// `ngram_lo..=ngram_hi`, FastText's `<`/`>` padding, each character
+    /// lowercased) into `out`. Each n-gram's UTF-8 bytes are hashed in
+    /// place from the padded characters, and its vector is written into
+    /// `scratch.gram`, so no n-gram allocates. A padded word shorter
+    /// than `n` counts as one n-gram of all its characters.
+    fn subword_into(&self, word: &str, scratch: &mut EmbedScratch, out: &mut [f32]) {
+        let EmbedScratch { padded, gram, .. } = scratch;
+        padded.clear();
+        padded.push('<');
+        padded.extend(word.chars().flat_map(char::to_lowercase));
+        padded.push('>');
+        gram.resize(self.dim, 0.0);
+        out.fill(0.0);
         let mut count = 0usize;
         for n in self.ngram_lo..=self.ngram_hi {
-            for g in char_ngrams(word, n) {
-                let hv = hash_vector(fnv1a(g.as_bytes()), self.dim);
-                for (a, h) in acc.iter_mut().zip(&hv) {
+            for g in padded.windows(n.min(padded.len())) {
+                let mut utf8 = [0u8; 4];
+                let h = g.iter().fold(FNV1A_OFFSET, |h, c| {
+                    fnv1a_extend(h, c.encode_utf8(&mut utf8).as_bytes())
+                });
+                hash_vector(h, gram);
+                for (a, h) in out.iter_mut().zip(gram.iter()) {
                     *a += h;
                 }
                 count += 1;
             }
         }
         if count > 0 {
-            for a in &mut acc {
+            for a in out.iter_mut() {
                 *a /= count as f32;
             }
         }
-        acc
+    }
+
+    /// [`Embedder::word_vector`] into `out`, on reused buffers.
+    fn word_into(&self, word: &str, scratch: &mut EmbedScratch, out: &mut [f32]) {
+        let mut lower = std::mem::take(&mut scratch.lower);
+        lower.clear();
+        if word.is_ascii() {
+            lower.push_str(word);
+            lower.make_ascii_lowercase();
+        } else {
+            // `str::to_lowercase` has context rules (a final `Σ` becomes
+            // `ς`) that per-character lowercasing lacks; only non-ASCII
+            // words pay its allocation.
+            lower.push_str(&word.to_lowercase());
+        }
+        self.subword_into(&lower, scratch, out);
+        if let Some(idx) = self.vocab.get(&lower) {
+            for x in out.iter_mut() {
+                *x *= self.subword_weight;
+            }
+            let trained = self.model.vector(idx);
+            for (a, t) in out.iter_mut().zip(trained) {
+                *a += t;
+            }
+        }
+        scratch.lower = lower;
     }
 
     /// Embed a single word (lowercased).
@@ -100,38 +155,56 @@ impl Embedder {
     /// out-of-vocabulary words fall back to pure subword hashing.
     #[must_use]
     pub fn word_vector(&self, word: &str) -> Vec<f32> {
-        let word = word.to_lowercase();
-        let mut v = self.subword_vector(&word);
-        if let Some(idx) = self.vocab.get(&word) {
-            for x in &mut v {
-                *x *= self.subword_weight;
-            }
-            let trained = self.model.vector(idx);
-            for (a, t) in v.iter_mut().zip(trained) {
-                *a += t;
-            }
-        }
-        v
+        let mut out = vec![0.0; self.dim];
+        self.word_into(word, &mut EmbedScratch::default(), &mut out);
+        out
     }
 
     /// Embed a phrase: mean of word vectors over its tokens.
     #[must_use]
     pub fn phrase_vector(&self, phrase: &str) -> Vec<f32> {
-        let tokens = word_tokens(phrase);
-        if tokens.is_empty() {
-            return vec![0.0; self.dim];
-        }
-        let mut acc = vec![0.0f32; self.dim];
-        for t in &tokens {
-            let v = self.word_vector(t);
-            for (a, x) in acc.iter_mut().zip(&v) {
+        let mut out = vec![0.0; self.dim];
+        self.phrase_into(phrase, &mut EmbedScratch::default(), &mut out);
+        out
+    }
+
+    /// [`Embedder::phrase_vector`] into `out` (of length
+    /// [`Embedder::dim`]), reusing `scratch`'s buffers (see
+    /// [`EmbedScratch`] for what still allocates). The tokens are the
+    /// lowercased alphanumeric runs of `tu_text::word_tokens`, built one
+    /// at a time in the scratch; the zero vector when there are none.
+    pub fn phrase_into(&self, phrase: &str, scratch: &mut EmbedScratch, out: &mut [f32]) {
+        out.fill(0.0);
+        let mut token = std::mem::take(&mut scratch.token);
+        let mut word = std::mem::take(&mut scratch.word);
+        word.resize(self.dim, 0.0);
+        let mut tokens = 0usize;
+        let mut chars = phrase.chars().peekable();
+        while chars.peek().is_some() {
+            token.clear();
+            for c in chars.by_ref() {
+                if c.is_alphanumeric() {
+                    token.extend(c.to_lowercase());
+                } else if !token.is_empty() {
+                    break;
+                }
+            }
+            if token.is_empty() {
+                break;
+            }
+            self.word_into(&token, scratch, &mut word);
+            for (a, x) in out.iter_mut().zip(&word) {
                 *a += x;
             }
+            tokens += 1;
         }
-        for a in &mut acc {
-            *a /= tokens.len() as f32;
+        if tokens > 0 {
+            for a in out.iter_mut() {
+                *a /= tokens as f32;
+            }
         }
-        acc
+        scratch.token = token;
+        scratch.word = word;
     }
 
     /// Cosine similarity between two phrases.

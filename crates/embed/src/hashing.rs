@@ -1,9 +1,19 @@
 //! Hashing utilities: FNV-1a and deterministic pseudo-random vectors.
 
+/// The FNV-1a 64-bit offset basis: the hash of no bytes.
+pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a 64-bit hash of a byte string.
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_extend(FNV1A_OFFSET, bytes)
+}
+
+/// Continue the FNV-1a hash `h` over more bytes:
+/// `fnv1a_extend(fnv1a(a), b) == fnv1a(a ++ b)`, so a string can be
+/// hashed piece by piece without being assembled.
+#[must_use]
+pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -21,26 +31,24 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A deterministic unit-scaled pseudo-random vector derived from a seed
-/// hash. Out-of-vocabulary subwords get stable directions this way, so
-/// unseen-but-similar spellings share geometry without any training.
-#[must_use]
-pub fn hash_vector(seed: u64, dim: usize) -> Vec<f32> {
+/// Fill `out` with a deterministic unit-scaled pseudo-random vector
+/// derived from a seed hash. Out-of-vocabulary subwords get stable
+/// directions this way, so unseen-but-similar spellings share geometry
+/// without any training. Writing into the caller's buffer lets the
+/// embedder hash every n-gram of a word into one allocation.
+pub fn hash_vector(seed: u64, out: &mut [f32]) {
     let mut state = seed;
-    let mut v: Vec<f32> = (0..dim)
-        .map(|_| {
-            // Map to (-1, 1).
-            let u = splitmix64(&mut state);
-            (u as f64 / u64::MAX as f64 * 2.0 - 1.0) as f32
-        })
-        .collect();
-    let norm = v.iter().map(|x| x * x).sum::<f32>().sqrt();
+    for x in out.iter_mut() {
+        // Map to (-1, 1).
+        let u = splitmix64(&mut state);
+        *x = (u as f64 / u64::MAX as f64 * 2.0 - 1.0) as f32;
+    }
+    let norm = out.iter().map(|x| x * x).sum::<f32>().sqrt();
     if norm > 0.0 {
-        for x in &mut v {
+        for x in out {
             *x /= norm;
         }
     }
-    v
 }
 
 #[cfg(test)]
@@ -56,14 +64,25 @@ mod tests {
     }
 
     #[test]
+    fn fnv_extends_piecewise() {
+        assert_eq!(fnv1a_extend(fnv1a(b"ab"), b"cd"), fnv1a(b"abcd"));
+        assert_eq!(fnv1a_extend(FNV1A_OFFSET, b""), fnv1a(b""));
+    }
+
+    #[test]
     fn hash_vectors_unit_norm_and_stable() {
-        let a = hash_vector(42, 16);
-        let b = hash_vector(42, 16);
-        assert_eq!(a, b);
+        let hashed = |seed| {
+            let mut v = [7.0f32; 16];
+            hash_vector(seed, &mut v);
+            v
+        };
+        let a = hashed(42);
+        assert_eq!(a, hashed(42));
         let norm: f32 = a.iter().map(|x| x * x).sum::<f32>().sqrt();
         assert!((norm - 1.0).abs() < 1e-5);
-        let c = hash_vector(43, 16);
-        assert_ne!(a, c);
+        assert_ne!(a, hashed(43));
+        let mut empty: [f32; 0] = [];
+        hash_vector(42, &mut empty);
     }
 
     #[test]

@@ -15,6 +15,6 @@ pub mod hashing;
 pub mod skipgram;
 pub mod vocab;
 
-pub use embedder::Embedder;
+pub use embedder::{EmbedScratch, Embedder};
 pub use skipgram::{cosine, train, SkipGramConfig, SkipGramModel};
 pub use vocab::Vocabulary;

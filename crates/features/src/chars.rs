@@ -4,6 +4,8 @@
 //! aggregate mean/std/min/max across the column — a scaled-down version
 //! of Sherlock's 960-dim character statistics.
 
+use std::sync::OnceLock;
+
 /// A named character-class predicate.
 pub type CharClass = (&'static str, fn(char) -> bool);
 
@@ -30,10 +32,28 @@ pub const CHAR_CLASSES: &[CharClass] = &[
 /// Aggregations per class: mean, std, min, max.
 pub const AGGS_PER_CLASS: usize = 4;
 
+// One bit per class in a `u16` mask.
+const _: () = assert!(CHAR_CLASSES.len() <= 16);
+
 /// Total dimensionality of [`char_features`].
 #[must_use]
 pub fn char_feature_dim() -> usize {
     CHAR_CLASSES.len() * AGGS_PER_CLASS
+}
+
+/// The classes `c` belongs to, bit `i` for `CHAR_CLASSES[i]`.
+fn class_mask(c: char) -> u16 {
+    CHAR_CLASSES
+        .iter()
+        .enumerate()
+        .filter(|(_, (_, pred))| pred(c))
+        .fold(0, |mask, (ci, _)| mask | 1 << ci)
+}
+
+/// [`class_mask`] of every ASCII character, evaluated once.
+fn ascii_class_masks() -> &'static [u16; 128] {
+    static MASKS: OnceLock<[u16; 128]> = OnceLock::new();
+    MASKS.get_or_init(|| std::array::from_fn(|b| class_mask(char::from(b as u8))))
 }
 
 /// Compute aggregated character-class fractions over rendered values.
@@ -41,26 +61,47 @@ pub fn char_feature_dim() -> usize {
 /// Returns a zero vector for an empty slice.
 #[must_use]
 pub fn char_features<S: AsRef<str>>(values: &[S]) -> Vec<f32> {
-    let dim = char_feature_dim();
-    if values.is_empty() {
-        return vec![0.0; dim];
-    }
-    // Per-class per-value fractions.
+    let mut out = Vec::with_capacity(char_feature_dim());
+    char_features_into(values, &mut out);
+    out
+}
+
+/// [`char_features`], appended to `out`. One pass over each value's
+/// characters counts its length and all 16 classes at once (a table
+/// lookup per ASCII character); each class's per-value fraction is
+/// `count / length`, 0 for an empty value.
+pub(crate) fn char_features_into<S: AsRef<str>>(values: &[S], out: &mut Vec<f32>) {
     let n = values.len();
-    let mut fractions = vec![vec![0.0f64; n]; CHAR_CLASSES.len()];
+    if n == 0 {
+        out.resize(out.len() + char_feature_dim(), 0.0);
+        return;
+    }
+    let masks = ascii_class_masks();
+    // Class-major: the fractions of class `ci` are `fractions[ci * n..][..n]`.
+    let mut fractions = vec![0.0f64; CHAR_CLASSES.len() * n];
     for (vi, v) in values.iter().enumerate() {
-        let s = v.as_ref();
-        let len = s.chars().count();
+        let mut counts = [0usize; CHAR_CLASSES.len()];
+        let mut len = 0usize;
+        for c in v.as_ref().chars() {
+            len += 1;
+            let mut mask = if c.is_ascii() {
+                masks[c as usize]
+            } else {
+                class_mask(c)
+            };
+            while mask != 0 {
+                counts[mask.trailing_zeros() as usize] += 1;
+                mask &= mask - 1;
+            }
+        }
         if len == 0 {
             continue;
         }
-        for (ci, (_, pred)) in CHAR_CLASSES.iter().enumerate() {
-            let count = s.chars().filter(|&c| pred(c)).count();
-            fractions[ci][vi] = count as f64 / len as f64;
+        for (ci, count) in counts.into_iter().enumerate() {
+            fractions[ci * n + vi] = count as f64 / len as f64;
         }
     }
-    let mut out = Vec::with_capacity(dim);
-    for fr in &fractions {
+    for fr in fractions.chunks_exact(n) {
         let mean = fr.iter().sum::<f64>() / n as f64;
         let var = fr.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n as f64;
         let min = fr.iter().copied().fold(f64::INFINITY, f64::min);
@@ -70,7 +111,6 @@ pub fn char_features<S: AsRef<str>>(values: &[S]) -> Vec<f32> {
         out.push(min as f32);
         out.push(max as f32);
     }
-    out
 }
 
 #[cfg(test)]
@@ -110,6 +150,17 @@ mod tests {
     fn empty_values_do_not_poison() {
         let f = char_features(&["", "ab"]);
         assert!(f.iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn ascii_class_masks_agree_with_the_predicates() {
+        for b in 0u8..128 {
+            let c = char::from(b);
+            for (ci, (name, pred)) in CHAR_CLASSES.iter().enumerate() {
+                let bit = ascii_class_masks()[usize::from(b)] >> ci & 1 == 1;
+                assert_eq!(bit, pred(c), "{c:?} in {name}");
+            }
+        }
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! baseline uses values-only features; SigmaTyper's table-embedding step
 //! extends them with header and neighbor context.
 
-use crate::chars::{char_feature_dim, char_features};
-use crate::global::{global_features, GLOBAL_FEATURE_DIM};
-use tu_embed::Embedder;
+use crate::chars::{char_feature_dim, char_features_into};
+use crate::global::{global_features_into, Rendered, GLOBAL_FEATURE_DIM};
+use tu_embed::{EmbedScratch, Embedder};
 use tu_table::Column;
 
 /// Feature extraction configuration.
@@ -65,49 +65,71 @@ impl FeatureExtractor {
         &self.embedder
     }
 
-    /// Extract features for a column (header taken from the column).
+    /// Extract features for a column (header taken from the column):
+    /// character-class statistics over a strided sample of up to
+    /// `max_values` non-null values, [`global_features`] over the whole
+    /// column, the mean phrase vector of the sample's first 16 values
+    /// and the normalized header's phrase vector, in that order.
+    ///
+    /// The column is read once: every non-null value is rendered once
+    /// (text cells borrowed, the others written into one buffer) and
+    /// the sample and the global statistics both read that rendering.
+    /// All phrase vectors are embedded through one set of scratch
+    /// buffers, so the work allocates per column, not per value or per
+    /// character n-gram (a non-ASCII word still allocates its
+    /// lowercase form).
+    ///
+    /// [`global_features`]: crate::global_features
     #[must_use]
     pub fn extract(&self, column: &Column) -> Vec<f32> {
-        let sample: Vec<String> = column
-            .sample(self.config.max_values)
-            .into_iter()
-            .map(tu_table::Value::render)
-            .collect();
         let mut out = Vec::with_capacity(self.dim());
-        out.extend(char_features(&sample));
-        out.extend(global_features(column));
-        if self.config.value_embedding {
-            out.extend(self.mean_value_embedding(&sample));
-        }
-        if self.config.header_embedding {
-            out.extend(
-                self.embedder
-                    .phrase_vector(&tu_text::normalize_header(&column.name)),
-            );
-        }
-        debug_assert_eq!(out.len(), self.dim());
+        self.extract_into(column, &mut out);
         out
     }
 
-    fn mean_value_embedding(&self, sample: &[String]) -> Vec<f32> {
+    /// [`FeatureExtractor::extract`], appended to `out`: a caller that
+    /// adds its own features after the column's (the table-embedding
+    /// model appends the neighbor context) reserves room for them once.
+    pub fn extract_into(&self, column: &Column, out: &mut Vec<f32>) {
+        let first = out.len();
+        let rendered = Rendered::of(column);
+        let sample: Vec<&str> = Column::sample_positions(rendered.len(), self.config.max_values)
+            .map(|i| rendered.get(i))
+            .collect();
+        char_features_into(&sample, out);
+        global_features_into(column, &rendered, out);
         let dim = self.embedder.dim();
-        let mut acc = vec![0.0f32; dim];
-        // Embedding every value is wasteful; 16 is plenty for a centroid.
-        let take = sample.iter().take(16);
-        let mut n = 0;
-        for v in take {
-            let pv = self.embedder.phrase_vector(v);
-            for (a, x) in acc.iter_mut().zip(&pv) {
-                *a += x;
+        let mut scratch = EmbedScratch::default();
+        if self.config.value_embedding {
+            // Embedding every value is wasteful; 16 is plenty for a centroid.
+            let start = out.len();
+            out.resize(start + dim, 0.0);
+            let acc = &mut out[start..];
+            let mut value = vec![0.0f32; dim];
+            let mut n = 0;
+            for v in sample.iter().take(16) {
+                self.embedder.phrase_into(v, &mut scratch, &mut value);
+                for (a, x) in acc.iter_mut().zip(&value) {
+                    *a += x;
+                }
+                n += 1;
             }
-            n += 1;
-        }
-        if n > 0 {
-            for a in &mut acc {
-                *a /= n as f32;
+            if n > 0 {
+                for a in acc {
+                    *a /= n as f32;
+                }
             }
         }
-        acc
+        if self.config.header_embedding {
+            let start = out.len();
+            out.resize(start + dim, 0.0);
+            self.embedder.phrase_into(
+                &tu_text::normalize_header(&column.name),
+                &mut scratch,
+                &mut out[start..],
+            );
+        }
+        debug_assert_eq!(out.len() - first, self.dim());
     }
 }
 

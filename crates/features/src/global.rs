@@ -1,14 +1,78 @@
 //! Global column statistics (Sherlock's "global statistics" group).
 
+use std::fmt::Write as _;
+use tu_table::stats::{entropy_from_counts, first_seen_counts, mean, std_dev};
 use tu_table::{Column, DataType, Value};
 
 /// Number of features produced by [`global_features`].
 pub const GLOBAL_FEATURE_DIM: usize = 18;
 
+/// Every non-null value of a column, rendered once and in order: text
+/// cells are borrowed from the column, the others written one after
+/// another into a single buffer.
+pub(crate) struct Rendered<'a> {
+    buf: String,
+    cells: Vec<Cell<'a>>,
+}
+
+enum Cell<'a> {
+    Text(&'a str),
+    /// A byte range of [`Rendered::buf`].
+    Buf(usize, usize),
+}
+
+impl<'a> Rendered<'a> {
+    pub(crate) fn of(column: &'a Column) -> Self {
+        let mut buf = String::new();
+        let cells = column
+            .non_null()
+            .map(|v| match v {
+                Value::Text(s) => Cell::Text(s),
+                other => {
+                    let start = buf.len();
+                    write!(buf, "{other}").expect("writing into a String cannot fail");
+                    Cell::Buf(start, buf.len())
+                }
+            })
+            .collect();
+        Rendered { buf, cells }
+    }
+
+    /// Number of non-null values.
+    pub(crate) fn len(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// What [`Value::render`] gives for the `i`-th non-null value.
+    pub(crate) fn get(&self, i: usize) -> &str {
+        match self.cells[i] {
+            Cell::Text(s) => s,
+            Cell::Buf(start, end) => &self.buf[start..end],
+        }
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &str> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+}
+
 /// Column-level statistical features: type fractions, nullness,
 /// distinctness, entropy, length stats, numeric summary.
 #[must_use]
 pub fn global_features(column: &Column) -> Vec<f32> {
+    let mut out = Vec::with_capacity(GLOBAL_FEATURE_DIM);
+    global_features_into(column, &Rendered::of(column), &mut out);
+    out
+}
+
+/// [`global_features`] over the column's values as `rendered` holds
+/// them, appended to `out`. Each rendered value is read once for its
+/// length, its leading zero and its slot in one count map, which gives
+/// both the distinct count and the entropy (summed in first-occurrence
+/// order); text cells are counted into word tokens without building
+/// them.
+pub(crate) fn global_features_into(column: &Column, rendered: &Rendered<'_>, out: &mut Vec<f32>) {
+    let first = out.len();
     let n = column.len().max(1) as f64;
     let mut type_counts = [0usize; 6];
     for v in &column.values {
@@ -22,51 +86,78 @@ pub fn global_features(column: &Column) -> Vec<f32> {
         };
         type_counts[idx] += 1;
     }
-    let rendered = column.rendered_values();
-    let lens: Vec<f64> = rendered.iter().map(|s| s.chars().count() as f64).collect();
-    let len_mean = tu_table::stats::mean(&lens);
-    let len_std = tu_table::stats::std_dev(&lens);
-    let entropy = tu_table::stats::entropy_of(&rendered);
-    let nums = column.numeric_values();
-    let (num_mean, num_std, num_min, num_max) = if nums.is_empty() {
-        (0.0, 0.0, 0.0, 0.0)
+    let mut lens: Vec<f64> = Vec::with_capacity(rendered.len());
+    let mut leading_zeros = 0usize;
+    for s in rendered.iter() {
+        lens.push(s.chars().count() as f64);
+        // Identifiers and zip codes keep their leading zeros.
+        if s.len() > 1 && s.starts_with('0') {
+            leading_zeros += 1;
+        }
+    }
+    let counts = first_seen_counts(rendered.iter());
+    let distinct_fraction = if rendered.len() == 0 {
+        0.0
     } else {
-        tu_table::stats::NumericSummary::of(&nums)
-            .map(|s| (s.mean, s.std, s.min, s.max))
-            .unwrap_or((0.0, 0.0, 0.0, 0.0))
+        counts.len() as f64 / rendered.len() as f64
     };
+    let (num_mean, num_std, num_min, num_max) = numeric_summary(column);
     // Compress magnitudes: signed log1p keeps scale info bounded.
     let slog = |v: f64| (v.signum() * (v.abs() + 1.0).ln()) as f32;
-    let mut out = Vec::with_capacity(GLOBAL_FEATURE_DIM);
     for c in type_counts {
         out.push((c as f64 / n) as f32);
     }
-    out.push(column.distinct_fraction() as f32);
+    out.push(distinct_fraction as f32);
     out.push((column.len() as f64).ln_1p() as f32);
-    out.push(len_mean as f32 / 50.0);
-    out.push(len_std as f32 / 50.0);
-    out.push(entropy as f32 / 10.0);
+    out.push(mean(&lens) as f32 / 50.0);
+    out.push(std_dev(&lens) as f32 / 50.0);
+    out.push(entropy_from_counts(&counts) as f32 / 10.0);
     out.push(slog(num_mean));
     out.push(slog(num_std));
     out.push(slog(num_min));
     out.push(slog(num_max));
     // Token stats over text values.
-    let texts = column.text_values();
-    let token_counts: Vec<f64> = texts
+    let token_counts: Vec<f64> = column
+        .values
         .iter()
-        .map(|t| tu_text::word_tokens(t).len() as f64)
+        .filter_map(Value::as_text)
+        .map(|t| tu_text::word_count(t) as f64)
         .collect();
-    out.push(tu_table::stats::mean(&token_counts) as f32 / 5.0);
-    out.push(tu_table::stats::std_dev(&token_counts) as f32 / 5.0);
-    // Leading-zero fraction: identifiers and zip codes keep them.
-    let leading_zero = rendered
-        .iter()
-        .filter(|s| s.len() > 1 && s.starts_with('0'))
-        .count() as f64
-        / rendered.len().max(1) as f64;
-    out.push(leading_zero as f32);
-    debug_assert_eq!(out.len(), GLOBAL_FEATURE_DIM);
-    out
+    out.push(mean(&token_counts) as f32 / 5.0);
+    out.push(std_dev(&token_counts) as f32 / 5.0);
+    out.push((leading_zeros as f64 / rendered.len().max(1) as f64) as f32);
+    debug_assert_eq!(out.len() - first, GLOBAL_FEATURE_DIM);
+}
+
+/// Mean, standard deviation, minimum and maximum of the column's
+/// numeric values, exactly as `tu_table::stats::NumericSummary` gives
+/// them, without its sorted copy; zeros when there are none or one is
+/// not finite. Its minimum is the first of the sorted copy and its
+/// maximum the last, and the sort is stable, so of values that compare
+/// equal (`0.0` and `-0.0`) the minimum is the first and the maximum
+/// the last in column order.
+fn numeric_summary(column: &Column) -> (f64, f64, f64, f64) {
+    let nums = || column.values.iter().filter_map(Value::as_f64);
+    let mut count = 0usize;
+    let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+    for v in nums() {
+        if !v.is_finite() {
+            return (0.0, 0.0, 0.0, 0.0);
+        }
+        if count == 0 || v < min {
+            min = v;
+        }
+        if count == 0 || v >= max {
+            max = v;
+        }
+        count += 1;
+    }
+    if count == 0 {
+        return (0.0, 0.0, 0.0, 0.0);
+    }
+    let mean = nums().sum::<f64>() / count as f64;
+    let var = nums().map(|v| (v - mean).powi(2)).sum::<f64>() / count as f64;
+    (mean, var.sqrt(), min, max)
 }
 
 /// Convenience: does the column parse mostly as `Value::Date`?
@@ -124,6 +215,54 @@ mod tests {
         let num = global_features(&Column::from_raw("n", &["1234", "456"]));
         assert!(zip[GLOBAL_FEATURE_DIM - 1] > 0.9);
         assert_eq!(num[GLOBAL_FEATURE_DIM - 1], 0.0);
+    }
+
+    #[test]
+    fn numeric_summary_matches_the_sorted_summary() {
+        let cases: Vec<Vec<Value>> = vec![
+            vec![Value::Float(0.0), Value::Float(-0.0), Value::Float(1.5)],
+            vec![Value::Float(-0.0), Value::Float(0.0), Value::Int(0)],
+            vec![
+                Value::Int(3),
+                Value::Null,
+                Value::Float(-2.5),
+                Value::Int(3),
+            ],
+            vec![Value::Float(f64::NAN), Value::Int(1)],
+            vec![Value::Text("1".into())],
+        ];
+        for values in cases {
+            let column = Column::new("n", values);
+            let nums = column.numeric_values();
+            let expected = tu_table::stats::NumericSummary::of(&nums)
+                .map(|s| (s.mean, s.std, s.min, s.max))
+                .unwrap_or((0.0, 0.0, 0.0, 0.0));
+            let got = numeric_summary(&column);
+            let bits = |(a, b, c, d): (f64, f64, f64, f64)| {
+                [a.to_bits(), b.to_bits(), c.to_bits(), d.to_bits()]
+            };
+            assert_eq!(bits(got), bits(expected), "{:?}", column.values);
+        }
+    }
+
+    #[test]
+    fn rendered_values_match_render() {
+        let column = Column::new(
+            "r",
+            vec![
+                Value::Int(-4),
+                Value::Null,
+                Value::Float(3.0),
+                Value::Text("x y".into()),
+                Value::Bool(false),
+                Value::Date(tu_table::Date::new(2020, 2, 29).unwrap()),
+            ],
+        );
+        let rendered = Rendered::of(&column);
+        assert_eq!(
+            rendered.iter().collect::<Vec<_>>(),
+            column.rendered_values()
+        );
     }
 
     #[test]

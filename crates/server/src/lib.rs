@@ -49,7 +49,9 @@
 //!   `/metrics`, and pops the next job.
 //! * **Feedback**: `POST /feedback` takes the service write lock,
 //!   runs the paper's adaptation loop, and bumps the epoch — connected
-//!   clients observe the invalidation on their next request.
+//!   clients observe the invalidation on their next request. A panic
+//!   inside the loop answers `500` and is counted in `/metrics`
+//!   `panics` too.
 //! * **Graceful shutdown** ([`AnnotationServer::shutdown`]): stop
 //!   accepting, drain every in-flight response, close the queue, join
 //!   the workers, [`flush`](AnnotationService::flush) the cache tier.
@@ -89,7 +91,6 @@ use sigmatyper::tenant::{
 use sigmatyper::SigmaTyper;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -444,8 +445,9 @@ fn handle_annotate_batch(state: &ServerState, req: &Request) -> Response {
 /// serializes against in-flight annotates; the epoch bump it performs
 /// invalidates stale cache entries for every subsequent request. A
 /// step that panics inside the loop costs this request only: it gets
-/// the JSON `500`, and the epoch still moves on, since the loop may
-/// have changed the local model before the panic.
+/// the JSON `500`, `/metrics` counts it in `panics`, and the epoch
+/// still moves on, since the loop may have changed the local model
+/// before the panic.
 fn handle_feedback(state: &ServerState, req: &Request) -> Response {
     let FeedbackBody {
         table,
@@ -461,11 +463,11 @@ fn handle_feedback(state: &ServerState, req: &Request) -> Response {
         return bad_request(&format!("unknown type {type_name:?}"));
     };
     // Caught while the write guard is held, so the lock is never
-    // poisoned.
-    if catch_unwind(AssertUnwindSafe(|| {
-        typer.feedback(&table, col_idx, ty, None)
-    }))
-    .is_err()
+    // poisoned, and counted in `/metrics` `panics`.
+    if state
+        .pool
+        .contain(|| typer.feedback(&table, col_idx, ty, None))
+        .is_none()
     {
         typer.invalidate_cache();
         return internal_error();

@@ -41,6 +41,16 @@ impl<R> Shared<R> {
     fn service(&self) -> RwLockReadGuard<'_, AnnotationService> {
         self.service.read().unwrap_or_else(PoisonError::into_inner)
     }
+
+    /// Run `f`, containing a panic: `None` when it panicked, counted
+    /// in `panics`.
+    fn contain<T>(&self, f: impl FnOnce() -> T) -> Option<T> {
+        let answer = catch_unwind(AssertUnwindSafe(f)).ok();
+        if answer.is_none() {
+            self.panics.fetch_add(1, Ordering::SeqCst);
+        }
+        answer
+    }
 }
 
 /// A fixed pool of worker threads serving one [`AnnotationService`]
@@ -159,10 +169,21 @@ impl<R> WorkerPool<R> {
         self.shared.in_flight.load(Ordering::SeqCst)
     }
 
-    /// Jobs whose run panicked since the pool started.
+    /// Jobs whose run panicked since the pool started, and panics
+    /// [`WorkerPool::contain`] caught outside a job.
     #[must_use]
     pub fn panics(&self) -> u64 {
         self.shared.panics.load(Ordering::SeqCst)
+    }
+
+    /// Run `f` on the calling thread, containing a panic the way a
+    /// worker contains a job's: `None` when `f` panicked, counted in
+    /// [`WorkerPool::panics`]. For work the pool serves outside its
+    /// queue — the server's `/feedback`, under
+    /// [`service_mut`](WorkerPool::service_mut) — so its panics show in
+    /// the same counter.
+    pub fn contain<T>(&self, f: impl FnOnce() -> T) -> Option<T> {
+        self.shared.contain(f)
     }
 
     /// Refuse new jobs, let the workers drain every admitted one, and
@@ -189,10 +210,7 @@ impl<R> Drop for WorkerPool<R> {
 fn worker_loop<R>(shared: &Shared<R>) {
     while let Some(Job { run, reply }) = shared.queue.pop() {
         shared.in_flight.fetch_add(1, Ordering::SeqCst);
-        let answer = catch_unwind(AssertUnwindSafe(|| run(&shared.service(), &shared.shaper))).ok();
-        if answer.is_none() {
-            shared.panics.fetch_add(1, Ordering::SeqCst);
-        }
+        let answer = shared.contain(|| run(&shared.service(), &shared.shaper));
         // Decrement before replying: a client that scrapes `/metrics`
         // right after its response must not see its own finished
         // request as still in flight.

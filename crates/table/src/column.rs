@@ -139,10 +139,22 @@ impl Column {
         if non_null.len() <= n || n == 0 {
             return non_null;
         }
-        let stride = non_null.len() as f64 / n as f64;
-        (0..n)
-            .map(|i| non_null[(i as f64 * stride) as usize])
+        Self::sample_positions(non_null.len(), n)
+            .map(|i| non_null[i])
             .collect()
+    }
+
+    /// The positions, among a column's `non_null` non-null values, that
+    /// [`Column::sample`] takes for `n`: all of them when
+    /// `non_null <= n` or `n == 0`, else `n` evenly strided ones. For
+    /// callers that keep the non-null values in a form of their own.
+    pub fn sample_positions(non_null: usize, n: usize) -> impl Iterator<Item = usize> {
+        let (count, stride) = if non_null <= n || n == 0 {
+            (non_null, 1.0)
+        } else {
+            (n, non_null as f64 / n as f64)
+        };
+        (0..count).map(move |i| (i as f64 * stride) as usize)
     }
 
     /// Number of distinct rendered values (nulls excluded).
@@ -233,6 +245,14 @@ mod tests {
         assert_eq!(col(&["1", "2"]).sample(10).len(), 2);
         // n == 0 returns all non-null values rather than panicking.
         assert_eq!(col(&["1", "2"]).sample(0).len(), 2);
+        // The positions describe the same picks.
+        let non_null: Vec<&Value> = c.non_null().collect();
+        for n in [0, 1, 7, 10, 99, 100, 150] {
+            let picked: Vec<&Value> = Column::sample_positions(non_null.len(), n)
+                .map(|i| non_null[i])
+                .collect();
+            assert_eq!(picked, c.sample(n), "n = {n}");
+        }
     }
 
     #[test]

@@ -64,11 +64,133 @@ pub struct ColumnDelta {
 }
 
 /// Counts of ASCII-digit / letter / whitespace / other characters in
-/// the text written to it.
-struct CharClassCounts([usize; 4]);
+/// the values and text given to it. ASCII text is counted with one add
+/// per byte into four 16-bit lanes of `packed`, which move into
+/// `counts` before a lane could overflow.
+#[derive(Default)]
+struct CharClassCounts {
+    counts: [usize; 4],
+    packed: u64,
+    /// Bytes counted into `packed` since it was last emptied.
+    pending: usize,
+}
+
+/// The most bytes one 16-bit lane of `CharClassCounts::packed` holds.
+const LANE_MAX: usize = u16::MAX as usize;
+
+/// Per ASCII byte, a one in the 16-bit lane of its class: digit (lane
+/// 0), letter (1), whitespace (2) or other (3).
+const ASCII_LANES: [u64; 128] = {
+    let mut lanes = [0u64; 128];
+    let mut b = 0;
+    while b < 128 {
+        let slot = match b as u8 {
+            b'0'..=b'9' => 0,
+            b'a'..=b'z' | b'A'..=b'Z' => 1,
+            b' ' | b'\t'..=b'\r' => 2,
+            _ => 3,
+        };
+        lanes[b] = 1 << (16 * slot);
+        b += 1;
+    }
+    lanes
+};
+
+impl CharClassCounts {
+    /// Count `v` as its `Display` rendering would, without building
+    /// it: text as itself, integers, booleans and dates by their digit
+    /// and letter counts, floats through `Display`.
+    fn add(&mut self, v: &Value) {
+        match v {
+            Value::Null => {}
+            Value::Text(s) => self.write_str(s).expect("counting characters cannot fail"),
+            Value::Int(i) => {
+                self.counts[0] += decimal_digits(i.unsigned_abs());
+                self.counts[3] += usize::from(*i < 0);
+            }
+            Value::Bool(b) => self.counts[1] += if *b { 4 } else { 5 },
+            Value::Date(d) => {
+                // `{:04}-{:02}-{:02}`: the year's sign takes one of its
+                // four places; month and day always print two digits.
+                let year = decimal_digits(d.year.unsigned_abs().into());
+                self.counts[0] += year.max(if d.year < 0 { 3 } else { 4 }) + 4;
+                self.counts[3] += 2 + usize::from(d.year < 0);
+            }
+            v => write!(self, "{v}").expect("counting characters cannot fail"),
+        }
+    }
+
+    /// `base == new`, with `base` counted when they are equal (and
+    /// perhaps when they are not: a caller that sees `false` drops the
+    /// counts). Two text cells are compared and counted in one pass
+    /// over their bytes.
+    fn count_if_equal(&mut self, base: &Value, new: &Value) -> bool {
+        let (Value::Text(x), Value::Text(y)) = (base, new) else {
+            self.add(base);
+            return base == new;
+        };
+        if x.len() != y.len() {
+            return false;
+        }
+        if x.len() <= LANE_MAX - self.pending {
+            let (mut packed, mut diff, mut high) = (0u64, 0u8, 0u8);
+            for (&p, &q) in x.as_bytes().iter().zip(y.as_bytes()) {
+                packed += ASCII_LANES[usize::from(p & 0x7f)];
+                diff |= p ^ q;
+                high |= p;
+            }
+            if diff != 0 {
+                return false;
+            }
+            if high < 0x80 {
+                self.packed += packed;
+                self.pending += x.len();
+                return true;
+            }
+        } else if x != y {
+            return false;
+        }
+        self.write_str(x).expect("counting characters cannot fail");
+        true
+    }
+
+    fn add_ascii(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(LANE_MAX) {
+            if self.pending + chunk.len() > LANE_MAX {
+                self.empty_lanes();
+            }
+            self.packed = chunk
+                .iter()
+                .fold(self.packed, |acc, &b| acc + ASCII_LANES[usize::from(b)]);
+            self.pending += chunk.len();
+        }
+    }
+
+    fn empty_lanes(&mut self) {
+        for (slot, count) in self.counts.iter_mut().enumerate() {
+            *count += usize::from((self.packed >> (16 * slot)) as u16);
+        }
+        self.packed = 0;
+        self.pending = 0;
+    }
+
+    /// The four counts as fractions of their total (zeros when empty).
+    fn fractions(mut self) -> [f64; 4] {
+        self.empty_lanes();
+        let total: usize = self.counts.iter().sum();
+        if total == 0 {
+            return [0.0; 4];
+        }
+        self.counts.map(|c| c as f64 / total as f64)
+    }
+}
 
 impl fmt::Write for CharClassCounts {
     fn write_str(&mut self, s: &str) -> fmt::Result {
+        if s.is_ascii() {
+            self.add_ascii(s.as_bytes());
+            return Ok(());
+        }
         for c in s.chars() {
             // ASCII answers first; the Unicode tests decide the rest.
             let slot = match c {
@@ -80,7 +202,7 @@ impl fmt::Write for CharClassCounts {
                 c if c.is_whitespace() => 2,
                 _ => 3,
             };
-            self.0[slot] += 1;
+            self.counts[slot] += 1;
         }
         Ok(())
     }
@@ -88,39 +210,13 @@ impl fmt::Write for CharClassCounts {
 
 /// Fractions of ASCII-digit / letter / whitespace / other characters
 /// over the rendered non-null values — a four-number sketch of what
-/// the value-shape signals (regex bank, char features) consume. Each
-/// value counts as its `Display` rendering would, without building
-/// it: text is counted as itself, integers, booleans and dates by
-/// their digit and letter counts, floats through `Display`.
+/// the value-shape signals (regex bank, char features) consume.
 fn char_class_fractions(values: &[Value]) -> [f64; 4] {
-    let mut counts = CharClassCounts([0; 4]);
+    let mut counts = CharClassCounts::default();
     for v in values {
-        match v {
-            Value::Null => {}
-            Value::Text(s) => counts
-                .write_str(s)
-                .expect("counting characters cannot fail"),
-            Value::Int(i) => {
-                counts.0[0] += decimal_digits(i.unsigned_abs());
-                counts.0[3] += usize::from(*i < 0);
-            }
-            Value::Bool(b) => counts.0[1] += if *b { 4 } else { 5 },
-            Value::Date(d) => {
-                // `{:04}-{:02}-{:02}`: the year's sign takes one of its
-                // four places; month and day always print two digits.
-                let year = decimal_digits(d.year.unsigned_abs().into());
-                counts.0[0] += year.max(if d.year < 0 { 3 } else { 4 }) + 4;
-                counts.0[3] += 2 + usize::from(d.year < 0);
-            }
-            v => write!(counts, "{v}").expect("counting characters cannot fail"),
-        }
+        counts.add(v);
     }
-    let counts = counts.0;
-    let total: usize = counts.iter().sum();
-    if total == 0 {
-        return [0.0; 4];
-    }
-    counts.map(|c| c as f64 / total as f64)
+    counts.fractions()
 }
 
 fn decimal_digits(n: u64) -> usize {
@@ -141,13 +237,26 @@ impl ColumnDelta {
     /// rows, cheaper than hashing them — and for appends it also
     /// sketches the character-class drift of the appended suffix so
     /// [`movement`](ColumnDelta::movement) reflects *what* was
-    /// appended, not just how much.
+    /// appended, not just how much. When the new column is longer, the
+    /// base's character classes are counted in the same pass.
     #[must_use]
     pub fn between(base: &Column, new: &Column) -> Self {
         let header_changed = base.name != new.name;
         let (base_len, new_len) = (base.len(), new.len());
-        let shared = base_len.min(new_len);
-        let prefix_equal = base.values[..shared] == new.values[..shared];
+        // A possible append needs the base's character classes for its
+        // drift: they are counted in the pass that compares the base
+        // with the new column's prefix.
+        let (prefix_equal, base_counts) = if new_len > base_len {
+            let mut counts = CharClassCounts::default();
+            let equal = base
+                .values
+                .iter()
+                .zip(&new.values)
+                .all(|(b, n)| counts.count_if_equal(b, n));
+            (equal, Some(counts))
+        } else {
+            (base.values[..new_len] == new.values[..new_len], None)
+        };
         let kind = if !prefix_equal {
             ColumnDeltaKind::Rewritten
         } else if new_len == base_len {
@@ -161,9 +270,9 @@ impl ColumnDelta {
                 removed: base_len - new_len,
             }
         };
-        let drift = match &kind {
-            ColumnDeltaKind::Appended { values } => {
-                let base_frac = char_class_fractions(&base.values);
+        let drift = match (&kind, base_counts) {
+            (ColumnDeltaKind::Appended { values }, Some(base_counts)) => {
+                let base_frac = base_counts.fractions();
                 let app_frac = char_class_fractions(values);
                 base_frac
                     .iter()
@@ -513,6 +622,67 @@ mod tests {
             }
         }
         assert!(appends >= 24, "only {appends} appends checked");
+    }
+
+    /// The packed ASCII lanes empty into the counts before any lane
+    /// overflows, and the append path counts the base in the pass that
+    /// compares it: cells longer than a lane holds, runs of one class
+    /// past a lane's capacity, and a column whose cells pass that
+    /// capacity many times over, mixed with non-ASCII text, give
+    /// exactly the per-character sketch and drift.
+    #[test]
+    fn long_columns_sketch_exactly() {
+        let per_char = |values: &[Value]| {
+            let mut counts = [0usize; 4];
+            for c in values
+                .iter()
+                .flat_map(|v| v.render().chars().collect::<Vec<_>>())
+            {
+                let slot = if c.is_ascii_digit() {
+                    0
+                } else if c.is_alphabetic() {
+                    1
+                } else if c.is_whitespace() {
+                    2
+                } else {
+                    3
+                };
+                counts[slot] += 1;
+            }
+            let total: usize = counts.iter().sum();
+            counts.map(|c| c as f64 / total as f64)
+        };
+        let mut values = vec![
+            Value::Text("a1 -".repeat(3 * LANE_MAX / 4 + 7)),
+            Value::Text("z".repeat(LANE_MAX + 10)),
+            Value::Text("é ß 1".into()),
+        ];
+        values.extend((0..9_000).map(|_| Value::Text("abcdefgh".into())));
+        for i in 0..40_000 {
+            values.push(Value::Text(format!("tok{} item_{}\t", i % 13, i % 97)));
+            if i % 997 == 0 {
+                values.push(Value::Text("Größe 名前".into()));
+                values.push(Value::Int(-i));
+            }
+        }
+        let bits = |f: [f64; 4]| f.map(f64::to_bits);
+        assert_eq!(bits(char_class_fractions(&values)), bits(per_char(&values)));
+        assert_eq!(
+            bits(char_class_fractions(&values[..1])),
+            bits(per_char(&values[..1]))
+        );
+        let appended = [Value::Text("x 9".into()), Value::Text("ü".into())];
+        let base = Column::new("c", values.clone());
+        let mut grown = values;
+        grown.extend(appended.iter().cloned());
+        let d = ColumnDelta::between(&base, &Column::new("c", grown));
+        assert_eq!(d.appended(), Some(&appended[..]));
+        let drift: f64 = per_char(&base.values)
+            .iter()
+            .zip(&per_char(&appended))
+            .map(|(b, a)| (b - a).abs())
+            .sum();
+        assert_eq!(d.drift.to_bits(), drift.to_bits());
     }
 
     #[test]

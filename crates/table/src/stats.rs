@@ -105,15 +105,29 @@ pub fn entropy_from_counts(counts: &[usize]) -> f64 {
         .sum()
 }
 
-/// Shannon entropy (bits) of rendered string items.
+/// Shannon entropy (bits) of rendered string items, summed over the
+/// distinct items in first-occurrence order, so equal inputs give equal
+/// bits on every call.
 #[must_use]
 pub fn entropy_of<S: AsRef<str>>(items: &[S]) -> f64 {
-    let mut counts: std::collections::HashMap<&str, usize> = std::collections::HashMap::new();
+    entropy_from_counts(&first_seen_counts(items.iter().map(AsRef::as_ref)))
+}
+
+/// How often each distinct item occurs, in the order the items first
+/// occur: one count per distinct item, so the length is the distinct
+/// count.
+#[must_use]
+pub fn first_seen_counts<'a>(items: impl IntoIterator<Item = &'a str>) -> Vec<usize> {
+    let mut slots: std::collections::HashMap<&str, usize> = std::collections::HashMap::new();
+    let mut counts: Vec<usize> = Vec::new();
     for it in items {
-        *counts.entry(it.as_ref()).or_insert(0) += 1;
+        let slot = *slots.entry(it).or_insert_with(|| {
+            counts.push(0);
+            counts.len() - 1
+        });
+        counts[slot] += 1;
     }
-    let c: Vec<usize> = counts.into_values().collect();
-    entropy_from_counts(&c)
+    counts
 }
 
 /// Mean of a sample; `0.0` when empty.
@@ -225,6 +239,32 @@ mod tests {
         assert!((entropy_from_counts(&[1, 1]) - 1.0).abs() < 1e-12);
         assert!((entropy_of(&["a", "b", "c", "d"]) - 2.0).abs() < 1e-12);
         assert_eq!(entropy_of::<&str>(&[]), 0.0);
+    }
+
+    #[test]
+    fn first_seen_counts_keep_first_occurrence_order() {
+        assert_eq!(
+            first_seen_counts(["b", "a", "b", "c", "a", "b"]),
+            vec![3, 2, 1]
+        );
+        assert!(first_seen_counts([]).is_empty());
+    }
+
+    /// The sum runs over the distinct items in first-occurrence order,
+    /// not in the order of a per-call hash map, so a skewed column gives
+    /// one bit pattern however often it is asked.
+    #[test]
+    fn entropy_is_bit_stable_across_calls() {
+        // Zipf-like: value k occurs 240 / (k + 1) times.
+        let items: Vec<String> = (0..40u32)
+            .flat_map(|k| std::iter::repeat_n(format!("value {k}"), (240 / (k + 1)) as usize))
+            .collect();
+        let first = entropy_of(&items).to_bits();
+        for _ in 0..64 {
+            assert_eq!(entropy_of(&items).to_bits(), first);
+        }
+        let counts = first_seen_counts(items.iter().map(String::as_str));
+        assert_eq!(entropy_from_counts(&counts).to_bits(), first);
     }
 
     #[test]

@@ -15,4 +15,4 @@ pub mod tokenize;
 pub use normalize::{apply_case, detect_case, normalize_header, normalize_value, CaseStyle};
 pub use similarity::{edit_similarity, fuzzy_score, jaro_winkler, levenshtein, token_dice};
 pub use stem::{stem_phrase, stem_token};
-pub use tokenize::{char_ngrams, header_tokens, word_tokens};
+pub use tokenize::{char_ngrams, header_tokens, word_count, word_tokens};

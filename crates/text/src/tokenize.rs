@@ -65,6 +65,22 @@ pub fn word_tokens(text: &str) -> Vec<String> {
     tokens
 }
 
+/// Number of tokens [`word_tokens`] splits `text` into (its maximal
+/// runs of alphanumeric characters), counted without building them.
+#[must_use]
+pub fn word_count(text: &str) -> usize {
+    let mut count = 0;
+    let mut in_word = false;
+    for c in text.chars() {
+        let alphanumeric = c.is_alphanumeric();
+        if alphanumeric && !in_word {
+            count += 1;
+        }
+        in_word = alphanumeric;
+    }
+    count
+}
+
 /// Character n-grams of a string, padded with `<` and `>` boundary markers
 /// (the FastText convention), lowercased.
 #[must_use]
@@ -119,6 +135,21 @@ mod tests {
     fn words() {
         assert_eq!(word_tokens("Hello, World!"), vec!["hello", "world"]);
         assert_eq!(word_tokens("  "), Vec::<String>::new());
+    }
+
+    #[test]
+    fn word_count_matches_word_tokens() {
+        for text in [
+            "",
+            "  ",
+            "Hello, World!",
+            "a1-b2 c3",
+            "ΟΔΟΣ σ",
+            "x\u{301}y z",
+            "😀a😀",
+        ] {
+            assert_eq!(word_count(text), word_tokens(text).len(), "{text:?}");
+        }
     }
 
     #[test]

@@ -697,9 +697,9 @@ fn panicking_step_fails_one_request_and_keeps_the_worker() {
 }
 
 /// A panic inside `/feedback`'s own annotate costs that one request
-/// too: it gets the JSON `500` instead of a dropped connection, the
-/// cache epoch still moves on, and the same server then answers an
-/// annotate and a valid feedback.
+/// too: it gets the JSON `500` instead of a dropped connection,
+/// `/metrics` counts it in `panics`, the cache epoch still moves on,
+/// and the same server then answers an annotate and a valid feedback.
 #[test]
 fn panicking_step_inside_feedback_fails_one_request() {
     let (global, tables) = demo_global(46);
@@ -734,17 +734,19 @@ fn panicking_step_inside_feedback_fails_one_request() {
         response
     };
 
-    let epoch = || {
+    let metric = |name: &str| {
         let mut client = HttpClient::connect(addr).expect("connect");
         let metrics = client.get("/metrics").expect("metrics");
         Json::parse(&metrics.body_str())
             .expect("metrics json")
-            .get("epoch")
+            .get(name)
             .and_then(Json::as_u64)
-            .expect("metrics epoch")
+            .unwrap_or_else(|| panic!("metrics {name}"))
     };
+    let epoch = || metric("epoch");
 
     let epoch_before = epoch();
+    let panics_before = metric("panics");
     let marker = format!(
         r#"{{"table":{{"name":"boom","columns":[{{"header":"{PANIC_MARKER}","values":["x","y"]}}]}},"col_idx":0,"type":"name"}}"#
     );
@@ -760,6 +762,11 @@ fn panicking_step_inside_feedback_fails_one_request() {
     assert!(
         epoch() > epoch_before,
         "a panicked feedback must still move the cache epoch"
+    );
+    assert_eq!(
+        metric("panics"),
+        panics_before + 1,
+        "/metrics must count the panicked feedback"
     );
 
     let annotated = post("/annotate", annotate_body(&tables[0]));
