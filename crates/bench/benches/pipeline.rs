@@ -917,129 +917,6 @@ fn bench_server_roundtrip(c: &mut Criterion) {
     recrawl_server.shutdown().expect("graceful shutdown");
 }
 
-/// The pluggable embedding backends (see `sigmatyper::backend`): the
-/// reference f32 forward pass vs blocked-SIMD, timed over the same
-/// precomputed neighbor contexts so the MLP evaluation dominates.
-/// Before timing, the acceptance contract is checked once:
-/// `BlockedSimd` must agree with `ReferenceF32` on most top-1 decisions
-/// and beat it on wall clock at the MLP head (the golden-tolerance
-/// suite in `tests/embed_backends.rs` owns the accuracy bar on the
-/// e1–e8 corpora).
-fn bench_embed_backends(c: &mut Criterion) {
-    use sigmatyper::EmbeddingBackendKind;
-    /// Alternating samples per backend in the speed check.
-    const HEAD_SAMPLES: usize = 10;
-
-    let f = BenchFixture::new();
-    let model = &f.lab.global.embedding;
-    // Single-value columns keep featurization trivial, so the timed
-    // loop is dominated by the part the backends actually differ on:
-    // the MLP forward pass.
-    let columns: Vec<Column> = (0..64)
-        .map(|i| Column::from_raw(format!("col_{i}"), &[format!("item {}", i % 7)]))
-        .collect();
-    let header_vecs: Vec<Vec<f32>> = columns
-        .iter()
-        .map(|col| model.header_vector(&col.name))
-        .collect();
-    let contexts: Vec<Vec<f32>> = (0..columns.len())
-        .map(|ci| {
-            let refs: Vec<&[f32]> = header_vecs
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != ci)
-                .map(|(_, v)| v.as_slice())
-                .collect();
-            model.context_of(&refs)
-        })
-        .collect();
-    let sweep = |kind: EmbeddingBackendKind| {
-        let backend = kind.backend();
-        columns
-            .iter()
-            .zip(&contexts)
-            .map(|(col, ctx)| backend.predict_with_context(model, col, ctx))
-            .collect::<Vec<_>>()
-    };
-
-    // Sanity on the approximate backend: same decision on these easy
-    // columns for most of the sweep (the real tolerance bar lives in
-    // the golden suite over the e1–e8 corpora).
-    let reference = sweep(EmbeddingBackendKind::ReferenceF32);
-    let blocked = sweep(EmbeddingBackendKind::BlockedSimd);
-    let agree = reference
-        .iter()
-        .zip(&blocked)
-        .filter(|(a, b)| a.candidates.first().map(|c| c.ty) == b.candidates.first().map(|c| c.ty))
-        .count();
-    println!(
-        "pipeline/embed_backends  blocked_simd top-1 agreement: {agree}/{}",
-        reference.len()
-    );
-    assert!(
-        agree * 10 >= reference.len() * 9,
-        "blocked_simd agreed on only {agree}/{} columns",
-        reference.len()
-    );
-
-    // Acceptance: the fast backend must actually be faster at what the
-    // backends differ in, `EmbeddingBackend::logits`. Featurization is
-    // most of a `predict_with_context` call and the same on both sides,
-    // so it is done once up front: each sample runs the head over the
-    // feature vectors of every training column, the backends take
-    // turns, and each keeps its fastest sample.
-    let training_features: Vec<Vec<f32>> = f
-        .lab
-        .pretrain
-        .tables
-        .iter()
-        .flat_map(|at| {
-            let headers = at.table.headers();
-            (0..headers.len())
-                .map(|ci| {
-                    let neighbors: Vec<&str> = headers
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| *i != ci)
-                        .map(|(_, h)| *h)
-                        .collect();
-                    let col = at.table.column(ci).expect("column in range");
-                    model.featurize(col, &neighbors)
-                })
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    let head_sample = |kind: EmbeddingBackendKind| {
-        let backend = kind.backend();
-        let t0 = Instant::now();
-        for features in &training_features {
-            black_box(backend.logits(model.mlp(), black_box(features)));
-        }
-        t0.elapsed()
-    };
-    let (mut ref_time, mut simd_time) = (Duration::MAX, Duration::MAX);
-    for _ in 0..HEAD_SAMPLES {
-        ref_time = ref_time.min(head_sample(EmbeddingBackendKind::ReferenceF32));
-        simd_time = simd_time.min(head_sample(EmbeddingBackendKind::BlockedSimd));
-    }
-    println!(
-        "pipeline/embed_backends  head over {} columns, min of {HEAD_SAMPLES}: \
-         reference_f32 {ref_time:?} | blocked_simd {simd_time:?}",
-        training_features.len()
-    );
-    assert!(
-        simd_time < ref_time,
-        "blocked_simd ({simd_time:?}) did not beat reference_f32 ({ref_time:?})"
-    );
-
-    let mut group = c.benchmark_group("pipeline/embed_backends");
-    group.sample_size(20);
-    for kind in EmbeddingBackendKind::ALL {
-        group.bench_function(kind.label(), |b| b.iter(|| black_box(sweep(kind))));
-    }
-    group.finish();
-}
-
 /// The load lab end to end: a small seeded workload replayed through
 /// the in-process serving stack (bounded queue, worker pool, the
 /// server's shaper path), fairness shaping on vs the accounting-only
@@ -1223,7 +1100,6 @@ criterion_group!(
     bench_incremental_recrawl,
     bench_budgeted,
     bench_server_roundtrip,
-    bench_embed_backends,
     bench_load_lab,
     bench_feedback
 );

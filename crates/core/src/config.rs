@@ -1,6 +1,5 @@
 //! System configuration: thresholds, step weights, and sizes.
 
-use crate::backend::EmbeddingBackendKind;
 use crate::cache::StableHasher;
 use crate::executor::ParallelismPolicy;
 use crate::prediction::StepId;
@@ -54,16 +53,6 @@ pub struct SigmaTyperConfig {
     /// which also keeps them out of the cache fingerprint — a budget
     /// changes which steps run, never what an executed step scores.
     pub column_threads: usize,
-    /// Inference backend of the table-embedding step (see
-    /// [`crate::backend`]). The default,
-    /// [`ReferenceF32`](crate::backend::ReferenceF32), is bit-identical
-    /// to the seed transcription; the others trade bits for speed.
-    /// Unlike the execution-strategy fields this **is** fingerprinted
-    /// (when non-default): approximate backends score differently, so
-    /// their cache entries must never cross-serve. A request may
-    /// override it per call via
-    /// [`RequestOptions::embedding_backend`](crate::request::RequestOptions::embedding_backend).
-    pub embedding_backend: EmbeddingBackendKind,
     /// Base sensitivity threshold for delta-aware recrawls: when an
     /// annotation request carries a base table
     /// ([`AnnotationRequest::with_base`](crate::request::AnnotationRequest::with_base)),
@@ -128,7 +117,6 @@ impl SigmaTyperConfig {
             // fingerprinted (see above).
             parallelism: _,
             column_threads: _,
-            embedding_backend,
             // Deliberately not fingerprinted: the sensitivity gate only
             // decides whether a step *re-runs* or *reuses the base
             // crawl's entry* — reused scores are never inserted under
@@ -149,15 +137,6 @@ impl SigmaTyperConfig {
         h.write_u8(u8::from(enable_header));
         h.write_u8(u8::from(enable_lookup));
         h.write_u8(u8::from(enable_embedding));
-        // The embedding backend is hashed only when non-default: the
-        // default (`ReferenceF32`) is fingerprinted as *absence* so
-        // seed-era fingerprints — and any persisted disk-cache tier
-        // written before backends existed — remain valid verbatim.
-        // Approximate backends score differently, so each non-default
-        // backend contributes its own tag and never cross-serves.
-        if embedding_backend != EmbeddingBackendKind::ReferenceF32 {
-            h.write_u8(embedding_backend.fingerprint_tag());
-        }
     }
 }
 
@@ -177,7 +156,6 @@ impl Default for SigmaTyperConfig {
             enable_embedding: true,
             parallelism: ParallelismPolicy::default(),
             column_threads: 0,
-            embedding_backend: EmbeddingBackendKind::ReferenceF32,
             delta_sensitivity: 0.05,
         }
     }
@@ -300,10 +278,6 @@ mod tests {
                 enable_embedding: false,
                 ..base
             },
-            SigmaTyperConfig {
-                embedding_backend: EmbeddingBackendKind::BlockedSimd,
-                ..base
-            },
         ];
         for (i, v) in variants.iter().enumerate() {
             assert_ne!(finish(&base), finish(v), "variant {i} did not move");
@@ -343,16 +317,14 @@ mod tests {
         }
     }
 
-    /// `ReferenceF32` (the default) must keep seed-era fingerprints
-    /// byte-stable: the backend field is hashed only when non-default,
-    /// so configs written before backends existed — including every
-    /// entry in a persisted disk-cache tier — hash to exactly the same
-    /// value today. This replays the seed-era write sequence by hand
-    /// and demands equality, not merely determinism.
+    /// The default config must keep its seed-era fingerprint
+    /// byte-stable: step-cache keys are derived from it, so the entries
+    /// a persisted disk-cache tier holds from an earlier build stay
+    /// reachable. This replays the seed-era write sequence by hand and
+    /// demands equality, not merely determinism.
     #[test]
     fn reference_backend_keeps_seed_era_fingerprints() {
         let base = SigmaTyperConfig::default();
-        assert_eq!(base.embedding_backend, EmbeddingBackendKind::ReferenceF32);
         let mut h = StableHasher::new();
         base.fingerprint_into(&mut h);
         let today = h.finish128();

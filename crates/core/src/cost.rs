@@ -167,14 +167,6 @@ impl CostModel {
         lock(&self.steps).get(&step).copied()
     }
 
-    /// Predicted nanoseconds for running `step` over `columns` pending
-    /// columns (`None` until the step has been observed).
-    #[must_use]
-    pub fn predict_nanos(&self, step: StepId, columns: usize) -> Option<f64> {
-        self.estimate(step)
-            .map(|e| e.nanos_per_column * columns as f64)
-    }
-
     /// Snapshot of every step estimate, in unspecified order.
     #[must_use]
     pub fn snapshot(&self) -> Vec<(StepId, StepCostEstimate)> {
@@ -270,7 +262,6 @@ mod tests {
             "yield decays when nothing resolves"
         );
         assert_eq!(e.samples, 2);
-        assert!(model.predict_nanos(StepId::LOOKUP, 10).unwrap() > 0.0);
     }
 
     #[test]

@@ -1002,14 +1002,12 @@ mod tests {
             cache.flush().unwrap();
             cache.segment_path().to_path_buf()
         };
-        let full = fs::metadata(&seg).unwrap().len();
-        // Chop the file at every byte boundary of the last record and
-        // a few interior points: reopen must never panic, and every
-        // surviving hit must verify.
-        for cut in [full - 1, full - 10, full - 30, HEADER_LEN + 3, 5, 0] {
-            let f = OpenOptions::new().write(true).open(&seg).unwrap();
-            f.set_len(cut).unwrap();
-            drop(f);
+        let intact = fs::read(&seg).unwrap();
+        // Cut the intact file at every byte offset, as a crash mid-append
+        // would leave it: reopen must never panic, and every surviving
+        // hit must verify.
+        for cut in (0..=intact.len()).rev() {
+            fs::write(&seg, &intact[..cut]).unwrap();
             let cache = DiskCache::open(dir.path()).unwrap();
             assert!(cache.len() <= 4);
             for n in 0..4 {
@@ -1269,6 +1267,31 @@ mod tests {
         let known = held.current();
         fs::write(&path, b"junk").unwrap();
         assert_eq!(held.current(), known);
+    }
+
+    /// A crash can leave the 32-byte epoch file cut at any offset:
+    /// every cut reopens to a freshly seeded epoch (a cold cache, never
+    /// a stale one), a live handle keeps its last known epoch, and the
+    /// intact file still resumes the stored one.
+    #[test]
+    fn truncated_epoch_file_reseeds_at_every_offset() {
+        let dir = Scratch::new("epoch-torn");
+        let path = dir.path().join("epoch");
+        let held = DurableEpochSource::open(&path).unwrap();
+        let stored = held.advance();
+        let intact = fs::read(&path).unwrap();
+        assert_eq!(intact.len(), 32);
+        for cut in (0..intact.len()).rev() {
+            fs::write(&path, &intact[..cut]).unwrap();
+            assert_eq!(held.current(), stored, "cut at {cut}: last known epoch");
+            let reopened = DurableEpochSource::open(&path).unwrap();
+            let reseeded = reopened.current();
+            assert_ne!(reseeded, stored, "cut at {cut} resumed a torn epoch");
+            // The reseed is persisted whole, so the next open resumes it.
+            assert_eq!(DurableEpochSource::open(&path).unwrap().current(), reseeded);
+        }
+        fs::write(&path, &intact).unwrap();
+        assert_eq!(DurableEpochSource::open(&path).unwrap().current(), stored);
     }
 
     #[test]

@@ -118,11 +118,11 @@ impl TableEmbeddingModel {
 
     /// The exact feature vector every predict path scores: column
     /// features, the precomputed neighbor context appended, scaled
-    /// in place. Public so [`EmbeddingBackend`] implementations share
-    /// the reference featurization bit for bit and differ only in how
-    /// they run the MLP head.
+    /// in place. The embedding step's per-table [`scorer`] calls it
+    /// once per column and scores every head that shares this model's
+    /// featurizer on that one vector.
     ///
-    /// [`EmbeddingBackend`]: crate::backend::EmbeddingBackend
+    /// [`scorer`]: crate::step::AnnotationStep::scorer
     #[must_use]
     pub fn features_with_context(&self, column: &Column, context: &[f32]) -> Vec<f32> {
         let mut f = Vec::with_capacity(self.dim());
@@ -132,9 +132,11 @@ impl TableEmbeddingModel {
         f
     }
 
-    /// The MLP head. Read access for alternative inference backends
-    /// (see [`crate::backend`]): they may evaluate these weights in a
-    /// different order but never mutate them.
+    /// The MLP head, read-only: the embedding step's [`scorer`] runs
+    /// its [`Mlp::logits`] on a feature vector it computed once for
+    /// both heads.
+    ///
+    /// [`scorer`]: crate::step::AnnotationStep::scorer
     #[must_use]
     pub fn mlp(&self) -> &Mlp {
         &self.mlp
@@ -142,8 +144,11 @@ impl TableEmbeddingModel {
 
     /// Calibrated candidate scores from raw logits: temperature
     /// scaling, the 0.01 probability floor, and top-8 truncation —
-    /// every backend funnels its logits through this one tail so the
-    /// calibration and thresholding rules cannot drift per backend.
+    /// the one tail [`TableEmbeddingModel::predict`] and the embedding
+    /// step's [`scorer`] share, so their calibration and thresholding
+    /// cannot drift apart.
+    ///
+    /// [`scorer`]: crate::step::AnnotationStep::scorer
     #[must_use]
     pub fn scores_from_logits(&self, logits: &[f32]) -> StepScores {
         let probs = self.temperature.apply(logits);
@@ -286,7 +291,6 @@ pub fn train_embedding_model(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{EmbeddingBackend, ReferenceF32};
     use tu_corpus::{generate_corpus, CorpusConfig};
     use tu_ontology::{builtin_id, builtin_ontology};
 
@@ -396,6 +400,12 @@ mod tests {
         assert!(after > 0.3, "after {after}");
     }
 
+    /// The embedding step scorer's three calls on a precomputed context.
+    fn scored(model: &TableEmbeddingModel, col: &Column, ctx: &[f32]) -> StepScores {
+        let f = model.features_with_context(col, ctx);
+        model.scores_from_logits(&model.mlp().logits(&f))
+    }
+
     #[test]
     fn predict_with_precomputed_context_is_bit_identical() {
         let (_, corpus, model) = trained();
@@ -417,7 +427,7 @@ mod tests {
                 .map(|(_, v)| v.as_slice())
                 .collect();
             let ctx = model.context_of(&neighbor_vecs);
-            let batched = ReferenceF32.predict_with_context(&model, col, &ctx);
+            let batched = scored(&model, col, &ctx);
             assert_eq!(direct.candidates.len(), batched.candidates.len());
             for (a, b) in direct.candidates.iter().zip(&batched.candidates) {
                 assert_eq!(a.ty, b.ty);
@@ -428,7 +438,7 @@ mod tests {
         let col = at.table.column(0).unwrap();
         let lonely = model.predict(col, &[]);
         let zero_ctx = model.context_of(&[]);
-        let batched = ReferenceF32.predict_with_context(&model, col, &zero_ctx);
+        let batched = scored(&model, col, &zero_ctx);
         assert_eq!(lonely.candidates, batched.candidates);
     }
 

@@ -49,7 +49,6 @@
 #![warn(missing_docs)]
 
 pub mod aggregate;
-pub mod backend;
 pub mod cache;
 pub mod cascade;
 pub mod config;
@@ -69,10 +68,6 @@ pub mod step;
 pub mod system;
 pub mod tenant;
 
-pub use backend::{
-    AccuracyClass, BlockedSimd, EmbeddingBackend, EmbeddingBackendKind, ReferenceF32,
-    UnknownBackendError,
-};
 pub use cache::{
     column_fingerprints, column_fingerprints_chained, CacheContext, CacheKey, CacheStats,
     ColumnFingerprint, ColumnHashState, EpochSource, ShardedLruCache, StableHasher, StepCache,

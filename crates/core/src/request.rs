@@ -53,7 +53,6 @@
 //! to exercise these paths; it is an operational chaos knob, not a
 //! tuning surface — production callers should set budgets per request.
 
-use crate::backend::EmbeddingBackendKind;
 use crate::cost::CostModel;
 use crate::prediction::{StepId, TableAnnotation};
 use crate::tenant::TenantId;
@@ -119,17 +118,10 @@ pub struct RequestOptions {
     pub policy: DegradationPolicy,
     /// Skip the step cache entirely for this request: no consults, no
     /// inserts. For forced recomputation (an operator suspecting a
-    /// poisoned backend) — output is bit-identical either way.
+    /// poisoned cache) — output is bit-identical either way.
     pub bypass_cache: bool,
     /// How much telemetry the returned annotation retains.
     pub telemetry: TelemetryVerbosity,
-    /// Override the embedding-inference backend for this request only
-    /// (`None` = use
-    /// [`SigmaTyperConfig::embedding_backend`](crate::config::SigmaTyperConfig::embedding_backend)).
-    /// A non-default backend moves the cache fingerprint: approximate
-    /// backends score differently, so their cached step results must
-    /// never cross-serve (see [`crate::backend`]).
-    pub embedding_backend: Option<EmbeddingBackendKind>,
     /// Override the delta-reuse sensitivity threshold for this request
     /// only (`None` = use
     /// [`SigmaTyperConfig::delta_sensitivity`](crate::config::SigmaTyperConfig::delta_sensitivity)).
@@ -176,16 +168,6 @@ impl RequestOptions {
         self
     }
 
-    /// Builder-style: override the embedding-inference backend for
-    /// this request only (see
-    /// [`crate::backend::EmbeddingBackendKind`] for the built-in
-    /// choices and their accuracy classes).
-    #[must_use]
-    pub fn with_embedding_backend(mut self, backend: EmbeddingBackendKind) -> Self {
-        self.embedding_backend = Some(backend);
-        self
-    }
-
     /// Builder-style: override the delta-reuse sensitivity threshold
     /// (see
     /// [`SigmaTyperConfig::delta_sensitivity`](crate::config::SigmaTyperConfig::delta_sensitivity)).
@@ -193,14 +175,6 @@ impl RequestOptions {
     #[must_use]
     pub fn with_delta_sensitivity(mut self, sensitivity: f64) -> Self {
         self.delta_sensitivity = Some(sensitivity.max(0.0));
-        self
-    }
-
-    /// Builder-style: attribute this request to a tenant (see the
-    /// [`tenant`](RequestOptions::tenant) field).
-    #[must_use]
-    pub fn with_tenant(mut self, tenant: TenantId) -> Self {
-        self.tenant = Some(tenant);
         self
     }
 

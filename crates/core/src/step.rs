@@ -347,18 +347,8 @@ impl AnnotationStep for EmbeddingStep {
     }
 
     fn run(&self, ctx: &StepContext<'_>) -> StepScores {
-        let backend = ctx.config.embedding_backend.backend();
         let neighbors = ctx.neighbor_headers();
-        let column = ctx.column();
-        let scores_for = |model: &TableEmbeddingModel| {
-            let vecs: Vec<Vec<f32>> = neighbors
-                .iter()
-                .map(|h| backend.encode_header(model, h))
-                .collect();
-            let refs: Vec<&[f32]> = vecs.iter().map(Vec::as_slice).collect();
-            let context = model.context_of(&refs);
-            backend.predict_with_context(model, column, &context)
-        };
+        let scores_for = |model: &TableEmbeddingModel| model.predict(ctx.column(), &neighbors);
         let global_scores = scores_for(&ctx.global.embedding);
         match &ctx.local.finetuned {
             Some(local_model) => {
@@ -380,23 +370,19 @@ impl AnnotationStep for EmbeddingStep {
     /// [shares the global model's featurizer] — always, for one
     /// [`LocalModel::add_training`] cloned — the header vectors, the
     /// neighbor context and the feature vector are the same for both,
-    /// so the closure computes them once and runs the backend's
-    /// [`logits`] for each head on that one vector. A finetuned model
-    /// with a featurizer of its own gets its own header vectors and
-    /// feature vectors, as in `run`. Either way the closure averages
-    /// the vectors in the order `run` encodes them, so its scores are
+    /// so the closure computes them once and runs each head's
+    /// [`Mlp::logits`] on that one vector. A finetuned model with a
+    /// featurizer of its own gets its own header vectors and feature
+    /// vectors, as in `run`. Either way the closure averages the
+    /// vectors in the order `run` encodes them, so its scores are
     /// bit-identical to `run`'s.
     ///
     /// [shares the global model's featurizer]: TableEmbeddingModel::shares_featurizer
-    /// [`logits`]: crate::backend::EmbeddingBackend::logits
+    /// [`Mlp::logits`]: tu_ml::Mlp::logits
     fn scorer<'a>(&'a self, ctx: StepContext<'a>) -> Box<dyn Fn(usize) -> StepScores + Sync + 'a> {
-        let backend = ctx.config.embedding_backend.backend();
         let headers = ctx.table.headers();
         let encode = |model: &TableEmbeddingModel| -> Vec<Vec<f32>> {
-            headers
-                .iter()
-                .map(|h| backend.encode_header(model, h))
-                .collect()
+            headers.iter().map(|h| model.header_vector(h)).collect()
         };
         let global = &ctx.global.embedding;
         let global_vecs = encode(global);
@@ -416,8 +402,8 @@ impl AnnotationStep for EmbeddingStep {
             let column = ctx.table.column(ci).expect("column in range");
             model.features_with_context(column, &model.context_of(&neighbors))
         };
-        let scores = move |model: &TableEmbeddingModel, f: &[f32]| {
-            model.scores_from_logits(&backend.logits(model.mlp(), f))
+        let scores = |model: &TableEmbeddingModel, f: &[f32]| {
+            model.scores_from_logits(&model.mlp().logits(f))
         };
         Box::new(move |ci| {
             let f = features(global, &global_vecs, ci);

@@ -1,7 +1,6 @@
 //! The SigmaTyper orchestrator: cascade, aggregation, and adaptation.
 
 use crate::aggregate::{apply_tau, soft_majority_vote_with};
-use crate::backend::EmbeddingBackendKind;
 use crate::cache::{
     recrawl_fingerprints, CacheContext, ColumnFingerprint, EpochSource, ShardedLruCache, StepCache,
 };
@@ -276,33 +275,6 @@ impl SigmaTyperBuilder {
     #[must_use]
     pub fn column_threads(mut self, threads: usize) -> Self {
         self.config.column_threads = threads;
-        self
-    }
-
-    /// Select the embedding-inference backend for this instance (see
-    /// [`crate::backend`] for the built-in choices). The default,
-    /// [`EmbeddingBackendKind::ReferenceF32`], is bit-identical to the
-    /// original hardwired f32 path; `BlockedSimd` trades bit-identity
-    /// for an 8-lane accumulation (held within a golden tolerance on
-    /// the eval corpora). A request may override the choice per call via
-    /// [`RequestOptions::with_embedding_backend`]. Non-default
-    /// backends fingerprint their own cache keys, so switching never
-    /// serves one backend's cached scores to another.
-    ///
-    /// ```
-    /// use sigmatyper::{EmbeddingBackendKind, SigmaTyper, TrainingConfig};
-    /// # use tu_corpus::{generate_corpus, CorpusConfig};
-    /// # use tu_ontology::builtin_ontology;
-    /// # let ontology = builtin_ontology();
-    /// # let corpus = generate_corpus(&ontology, &CorpusConfig::database_like(3, 6));
-    /// # let global = sigmatyper::train_global(ontology, &corpus, &TrainingConfig::fast());
-    /// let typer = SigmaTyper::builder(std::sync::Arc::new(global))
-    ///     .embedding_backend(EmbeddingBackendKind::BlockedSimd)
-    ///     .build();
-    /// ```
-    #[must_use]
-    pub fn embedding_backend(mut self, backend: EmbeddingBackendKind) -> Self {
-        self.config.embedding_backend = backend;
         self
     }
 
@@ -630,14 +602,7 @@ impl SigmaTyper {
         ledger: &BudgetLedger,
     ) -> AnnotationOutcome {
         let (_, policy) = options.resolved();
-        // Apply the per-request backend override *here*, on the config
-        // handed to the executor: the cache fingerprint is derived from
-        // this same config inside `run_budgeted`, so a non-default
-        // backend automatically separates its cache keys.
-        let mut config = self.config;
-        if let Some(backend) = options.embedding_backend {
-            config.embedding_backend = backend;
-        }
+        let config = &self.config;
         let cache_ctx = if options.bypass_cache {
             None
         } else {
@@ -666,7 +631,7 @@ impl SigmaTyper {
             (Some(base), Some(cc)) => TableDelta::between(base, table).map(|table_delta| {
                 let step_ids = self.cascade.step_ids();
                 let (base_fps, new_fps) =
-                    recrawl_fingerprints(base, table, &table_delta, &step_ids, &config, cc.epoch);
+                    recrawl_fingerprints(base, table, &table_delta, &step_ids, config, cc.epoch);
                 let sensitivity = options
                     .delta_sensitivity
                     .unwrap_or(config.delta_sensitivity)
@@ -691,7 +656,7 @@ impl SigmaTyper {
             table,
             &self.global,
             &self.local,
-            &config,
+            config,
             cache_ctx,
             Some(BudgetContext {
                 ledger,
@@ -702,14 +667,14 @@ impl SigmaTyper {
         );
         let (per_column, timings) = budgeted.trace;
 
-        let weight_of = |id: StepId| self.cascade.weight(id, &config);
+        let weight_of = |id: StepId| self.cascade.weight(id, config);
         let columns = per_column
             .into_iter()
             .enumerate()
             .map(|(ci, steps)| {
                 let executed: Vec<(StepId, &StepScores)> =
                     steps.iter().map(|(s, sc)| (*s, sc)).collect();
-                let mut top_k = soft_majority_vote_with(&executed, &config, &weight_of);
+                let mut top_k = soft_majority_vote_with(&executed, config, &weight_of);
                 self.prefer_specific(&mut top_k);
                 let (predicted, confidence) = apply_tau(&top_k, config.tau);
                 let (steps_run, step_scores): (Vec<StepId>, Vec<StepScores>) =

@@ -200,13 +200,6 @@ impl TenantRegistry {
         }
     }
 
-    /// Whether fairness shaping is active (as opposed to
-    /// accounting-only bookkeeping).
-    #[must_use]
-    pub fn fairness_enabled(&self) -> bool {
-        self.fairness
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, RegistryInner> {
         self.inner
             .lock()

@@ -112,6 +112,7 @@ fn serve_op(
         tenant: op.tenant,
         lane: op.lane,
         served: true,
+        panicked: false,
         degraded,
         delta_reused: outcome.degradation.delta_reused as u64,
         spent_nanos: outcome.degradation.spent_nanos,
@@ -122,8 +123,8 @@ fn serve_op(
 
 /// Replay `workload` against an in-process serving stack built from
 /// `target`, returning the structured report. Results are collected
-/// for every operation — shed or served — and returned in operation
-/// order.
+/// for every operation — served, shed or panicked — and returned in
+/// operation order.
 #[must_use]
 pub fn run_in_process(
     global: Arc<GlobalModel>,
@@ -179,9 +180,12 @@ pub fn run_in_process(
                 let served = pool.submit(op.lane, tenant, move |service, shaper| {
                     serve_op(service, shaper, &job_ops[idx], tenant)
                 });
-                let result = served.ok().flatten().unwrap_or_else(|| {
-                    OpResult::unserved(op, submitted.elapsed().as_nanos() as u64)
-                });
+                let latency = submitted.elapsed().as_nanos() as u64;
+                let result = match served {
+                    Ok(Some(result)) => result,
+                    Ok(None) => OpResult::unserved(op, true, latency),
+                    Err(_) => OpResult::unserved(op, false, latency),
+                };
                 results
                     .lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner)

@@ -3,12 +3,12 @@
 //! Replays a [`Workload`] against a live annotation server (any
 //! process speaking `tu_server`'s endpoints), tagging each request
 //! with its `x-sigma-lane` and `x-sigma-tenant` headers. A 503 is a
-//! shed; a 200 is parsed for degradation, spend, and the result
-//! fingerprint. Result digests are computed over the wire outcome with
-//! timing fields zeroed, so two wire replays of one workload on an
-//! unsaturated, unbudgeted server digest identically — but wire
-//! digests are *not* comparable to in-process digests, which hash the
-//! typed annotation directly.
+//! shed, a 500 (a step panicked) a panicked operation; a 200 is parsed
+//! for degradation, spend, and the result fingerprint. Result digests
+//! are computed over the wire outcome with timing fields zeroed, so
+//! two wire replays of one workload on an unsaturated, unbudgeted
+//! server digest identically — but wire digests are *not* comparable
+//! to in-process digests, which hash the typed annotation directly.
 
 use crate::report::{LoadReport, OpResult};
 use crate::workload::{LabOp, Workload};
@@ -91,8 +91,8 @@ fn degradation_field(outcome: &Json, field: &str) -> u64 {
 
 /// Replay `workload` against the annotation server at `addr` with
 /// `clients` closed-loop connections. Panics on transport errors or
-/// unexpected statuses — a load-lab run against a dead or misbehaving
-/// server is a harness bug, not a data point.
+/// statuses other than 200, 500 and 503 — a load-lab run against a
+/// dead or misbehaving server is a harness bug, not a data point.
 #[must_use]
 pub fn run_http(addr: SocketAddr, workload: &Workload, clients: usize) -> LoadReport {
     let results: Mutex<Vec<OpResult>> = Mutex::new(Vec::with_capacity(workload.ops.len()));
@@ -133,6 +133,7 @@ pub fn run_http(addr: SocketAddr, workload: &Workload, clients: usize) -> LoadRe
                                 tenant: op.tenant,
                                 lane: op.lane,
                                 served: true,
+                                panicked: false,
                                 degraded,
                                 delta_reused: degradation_field(&outcome, "delta_reused"),
                                 spent_nanos: degradation_field(&outcome, "spent_nanos"),
@@ -140,7 +141,8 @@ pub fn run_http(addr: SocketAddr, workload: &Workload, clients: usize) -> LoadRe
                                 digest: (!degraded).then(|| wire_digest(&outcome)),
                             }
                         }
-                        503 => OpResult::unserved(op, latency_nanos),
+                        503 => OpResult::unserved(op, false, latency_nanos),
+                        500 => OpResult::unserved(op, true, latency_nanos),
                         status => {
                             panic!("op {idx}: unexpected status {status}: {}", resp.body_str())
                         }

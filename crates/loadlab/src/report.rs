@@ -5,7 +5,7 @@
 //! percentile latency) is derived on demand so the raw data stays
 //! inspectable. [`validate`](LoadReport::validate) enforces the
 //! accounting contract — every submitted operation lands in exactly
-//! one of served/shed — and
+//! one of served, shed or panicked — and
 //! [`deterministic_digest`](LoadReport::deterministic_digest) is the
 //! timing-free fingerprint replays are compared by.
 
@@ -23,10 +23,13 @@ pub struct OpResult {
     pub tenant: usize,
     /// Lane the operation targeted.
     pub lane: TrafficLane,
-    /// Admitted and annotated. `false` = shed at admission or, in
-    /// [`run_in_process`](crate::run_in_process) only, a run that
-    /// panicked; the report counts both as shed.
+    /// Admitted and annotated.
     pub served: bool,
+    /// Admitted, but a step panicked while serving it: the worker
+    /// pool's job returned no answer in process, or the server
+    /// answered `500` over the wire. An operation neither served nor
+    /// panicked was shed at admission.
+    pub panicked: bool,
     /// Did the annotation degrade (steps skipped or truncated)?
     pub degraded: bool,
     /// Per-column step evaluations reused from the base crawl.
@@ -44,13 +47,18 @@ pub struct OpResult {
 
 impl OpResult {
     /// The result of `op` when it was not served: shed at admission,
-    /// or its job panicked.
-    pub(crate) fn unserved(op: &crate::workload::LabOp, latency_nanos: u64) -> OpResult {
+    /// or, with `panicked`, admitted and panicked.
+    pub(crate) fn unserved(
+        op: &crate::workload::LabOp,
+        panicked: bool,
+        latency_nanos: u64,
+    ) -> OpResult {
         OpResult {
             op: op.id,
             tenant: op.tenant,
             lane: op.lane,
             served: false,
+            panicked,
             degraded: false,
             delta_reused: 0,
             spent_nanos: 0,
@@ -68,9 +76,10 @@ pub struct BucketStats {
     pub submitted: u64,
     /// Operations annotated.
     pub served: u64,
-    /// Operations not served: refused at admission, or (in-process)
-    /// whose run panicked.
+    /// Operations refused at admission.
     pub shed: u64,
+    /// Operations admitted whose run panicked.
+    pub panicked: u64,
     /// Served operations that degraded.
     pub degraded: u64,
     /// Summed delta reuse across served operations.
@@ -84,7 +93,7 @@ pub struct BucketStats {
 }
 
 impl BucketStats {
-    /// `shed / submitted` (0 on an empty slice).
+    /// `shed / submitted` (0 on an empty slice): admission sheds only.
     #[must_use]
     pub fn shed_rate(&self) -> f64 {
         rate(self.shed, self.submitted)
@@ -98,11 +107,11 @@ impl BucketStats {
         rate(self.degraded, self.submitted)
     }
 
-    /// `degraded + shed` over submitted: the fraction of this slice's
-    /// traffic that did not get a full-fidelity answer.
+    /// `degraded + shed + panicked` over submitted: the fraction of
+    /// this slice's traffic that did not get a full-fidelity answer.
     #[must_use]
     pub fn impact_rate(&self) -> f64 {
-        rate(self.degraded + self.shed, self.submitted)
+        rate(self.degraded + self.shed + self.panicked, self.submitted)
     }
 }
 
@@ -154,6 +163,8 @@ impl LoadReport {
                 stats.delta_reused += r.delta_reused;
                 stats.spent_nanos += r.spent_nanos;
                 latencies.push(r.latency_nanos);
+            } else if r.panicked {
+                stats.panicked += 1;
             } else {
                 stats.shed += 1;
             }
@@ -165,8 +176,9 @@ impl LoadReport {
     }
 
     /// The accounting contract: operation ids are unique and in order,
-    /// every result is served xor shed, and a result fingerprint is
-    /// present exactly on un-degraded served operations.
+    /// every result is exactly one of served, shed or panicked, and a
+    /// result fingerprint is present exactly on un-degraded served
+    /// operations.
     ///
     /// # Errors
     ///
@@ -179,8 +191,11 @@ impl LoadReport {
             if r.tenant >= self.tenants.len() {
                 return Err(format!("result {i} names unknown tenant {}", r.tenant));
             }
+            if r.served && r.panicked {
+                return Err(format!("op {i} is marked both served and panicked"));
+            }
             if !r.served && (r.degraded || r.digest.is_some() || r.spent_nanos != 0) {
-                return Err(format!("shed op {i} carries served-only fields"));
+                return Err(format!("unserved op {i} carries served-only fields"));
             }
             if r.served && r.digest.is_some() == r.degraded {
                 return Err(format!(
@@ -195,11 +210,12 @@ impl LoadReport {
     }
 
     /// Timing-free fingerprint of the replay: per operation, whether
-    /// it was served/degraded and its result digest. Latency, spend,
-    /// and cache stats are deliberately excluded, so two replays of
-    /// one workload on an unbudgeted, unsaturated target digest
-    /// identically. On a budgeted target, degradation depends on
-    /// measured step cost and the digest will legitimately vary.
+    /// it was served, shed or panicked, whether it degraded, and its
+    /// result digest. Latency, spend, and cache stats are deliberately
+    /// excluded, so two replays of one workload on an unbudgeted,
+    /// unsaturated target digest identically. On a budgeted target,
+    /// degradation depends on measured step cost and the digest will
+    /// legitimately vary.
     #[must_use]
     pub fn deterministic_digest(&self) -> [u64; 2] {
         let mut h = StableHasher::new();
@@ -208,7 +224,10 @@ impl LoadReport {
             h.write_usize(r.op);
             h.write_usize(r.tenant);
             h.write_str(r.lane.label());
-            h.write_u8(u8::from(r.served));
+            // 1 served, 0 shed, 2 panicked: served and shed ops keep
+            // their bytes, so digests of panic-free replays stay
+            // comparable with ones recorded earlier.
+            h.write_u8(if r.panicked { 2 } else { u8::from(r.served) });
             h.write_u8(u8::from(r.degraded));
             match r.digest {
                 None => h.write_u8(0),
@@ -279,6 +298,7 @@ fn bucket_json(b: &BucketStats) -> Json {
         ("submitted", Json::from(b.submitted)),
         ("served", Json::from(b.served)),
         ("shed", Json::from(b.shed)),
+        ("panicked", Json::from(b.panicked)),
         ("degraded", Json::from(b.degraded)),
         ("delta_reused", Json::from(b.delta_reused)),
         ("spent_nanos", Json::from(b.spent_nanos)),
@@ -299,6 +319,7 @@ mod tests {
             tenant,
             lane,
             served: true,
+            panicked: false,
             degraded: false,
             delta_reused: 0,
             spent_nanos: 10,
@@ -313,11 +334,19 @@ mod tests {
             tenant,
             lane,
             served: false,
+            panicked: false,
             degraded: false,
             delta_reused: 0,
             spent_nanos: 0,
             latency_nanos: 5,
             digest: None,
+        }
+    }
+
+    fn panicked(op: usize, tenant: usize, lane: TrafficLane) -> OpResult {
+        OpResult {
+            panicked: true,
+            ..shed(op, tenant, lane)
         }
     }
 
@@ -365,6 +394,87 @@ mod tests {
 
         let out_of_order = vec![served(1, 0, TrafficLane::Interactive, 1)];
         assert!(report(out_of_order).validate().is_err());
+    }
+
+    #[test]
+    fn panics_are_counted_apart_from_sheds() {
+        let r = report(vec![
+            served(0, 0, TrafficLane::Interactive, 100),
+            shed(1, 0, TrafficLane::Crawl),
+            panicked(2, 1, TrafficLane::Crawl),
+            served(3, 1, TrafficLane::Crawl, 200),
+        ]);
+        r.validate().expect("a panicked op is valid accounting");
+        let total = r.bucket(None, None);
+        assert_eq!(
+            (total.submitted, total.served, total.shed, total.panicked),
+            (4, 2, 1, 1)
+        );
+        assert_eq!(
+            total.shed_rate(),
+            0.25,
+            "sheds count admission refusals only"
+        );
+        assert_eq!(total.impact_rate(), 0.5, "a panic is still an impacted op");
+        let b = r.bucket(Some(1), None);
+        assert_eq!(
+            (b.shed, b.panicked, b.shed_rate(), b.impact_rate()),
+            (0, 1, 0.0, 0.5)
+        );
+        let json = r.to_json();
+        let count = |field: &str| {
+            json.get("total")
+                .and_then(|t| t.get(field))
+                .and_then(Json::as_u64)
+        };
+        assert_eq!((count("shed"), count("panicked")), (Some(1), Some(1)));
+
+        // A panic digests apart from a shed of the same operation.
+        let mut as_shed = r.clone();
+        as_shed.results[2].panicked = false;
+        as_shed.validate().expect("valid report");
+        assert_ne!(r.deterministic_digest(), as_shed.deterministic_digest());
+
+        // Served and panicked at once is broken accounting, and so is a
+        // panicked op that carries served-only fields.
+        let mut both = served(0, 0, TrafficLane::Interactive, 1);
+        both.panicked = true;
+        assert!(report(vec![both]).validate().is_err());
+        let mut spent = panicked(0, 0, TrafficLane::Crawl);
+        spent.spent_nanos = 3;
+        assert!(report(vec![spent]).validate().is_err());
+    }
+
+    /// A panic-free replay hashes the same byte sequence it hashed
+    /// before panics were told apart from sheds, so digests recorded
+    /// earlier stay comparable. Replays that sequence by hand.
+    #[test]
+    fn panic_free_digest_keeps_its_write_sequence() {
+        let r = report(vec![
+            served(0, 0, TrafficLane::Interactive, 100),
+            shed(1, 1, TrafficLane::Crawl),
+        ]);
+        let mut h = StableHasher::new();
+        h.write_usize(2);
+        for (op, tenant, lane, served, digest) in [
+            (0, 0, TrafficLane::Interactive, 1, Some([1, 2])),
+            (1, 1, TrafficLane::Crawl, 0, None),
+        ] {
+            h.write_usize(op);
+            h.write_usize(tenant);
+            h.write_str(lane.label());
+            h.write_u8(served);
+            h.write_u8(0);
+            match digest {
+                None => h.write_u8(0),
+                Some([a, b]) => {
+                    h.write_u8(1);
+                    h.write_u64(a);
+                    h.write_u64(b);
+                }
+            }
+        }
+        assert_eq!(r.deterministic_digest(), h.finish128());
     }
 
     #[test]

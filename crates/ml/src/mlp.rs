@@ -121,9 +121,8 @@ impl Mlp {
     }
 
     /// Read access to layer `i`'s parameters: the `out × in` row-major
-    /// weight matrix and the `out`-length bias vector. This is the seam
-    /// alternative inference backends (blocked SIMD today) evaluate the
-    /// layers through; training state stays private.
+    /// weight matrix and the `out`-length bias vector (what a test
+    /// compares to pin every weight bit); training state stays private.
     ///
     /// # Panics
     /// Panics when `i >= n_layers()`.

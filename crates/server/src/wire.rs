@@ -10,8 +10,10 @@
 //!   `{"budget_nanos": u64, "policy":
 //!   "strict"|"drop_tail"|"best_effort", "bypass_cache": bool,
 //!   "telemetry": "full"|"timings_only"|"minimal",
-//!   "embedding_backend": "reference_f32"|"blocked_simd",
-//!   "delta_sensitivity": f64 ≥ 0}`.
+//!   "embedding_backend": "reference_f32",
+//!   "delta_sensitivity": f64 ≥ 0}`. The embedding step has one
+//!   inference path, so `"embedding_backend"` changes nothing; it is
+//!   still validated, and any other name is a 400 that names it.
 //! * **Base table in**: `POST /annotate` additionally accepts a
 //!   `"base"` table (same shape as `"table"`) — the previously crawled
 //!   version, turning the request into an incremental recrawl with
@@ -46,7 +48,6 @@
 //! `outcome_to_json(..).to_string()`.
 
 use jsonshim::{Json, JsonError, JsonReader, ValueKind};
-use sigmatyper::backend::EmbeddingBackendKind;
 use sigmatyper::request::{
     AnnotationOutcome, DegradationPolicy, DegradationReport, RequestOptions, SkipReason,
     TelemetryVerbosity,
@@ -153,11 +154,11 @@ pub fn options_from_json(v: Option<&Json>) -> Result<RequestOptions, String> {
         let label = backend
             .as_str()
             .ok_or("\"embedding_backend\" must be a string")?;
-        // `parse` is the typed-error path: an unknown name becomes an
-        // `UnknownBackendError` listing the valid names, which we
-        // surface verbatim as the 400 body — never a panic.
-        let kind = EmbeddingBackendKind::parse(label).map_err(|e| e.to_string())?;
-        options = options.with_embedding_backend(kind);
+        if label != "reference_f32" {
+            return Err(format!(
+                "unknown embedding backend {label:?}: expected \"reference_f32\""
+            ));
+        }
     }
     if let Some(sensitivity) = field("delta_sensitivity") {
         let s = sensitivity
@@ -854,7 +855,7 @@ mod tests {
     fn options_decode_with_lossless_budget() {
         assert_eq!(options_from_json(None).unwrap(), RequestOptions::default());
         let doc = format!(
-            r#"{{"budget_nanos":{},"policy":"drop_tail","bypass_cache":true,"telemetry":"minimal","embedding_backend":"blocked_simd","delta_sensitivity":0.125}}"#,
+            r#"{{"budget_nanos":{},"policy":"drop_tail","bypass_cache":true,"telemetry":"minimal","embedding_backend":"reference_f32","delta_sensitivity":0.125}}"#,
             u64::MAX
         );
         let options = options_from_json(Some(&Json::parse(&doc).unwrap())).unwrap();
@@ -862,10 +863,6 @@ mod tests {
         assert_eq!(options.policy, DegradationPolicy::DropTailSteps);
         assert!(options.bypass_cache);
         assert_eq!(options.telemetry, TelemetryVerbosity::Minimal);
-        assert_eq!(
-            options.embedding_backend,
-            Some(EmbeddingBackendKind::BlockedSimd)
-        );
         assert_eq!(options.delta_sensitivity, Some(0.125));
 
         let bad = Json::parse(r#"{"policy":"fastest"}"#).unwrap();
@@ -903,21 +900,20 @@ mod tests {
         );
     }
 
-    /// An unknown backend name is a typed parse error surfaced as the
-    /// 400 body — it names the rejected value and every valid name,
-    /// and the server never panics on it.
+    /// `"reference_f32"`, the one inference path, decodes to the
+    /// default options; any other backend name — a retired one like
+    /// `blocked_simd` or a made-up one — is an error naming the
+    /// rejected value and the accepted one, which the server sends as
+    /// the 400 body.
     #[test]
     fn unknown_embedding_backend_is_a_listing_error() {
-        for kind in EmbeddingBackendKind::ALL {
-            let doc = format!(r#"{{"embedding_backend":"{}"}}"#, kind.label());
-            let options = options_from_json(Some(&Json::parse(&doc).unwrap())).unwrap();
-            assert_eq!(options.embedding_backend, Some(kind));
-        }
-        let bad = Json::parse(r#"{"embedding_backend":"warp_drive"}"#).unwrap();
-        let err = options_from_json(Some(&bad)).unwrap_err();
-        assert!(err.contains("warp_drive"), "{err}");
-        for kind in EmbeddingBackendKind::ALL {
-            assert!(err.contains(kind.label()), "{err}");
+        let doc = Json::parse(r#"{"embedding_backend":"reference_f32"}"#).unwrap();
+        assert_eq!(options_from_json(Some(&doc)), Ok(RequestOptions::default()));
+        for name in ["blocked_simd", "quantized_i8", "warp_drive"] {
+            let bad = Json::parse(&format!(r#"{{"embedding_backend":"{name}"}}"#)).unwrap();
+            let err = options_from_json(Some(&bad)).unwrap_err();
+            assert!(err.contains(name), "{err}");
+            assert!(err.contains("reference_f32"), "{err}");
         }
         let not_a_string = Json::parse(r#"{"embedding_backend":7}"#).unwrap();
         assert!(options_from_json(Some(&not_a_string)).is_err());

@@ -193,8 +193,7 @@ fn assert_golden<S: AsRef<str>>(headers: &[S]) -> Coverage {
     coverage
 }
 
-/// Every distinct header of corpora shaped like the e1–e8 experiments
-/// (the shapes `tests/embed_backends.rs` checks).
+/// Every distinct header of corpora shaped like the e1–e8 experiments.
 fn e1_to_e8_headers() -> Vec<String> {
     let n = 10;
     let mut shapes: Vec<CorpusConfig> = Vec::new();

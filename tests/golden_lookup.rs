@@ -45,8 +45,7 @@ fn global() -> Arc<GlobalModel> {
         .clone()
 }
 
-/// Corpora mirroring the shapes of the e1–e8 experiments, as in
-/// `tests/embed_backends.rs`.
+/// Corpora mirroring the shapes of the e1–e8 experiments.
 fn eval_corpora() -> &'static [(&'static str, Corpus)] {
     static CORPORA: OnceLock<Vec<(&'static str, Corpus)>> = OnceLock::new();
     CORPORA.get_or_init(|| {

@@ -12,9 +12,8 @@
 //! * **Nonzero sensitivity is within golden tolerance.** With a
 //!   permissive threshold the recrawl must actually reuse base-crawl
 //!   scores (`delta_reused > 0` pooled), and its *decisions* must stay
-//!   within the same tolerance the approximate embedding backends are
-//!   held to (`tests/embed_backends.rs`): per-corpus top-1 agreement
-//!   with the full recomputation ≥ 0.85, pooled ≥ 0.9.
+//!   within a golden tolerance: per-corpus top-1 agreement with the
+//!   full recomputation ≥ 0.85, pooled ≥ 0.9.
 //! * **Reuse never poisons the cache.** After a reusing recrawl, a
 //!   plain annotate of the same table through the same cache must
 //!   still be bit-identical to a fresh, uncached run: approximated
@@ -35,9 +34,9 @@ fn lab() -> &'static Lab {
     LAB.get_or_init(|| Lab::new(Scale::Test))
 }
 
-/// Corpora mirroring the shapes of the e1–e8 experiments, as in
-/// `tests/embed_backends.rs` (reduced table counts keep the suite
-/// CI-sized — each table is annotated three ways here).
+/// Corpora mirroring the shapes of the e1–e8 experiments (reduced
+/// table counts keep the suite CI-sized — each table is annotated
+/// three ways here).
 fn eval_corpora() -> Vec<(&'static str, tu_corpus::Corpus)> {
     let ontology = &lab().global.ontology;
     let n = 8;

@@ -1171,3 +1171,48 @@ fn tenant_header_cannot_grow_the_registry_past_its_cap() {
 
     server.shutdown().expect("shutdown");
 }
+
+/// The embedding step has one inference path. `"reference_f32"` names
+/// it and changes nothing: the answer is byte-identical to the same
+/// request without options, but for the spent time. Any other backend name, the retired
+/// `blocked_simd` included, is a 400 naming the rejected value and
+/// the accepted one.
+#[test]
+fn embedding_backend_option_accepts_only_the_reference_path() {
+    let (typer, tables) = demo_typer(53);
+    let server = AnnotationServer::start(
+        "127.0.0.1:0",
+        typer,
+        &ServerConfig {
+            workers: 1,
+            queue_capacity: 4,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("start server");
+    let mut client = HttpClient::connect(server.local_addr()).expect("connect");
+    let table = table_to_request_json(&tables[0]);
+    let mut annotate = |options: &str| {
+        let body = format!(r#"{{"table":{table}{options}}}"#);
+        client.post_json("/annotate", &body, &[]).expect("annotate")
+    };
+    let plain = annotate("");
+    assert_eq!(plain.status, 200, "body: {}", plain.body_str());
+    let reference = annotate(r#","options":{"embedding_backend":"reference_f32"}"#);
+    assert_eq!(reference.status, 200, "body: {}", reference.body_str());
+    assert_eq!(
+        normalize_body(&reference.body_str()),
+        normalize_body(&plain.body_str()),
+        "naming the one backend changed the answer"
+    );
+
+    let retired = annotate(r#","options":{"embedding_backend":"blocked_simd"}"#);
+    assert_eq!(retired.status, 400, "body: {}", retired.body_str());
+    let why = retired.body_str();
+    assert!(
+        why.contains("blocked_simd") && why.contains("reference_f32"),
+        "the 400 names the rejected and the accepted backend: {why}"
+    );
+
+    server.shutdown().expect("shutdown");
+}

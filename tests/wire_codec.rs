@@ -398,8 +398,7 @@ fn generated_bodies_exercise_both_outcomes() {
 
 // ---- Encoder equivalence ------------------------------------------------
 
-/// Corpora mirroring the shapes of the e1–e8 experiments, as in
-/// `tests/embed_backends.rs`.
+/// Corpora mirroring the shapes of the e1–e8 experiments.
 fn eval_corpora() -> Vec<tu_corpus::Corpus> {
     let ontology = &lab().global.ontology;
     let n = 6;
