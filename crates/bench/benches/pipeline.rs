@@ -5,8 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sigmatyper::{
     AnnotationRequest, AnnotationService, AnnotationStep, DegradationPolicy, DurableEpochSource,
-    EmbeddingStep, ParallelismPolicy, RequestOptions, ShardedLruCache, SigmaTyper, StepContext,
-    TieredStepCache,
+    EmbeddingStep, RequestOptions, ShardedLruCache, SigmaTyper, StepContext, TieredStepCache,
 };
 use std::hint::black_box;
 use std::sync::Arc;
@@ -170,11 +169,10 @@ fn bench_batch_service(c: &mut Criterion) {
 }
 
 /// Intra-table column parallelism on one wide table (the
-/// [`CascadeExecutor`] frontier chunking), sequential baseline vs
-/// per-table budgets. Before timing, the bit-identity and planner
-/// acceptance checks run once — so the bench-smoke CI step doubles as
-/// the "no regression at 1 thread" gate, while speedup assertions stay
-/// gated on multi-core hardware.
+/// [`CascadeExecutor`] frontier chunking), a 1-thread budget (the
+/// sequential baseline) vs larger per-table budgets. Before timing,
+/// the bit-identity and chunking checks run once; the speedup
+/// assertion is gated on multi-core hardware.
 ///
 /// [`CascadeExecutor`]: sigmatyper::CascadeExecutor
 fn bench_parallel_table(c: &mut Criterion) {
@@ -191,23 +189,21 @@ fn bench_parallel_table(c: &mut Criterion) {
         })
         .collect();
     let wide = Table::new("wide", columns).expect("valid table");
-    let with_budget = |policy: ParallelismPolicy, threads: usize| -> SigmaTyper {
+    let budget = |threads: usize| -> SigmaTyper {
         let mut t = f.customer();
-        t.config_mut().parallelism = policy;
         t.config_mut().column_threads = threads;
         t
     };
-    let sequential = with_budget(ParallelismPolicy::Off, 1);
-    let budget = |threads| {
-        with_budget(
-            ParallelismPolicy::PerTableThreshold { min_columns: 2 },
-            threads,
-        )
-    };
+    // A budget of one never splits a frontier: the sequential baseline.
+    let sequential = budget(1);
 
     // Correctness evidence, checked once before any timing.
     let baseline = sequential.annotate(&wide);
-    for threads in [1usize, 2, 4] {
+    assert!(
+        baseline.timings.iter().all(|t| t.chunks <= 1),
+        "budget 1 chunked"
+    );
+    for threads in [2usize, 4] {
         let ann = budget(threads).annotate(&wide);
         assert_eq!(ann.columns.len(), baseline.columns.len());
         for (a, b) in ann.columns.iter().zip(&baseline.columns) {
@@ -215,69 +211,30 @@ fn bench_parallel_table(c: &mut Criterion) {
             assert_eq!(a.confidence.to_bits(), b.confidence.to_bits());
             assert_eq!(a.steps_run, b.steps_run);
         }
+        assert!(
+            ann.timings.iter().any(|t| t.chunks >= 2),
+            "budget {threads} never chunked a 32-column frontier"
+        );
     }
-    // Forced mode re-chunks even the Off-policy baseline onto ≥ 2
-    // workers, so both the planner checks and every timing assertion
-    // below would compare parallel against parallel — skip them all
-    // (bit-identity above still holds and was asserted).
-    if sigmatyper::forced_column_parallelism() {
-        println!(
-            "pipeline/parallel_table  SIGMATYPER_PARALLEL_COLUMNS set: \
-             planner and timing checks skipped"
-        );
-    } else {
-        // A budget of 1 must keep the zero-overhead sequential plan...
-        let one = budget(1).annotate(&wide);
-        assert!(
-            one.timings.iter().all(|t| t.chunks <= 1),
-            "budget 1 must not chunk: {:?}",
-            one.timings
-                .iter()
-                .map(|t| (t.name.clone(), t.chunks))
-                .collect::<Vec<_>>()
-        );
-        // ... and a budget of 4 must actually split the frontier.
-        let four = budget(4).annotate(&wide);
-        assert!(
-            four.timings.iter().any(|t| t.chunks >= 2),
-            "budget 4 never chunked a 32-column frontier"
-        );
-
-        // No regression at 1 thread: the policy-on path with a budget
-        // of 1 plans exactly one chunk per step, so it must stay
-        // within noise of the Off baseline (generous 1.5x slack for
-        // scheduler jitter).
-        let solo = budget(1);
+    // Speedup assertion only where the hardware can express one.
+    if cores() >= 4 {
         let seq_time = best_of_3(|| {
             black_box(sequential.annotate(black_box(&wide)));
         });
-        let solo_time = best_of_3(|| {
-            black_box(solo.annotate(black_box(&wide)));
+        let par_time = best_of_3(|| {
+            black_box(budget(4).annotate(black_box(&wide)));
         });
-        println!(
-            "pipeline/parallel_table  1-thread budget {solo_time:?} vs sequential {seq_time:?}"
-        );
+        let speedup = seq_time.as_secs_f64() / par_time.as_secs_f64().max(1e-9);
+        println!("pipeline/parallel_table  4-thread speedup: {speedup:.2}x");
         assert!(
-            solo_time.as_secs_f64() <= seq_time.as_secs_f64() * 1.5 + 1e-3,
-            "parallel machinery regressed the 1-thread path: {solo_time:?} vs {seq_time:?}"
+            speedup >= 1.3,
+            "column parallelism must speed up a 32-column table on ≥ 4 cores, got {speedup:.2}x"
         );
-        // Speedup assertion only where the hardware can express one.
-        if cores() >= 4 {
-            let par_time = best_of_3(|| {
-                black_box(budget(4).annotate(black_box(&wide)));
-            });
-            let speedup = seq_time.as_secs_f64() / par_time.as_secs_f64().max(1e-9);
-            println!("pipeline/parallel_table  4-thread speedup: {speedup:.2}x");
-            assert!(
-                speedup >= 1.3,
-                "column parallelism must speed up a 32-column table on ≥ 4 cores, got {speedup:.2}x"
-            );
-        } else {
-            println!(
-                "pipeline/parallel_table  skipping speedup assertion: only {} core(s) available",
-                cores()
-            );
-        }
+    } else {
+        println!(
+            "pipeline/parallel_table  skipping speedup assertion: only {} core(s) available",
+            cores()
+        );
     }
 
     let mut group = c.benchmark_group("pipeline/parallel_table");
@@ -461,8 +418,12 @@ fn bench_persistent_recrawl(c: &mut Criterion) {
 /// crawl's scores. Before timing, the golden contract is checked
 /// once: sensitivity 0 reuses nothing and is bit-identical to full
 /// recomputation, the relaxed pass actually engages the reuse path,
-/// and the warm delta recrawl beats the cold annotate by ≥ 10x.
+/// and the warm delta recrawl beats the cold annotate by ≥ 10x, each
+/// side's fastest of 10 samples taken in turns.
 fn bench_incremental_recrawl(c: &mut Criterion) {
+    /// Alternating samples per side in the speed check.
+    const RECRAWL_SAMPLES: usize = 10;
+
     let f = BenchFixture::new();
     // Tall, opaque-headed free-text tables: the header step resolves
     // nothing, so the expensive value-scanning tail steps carry the
@@ -576,12 +537,16 @@ fn bench_incremental_recrawl(c: &mut Criterion) {
     // not exact hits left behind by the evidence pass.
     let warm = fresh_warm();
 
-    let cold_time = best_of_3(|| {
+    // The two sides take turns, so a slow or fast moment of the
+    // machine lands on both, and each keeps its fastest sample.
+    let (mut cold_time, mut warm_time) = (Duration::MAX, Duration::MAX);
+    for _ in 0..RECRAWL_SAMPLES {
+        let t0 = Instant::now();
         for new in &recrawls {
             black_box(uncached.annotate(black_box(new)));
         }
-    });
-    let warm_time = best_of_3(|| {
+        cold_time = cold_time.min(t0.elapsed());
+        let t0 = Instant::now();
         for (base, new) in bases.iter().zip(&recrawls) {
             black_box(
                 warm.annotate_request(
@@ -591,11 +556,12 @@ fn bench_incremental_recrawl(c: &mut Criterion) {
                 ),
             );
         }
-    });
+        warm_time = warm_time.min(t0.elapsed());
+    }
     let speedup = cold_time.as_secs_f64() / warm_time.as_secs_f64().max(1e-9);
     println!(
-        "pipeline/incremental_recrawl  warm delta recrawl {warm_time:?} vs cold {cold_time:?} \
-         ({speedup:.1}x)"
+        "pipeline/incremental_recrawl  min of {RECRAWL_SAMPLES}: warm delta recrawl \
+         {warm_time:?} vs cold {cold_time:?} ({speedup:.1}x)"
     );
     assert!(
         speedup >= 10.0,

@@ -1,7 +1,6 @@
 //! System configuration: thresholds, step weights, and sizes.
 
 use crate::cache::StableHasher;
-use crate::executor::ParallelismPolicy;
 use crate::prediction::StepId;
 
 /// SigmaTyper configuration (paper §4.3).
@@ -34,17 +33,13 @@ pub struct SigmaTyperConfig {
     pub enable_lookup: bool,
     /// Ablation: run the table-embedding step.
     pub enable_embedding: bool,
-    /// When the [`CascadeExecutor`](crate::executor::CascadeExecutor)
-    /// may run a step's pending columns in parallel (execution
-    /// strategy only — proven output-invariant by the golden
-    /// parallel-vs-sequential suite, and therefore **not** part of the
-    /// cache fingerprint). Requests cannot override it.
-    pub parallelism: ParallelismPolicy,
-    /// Worker budget for intra-table column chunks: the maximum number
-    /// of scoped threads one table's step frontier may fan out to.
+    /// Worker budget for intra-table column chunks, the one execution
+    /// setting: a step frontier of at least
+    /// [`MIN_PARALLEL_COLUMNS`](crate::executor::MIN_PARALLEL_COLUMNS)
+    /// columns splits over this many threads when it is two or more.
     /// `0` means "auto" (the machine's available parallelism). The
     /// [`AnnotationService`](crate::service::AnnotationService)
-    /// replaces this per worker when splitting its shared budget;
+    /// replaces it per worker when splitting its shared budget;
     /// requests cannot override it.
     ///
     /// Latency *budgets* are deliberately **not** configuration: they
@@ -93,13 +88,12 @@ impl SigmaTyperConfig {
     /// included too even though they act after the cascade: a spurious
     /// mismatch only costs a cache miss.)
     ///
-    /// The execution-strategy fields (`parallelism`, `column_threads`)
-    /// are the one deliberate exception: the golden equivalence suite
-    /// proves column-parallel execution bit-identical to sequential,
-    /// so hashing them would only split the cache between workers that
-    /// carry different budget shares (and cold-start every policy
-    /// flip) without ever guarding against a real divergence. Steps
-    /// must not let these fields influence their scores.
+    /// The execution setting `column_threads` is a deliberate
+    /// exception: the golden equivalence suite proves column-parallel
+    /// execution bit-identical to sequential, so hashing it would only
+    /// split the cache between workers that carry different budget
+    /// shares without ever guarding against a real divergence. Steps
+    /// must not let it influence their scores.
     pub fn fingerprint_into(&self, h: &mut StableHasher) {
         let SigmaTyperConfig {
             cascade_threshold,
@@ -113,9 +107,8 @@ impl SigmaTyperConfig {
             enable_header,
             enable_lookup,
             enable_embedding,
-            // Execution strategy: output-invariant, deliberately not
+            // Execution setting: output-invariant, deliberately not
             // fingerprinted (see above).
-            parallelism: _,
             column_threads: _,
             // Deliberately not fingerprinted: the sensitivity gate only
             // decides whether a step *re-runs* or *reuses the base
@@ -154,7 +147,6 @@ impl Default for SigmaTyperConfig {
             enable_header: true,
             enable_lookup: true,
             enable_embedding: true,
-            parallelism: ParallelismPolicy::default(),
             column_threads: 0,
             delta_sensitivity: 0.05,
         }
@@ -282,17 +274,13 @@ mod tests {
         for (i, v) in variants.iter().enumerate() {
             assert_ne!(finish(&base), finish(v), "variant {i} did not move");
         }
-        // Execution strategy must NOT move the fingerprint: parallel
+        // The column budget must NOT move the fingerprint: parallel
         // and sequential runs are bit-identical (golden suite), and
         // service workers carrying different budget shares must keep
         // hitting one shared cache.
         let strategies = [
             SigmaTyperConfig {
-                parallelism: ParallelismPolicy::Off,
-                ..base
-            },
-            SigmaTyperConfig {
-                parallelism: ParallelismPolicy::FixedChunk { columns: 2 },
+                column_threads: 1,
                 ..base
             },
             SigmaTyperConfig {

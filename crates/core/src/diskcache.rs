@@ -51,7 +51,9 @@
 //! [`compact`](DiskCache::compact) pass merges *all* segments into one
 //! fresh active segment keeping only entries whose recorded epoch is
 //! still reachable, reclaiming space from superseded keys and
-//! adapted-away epochs, then deletes the rolled files.
+//! adapted-away epochs; the rolled files are deleted before the merged
+//! segment replaces the active one, so a crash midway is cold, never
+//! stale.
 //!
 //! [`ShardedLruCache`]: crate::cache::ShardedLruCache
 //! [`SigmaTyper`]: crate::system::SigmaTyper
@@ -470,11 +472,12 @@ impl DiskCache {
     /// entries whose recorded epoch appears in `live_epochs`, dropping
     /// superseded duplicates and adapted-away epochs, then delete the
     /// rolled segment files. Returns how many index entries were
-    /// dropped. The rewrite goes through a temp file and an atomic
-    /// rename, so a crash mid-compaction leaves either the old or the
-    /// new active segment intact (rolled files are only removed after
-    /// the rename lands — a crash between the two at worst leaves
-    /// stale rolled files whose keys the merged segment overrides).
+    /// dropped. The rewrite goes through a temp file; the rolled files
+    /// are then deleted, oldest first, and an atomic rename puts the
+    /// merged segment in place of the active one. A crash at any point
+    /// leaves the old active segment beside the newest of the old
+    /// rolled files, or the merged segment alone: every key reads its
+    /// last insert or nothing (cold, never stale).
     ///
     /// Entries written through epoch-less [`StepCache::insert`] carry
     /// [`UNKNOWN_EPOCH`]; list it in `live_epochs` to keep them.
@@ -518,12 +521,19 @@ impl DiskCache {
             tail += entry.total_len();
         }
         tmp.sync_data()?;
-        fs::rename(&tmp_path, &self.path)?;
-        for seg in &inner.segments {
-            if seg.path != self.path {
-                let _ = fs::remove_file(&seg.path);
+        // Rolled files go first, oldest first: a crash midway leaves
+        // the old active segment beside the newest rolled ones, where
+        // every key reads its last insert or nothing. (Renaming first
+        // could leave the merged segment beside old rolled files that
+        // bring back a superseded record of a key the merge dropped.)
+        let (_, rolled) = inner.segments.split_last().expect("an active segment");
+        for seg in rolled {
+            match fs::remove_file(&seg.path) {
+                Err(err) if err.kind() != io::ErrorKind::NotFound => return Err(err),
+                _ => {}
             }
         }
+        fs::rename(&tmp_path, &self.path)?;
         let file = OpenOptions::new().read(true).write(true).open(&self.path)?;
         inner.segments = vec![Segment {
             file,
@@ -1292,6 +1302,157 @@ mod tests {
         }
         fs::write(&path, &intact).unwrap();
         assert_eq!(DurableEpochSource::open(&path).unwrap().current(), stored);
+    }
+
+    /// Corruption at every offset: each byte of a flushed 4-record
+    /// segment flipped in turn, from the intact file each time. Reopen
+    /// never panics and never serves a wrong entry. A flip in a record
+    /// stops the scan there, so exactly the records before it survive;
+    /// one in the header's magic or version restarts the segment cold,
+    /// and one in its reserved bytes changes nothing.
+    #[test]
+    fn flipped_byte_at_every_offset_is_cold_never_garbage() {
+        let dir = Scratch::new("flip-every");
+        let seg = {
+            let cache = DiskCache::open(dir.path()).unwrap();
+            for n in 0..4 {
+                cache.insert_with_epoch(key(n), scores(0.5, 2), 1);
+            }
+            cache.flush().unwrap();
+            cache.segment_path().to_path_buf()
+        };
+        let intact = fs::read(&seg).unwrap();
+        let record_len = 4 + PAYLOAD_PREFIX + 2 * CANDIDATE_LEN + 16;
+        assert_eq!(intact.len(), HEADER_LEN as usize + 4 * record_len);
+        for at in 0..intact.len() {
+            let mut bytes = intact.clone();
+            bytes[at] ^= 0xFF;
+            fs::write(&seg, &bytes).unwrap();
+            let cache = DiskCache::open(dir.path()).unwrap();
+            let kept = match at.checked_sub(HEADER_LEN as usize) {
+                Some(offset) => offset / record_len,
+                None if at < 8 => 0,
+                None => 4,
+            };
+            assert_eq!(cache.len(), kept, "flip at {at}");
+            for n in 0..4 {
+                let want = (n < kept).then(|| scores(0.5, 2));
+                assert_eq!(cache.get(&key(n as u64)), want, "flip at {at}, record {n}");
+            }
+        }
+    }
+
+    /// The files of `dir` that hold segments, with their bytes.
+    fn segment_files(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut files: Vec<(PathBuf, Vec<u8>)> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.file_name().unwrap().to_str().unwrap().contains(".seg"))
+            .map(|p| {
+                let bytes = fs::read(&p).unwrap();
+                (p, bytes)
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// Replace every segment file of `dir` with `files`.
+    fn restore_segments(dir: &Path, files: &[(PathBuf, Vec<u8>)]) {
+        for (path, _) in segment_files(dir) {
+            fs::remove_file(path).unwrap();
+        }
+        for (path, bytes) in files {
+            fs::write(path, bytes).unwrap();
+        }
+    }
+
+    /// A compaction cut in progress. A real compaction runs over rolled
+    /// segments and an active one, with overwritten keys and a dropped
+    /// epoch; then each state a crash could leave behind is rebuilt
+    /// from the files before and after it. Reopen never panics, and
+    /// every key returns `None` or its last insert. (Key 1's last
+    /// insert sits in the active segment at the dropped epoch, so the
+    /// merged segment beside the old rolled files, which a rename
+    /// before the deletes could leave, would serve its older record.)
+    #[test]
+    fn compaction_cut_at_any_point_is_cold_never_stale() {
+        let dir = Scratch::new("compact-crash");
+        // Two records per segment: the third append rolls.
+        let record_len = (4 + PAYLOAD_PREFIX + CANDIDATE_LEN + 16) as u64;
+        let limit = HEADER_LEN + 2 * record_len - 1;
+        let inserts: [(u64, f64, u64); 7] = [
+            (0, 0.10, 1),
+            (1, 0.11, 1),
+            (2, 0.12, 1),
+            (0, 0.20, 2), // key 0 again, at the dropped epoch
+            (3, 0.13, 1),
+            (4, 0.14, 1),
+            (1, 0.21, 2), // key 1 again, in the active segment
+        ];
+        let mut last: HashMap<u64, StepScores> = HashMap::new();
+        let (before, merged) = {
+            let cache = DiskCache::open_with_segment_limit(dir.path(), limit).unwrap();
+            for &(n, conf, epoch) in &inserts {
+                cache.insert_with_epoch(key(n), scores(conf, 1), epoch);
+                last.insert(n, scores(conf, 1));
+            }
+            cache.flush().unwrap();
+            assert!(
+                cache.segment_count() > 2,
+                "rolled segments and an active one"
+            );
+            let before = segment_files(dir.path());
+            assert_eq!(cache.compact(&[1]).unwrap(), 2);
+            (before, fs::read(cache.segment_path()).unwrap())
+        };
+        let check = |state: &str| {
+            let cache = DiskCache::open(dir.path()).unwrap();
+            for (&n, want) in &last {
+                if let Some(got) = cache.get(&key(n)) {
+                    assert_eq!(&got, want, "{state}: key {n} is not its last insert");
+                }
+            }
+        };
+        let active = dir.path().join("cache.seg");
+        let tmp = dir.path().join("cache.seg.tmp");
+        // A crash while the merged segment is being written: the
+        // temp file, cut at every length, beside the old segments.
+        for cut in 0..=merged.len() {
+            let mut files = before.clone();
+            files.push((tmp.clone(), merged[..cut].to_vec()));
+            restore_segments(dir.path(), &files);
+            check(&format!("temp file cut at {cut}"));
+        }
+        // A crash while the rolled files are deleted, oldest first,
+        // before the rename: the whole temp file and the old active
+        // segment beside each suffix of the old rolled files.
+        let (rolled, old_active): (Vec<_>, Vec<_>) =
+            before.iter().cloned().partition(|(p, _)| *p != active);
+        for deleted in 0..=rolled.len() {
+            let mut files = rolled[deleted..].to_vec();
+            files.extend(old_active.iter().cloned());
+            files.push((tmp.clone(), merged.clone()));
+            restore_segments(dir.path(), &files);
+            check(&format!("{deleted} rolled files deleted"));
+        }
+        // After the rename: the merged segment alone.
+        restore_segments(dir.path(), &[(active.clone(), merged.clone())]);
+        check("merged segment alone");
+        // A rolled file that cannot be deleted (a directory in its
+        // place) stops the compaction before the rename, so the file
+        // that stays behind is never beside the merged segment.
+        restore_segments(dir.path(), &before);
+        let (oldest, oldest_bytes) = &before[0];
+        {
+            let cache = DiskCache::open_with_segment_limit(dir.path(), limit).unwrap();
+            fs::remove_file(oldest).unwrap();
+            fs::create_dir(oldest).unwrap();
+            assert!(cache.compact(&[1]).is_err(), "a failed delete must fail");
+        }
+        fs::remove_dir(oldest).unwrap();
+        fs::write(oldest, oldest_bytes).unwrap();
+        check("a rolled file that could not be deleted");
     }
 
     #[test]

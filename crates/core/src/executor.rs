@@ -17,30 +17,27 @@
 //!    skipped, not cached — is the step's *pending-column frontier*.
 //! 2. **Chunking.** The step builds its
 //!    [`scorer`](crate::step::AnnotationStep::scorer) once for the
-//!    table, paying any table-level setup there, and the
-//!    [`ParallelismPolicy`] splits the frontier into chunks whose
-//!    columns are each scored by one call of that closure. Sequential
-//!    execution is the single-chunk special case, so the same scorer
-//!    serves both paths.
-//! 3. **Workers.** When more than one chunk is planned and the worker
-//!    budget allows, chunks are distributed over
-//!    [`std::thread::scope`] threads. Steps are deterministic and
-//!    read-only and every chunk's results are written back by column
-//!    index, so scheduling can never change the output — the golden
-//!    suite (`tests/golden_cascade.rs`) proves column-parallel
-//!    execution bit-identical to sequential for fresh, ablated, and
-//!    adaptation-heavy customers, cached and uncached.
+//!    table, paying any table-level setup there, and the frontier is
+//!    split into chunks whose columns are each scored by one call of
+//!    that closure. A frontier of at least [`MIN_PARALLEL_COLUMNS`]
+//!    columns on a thread budget of two or more splits into chunks of
+//!    `⌈frontier / min(threads, frontier)⌉` columns, at most `threads`
+//!    of them; every other frontier is one chunk. Sequential execution
+//!    is the single-chunk special case, so the same scorer serves both
+//!    paths.
+//! 3. **Workers.** Each chunk gets a worker of its own: the first runs
+//!    on the calling thread, the rest on [`std::thread::scope`]
+//!    threads, so a budget of `W` occupies at most `W` threads. Steps
+//!    are deterministic and read-only and every chunk's results are
+//!    written back by column index, so scheduling can never change the
+//!    output — the golden suite (`tests/golden_cascade.rs`) proves
+//!    column-parallel execution bit-identical to sequential for fresh,
+//!    ablated, and adaptation-heavy customers, cached and uncached.
 //!
 //! Per step, the executor reports [`StepTiming`] telemetry including
 //! the chunk count and the summed in-chunk nanoseconds
 //! ([`StepTiming::parallel_nanos`]), the inputs the cost-aware-ordering
 //! roadmap item needs.
-//!
-//! Setting the `SIGMATYPER_PARALLEL_COLUMNS` environment variable to a
-//! non-`0` value forces column-parallel execution wherever a frontier
-//! has at least two columns, regardless of policy or detected core
-//! count — CI uses this to exercise the parallel path on machines
-//! where the default heuristics would pick sequential.
 
 use crate::cache::{
     column_fingerprints, header_fingerprints, CacheContext, CacheKey, ColumnFingerprint,
@@ -50,59 +47,17 @@ use crate::config::SigmaTyperConfig;
 use crate::global::GlobalModel;
 use crate::local::LocalModel;
 use crate::prediction::{StepId, StepScores, StepTiming};
-use crate::request::{BudgetContext, BudgetLedger, DegradationPolicy, SkipReason, SkippedStep};
+use crate::request::{BudgetContext, DegradationPolicy, SkipReason, SkippedStep};
 use crate::step::{AnnotationStep, CacheScope, ColumnState, StepContext};
 use std::sync::OnceLock;
 use std::time::Instant;
 use tu_ontology::TypeId;
 use tu_table::Table;
 
-/// When the executor may run a step's pending-column frontier in
-/// parallel. Execution strategy only: every choice produces
-/// bit-identical output (the golden suite proves it), so this is a
-/// latency/throughput knob, never a correctness one — and it is
-/// deliberately **excluded** from the cache fingerprint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ParallelismPolicy {
-    /// Never parallelize within a table: every frontier runs as one
-    /// chunk on the calling thread.
-    Off,
-    /// Parallelize a step only when its frontier has at least
-    /// `min_columns` pending columns (and the worker budget allows),
-    /// splitting it evenly across the budget. Narrow tables — the
-    /// common case — stay on the zero-overhead sequential path.
-    PerTableThreshold {
-        /// Minimum frontier width before threads are worth spawning.
-        min_columns: usize,
-    },
-    /// Always split the frontier into chunks of `columns` columns;
-    /// chunks run on up to the budgeted number of workers (with a
-    /// budget of 1 they run sequentially, which still exercises the
-    /// chunked path). Mostly a testing/tuning policy.
-    FixedChunk {
-        /// Columns per chunk.
-        columns: usize,
-    },
-}
-
-impl Default for ParallelismPolicy {
-    /// The production default: parallelize wide-table frontiers (≥ 12
-    /// pending columns), leave narrow ones sequential.
-    fn default() -> Self {
-        ParallelismPolicy::PerTableThreshold { min_columns: 12 }
-    }
-}
-
-/// `true` when `SIGMATYPER_PARALLEL_COLUMNS` is set to a non-empty,
-/// non-`0` value: every frontier of two or more columns is then
-/// chunked and run on at least two workers, whatever the policy says.
-#[must_use]
-pub fn forced_column_parallelism() -> bool {
-    static FORCED: OnceLock<bool> = OnceLock::new();
-    *FORCED.get_or_init(|| {
-        std::env::var_os("SIGMATYPER_PARALLEL_COLUMNS").is_some_and(|v| v != "0" && !v.is_empty())
-    })
-}
+/// The narrowest step frontier the executor splits across threads.
+/// Narrower frontiers — most tables once the header step has resolved
+/// their clear columns — run inline as one chunk, with no spawn.
+pub const MIN_PARALLEL_COLUMNS: usize = 12;
 
 /// Inputs for the delta-aware recrawl path of
 /// [`CascadeExecutor::run_budgeted`]: precomputed fingerprints for the
@@ -145,7 +100,7 @@ pub struct DeltaContext<'a> {
 }
 
 /// Runs a [`Cascade`] over tables: frontier tracking, cache consults,
-/// and (policy-permitting) column-parallel step execution.
+/// and column-parallel step execution for wide frontiers.
 ///
 /// The executor is cheap to construct — the
 /// [`AnnotationService`](crate::service::AnnotationService) builds one
@@ -154,25 +109,22 @@ pub struct DeltaContext<'a> {
 /// builds one per call from the configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct CascadeExecutor {
-    policy: ParallelismPolicy,
     threads: usize,
 }
 
 impl CascadeExecutor {
-    /// An executor with an explicit policy and worker budget for
-    /// intra-table column chunks (clamped to at least 1).
+    /// An executor with a worker budget for intra-table column chunks
+    /// (clamped to at least 1).
     #[must_use]
-    pub fn new(policy: ParallelismPolicy, threads: usize) -> Self {
+    pub fn new(threads: usize) -> Self {
         CascadeExecutor {
-            policy,
             threads: threads.max(1),
         }
     }
 
-    /// An executor derived from a configuration:
-    /// [`SigmaTyperConfig::parallelism`] plus the
-    /// [`SigmaTyperConfig::column_threads`] budget (`0` = the
-    /// machine's available parallelism, probed once per process —
+    /// An executor on the [`SigmaTyperConfig::column_threads`] budget
+    /// (`0` = the machine's available parallelism, probed once per
+    /// process —
     /// [`SigmaTyper::annotate`](crate::system::SigmaTyper::annotate)
     /// builds an executor per call, and a per-table syscall on the
     /// serving hot path would be pure waste for a value that is
@@ -187,56 +139,21 @@ impl CascadeExecutor {
         } else {
             config.column_threads
         };
-        CascadeExecutor::new(config.parallelism, threads)
+        CascadeExecutor::new(threads)
     }
 
-    /// The configured parallelism policy.
-    #[must_use]
-    pub fn policy(&self) -> ParallelismPolicy {
-        self.policy
-    }
-
-    /// The worker budget for intra-table column chunks.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Plan the execution of one frontier: `(chunk_size, workers)`.
-    /// `workers == 1` means run the chunks inline on the caller's
-    /// thread (no spawn); `chunk_size` is always at least 1.
-    fn plan(&self, frontier: usize) -> (usize, usize) {
-        self.plan_with(frontier, forced_column_parallelism())
-    }
-
-    /// [`plan`](Self::plan) with the forced-parallelism flag made
-    /// explicit, so the planning rules are unit-testable regardless of
-    /// the process environment.
-    fn plan_with(&self, frontier: usize, forced: bool) -> (usize, usize) {
+    /// The chunk size for a frontier of `frontier` columns (at least
+    /// 1): the whole frontier unless it is at least
+    /// [`MIN_PARALLEL_COLUMNS`] wide and the budget has two or more
+    /// threads, in which case it is `⌈frontier / min(threads,
+    /// frontier)⌉`, at most `threads` chunks, one per worker.
+    fn chunk_size(&self, frontier: usize) -> usize {
         debug_assert!(frontier > 0, "empty frontiers are not planned");
-        let budget = self.threads.max(1);
-        let mut chunk_size = match self.policy {
-            ParallelismPolicy::Off => frontier,
-            ParallelismPolicy::PerTableThreshold { min_columns } => {
-                if frontier >= min_columns.max(1) && budget >= 2 {
-                    frontier.div_ceil(budget.min(frontier))
-                } else {
-                    frontier
-                }
-            }
-            ParallelismPolicy::FixedChunk { columns } => columns.clamp(1, frontier),
-        };
-        let mut worker_cap = budget;
-        if forced && frontier >= 2 {
-            // Force at least two chunks on at least two workers so the
-            // parallel path is exercised even on single-core machines.
-            worker_cap = budget.max(2);
-            if chunk_size >= frontier {
-                chunk_size = frontier.div_ceil(worker_cap.min(frontier));
-            }
+        if frontier >= MIN_PARALLEL_COLUMNS && self.threads >= 2 {
+            frontier.div_ceil(self.threads.min(frontier))
+        } else {
+            frontier
         }
-        let n_chunks = frontier.div_ceil(chunk_size);
-        (chunk_size, n_chunks.min(worker_cap))
     }
 
     /// Run every configured step of `cascade` over every column of
@@ -244,11 +161,12 @@ impl CascadeExecutor {
     /// docs](self). Returns the per-column `(step, scores)` traces in
     /// execution order plus one [`StepTiming`] per configured step.
     ///
-    /// Under an optional [`BudgetContext`], after every executed step
-    /// the ledger is charged with the larger of the step's wall-clock
-    /// and summed in-chunk nanoseconds, and — when the policy allows
-    /// degradation — steps are dropped or truncated as described in
-    /// [`crate::request`]. With `budget == None` (or a
+    /// Under an optional [`BudgetContext`], every executed step charges
+    /// the ledger once, after it ran, with the larger of its wall-clock
+    /// and summed in-chunk nanoseconds; when the policy allows
+    /// degradation, steps are dropped or truncated *before* they run,
+    /// as described in [`crate::request`] — nothing stops a step once
+    /// its frontier started. With `budget == None` (or a
     /// [`Strict`](crate::request::DegradationPolicy::Strict) policy)
     /// every step runs, which is what keeps plain `annotate` calls
     /// bit-identical to default requests.
@@ -460,33 +378,8 @@ impl CascadeExecutor {
             }
 
             // Phase 2: run the uncached frontier in chunks, inline or
-            // column-parallel. Under BestEffort the ledger is charged
-            // *between chunks* too, so an over-budget frontier stops
-            // early instead of finishing (ROADMAP 5b) — the other
-            // policies never interrupt mid-step (DropTailSteps drops
-            // whole steps; Strict never degrades).
-            let interrupt = degrade
-                .filter(|b| b.policy == DegradationPolicy::BestEffort)
-                .map(|b| b.ledger);
-            let run = self.run_frontier(step.as_ref(), &frontier, &ctx_for, interrupt);
-
-            // A mid-step stop left part of the frontier unrun: account
-            // it as a truncation. When the predictive gate already
-            // recorded one for this step, tighten its `ran` count;
-            // otherwise this is a fresh truncation event.
-            if run.pairs.len() < frontier.len() {
-                let completed = run.pairs.len();
-                match skipped.last_mut() {
-                    Some(last) if last.step == step.id() => last.ran = completed,
-                    _ => skipped.push(SkippedStep {
-                        step: step.id(),
-                        name: step.name().to_owned(),
-                        reason: SkipReason::FrontierTruncated,
-                        pending: frontier.len(),
-                        ran: completed,
-                    }),
-                }
-            }
+            // column-parallel.
+            let run = self.run_frontier(step.as_ref(), &frontier, &ctx_for);
 
             // Phase 3: write back — cache inserts, then the trace.
             // Each column gains at most one entry per step, so the
@@ -500,12 +393,12 @@ impl CascadeExecutor {
             // results existed.)
             let mut inserts = 0usize;
             if let Some((cc, keys)) = step_cache.filter(|_| !tainted) {
-                for (ci, scores) in &run.pairs {
+                for (&ci, scores) in frontier.iter().zip(&run.scores) {
                     // Epoch-tagged insert: persistent backends record
                     // which epoch produced the entry so compaction can
                     // drop adapted-away epochs.
                     cc.cache.insert_with_epoch(
-                        CacheKey::for_step(keys[*ci], step.id()),
+                        CacheKey::for_step(keys[ci], step.id()),
                         scores.clone(),
                         cc.epoch,
                     );
@@ -514,11 +407,11 @@ impl CascadeExecutor {
             }
             tainted |= delta_reused > 0;
             total_delta_reused += delta_reused;
-            let columns = run.pairs.len();
+            let columns = frontier.len();
             for (ci, scores) in cached_scores {
                 per_column[ci].push((step.id(), scores));
             }
-            for (ci, scores) in run.pairs {
+            for (ci, scores) in frontier.into_iter().zip(run.scores) {
                 per_column[ci].push((step.id(), scores));
             }
             let timing = StepTiming {
@@ -529,20 +422,17 @@ impl CascadeExecutor {
                 cache_hits: hits,
                 cache_misses: misses,
                 cache_inserts: inserts,
-                chunks: run.chunks_run,
+                chunks: run.chunks,
                 parallel_nanos: run.busy_nanos,
                 delta_reused,
             };
             if let Some(b) = budget {
                 // Charge the larger of wall-clock and summed in-chunk
                 // time: column parallelism must not make a step look
-                // cheaper than the CPU it burned. In-chunk charges
-                // already on the ledger (BestEffort's mid-step
-                // re-checks) are netted out so the step's total charge
-                // is identical to the one-shot accounting.
-                let total = saturating_u64(timing.nanos.max(timing.parallel_nanos));
-                b.ledger.charge(total.saturating_sub(run.charged_nanos));
-                charged_nanos = charged_nanos.saturating_add(total);
+                // cheaper than the CPU it burned.
+                let charge = saturating_u64(timing.nanos.max(timing.parallel_nanos));
+                b.ledger.charge(charge);
+                charged_nanos = charged_nanos.saturating_add(charge);
             }
             timings.push(timing);
         }
@@ -554,113 +444,62 @@ impl CascadeExecutor {
         }
     }
 
-    /// Execute one step over its frontier, optionally re-checking an
-    /// interrupt ledger **between chunks**.
-    ///
-    /// With `interrupt == None` (Strict, DropTailSteps, unbudgeted)
-    /// every planned chunk runs — identical to the historical one-shot
-    /// behavior. With an interrupt ledger (BestEffort), each worker
-    /// charges its chunk's busy nanoseconds as it finishes and stops
-    /// before its *next* chunk once the ledger is exhausted — the
-    /// first chunk of every share always runs, so forward progress is
-    /// guaranteed even on a born-exhausted ledger. Results carry their
-    /// column index, so a mid-step stop simply leaves the unrun
-    /// columns without this step's vote (they abstain or fall back,
-    /// never fabricate).
+    /// Execute one step over its frontier, in the chunks
+    /// [`chunk_size`](Self::chunk_size) plans, one per worker: the first
+    /// runs on the calling thread (which would otherwise just block in
+    /// the scope join), so a single chunk spawns nothing. Every column
+    /// of the frontier is scored.
     fn run_frontier<'a>(
         &self,
         step: &dyn AnnotationStep,
         frontier: &[usize],
         ctx_for: &(dyn Fn(usize) -> StepContext<'a> + Sync),
-        interrupt: Option<&BudgetLedger>,
     ) -> FrontierRun {
-        if frontier.is_empty() {
-            return FrontierRun::default();
-        }
-        let (chunk_size, workers) = self.plan(frontier.len());
-        let chunks: Vec<&[usize]> = frontier.chunks(chunk_size).collect();
+        let mut run = FrontierRun::default();
+        let Some(&first_column) = frontier.first() else {
+            return run;
+        };
         // Built once per (step, table) and shared by reference across
         // every chunk, including chunks on other worker threads, so a
         // step's table-level setup is paid once however the frontier
         // is split.
-        let score = step.scorer(ctx_for(frontier[0]));
+        let score = step.scorer(ctx_for(first_column));
         let run_chunk = |chunk: &[usize]| -> (Vec<StepScores>, u128) {
             let t0 = Instant::now();
             let scores = chunk.iter().map(|&ci| score(ci)).collect();
             (scores, t0.elapsed().as_nanos())
         };
-        // One worker's share of the chunks, run sequentially with the
-        // mid-step re-check between its own chunks.
-        let run_share = |worker_chunks: &[&[usize]]| -> FrontierRun {
-            let mut share = FrontierRun::default();
-            for (k, chunk) in worker_chunks.iter().enumerate() {
-                if k > 0 && interrupt.is_some_and(BudgetLedger::exhausted) {
-                    break;
-                }
-                let (scores, nanos) = run_chunk(chunk);
-                share.busy_nanos += nanos;
-                share.chunks_run += 1;
-                if let Some(ledger) = interrupt {
-                    let charge = saturating_u64(nanos);
-                    ledger.charge(charge);
-                    share.charged_nanos = share.charged_nanos.saturating_add(charge);
-                }
-                share.pairs.extend(chunk.iter().copied().zip(scores));
-            }
-            share
+        let mut absorb = |(scores, nanos): (Vec<StepScores>, u128)| {
+            run.scores.extend(scores);
+            run.chunks += 1;
+            run.busy_nanos += nanos;
         };
-        if workers <= 1 {
-            // Inline: still chunk by chunk, so a FixedChunk policy
-            // exercises the chunked path even with a budget of one.
-            return run_share(&chunks);
-        }
-        // Parallel: contiguous runs of chunks per worker, results
-        // rejoined in frontier order — worker scheduling can never
-        // change *computed* output, only the wall clock (and, under an
-        // interrupt ledger, where each share stops). The first
-        // worker's share runs inline on the calling thread (which
-        // would otherwise just block in the scope join), so a budget
-        // of W occupies exactly W threads instead of W busy + 1
-        // parked.
-        let per_worker = chunks.len().div_ceil(workers);
-        let shares: Vec<&[&[usize]]> = chunks.chunks(per_worker).collect();
-        let mut out = FrontierRun::default();
+        let mut chunks = frontier.chunks(self.chunk_size(frontier.len()));
+        let first = chunks.next().expect("a non-empty frontier has a chunk");
+        // Results are rejoined in frontier order, so worker scheduling
+        // can never change computed output, only the wall clock.
         std::thread::scope(|scope| {
-            let run_share = &run_share;
-            let handles: Vec<_> = shares[1..]
-                .iter()
-                .map(|worker_chunks| scope.spawn(move || run_share(worker_chunks)))
+            let run_chunk = &run_chunk;
+            let handles: Vec<_> = chunks
+                .map(|chunk| scope.spawn(move || run_chunk(chunk)))
                 .collect();
-            out.merge(run_share(shares[0]));
+            absorb(run_chunk(first));
             for handle in handles {
-                out.merge(handle.join().expect("column worker panicked"));
+                absorb(handle.join().expect("column worker panicked"));
             }
         });
-        out
+        run
     }
 }
 
-/// What one [`CascadeExecutor::run_frontier`] call produced: per-column
-/// scores tagged with their column index (a mid-step stop leaves
-/// gaps), the chunks actually run, the summed in-chunk busy time, and
-/// how much of it was already charged to the interrupt ledger.
+/// What one [`CascadeExecutor::run_frontier`] call produced: the
+/// scores of every frontier column in frontier order, the chunks run,
+/// and the summed in-chunk busy time.
 #[derive(Debug, Default)]
 struct FrontierRun {
-    pairs: Vec<(usize, StepScores)>,
-    chunks_run: usize,
+    scores: Vec<StepScores>,
+    chunks: usize,
     busy_nanos: u128,
-    charged_nanos: u64,
-}
-
-impl FrontierRun {
-    /// Fold another share's results in (shares are joined in frontier
-    /// order, so `pairs` stays sorted by column position).
-    fn merge(&mut self, other: FrontierRun) {
-        self.pairs.extend(other.pairs);
-        self.chunks_run += other.chunks_run;
-        self.busy_nanos += other.busy_nanos;
-        self.charged_nanos = self.charged_nanos.saturating_add(other.charged_nanos);
-    }
 }
 
 /// What [`CascadeExecutor::run_budgeted`] produces: the cascade trace
@@ -712,76 +551,53 @@ fn best_type(steps: &[(StepId, StepScores)]) -> TypeId {
 mod tests {
     use super::*;
 
-    fn exec(policy: ParallelismPolicy, threads: usize) -> CascadeExecutor {
-        CascadeExecutor::new(policy, threads)
+    /// `(chunk size, chunk count)` for a frontier of `frontier` columns
+    /// on a budget of `threads`.
+    fn plan(threads: usize, frontier: usize) -> (usize, usize) {
+        let size = CascadeExecutor::new(threads).chunk_size(frontier);
+        (size, frontier.div_ceil(size))
     }
 
     #[test]
-    fn off_policy_plans_one_sequential_chunk() {
-        let e = exec(ParallelismPolicy::Off, 8);
-        assert_eq!(e.plan_with(1, false), (1, 1));
-        assert_eq!(e.plan_with(64, false), (64, 1));
+    fn narrow_frontiers_and_one_thread_budgets_run_as_one_chunk() {
+        for threads in [1, 2, 4, 64] {
+            assert_eq!(plan(threads, 1), (1, 1));
+            assert_eq!(plan(threads, 11), (11, 1), "threads={threads}");
+        }
+        assert_eq!(plan(1, 12), (12, 1));
+        assert_eq!(plan(1, 64), (64, 1));
     }
 
     #[test]
-    fn threshold_policy_splits_wide_frontiers_only() {
-        let e = exec(ParallelismPolicy::PerTableThreshold { min_columns: 8 }, 4);
-        // Narrow: sequential.
-        assert_eq!(e.plan_with(7, false), (7, 1));
-        // Wide: split evenly across the budget.
-        assert_eq!(e.plan_with(8, false), (2, 4));
-        assert_eq!(e.plan_with(10, false), (3, 4));
-        // A budget of one can never parallelize.
-        let solo = exec(ParallelismPolicy::PerTableThreshold { min_columns: 8 }, 1);
-        assert_eq!(solo.plan_with(64, false), (64, 1));
-    }
-
-    #[test]
-    fn fixed_chunk_policy_chunks_regardless_of_width() {
-        let e = exec(ParallelismPolicy::FixedChunk { columns: 3 }, 2);
-        assert_eq!(e.plan_with(7, false), (3, 2), "3 chunks on 2 workers");
-        assert_eq!(e.plan_with(2, false), (2, 1), "single chunk stays inline");
-        // Chunk size clamps into the frontier; zero is treated as one.
-        let tiny = exec(ParallelismPolicy::FixedChunk { columns: 0 }, 8);
-        assert_eq!(tiny.plan_with(3, false), (1, 3));
-        // Budget 1: chunked but inline.
-        let solo = exec(ParallelismPolicy::FixedChunk { columns: 2 }, 1);
-        assert_eq!(solo.plan_with(6, false), (2, 1));
-    }
-
-    #[test]
-    fn forced_mode_parallelizes_everything_splittable() {
-        // Forced mode overrides Off and single-thread budgets...
-        let e = exec(ParallelismPolicy::Off, 1);
-        assert_eq!(e.plan_with(4, true), (2, 2));
-        let t = exec(ParallelismPolicy::PerTableThreshold { min_columns: 100 }, 1);
-        assert_eq!(t.plan_with(10, true), (5, 2));
-        // ... respects a larger budget ...
-        let wide = exec(ParallelismPolicy::Off, 4);
-        assert_eq!(wide.plan_with(8, true), (2, 4));
-        // ... and leaves single-column frontiers alone.
-        assert_eq!(e.plan_with(1, true), (1, 1));
+    fn wide_frontiers_split_one_chunk_per_worker() {
+        assert_eq!(MIN_PARALLEL_COLUMNS, 12);
+        assert_eq!(plan(2, 12), (6, 2));
+        assert_eq!(plan(3, 12), (4, 3));
+        assert_eq!(plan(4, 12), (3, 4));
+        assert_eq!(plan(4, 13), (4, 4));
+        assert_eq!(plan(8, 32), (4, 8));
+        // Never more chunks than the budget, or than columns.
+        assert_eq!(plan(5, 12), (3, 4));
+        assert_eq!(plan(64, 12), (1, 12));
     }
 
     #[test]
     fn executor_clamps_zero_threads() {
-        let e = CascadeExecutor::new(ParallelismPolicy::Off, 0);
-        assert_eq!(e.threads(), 1);
-        assert_eq!(e.policy(), ParallelismPolicy::Off);
+        assert_eq!(plan(0, 64), (64, 1));
     }
 
+    /// The config's `column_threads` is the budget the one splitting
+    /// rule plans with.
     #[test]
     fn from_config_reads_policy_and_budget() {
         let config = SigmaTyperConfig {
-            parallelism: ParallelismPolicy::FixedChunk { columns: 5 },
             column_threads: 3,
             ..SigmaTyperConfig::default()
         };
-        let e = CascadeExecutor::from_config(&config);
-        assert_eq!(e.policy(), ParallelismPolicy::FixedChunk { columns: 5 });
-        assert_eq!(e.threads(), 3);
+        assert_eq!(CascadeExecutor::from_config(&config).chunk_size(12), 4);
         // column_threads == 0 resolves to the machine's parallelism.
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
         let auto = CascadeExecutor::from_config(&SigmaTyperConfig::default());
-        assert!(auto.threads() >= 1);
+        assert_eq!(auto.threads, cores);
     }
 }

@@ -20,9 +20,9 @@
 //!   remove, reorder, and reweight steps through [`SigmaTyper::builder`];
 //! * an **executor layer** ([`CascadeExecutor`]) that walks each step's
 //!   pending-column frontier, consults the per-step [`StepCache`], and
-//!   — under a [`ParallelismPolicy`] — runs wide frontiers
-//!   column-parallel in batched chunks, bit-identical to sequential
-//!   execution;
+//!   runs every frontier of at least [`MIN_PARALLEL_COLUMNS`] columns
+//!   column-parallel, one chunk per thread of its budget, bit-identical
+//!   to sequential execution;
 //! * a **budgeted request API** ([`AnnotationRequest`] →
 //!   [`AnnotationOutcome`]): per-request latency budgets enforced by a
 //!   [`BudgetLedger`], a [`DegradationPolicy`] deciding whether
@@ -80,9 +80,7 @@ pub use diskcache::{
     DiskCache, DurableEpochSource, TieredStepCache, DISK_FORMAT_VERSION, UNKNOWN_EPOCH,
 };
 pub use embedstep::{train_embedding_model, TableEmbeddingModel};
-pub use executor::{
-    forced_column_parallelism, BudgetedTrace, CascadeExecutor, DeltaContext, ParallelismPolicy,
-};
+pub use executor::{BudgetedTrace, CascadeExecutor, DeltaContext, MIN_PARALLEL_COLUMNS};
 pub use global::{train_global, GlobalModel};
 pub use headerstep::HeaderMatcher;
 pub use local::LocalModel;

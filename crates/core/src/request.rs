@@ -36,7 +36,8 @@
 //!   `DropTailSteps`, but a step that partially fits runs a truncated
 //!   prefix of its frontier (as many columns as the predicted
 //!   per-column cost says the remaining budget covers) instead of
-//!   dropping everything.
+//!   dropping everything. The cut is predicted before the step runs;
+//!   nothing stops a step once its frontier started.
 //!
 //! Skipping or truncating steps only removes votes; it never invents
 //! them — a column that lost its resolving step falls back to weaker
@@ -102,9 +103,9 @@ pub enum TelemetryVerbosity {
 /// Per-request options: budget, degradation policy, cache and
 /// telemetry choices. `Default` is `Strict`, unbounded, no overrides —
 /// the exact behavior of `annotate(&Table)`. How a request runs is
-/// never its own choice: the parallelism policy is the customer's
-/// [`SigmaTyperConfig`](crate::config::SigmaTyperConfig), and the
-/// column threads are the config's, or the serving
+/// never its own choice: its column threads are the customer's
+/// [`SigmaTyperConfig::column_threads`](crate::config::SigmaTyperConfig::column_threads),
+/// or the serving
 /// [`AnnotationService`](crate::service::AnnotationService)'s share.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RequestOptions {
@@ -227,8 +228,7 @@ fn parse_step_budget(raw: &str) -> Option<u64> {
 
 /// The forced budget from `SIGMATYPER_STEP_BUDGET_NANOS`, if the
 /// variable is set to a parseable nanosecond count (probed once per
-/// process, like
-/// [`forced_column_parallelism`](crate::executor::forced_column_parallelism)).
+/// process).
 /// A set-but-unparseable value is ignored loudly: one stderr warning,
 /// plus a `debug_assert` so debug test runs fail fast.
 #[must_use]

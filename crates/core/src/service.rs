@@ -14,11 +14,12 @@
 //! * **Level 2 — columns.** Each table worker carries its share of
 //!   the budget (`budget / workers`, with the division remainder
 //!   handed out one thread each to the first workers so nothing is
-//!   floored away) into a [`CascadeExecutor`], which may fan a wide
-//!   table's step frontier out across column chunks under the
-//!   customer's [`ParallelismPolicy`]. A batch of one huge table
-//!   therefore uses the *whole* budget on columns instead of pinning
-//!   a single worker while the rest idle.
+//!   floored away) into a [`CascadeExecutor`], which splits any step
+//!   frontier of at least
+//!   [`MIN_PARALLEL_COLUMNS`](crate::executor::MIN_PARALLEL_COLUMNS)
+//!   columns into one column chunk per thread of that share. A batch
+//!   of one huge table therefore uses the *whole* budget on columns
+//!   instead of pinning a single worker while the rest idle.
 //!
 //! Inference is read-only (`SigmaTyper::annotate` takes `&self`) and
 //! deterministic, so scheduling changes *nothing* about the output:
@@ -33,7 +34,7 @@
 
 use crate::cache::{CacheStats, ShardedLruCache, StepCache};
 use crate::config::SigmaTyperConfig;
-use crate::executor::{CascadeExecutor, ParallelismPolicy};
+use crate::executor::CascadeExecutor;
 use crate::global::GlobalModel;
 use crate::prediction::TableAnnotation;
 use crate::request::{AnnotationOutcome, BudgetLedger, RequestOptions};
@@ -465,12 +466,11 @@ impl AnnotationService {
     /// column level instead of idling them.
     #[must_use]
     pub fn annotate_batch(&self, tables: &[Table]) -> Vec<TableAnnotation> {
-        let policy = self.typer.config().parallelism;
         let defaults = RequestOptions::default();
         let (budget, _) = defaults.resolved();
         // Each table gets its own default-request ledger, exactly as a
         // loop of `SigmaTyper::annotate` calls would.
-        two_level_run(tables.len(), self.threads, policy, &|i, executor| {
+        two_level_run(tables.len(), self.threads, &|i, executor| {
             self.typer.annotate_request_shared_with_base(
                 &tables[i],
                 None,
@@ -509,9 +509,11 @@ impl AnnotationService {
     ///
     /// With default options (`Strict`, unbounded) and no bases every
     /// annotation is bit-identical to
-    /// [`AnnotationService::annotate_batch`]. Chunking follows the
-    /// customer's configured [`ParallelismPolicy`]; the scheduler owns
-    /// the thread split.
+    /// [`AnnotationService::annotate_batch`]. The scheduler owns the
+    /// thread split: each table's executor splits a step frontier of at
+    /// least
+    /// [`MIN_PARALLEL_COLUMNS`](crate::executor::MIN_PARALLEL_COLUMNS)
+    /// columns over its worker's share of the budget.
     ///
     /// [`DegradationPolicy`]: crate::request::DegradationPolicy
     /// [`DegradationReport`]: crate::request::DegradationReport
@@ -596,8 +598,7 @@ impl AnnotationService {
         options: &RequestOptions,
         ledger: &BudgetLedger,
     ) -> Vec<AnnotationOutcome> {
-        let policy = self.typer.config().parallelism;
-        two_level_run(tables.len(), self.threads, policy, &|i, executor| {
+        two_level_run(tables.len(), self.threads, &|i, executor| {
             let base = bases.get(i).copied().flatten();
             self.typer
                 .annotate_request_shared_with_base(&tables[i], base, executor, options, ledger)
@@ -612,7 +613,6 @@ impl AnnotationService {
 fn two_level_run(
     n: usize,
     budget: usize,
-    policy: ParallelismPolicy,
     annotate_one: &(dyn Fn(usize, &CascadeExecutor) -> AnnotationOutcome + Sync),
 ) -> Vec<AnnotationOutcome> {
     if n == 0 {
@@ -626,8 +626,7 @@ fn two_level_run(
     // workers instead of being floored away, so the whole budget is
     // always accounted for (8 threads over 5 tables: three workers
     // get a 2-thread column budget, two get 1).
-    let executor_for =
-        |worker: usize| CascadeExecutor::new(policy, column_budget(budget, outer, worker));
+    let executor_for = |worker: usize| CascadeExecutor::new(column_budget(budget, outer, worker));
     if outer == 1 {
         let executor = executor_for(0);
         return (0..n).map(|i| annotate_one(i, &executor)).collect();
@@ -693,12 +692,24 @@ mod tests {
             .clone()
     }
 
-    /// The default customer config with `parallelism` as its policy.
-    fn config_with(parallelism: ParallelismPolicy) -> SigmaTyperConfig {
-        SigmaTyperConfig {
-            parallelism,
-            ..SigmaTyperConfig::default()
-        }
+    /// A table of `cols` opaque-headed free-text columns: no column
+    /// resolves at the header step, so every step's frontier is as wide
+    /// as the table.
+    fn opaque_table(name: &str, cols: usize) -> Table {
+        let columns: Vec<Column> = (0..cols)
+            .map(|i| {
+                Column::from_raw(
+                    format!("xq_{name}_{i}"),
+                    &["lorem ipsum", "dolor sit", "amet consect"],
+                )
+            })
+            .collect();
+        Table::new(name, columns).unwrap()
+    }
+
+    /// A service that never splits a frontier: one thread in all.
+    fn sequential_service() -> AnnotationService {
+        AnnotationService::new(global(), SigmaTyperConfig::default()).with_threads(1)
     }
 
     fn batch(seed: u64, n: usize) -> Vec<Table> {
@@ -928,21 +939,8 @@ mod tests {
     /// threads idle.
     #[test]
     fn lone_wide_table_gets_the_whole_budget_as_column_chunks() {
-        let service = AnnotationService::new(
-            global(),
-            config_with(ParallelismPolicy::PerTableThreshold { min_columns: 2 }),
-        )
-        .with_threads(4);
-        // Opaque headers keep a wide frontier alive past the header step.
-        let columns: Vec<tu_table::Column> = (0..8)
-            .map(|i| {
-                tu_table::Column::from_raw(
-                    format!("xq_{i}"),
-                    &["lorem ipsum", "dolor sit", "amet consect"],
-                )
-            })
-            .collect();
-        let wide = Table::new("wide", columns).unwrap();
+        let service = AnnotationService::new(global(), SigmaTyperConfig::default()).with_threads(4);
+        let wide = opaque_table("wide", 12);
         let anns = service.annotate_batch(std::slice::from_ref(&wide));
         assert_eq!(anns.len(), 1);
         assert!(
@@ -955,9 +953,7 @@ mod tests {
                 .collect::<Vec<_>>()
         );
         // And the chunked result is bit-identical to a sequential one.
-        let sequential =
-            AnnotationService::new(global(), config_with(ParallelismPolicy::Off)).with_threads(1);
-        assert_identical(&sequential.annotate_batch(&[wide])[0], &anns[0]);
+        assert_identical(&sequential_service().annotate_batch(&[wide])[0], &anns[0]);
     }
 
     /// The level-2 budget split: shares sum to exactly the budget
@@ -979,47 +975,26 @@ mod tests {
         // Behavior: a 5-table batch on an 8-thread budget stays
         // bit-identical to the sequential pass whatever worker picked
         // up which table (chunked or not).
-        let service = AnnotationService::new(
-            global(),
-            config_with(ParallelismPolicy::PerTableThreshold { min_columns: 2 }),
-        )
-        .with_threads(8);
-        let mk_wide = |seed: usize| {
-            let columns: Vec<tu_table::Column> = (0..6)
-                .map(|i| {
-                    tu_table::Column::from_raw(
-                        format!("xq_{seed}_{i}"),
-                        &["lorem ipsum", "dolor sit", "amet consect"],
-                    )
-                })
-                .collect();
-            Table::new(format!("wide_{seed}"), columns).unwrap()
-        };
-        let tables: Vec<Table> = (0..5).map(mk_wide).collect();
+        let service = AnnotationService::new(global(), SigmaTyperConfig::default()).with_threads(8);
+        let tables: Vec<Table> = (0..5)
+            .map(|seed| opaque_table(&format!("wide_{seed}"), 12))
+            .collect();
         let anns = service.annotate_batch(&tables);
         assert_eq!(anns.len(), 5);
-        let sequential =
-            AnnotationService::new(global(), config_with(ParallelismPolicy::Off)).with_threads(1);
-        for (a, b) in anns.iter().zip(&sequential.annotate_batch(&tables)) {
+        let sequential = sequential_service().annotate_batch(&tables);
+        for (a, b) in anns.iter().zip(&sequential) {
             assert_identical(a, b);
         }
     }
 
-    /// The dynamic table queue plus column parallelism must preserve
-    /// input order and bit-identity on mixed batches (wide and narrow
-    /// tables interleaved, batch larger than the budget).
+    /// The dynamic table queue must preserve input order and
+    /// bit-identity on mixed batches (wide and narrow tables
+    /// interleaved, batch larger than the budget).
     #[test]
     fn two_level_scheduler_matches_sequential_on_mixed_batches() {
-        let service = AnnotationService::new(
-            global(),
-            config_with(ParallelismPolicy::FixedChunk { columns: 2 }),
-        )
-        .with_threads(3);
+        let service = AnnotationService::new(global(), SigmaTyperConfig::default()).with_threads(3);
         let mut tables = batch(0x31, 7);
-        let wide_cols: Vec<tu_table::Column> = (0..9)
-            .map(|i| tu_table::Column::from_raw(format!("zz_{i}"), &["alpha beta", "gamma delta"]))
-            .collect();
-        tables.insert(3, Table::new("wide", wide_cols).unwrap());
+        tables.insert(3, opaque_table("wide", 12));
         let sequential: Vec<TableAnnotation> =
             tables.iter().map(|t| service.typer().annotate(t)).collect();
         let scheduled = service.annotate_batch(&tables);

@@ -7,7 +7,7 @@ use crate::cache::{
 use crate::cascade::Cascade;
 use crate::config::SigmaTyperConfig;
 use crate::cost::CostModel;
-use crate::executor::{CascadeExecutor, DeltaContext, ParallelismPolicy};
+use crate::executor::{CascadeExecutor, DeltaContext};
 use crate::global::GlobalModel;
 use crate::local::LocalModel;
 use crate::prediction::{Candidate, ColumnAnnotation, StepId, StepScores, TableAnnotation};
@@ -256,17 +256,6 @@ impl SigmaTyperBuilder {
     #[must_use]
     pub fn step_weight(mut self, id: StepId, weight: f64) -> Self {
         self.cascade.set_weight(id, weight);
-        self
-    }
-
-    /// Set the intra-table parallelism policy (see
-    /// [`ParallelismPolicy`]): when the
-    /// [`CascadeExecutor`] may run a step's pending columns in
-    /// parallel. Execution strategy only — output is bit-identical
-    /// either way.
-    #[must_use]
-    pub fn parallelism(mut self, policy: ParallelismPolicy) -> Self {
-        self.config.parallelism = policy;
         self
     }
 
@@ -539,9 +528,11 @@ impl SigmaTyper {
 
     /// Annotate a table: run the configured cascade per column,
     /// aggregate with the soft majority vote, and apply τ (paper
-    /// Figure 4). Execution strategy (sequential vs column-parallel)
-    /// follows [`SigmaTyperConfig::parallelism`] and
-    /// [`SigmaTyperConfig::column_threads`].
+    /// Figure 4). A step frontier of at least
+    /// [`MIN_PARALLEL_COLUMNS`](crate::executor::MIN_PARALLEL_COLUMNS)
+    /// columns runs column-parallel on the
+    /// [`SigmaTyperConfig::column_threads`] budget; output is
+    /// bit-identical either way.
     ///
     /// This is a thin wrapper over [`SigmaTyper::annotate_request`]
     /// with default options (`Strict`, unbounded) — bit-identical to
@@ -555,8 +546,8 @@ impl SigmaTyper {
 
     /// Annotate under a typed [`AnnotationRequest`]: budget and
     /// degradation policy per request (see [`crate::request`] for the
-    /// semantics), executed as [`SigmaTyperConfig::parallelism`] and
-    /// [`SigmaTyperConfig::column_threads`] say. Returns the annotation
+    /// semantics), on the [`SigmaTyperConfig::column_threads`] budget
+    /// (see [`annotate`](SigmaTyper::annotate)). Returns the annotation
     /// plus the [`DegradationReport`] recording which steps were
     /// skipped or truncated and the budget accounting.
     #[must_use]
@@ -1899,12 +1890,11 @@ mod tests {
                 scorers: Arc::clone(&scorers),
                 columns: Arc::clone(&columns),
             })
-            .parallelism(ParallelismPolicy::FixedChunk { columns: 1 })
             .column_threads(3)
             .build();
         let table = Table::new(
             "t",
-            (0..4)
+            (0..12)
                 .map(|i| Column::from_raw(format!("xq{i}"), &["lorem", "ipsum"]))
                 .collect(),
         )
@@ -1916,16 +1906,54 @@ mod tests {
             .find(|t| t.step == StepId::custom(5))
             .expect("the counting step's timing");
         assert_eq!(
-            timing.chunks, 4,
-            "FixedChunk{{1}} over 4 columns is 4 chunks"
+            timing.chunks, 3,
+            "12 columns on a 3-thread budget are 3 chunks"
         );
         let count =
             |c: &std::sync::atomic::AtomicUsize| c.load(std::sync::atomic::Ordering::Relaxed);
         assert_eq!(count(&scorers), 1, "one scorer per table");
-        assert_eq!(count(&columns), 4, "one scorer call per column");
+        assert_eq!(count(&columns), 12, "one scorer call per column");
         // A second table builds its own scorer exactly once more.
         let _ = typer.annotate(&table);
-        assert_eq!((count(&scorers), count(&columns)), (2, 8));
+        assert_eq!((count(&scorers), count(&columns)), (2, 24));
+    }
+
+    /// The one column-parallel rule, end to end through `annotate`: a
+    /// frontier splits only when it is at least
+    /// [`MIN_PARALLEL_COLUMNS`](crate::executor::MIN_PARALLEL_COLUMNS)
+    /// wide and the budget has two or more threads.
+    #[test]
+    fn frontiers_split_from_twelve_columns_on_two_or_more_threads() {
+        let opaque = |cols: usize| {
+            let columns = (0..cols)
+                .map(|i| {
+                    Column::from_raw(
+                        format!("xq{i}_zz"),
+                        &["lorem ipsum", "dolor sit", "amet consect"],
+                    )
+                })
+                .collect();
+            Table::new("opaque", columns).unwrap()
+        };
+        let chunks = |typer: &SigmaTyper, table: &Table| -> Vec<(StepId, usize, usize)> {
+            typer
+                .annotate(table)
+                .timings
+                .iter()
+                .map(|t| (t.step, t.columns, t.chunks))
+                .collect()
+        };
+        let global = shared_global();
+        let three = SigmaTyper::builder(global.clone())
+            .column_threads(3)
+            .build();
+        let narrow = chunks(&three, &opaque(11));
+        assert!(narrow.iter().all(|&(_, _, c)| c == 1), "{narrow:?}");
+        let wide = chunks(&three, &opaque(12));
+        assert_eq!(wide[0], (StepId::HEADER, 12, 3), "{wide:?}");
+        let one = SigmaTyper::builder(global).column_threads(1).build();
+        let solo = chunks(&one, &opaque(12));
+        assert!(solo.iter().all(|&(_, _, c)| c <= 1), "{solo:?}");
     }
 
     #[test]

@@ -13,8 +13,8 @@
 
 use sigmatyper::{
     forced_step_budget_nanos, train_global, AnnotationRequest, AnnotationService,
-    DegradationPolicy, GlobalModel, ParallelismPolicy, RequestOptions, SigmaTyper,
-    SigmaTyperConfig, SkipReason, TrainingConfig,
+    DegradationPolicy, GlobalModel, RequestOptions, SigmaTyper, SigmaTyperConfig, SkipReason,
+    TrainingConfig,
 };
 use std::sync::{Arc, OnceLock};
 use tu_corpus::{generate_corpus, CorpusConfig};
@@ -229,95 +229,6 @@ fn degraded_outcomes_never_fabricate() {
                 // Whatever was decided came from steps that ran.
                 assert_eq!(col.steps_run.len(), col.step_scores.len());
             }
-        }
-    }
-}
-
-/// The customer's execution settings: `parallelism` on `threads`
-/// column workers.
-fn typer_with(parallelism: ParallelismPolicy, column_threads: usize) -> SigmaTyper {
-    SigmaTyper::new(
-        global(),
-        SigmaTyperConfig {
-            parallelism,
-            column_threads,
-            ..SigmaTyperConfig::default()
-        },
-    )
-}
-
-/// `FixedChunk { columns: 0 }` must clamp, not divide by zero — end to
-/// end, from the customer's config, with and without a budget.
-#[test]
-fn fixed_chunk_zero_columns_clamps_end_to_end() {
-    let st = typer_with(ParallelismPolicy::FixedChunk { columns: 0 }, 3);
-    let table = opaque_table(4);
-    let request = AnnotationRequest::new(&table)
-        .with_budget_nanos(u64::MAX)
-        .with_policy(DegradationPolicy::DropTailSteps);
-    let outcome = st.annotate_request(&request);
-    assert_eq!(outcome.annotation.columns.len(), 4);
-    assert!(!outcome.degraded(), "u64::MAX nanos cannot exhaust");
-    // Zero-column chunks clamp to one column per chunk.
-    assert!(outcome
-        .annotation
-        .timings
-        .iter()
-        .filter(|t| t.columns > 0)
-        .all(|t| t.chunks == t.columns));
-    // And the degenerate combination budget-0 × chunk-0 stays graceful.
-    let degenerate = st.annotate_request(
-        &AnnotationRequest::new(&table)
-            .with_budget_nanos(0)
-            .with_policy(DegradationPolicy::BestEffort),
-    );
-    assert!(degenerate.annotation.columns.iter().all(|c| c.abstained()));
-}
-
-/// Mid-step budget re-checks (ROADMAP 5b): under `BestEffort` with
-/// single-column chunks, a budget the first chunk already blows must
-/// stop the step *mid-frontier* — some columns ran (forward progress
-/// is guaranteed: every worker's first chunk is unconditional), the
-/// rest never did — instead of finishing all columns and only then
-/// noticing the overrun. No cost-model estimate exists on a fresh
-/// typer, so the predictive gate stays silent and the truncation can
-/// only come from the in-flight re-check.
-#[test]
-fn best_effort_rechecks_budget_between_chunks() {
-    let st = typer_with(ParallelismPolicy::FixedChunk { columns: 1 }, 2);
-    let cols = 8;
-    let table = opaque_table(cols);
-    let outcome = st.annotate_request(
-        &AnnotationRequest::new(&table)
-            .with_budget_nanos(1)
-            .with_policy(DegradationPolicy::BestEffort),
-    );
-    assert!(outcome.degraded());
-    let first = &outcome.degradation.skipped[0];
-    assert_eq!(first.reason, SkipReason::FrontierTruncated);
-    assert_eq!(first.pending, cols);
-    assert!(
-        first.ran >= 1 && first.ran < cols,
-        "the first chunk runs, the re-check stops the rest: {first:?}"
-    );
-    // Every later step found the ledger exhausted up front.
-    for later in &outcome.degradation.skipped[1..] {
-        assert_eq!(later.reason, SkipReason::BudgetExhausted, "{later:?}");
-        assert_eq!(later.ran, 0);
-    }
-    assert_eq!(outcome.degradation.remaining_nanos, Some(0));
-    // Columns the stop left without any executed step abstain; columns
-    // that ran decided from executed evidence only — never fabricate.
-    let ran_some = outcome
-        .annotation
-        .columns
-        .iter()
-        .filter(|c| !c.steps_run.is_empty())
-        .count();
-    assert_eq!(ran_some, first.ran);
-    for col in &outcome.annotation.columns {
-        if col.steps_run.is_empty() {
-            assert!(col.abstained());
         }
     }
 }

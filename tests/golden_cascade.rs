@@ -13,8 +13,8 @@
 use sigmatyper::aggregate::{apply_tau, soft_majority_vote};
 use sigmatyper::{
     train_global, AnnotationRequest, Candidate, CostModel, DegradationPolicy, GlobalModel,
-    ParallelismPolicy, ShardedLruCache, SigmaTyper, SkipReason, Step, StepId, StepScores,
-    TableAnnotation, TrainingConfig,
+    ShardedLruCache, SigmaTyper, SkipReason, Step, StepId, StepScores, TableAnnotation,
+    TrainingConfig,
 };
 use std::sync::{Arc, OnceLock};
 use tu_corpus::{generate_corpus, CorpusConfig};
@@ -521,32 +521,59 @@ fn adaptation_invalidates_warm_cache_entries() {
 // the triangle for fresh, ablated, and adaptation-heavy customers,
 // with and without the step cache.
 
-/// A clone of `typer` forced onto a given execution strategy.
-fn with_strategy(typer: &SigmaTyper, policy: ParallelismPolicy, threads: usize) -> SigmaTyper {
+/// A clone of `typer` on a column-thread budget of `threads` (1 is
+/// the sequential baseline: it never splits a frontier).
+fn with_strategy(typer: &SigmaTyper, threads: usize) -> SigmaTyper {
     let mut t = typer.clone();
-    t.config_mut().parallelism = policy;
     t.config_mut().column_threads = threads;
     t
 }
 
-/// The parallel strategies exercised against the sequential baseline:
-/// tiny fixed chunks (maximum scheduling interleaving) and an
-/// always-on threshold split.
-fn parallel_strategies() -> [(ParallelismPolicy, usize); 3] {
-    [
-        (ParallelismPolicy::FixedChunk { columns: 1 }, 4),
-        (ParallelismPolicy::FixedChunk { columns: 2 }, 2),
-        (ParallelismPolicy::PerTableThreshold { min_columns: 1 }, 3),
-    ]
+/// The column-thread budgets exercised against the sequential
+/// baseline: a frontier of at least `MIN_PARALLEL_COLUMNS` columns
+/// splits into one chunk per thread.
+fn parallel_strategies() -> [usize; 3] {
+    [4, 2, 3]
+}
+
+/// Hard-corpus tables joined four side by side (cut to the shortest's
+/// rows, clashing headers suffixed): wide enough that the frontiers
+/// the header step leaves behind still reach `MIN_PARALLEL_COLUMNS`.
+fn wide_hard_corpus(seed: u64, tables: usize) -> Vec<Table> {
+    hard_corpus(seed, 4 * tables)
+        .chunks(4)
+        .enumerate()
+        .map(|(i, group)| {
+            let rows = group.iter().map(Table::n_rows).min().unwrap_or(0);
+            let mut columns: Vec<Column> = Vec::new();
+            for (k, table) in group.iter().enumerate() {
+                for column in table.columns() {
+                    let mut name = column.name.clone();
+                    while columns.iter().any(|c| c.name == name) {
+                        name = format!("{name}_{k}");
+                    }
+                    columns.push(Column::new(name, column.values[..rows].to_vec()));
+                }
+            }
+            Table::new(format!("wide_{i}"), columns).expect("rectangular, unique headers")
+        })
+        .collect()
+}
+
+/// Whether a step past the header step split its frontier.
+fn split_past_header(ann: &TableAnnotation) -> bool {
+    ann.timings
+        .iter()
+        .any(|t| t.step != StepId::HEADER && t.chunks >= 2)
 }
 
 #[test]
 fn column_parallel_execution_is_bit_identical_to_sequential() {
     let typer = SigmaTyper::builder(global()).build();
-    let sequential = with_strategy(&typer, ParallelismPolicy::Off, 1);
-    let tables = hard_corpus(0x9A11E1, 20);
-    for (policy, threads) in parallel_strategies() {
-        let parallel = with_strategy(&typer, policy, threads);
+    let sequential = with_strategy(&typer, 1);
+    let tables = wide_hard_corpus(0x9A11E1, 5);
+    for threads in parallel_strategies() {
+        let parallel = with_strategy(&typer, threads);
         let mut saw_chunked_step = false;
         for table in &tables {
             let ann = parallel.annotate(table);
@@ -554,11 +581,11 @@ fn column_parallel_execution_is_bit_identical_to_sequential() {
             // The parallel path must still match the literal seed
             // transcription, not just the sequential executor.
             assert_golden(&parallel, table);
-            saw_chunked_step |= ann.timings.iter().any(|t| t.chunks >= 2);
+            saw_chunked_step |= split_past_header(&ann);
         }
         assert!(
             saw_chunked_step,
-            "{policy:?} with {threads} threads never split a frontier — \
+            "{threads} threads never split a lookup or embedding frontier — \
              the equivalence above proved nothing about the parallel path"
         );
     }
@@ -566,20 +593,24 @@ fn column_parallel_execution_is_bit_identical_to_sequential() {
 
 #[test]
 fn column_parallel_execution_matches_sequential_under_ablations() {
-    let tables = hard_corpus(0x9A11E2, 6);
+    let tables = wide_hard_corpus(0x9A11E2, 2);
+    let mut saw_chunked_step = false;
     for (header, lookup, embedding) in [(true, false, false), (false, true, true)] {
         let mut typer = SigmaTyper::builder(global()).build();
         typer.config_mut().enable_header = header;
         typer.config_mut().enable_lookup = lookup;
         typer.config_mut().enable_embedding = embedding;
-        let sequential = with_strategy(&typer, ParallelismPolicy::Off, 1);
-        for (policy, threads) in parallel_strategies() {
-            let parallel = with_strategy(&typer, policy, threads);
+        let sequential = with_strategy(&typer, 1);
+        for threads in parallel_strategies() {
+            let parallel = with_strategy(&typer, threads);
             for table in &tables {
-                assert_same_annotation(&sequential.annotate(table), &parallel.annotate(table));
+                let ann = parallel.annotate(table);
+                assert_same_annotation(&sequential.annotate(table), &ann);
+                saw_chunked_step |= split_past_header(&ann);
             }
         }
     }
+    assert!(saw_chunked_step, "no lookup or embedding frontier split");
 }
 
 #[test]
@@ -605,15 +636,19 @@ fn column_parallel_execution_matches_sequential_for_adapted_customer() {
         typer.feedback(&mk(s), 0, phone, None);
     }
     assert!(typer.local().finetuned.is_some());
-    let sequential = with_strategy(&typer, ParallelismPolicy::Off, 1);
-    let tables = hard_corpus(0x9A11E3, 12);
-    for (policy, threads) in parallel_strategies() {
-        let parallel = with_strategy(&typer, policy, threads);
+    let sequential = with_strategy(&typer, 1);
+    let tables = wide_hard_corpus(0x9A11E3, 3);
+    let mut saw_chunked_step = false;
+    for threads in parallel_strategies() {
+        let parallel = with_strategy(&typer, threads);
         for table in &tables {
-            assert_same_annotation(&sequential.annotate(table), &parallel.annotate(table));
+            let ann = parallel.annotate(table);
+            assert_same_annotation(&sequential.annotate(table), &ann);
             assert_golden(&parallel, table);
+            saw_chunked_step |= split_past_header(&ann);
         }
     }
+    assert!(saw_chunked_step, "no lookup or embedding frontier split");
 }
 
 #[test]
@@ -623,14 +658,17 @@ fn column_parallel_execution_matches_sequential_with_warm_cache() {
     // bit-identical to the uncached sequential baseline. The cache is
     // per-instance here so each strategy warms its own.
     let typer = SigmaTyper::builder(global()).build();
-    let sequential = with_strategy(&typer, ParallelismPolicy::Off, 1);
-    let tables = hard_corpus(0x9A11E4, 10);
-    for (policy, threads) in parallel_strategies() {
-        let parallel_cached = with_cache(&with_strategy(&typer, policy, threads));
+    let sequential = with_strategy(&typer, 1);
+    let tables = wide_hard_corpus(0x9A11E4, 3);
+    for threads in parallel_strategies() {
+        let parallel_cached = with_cache(&with_strategy(&typer, threads));
+        let mut saw_chunked_step = false;
         for table in &tables {
             let cold = parallel_cached.annotate(table);
             assert_same_annotation(&sequential.annotate(table), &cold);
+            saw_chunked_step |= split_past_header(&cold);
         }
+        assert!(saw_chunked_step, "no lookup or embedding frontier split");
         let mut warm_hits = 0usize;
         for table in &tables {
             let warm = parallel_cached.annotate(table);
@@ -719,9 +757,10 @@ fn default_request_is_bit_identical_for_adapted_customers() {
 #[test]
 fn default_request_is_bit_identical_cached_and_parallel() {
     let typer = SigmaTyper::builder(global()).build();
-    let tables = hard_corpus(0xB1D6EA, 8);
-    for (policy, threads) in parallel_strategies() {
-        let parallel = with_strategy(&typer, policy, threads);
+    let tables = wide_hard_corpus(0xB1D6EA, 2);
+    let mut saw_chunked_step = false;
+    for threads in parallel_strategies() {
+        let parallel = with_strategy(&typer, threads);
         let cached = with_cache(&parallel);
         for table in &tables {
             // Uncached parallel, cold cache, warm cache: all three
@@ -729,8 +768,10 @@ fn default_request_is_bit_identical_cached_and_parallel() {
             assert_request_golden(&parallel, table);
             assert_request_golden(&cached, table); // cold
             assert_request_golden(&cached, table); // warm
+            saw_chunked_step |= split_past_header(&parallel.annotate(table));
         }
     }
+    assert!(saw_chunked_step, "no lookup or embedding frontier split");
 }
 
 // ---- Degradation acceptance ---------------------------------------------
@@ -865,10 +906,10 @@ fn reorder_by_cost_changes_execution_order_not_predictions() {
 
 /// Every execution strategy, sequential included, over one table.
 fn all_strategy_annotations(typer: &SigmaTyper, table: &Table) -> Vec<TableAnnotation> {
-    let mut anns = vec![with_strategy(typer, ParallelismPolicy::Off, 1).annotate(table)];
-    for (policy, threads) in parallel_strategies() {
-        anns.push(with_strategy(typer, policy, threads).annotate(table));
-        anns.push(with_cache(&with_strategy(typer, policy, threads)).annotate(table));
+    let mut anns = vec![with_strategy(typer, 1).annotate(table)];
+    for threads in parallel_strategies() {
+        anns.push(with_strategy(typer, threads).annotate(table));
+        anns.push(with_cache(&with_strategy(typer, threads)).annotate(table));
     }
     anns
 }
@@ -902,7 +943,7 @@ fn degenerate_single_column_table() {
         )],
     )
     .unwrap();
-    let baseline = with_strategy(&typer, ParallelismPolicy::Off, 1).annotate(&table);
+    let baseline = with_strategy(&typer, 1).annotate(&table);
     assert_eq!(baseline.columns[0].predicted, builtin_id(&o, "email"));
     for ann in all_strategy_annotations(&typer, &table) {
         assert_same_annotation(&baseline, &ann);
@@ -925,7 +966,7 @@ fn degenerate_everything_resolves_at_step_one() {
         ],
     )
     .unwrap();
-    let baseline = with_strategy(&typer, ParallelismPolicy::Off, 1).annotate(&table);
+    let baseline = with_strategy(&typer, 1).annotate(&table);
     for col in &baseline.columns {
         assert_eq!(
             col.steps_run,

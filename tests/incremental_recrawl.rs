@@ -19,11 +19,13 @@
 //!   still be bit-identical to a fresh, uncached run: approximated
 //!   results are never inserted under the new fingerprint.
 //!
-//! The CI forced-parallelism leg re-runs this suite under
-//! `SIGMATYPER_PARALLEL_COLUMNS=1`, so every assertion here must hold
-//! regardless of the executor's chunking.
+//! The e1–e8 tables run their frontiers inline; the wide-table test at
+//! the end holds the same promises while frontiers split across
+//! threads.
 
-use sigmatyper::{AnnotationRequest, ShardedLruCache, SigmaTyper, TableAnnotation};
+use sigmatyper::{
+    AnnotationRequest, ShardedLruCache, SigmaTyper, StepId, TableAnnotation, MIN_PARALLEL_COLUMNS,
+};
 use std::sync::{Arc, OnceLock};
 use tu_corpus::{generate_corpus, CorpusConfig, GenParams};
 use tu_eval::{Lab, Scale};
@@ -225,4 +227,94 @@ fn reusing_recrawl_never_poisons_the_shared_cache() {
         }
     }
     assert!(reused_any > 0, "the suite never exercised the reuse path");
+}
+
+/// A table of opaque-headed free-text columns `xq_0 …`: column `c`,
+/// row `r` holds `words[(c + r + shift) % 6]` and a row tag, so a
+/// different `shift` rewrites every cell.
+fn wide_opaque_table(cols: usize, rows: usize, shift: usize) -> Table {
+    let words = [
+        "lorem ipsum",
+        "dolor sit",
+        "amet consect",
+        "adipiscing elit",
+        "sed do",
+        "eiusmod tempor",
+    ];
+    let columns = (0..cols)
+        .map(|c| {
+            let values: Vec<String> = (0..rows)
+                .map(|r| format!("{} {}", words[(c + r + shift) % words.len()], r + shift))
+                .collect();
+            Column::from_raw(format!("xq_{c}"), &values)
+        })
+        .collect();
+    Table::new("wide", columns).expect("rectangular")
+}
+
+/// The recrawl contract while frontiers split across threads: a
+/// 14-column opaque table on a 3-thread column budget, recrawled with
+/// a one-row append on two columns and every cell of the other twelve
+/// rewritten. At sensitivity 0 nothing is reused and the recrawl is
+/// bit-identical to a fresh sequential annotate. At 0.5 the appended
+/// columns reuse their base scores while the twelve rewritten ones
+/// still form a frontier wide enough to split, and the cache stays
+/// clean for a later plain annotate.
+#[test]
+fn wide_recrawl_splits_frontiers_and_keeps_the_contract() {
+    let (cols, rows, appended) = (MIN_PARALLEL_COLUMNS + 2, 40, 2);
+    let base = wide_opaque_table(cols, rows, 0);
+    let rewritten = wide_opaque_table(cols, rows + 1, 1);
+    let columns = (0..cols)
+        .map(|c| {
+            if c < cols - appended {
+                return rewritten.columns()[c].clone();
+            }
+            let mut values = base.columns()[c].values.clone();
+            values.push(values[0].clone());
+            Column::new(base.columns()[c].name.clone(), values)
+        })
+        .collect();
+    let new = Table::new("wide", columns).expect("rectangular");
+    let mut sequential = lab().customer();
+    sequential.config_mut().column_threads = 1;
+    let fresh = sequential.annotate(&new);
+    let parallel_customer = || {
+        let mut typer = cached_customer();
+        typer.config_mut().column_threads = 3;
+        let _ = typer.annotate(&base);
+        typer
+    };
+    let split = |outcome: &sigmatyper::AnnotationOutcome| {
+        outcome
+            .annotation
+            .timings
+            .iter()
+            .any(|t| t.step != StepId::HEADER && t.chunks >= 2)
+    };
+
+    let exact = parallel_customer().annotate_request(
+        &AnnotationRequest::new(&new)
+            .with_base(&base)
+            .with_delta_sensitivity(0.0),
+    );
+    assert_eq!(
+        exact.degradation.delta_reused, 0,
+        "sensitivity 0 reuses nothing"
+    );
+    assert!(split(&exact), "{:?}", exact.annotation.timings);
+    assert_same_annotation(&fresh, &exact.annotation);
+
+    let warm = parallel_customer();
+    let relaxed = warm.annotate_request(
+        &AnnotationRequest::new(&new)
+            .with_base(&base)
+            .with_delta_sensitivity(0.5),
+    );
+    assert!(
+        relaxed.degradation.delta_reused > 0,
+        "the appends must reuse"
+    );
+    assert!(split(&relaxed), "{:?}", relaxed.annotation.timings);
+    assert_same_annotation(&fresh, &warm.annotate(&new));
 }

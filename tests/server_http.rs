@@ -1001,9 +1001,9 @@ fn annotate_with_base_reuses_cache_and_is_exact_at_zero_sensitivity() {
     server.shutdown().expect("shutdown");
 }
 
-/// A table wide enough for `ParallelismPolicy::default()` to split a
-/// step's frontier across threads: 16 opaque headers over free text,
-/// so no column resolves at the header step. A table of fewer rows is
+/// A table wide enough for the executor to split a step's frontier
+/// across threads (at least `MIN_PARALLEL_COLUMNS` columns): 16 opaque
+/// headers over free text, so no column resolves at the header step. A table of fewer rows is
 /// a prefix of one with more, so the smaller one is the larger one's
 /// base crawl.
 fn wide_opaque_table(rows: usize) -> Table {
