@@ -258,6 +258,15 @@ fn bench_parallel_table(c: &mut Criterion) {
 /// checked explicitly: the warm pass must hit the cache and must not
 /// run a single step (`columns` drops to 0) — so this bench doubles as
 /// a smoke-level acceptance check when CI executes it.
+///
+/// `after_feedback` times the first crawl after an epoch move: a warm
+/// customer takes one correction that overrides a global prediction,
+/// and each iteration calls `invalidate_cache` before crawling, so the
+/// lookup and embedding steps re-run while the header step reads the
+/// entries of every header whose `Wg` state the correction left alone.
+/// Before timing, the first post-feedback crawl is checked against an
+/// uncached customer given the same correction, and its header step
+/// must have run only under the corrected header.
 fn bench_cached_recrawl(c: &mut Criterion) {
     let f = BenchFixture::new();
     let tables: Vec<Table> = f.corpus.tables.iter().map(|at| at.table.clone()).collect();
@@ -314,6 +323,75 @@ fn bench_cached_recrawl(c: &mut Criterion) {
         b.iter(|| {
             for table in &tables {
                 black_box(warm_typer.annotate(black_box(table)));
+            }
+        })
+    });
+
+    let mut adapted = fresh_cached();
+    let mut adapted_uncached = f.customer();
+    for table in &tables {
+        let _ = adapted.annotate(table);
+    }
+    // Relabel the first column predicted under an informative header
+    // to another type: the correction overrides that prediction.
+    let (table, col, previous) = tables
+        .iter()
+        .find_map(|table| {
+            let ann = uncached.annotate(table);
+            (0..table.n_cols())
+                .find(|&ci| {
+                    let header = tu_text::normalize_header(table.headers()[ci]);
+                    !ann.columns[ci].predicted.is_unknown()
+                        && !tu_dp::infer::is_generic_header(&header)
+                })
+                .map(|ci| (table, ci, ann.columns[ci].predicted))
+        })
+        .expect("a column predicted under an informative header");
+    let age = tu_ontology::builtin_id(adapted.ontology(), "age");
+    let ty = if previous == age {
+        tu_ontology::builtin_id(adapted.ontology(), "city")
+    } else {
+        age
+    };
+    adapted.feedback(table, col, ty, None);
+    adapted_uncached.feedback(table, col, ty, None);
+    let corrected = tu_text::normalize_header(table.headers()[col]);
+    let mut header_runs = 0usize;
+    for table in &tables {
+        let got = adapted.annotate(table);
+        let want = adapted_uncached.annotate(table);
+        for (g, w) in got.columns.iter().zip(&want.columns) {
+            assert_eq!(g.predicted, w.predicted, "post-feedback crawl diverged");
+            assert_eq!(g.confidence.to_bits(), w.confidence.to_bits());
+            assert_eq!(g.top_k, w.top_k);
+            assert_eq!(g.steps_run, w.steps_run);
+            assert_eq!(g.step_scores, w.step_scores);
+        }
+        let ran = got
+            .timings
+            .iter()
+            .find(|t| t.step == sigmatyper::StepId::HEADER)
+            .map_or(0, |t| t.columns);
+        let under_corrected = table
+            .headers()
+            .iter()
+            .filter(|h| tu_text::normalize_header(h) == corrected)
+            .count();
+        assert!(
+            ran <= under_corrected,
+            "the header step ran outside the corrected header"
+        );
+        header_runs += ran;
+    }
+    assert!(header_runs > 0, "the corrected header was matched again");
+    println!(
+        "  after_feedback: header step re-ran on {header_runs} column(s), all under {corrected:?}"
+    );
+    group.bench_function("after_feedback", |b| {
+        b.iter(|| {
+            adapted.invalidate_cache();
+            for table in &tables {
+                black_box(adapted.annotate(black_box(table)));
             }
         })
     });

@@ -29,11 +29,20 @@
 //! [`SigmaTyper`](crate::system::SigmaTyper) adaptation entry points
 //! (feedback, implicit approval, custom type registration, cascade
 //! surgery), each of which re-draws the customer's epoch — and the
-//! epoch is hashed into every fingerprint, so adaptation can never
-//! serve a stale score: old entries simply become unreachable and age
-//! out of the LRU (or are dropped by disk-tier compaction). Config
-//! changes need no epoch re-draw because the config fields are hashed
-//! into the fingerprint directly.
+//! epoch is hashed into every column fingerprint, so adaptation can
+//! never serve a stale column-scoped score: old entries simply become
+//! unreachable and age out of the LRU (or are dropped by disk-tier
+//! compaction). Config changes need no epoch re-draw because the config
+//! fields are hashed into the fingerprint directly.
+//!
+//! Header-scoped entries (see [Scopes](#scopes)) take the other road to
+//! the same guarantee: their key hashes everything a header step may
+//! read — the global model's
+//! [`header_fingerprint`](crate::global::GlobalModel::header_fingerprint),
+//! the config, the header text and the customer's `Wg` state under that
+//! header — and no epoch. An adaptation that changes none of these
+//! leaves the key, and the entry, valid; one that changes a header's
+//! `Wg` changes that header's key.
 //!
 //! Epochs come from one of two sources:
 //!
@@ -68,13 +77,19 @@
 //! Every step is memoized; its
 //! [`AnnotationStep::cache_scope`](crate::step::AnnotationStep::cache_scope)
 //! says what the key hashes. [`CacheScope::Column`] steps (the
-//! default) are keyed by the [`ColumnFingerprint`] above.
-//! [`CacheScope::Header`] steps — the built-in header step — read only
-//! the header text, so their key hashes just that, the config and the
-//! epoch, in a hash domain of its own: one entry serves every column
-//! with that header in every table until the next adaptation. Both
-//! kinds of entry share the LRU, the disk tier and its compaction, and
-//! both move with the epoch.
+//! default) are keyed by the [`ColumnFingerprint`] above, epoch
+//! included. [`CacheScope::Header`] steps — the built-in header step
+//! alone — read only the header text, the config, the global model's
+//! header matcher and embedder and the customer's `Wg` discount under
+//! the normalized header, so their key hashes exactly that, in a hash
+//! domain of its own: one entry serves every column with that header
+//! in every table, for every customer with the same `Wg` state under
+//! it, across epoch moves, until a feedback overrides a global
+//! prediction under that header. Both kinds of entry share the LRU, the
+//! disk tier and its compaction; header entries are tagged with the
+//! epoch they were inserted under, so compaction that keeps only live
+//! epochs may drop one that is still reachable — a cold miss later,
+//! never a wrong answer.
 //!
 //! [`CacheScope::Column`]: crate::step::CacheScope::Column
 //! [`CacheScope::Header`]: crate::step::CacheScope::Header
@@ -82,6 +97,8 @@
 //! [`SigmaTyperConfig`]: crate::config::SigmaTyperConfig
 
 use crate::config::SigmaTyperConfig;
+use crate::global::GlobalModel;
+use crate::local::LocalModel;
 use crate::prediction::{StepId, StepScores};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -542,29 +559,40 @@ pub(crate) fn recrawl_fingerprints(
 }
 
 /// Domain tag absorbed first by every header key, so a header key and
-/// a [`ColumnFingerprint`] never hash the same byte stream.
-const HEADER_KEY_DOMAIN: &str = "sigmatyper/header-scope";
+/// a [`ColumnFingerprint`] never hash the same byte stream. Renamed
+/// whenever the key's contents change, so no record written under an
+/// older scheme can match a new key.
+const HEADER_KEY_DOMAIN: &str = "sigmatyper/header-scope/wg";
 
 /// The cache identity, per column of `table`, of a
-/// [`CacheScope::Header`](crate::step::CacheScope::Header) step: the
-/// column's header text under `config` and the customer's cache
-/// `epoch`, hashed in a domain of its own. Columns with equal headers
-/// share an identity across tables, until the epoch moves.
+/// [`CacheScope::Header`](crate::step::CacheScope::Header) step: exactly
+/// what such a step may read, hashed in a domain of its own — the
+/// global model's [`header_fingerprint`](GlobalModel::header_fingerprint),
+/// the `config`, the column's raw header text, and the `Wg` state of
+/// its `normalized` header in `local`. No epoch: a column with the same
+/// header shares the identity across tables, customers and adaptation,
+/// until a feedback changes `Wg` under that header.
 pub(crate) fn header_fingerprints(
     table: &Table,
+    normalized: &[String],
+    global: &GlobalModel,
+    local: &LocalModel,
     config: &SigmaTyperConfig,
-    epoch: u64,
 ) -> Vec<ColumnFingerprint> {
     let mut base = StableHasher::new();
     base.write_str(HEADER_KEY_DOMAIN);
+    for lane in global.header_fingerprint() {
+        base.write_u64(lane);
+    }
     config.fingerprint_into(&mut base);
-    base.write_u64(epoch);
     table
         .columns()
         .iter()
-        .map(|col| {
+        .zip(normalized)
+        .map(|(col, normalized)| {
             let mut h = base.clone();
             h.write_str(&col.name);
+            local.wg_state_into(normalized, &mut h);
             ColumnFingerprint(h.finish128())
         })
         .collect()

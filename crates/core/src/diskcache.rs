@@ -773,9 +773,13 @@ impl StepCache for TieredStepCache {
     }
 }
 
+/// Length of the epoch file: one record of magic ‖ version ‖ epoch ‖
+/// checksum.
+const EPOCH_FILE_LEN: u64 = 32;
+
 fn read_epoch_file(path: &Path) -> Option<u64> {
     let bytes = fs::read(path).ok()?;
-    if bytes.len() != 32
+    if bytes.len() as u64 != EPOCH_FILE_LEN
         || bytes[..4] != EPOCH_MAGIC
         || bytes[4..8] != DISK_FORMAT_VERSION.to_le_bytes()
         || bytes[16..32] != checksum(&bytes[..16])
@@ -785,18 +789,47 @@ fn read_epoch_file(path: &Path) -> Option<u64> {
     Some(u64::from_le_bytes(bytes[8..16].try_into().ok()?))
 }
 
+/// Write `epoch`'s record over the start of the epoch file at `path`,
+/// in place, and sync the file's data. A file longer than one record is
+/// cut to one, since [`read_epoch_file`] accepts nothing else. Creating
+/// the file also syncs its directory, once, so that its name is
+/// durable; overwriting in place never changes the name again.
+///
+/// A crash mid-write can leave the new record's first bytes over the
+/// old record's last ones: the checksum then fails, and the file reads
+/// as corrupt rather than as a third epoch.
 fn write_epoch_file(path: &Path, epoch: u64) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(32);
-    buf.extend_from_slice(&EPOCH_MAGIC);
-    buf.extend_from_slice(&DISK_FORMAT_VERSION.to_le_bytes());
-    buf.extend_from_slice(&epoch.to_le_bytes());
-    let sum = checksum(&buf);
-    buf.extend_from_slice(&sum);
-    let tmp = path.with_extension("tmp");
-    let mut file = File::create(&tmp)?;
-    file.write_all(&buf)?;
+    let mut record = Vec::with_capacity(EPOCH_FILE_LEN as usize);
+    record.extend_from_slice(&EPOCH_MAGIC);
+    record.extend_from_slice(&DISK_FORMAT_VERSION.to_le_bytes());
+    record.extend_from_slice(&epoch.to_le_bytes());
+    let sum = checksum(&record);
+    record.extend_from_slice(&sum);
+    let (mut file, created) = match OpenOptions::new().write(true).open(path) {
+        Ok(file) => (file, false),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => (
+            OpenOptions::new()
+                .write(true)
+                .create(true)
+                .truncate(false)
+                .open(path)?,
+            true,
+        ),
+        Err(e) => return Err(e),
+    };
+    file.write_all(&record)?;
+    if file.metadata()?.len() > EPOCH_FILE_LEN {
+        file.set_len(EPOCH_FILE_LEN)?;
+    }
     file.sync_data()?;
-    fs::rename(&tmp, path)
+    if created {
+        let dir = path
+            .parent()
+            .filter(|p| !p.as_os_str().is_empty())
+            .unwrap_or(Path::new("."));
+        File::open(dir)?.sync_all()?;
+    }
+    Ok(())
 }
 
 /// A durable per-customer [`EpochSource`] backed by a 32-byte
@@ -811,14 +844,20 @@ fn write_epoch_file(path: &Path, epoch: u64) -> io::Result<()> {
 ///   is observed at the next annotation, invalidating that process's
 ///   view of the shared cache. The file is one sector, so this is one
 ///   cheap read compared to a cascade run.
-/// * [`advance`](EpochSource::advance) persists the new epoch
-///   (temp-file + fsync + atomic rename) *before* returning it —
-///   write-ahead, so no process can cache under an epoch that a crash
-///   would resurrect.
+/// * [`advance`](EpochSource::advance) persists the new epoch *before*
+///   returning it — write-ahead, so no process can cache under an
+///   epoch that a crash would resurrect. It overwrites the 32 bytes in
+///   place and syncs the file's data; the directory is synced once,
+///   when the file is created, since an in-place write never changes
+///   the file's name.
 ///
 /// A corrupt or unreadable file degrades safely: `current` falls back
 /// to the last known value, and a corrupt file at open reseeds from
-/// entropy (cold cache, never a stale hit).
+/// entropy (cold cache, never a stale hit), cutting a file longer than
+/// one record back to 32 bytes. A crash that tears an overwrite leaves
+/// the old record, the new one, or a mix of the two that fails the
+/// checksum — so a reopen resumes the old epoch, resumes the new one,
+/// or reseeds, and a live handle keeps its last known epoch.
 #[derive(Debug)]
 pub struct DurableEpochSource {
     path: PathBuf,
@@ -1302,6 +1341,61 @@ mod tests {
         }
         fs::write(&path, &intact).unwrap();
         assert_eq!(DurableEpochSource::open(&path).unwrap().current(), stored);
+    }
+
+    /// An advance overwrites the record in place, so a crash can leave
+    /// the new record's first bytes over the old record's last ones.
+    /// At every split point a reopen resumes the old epoch, resumes
+    /// the new one, or reseeds — writing a fresh record that the next
+    /// open resumes — and does nothing else. A reseed also cuts a file
+    /// longer than one record back to 32 bytes.
+    #[test]
+    fn torn_overwrite_resumes_old_or_new_or_reseeds() {
+        let dir = Scratch::new("epoch-overwrite");
+        let path = dir.path().join("epoch");
+        let held = DurableEpochSource::open(&path).unwrap();
+        let (old_epoch, old) = (held.current(), fs::read(&path).unwrap());
+        let new_epoch = held.advance();
+        let new = fs::read(&path).unwrap();
+        assert_eq!((old.len(), new.len()), (32, 32));
+        let mut outcomes = [0usize; 3];
+        for split in 0..=new.len() {
+            let torn: Vec<u8> = new[..split].iter().chain(&old[split..]).copied().collect();
+            fs::write(&path, &torn).unwrap();
+            let reopened = DurableEpochSource::open(&path).unwrap().current();
+            if reopened == old_epoch {
+                outcomes[0] += 1;
+                assert_eq!(fs::read(&path).unwrap(), old, "split {split}: resumed old");
+            } else if reopened == new_epoch {
+                outcomes[1] += 1;
+                assert_eq!(fs::read(&path).unwrap(), new, "split {split}: resumed new");
+            } else {
+                outcomes[2] += 1;
+                assert_ne!(
+                    fs::read(&path).unwrap(),
+                    torn,
+                    "split {split}: not rewritten"
+                );
+                assert_eq!(
+                    DurableEpochSource::open(&path).unwrap().current(),
+                    reopened,
+                    "split {split}: the reseed is persisted whole"
+                );
+            }
+        }
+        // The magic and version bytes are equal in both records, so
+        // the first splits resume the old epoch; the epoch bytes differ
+        // and only the last split's checksum matches the new one.
+        assert!(outcomes[0] > 0 && outcomes[2] > 0, "{outcomes:?}");
+        assert_eq!(outcomes[1], 1, "{outcomes:?}");
+
+        let mut long = new.clone();
+        long.extend_from_slice(b"trailing");
+        fs::write(&path, &long).unwrap();
+        let reseeded = DurableEpochSource::open(&path).unwrap().current();
+        assert_ne!(reseeded, new_epoch, "a longer file is not a record");
+        assert_eq!(fs::metadata(&path).unwrap().len(), 32);
+        assert_eq!(DurableEpochSource::open(&path).unwrap().current(), reseeded);
     }
 
     /// Corruption at every offset: each byte of a flushed 4-record

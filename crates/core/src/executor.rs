@@ -211,9 +211,10 @@ impl CascadeExecutor {
             Some(d) => d.fingerprints.to_vec(),
             None => column_fingerprints(table, &cascade.step_ids(), config, cc.epoch),
         });
-        // Keys of header-scoped steps: one short hash per header text.
+        // Keys of header-scoped steps: one short hash per header, of
+        // the header text and its `Wg` state; no epoch.
         let header_keys: Option<Vec<ColumnFingerprint>> =
-            cache.map(|cc| header_fingerprints(table, config, cc.epoch));
+            cache.map(|_| header_fingerprints(table, &normalized, global, local, config));
         let mut per_column: Vec<Vec<(StepId, StepScores)>> = vec![Vec::new(); n];
         let mut timings = Vec::with_capacity(cascade.len());
         let mut skipped: Vec<SkippedStep> = Vec::new();

@@ -1,6 +1,7 @@
 //! The global model: pretrained once, "identically deployed across all
 //! customers" (paper §1, Figure 2).
 
+use crate::cache::StableHasher;
 use crate::config::TrainingConfig;
 use crate::embedstep::{train_embedding_model, TableEmbeddingModel};
 use crate::headerstep::HeaderMatcher;
@@ -27,6 +28,45 @@ pub struct GlobalModel {
     pub global_lfs: Vec<LabelingFunction>,
     /// Step 3 model (TaBERT role) with background `unknown` class.
     pub embedding: TableEmbeddingModel,
+    /// See [`GlobalModel::header_fingerprint`].
+    header_fingerprint: [u64; 2],
+}
+
+impl GlobalModel {
+    /// A fingerprint of what the header step reads of this model
+    /// besides the header and the config: every ontology surface form
+    /// with its type id, and the embedder's state
+    /// ([`Embedder::absorb_state`]). [`train_global`] computes it once.
+    /// Equal training inputs give equal fingerprints in every process,
+    /// so the header step's cache entries survive restarts and are
+    /// shared by every customer of one global model (see
+    /// [`CacheScope::Header`](crate::step::CacheScope::Header)).
+    ///
+    /// Replacing the public `ontology`, `embedder` or `header` field
+    /// after training does not update it: give such a model a step
+    /// cache of its own.
+    #[must_use]
+    pub fn header_fingerprint(&self) -> [u64; 2] {
+        self.header_fingerprint
+    }
+}
+
+/// Domain tag of [`header_fingerprint`].
+const HEADER_MODEL_DOMAIN: &str = "sigmatyper/global-header-model";
+
+/// [`GlobalModel::header_fingerprint`] of a model with this ontology
+/// and embedder.
+fn header_fingerprint(ontology: &Ontology, embedder: &Embedder) -> [u64; 2] {
+    let mut h = StableHasher::new();
+    h.write_str(HEADER_MODEL_DOMAIN);
+    let surfaces = ontology.all_surfaces();
+    h.write_usize(surfaces.len());
+    for (surface, ty) in surfaces {
+        h.write_str(surface);
+        h.write(&ty.0.to_le_bytes());
+    }
+    embedder.absorb_state(|bytes| h.write(bytes));
+    h.finish128()
 }
 
 /// Build the token sequences the embedder trains on: for every corpus
@@ -106,6 +146,7 @@ pub fn train_global(ontology: Ontology, corpus: &Corpus, config: &TrainingConfig
         },
     );
     let header = HeaderMatcher::new(&ontology, &embedder);
+    let header_fingerprint = header_fingerprint(&ontology, &embedder);
     let kb = KnowledgeBase::builtin(&ontology);
     let bank = RegexBank::builtin(&ontology);
     let lookup = ValueLookup::new(kb, bank);
@@ -118,6 +159,7 @@ pub fn train_global(ontology: Ontology, corpus: &Corpus, config: &TrainingConfig
         lookup,
         global_lfs,
         embedding,
+        header_fingerprint,
     }
 }
 

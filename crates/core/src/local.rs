@@ -6,8 +6,9 @@
 //! weight vector: "the influence of the local model on the final
 //! prediction increases over time".
 
+use crate::cache::StableHasher;
 use crate::embedstep::TableEmbeddingModel;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use tu_dp::LabelingFunction;
 use tu_ml::Dataset;
 use tu_ontology::TypeId;
@@ -34,7 +35,10 @@ pub struct LocalModel {
     /// that one.
     pub finetuned: Option<TableEmbeddingModel>,
     feedback_counts: HashMap<TypeId, u32>,
-    overridden_counts: HashMap<(TypeId, String), u32>,
+    /// Per normalized header, how often the customer overrode a global
+    /// prediction of each type on such columns: that header's `Wg`
+    /// state, in `TypeId` order.
+    overrides: HashMap<String, BTreeMap<TypeId, u32>>,
     /// Accumulated local training examples — "the entire table with its
     /// labels is then added to the training data" — as the feature rows
     /// the finetuned model trains on, one row and label per example in
@@ -69,24 +73,47 @@ impl LocalModel {
     /// `Wg` side of Figure 2. Keying on the header keeps the discount
     /// contextual: correcting one mislabeled `id` column must not damage
     /// correct predictions of `identifier` elsewhere.
+    ///
+    /// The value depends only on the override counts recorded under
+    /// `normalized_header`, which is what lets the header step's cache
+    /// entries (see [`CacheScope::Header`](crate::step::CacheScope::Header))
+    /// outlive feedback on other headers.
     #[must_use]
     pub fn wg(&self, ty: TypeId, normalized_header: &str) -> f64 {
-        let n = f64::from(
-            self.overridden_counts
-                .get(&(ty, normalized_header.to_owned()))
-                .copied()
-                .unwrap_or(0),
-        );
-        WG_SHRINKAGE / (WG_SHRINKAGE + n)
+        let n = self
+            .overrides
+            .get(normalized_header)
+            .and_then(|counts| counts.get(&ty))
+            .copied()
+            .unwrap_or(0);
+        WG_SHRINKAGE / (WG_SHRINKAGE + f64::from(n))
     }
 
     /// Record that the customer corrected a global prediction of `ty` on
-    /// a column with this normalized header.
+    /// a column with this normalized header. This changes
+    /// [`wg`](LocalModel::wg) under this header only, so it retires the
+    /// header step's cache entries for this header and no other.
     pub fn record_override(&mut self, ty: TypeId, normalized_header: &str) {
         *self
-            .overridden_counts
-            .entry((ty, normalized_header.to_owned()))
+            .overrides
+            .entry(normalized_header.to_owned())
+            .or_default()
+            .entry(ty)
             .or_insert(0) += 1;
+    }
+
+    /// Absorb the `Wg` state of one normalized header into `h`: the
+    /// number of overridden types, then each `(type, count)` pair in
+    /// `TypeId` order. Equal states hash the same bytes and different
+    /// states different ones, so a key built on this moves exactly
+    /// when [`wg`](LocalModel::wg) changes under the header.
+    pub(crate) fn wg_state_into(&self, normalized_header: &str, h: &mut StableHasher) {
+        let counts = self.overrides.get(normalized_header);
+        h.write_usize(counts.map_or(0, BTreeMap::len));
+        for (ty, n) in counts.into_iter().flatten() {
+            h.write(&ty.0.to_le_bytes());
+            h.write(&n.to_le_bytes());
+        }
     }
 
     /// Total number of feedback events.
@@ -187,6 +214,43 @@ mod tests {
         // Contextual: same type under a different header is untouched.
         assert_eq!(m.wg(t, "key"), 1.0);
         assert_eq!(m.wg(TypeId(6), "id"), 1.0);
+    }
+
+    #[test]
+    fn wg_state_hash_moves_exactly_with_the_headers_overrides() {
+        let state = |m: &LocalModel, header: &str| {
+            let mut h = StableHasher::new();
+            m.wg_state_into(header, &mut h);
+            h.finish128()
+        };
+        let fresh = LocalModel::new();
+        let mut a = LocalModel::new();
+        a.record_override(TypeId(5), "id");
+        a.record_override(TypeId(9), "id");
+        a.record_override(TypeId(5), "key");
+        // Recorded in another order, the same counts: the same state.
+        let mut b = LocalModel::new();
+        b.record_override(TypeId(5), "key");
+        b.record_override(TypeId(9), "id");
+        b.record_override(TypeId(5), "id");
+        assert_eq!(state(&a, "id"), state(&b, "id"));
+        assert_eq!(state(&a, "key"), state(&b, "key"));
+        // An untouched header keeps the fresh state.
+        assert_eq!(state(&a, "code"), state(&fresh, "code"));
+        assert_ne!(state(&a, "id"), state(&fresh, "id"));
+        // One more override on a header moves that header's state only.
+        b.record_override(TypeId(9), "id");
+        assert_ne!(state(&a, "id"), state(&b, "id"));
+        assert_eq!(state(&a, "key"), state(&b, "key"));
+        // A count on another type is a different state, not the same
+        // number of overrides moved.
+        let mut c = LocalModel::new();
+        c.record_override(TypeId(5), "id");
+        c.record_override(TypeId(5), "id");
+        let mut d = LocalModel::new();
+        d.record_override(TypeId(5), "id");
+        d.record_override(TypeId(6), "id");
+        assert_ne!(state(&c, "id"), state(&d, "id"));
     }
 
     #[test]

@@ -177,7 +177,7 @@ pub struct StepTiming {
     /// to zero for every step while `cache_hits` absorbs the
     /// difference; a header-scoped step (see
     /// [`CacheScope`](crate::step::CacheScope)) already hits on a cold
-    /// crawl for a header text it has seen at the same epoch.
+    /// crawl for a header text it has seen under the same `Wg` state.
     pub columns: usize,
     /// Columns answered from the step cache instead of running the
     /// step (always 0 when no cache is configured).

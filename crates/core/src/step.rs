@@ -233,23 +233,35 @@ pub trait AnnotationStep: std::fmt::Debug + Send + Sync {
 /// [`StepCache`](crate::cache::StepCache) — see
 /// [`AnnotationStep::cache_scope`].
 ///
-/// Both scopes share the cache's LRU, disk tier, epoch invalidation and
-/// compaction; they differ only in what the key hashes.
+/// Both scopes share the cache's LRU, disk tier and compaction; they
+/// differ in what the key hashes, and so in what retires an entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheScope {
     /// The column's [`ColumnFingerprint`](crate::cache::ColumnFingerprint):
     /// its header and values, the rest of the table, the cascade's step
     /// order, the config and the cache epoch. Right for any
-    /// deterministic step.
+    /// deterministic step; every epoch move retires the entry.
     Column,
-    /// The column's header text, the config and the cache epoch, so
-    /// one entry serves every column with that header in any table. A
-    /// step may declare this scope only when its scores depend on
-    /// nothing else in the [`StepContext`] — no cell values, neighbors,
-    /// tentative types or `best_so_far` (the executor evaluates
-    /// [`skip`](AnnotationStep::skip) before it consults the cache).
-    /// Such steps never take the delta-reuse path: an unchanged header
-    /// is already an exact hit.
+    /// Exactly what a header step reads: the global model's
+    /// [`header_fingerprint`](crate::global::GlobalModel::header_fingerprint),
+    /// the config, the column's raw header text, and the customer's
+    /// `Wg` state under the column's normalized header — no epoch. One
+    /// entry serves every column with that header in any table, for
+    /// every customer with the same `Wg` state there, and survives
+    /// epoch moves; a feedback retires it only by changing
+    /// [`LocalModel::wg`](crate::local::LocalModel::wg) under that
+    /// header.
+    ///
+    /// So a step may declare this scope only when its scores depend on
+    /// nothing but the header text, the config, the global model's
+    /// header matcher and embedder, and `LocalModel::wg(_, normalized
+    /// header)` — no cell values, neighbors, tentative types,
+    /// `best_so_far` (the executor evaluates
+    /// [`skip`](AnnotationStep::skip) before it consults the cache),
+    /// other local state or customer ontology. The built-in
+    /// [`HeaderStep`] is the only step that declares it. Such steps
+    /// never take the delta-reuse path: an unchanged header is already
+    /// an exact hit.
     Header,
 }
 
@@ -284,12 +296,13 @@ impl AnnotationStep for HeaderStep {
         scores
     }
 
-    /// Keyed by header text: `run` reads the raw and normalized header,
-    /// the config, the global model and the customer's `Wg` discount,
-    /// and the header key covers all of them (the global model never
-    /// changes, the local model only with the cache epoch). One entry
-    /// serves every column with this header in every table until the
-    /// next adaptation, so a warm crawl runs no header matching.
+    /// Keyed by header: `run` reads the raw and normalized header, the
+    /// config, the global model's header matcher and embedder, and the
+    /// customer's `Wg` discount under the normalized header, and the
+    /// header key covers exactly those. One entry serves every column
+    /// with this header in every table, so a warm crawl runs no header
+    /// matching, and a feedback re-runs the matching only for the
+    /// header whose `Wg` it changed.
     fn cache_scope(&self) -> CacheScope {
         CacheScope::Header
     }

@@ -84,13 +84,15 @@ pub struct SigmaTyper {
     cost: Arc<CostModel>,
     /// Cache epoch: hashed into every column fingerprint and replaced
     /// by a fresh process-globally unique value on every adaptation
-    /// event, so cached scores from before an adaptation can never be
-    /// served after it. Global uniqueness (not a per-instance counter)
-    /// is what makes *sharing one cache across instances* sound: two
-    /// instances only ever hold the same epoch when one is an
-    /// unmutated clone of the other — i.e. when their models really
-    /// are identical. Any divergence (a feedback event on either side)
-    /// draws a fresh value no other instance has ever used.
+    /// event, so column-scoped scores from before an adaptation can
+    /// never be served after it (header-scoped keys hash the `Wg` state
+    /// they read instead; see [`crate::cache`]). Global uniqueness
+    /// (not a per-instance counter) is what makes *sharing one cache
+    /// across instances* sound: two instances only ever hold the same
+    /// epoch when one is an unmutated clone of the other — i.e. when
+    /// their models really are identical. Any divergence (a feedback
+    /// event on either side) draws a fresh value no other instance has
+    /// ever used.
     epoch: u64,
     /// Optional durable epoch source (see
     /// [`EpochSource`]). When present, epochs are drawn from (and
@@ -271,11 +273,14 @@ impl SigmaTyperBuilder {
     /// it before running and inserts after, making repeat crawls of
     /// unchanged tables skip most step work. Pass a shared `Arc` to
     /// let several customer instances (or a fleet of services) pool
-    /// one store's capacity — entries stay disjoint because every
-    /// instance (and every adaptation event) holds a process-globally
-    /// unique cache epoch, hashed into each fingerprint; two instances
-    /// share an epoch only while one is an unmutated clone of the
-    /// other, i.e. while their models really are identical.
+    /// one store's capacity — column-scoped entries stay disjoint
+    /// because every instance (and every adaptation event) holds a
+    /// process-globally unique cache epoch, hashed into each
+    /// fingerprint; two instances share an epoch only while one is an
+    /// unmutated clone of the other, i.e. while their models really
+    /// are identical. Header-scoped entries are shared on purpose
+    /// between instances of one global model whose `Wg` state under
+    /// the header is equal, because their header scores are too.
     #[must_use]
     pub fn step_cache(mut self, cache: Arc<dyn StepCache>) -> Self {
         self.cache = Some(cache);
@@ -445,8 +450,10 @@ impl SigmaTyper {
     /// [`SigmaTyper::cascade_mut`], and
     /// [`SigmaTyper::invalidate_cache`]. It is hashed into every
     /// column fingerprint, so a re-draw makes all previously cached
-    /// entries unreachable for this customer — and global uniqueness
-    /// keeps different instances' entries disjoint in a shared cache.
+    /// column-scoped entries unreachable for this customer — and global
+    /// uniqueness keeps different instances' entries disjoint in a
+    /// shared cache. Header-scoped entries are not keyed by it (see
+    /// [`CacheScope::Header`](crate::step::CacheScope::Header)).
     ///
     /// With a durable [`EpochSource`] installed, this re-reads the
     /// source: an advance performed by *another process* sharing the
@@ -465,10 +472,13 @@ impl SigmaTyper {
         self.epoch_source.as_ref()
     }
 
-    /// Manually invalidate this customer's cached step results — for
-    /// out-of-band changes the system cannot observe (say, a process
-    /// that mutated shared lookup data behind the `Arc`). Entries are
-    /// not freed, just unreachable; they age out of the LRU.
+    /// Manually invalidate this customer's column-scoped cached step
+    /// results — for out-of-band changes the system cannot observe
+    /// (say, a process that mutated shared lookup data behind the
+    /// `Arc`). Entries are not freed, just unreachable; they age out of
+    /// the LRU. Header-scoped entries survive: their key hashes the
+    /// global model's header fingerprint and the `Wg` state they read,
+    /// not the epoch, and nothing out of band can change either.
     pub fn invalidate_cache(&mut self) {
         self.bump_epoch();
     }
@@ -817,7 +827,9 @@ impl SigmaTyper {
             }
         }
         self.refit_local();
-        // The local model changed: retire every cached step result.
+        // The local model changed: retire every column-scoped entry.
+        // A header's entries retire only if `record_override` above
+        // changed its `Wg` state, which their key hashes.
         self.bump_epoch();
     }
 
@@ -1163,6 +1175,23 @@ mod tests {
         }
     }
 
+    /// Cache hits of the `(header, lookup, embedding)` steps of one
+    /// annotation.
+    fn step_hits(ann: &TableAnnotation) -> (usize, usize, usize) {
+        let hits = |id: StepId| {
+            ann.timings
+                .iter()
+                .filter(|t| t.step == id)
+                .map(|t| t.cache_hits)
+                .sum()
+        };
+        (
+            hits(StepId::HEADER),
+            hits(StepId::LOOKUP),
+            hits(StepId::EMBEDDING),
+        )
+    }
+
     /// `(columns run, cache hits, misses, inserts)` summed over every
     /// step of one annotation.
     fn cache_totals(ann: &TableAnnotation) -> (usize, usize, usize, usize) {
@@ -1286,18 +1315,28 @@ mod tests {
             )
             .unwrap()
         };
+        let overridden = plain.annotate(&mk(1)).columns[0].predicted;
         for s in 1..=3 {
             a.feedback(&mk(s), 0, phone, None);
         }
+        // A's first correction overrode a global prediction under
+        // "contact", so A's `Wg` state there is no longer B's.
+        assert!(a.local().wg(overridden, "contact") < 1.0);
+        assert_eq!(b.local().wg(overridden, "contact"), 1.0);
         let t = mk(9);
         // Warm the shared cache with A's adapted scores.
         let from_a = a.annotate(&t);
         assert_eq!(from_a.columns[0].predicted, phone);
         // B annotates the same table through the same cache: its
-        // epoch differs, so it misses A's entries and computes with
-        // its own (fresh) models — identical to an uncached instance.
+        // epoch differs, so its lookup and embedding steps miss A's
+        // entries, and so does its `Wg` state under "contact", so its
+        // header step misses A's adapted entry. It hits one header
+        // entry: the one A inserted when its first feedback read
+        // `mk(1)` under the fresh `Wg` state B still has, whose scores
+        // are B's own. B computes with its own (fresh) models —
+        // identical to an uncached instance.
         let from_b = b.annotate(&t);
-        assert!(from_b.timings.iter().all(|x| x.cache_hits == 0));
+        assert_eq!(step_hits(&from_b), (1, 0, 0));
         assert_same_annotation(&plain.annotate(&t), &from_b);
         assert_ne!(from_b.columns[0].predicted, phone, "sanity: B unadapted");
     }
@@ -1323,19 +1362,29 @@ mod tests {
         let t = mk(9);
         let _ = cached.annotate(&t);
         assert!(cached.annotate(&t).timings.iter().any(|x| x.cache_hits > 0));
-        // Adapt both instances identically.
+        // Adapt both instances identically. Only the first correction
+        // overrides a global prediction (and so `Wg` under "contact");
+        // the instances predict phone from then on, so the other two
+        // confirm it.
+        let overridden = plain.annotate(&mk(1)).columns[0].predicted;
         for s in 1..=3 {
+            let predicted = plain.annotate(&mk(s)).columns[0].predicted;
+            assert_eq!(predicted == phone, s > 1, "feedback {s}");
             cached.feedback(&mk(s), 0, phone, None);
             plain.feedback(&mk(s), 0, phone, None);
         }
+        assert!(cached.local().wg(overridden, "contact") < 1.0);
         // The warm cache must not serve pre-adaptation scores: the
         // post-adaptation cached result is bit-identical to the
         // uncached adapted instance, and the first post-adaptation
-        // crawl re-misses (fresh epoch → fresh fingerprints).
+        // crawl re-misses its lookup and embedding entries (fresh
+        // epoch → fresh fingerprints). Its header step hits once: the
+        // entry the third feedback's own read inserted under today's
+        // `Wg` state, not the pre-adaptation one.
         let after = cached.annotate(&t);
         assert_eq!(after.columns[0].predicted, phone);
         assert_same_annotation(&plain.annotate(&t), &after);
-        assert!(after.timings.iter().all(|x| x.cache_hits == 0));
+        assert_eq!(step_hits(&after), (1, 0, 0));
         // ... and the recrawl after that hits again.
         assert!(cached.annotate(&t).timings.iter().any(|x| x.cache_hits > 0));
     }
@@ -1343,8 +1392,8 @@ mod tests {
     /// The header step's entries are keyed by header text: a second
     /// table sharing a header with the first hits them, a renamed
     /// header misses, and feedback that discounts the header's type
-    /// (`Wg`) moves the epoch, so the next read misses and answers as
-    /// an uncached adapted typer does.
+    /// (`Wg`) changes that header's key, so the next read misses it —
+    /// and only it — and answers as an uncached adapted typer does.
     #[test]
     fn header_step_entries_are_keyed_by_header_text() {
         let mut cached = SigmaTyper::builder(shared_global()).cached(4096).build();
@@ -1392,7 +1441,13 @@ mod tests {
         plain.feedback(&first, 0, age, None);
         assert!(cached.local().wg(salary, "salary") < wg, "Wg moved");
         let adapted = cached.annotate(&second);
-        assert_eq!(header(&adapted), (2, 0, 2), "a new epoch misses");
+        assert_eq!(
+            header(&adapted),
+            (1, 1, 1),
+            "the discounted header misses, its neighbor hits"
+        );
+        let (_, lookup_hits, embedding_hits) = step_hits(&adapted);
+        assert_eq!((lookup_hits, embedding_hits), (0, 0), "a new epoch misses");
         assert_same_annotation(&plain.annotate(&second), &adapted);
         assert_ne!(
             adapted.columns[0].step_scores[0].candidates,

@@ -87,6 +87,27 @@ impl Embedder {
         self.vocab.len()
     }
 
+    /// Feed everything that decides this embedder's vectors to
+    /// `absorb`, as little-endian bytes: the dimension, the n-gram
+    /// range, the subword weight, then each vocabulary word
+    /// (length-prefixed) with its trained vector, in vocabulary order.
+    /// Embedders that feed equal bytes embed every phrase identically,
+    /// so a hash of these bytes can stand for the embedder in a cache
+    /// key.
+    pub fn absorb_state(&self, mut absorb: impl FnMut(&[u8])) {
+        for n in [self.dim, self.ngram_lo, self.ngram_hi, self.vocab.len()] {
+            absorb(&(n as u64).to_le_bytes());
+        }
+        absorb(&self.subword_weight.to_bits().to_le_bytes());
+        for (idx, word) in self.vocab.tokens().iter().enumerate() {
+            absorb(&(word.len() as u64).to_le_bytes());
+            absorb(word.as_bytes());
+            for x in self.model.vector(idx) {
+                absorb(&x.to_bits().to_le_bytes());
+            }
+        }
+    }
+
     /// Mean of the hash vectors of `word`'s character n-grams (sizes
     /// `ngram_lo..=ngram_hi`, FastText's `<`/`>` padding, each character
     /// lowercased) into `out`. Each n-gram's UTF-8 bytes are hashed in
@@ -299,5 +320,30 @@ mod tests {
         let u = Embedder::untrained(8);
         assert_eq!(u.vocab_len(), 0);
         assert_eq!(u.dim(), 8);
+    }
+
+    #[test]
+    fn absorbed_state_is_deterministic_and_tells_embedders_apart() {
+        let state = |e: &Embedder| {
+            let mut bytes = Vec::new();
+            e.absorb_state(|b| bytes.extend_from_slice(b));
+            bytes
+        };
+        let seqs = vec![vec!["salary".to_string(), "income".to_string()]; 40];
+        let with_seed = |seed| {
+            Embedder::train(
+                &seqs,
+                &SkipGramConfig {
+                    seed,
+                    ..SkipGramConfig::default()
+                },
+            )
+        };
+        assert_eq!(state(&with_seed(1)), state(&with_seed(1)));
+        assert_ne!(state(&with_seed(1)), state(&with_seed(2)));
+        assert_ne!(
+            state(&Embedder::untrained(8)),
+            state(&Embedder::untrained(16))
+        );
     }
 }

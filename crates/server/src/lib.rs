@@ -49,7 +49,9 @@
 //!   `/metrics`, and pops the next job.
 //! * **Feedback**: `POST /feedback` takes the service write lock,
 //!   runs the paper's adaptation loop, and bumps the epoch — connected
-//!   clients observe the invalidation on their next request. A panic
+//!   clients observe the invalidation on their next request: lookup and
+//!   embedding entries all miss, header entries only under a header
+//!   whose `Wg` the correction changed. A panic
 //!   inside the loop answers `500` and is counted in `/metrics`
 //!   `panics` too.
 //! * **Graceful shutdown** ([`AnnotationServer::shutdown`]): stop
@@ -64,7 +66,7 @@
 //! |--------|-------------------|---------------|
 //! | POST   | `/annotate`       | `{"table": …, "options"?: …}` → one outcome |
 //! | POST   | `/annotate_batch` | `{"tables": […], "options"?: …}` → outcomes in order |
-//! | POST   | `/feedback`       | `{"table": …, "col_idx": n, "type": "name"}` → adaptation + epoch bump |
+//! | POST   | `/feedback`       | `{"table": …, "col_idx": n, "type": "name"}` → adaptation + epoch bump (header entries survive unless their `Wg` changed) |
 //! | GET    | `/metrics`        | queue depth, in-flight, panics, per-lane spend/shed, per-tenant counters, cache stats + delta |
 //! | GET    | `/healthz`        | liveness |
 //! | POST   | `/shutdown`       | request graceful drain (for operators/CI) |
@@ -443,7 +445,10 @@ fn handle_annotate_batch(state: &ServerState, req: &Request) -> Response {
 /// `POST /feedback`: the paper's adaptation loop over HTTP. Takes the
 /// service write lock (adaptation is single-writer by design), so it
 /// serializes against in-flight annotates; the epoch bump it performs
-/// invalidates stale cache entries for every subsequent request. A
+/// retires every column-scoped cache entry for every subsequent
+/// request, and the header step's entries retire only under the header
+/// whose `Wg` state the correction changed, since their key hashes
+/// that state instead of the epoch. A
 /// step that panics inside the loop costs this request only: it gets
 /// the JSON `500`, `/metrics` counts it in `panics`, and the epoch
 /// still moves on, since the loop may have changed the local model

@@ -1,13 +1,13 @@
 //! Caching repeat crawls: attach the fingerprint-keyed step cache,
 //! crawl a warehouse twice, and watch the warm pass run no step at
 //! all — then adapt the customer and watch the epoch invalidate the
-//! cache.
+//! lookup and embedding entries while the header entries survive.
 //!
 //! ```text
 //! cargo run --release --example cached_recrawl
 //! ```
 
-use sigmatyper::{train_global, AnnotationService, SigmaTyperConfig, TrainingConfig};
+use sigmatyper::{train_global, AnnotationService, SigmaTyperConfig, StepId, TrainingConfig};
 use tu_corpus::{generate_corpus, CorpusConfig};
 use tu_ontology::{builtin_id, builtin_ontology};
 use tu_table::{Column, Table};
@@ -71,9 +71,12 @@ fn main() {
     assert!(drift_runs > 0 && drift_hits > 0);
 
     // Adaptation invalidates: after feedback, the customer's epoch
-    // changes, every fingerprint moves, and the next crawl recomputes
-    // with the adapted models — a warm cache can never serve scores
-    // from before the correction.
+    // changes, every column fingerprint moves, and the next crawl
+    // re-runs the lookup and embedding steps with the adapted models —
+    // a warm cache can never serve their scores from before the
+    // correction. Header entries are keyed by the header's `Wg` state
+    // instead of the epoch, so the header step matches again only
+    // under a header whose `Wg` the correction changed.
     let o = service.typer().ontology().clone();
     let epoch_before = service.typer().cache_epoch();
     let correction = warehouse[1].clone();
@@ -85,8 +88,17 @@ fn main() {
         epoch_before,
         service.typer().cache_epoch()
     );
-    let (post_runs, post_hits) = counts(&service.annotate_batch(&warehouse));
-    println!("crawl 4 (adapted): {post_runs:>4} step-columns run, {post_hits:>4} cache hits");
+    let post = service.annotate_batch(&warehouse);
+    let (post_runs, post_hits) = counts(&post);
+    let header_runs: usize = post
+        .iter()
+        .flat_map(|a| a.timings.iter())
+        .filter(|t| t.step == StepId::HEADER)
+        .map(|t| t.columns)
+        .sum();
+    println!(
+        "crawl 4 (adapted): {post_runs:>4} step-columns run ({header_runs} header matches), {post_hits:>4} cache hits"
+    );
     assert!(post_runs > 0, "adaptation must invalidate cached scores");
     let (rewarm_runs, rewarm_hits) = counts(&service.annotate_batch(&warehouse));
     println!("crawl 5 (re-warm): {rewarm_runs:>4} step-columns run, {rewarm_hits:>4} cache hits");

@@ -7,7 +7,7 @@
 //! fresh `SigmaTyper` over the same cache directory), and watch the
 //! new process recrawl without running a single step — then
 //! adapt the customer and watch the *durable* epoch invalidate the
-//! on-disk entries for every future process.
+//! on-disk lookup and embedding entries for every future process.
 //!
 //! ```text
 //! cargo run --release --example persistent_recrawl
@@ -86,9 +86,11 @@ fn main() {
     );
     drop(typer);
 
-    // Process 3 resumes the advanced epoch: the old entries are
-    // unreachable, the crawl re-runs with the adapted models, and a
-    // compaction pass reclaims the dead bytes.
+    // Process 3 resumes the advanced epoch: the old lookup and
+    // embedding entries are unreachable and re-run, and a compaction
+    // pass reclaims the dead bytes. The local model is not persisted,
+    // so process 3's `Wg` state is a fresh one — the state process 1
+    // wrote its header entries under, which therefore still serve.
     let typer = start_process(global, &dir);
     let adapted: Vec<_> = warehouse.iter().map(|t| typer.annotate(t)).collect();
     let (adapted_runs, adapted_hits) = counts(&adapted);

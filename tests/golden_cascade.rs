@@ -511,6 +511,96 @@ fn adaptation_invalidates_warm_cache_entries() {
     assert!(rewarm > 0, "post-adaptation recrawl must hit again");
 }
 
+#[test]
+fn interleaved_reads_and_feedback_match_the_uncached_replay() {
+    // One cached customer reads a corpus through one cache between
+    // corrections, in lockstep with an uncached one. Header entries are
+    // keyed by the header's `Wg` state, not by the epoch, so they
+    // outlive the epoch move of every feedback except under the header
+    // it overrides: after each event every read must still match the
+    // uncached replay bit for bit, and hit the header entries of every
+    // header the feedback left alone.
+    let o = builtin_ontology();
+    let mut cfg = CorpusConfig::database_like(0x1EAF, 8);
+    cfg.opaque_header_rate = 0.45;
+    cfg.ood_column_rate = 0.2;
+    cfg.params = tu_corpus::GenParams::shifted(0.2);
+    let corpus = generate_corpus(&o, &cfg);
+    let mut cached = SigmaTyper::builder(global()).cached(1 << 15).build();
+    let mut plain = SigmaTyper::builder(global()).build();
+    // Header cache hits of one read of the whole corpus.
+    let read_all = |cached: &SigmaTyper, plain: &SigmaTyper| -> usize {
+        let mut hits = 0;
+        for at in &corpus.tables {
+            let got = cached.annotate(&at.table);
+            assert_same_annotation(&plain.annotate(&at.table), &got);
+            hits += got
+                .timings
+                .iter()
+                .filter(|t| t.step == StepId::HEADER)
+                .map(|t| t.cache_hits)
+                .sum::<usize>();
+        }
+        hits
+    };
+    let normalized: Vec<String> = corpus
+        .tables
+        .iter()
+        .flat_map(|at| at.table.headers())
+        .map(tu_text::normalize_header)
+        .collect();
+    let _ = read_all(&cached, &plain);
+
+    // Even events confirm a prediction; odd events relabel a column
+    // predicted under an informative header to another type, which
+    // overrides that prediction and changes `Wg` under its header.
+    let (age, city) = (builtin_id(&o, "age"), builtin_id(&o, "city"));
+    let (mut overrides, mut confirmations) = (0, 0);
+    for event in 0..10 {
+        let at = &corpus.tables[event % corpus.tables.len()];
+        let predicted = plain.annotate(&at.table);
+        let n = at.table.n_cols();
+        let Some(col) = (0..n).map(|k| (event + k) % n).find(|&c| {
+            let header = tu_text::normalize_header(at.table.headers()[c]);
+            !predicted.columns[c].predicted.is_unknown()
+                && !tu_dp::infer::is_generic_header(&header)
+        }) else {
+            continue;
+        };
+        let header = tu_text::normalize_header(at.table.headers()[col]);
+        let previous = predicted.columns[col].predicted;
+        let ty = match event % 2 {
+            0 => previous,
+            _ if previous == age => city,
+            _ => age,
+        };
+        let wg = plain.local().wg(previous, &header);
+        cached.feedback(&at.table, col, ty, None);
+        plain.feedback(&at.table, col, ty, None);
+        let hits = read_all(&cached, &plain);
+        if ty != previous {
+            // Every column under another header hits the entry the
+            // previous read wrote; the overridden header misses at
+            // least once, since nothing was written under its new
+            // state.
+            assert!(plain.local().wg(previous, &header) < wg, "event {event}");
+            overrides += 1;
+            let kept = normalized.iter().filter(|h| **h != header).count();
+            assert!(
+                (kept..normalized.len()).contains(&hits),
+                "event {event}: {hits} header hits, {kept} headers kept"
+            );
+        } else {
+            confirmations += 1;
+            assert_eq!(hits, normalized.len(), "event {event}: a confirmation");
+        }
+    }
+    assert!(
+        overrides > 0 && confirmations > 0,
+        "the replay must both override and confirm: {overrides} and {confirmations}"
+    );
+}
+
 // ---- Column-parallel equivalence ---------------------------------------
 //
 // The CascadeExecutor may chunk a step's pending-column frontier across

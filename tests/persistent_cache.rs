@@ -13,8 +13,9 @@
 //! * a truncated segment file degrades to a *cold* cache — correct
 //!   answers, never garbage, never a panic;
 //! * an adaptation in one instance advances the durable epoch, so a
-//!   second instance sharing the directory refuses every entry the
-//!   first one wrote.
+//!   second instance sharing the directory refuses every lookup and
+//!   embedding entry the first one wrote, and reads only the header
+//!   entries written under its own `Wg` state.
 //!
 //! The companion `persistent_cache_procs.rs` repeats the round-trip
 //! across two real OS processes in CI.
@@ -101,7 +102,7 @@ fn counts(anns: &[TableAnnotation]) -> Counts {
 
 /// Header columns − distinct header texts: the header hits of a
 /// sequential cold crawl, each on an entry an earlier table of the
-/// same crawl inserted at the same epoch.
+/// same crawl inserted under the same `Wg` state.
 fn repeated_headers(tables: &[Table]) -> usize {
     let distinct: HashSet<&str> = tables.iter().flat_map(Table::headers).collect();
     tables.iter().map(Table::n_cols).sum::<usize>() - distinct.len()
@@ -259,8 +260,12 @@ fn adaptation_in_one_process_invalidates_entries_read_by_another() {
     };
 
     // Process B starts later over the same directory. It resumes the
-    // *advanced* epoch, so every fingerprint moves and nothing A wrote
-    // before the correction can be served.
+    // *advanced* epoch, so every column fingerprint moves and no
+    // lookup or embedding score A wrote can be served. B's local model
+    // is a fresh one, so its `Wg` state under every header is the one
+    // A's crawl wrote its header entries under: every header column
+    // hits one of those, and B answers what an uncached fresh customer
+    // answers.
     let typer = open_typer(&scratch.0);
     assert_ne!(
         typer.cache_epoch(),
@@ -268,9 +273,18 @@ fn adaptation_in_one_process_invalidates_entries_read_by_another() {
         "the durable epoch carried the adaptation across processes"
     );
     let anns: Vec<TableAnnotation> = tables.iter().map(|t| typer.annotate(t)).collect();
-    // No pre-correction score may be served: the recrawl is cold, its
-    // only hits header entries it inserted itself at the new epoch.
-    assert_cold(&counts(&anns), &tables);
+    let bare = SigmaTyper::new(global(), SigmaTyperConfig::default());
+    for (got, table) in anns.iter().zip(&tables) {
+        assert_identical(got, &bare.annotate(table));
+    }
+    let c = counts(&anns);
+    assert!(c.runs > 0, "lookup and embedding must run again");
+    assert_eq!(c.other_hits, 0, "no lookup or embedding entry survives");
+    assert_eq!(
+        c.header_hits,
+        tables.iter().map(Table::n_cols).sum::<usize>(),
+        "every header entry A wrote is still B's"
+    );
 
     // Compaction under the live epoch reclaims A's unreachable
     // entries while keeping B's fresh ones. Dropping the typer first

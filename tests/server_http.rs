@@ -524,15 +524,58 @@ fn feedback_bumps_epoch_and_invalidates_the_warm_cache() {
         "feedback must bump the epoch ({epoch_before} -> {epoch_after})"
     );
 
-    // The same table recomputes now — misses, not hits.
+    // The exact cache traffic of one post-feedback read, from the
+    // uncached adapted mirror: every lookup and embedding column misses
+    // (their keys hash the epoch), and a header column misses only
+    // under the header whose `Wg` state the feedback changed (header
+    // keys hash that state instead of the epoch).
+    let corrected = tu_text::normalize_header(&table.columns()[0].name);
+    let overridden = before.annotate(&wire_table(table)).columns[0].predicted;
+    assert!(
+        adapted.local().wg(overridden, &corrected) < 1.0,
+        "the feedback overrides a global prediction under its header"
+    );
+    let expected_traffic = |t: &Table| -> (u64, u64) {
+        let t = wire_table(t);
+        let header_misses = t
+            .headers()
+            .iter()
+            .filter(|h| tu_text::normalize_header(h) == corrected)
+            .count();
+        let tail_misses: usize = adapted
+            .annotate(&t)
+            .columns
+            .iter()
+            .map(|c| c.steps_run.iter().filter(|&&s| s != StepId::HEADER).count())
+            .sum();
+        (
+            (t.n_cols() - header_misses) as u64,
+            (header_misses + tail_misses) as u64,
+        )
+    };
+
+    // The same table recomputes now: its lookup and embedding steps
+    // miss, and it answers what the adapted customer answers. Scraping
+    // first leaves the feedback's own read out of the delta.
+    scrape(&mut client);
     let third = client
         .post_json("/annotate", &annotate_body(table), &[])
         .expect("post-feedback annotate");
     assert_eq!(third.status, 200);
+    assert_eq!(normalize_body(&third.body_str()), direct(&adapted, table));
     let after = scrape(&mut client);
+    let (hits, misses) = expected_traffic(table);
     assert!(
         cache_field(&after, "cache_delta", "misses") > 0,
         "post-feedback annotate must miss the invalidated cache: {after}"
+    );
+    assert_eq!(
+        (
+            cache_field(&after, "cache_delta", "hits"),
+            cache_field(&after, "cache_delta", "misses")
+        ),
+        (hits, misses),
+        "post-feedback annotate hits exactly the surviving header entries: {after}"
     );
     assert_eq!(
         after.get("epoch").and_then(Json::as_u64),
@@ -541,9 +584,11 @@ fn feedback_bumps_epoch_and_invalidates_the_warm_cache() {
     );
 
     // A batch after the adaptation runs on the adapted model: the
-    // second table misses everywhere (its entries are keyed under the
-    // old epoch), and the batch answers what the adapted customer
-    // answers — as does a single annotate, now served from the cache.
+    // second table misses every lookup and embedding entry (keyed
+    // under the old epoch) and hits only the header entries whose `Wg`
+    // state the feedback left alone, and the batch answers what the
+    // adapted customer answers — as does a single annotate, now served
+    // from the cache.
     let batch = client
         .post_json(
             "/annotate_batch",
@@ -558,9 +603,12 @@ fn feedback_bumps_epoch_and_invalidates_the_warm_cache() {
         "post-feedback batch must recompute: {after_batch}"
     );
     assert_eq!(
-        cache_field(&after_batch, "cache_delta", "hits"),
-        0,
-        "post-feedback batch must not read the old epoch's entries: {after_batch}"
+        (
+            cache_field(&after_batch, "cache_delta", "hits"),
+            cache_field(&after_batch, "cache_delta", "misses")
+        ),
+        expected_traffic(other),
+        "post-feedback batch must read no old-epoch lookup or embedding entry: {after_batch}"
     );
     let batch_json = Json::parse(&batch.body_str()).expect("batch json");
     let batch_outcome = &batch_json
