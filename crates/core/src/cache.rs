@@ -52,7 +52,7 @@
 //!   processes with overwhelming probability. Several customer
 //!   instances — even in different processes pooling one external
 //!   cache — never share an epoch, so their entries never collide.
-//! * **Durable**: an [`EpochSource`] such as
+//! * **Durable**: a
 //!   [`DurableEpochSource`](crate::diskcache::DurableEpochSource),
 //!   which persists the customer's epoch in a small write-ahead file.
 //!   A restarted process resumes the *same* epoch (so a persistent
@@ -85,11 +85,11 @@
 //! domain of its own: one entry serves every column with that header
 //! in every table, for every customer with the same `Wg` state under
 //! it, across epoch moves, until a feedback overrides a global
-//! prediction under that header. Both kinds of entry share the LRU, the
-//! disk tier and its compaction; header entries are tagged with the
-//! epoch they were inserted under, so compaction that keeps only live
-//! epochs may drop one that is still reachable — a cold miss later,
-//! never a wrong answer.
+//! prediction under that header. Both kinds of entry share the LRU and
+//! the disk tier. The executor tags each insert with the epoch that
+//! retires it (see [`StepCache::insert`]): column entries with the
+//! epoch their key hashes, header entries with none, so disk-tier
+//! compaction drops dead column entries and keeps every header entry.
 //!
 //! [`CacheScope::Column`]: crate::step::CacheScope::Column
 //! [`CacheScope::Header`]: crate::step::CacheScope::Header
@@ -612,7 +612,17 @@ pub trait StepCache: std::fmt::Debug + Send + Sync {
     fn get(&self, key: &CacheKey) -> Option<StepScores>;
 
     /// Store the scores for `key` (replacing any previous entry).
-    fn insert(&self, key: CacheKey, scores: StepScores);
+    /// `epoch` says which cache epoch retires the entry: `Some(e)` when
+    /// the key hashes epoch `e` (a [`CacheScope::Column`] entry, dead
+    /// once `e` is), `None` when it hashes no epoch (a
+    /// [`CacheScope::Header`] entry, which no epoch move retires).
+    /// Persistent backends record the tag so compaction drops only
+    /// entries of dead epochs; in-memory backends may ignore it —
+    /// unreachable entries age out of a bounded store on their own.
+    ///
+    /// [`CacheScope::Column`]: crate::step::CacheScope::Column
+    /// [`CacheScope::Header`]: crate::step::CacheScope::Header
+    fn insert(&self, key: CacheKey, scores: StepScores, epoch: Option<u64>);
 
     /// Number of entries currently stored.
     fn len(&self) -> usize;
@@ -637,48 +647,12 @@ pub trait StepCache: std::fmt::Debug + Send + Sync {
         }
     }
 
-    /// Store the scores for `key`, recording the cache `epoch` they
-    /// were computed under. Persistent backends use the epoch for
-    /// compaction (entries from unreachable epochs can be dropped);
-    /// purely in-memory backends may ignore it — unreachable entries
-    /// age out of a bounded store on their own. Defaults to plain
-    /// [`insert`](StepCache::insert).
-    fn insert_with_epoch(&self, key: CacheKey, scores: StepScores, epoch: u64) {
-        let _ = epoch;
-        self.insert(key, scores);
-    }
-
     /// Flush buffered state to durable storage. In-memory backends
     /// have nothing to do; persistent ones override this to make prior
     /// inserts visible to a later (or concurrent) process.
     fn flush(&self) -> std::io::Result<()> {
         Ok(())
     }
-}
-
-/// A source of cache epochs for one customer instance.
-///
-/// The default (no source installed) is an ephemeral process-global
-/// counter: unique epochs, but a restarted process cannot resume its
-/// predecessor's epoch, so a persistent cache tier would come up cold.
-/// A durable source (see
-/// [`DurableEpochSource`](crate::diskcache::DurableEpochSource))
-/// persists the epoch so restarts stay warm and adaptation in one
-/// process invalidates cached entries read by another.
-///
-/// Contract: [`advance`](EpochSource::advance) must make the new epoch
-/// durable *before* returning it (write-ahead), and
-/// [`current`](EpochSource::current) must observe the latest advanced
-/// epoch, including advances performed by other processes sharing the
-/// source's backing store. Adaptation is single-writer per customer
-/// (a `SigmaTyper` mutates through `&mut self`), so concurrent
-/// `advance` calls on one customer's source are out of contract.
-pub trait EpochSource: std::fmt::Debug + Send + Sync {
-    /// The current epoch — the one new fingerprints should hash.
-    fn current(&self) -> u64;
-
-    /// Durably advance to a fresh epoch and return it.
-    fn advance(&self) -> u64;
 }
 
 /// A borrowed cache plus the epoch to fingerprint with — what
@@ -740,7 +714,7 @@ impl CacheStats {
     /// use tu_ontology::TypeId;
     /// let cache = ShardedLruCache::new(64);
     /// let scores = StepScores::from_candidates(vec![Candidate { ty: TypeId(1), confidence: 0.9 }]);
-    /// cache.insert(CacheKey::from_raw([1, 2]), scores);
+    /// cache.insert(CacheKey::from_raw([1, 2]), scores, None);
     /// let before = cache.stats();
     /// // ... annotate a batch ...
     /// let batch = cache.stats().since(&before);
@@ -957,7 +931,7 @@ impl StepCache for ShardedLruCache {
         found
     }
 
-    fn insert(&self, key: CacheKey, scores: StepScores) {
+    fn insert(&self, key: CacheKey, scores: StepScores, _epoch: Option<u64>) {
         let evicted = Self::lock(self.shard(&key)).insert(key, scores);
         self.inserts.fetch_add(1, Ordering::Relaxed);
         if evicted {
@@ -1256,10 +1230,10 @@ mod tests {
         let cache = ShardedLruCache::new(64);
         assert!(cache.is_empty());
         assert_eq!(cache.get(&key(1)), None);
-        cache.insert(key(1), scores(0.5));
+        cache.insert(key(1), scores(0.5), None);
         assert_eq!(cache.get(&key(1)).unwrap().best_confidence(), 0.5);
         // Replacement keeps one entry.
-        cache.insert(key(1), scores(0.7));
+        cache.insert(key(1), scores(0.7), None);
         assert_eq!(cache.get(&key(1)).unwrap().best_confidence(), 0.7);
         assert_eq!(cache.len(), 1);
         let s = cache.stats();
@@ -1281,11 +1255,11 @@ mod tests {
         let cache = ShardedLruCache::with_shards(3, 1);
         assert_eq!(cache.capacity(), 3);
         for n in 0..3 {
-            cache.insert(key(n), scores(0.1));
+            cache.insert(key(n), scores(0.1), None);
         }
         // Touch 0 so 1 becomes the LRU entry.
         assert!(cache.get(&key(0)).is_some());
-        cache.insert(key(3), scores(0.2));
+        cache.insert(key(3), scores(0.2), None);
         assert_eq!(cache.len(), 3);
         assert!(cache.get(&key(1)).is_none(), "LRU entry must be evicted");
         assert!(cache.get(&key(0)).is_some());
@@ -1298,7 +1272,7 @@ mod tests {
     fn tiny_capacities_round_up_to_one_per_shard() {
         let cache = ShardedLruCache::with_shards(0, 4);
         assert_eq!(cache.capacity(), 4);
-        cache.insert(key(1), scores(0.5));
+        cache.insert(key(1), scores(0.5), None);
         assert_eq!(cache.get(&key(1)).unwrap().best_confidence(), 0.5);
         // Shard counts round up to a power of two.
         let cache = ShardedLruCache::with_shards(100, 3);
@@ -1314,14 +1288,14 @@ mod tests {
             fn get(&self, _: &CacheKey) -> Option<StepScores> {
                 None
             }
-            fn insert(&self, _: CacheKey, _: StepScores) {}
+            fn insert(&self, _: CacheKey, _: StepScores, _: Option<u64>) {}
             fn len(&self) -> usize {
                 0
             }
             fn clear(&self) {}
         }
         let c = NullCache;
-        c.insert_with_epoch(key(1), scores(0.5), 7);
+        c.insert(key(1), scores(0.5), Some(7));
         assert!(c.flush().is_ok());
         assert_eq!(c.stats().entries, 0);
     }
@@ -1339,7 +1313,7 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..200u64 {
                         let k = key(t * 1000 + i);
-                        cache.insert(k, scores(0.25));
+                        cache.insert(k, scores(0.25), None);
                         assert_eq!(cache.get(&k).map(|s| s.best_confidence()), Some(0.25));
                     }
                 });

@@ -6,21 +6,20 @@
 //! *across* crawler restarts, not within one. This module provides the
 //! out-of-process tier:
 //!
-//! * [`DiskCache`] — an append-only set of segment files of
-//!   `CacheKey → StepScores` records keyed by the cross-run-stable
-//!   128-bit fingerprints of [`crate::cache`]. Each segment carries a
+//! * [`DiskCache`] — one append-only segment file, `<dir>/cache.seg`,
+//!   of `CacheKey → StepScores` records keyed by the cross-run-stable
+//!   128-bit fingerprints of [`crate::cache`]. The segment carries a
 //!   versioned header and a per-record checksum; a torn or corrupt
 //!   tail is truncated at open (cold, never wrong), and a segment
 //!   written by a different [`DISK_FORMAT_VERSION`] is discarded
 //!   entirely.
 //! * [`TieredStepCache`] — the sharded LRU as L1 in front of a
 //!   [`DiskCache`] L2, promoting disk hits into memory.
-//! * [`DurableEpochSource`] — a small write-ahead epoch file backing
-//!   [`EpochSource`]: a restarted [`SigmaTyper`] resumes its
-//!   predecessor's epoch (so the disk tier comes up warm), and an
-//!   adaptation in one process durably advances the epoch *before*
-//!   using it, invalidating the stale entries for every process
-//!   sharing the file.
+//! * [`DurableEpochSource`] — a small write-ahead epoch file: a
+//!   restarted [`SigmaTyper`] resumes its predecessor's epoch (so the
+//!   disk tier comes up warm), and an adaptation in one process
+//!   durably advances the epoch *before* using it, invalidating the
+//!   stale entries for every process sharing the file.
 //!
 //! # Segment format (version 2)
 //!
@@ -34,31 +33,29 @@
 //! `checksum` is [`StableHasher::finish128`] over the payload, both
 //! lanes little-endian. Scores round-trip by bit pattern
 //! (`f64::to_bits`/`from_bits`), preserving the golden-equivalence
-//! contract: a disk hit is byte-identical to the insert.
+//! contract: a disk hit is byte-identical to the insert. `epoch` is
+//! the insert's tag (see [`StepCache::insert`]); an untagged record
+//! stores `u64::MAX`.
 //!
 //! Records only append; a key overwritten later simply wins in the
 //! in-memory index (rebuilt at open by scanning forward).
 //!
-//! # Segment rotation
+//! # Compaction
 //!
-//! Writes land in the **active** segment (`cache.seg`). When it grows
-//! past the size limit it is sealed — synced, renamed to
-//! `cache-<seq>.seg` — and a fresh active segment starts, so no single
-//! file grows without bound and sealed segments become immutable (and
-//! safely skippable by backup/rsync once copied). Open discovers the
-//! rolled segments, scans them oldest-first, then scans the active
-//! segment last, so "latest wins" holds across the whole set. The
-//! [`compact`](DiskCache::compact) pass merges *all* segments into one
-//! fresh active segment keeping only entries whose recorded epoch is
-//! still reachable, reclaiming space from superseded keys and
-//! adapted-away epochs; the rolled files are deleted before the merged
-//! segment replaces the active one, so a crash midway is cold, never
-//! stale.
+//! [`compact`](DiskCache::compact) rewrites the segment keeping the
+//! latest record of each key that is untagged or tagged with a live
+//! epoch. It writes `cache.seg.tmp`, syncs it, and renames it over
+//! `cache.seg`, so a crash leaves the old segment or the merged one:
+//! every key reads its last insert or nothing. Open ignores a leftover
+//! temp file, and the next compaction truncates it. Open reads
+//! `cache.seg` alone; a `cache-<seq>.seg` file rolled by an older build
+//! holds only records older than every record in `cache.seg`, so
+//! skipping it is cold, never stale, and it may be deleted.
 //!
 //! [`ShardedLruCache`]: crate::cache::ShardedLruCache
 //! [`SigmaTyper`]: crate::system::SigmaTyper
 
-use crate::cache::{CacheKey, CacheStats, EpochSource, ShardedLruCache, StableHasher, StepCache};
+use crate::cache::{CacheKey, CacheStats, ShardedLruCache, StableHasher, StepCache};
 use crate::prediction::{Candidate, StepScores};
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
@@ -81,12 +78,6 @@ use tu_ontology::TypeId;
 /// hold keys no v2 process can ever look up, so they restart cold.
 pub const DISK_FORMAT_VERSION: u32 = 2;
 
-/// Default size limit of the active segment before it rolls (see the
-/// module docs on segment rotation). Deployments with other churn
-/// profiles pick their own limit through
-/// [`DiskCache::open_with_segment_limit`].
-pub const DEFAULT_MAX_SEGMENT_BYTES: u64 = 64 << 20;
-
 const SEGMENT_MAGIC: [u8; 4] = *b"SGTC";
 const EPOCH_MAGIC: [u8; 4] = *b"SGTE";
 /// Segment header: magic ‖ version ‖ 8 reserved bytes.
@@ -99,10 +90,11 @@ const CANDIDATE_LEN: usize = 10;
 /// (possibly corrupt) segment.
 const MAX_PAYLOAD: usize = 16 << 20;
 
-/// Epoch recorded by epoch-less [`StepCache::insert`] calls: "written
-/// outside any known epoch". [`DiskCache::compact`] keeps such entries
-/// only when this sentinel is explicitly listed as live.
-pub const UNKNOWN_EPOCH: u64 = u64::MAX;
+/// Epoch field of an untagged record (an insert with `epoch: None`),
+/// on disk and in the index. [`DiskCache::compact`] keeps such records
+/// whatever epochs are live. A tag of `u64::MAX` itself reads back as
+/// untagged; epoch sources start below 2⁶³, so none reaches it.
+const UNTAGGED: u64 = u64::MAX;
 
 fn checksum(payload: &[u8]) -> [u8; 16] {
     let mut h = StableHasher::new();
@@ -168,12 +160,10 @@ fn write_header(file: &mut File) -> io::Result<()> {
 
 #[derive(Debug, Clone, Copy)]
 struct IndexEntry {
-    /// Which segment holds the record: an index into
-    /// [`DiskInner::segments`] (the active segment is always last).
-    segment: u32,
-    /// Offset of the record's `payload_len` field in its segment.
+    /// Offset of the record's `payload_len` field in the segment.
     offset: u64,
     payload_len: u32,
+    /// The record's epoch tag, or [`UNTAGGED`].
     epoch: u64,
 }
 
@@ -183,56 +173,31 @@ impl IndexEntry {
     }
 }
 
-/// One open segment file plus its current path (the path changes when
-/// the active segment is sealed and renamed — the handle survives the
-/// rename).
-#[derive(Debug)]
-struct Segment {
-    file: File,
-    path: PathBuf,
-}
-
 #[derive(Debug)]
 struct DiskInner {
-    /// Rolled segments oldest-first, then the active segment last.
-    segments: Vec<Segment>,
+    file: File,
     index: HashMap<CacheKey, IndexEntry>,
-    /// Append position in the active segment: one past the last
-    /// verified record.
+    /// Append position: one past the last verified record.
     tail: u64,
-    /// Sequence number the next sealed segment will be renamed to.
-    next_seq: u64,
 }
 
-impl DiskInner {
-    fn active(&mut self) -> &mut Segment {
-        self.segments
-            .last_mut()
-            .expect("a DiskCache always holds an active segment")
-    }
-}
-
-/// Scan an open segment, merging its records into the shared key
-/// index under segment id `segment`. Returns the verified tail; a
-/// tail of 0 means "header invalid — nothing trusted". Scanning stops
-/// at the first torn or corrupt record: everything before it is
-/// trusted (checksummed), everything after is unreachable anyway
-/// since offsets only grow.
-fn scan_segment_into(
-    file: &mut File,
-    segment: u32,
-    index: &mut HashMap<CacheKey, IndexEntry>,
-) -> io::Result<u64> {
+/// Scan an open segment into a key index. Returns the index and the
+/// verified tail; a tail of 0 means "header invalid — nothing
+/// trusted". Scanning stops at the first torn or corrupt record:
+/// everything before it is trusted (checksummed), everything after is
+/// unreachable anyway since offsets only grow.
+fn scan_segment(file: &mut File) -> io::Result<(HashMap<CacheKey, IndexEntry>, u64)> {
+    let mut index = HashMap::new();
     let len = file.metadata()?.len();
     if len < HEADER_LEN {
-        return Ok(0);
+        return Ok((index, 0));
     }
     file.seek(SeekFrom::Start(0))?;
     let mut reader = BufReader::new(&mut *file);
     let mut header = [0u8; HEADER_LEN as usize];
     reader.read_exact(&mut header)?;
     if header[..4] != SEGMENT_MAGIC || header[4..8] != DISK_FORMAT_VERSION.to_le_bytes() {
-        return Ok(0);
+        return Ok((index, 0));
     }
     let mut offset = HEADER_LEN;
     while offset < len {
@@ -242,7 +207,6 @@ fn scan_segment_into(
         }
         let payload_len = u32::from_le_bytes(len4) as usize;
         let entry = IndexEntry {
-            segment,
             offset,
             payload_len: payload_len as u32,
             epoch: 0,
@@ -266,17 +230,7 @@ fn scan_segment_into(
         index.insert(key, IndexEntry { epoch, ..entry });
         offset += entry.total_len();
     }
-    Ok(offset)
-}
-
-/// Parse the sequence number out of a rolled segment's file name
-/// (`cache-<seq>.seg`); `None` for anything else in the directory.
-fn rolled_segment_seq(path: &Path) -> Option<u64> {
-    let name = path.file_name()?.to_str()?;
-    name.strip_prefix("cache-")?
-        .strip_suffix(".seg")?
-        .parse()
-        .ok()
+    Ok((index, offset))
 }
 
 /// Read and verify one record's scores at a known index entry.
@@ -321,8 +275,9 @@ fn acquire_writer_lock(dir: &Path) -> io::Result<File> {
     }
 }
 
-/// An append-only persistent [`StepCache`] backend (see the module
-/// docs for the segment format and correctness argument).
+/// An append-only persistent [`StepCache`] backend: one segment file,
+/// `<dir>/cache.seg` (see the module docs for the format, compaction
+/// and the correctness argument).
 ///
 /// All file I/O happens under one mutex — the intended deployment puts
 /// a [`ShardedLruCache`] in front (see [`TieredStepCache`]) so the
@@ -339,11 +294,8 @@ fn acquire_writer_lock(dir: &Path) -> io::Result<File> {
 /// ```
 #[derive(Debug)]
 pub struct DiskCache {
-    /// Path of the active segment (`<dir>/cache.seg`).
+    /// Path of the segment (`<dir>/cache.seg`).
     path: PathBuf,
-    dir: PathBuf,
-    /// Roll the active segment once its tail passes this size.
-    max_segment_bytes: u64,
     inner: Mutex<DiskInner>,
     /// Held (never read) for the lifetime of the cache: the advisory
     /// writer lock on `cache.lock` in the segment directory. The OS
@@ -362,7 +314,9 @@ impl DiskCache {
     /// Open (or create) the segment under directory `dir`, scanning it
     /// to rebuild the key index. A segment with a missing, foreign, or
     /// version-mismatched header is restarted empty; a torn tail is
-    /// truncated at the last verified record.
+    /// truncated at the last verified record. Only `cache.seg` is
+    /// read: a leftover `cache.seg.tmp` or a `cache-<seq>.seg` rolled
+    /// by an older build is ignored.
     ///
     /// The directory is guarded by an **advisory writer lock**
     /// (`cache.lock`): the segment is a single append stream, so two
@@ -373,40 +327,9 @@ impl DiskCache {
     /// The lock dies with the handle (even on a crash), so recovery is
     /// automatic.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<DiskCache> {
-        Self::open_with_segment_limit(dir, DEFAULT_MAX_SEGMENT_BYTES)
-    }
-
-    /// [`open`](DiskCache::open) with an explicit active-segment size
-    /// limit instead of [`DEFAULT_MAX_SEGMENT_BYTES`]. A record is
-    /// never split: the segment rolls after the append that crosses
-    /// the limit, so one oversized record still lands intact.
-    pub fn open_with_segment_limit(
-        dir: impl AsRef<Path>,
-        max_segment_bytes: u64,
-    ) -> io::Result<DiskCache> {
         let dir = dir.as_ref();
         fs::create_dir_all(dir)?;
         let writer_lock = acquire_writer_lock(dir)?;
-        // Rolled segments first, oldest-first, so later segments (and
-        // finally the active one) win duplicate keys.
-        let mut rolled: Vec<(u64, PathBuf)> = fs::read_dir(dir)?
-            .filter_map(|entry| {
-                let path = entry.ok()?.path();
-                rolled_segment_seq(&path).map(|seq| (seq, path))
-            })
-            .collect();
-        rolled.sort_unstable_by_key(|(seq, _)| *seq);
-        let next_seq = rolled.last().map_or(0, |(seq, _)| seq + 1);
-        let mut segments = Vec::with_capacity(rolled.len() + 1);
-        let mut index = HashMap::new();
-        for (_, path) in rolled {
-            let mut file = OpenOptions::new().read(true).open(&path)?;
-            // A rolled segment is immutable: a foreign or torn one
-            // contributes nothing (cold, never wrong) but stays
-            // tracked so compaction reclaims the file.
-            scan_segment_into(&mut file, segments.len() as u32, &mut index)?;
-            segments.push(Segment { file, path });
-        }
         let path = dir.join("cache.seg");
         let mut file = OpenOptions::new()
             .read(true)
@@ -414,7 +337,7 @@ impl DiskCache {
             .create(true)
             .truncate(false)
             .open(&path)?;
-        let tail = scan_segment_into(&mut file, segments.len() as u32, &mut index)?;
+        let (index, tail) = scan_segment(&mut file)?;
         let tail = if tail == 0 {
             file.set_len(0)?;
             file.seek(SeekFrom::Start(0))?;
@@ -425,20 +348,9 @@ impl DiskCache {
             file.set_len(tail)?;
             tail
         };
-        segments.push(Segment {
-            file,
-            path: path.clone(),
-        });
         Ok(DiskCache {
             path,
-            dir: dir.to_path_buf(),
-            max_segment_bytes,
-            inner: Mutex::new(DiskInner {
-                segments,
-                index,
-                tail,
-                next_seq,
-            }),
+            inner: Mutex::new(DiskInner { file, index, tail }),
             _writer_lock: writer_lock,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -447,17 +359,10 @@ impl DiskCache {
         })
     }
 
-    /// Path of the active segment file.
+    /// Path of the segment file.
     #[must_use]
     pub fn segment_path(&self) -> &Path {
         &self.path
-    }
-
-    /// How many segment files currently back the cache (rolled plus
-    /// the active one). 1 until the first roll.
-    #[must_use]
-    pub fn segment_count(&self) -> usize {
-        self.lock().segments.len()
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, DiskInner> {
@@ -468,27 +373,27 @@ impl DiskCache {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Rewrite all segments into one fresh active segment keeping only
-    /// entries whose recorded epoch appears in `live_epochs`, dropping
-    /// superseded duplicates and adapted-away epochs, then delete the
-    /// rolled segment files. Returns how many index entries were
-    /// dropped. The rewrite goes through a temp file; the rolled files
-    /// are then deleted, oldest first, and an atomic rename puts the
-    /// merged segment in place of the active one. A crash at any point
-    /// leaves the old active segment beside the newest of the old
-    /// rolled files, or the merged segment alone: every key reads its
-    /// last insert or nothing (cold, never stale).
+    /// Rewrite the segment keeping the latest record of each key that
+    /// is untagged or tagged with an epoch in `live_epochs`, dropping
+    /// superseded duplicates and adapted-away epochs. Returns how many
+    /// index entries were dropped. The rewrite goes to
+    /// `cache.seg.tmp`, which is synced and then renamed over
+    /// `cache.seg`: a crash leaves the old segment or the merged one,
+    /// and every key reads its last insert or nothing (cold, never
+    /// stale).
     ///
-    /// Entries written through epoch-less [`StepCache::insert`] carry
-    /// [`UNKNOWN_EPOCH`]; list it in `live_epochs` to keep them.
+    /// An untagged record (a header-scoped entry, whose key hashes no
+    /// epoch) survives every compaction; once a feedback changes its
+    /// header's `Wg` state it is unreachable and stays until
+    /// [`clear`](StepCache::clear).
     pub fn compact(&self, live_epochs: &[u64]) -> io::Result<usize> {
         let mut guard = self.lock();
         let inner = &mut *guard;
         let mut entries: Vec<(CacheKey, IndexEntry)> =
             inner.index.iter().map(|(k, e)| (*k, *e)).collect();
-        // Preserve append order — segment-major, then offset — so
-        // "latest wins" stays true on rescan.
-        entries.sort_by_key(|(_, e)| (e.segment, e.offset));
+        // Keep append order: the reads stay sequential and the merged
+        // segment stays oldest-first.
+        entries.sort_by_key(|(_, e)| e.offset);
         let tmp_path = self.path.with_extension("seg.tmp");
         let mut tmp = File::create(&tmp_path)?;
         write_header(&mut tmp)?;
@@ -496,14 +401,13 @@ impl DiskCache {
         let mut tail = HEADER_LEN;
         let mut dropped = 0usize;
         for (key, entry) in entries {
-            if !live_epochs.contains(&entry.epoch) {
+            if entry.epoch != UNTAGGED && !live_epochs.contains(&entry.epoch) {
                 dropped += 1;
                 continue;
             }
-            let file = &mut inner.segments[entry.segment as usize].file;
-            file.seek(SeekFrom::Start(entry.offset))?;
+            inner.file.seek(SeekFrom::Start(entry.offset))?;
             let mut rec = vec![0u8; entry.total_len() as usize];
-            file.read_exact(&mut rec)?;
+            inner.file.read_exact(&mut rec)?;
             let payload = &rec[4..4 + entry.payload_len as usize];
             if rec[4 + entry.payload_len as usize..] != checksum(payload) {
                 dropped += 1;
@@ -513,7 +417,6 @@ impl DiskCache {
             index.insert(
                 key,
                 IndexEntry {
-                    segment: 0,
                     offset: tail,
                     ..entry
                 },
@@ -521,56 +424,12 @@ impl DiskCache {
             tail += entry.total_len();
         }
         tmp.sync_data()?;
-        // Rolled files go first, oldest first: a crash midway leaves
-        // the old active segment beside the newest rolled ones, where
-        // every key reads its last insert or nothing. (Renaming first
-        // could leave the merged segment beside old rolled files that
-        // bring back a superseded record of a key the merge dropped.)
-        let (_, rolled) = inner.segments.split_last().expect("an active segment");
-        for seg in rolled {
-            match fs::remove_file(&seg.path) {
-                Err(err) if err.kind() != io::ErrorKind::NotFound => return Err(err),
-                _ => {}
-            }
-        }
         fs::rename(&tmp_path, &self.path)?;
-        let file = OpenOptions::new().read(true).write(true).open(&self.path)?;
-        inner.segments = vec![Segment {
-            file,
-            path: self.path.clone(),
-        }];
+        inner.file = OpenOptions::new().read(true).write(true).open(&self.path)?;
         inner.index = index;
         inner.tail = tail;
         self.dropped.fetch_add(dropped as u64, Ordering::Relaxed);
         Ok(dropped)
-    }
-
-    /// Seal the active segment — sync, rename to `cache-<seq>.seg` —
-    /// and start a fresh one. Best-effort: on failure the oversized
-    /// active segment keeps accepting appends (correctness never
-    /// depends on rotation).
-    fn roll_active(&self, inner: &mut DiskInner) -> io::Result<()> {
-        let seq = inner.next_seq;
-        let rolled_path = self.dir.join(format!("cache-{seq:06}.seg"));
-        let active = inner.active();
-        active.file.sync_data()?;
-        fs::rename(&active.path, &rolled_path)?;
-        // The open handle survives the rename and keeps serving reads.
-        active.path = rolled_path;
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&self.path)?;
-        write_header(&mut file)?;
-        inner.segments.push(Segment {
-            file,
-            path: self.path.clone(),
-        });
-        inner.tail = HEADER_LEN;
-        inner.next_seq = seq + 1;
-        Ok(())
     }
 }
 
@@ -579,7 +438,7 @@ impl StepCache for DiskCache {
         let mut inner = self.lock();
         let entry = inner.index.get(key).copied();
         let found = entry
-            .and_then(|entry| read_record(&mut inner.segments[entry.segment as usize].file, entry))
+            .and_then(|entry| read_record(&mut inner.file, entry))
             .and_then(|(k, _, scores)| (k == *key).then_some(scores));
         drop(inner);
         match found {
@@ -589,11 +448,8 @@ impl StepCache for DiskCache {
         found
     }
 
-    fn insert(&self, key: CacheKey, scores: StepScores) {
-        self.insert_with_epoch(key, scores, UNKNOWN_EPOCH);
-    }
-
-    fn insert_with_epoch(&self, key: CacheKey, scores: StepScores, epoch: u64) {
+    fn insert(&self, key: CacheKey, scores: StepScores, epoch: Option<u64>) {
+        let epoch = epoch.unwrap_or(UNTAGGED);
         let payload = encode_payload(key, epoch, &scores);
         if payload.len() > MAX_PAYLOAD {
             return;
@@ -604,26 +460,20 @@ impl StepCache for DiskCache {
         rec.extend_from_slice(&checksum(&payload));
         let mut inner = self.lock();
         let offset = inner.tail;
-        let segment = inner.segments.len() as u32 - 1;
-        let active = &mut inner.active().file;
-        let mut ok = active.seek(SeekFrom::Start(offset)).is_ok();
+        let mut ok = inner.file.seek(SeekFrom::Start(offset)).is_ok();
         if ok {
-            ok = active.write_all(&rec).is_ok();
+            ok = inner.file.write_all(&rec).is_ok();
         }
         if ok {
             inner.index.insert(
                 key,
                 IndexEntry {
-                    segment,
                     offset,
                     payload_len: payload.len() as u32,
                     epoch,
                 },
             );
             inner.tail = offset + rec.len() as u64;
-            if inner.tail >= self.max_segment_bytes {
-                let _ = self.roll_active(&mut inner);
-            }
             drop(inner);
             self.inserts.fetch_add(1, Ordering::Relaxed);
         }
@@ -639,22 +489,9 @@ impl StepCache for DiskCache {
     fn clear(&self) {
         let mut inner = self.lock();
         inner.index.clear();
-        // Drop the rolled segments (truncating any file that refuses
-        // deletion so its records can't be resurrected at reopen),
-        // then truncate the active one. Best-effort throughout; on
-        // failure the orphaned records are unreachable in this process
-        // and rescanned only after reopen.
-        let active_path = self.path.clone();
-        inner.segments.retain_mut(|seg| {
-            if seg.path == active_path {
-                return true;
-            }
-            if fs::remove_file(&seg.path).is_err() {
-                let _ = seg.file.set_len(0);
-            }
-            false
-        });
-        if inner.active().file.set_len(HEADER_LEN).is_ok() {
+        // Best-effort: on failure the orphaned records are unreachable
+        // in this process and rescanned only after reopen.
+        if inner.file.set_len(HEADER_LEN).is_ok() {
             inner.tail = HEADER_LEN;
         }
     }
@@ -670,7 +507,7 @@ impl StepCache for DiskCache {
     }
 
     fn flush(&self) -> io::Result<()> {
-        self.lock().active().file.sync_data()
+        self.lock().file.sync_data()
     }
 }
 
@@ -733,18 +570,14 @@ impl StepCache for TieredStepCache {
             return Some(scores);
         }
         let scores = self.l2.get(key)?;
-        self.l1.insert(*key, scores.clone());
+        // L1 never reads the tag.
+        self.l1.insert(*key, scores.clone(), None);
         Some(scores)
     }
 
-    fn insert(&self, key: CacheKey, scores: StepScores) {
-        self.l1.insert(key, scores.clone());
-        self.l2.insert(key, scores);
-    }
-
-    fn insert_with_epoch(&self, key: CacheKey, scores: StepScores, epoch: u64) {
-        self.l1.insert(key, scores.clone());
-        self.l2.insert_with_epoch(key, scores, epoch);
+    fn insert(&self, key: CacheKey, scores: StepScores, epoch: Option<u64>) {
+        self.l1.insert(key, scores.clone(), epoch);
+        self.l2.insert(key, scores, epoch);
     }
 
     fn len(&self) -> usize {
@@ -832,19 +665,27 @@ fn write_epoch_file(path: &Path, epoch: u64) -> io::Result<()> {
     Ok(())
 }
 
-/// A durable per-customer [`EpochSource`] backed by a 32-byte
-/// write-ahead file (magic ‖ version ‖ epoch ‖ checksum).
+/// A durable per-customer cache epoch backed by a 32-byte write-ahead
+/// file (magic ‖ version ‖ epoch ‖ checksum). Installed with
+/// [`SigmaTyperBuilder::epoch_source`], it replaces the in-process
+/// epoch counter: a restarted process resumes its predecessor's epoch,
+/// so a persistent cache tier stays warm, and an adaptation in one
+/// process invalidates the column-scoped entries another process
+/// reads. Adaptation is single-writer per customer (a `SigmaTyper`
+/// mutates through `&mut self`), so concurrent
+/// [`advance`](DurableEpochSource::advance) calls on one customer's
+/// file are out of contract.
 ///
 /// * A fresh file seeds the epoch from process-unique entropy and
 ///   persists it before first use, so two customers pointed at
 ///   different files (or the same customer racing its own first
 ///   start) never collide with an in-memory counter epoch.
-/// * [`current`](EpochSource::current) re-reads the file on every
+/// * [`current`](DurableEpochSource::current) re-reads the file on every
 ///   call: an advance performed by *another process* sharing the file
 ///   is observed at the next annotation, invalidating that process's
 ///   view of the shared cache. The file is one sector, so this is one
 ///   cheap read compared to a cascade run.
-/// * [`advance`](EpochSource::advance) persists the new epoch *before*
+/// * [`advance`](DurableEpochSource::advance) persists the new epoch *before*
 ///   returning it — write-ahead, so no process can cache under an
 ///   epoch that a crash would resurrect. It overwrites the 32 bytes in
 ///   place and syncs the file's data; the directory is synced once,
@@ -858,6 +699,8 @@ fn write_epoch_file(path: &Path, epoch: u64) -> io::Result<()> {
 /// the old record, the new one, or a mix of the two that fails the
 /// checksum — so a reopen resumes the old epoch, resumes the new one,
 /// or reseeds, and a live handle keeps its last known epoch.
+///
+/// [`SigmaTyperBuilder::epoch_source`]: crate::system::SigmaTyperBuilder::epoch_source
 #[derive(Debug)]
 pub struct DurableEpochSource {
     path: PathBuf,
@@ -896,10 +739,11 @@ impl DurableEpochSource {
     pub fn path(&self) -> &Path {
         &self.path
     }
-}
 
-impl EpochSource for DurableEpochSource {
-    fn current(&self) -> u64 {
+    /// The current epoch — the one new fingerprints should hash —
+    /// re-read from the file (see the type docs).
+    #[must_use]
+    pub fn current(&self) -> u64 {
         match read_epoch_file(&self.path) {
             Some(stored) => {
                 self.last.store(stored, Ordering::Relaxed);
@@ -909,7 +753,9 @@ impl EpochSource for DurableEpochSource {
         }
     }
 
-    fn advance(&self) -> u64 {
+    /// Durably advance to a fresh epoch and return it, writing the
+    /// file first (see the type docs).
+    pub fn advance(&self) -> u64 {
         let next = self.current().wrapping_add(1);
         // Write-ahead: durable before use. If the write fails the
         // advance still happens in memory, so local invalidation is
@@ -979,8 +825,8 @@ mod tests {
             let cache = DiskCache::open(dir.path()).unwrap();
             assert!(cache.is_empty());
             assert_eq!(cache.get(&key(1)), None);
-            cache.insert_with_epoch(key(1), written.clone(), 42);
-            cache.insert_with_epoch(key(2), scores(0.5, 0), 42);
+            cache.insert(key(1), written.clone(), Some(42));
+            cache.insert(key(2), scores(0.5, 0), Some(42));
             assert_eq!(cache.len(), 2);
             assert_eq!(cache.get(&key(1)).unwrap(), written);
             cache.flush().unwrap();
@@ -1019,7 +865,7 @@ mod tests {
         drop(DiskCache::open(other.path()).unwrap());
         // Dropping the owner releases the lock; reopen succeeds and the
         // data written by the first owner is still served.
-        first.insert_with_epoch(key(9), scores(0.5, 1), 3);
+        first.insert(key(9), scores(0.5, 1), Some(3));
         drop(first);
         let reopened = DiskCache::open(dir.path()).unwrap();
         assert_eq!(reopened.get(&key(9)).unwrap(), scores(0.5, 1));
@@ -1030,8 +876,8 @@ mod tests {
         let dir = Scratch::new("latest");
         {
             let cache = DiskCache::open(dir.path()).unwrap();
-            cache.insert_with_epoch(key(1), scores(0.25, 1), 7);
-            cache.insert_with_epoch(key(1), scores(0.75, 1), 7);
+            cache.insert(key(1), scores(0.25, 1), Some(7));
+            cache.insert(key(1), scores(0.75, 1), Some(7));
             assert_eq!(cache.len(), 1);
             assert_eq!(cache.get(&key(1)).unwrap(), scores(0.75, 1));
         }
@@ -1046,7 +892,7 @@ mod tests {
         let seg = {
             let cache = DiskCache::open(dir.path()).unwrap();
             for n in 0..4 {
-                cache.insert_with_epoch(key(n), scores(0.5, 2), 1);
+                cache.insert(key(n), scores(0.5, 2), Some(1));
             }
             cache.flush().unwrap();
             cache.segment_path().to_path_buf()
@@ -1068,7 +914,7 @@ mod tests {
         // Fully truncated: reopened empty and writable again.
         let cache = DiskCache::open(dir.path()).unwrap();
         assert!(cache.is_empty());
-        cache.insert_with_epoch(key(9), scores(0.9, 1), 2);
+        cache.insert(key(9), scores(0.9, 1), Some(2));
         assert_eq!(cache.get(&key(9)).unwrap(), scores(0.9, 1));
     }
 
@@ -1078,7 +924,7 @@ mod tests {
         let seg = {
             let cache = DiskCache::open(dir.path()).unwrap();
             for n in 0..3 {
-                cache.insert_with_epoch(key(n), scores(0.5, 1), 1);
+                cache.insert(key(n), scores(0.5, 1), Some(1));
             }
             cache.flush().unwrap();
             cache.segment_path().to_path_buf()
@@ -1101,7 +947,7 @@ mod tests {
         let dir = Scratch::new("version");
         let seg = {
             let cache = DiskCache::open(dir.path()).unwrap();
-            cache.insert_with_epoch(key(1), scores(0.5, 1), 1);
+            cache.insert(key(1), scores(0.5, 1), Some(1));
             cache.flush().unwrap();
             cache.segment_path().to_path_buf()
         };
@@ -1112,7 +958,7 @@ mod tests {
             let cache = DiskCache::open(dir.path()).unwrap();
             assert!(cache.is_empty(), "foreign segment must come up cold");
             // …and the segment was rewritten valid.
-            cache.insert_with_epoch(key(1), scores(0.5, 1), 1);
+            cache.insert(key(1), scores(0.5, 1), Some(1));
             cache.flush().unwrap();
         }
     }
@@ -1121,136 +967,93 @@ mod tests {
     fn compaction_drops_unreachable_epochs_and_duplicates() {
         let dir = Scratch::new("compact");
         let cache = DiskCache::open(dir.path()).unwrap();
-        cache.insert_with_epoch(key(1), scores(0.1, 1), 1);
-        cache.insert_with_epoch(key(2), scores(0.2, 1), 1);
+        cache.insert(key(1), scores(0.1, 1), Some(1));
+        cache.insert(key(2), scores(0.2, 1), Some(1));
         // Adaptation: epoch 2 supersedes key(1)'s column.
-        cache.insert_with_epoch(key(3), scores(0.3, 1), 2);
-        cache.insert(key(4), scores(0.4, 1)); // UNKNOWN_EPOCH
+        cache.insert(key(3), scores(0.3, 1), Some(2));
         let before = fs::metadata(cache.segment_path()).unwrap().len();
         let dropped = cache.compact(&[2]).unwrap();
-        assert_eq!(dropped, 3);
+        assert_eq!(dropped, 2);
         assert_eq!(cache.len(), 1);
         assert!(fs::metadata(cache.segment_path()).unwrap().len() < before);
         assert_eq!(cache.get(&key(3)).unwrap(), scores(0.3, 1));
         assert_eq!(cache.get(&key(1)), None);
-        assert_eq!(cache.stats().evictions, 3);
+        assert_eq!(cache.stats().evictions, 2);
         // The compacted segment is append-consistent: more inserts and
         // a reopen both work.
-        cache.insert_with_epoch(key(5), scores(0.5, 1), 2);
+        cache.insert(key(5), scores(0.5, 1), Some(2));
         cache.flush().unwrap();
         drop(cache);
         let cache = DiskCache::open(dir.path()).unwrap();
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.get(&key(5)).unwrap(), scores(0.5, 1));
-        // Keeping UNKNOWN_EPOCH explicitly retains epoch-less entries.
-        cache.insert(key(6), scores(0.6, 1));
-        assert_eq!(cache.compact(&[2, UNKNOWN_EPOCH]).unwrap(), 0);
-        assert_eq!(cache.len(), 3);
     }
 
+    /// Untagged records — header-scoped entries, whose keys hash no
+    /// epoch — survive every compaction: with no epoch live at all,
+    /// the latest record of each untagged key stays and every tagged
+    /// key goes.
     #[test]
-    fn rotation_rolls_at_threshold_and_latest_wins_across_segments() {
-        let dir = Scratch::new("rotate");
+    fn compaction_keeps_the_latest_record_of_every_untagged_key() {
+        let dir = Scratch::new("compact-untagged");
+        let cache = DiskCache::open(dir.path()).unwrap();
+        cache.insert(key(1), scores(0.1, 1), None);
+        cache.insert(key(2), scores(0.2, 1), Some(1));
+        cache.insert(key(1), scores(0.9, 1), None);
+        cache.insert(key(3), scores(0.3, 1), None);
+        cache.insert(key(4), scores(0.4, 1), Some(2));
+        assert_eq!(cache.compact(&[]).unwrap(), 2, "the two tagged keys");
+        let record_len = (4 + PAYLOAD_PREFIX + CANDIDATE_LEN + 16) as u64;
+        assert_eq!(
+            fs::metadata(cache.segment_path()).unwrap().len(),
+            HEADER_LEN + 2 * record_len,
+            "one record per untagged key"
+        );
+        drop(cache);
+        let cache = DiskCache::open(dir.path()).unwrap();
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.get(&key(1)).unwrap(), scores(0.9, 1));
+        assert_eq!(cache.get(&key(3)).unwrap(), scores(0.3, 1));
+        assert_eq!(cache.get(&key(2)), None);
+        assert_eq!(cache.get(&key(4)), None);
+    }
+
+    /// A `cache-<seq>.seg` rolled by an older build is never read:
+    /// every record in it is older than every record in `cache.seg`,
+    /// so skipping it is cold, never stale.
+    #[test]
+    fn open_reads_cache_seg_alone_beside_a_rolled_segment() {
+        let dir = Scratch::new("rolled");
         {
-            // Tiny limit: every record crosses it, so every insert
-            // seals the active segment.
-            let cache = DiskCache::open_with_segment_limit(dir.path(), 64).unwrap();
-            assert_eq!(cache.segment_count(), 1);
-            for n in 0..5 {
-                cache.insert_with_epoch(key(n), scores(0.5, 2), 1);
-            }
-            assert!(cache.segment_count() > 1, "active segment must roll");
-            // Records sealed into rolled segments stay readable.
-            for n in 0..5 {
-                assert_eq!(cache.get(&key(n)).unwrap(), scores(0.5, 2));
-            }
-            // Overwrite a key that lives in a rolled segment: the
-            // fresher record in a later segment must win.
-            cache.insert_with_epoch(key(0), scores(0.9, 1), 1);
-            assert_eq!(cache.get(&key(0)).unwrap(), scores(0.9, 1));
-            assert_eq!(cache.len(), 5);
-            cache.flush().unwrap();
+            let cache = DiskCache::open(dir.path()).unwrap();
+            cache.insert(key(1), scores(0.1, 1), Some(1));
+            cache.insert(key(2), scores(0.2, 1), Some(1));
         }
-        // Reopen (default limit) discovers the rolled segments and
-        // merges them oldest-first — latest still wins.
+        let rolled = dir.path().join("cache-000000.seg");
+        fs::rename(dir.path().join("cache.seg"), &rolled).unwrap();
+        let rolled_bytes = fs::read(&rolled).unwrap();
+        {
+            let cache = DiskCache::open(dir.path()).unwrap();
+            cache.insert(key(2), scores(0.5, 1), Some(1));
+            cache.insert(key(3), scores(0.3, 1), None);
+        }
         let cache = DiskCache::open(dir.path()).unwrap();
-        assert!(cache.segment_count() > 1);
-        assert_eq!(cache.len(), 5);
-        assert_eq!(cache.get(&key(0)).unwrap(), scores(0.9, 1));
-        for n in 1..5 {
-            assert_eq!(cache.get(&key(n)).unwrap(), scores(0.5, 2));
-        }
-    }
-
-    #[test]
-    fn compaction_merges_all_segments_into_one_and_deletes_rolled_files() {
-        let dir = Scratch::new("rotate-compact");
-        let cache = DiskCache::open_with_segment_limit(dir.path(), 64).unwrap();
-        for n in 0..4 {
-            cache.insert_with_epoch(key(n), scores(0.5, 1), 1);
-        }
-        cache.insert_with_epoch(key(9), scores(0.9, 1), 2);
-        assert!(cache.segment_count() > 1);
-        let dropped = cache.compact(&[1]).unwrap();
-        assert_eq!(dropped, 1, "only the epoch-2 entry is unreachable");
-        assert_eq!(cache.segment_count(), 1, "compaction merges to one segment");
-        assert_eq!(cache.len(), 4);
-        for n in 0..4 {
-            assert_eq!(cache.get(&key(n)).unwrap(), scores(0.5, 1));
-        }
-        assert_eq!(cache.get(&key(9)), None);
-        // The rolled files are gone from disk: only the active
-        // segment, the lock, and the temp-free directory remain.
-        let seg_files: Vec<_> = fs::read_dir(dir.path())
-            .unwrap()
-            .filter_map(|e| {
-                let name = e.unwrap().file_name().into_string().unwrap();
-                name.ends_with(".seg").then_some(name)
-            })
-            .collect();
-        assert_eq!(seg_files, vec!["cache.seg".to_string()]);
-        // Post-compaction appends and a reopen both work; rotation
-        // continues from a fresh sequence space without collisions.
-        for n in 10..14 {
-            cache.insert_with_epoch(key(n), scores(0.4, 1), 1);
-        }
-        assert!(cache.segment_count() > 1);
-        cache.flush().unwrap();
-        drop(cache);
-        let cache = DiskCache::open(dir.path()).unwrap();
-        assert_eq!(cache.len(), 8);
-        assert_eq!(cache.get(&key(12)).unwrap(), scores(0.4, 1));
-    }
-
-    #[test]
-    fn clear_removes_rolled_segments_too() {
-        let dir = Scratch::new("rotate-clear");
-        let cache = DiskCache::open_with_segment_limit(dir.path(), 64).unwrap();
-        for n in 0..4 {
-            cache.insert_with_epoch(key(n), scores(0.5, 1), 1);
-        }
-        assert!(cache.segment_count() > 1);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.segment_count(), 1);
-        cache.insert_with_epoch(key(7), scores(0.7, 1), 1);
-        cache.flush().unwrap();
-        drop(cache);
-        let cache = DiskCache::open(dir.path()).unwrap();
-        assert_eq!(cache.len(), 1);
-        assert!(cache.get(&key(0)).is_none(), "cleared entries stay gone");
-        assert_eq!(cache.get(&key(7)).unwrap(), scores(0.7, 1));
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.get(&key(1)), None);
+        assert_eq!(cache.get(&key(2)).unwrap(), scores(0.5, 1));
+        assert_eq!(cache.get(&key(3)).unwrap(), scores(0.3, 1));
+        assert_eq!(fs::read(&rolled).unwrap(), rolled_bytes, "left untouched");
     }
 
     #[test]
     fn clear_empties_disk_and_reopen_sees_nothing() {
         let dir = Scratch::new("clear");
         let cache = DiskCache::open(dir.path()).unwrap();
-        cache.insert_with_epoch(key(1), scores(0.5, 1), 1);
+        cache.insert(key(1), scores(0.5, 1), Some(1));
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.get(&key(1)), None);
-        cache.insert_with_epoch(key(2), scores(0.5, 1), 1);
+        cache.insert(key(2), scores(0.5, 1), Some(1));
         cache.flush().unwrap();
         drop(cache);
         let cache = DiskCache::open(dir.path()).unwrap();
@@ -1263,7 +1066,7 @@ mod tests {
     fn tiered_cache_promotes_and_reports_combined_stats() {
         let dir = Scratch::new("tiered");
         let tiered = TieredStepCache::open(dir.path(), 64).unwrap();
-        tiered.insert_with_epoch(key(1), scores(0.5, 1), 1);
+        tiered.insert(key(1), scores(0.5, 1), Some(1));
         // L1 hit.
         assert!(tiered.get(&key(1)).is_some());
         assert_eq!(tiered.l1().stats().hits, 1);
@@ -1410,7 +1213,7 @@ mod tests {
         let seg = {
             let cache = DiskCache::open(dir.path()).unwrap();
             for n in 0..4 {
-                cache.insert_with_epoch(key(n), scores(0.5, 2), 1);
+                cache.insert(key(n), scores(0.5, 2), Some(1));
             }
             cache.flush().unwrap();
             cache.segment_path().to_path_buf()
@@ -1436,69 +1239,36 @@ mod tests {
         }
     }
 
-    /// The files of `dir` that hold segments, with their bytes.
-    fn segment_files(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
-        let mut files: Vec<(PathBuf, Vec<u8>)> = fs::read_dir(dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .filter(|p| p.file_name().unwrap().to_str().unwrap().contains(".seg"))
-            .map(|p| {
-                let bytes = fs::read(&p).unwrap();
-                (p, bytes)
-            })
-            .collect();
-        files.sort();
-        files
-    }
-
-    /// Replace every segment file of `dir` with `files`.
-    fn restore_segments(dir: &Path, files: &[(PathBuf, Vec<u8>)]) {
-        for (path, _) in segment_files(dir) {
-            fs::remove_file(path).unwrap();
-        }
-        for (path, bytes) in files {
-            fs::write(path, bytes).unwrap();
-        }
-    }
-
-    /// A compaction cut in progress. A real compaction runs over rolled
-    /// segments and an active one, with overwritten keys and a dropped
+    /// A compaction cut in progress. A real compaction runs over a
+    /// segment with overwritten keys, an untagged key and a dropped
     /// epoch; then each state a crash could leave behind is rebuilt
-    /// from the files before and after it. Reopen never panics, and
-    /// every key returns `None` or its last insert. (Key 1's last
-    /// insert sits in the active segment at the dropped epoch, so the
-    /// merged segment beside the old rolled files, which a rename
-    /// before the deletes could leave, would serve its older record.)
+    /// from the segment before it and the merged one after it: the temp
+    /// file cut at every length beside the old segment, and the merged
+    /// segment alone. Reopen never panics, and every key returns
+    /// `None` or its last insert.
     #[test]
     fn compaction_cut_at_any_point_is_cold_never_stale() {
         let dir = Scratch::new("compact-crash");
-        // Two records per segment: the third append rolls.
-        let record_len = (4 + PAYLOAD_PREFIX + CANDIDATE_LEN + 16) as u64;
-        let limit = HEADER_LEN + 2 * record_len - 1;
-        let inserts: [(u64, f64, u64); 7] = [
-            (0, 0.10, 1),
-            (1, 0.11, 1),
-            (2, 0.12, 1),
-            (0, 0.20, 2), // key 0 again, at the dropped epoch
-            (3, 0.13, 1),
-            (4, 0.14, 1),
-            (1, 0.21, 2), // key 1 again, in the active segment
+        let inserts: [(u64, f64, Option<u64>); 7] = [
+            (0, 0.10, Some(1)),
+            (1, 0.11, Some(1)),
+            (2, 0.12, None),
+            (0, 0.20, Some(2)), // key 0 again, at the dropped epoch
+            (3, 0.13, Some(1)),
+            (2, 0.22, None),    // key 2 again, untagged
+            (1, 0.21, Some(2)), // key 1 again, at the dropped epoch
         ];
         let mut last: HashMap<u64, StepScores> = HashMap::new();
-        let (before, merged) = {
-            let cache = DiskCache::open_with_segment_limit(dir.path(), limit).unwrap();
+        let (old, merged) = {
+            let cache = DiskCache::open(dir.path()).unwrap();
             for &(n, conf, epoch) in &inserts {
-                cache.insert_with_epoch(key(n), scores(conf, 1), epoch);
+                cache.insert(key(n), scores(conf, 1), epoch);
                 last.insert(n, scores(conf, 1));
             }
             cache.flush().unwrap();
-            assert!(
-                cache.segment_count() > 2,
-                "rolled segments and an active one"
-            );
-            let before = segment_files(dir.path());
+            let old = fs::read(cache.segment_path()).unwrap();
             assert_eq!(cache.compact(&[1]).unwrap(), 2);
-            (before, fs::read(cache.segment_path()).unwrap())
+            (old, fs::read(cache.segment_path()).unwrap())
         };
         let check = |state: &str| {
             let cache = DiskCache::open(dir.path()).unwrap();
@@ -1508,45 +1278,19 @@ mod tests {
                 }
             }
         };
-        let active = dir.path().join("cache.seg");
+        let seg = dir.path().join("cache.seg");
         let tmp = dir.path().join("cache.seg.tmp");
-        // A crash while the merged segment is being written: the
-        // temp file, cut at every length, beside the old segments.
+        // A crash before the rename: the temp file, cut at every
+        // length, beside the old segment.
         for cut in 0..=merged.len() {
-            let mut files = before.clone();
-            files.push((tmp.clone(), merged[..cut].to_vec()));
-            restore_segments(dir.path(), &files);
+            fs::write(&seg, &old).unwrap();
+            fs::write(&tmp, &merged[..cut]).unwrap();
             check(&format!("temp file cut at {cut}"));
         }
-        // A crash while the rolled files are deleted, oldest first,
-        // before the rename: the whole temp file and the old active
-        // segment beside each suffix of the old rolled files.
-        let (rolled, old_active): (Vec<_>, Vec<_>) =
-            before.iter().cloned().partition(|(p, _)| *p != active);
-        for deleted in 0..=rolled.len() {
-            let mut files = rolled[deleted..].to_vec();
-            files.extend(old_active.iter().cloned());
-            files.push((tmp.clone(), merged.clone()));
-            restore_segments(dir.path(), &files);
-            check(&format!("{deleted} rolled files deleted"));
-        }
         // After the rename: the merged segment alone.
-        restore_segments(dir.path(), &[(active.clone(), merged.clone())]);
+        fs::remove_file(&tmp).unwrap();
+        fs::write(&seg, &merged).unwrap();
         check("merged segment alone");
-        // A rolled file that cannot be deleted (a directory in its
-        // place) stops the compaction before the rename, so the file
-        // that stays behind is never beside the merged segment.
-        restore_segments(dir.path(), &before);
-        let (oldest, oldest_bytes) = &before[0];
-        {
-            let cache = DiskCache::open_with_segment_limit(dir.path(), limit).unwrap();
-            fs::remove_file(oldest).unwrap();
-            fs::create_dir(oldest).unwrap();
-            assert!(cache.compact(&[1]).is_err(), "a failed delete must fail");
-        }
-        fs::remove_dir(oldest).unwrap();
-        fs::write(oldest, oldest_bytes).unwrap();
-        check("a rolled file that could not be deleted");
     }
 
     #[test]

@@ -394,14 +394,18 @@ impl CascadeExecutor {
             // results existed.)
             let mut inserts = 0usize;
             if let Some((cc, keys)) = step_cache.filter(|_| !tainted) {
+                // The tag names the epoch that retires the entry: a
+                // column key hashes the epoch, a header key none, so
+                // compaction must keep header entries across epochs.
+                let epoch = match scope {
+                    CacheScope::Column => Some(cc.epoch),
+                    CacheScope::Header => None,
+                };
                 for (&ci, scores) in frontier.iter().zip(&run.scores) {
-                    // Epoch-tagged insert: persistent backends record
-                    // which epoch produced the entry so compaction can
-                    // drop adapted-away epochs.
-                    cc.cache.insert_with_epoch(
+                    cc.cache.insert(
                         CacheKey::for_step(keys[ci], step.id()),
                         scores.clone(),
-                        cc.epoch,
+                        epoch,
                     );
                     inserts += 1;
                 }

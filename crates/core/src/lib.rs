@@ -70,15 +70,13 @@ pub mod tenant;
 
 pub use cache::{
     column_fingerprints, column_fingerprints_chained, CacheContext, CacheKey, CacheStats,
-    ColumnFingerprint, ColumnHashState, EpochSource, ShardedLruCache, StableHasher, StepCache,
+    ColumnFingerprint, ColumnHashState, ShardedLruCache, StableHasher, StepCache,
     MAX_FINGERPRINT_CHAIN,
 };
 pub use cascade::Cascade;
 pub use config::{SigmaTyperConfig, TrainingConfig};
 pub use cost::{CostModel, StepCostEstimate};
-pub use diskcache::{
-    DiskCache, DurableEpochSource, TieredStepCache, DISK_FORMAT_VERSION, UNKNOWN_EPOCH,
-};
+pub use diskcache::{DiskCache, DurableEpochSource, TieredStepCache, DISK_FORMAT_VERSION};
 pub use embedstep::{train_embedding_model, TableEmbeddingModel};
 pub use executor::{BudgetedTrace, CascadeExecutor, DeltaContext, MIN_PARALLEL_COLUMNS};
 pub use global::{train_global, GlobalModel};

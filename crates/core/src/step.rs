@@ -240,7 +240,9 @@ pub enum CacheScope {
     /// The column's [`ColumnFingerprint`](crate::cache::ColumnFingerprint):
     /// its header and values, the rest of the table, the cascade's step
     /// order, the config and the cache epoch. Right for any
-    /// deterministic step; every epoch move retires the entry.
+    /// deterministic step; every epoch move retires the entry. Inserts
+    /// are tagged with that epoch, so disk-tier compaction drops the
+    /// entry once the epoch is dead.
     Column,
     /// Exactly what a header step reads: the global model's
     /// [`header_fingerprint`](crate::global::GlobalModel::header_fingerprint),
@@ -250,7 +252,9 @@ pub enum CacheScope {
     /// every customer with the same `Wg` state there, and survives
     /// epoch moves; a feedback retires it only by changing
     /// [`LocalModel::wg`](crate::local::LocalModel::wg) under that
-    /// header.
+    /// header. Inserts are untagged, so disk-tier compaction keeps the
+    /// entry; a retired one stays on disk, unreachable, until the
+    /// tier is cleared.
     ///
     /// So a step may declare this scope only when its scores depend on
     /// nothing but the header text, the config, the global model's

@@ -2,11 +2,12 @@
 
 use crate::aggregate::{apply_tau, soft_majority_vote_with};
 use crate::cache::{
-    recrawl_fingerprints, CacheContext, ColumnFingerprint, EpochSource, ShardedLruCache, StepCache,
+    recrawl_fingerprints, CacheContext, ColumnFingerprint, ShardedLruCache, StepCache,
 };
 use crate::cascade::Cascade;
 use crate::config::SigmaTyperConfig;
 use crate::cost::CostModel;
+use crate::diskcache::DurableEpochSource;
 use crate::executor::{CascadeExecutor, DeltaContext};
 use crate::global::GlobalModel;
 use crate::local::LocalModel;
@@ -95,13 +96,13 @@ pub struct SigmaTyper {
     /// ever used.
     epoch: u64,
     /// Optional durable epoch source (see
-    /// [`EpochSource`]). When present, epochs are drawn from (and
+    /// [`DurableEpochSource`]). When present, epochs are drawn from (and
     /// persisted through) the source instead of the in-process
     /// counter: a restarted process resumes its predecessor's epoch —
     /// keeping a persistent cache tier warm — and an adaptation here
     /// durably advances the source before the new epoch is used, so
     /// other processes sharing it stop reaching the stale entries.
-    epoch_source: Option<Arc<dyn EpochSource>>,
+    epoch_source: Option<Arc<DurableEpochSource>>,
 }
 
 /// Mix a process id and a nanosecond timestamp into an epoch seed:
@@ -126,8 +127,7 @@ fn process_epoch_seed(pid: u32, startup_nanos: u64) -> u64 {
 /// states could share an epoch and serve each other stale scores.
 /// Entropy makes cross-process epoch reuse a ~2⁻⁶³ event instead of a
 /// certainty; configurations that need a hard guarantee (plus warm
-/// restarts) install a durable
-/// [`EpochSource`](crate::cache::EpochSource) instead.
+/// restarts) install a [`DurableEpochSource`] instead.
 fn next_epoch() -> u64 {
     use std::sync::atomic::{AtomicU64, Ordering};
     static SEED: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
@@ -142,11 +142,11 @@ fn next_epoch() -> u64 {
 }
 
 /// A fresh entropy epoch for out-of-process stores (used by
-/// [`DurableEpochSource`](crate::diskcache::DurableEpochSource) when
-/// seeding a new epoch file). Distinct from the [`next_epoch`] counter
-/// space — a durable seed must not land on a value the in-process
-/// counter is about to hand to some other instance — and salted per
-/// call so two files seeded in the same nanosecond still differ.
+/// [`DurableEpochSource`] when seeding a new epoch file). Distinct
+/// from the [`next_epoch`] counter space — a durable seed must not
+/// land on a value the in-process counter is about to hand to some
+/// other instance — and salted per call so two files seeded in the
+/// same nanosecond still differ.
 pub(crate) fn entropy_epoch_seed() -> u64 {
     use std::sync::atomic::{AtomicU64, Ordering};
     static SALT: AtomicU64 = AtomicU64::new(0);
@@ -191,7 +191,7 @@ pub struct SigmaTyperBuilder {
     cascade: Cascade,
     cache: Option<Arc<dyn StepCache>>,
     cost: Option<Arc<CostModel>>,
-    epoch_source: Option<Arc<dyn EpochSource>>,
+    epoch_source: Option<Arc<DurableEpochSource>>,
 }
 
 impl SigmaTyperBuilder {
@@ -304,17 +304,16 @@ impl SigmaTyperBuilder {
         self
     }
 
-    /// Attach a durable [`EpochSource`] — typically a
-    /// [`DurableEpochSource`](crate::diskcache::DurableEpochSource)
-    /// file next to a [`DiskCache`](crate::diskcache::DiskCache)
-    /// segment. `build()` then *resumes* the source's current epoch
-    /// instead of drawing a fresh one, so a restarted process keeps
-    /// reaching the entries its predecessor persisted; every
+    /// Attach a [`DurableEpochSource`] — typically a file next to a
+    /// [`DiskCache`](crate::diskcache::DiskCache) segment. `build()`
+    /// then *resumes* the source's current epoch instead of drawing a
+    /// fresh one, so a restarted process keeps reaching the entries
+    /// its predecessor persisted; every
     /// adaptation advances the source durably before the new epoch is
     /// used. One source belongs to one customer: point different
     /// customers (whose models differ) at different files.
     #[must_use]
-    pub fn epoch_source(mut self, source: Arc<dyn EpochSource>) -> Self {
+    pub fn epoch_source(mut self, source: Arc<DurableEpochSource>) -> Self {
         self.epoch_source = Some(source);
         self
     }
@@ -452,10 +451,13 @@ impl SigmaTyper {
     /// column fingerprint, so a re-draw makes all previously cached
     /// column-scoped entries unreachable for this customer — and global
     /// uniqueness keeps different instances' entries disjoint in a
-    /// shared cache. Header-scoped entries are not keyed by it (see
+    /// shared cache. Column entries are inserted tagged with it, so
+    /// disk-tier compaction can drop them once it is dead.
+    /// Header-scoped entries are not keyed by it and are inserted
+    /// untagged, so compaction keeps them (see
     /// [`CacheScope::Header`](crate::step::CacheScope::Header)).
     ///
-    /// With a durable [`EpochSource`] installed, this re-reads the
+    /// With a [`DurableEpochSource`] installed, this re-reads the
     /// source: an advance performed by *another process* sharing the
     /// source's file is observed here, so this instance stops
     /// reaching entries that adaptation elsewhere made stale.
@@ -464,12 +466,6 @@ impl SigmaTyper {
         self.epoch_source
             .as_ref()
             .map_or(self.epoch, |s| s.current())
-    }
-
-    /// The installed durable epoch source, if any.
-    #[must_use]
-    pub fn epoch_source(&self) -> Option<&Arc<dyn EpochSource>> {
-        self.epoch_source.as_ref()
     }
 
     /// Manually invalidate this customer's column-scoped cached step

@@ -7,7 +7,9 @@
 //! fresh `SigmaTyper` over the same cache directory), and watch the
 //! new process recrawl without running a single step — then
 //! adapt the customer and watch the *durable* epoch invalidate the
-//! on-disk lookup and embedding entries for every future process.
+//! on-disk lookup and embedding entries for every future process,
+//! and a compaction reclaim those while keeping the header entries
+//! that every process still reads.
 //!
 //! ```text
 //! cargo run --release --example persistent_recrawl
@@ -91,7 +93,7 @@ fn main() {
     // pass reclaims the dead bytes. The local model is not persisted,
     // so process 3's `Wg` state is a fresh one — the state process 1
     // wrote its header entries under, which therefore still serve.
-    let typer = start_process(global, &dir);
+    let typer = start_process(Arc::clone(&global), &dir);
     let adapted: Vec<_> = warehouse.iter().map(|t| typer.annotate(t)).collect();
     let (adapted_runs, adapted_hits) = counts(&adapted);
     println!(
@@ -108,6 +110,22 @@ fn main() {
         cache.l2().len()
     );
     assert!(dropped > 0);
+    drop(cache);
+
+    // Process 4 after compaction: header entries carry no epoch, so
+    // compaction kept process 1's beside process 3's lookup and
+    // embedding entries, and the recrawl runs nothing.
+    let typer = start_process(global, &dir);
+    let compacted: Vec<_> = warehouse.iter().map(|t| typer.annotate(t)).collect();
+    let (compacted_runs, compacted_hits) = counts(&compacted);
+    println!(
+        "process 4 (compacted): {compacted_runs:>3} step-columns run, {compacted_hits:>4} disk hits"
+    );
+    assert_eq!(compacted_runs, 0, "compaction must keep every live entry");
+    for (a, b) in adapted.iter().zip(&compacted) {
+        assert_eq!(a.predictions(), b.predictions(), "cache must be invisible");
+    }
+    drop(typer);
 
     let _ = std::fs::remove_dir_all(&dir);
     println!("restart survived, adaptation propagated, segment compacted.");

@@ -15,7 +15,8 @@
 //! * an adaptation in one instance advances the durable epoch, so a
 //!   second instance sharing the directory refuses every lookup and
 //!   embedding entry the first one wrote, and reads only the header
-//!   entries written under its own `Wg` state.
+//!   entries written under its own `Wg` state; compaction then drops
+//!   the dead lookup and embedding entries and keeps the header ones.
 //!
 //! The companion `persistent_cache_procs.rs` repeats the round-trip
 //! across two real OS processes in CI.
@@ -298,4 +299,15 @@ fn adaptation_in_one_process_invalidates_entries_read_by_another() {
     assert!(dropped > 0, "stale-epoch entries were reclaimed");
     assert_eq!(cache.l2().len(), before_len - dropped);
     assert!(!cache.l2().is_empty(), "live-epoch entries survive");
+    drop(cache);
+
+    // Compaction kept A's header entries, whose keys hash no epoch,
+    // beside B's lookup and embedding entries: a crawl after it runs
+    // no step and answers what B answered.
+    let typer = open_typer(&scratch.0);
+    let after: Vec<TableAnnotation> = tables.iter().map(|t| typer.annotate(t)).collect();
+    assert_eq!(counts(&after).runs, 0, "compaction dropped a live entry");
+    for (a, b) in anns.iter().zip(&after) {
+        assert_identical(a, b);
+    }
 }

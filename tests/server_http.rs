@@ -919,7 +919,7 @@ fn graceful_shutdown_drains_in_flight_and_leaves_disk_state_warm() {
     drop(reopened);
     let epochs = DurableEpochSource::open(scratch.0.join("epoch")).expect("reopen epochs");
     assert_eq!(
-        sigmatyper::EpochSource::current(&epochs),
+        epochs.current(),
         epoch,
         "durable epoch must match the last feedback bump"
     );
