@@ -44,21 +44,21 @@
 //! leaves the key, and the entry, valid; one that changes a header's
 //! `Wg` changes that header's key.
 //!
-//! Epochs come from one of two sources:
-//!
-//! * **Ephemeral** (the default): a process-global monotone counter
-//!   seeded with process-unique entropy (pid mixed with startup time),
-//!   so epochs are unique both within a process *and* across
-//!   processes with overwhelming probability. Several customer
-//!   instances — even in different processes pooling one external
-//!   cache — never share an epoch, so their entries never collide.
-//! * **Durable**: a
-//!   [`DurableEpochSource`](crate::diskcache::DurableEpochSource),
-//!   which persists the customer's epoch in a small write-ahead file.
-//!   A restarted process resumes the *same* epoch (so a persistent
-//!   cache tier stays warm), and an adaptation in any process advances
-//!   the file before the new epoch is used, so every other process
-//!   observing the source stops reaching the stale entries.
+//! Epochs are drawn from a process-global monotone counter seeded
+//! with process-unique entropy (pid mixed with startup time), so they
+//! are unique both within a process *and* across processes with
+//! overwhelming probability. Several customer instances — even in
+//! different processes pooling one external cache — never share an
+//! epoch, so their entries never collide. A customer built with a
+//! [`DurableEpochSource`](crate::diskcache::DurableEpochSource) starts
+//! instead from the epoch stored in a small file, which the process
+//! that created the file drew from its counter: a restarted process
+//! reaches the entries its predecessor wrote while it was the customer
+//! as built, so a persistent cache tier stays warm. Adaptation draws
+//! from the counter and never writes the file: the local model is not
+//! persisted, so a restart answers as the customer as built, and the
+//! post-adaptation entries, under epochs no restart resumes, are never
+//! read again.
 //!
 //! The on-disk tier ([`DiskCache`](crate::diskcache::DiskCache))
 //! additionally tags its segment with an explicit format/fingerprint

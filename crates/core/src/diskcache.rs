@@ -15,11 +15,11 @@
 //!   entirely.
 //! * [`TieredStepCache`] — the sharded LRU as L1 in front of a
 //!   [`DiskCache`] L2, promoting disk hits into memory.
-//! * [`DurableEpochSource`] — a small write-ahead epoch file: a
-//!   restarted [`SigmaTyper`] resumes its predecessor's epoch (so the
-//!   disk tier comes up warm), and an adaptation in one process
-//!   durably advances the epoch *before* using it, invalidating the
-//!   stale entries for every process sharing the file.
+//! * [`DurableEpochSource`] — a small epoch file naming the customer
+//!   as built: a restarted [`SigmaTyper`] resumes its predecessor's
+//!   starting epoch, so the disk tier comes up warm with the entries
+//!   written before any adaptation. Adaptation moves the epoch in
+//!   memory only; the file is written when it is created or reseeded.
 //!
 //! # Segment format (version 2)
 //!
@@ -93,7 +93,7 @@ const MAX_PAYLOAD: usize = 16 << 20;
 /// Epoch field of an untagged record (an insert with `epoch: None`),
 /// on disk and in the index. [`DiskCache::compact`] keeps such records
 /// whatever epochs are live. A tag of `u64::MAX` itself reads back as
-/// untagged; epoch sources start below 2⁶³, so none reaches it.
+/// untagged; the epoch counter starts below 2⁶³, so no epoch reaches it.
 const UNTAGGED: u64 = u64::MAX;
 
 fn checksum(payload: &[u8]) -> [u8; 16] {
@@ -625,12 +625,12 @@ fn read_epoch_file(path: &Path) -> Option<u64> {
 /// Write `epoch`'s record over the start of the epoch file at `path`,
 /// in place, and sync the file's data. A file longer than one record is
 /// cut to one, since [`read_epoch_file`] accepts nothing else. Creating
-/// the file also syncs its directory, once, so that its name is
-/// durable; overwriting in place never changes the name again.
+/// the file also syncs its directory, so that its name is durable;
+/// reseeding a corrupt file in place never changes the name.
 ///
 /// A crash mid-write can leave the new record's first bytes over the
-/// old record's last ones: the checksum then fails, and the file reads
-/// as corrupt rather than as a third epoch.
+/// corrupt record's last ones: the checksum then fails, and the next
+/// open reseeds again.
 fn write_epoch_file(path: &Path, epoch: u64) -> io::Result<()> {
     let mut record = Vec::with_capacity(EPOCH_FILE_LEN as usize);
     record.extend_from_slice(&EPOCH_MAGIC);
@@ -665,104 +665,67 @@ fn write_epoch_file(path: &Path, epoch: u64) -> io::Result<()> {
     Ok(())
 }
 
-/// A durable per-customer cache epoch backed by a 32-byte write-ahead
-/// file (magic ‖ version ‖ epoch ‖ checksum). Installed with
-/// [`SigmaTyperBuilder::epoch_source`], it replaces the in-process
-/// epoch counter: a restarted process resumes its predecessor's epoch,
-/// so a persistent cache tier stays warm, and an adaptation in one
-/// process invalidates the column-scoped entries another process
-/// reads. Adaptation is single-writer per customer (a `SigmaTyper`
-/// mutates through `&mut self`), so concurrent
-/// [`advance`](DurableEpochSource::advance) calls on one customer's
-/// file are out of contract.
+/// A durable per-customer starting epoch backed by a 32-byte file
+/// (magic ‖ version ‖ epoch ‖ checksum). Installed with
+/// [`SigmaTyperBuilder::epoch_source`], it replaces the fresh epoch
+/// `build` would draw: a restarted process resumes its predecessor's
+/// starting epoch, so a persistent cache tier stays warm.
 ///
-/// * A fresh file seeds the epoch from process-unique entropy and
-///   persists it before first use, so two customers pointed at
-///   different files (or the same customer racing its own first
-///   start) never collide with an in-memory counter epoch.
-/// * [`current`](DurableEpochSource::current) re-reads the file on every
-///   call: an advance performed by *another process* sharing the file
-///   is observed at the next annotation, invalidating that process's
-///   view of the shared cache. The file is one sector, so this is one
-///   cheap read compared to a cascade run.
-/// * [`advance`](DurableEpochSource::advance) persists the new epoch *before*
-///   returning it — write-ahead, so no process can cache under an
-///   epoch that a crash would resurrect. It overwrites the 32 bytes in
-///   place and syncs the file's data; the directory is synced once,
-///   when the file is created, since an in-place write never changes
-///   the file's name.
+/// The file names the customer *as built*, the one state a restart
+/// can rebuild: the local model is not persisted, so adaptation moves
+/// the epoch in memory only and never writes the file. Entries written
+/// after a correction carry an epoch no restart resumes, so a restart
+/// never reads them; [`DiskCache::compact`] with the stored epoch drops
+/// them.
 ///
-/// A corrupt or unreadable file degrades safely: `current` falls back
-/// to the last known value, and a corrupt file at open reseeds from
-/// entropy (cold cache, never a stale hit), cutting a file longer than
-/// one record back to 32 bytes. A crash that tears an overwrite leaves
-/// the old record, the new one, or a mix of the two that fails the
-/// checksum — so a reopen resumes the old epoch, resumes the new one,
-/// or reseeds, and a live handle keeps its last known epoch.
+/// * A missing or corrupt file is seeded from the in-process epoch
+///   counter and persisted before [`open`](DurableEpochSource::open)
+///   returns: the record's data is synced, and so is the directory
+///   when the file is created. A file longer than one record is cut
+///   back to 32 bytes. A reseed is a cold cache, never a stale hit.
+/// * Nothing writes the file after `open` returns, and
+///   [`current`](DurableEpochSource::current) returns the epoch read
+///   or seeded at open without touching the file again.
+///
+/// A crash that tears a reseed leaves the new record's first bytes
+/// over the corrupt record's last ones. That fails the checksum unless
+/// the whole new record landed, so the next open resumes the new epoch
+/// or reseeds again.
 ///
 /// [`SigmaTyperBuilder::epoch_source`]: crate::system::SigmaTyperBuilder::epoch_source
 #[derive(Debug)]
 pub struct DurableEpochSource {
-    path: PathBuf,
-    last: AtomicU64,
+    epoch: u64,
 }
 
 impl DurableEpochSource {
     /// Open (or create) the epoch file at `path`. An existing valid
     /// file resumes its stored epoch — the point of durability: a
     /// restarted process keeps reaching its predecessor's cached
-    /// entries. A missing or corrupt file seeds a fresh entropy epoch
-    /// and persists it before returning.
-    pub fn open(path: impl Into<PathBuf>) -> io::Result<Self> {
-        let path = path.into();
+    /// entries. A missing or corrupt file is seeded with a fresh epoch,
+    /// persisted before returning.
+    pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
+        let path = path.as_ref();
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 fs::create_dir_all(parent)?;
             }
         }
-        let epoch = match read_epoch_file(&path) {
+        let epoch = match read_epoch_file(path) {
             Some(stored) => stored,
             None => {
-                let seed = crate::system::entropy_epoch_seed();
-                write_epoch_file(&path, seed)?;
+                let seed = crate::system::next_epoch();
+                write_epoch_file(path, seed)?;
                 seed
             }
         };
-        Ok(DurableEpochSource {
-            path,
-            last: AtomicU64::new(epoch),
-        })
+        Ok(DurableEpochSource { epoch })
     }
 
-    /// Path of the backing epoch file.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The current epoch — the one new fingerprints should hash —
-    /// re-read from the file (see the type docs).
+    /// The epoch read (or seeded) at open.
     #[must_use]
     pub fn current(&self) -> u64 {
-        match read_epoch_file(&self.path) {
-            Some(stored) => {
-                self.last.store(stored, Ordering::Relaxed);
-                stored
-            }
-            None => self.last.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Durably advance to a fresh epoch and return it, writing the
-    /// file first (see the type docs).
-    pub fn advance(&self) -> u64 {
-        let next = self.current().wrapping_add(1);
-        // Write-ahead: durable before use. If the write fails the
-        // advance still happens in memory, so local invalidation is
-        // never lost — only cross-process visibility degrades.
-        let _ = write_epoch_file(&self.path, next);
-        self.last.store(next, Ordering::Relaxed);
-        next
+        self.epoch
     }
 }
 
@@ -1094,111 +1057,106 @@ mod tests {
         assert!(tiered.is_empty());
     }
 
+    /// Reopen the epoch file at `path`: `intact`, the record of
+    /// `stored`, resumes it and leaves the bytes alone; anything else
+    /// reseeds a fresh epoch, rewritten as one whole 32-byte record
+    /// that the next open resumes. Returns the epoch.
+    fn reopen_resumes_or_reseeds(path: &Path, stored: u64, intact: &[u8]) -> u64 {
+        let before = fs::read(path).unwrap();
+        let reopened = DurableEpochSource::open(path).unwrap().current();
+        let after = fs::read(path).unwrap();
+        if before == intact {
+            assert_eq!(reopened, stored, "an intact record resumes");
+            assert_eq!(after, intact, "a resume writes nothing");
+        } else {
+            assert_ne!(reopened, stored, "a damaged record reseeds");
+            assert_eq!(after.len(), 32, "a reseed is one whole record");
+            assert_eq!(read_epoch_file(path), Some(reopened));
+            assert_eq!(DurableEpochSource::open(path).unwrap().current(), reopened);
+        }
+        reopened
+    }
+
     #[test]
-    fn durable_epoch_source_resumes_advances_and_survives_corruption() {
+    fn durable_epoch_source_resumes_and_reseeds_a_corrupt_file() {
         let dir = Scratch::new("epoch");
         let path = dir.path().join("epoch");
         let first = DurableEpochSource::open(&path).unwrap();
         let e0 = first.current();
-        // Resuming reads the same epoch back (durable across restart).
-        let resumed = DurableEpochSource::open(&path).unwrap();
-        assert_eq!(resumed.current(), e0);
-        // Advance is write-ahead: a third handle sees it immediately.
-        let e1 = resumed.advance();
-        assert_eq!(e1, e0.wrapping_add(1));
-        assert_eq!(first.current(), e1, "cross-handle visibility");
-        assert_eq!(DurableEpochSource::open(&path).unwrap().current(), e1);
+        let intact = fs::read(&path).unwrap();
+        assert_eq!(intact.len(), 32);
+        // Resuming reads the same epoch back (durable across restart)
+        // and leaves the file as it was.
+        assert_eq!(reopen_resumes_or_reseeds(&path, e0, &intact), e0);
         // Corrupt file ⇒ reopen reseeds fresh instead of trusting it.
-        let mut bytes = fs::read(&path).unwrap();
+        let mut bytes = intact.clone();
         bytes[20] ^= 0x01;
         fs::write(&path, &bytes).unwrap();
-        let reseeded = DurableEpochSource::open(&path).unwrap();
-        assert_ne!(reseeded.current(), e1);
-        // A live handle with a corrupt file falls back to last known.
-        let held = DurableEpochSource::open(&path).unwrap();
-        let known = held.current();
+        let reseeded = reopen_resumes_or_reseeds(&path, e0, &intact);
+        let reseeded_record = fs::read(&path).unwrap();
+        // A handle never reads the file again after open.
         fs::write(&path, b"junk").unwrap();
-        assert_eq!(held.current(), known);
+        assert_eq!(first.current(), e0);
+        reopen_resumes_or_reseeds(&path, reseeded, &reseeded_record);
     }
 
     /// A crash can leave the 32-byte epoch file cut at any offset:
     /// every cut reopens to a freshly seeded epoch (a cold cache, never
-    /// a stale one), a live handle keeps its last known epoch, and the
-    /// intact file still resumes the stored one.
+    /// a stale one) that the next open resumes, and the intact file
+    /// still resumes the stored one.
     #[test]
     fn truncated_epoch_file_reseeds_at_every_offset() {
         let dir = Scratch::new("epoch-torn");
         let path = dir.path().join("epoch");
-        let held = DurableEpochSource::open(&path).unwrap();
-        let stored = held.advance();
+        let stored = DurableEpochSource::open(&path).unwrap().current();
         let intact = fs::read(&path).unwrap();
         assert_eq!(intact.len(), 32);
         for cut in (0..intact.len()).rev() {
             fs::write(&path, &intact[..cut]).unwrap();
-            assert_eq!(held.current(), stored, "cut at {cut}: last known epoch");
-            let reopened = DurableEpochSource::open(&path).unwrap();
-            let reseeded = reopened.current();
-            assert_ne!(reseeded, stored, "cut at {cut} resumed a torn epoch");
-            // The reseed is persisted whole, so the next open resumes it.
-            assert_eq!(DurableEpochSource::open(&path).unwrap().current(), reseeded);
+            reopen_resumes_or_reseeds(&path, stored, &intact);
         }
         fs::write(&path, &intact).unwrap();
-        assert_eq!(DurableEpochSource::open(&path).unwrap().current(), stored);
+        reopen_resumes_or_reseeds(&path, stored, &intact);
     }
 
-    /// An advance overwrites the record in place, so a crash can leave
-    /// the new record's first bytes over the old record's last ones.
-    /// At every split point a reopen resumes the old epoch, resumes
-    /// the new one, or reseeds — writing a fresh record that the next
-    /// open resumes — and does nothing else. A reseed also cuts a file
-    /// longer than one record back to 32 bytes.
+    /// A reseed overwrites a corrupt record in place, so a crash can
+    /// leave the reseed's first bytes over the corrupt record's last
+    /// ones. At every split point a reopen resumes the reseed (only
+    /// when all of it landed) or reseeds again, writing a fresh record
+    /// that the next open resumes. A file longer than one record is
+    /// cut back to 32 bytes.
     #[test]
-    fn torn_overwrite_resumes_old_or_new_or_reseeds() {
-        let dir = Scratch::new("epoch-overwrite");
+    fn torn_reseed_over_a_corrupt_record_resumes_or_reseeds() {
+        let dir = Scratch::new("epoch-reseed");
         let path = dir.path().join("epoch");
-        let held = DurableEpochSource::open(&path).unwrap();
-        let (old_epoch, old) = (held.current(), fs::read(&path).unwrap());
-        let new_epoch = held.advance();
+        let old_epoch = DurableEpochSource::open(&path).unwrap().current();
+        let old = fs::read(&path).unwrap();
+        let mut corrupt = old.clone();
+        corrupt[31] ^= 0x01;
+        fs::write(&path, &corrupt).unwrap();
+        let new_epoch = reopen_resumes_or_reseeds(&path, old_epoch, &old);
         let new = fs::read(&path).unwrap();
-        assert_eq!((old.len(), new.len()), (32, 32));
-        let mut outcomes = [0usize; 3];
+        let mut resumed = 0;
         for split in 0..=new.len() {
-            let torn: Vec<u8> = new[..split].iter().chain(&old[split..]).copied().collect();
+            let torn: Vec<u8> = new[..split]
+                .iter()
+                .chain(&corrupt[split..])
+                .copied()
+                .collect();
             fs::write(&path, &torn).unwrap();
-            let reopened = DurableEpochSource::open(&path).unwrap().current();
-            if reopened == old_epoch {
-                outcomes[0] += 1;
-                assert_eq!(fs::read(&path).unwrap(), old, "split {split}: resumed old");
-            } else if reopened == new_epoch {
-                outcomes[1] += 1;
-                assert_eq!(fs::read(&path).unwrap(), new, "split {split}: resumed new");
-            } else {
-                outcomes[2] += 1;
-                assert_ne!(
-                    fs::read(&path).unwrap(),
-                    torn,
-                    "split {split}: not rewritten"
-                );
-                assert_eq!(
-                    DurableEpochSource::open(&path).unwrap().current(),
-                    reopened,
-                    "split {split}: the reseed is persisted whole"
-                );
-            }
+            let reopened = reopen_resumes_or_reseeds(&path, new_epoch, &new);
+            assert_ne!(
+                reopened, old_epoch,
+                "split {split} resumed the corrupt epoch"
+            );
+            resumed += usize::from(reopened == new_epoch);
         }
-        // The magic and version bytes are equal in both records, so
-        // the first splits resume the old epoch; the epoch bytes differ
-        // and only the last split's checksum matches the new one.
-        assert!(outcomes[0] > 0 && outcomes[2] > 0, "{outcomes:?}");
-        assert_eq!(outcomes[1], 1, "{outcomes:?}");
+        assert!(resumed >= 1, "the whole reseed resumes");
 
         let mut long = new.clone();
         long.extend_from_slice(b"trailing");
         fs::write(&path, &long).unwrap();
-        let reseeded = DurableEpochSource::open(&path).unwrap().current();
-        assert_ne!(reseeded, new_epoch, "a longer file is not a record");
-        assert_eq!(fs::metadata(&path).unwrap().len(), 32);
-        assert_eq!(DurableEpochSource::open(&path).unwrap().current(), reseeded);
+        reopen_resumes_or_reseeds(&path, new_epoch, &new);
     }
 
     /// Corruption at every offset: each byte of a flushed 4-record

@@ -93,16 +93,9 @@ pub struct SigmaTyper {
     /// epoch when one is an unmutated clone of the other — i.e. when
     /// their models really are identical. Any divergence (a feedback
     /// event on either side) draws a fresh value no other instance has
-    /// ever used.
+    /// ever used. A [`DurableEpochSource`] only sets the value `build`
+    /// starts from; adaptation never writes it back.
     epoch: u64,
-    /// Optional durable epoch source (see
-    /// [`DurableEpochSource`]). When present, epochs are drawn from (and
-    /// persisted through) the source instead of the in-process
-    /// counter: a restarted process resumes its predecessor's epoch —
-    /// keeping a persistent cache tier warm — and an adaptation here
-    /// durably advances the source before the new epoch is used, so
-    /// other processes sharing it stop reaching the stale entries.
-    epoch_source: Option<Arc<DurableEpochSource>>,
 }
 
 /// Mix a process id and a nanosecond timestamp into an epoch seed:
@@ -126,9 +119,10 @@ fn process_epoch_seed(pid: u32, startup_nanos: u64) -> u64 {
 /// one process feeding entries another reads) two different model
 /// states could share an epoch and serve each other stale scores.
 /// Entropy makes cross-process epoch reuse a ~2⁻⁶³ event instead of a
-/// certainty; configurations that need a hard guarantee (plus warm
-/// restarts) install a [`DurableEpochSource`] instead.
-fn next_epoch() -> u64 {
+/// certainty. A new [`DurableEpochSource`] file is seeded from this
+/// counter too, so no other instance in the seeding process draws the
+/// file's epoch.
+pub(crate) fn next_epoch() -> u64 {
     use std::sync::atomic::{AtomicU64, Ordering};
     static SEED: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
     static NEXT: AtomicU64 = AtomicU64::new(0);
@@ -139,25 +133,6 @@ fn next_epoch() -> u64 {
         process_epoch_seed(std::process::id(), nanos)
     });
     seed.wrapping_add(NEXT.fetch_add(1, Ordering::Relaxed))
-}
-
-/// A fresh entropy epoch for out-of-process stores (used by
-/// [`DurableEpochSource`] when seeding a new epoch file). Distinct
-/// from the [`next_epoch`] counter space — a durable seed must not
-/// land on a value the in-process counter is about to hand to some
-/// other instance — and salted per call so two files seeded in the
-/// same nanosecond still differ.
-pub(crate) fn entropy_epoch_seed() -> u64 {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static SALT: AtomicU64 = AtomicU64::new(0);
-    let nanos = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_nanos() as u64);
-    let salt = SALT.fetch_add(1, Ordering::Relaxed).wrapping_add(1);
-    process_epoch_seed(
-        std::process::id(),
-        nanos ^ crate::cache::avalanche(salt.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-    )
 }
 
 /// Builder for a customer instance with a customized cascade: add,
@@ -191,7 +166,9 @@ pub struct SigmaTyperBuilder {
     cascade: Cascade,
     cache: Option<Arc<dyn StepCache>>,
     cost: Option<Arc<CostModel>>,
-    epoch_source: Option<Arc<DurableEpochSource>>,
+    /// The epoch `build` starts from, when a [`DurableEpochSource`]
+    /// supplied one.
+    epoch: Option<u64>,
 }
 
 impl SigmaTyperBuilder {
@@ -304,17 +281,19 @@ impl SigmaTyperBuilder {
         self
     }
 
-    /// Attach a [`DurableEpochSource`] — typically a file next to a
-    /// [`DiskCache`](crate::diskcache::DiskCache) segment. `build()`
-    /// then *resumes* the source's current epoch instead of drawing a
-    /// fresh one, so a restarted process keeps reaching the entries
-    /// its predecessor persisted; every
-    /// adaptation advances the source durably before the new epoch is
-    /// used. One source belongs to one customer: point different
-    /// customers (whose models differ) at different files.
+    /// Start from a [`DurableEpochSource`]'s epoch — typically a file
+    /// next to a [`DiskCache`](crate::diskcache::DiskCache) segment.
+    /// `build()` then *resumes* the stored epoch instead of drawing a
+    /// fresh one, so a restarted process keeps reaching the entries its
+    /// predecessor wrote while it was the customer as built. Adaptation
+    /// draws in-memory epochs and never writes the file: the local model
+    /// is not persisted, so a restart answers as the customer as built,
+    /// and the entries it reaches are the ones written under that model.
+    /// One source belongs to one customer: point different customers
+    /// (whose models differ) at different files.
     #[must_use]
     pub fn epoch_source(mut self, source: Arc<DurableEpochSource>) -> Self {
-        self.epoch_source = Some(source);
+        self.epoch = Some(source.current());
         self
     }
 
@@ -325,14 +304,9 @@ impl SigmaTyperBuilder {
         // Even a freshly built instance gets a globally unique epoch:
         // two customers built over different global models (or with
         // different custom step implementations) must never produce
-        // colliding cache keys. A durable source *resumes* its stored
-        // epoch instead — deliberately not an advance: a restart with
-        // unchanged models must keep reaching the previous process's
-        // persisted entries.
-        let epoch = self
-            .epoch_source
-            .as_ref()
-            .map_or_else(next_epoch, |s| s.current());
+        // colliding cache keys. A durable source's epoch is resumed
+        // instead, so a restart with unchanged models keeps reaching
+        // the previous process's persisted entries.
         SigmaTyper {
             global: self.global,
             ontology,
@@ -341,8 +315,7 @@ impl SigmaTyperBuilder {
             cascade: self.cascade,
             cache: self.cache,
             cost: self.cost.unwrap_or_default(),
-            epoch,
-            epoch_source: self.epoch_source,
+            epoch: self.epoch.unwrap_or_else(next_epoch),
         }
     }
 }
@@ -366,18 +339,14 @@ impl SigmaTyper {
             cascade: Cascade::standard(),
             cache: None,
             cost: None,
-            epoch_source: None,
+            epoch: None,
         }
     }
 
-    /// Re-draw this customer's cache epoch after an adaptation event:
-    /// from the durable source (write-ahead — persisted before use)
-    /// when one is installed, else from the in-process counter.
+    /// Re-draw this customer's cache epoch after an adaptation event,
+    /// from the in-process counter.
     fn bump_epoch(&mut self) {
-        self.epoch = self
-            .epoch_source
-            .as_ref()
-            .map_or_else(next_epoch, |s| s.advance());
+        self.epoch = next_epoch();
     }
 
     /// The (customer-local) ontology.
@@ -442,12 +411,15 @@ impl SigmaTyper {
         self.cache = cache;
     }
 
-    /// The current cache epoch: a process-globally unique, monotone
-    /// value drawn at build time and re-drawn by
+    /// The current cache epoch: a process-globally unique value drawn
+    /// at build time (or resumed from a [`DurableEpochSource`]) and
+    /// re-drawn in memory by
     /// [`SigmaTyper::feedback`], [`SigmaTyper::implicit_approve`],
     /// [`SigmaTyper::register_custom_type`],
     /// [`SigmaTyper::cascade_mut`], and
-    /// [`SigmaTyper::invalidate_cache`]. It is hashed into every
+    /// [`SigmaTyper::invalidate_cache`]. Draws within one process are
+    /// monotone; a resumed epoch was drawn by the process that seeded
+    /// the file. It is hashed into every
     /// column fingerprint, so a re-draw makes all previously cached
     /// column-scoped entries unreachable for this customer — and global
     /// uniqueness keeps different instances' entries disjoint in a
@@ -456,16 +428,9 @@ impl SigmaTyper {
     /// Header-scoped entries are not keyed by it and are inserted
     /// untagged, so compaction keeps them (see
     /// [`CacheScope::Header`](crate::step::CacheScope::Header)).
-    ///
-    /// With a [`DurableEpochSource`] installed, this re-reads the
-    /// source: an advance performed by *another process* sharing the
-    /// source's file is observed here, so this instance stops
-    /// reaching entries that adaptation elsewhere made stale.
     #[must_use]
     pub fn cache_epoch(&self) -> u64 {
-        self.epoch_source
-            .as_ref()
-            .map_or(self.epoch, |s| s.current())
+        self.epoch
     }
 
     /// Manually invalidate this customer's column-scoped cached step
@@ -605,10 +570,7 @@ impl SigmaTyper {
         } else {
             self.cache.as_deref().map(|cache| CacheContext {
                 cache,
-                // `cache_epoch()` (not the `epoch` snapshot): with a
-                // durable source this observes advances made by other
-                // processes since this instance was built.
-                epoch: self.cache_epoch(),
+                epoch: self.epoch,
             })
         };
         // Delta-aware recrawl: diff against the base crawl,

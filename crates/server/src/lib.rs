@@ -48,17 +48,18 @@
 //!   worker answers `500` with a JSON error, counts the panic in
 //!   `/metrics`, and pops the next job.
 //! * **Feedback**: `POST /feedback` takes the service write lock,
-//!   runs the paper's adaptation loop, and bumps the epoch — connected
-//!   clients observe the invalidation on their next request: lookup and
-//!   embedding entries all miss, header entries only under a header
-//!   whose `Wg` the correction changed. A panic
+//!   runs the paper's adaptation loop, and bumps the in-memory epoch —
+//!   connected clients observe the invalidation on their next request:
+//!   lookup and embedding entries all miss, header entries only under
+//!   a header whose `Wg` the correction changed. A panic
 //!   inside the loop answers `500` and is counted in `/metrics`
 //!   `panics` too.
 //! * **Graceful shutdown** ([`AnnotationServer::shutdown`]): stop
 //!   accepting, drain every in-flight response, close the queue, join
 //!   the workers, [`flush`](AnnotationService::flush) the cache tier.
-//!   No admitted request is dropped; a durable epoch file stays
-//!   consistent for a warm restart.
+//!   No admitted request is dropped. The epoch file still holds the
+//!   epoch the server started with, so a restart answers as the
+//!   customer as built, from the entries written before any feedback.
 //!
 //! # Endpoints
 //!
@@ -255,9 +256,11 @@ impl AnnotationServer {
 
     /// Graceful shutdown: stop accepting, drain every in-flight
     /// response, close the queue, join the workers, and flush the
-    /// cache tier. Returns the flush result — epoch durability needs
-    /// no work here because [`DurableEpochSource`] persists
-    /// write-ahead on every advance.
+    /// cache tier. Returns the flush result. The epoch file needs no
+    /// work here: [`DurableEpochSource`] writes it only at open, and it
+    /// keeps naming the customer as built, whose entries a restart
+    /// reads. The local model is not persisted, so a restart forgets
+    /// every feedback this server took.
     ///
     /// [`DurableEpochSource`]: sigmatyper::diskcache::DurableEpochSource
     pub fn shutdown(mut self) -> io::Result<()> {
@@ -448,7 +451,9 @@ fn handle_annotate_batch(state: &ServerState, req: &Request) -> Response {
 /// retires every column-scoped cache entry for every subsequent
 /// request, and the header step's entries retire only under the header
 /// whose `Wg` state the correction changed, since their key hashes
-/// that state instead of the epoch. A
+/// that state instead of the epoch. The bump is in memory: the lock
+/// hold does no file I/O, and the epoch file keeps the epoch the
+/// server started with (see [`AnnotationServer::shutdown`]). A
 /// step that panics inside the loop costs this request only: it gets
 /// the JSON `500`, `/metrics` counts it in `panics`, and the epoch
 /// still moves on, since the loop may have changed the local model

@@ -5,11 +5,13 @@
 //! in-memory LRU dies with the process, so before the disk tier every
 //! restart meant a full recrawl. Here we crawl once, "restart" (a
 //! fresh `SigmaTyper` over the same cache directory), and watch the
-//! new process recrawl without running a single step — then
-//! adapt the customer and watch the *durable* epoch invalidate the
-//! on-disk lookup and embedding entries for every future process,
-//! and a compaction reclaim those while keeping the header entries
-//! that every process still reads.
+//! new process recrawl without running a single step — then adapt the
+//! customer and crawl again. The adapted epoch lives in memory only:
+//! the epoch file keeps naming the customer as built, which is what a
+//! restart rebuilds (the local model is not persisted), so the next
+//! process again runs nothing and answers as the first one did, and a
+//! compaction under that epoch reclaims the adapted lookup and
+//! embedding entries while keeping every header entry.
 //!
 //! ```text
 //! cargo run --release --example persistent_recrawl
@@ -66,7 +68,8 @@ fn main() {
     // Process 2: fresh instance, same directory. The L1 LRU is empty,
     // but the segment file serves every step, header step included —
     // and the annotations are bit-identical to the cold crawl's.
-    let typer = start_process(Arc::clone(&global), &dir);
+    let mut typer = start_process(Arc::clone(&global), &dir);
+    let base = typer.cache_epoch();
     let warm: Vec<_> = warehouse.iter().map(|t| typer.annotate(t)).collect();
     let (warm_runs, warm_hits) = counts(&warm);
     println!("process 2 (restart):  {warm_runs:>4} step-columns run, {warm_hits:>4} disk hits");
@@ -75,36 +78,55 @@ fn main() {
         assert_eq!(a.predictions(), b.predictions(), "cache must be invisible");
     }
 
-    // The customer corrects a column. The epoch advance is written to
-    // the epoch file *before* the correction takes effect, so no
-    // process — current or future — can serve pre-correction scores.
-    let mut typer = typer;
+    // The customer corrects a column. The epoch moves in memory, so
+    // this process never serves pre-correction lookup or embedding
+    // scores; the epoch file is not written.
     let o = typer.ontology().clone();
-    let before = typer.cache_epoch();
     typer.feedback(&warehouse[1].clone(), 0, builtin_id(&o, "city"), None);
     println!(
-        "feedback applied:     epoch {before} -> {}",
+        "feedback applied:     epoch {base} -> {}",
         typer.cache_epoch()
     );
-    drop(typer);
-
-    // Process 3 resumes the advanced epoch: the old lookup and
-    // embedding entries are unreachable and re-run, and a compaction
-    // pass reclaims the dead bytes. The local model is not persisted,
-    // so process 3's `Wg` state is a fresh one — the state process 1
-    // wrote its header entries under, which therefore still serve.
-    let typer = start_process(Arc::clone(&global), &dir);
     let adapted: Vec<_> = warehouse.iter().map(|t| typer.annotate(t)).collect();
     let (adapted_runs, adapted_hits) = counts(&adapted);
     println!(
-        "process 3 (adapted):  {adapted_runs:>4} step-columns run, {adapted_hits:>4} disk hits"
+        "process 2 (adapted):  {adapted_runs:>4} step-columns run, {adapted_hits:>4} cache hits"
     );
-    assert!(adapted_runs > 0, "stale entries must not serve");
-    let live = typer.cache_epoch();
+    assert!(adapted_runs > 0, "pre-correction entries must not serve");
+    typer.step_cache().expect("cache").flush().expect("flush");
     drop(typer);
+
+    // Process 3 is the customer as built again — the local model is
+    // not persisted — and resumes the starting epoch from the file, so
+    // it reads process 1's entries, runs nothing, and answers as
+    // process 1 did.
+    let typer = start_process(Arc::clone(&global), &dir);
+    assert_eq!(
+        typer.cache_epoch(),
+        base,
+        "the epoch file names the customer as built"
+    );
+    let restarted: Vec<_> = warehouse.iter().map(|t| typer.annotate(t)).collect();
+    let (restarted_runs, restarted_hits) = counts(&restarted);
+    println!(
+        "process 3 (restart):  {restarted_runs:>4} step-columns run, {restarted_hits:>4} disk hits"
+    );
+    assert_eq!(restarted_runs, 0, "a restart must not forfeit the cache");
+    for (a, b) in cold.iter().zip(&restarted) {
+        assert_eq!(
+            a.predictions(),
+            b.predictions(),
+            "a restart answers as built"
+        );
+    }
+    drop(typer);
+
+    // Compaction under the starting epoch drops process 2's
+    // post-feedback lookup and embedding records, which no restart
+    // reads, and keeps every header record.
     let cache = TieredStepCache::open(dir.join("cache"), 1 << 16).expect("reopen tier");
     let before_len = cache.l2().len();
-    let dropped = cache.compact(&[live]).expect("compact");
+    let dropped = cache.compact(&[base]).expect("compact");
     println!(
         "compaction:           {before_len} entries -> {} ({dropped} stale dropped)",
         cache.l2().len()
@@ -112,9 +134,8 @@ fn main() {
     assert!(dropped > 0);
     drop(cache);
 
-    // Process 4 after compaction: header entries carry no epoch, so
-    // compaction kept process 1's beside process 3's lookup and
-    // embedding entries, and the recrawl runs nothing.
+    // Process 4 after compaction: every record it reads survived, so
+    // the recrawl runs nothing.
     let typer = start_process(global, &dir);
     let compacted: Vec<_> = warehouse.iter().map(|t| typer.annotate(t)).collect();
     let (compacted_runs, compacted_hits) = counts(&compacted);
@@ -122,11 +143,11 @@ fn main() {
         "process 4 (compacted): {compacted_runs:>3} step-columns run, {compacted_hits:>4} disk hits"
     );
     assert_eq!(compacted_runs, 0, "compaction must keep every live entry");
-    for (a, b) in adapted.iter().zip(&compacted) {
+    for (a, b) in cold.iter().zip(&compacted) {
         assert_eq!(a.predictions(), b.predictions(), "cache must be invisible");
     }
     drop(typer);
 
     let _ = std::fs::remove_dir_all(&dir);
-    println!("restart survived, adaptation propagated, segment compacted.");
+    println!("restart survived, adapted entries unread, segment compacted.");
 }

@@ -12,24 +12,26 @@
 //!   produces bit-identical annotations;
 //! * a truncated segment file degrades to a *cold* cache — correct
 //!   answers, never garbage, never a panic;
-//! * an adaptation in one instance advances the durable epoch, so a
-//!   second instance sharing the directory refuses every lookup and
-//!   embedding entry the first one wrote, and reads only the header
-//!   entries written under its own `Wg` state; compaction then drops
-//!   the dead lookup and embedding entries and keeps the header ones.
+//! * the epoch file names the customer as built: adaptation moves the
+//!   epoch in memory and never writes the file, so a restart after a
+//!   correction (the local model is not persisted) resumes the
+//!   starting epoch, runs zero steps and answers as the customer as
+//!   built, never from entries the adapted model wrote; compaction
+//!   under the starting epoch then drops the adapted lookup and
+//!   embedding entries and keeps every header entry.
 //!
 //! The companion `persistent_cache_procs.rs` repeats the round-trip
 //! across two real OS processes in CI.
 
 use sigmatyper::{
-    train_global, DurableEpochSource, GlobalModel, SigmaTyper, SigmaTyperConfig, StepCache, StepId,
-    TableAnnotation, TieredStepCache, TrainingConfig,
+    train_global, AnnotationRequest, DurableEpochSource, GlobalModel, SigmaTyper, SigmaTyperConfig,
+    StepCache, StepId, TableAnnotation, TieredStepCache, TrainingConfig,
 };
 use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 use tu_corpus::{generate_corpus, CorpusConfig};
-use tu_ontology::{builtin_id, builtin_ontology};
+use tu_ontology::{builtin_id, builtin_ontology, TypeId, ValueKind};
 use tu_table::Table;
 
 fn global() -> Arc<GlobalModel> {
@@ -240,74 +242,165 @@ fn truncated_segment_is_cold_never_garbage() {
     }
 }
 
-#[test]
-fn adaptation_in_one_process_invalidates_entries_read_by_another() {
-    let scratch = Scratch::new("invalidate");
-    let tables = warehouse();
-    let o = builtin_ontology();
+/// Each column's decision, confidence bits included.
+fn decisions(ann: &TableAnnotation) -> Vec<(TypeId, u64)> {
+    ann.columns
+        .iter()
+        .map(|c| (c.predicted, c.confidence.to_bits()))
+        .collect()
+}
 
-    // Process A crawls (filling the disk tier), then takes a
-    // correction — which advances the *durable* epoch, write-ahead.
-    let stale_epoch = {
+/// `(step-columns run, inserts)` of the lookup and embedding steps of
+/// a batch — the column-scoped steps, whose records carry an epoch.
+fn column_step_traffic(anns: &[TableAnnotation]) -> (usize, usize) {
+    anns.iter()
+        .flat_map(|a| a.timings.iter())
+        .filter(|t| t.step != StepId::HEADER)
+        .fold((0, 0), |(runs, inserts), t| {
+            (runs + t.columns, inserts + t.cache_inserts)
+        })
+}
+
+#[test]
+fn restart_after_adaptation_answers_as_built() {
+    let scratch = Scratch::new("restart-adapted");
+    let tables = warehouse();
+    let bare = SigmaTyper::new(global(), SigmaTyperConfig::default());
+    let as_built: Vec<TableAnnotation> = tables.iter().map(|t| bare.annotate(t)).collect();
+    // A correction that overrides what the customer as built predicts,
+    // under an informative header, so it changes `Wg` as well as the
+    // local model.
+    let city = builtin_id(&builtin_ontology(), "city");
+    let (ti, ci) = as_built
+        .iter()
+        .enumerate()
+        .flat_map(|(ti, a)| a.columns.iter().map(move |c| (ti, c)))
+        .find(|(ti, c)| {
+            let header = tu_text::normalize_header(tables[*ti].headers()[c.col_idx]);
+            !c.predicted.is_unknown()
+                && c.predicted != city
+                && !tu_dp::infer::is_generic_header(&header)
+        })
+        .map(|(ti, c)| (ti, c.col_idx))
+        .expect("a column predicted as something other than city");
+
+    // Process A crawls, takes the correction, crawls again and exits.
+    let (base, base_len, adapted_header_inserts, adapted_column_inserts) = {
         let mut typer = open_typer(&scratch.0);
-        for t in &tables {
-            let _ = typer.annotate(t);
-        }
-        let before = typer.cache_epoch();
-        typer.feedback(&tables[0], 0, builtin_id(&o, "city"), None);
-        assert_ne!(typer.cache_epoch(), before, "feedback re-draws the epoch");
-        typer.step_cache().unwrap().flush().unwrap();
-        before
+        let base = typer.cache_epoch();
+        let first: Vec<TableAnnotation> = tables.iter().map(|t| typer.annotate(t)).collect();
+        assert_cold(&counts(&first), &tables);
+        let cache = Arc::clone(typer.step_cache().expect("cache attached"));
+        let base_len = cache.len();
+        typer.feedback(&tables[ti], ci, city, None);
+        assert_ne!(typer.cache_epoch(), base, "feedback re-draws the epoch");
+        let adapted: Vec<TableAnnotation> = tables.iter().map(|t| typer.annotate(t)).collect();
+        assert!(
+            adapted
+                .iter()
+                .zip(&as_built)
+                .any(|(a, b)| decisions(a) != decisions(b)),
+            "the correction must change an answer for this test to mean anything"
+        );
+        let (column_runs, column_inserts) = column_step_traffic(&adapted);
+        assert!(
+            column_runs > 0 && column_inserts > 0,
+            "A's recrawl wrote records"
+        );
+        let header_inserts = cache.len() - base_len - column_inserts;
+        assert!(header_inserts > 0, "the correction changed a header's `Wg`");
+        cache.flush().expect("flush disk tier");
+        (base, base_len, header_inserts, column_inserts)
     };
 
-    // Process B starts later over the same directory. It resumes the
-    // *advanced* epoch, so every column fingerprint moves and no
-    // lookup or embedding score A wrote can be served. B's local model
-    // is a fresh one, so its `Wg` state under every header is the one
-    // A's crawl wrote its header entries under: every header column
-    // hits one of those, and B answers what an uncached fresh customer
-    // answers.
+    // Process B reopens the directory. Its local model is a fresh one,
+    // so it resumes A's starting epoch and reads only the entries A
+    // wrote as the customer as built: zero steps, and the answers of
+    // the customer as built, cached or not.
     let typer = open_typer(&scratch.0);
-    assert_ne!(
-        typer.cache_epoch(),
-        stale_epoch,
-        "the durable epoch carried the adaptation across processes"
-    );
+    assert_eq!(typer.cache_epoch(), base, "B resumes A's starting epoch");
     let anns: Vec<TableAnnotation> = tables.iter().map(|t| typer.annotate(t)).collect();
-    let bare = SigmaTyper::new(global(), SigmaTyperConfig::default());
-    for (got, table) in anns.iter().zip(&tables) {
-        assert_identical(got, &bare.annotate(table));
+    assert_eq!(counts(&anns).runs, 0, "B's recrawl must run zero steps");
+    for ((got, table), want) in anns.iter().zip(&tables).zip(&as_built) {
+        let bypassed = typer
+            .annotate_request(&AnnotationRequest::new(table).with_cache_bypassed())
+            .into_annotation();
+        assert_identical(got, &bypassed);
+        assert_identical(got, want);
     }
-    let c = counts(&anns);
-    assert!(c.runs > 0, "lookup and embedding must run again");
-    assert_eq!(c.other_hits, 0, "no lookup or embedding entry survives");
-    assert_eq!(
-        c.header_hits,
-        tables.iter().map(Table::n_cols).sum::<usize>(),
-        "every header entry A wrote is still B's"
-    );
-
-    // Compaction under the live epoch reclaims A's unreachable
-    // entries while keeping B's fresh ones. Dropping the typer first
-    // releases the directory's advisory writer lock, else the reopen
-    // would (correctly) refuse a second live writer.
-    let live = typer.cache_epoch();
     drop(typer);
+
+    // Compaction under the starting epoch drops exactly A's
+    // post-feedback lookup and embedding records and keeps every
+    // header record, A's post-feedback ones included.
     let cache = TieredStepCache::open(scratch.0.join("cache"), 1 << 14).expect("reopen tier");
     let before_len = cache.l2().len();
-    let dropped = cache.compact(&[live]).expect("compact");
-    assert!(dropped > 0, "stale-epoch entries were reclaimed");
-    assert_eq!(cache.l2().len(), before_len - dropped);
-    assert!(!cache.l2().is_empty(), "live-epoch entries survive");
+    assert_eq!(
+        before_len,
+        base_len + adapted_header_inserts + adapted_column_inserts
+    );
+    let dropped = cache.compact(&[base]).expect("compact");
+    assert_eq!(
+        dropped, adapted_column_inserts,
+        "A's post-feedback column records"
+    );
+    assert_eq!(cache.l2().len(), base_len + adapted_header_inserts);
     drop(cache);
 
-    // Compaction kept A's header entries, whose keys hash no epoch,
-    // beside B's lookup and embedding entries: a crawl after it runs
-    // no step and answers what B answered.
+    // A restart after compaction still runs no step and answers as
+    // the customer as built.
     let typer = open_typer(&scratch.0);
     let after: Vec<TableAnnotation> = tables.iter().map(|t| typer.annotate(t)).collect();
     assert_eq!(counts(&after).runs, 0, "compaction dropped a live entry");
-    for (a, b) in anns.iter().zip(&after) {
+    for (a, b) in as_built.iter().zip(&after) {
         assert_identical(a, b);
     }
+}
+
+/// Adaptation moves the epoch in memory and never writes the epoch
+/// file, so the file keeps naming the customer as built.
+#[test]
+fn adaptation_never_writes_the_epoch_file() {
+    let scratch = Scratch::new("epoch-file");
+    let tables = warehouse();
+    let path = scratch.0.join("epoch");
+    let mut typer = open_typer(&scratch.0);
+    let stored = std::fs::read(&path).expect("open wrote the epoch file");
+    let base = typer.cache_epoch();
+    let mut epochs = vec![base];
+    let mut moved = |typer: &SigmaTyper, event: &str| {
+        assert!(
+            !epochs.contains(&typer.cache_epoch()),
+            "{event} must draw a fresh epoch"
+        );
+        epochs.push(typer.cache_epoch());
+        assert_eq!(
+            std::fs::read(&path).expect("epoch file"),
+            stored,
+            "{event} wrote the epoch file"
+        );
+    };
+    let city = builtin_id(typer.ontology(), "city");
+    typer.feedback(&tables[0], 0, city, None);
+    moved(&typer, "feedback");
+    let ann = typer.annotate(&tables[1]);
+    typer.implicit_approve(&tables[1], &ann);
+    moved(&typer, "implicit_approve");
+    typer
+        .register_custom_type("widget", ValueKind::Textual, &[])
+        .expect("new type name");
+    moved(&typer, "register_custom_type");
+    let _ = typer.cascade_mut();
+    moved(&typer, "cascade_mut");
+    typer.invalidate_cache();
+    moved(&typer, "invalidate_cache");
+    drop(typer);
+    assert_eq!(
+        DurableEpochSource::open(&path)
+            .expect("reopen epoch file")
+            .current(),
+        base,
+        "a reopen resumes the epoch the customer was built with"
+    );
+    assert_eq!(std::fs::read(&path).expect("epoch file"), stored);
 }

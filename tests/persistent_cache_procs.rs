@@ -16,9 +16,13 @@
 //!
 //! The write phase crawls a deterministic warehouse through the disk
 //! tier and dumps every decision (type + confidence bits) to a golden
-//! file. The read phase — a different PID, a different address space —
-//! reopens the directory, asserts the recrawl runs **zero** steps,
-//! and bit-compares its decisions against the golden dump.
+//! file, then takes one correction and crawls again, writing the
+//! adapted model's entries beside the golden ones. The read phase — a
+//! different PID, a different address space, and a fresh local model,
+//! since the local model is not persisted — reopens the directory,
+//! asserts the recrawl runs **zero** steps, and bit-compares its
+//! decisions against the golden dump: a restart answers as the
+//! customer as built and never from the adapted model's entries.
 //! With the env vars unset (the normal `cargo test` run) the test is
 //! a no-op.
 
@@ -120,18 +124,46 @@ fn persist_phase() {
 
     match phase.as_str() {
         "write" => {
-            let typer = open_typer(global, &dir);
+            let mut typer = open_typer(global, &dir);
             let anns: Vec<TableAnnotation> = tables.iter().map(|t| typer.annotate(t)).collect();
             let (runs, header_hits, other_hits) = counts(&anns);
             assert!(runs > 0, "cold crawl must run steps");
             assert_eq!(other_hits, 0, "first crawl hits only header entries");
             assert_eq!(header_hits, repeated_headers(&tables));
+            let golden = golden_dump(&anns);
+            std::fs::write(dir.join("golden.txt"), &golden).expect("write golden dump");
+            // Correct a column that ran past the header step away from
+            // its prediction — the local labeling functions and model
+            // that correction grows feed the lookup and embedding steps —
+            // then crawl again: the adapted model's entries land on disk
+            // beside the golden ones.
+            let city = typer.ontology().lookup_exact("city").expect("city type");
+            let (ti, ci) = anns
+                .iter()
+                .enumerate()
+                .find_map(|(ti, a)| {
+                    a.columns
+                        .iter()
+                        .find(|c| {
+                            c.steps_run.len() > 1
+                                && !c.predicted.is_unknown()
+                                && c.predicted != city
+                        })
+                        .map(|c| (ti, c.col_idx))
+                })
+                .expect("a column past the header step predicted as something other than city");
+            typer.feedback(&tables[ti], ci, city, None);
+            let adapted: Vec<TableAnnotation> = tables.iter().map(|t| typer.annotate(t)).collect();
+            assert_ne!(
+                golden_dump(&adapted),
+                golden,
+                "the correction must change an answer"
+            );
             typer
                 .step_cache()
                 .unwrap()
                 .flush()
                 .expect("flush disk tier");
-            std::fs::write(dir.join("golden.txt"), golden_dump(&anns)).expect("write golden dump");
         }
         "read" => {
             let golden =

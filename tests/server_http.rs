@@ -835,26 +835,26 @@ fn panicking_step_inside_feedback_fails_one_request() {
 fn graceful_shutdown_drains_in_flight_and_leaves_disk_state_warm() {
     let scratch = Scratch::new("shutdown");
     let (global, tables) = demo_global(44);
-    let tier = TieredStepCache::open(scratch.0.join("cache"), 1 << 14).expect("open tier");
-    let epochs = DurableEpochSource::open(scratch.0.join("epoch")).expect("open epochs");
-    let typer = SigmaTyper::builder(global)
-        .step_cache(Arc::new(tier))
-        .epoch_source(Arc::new(epochs))
-        .build();
-    let server = AnnotationServer::start(
-        "127.0.0.1:0",
-        typer,
-        &ServerConfig {
-            workers: 1,
-            queue_capacity: 16,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("start server");
+    let open_typer = || {
+        let tier = TieredStepCache::open(scratch.0.join("cache"), 1 << 14).expect("open tier");
+        let epochs = DurableEpochSource::open(scratch.0.join("epoch")).expect("open epochs");
+        SigmaTyper::builder(Arc::clone(&global))
+            .step_cache(Arc::new(tier))
+            .epoch_source(Arc::new(epochs))
+            .build()
+    };
+    let config = ServerConfig {
+        workers: 1,
+        queue_capacity: 16,
+        ..ServerConfig::default()
+    };
+    let typer = open_typer();
+    let started = typer.cache_epoch();
+    let server = AnnotationServer::start("127.0.0.1:0", typer, &config).expect("start server");
     let addr = server.local_addr();
 
-    // Feedback once so a warm restart has a non-zero epoch to agree
-    // on, then record it.
+    // Feedback once, so the annotates drained below run on an adapted
+    // model under an epoch of its own, then record it.
     let mut client = HttpClient::connect(addr).expect("connect");
     let fb = client
         .post_json(
@@ -872,6 +872,7 @@ fn graceful_shutdown_drains_in_flight_and_leaves_disk_state_warm() {
         .get("epoch")
         .and_then(Json::as_u64)
         .expect("epoch");
+    assert_ne!(epoch, started, "feedback re-draws the epoch");
 
     // A client notices the drain request; in-flight annotates still
     // complete with full bodies.
@@ -909,7 +910,8 @@ fn graceful_shutdown_drains_in_flight_and_leaves_disk_state_warm() {
     }
 
     // The advisory lock is released and the tier reopens warm: entries
-    // on disk, durable epoch exactly where the server left it.
+    // on disk, and the epoch file still holds the epoch the server
+    // started with, not the feedback's.
     let reopened = TieredStepCache::open(scratch.0.join("cache"), 1 << 14)
         .expect("reopen tier after shutdown");
     assert!(
@@ -920,9 +922,31 @@ fn graceful_shutdown_drains_in_flight_and_leaves_disk_state_warm() {
     let epochs = DurableEpochSource::open(scratch.0.join("epoch")).expect("reopen epochs");
     assert_eq!(
         epochs.current(),
-        epoch,
-        "durable epoch must match the last feedback bump"
+        started,
+        "the epoch file must hold the epoch the server started with"
     );
+
+    // The local model is not persisted, so a second server on the same
+    // directory is the customer as built: it answers what an uncached
+    // fresh customer answers, never from the entries the drained
+    // annotates wrote under the adapted model.
+    let server =
+        AnnotationServer::start("127.0.0.1:0", open_typer(), &config).expect("restart server");
+    let mut client = HttpClient::connect(server.local_addr()).expect("connect");
+    let fresh = SigmaTyper::builder(Arc::clone(&global)).build();
+    for table in &tables[..3] {
+        let resp = client
+            .post_json("/annotate", &annotate_body(table), &[])
+            .expect("annotate after restart");
+        assert_eq!(resp.status, 200, "body: {}", resp.body_str());
+        let want = fresh.annotate_request(&AnnotationRequest::new(&wire_table(table)));
+        assert_eq!(
+            normalize_body(&resp.body_str()),
+            normalize_outcome(&tu_server::wire::outcome_to_json(&want, fresh.ontology())),
+            "a restarted server must answer as the customer as built"
+        );
+    }
+    server.shutdown().expect("shutdown restarted server");
 }
 
 /// `POST /annotate` with a `"base"` table is the incremental-recrawl
