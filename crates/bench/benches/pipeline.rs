@@ -772,6 +772,112 @@ fn bench_budgeted(c: &mut Criterion) {
     group.finish();
 }
 
+/// A table's wire JSON (`{"name", "columns": [{"header", "values"}]}`),
+/// each cell sent as its rendered string.
+fn to_json(table: &Table) -> jsonshim::Json {
+    use jsonshim::Json;
+    let columns: Vec<Json> = table
+        .columns()
+        .iter()
+        .map(|col| {
+            let values: Vec<Json> = col.values.iter().map(|v| Json::from(v.render())).collect();
+            Json::object(vec![
+                ("header", Json::from(col.name.as_str())),
+                ("values", Json::Arr(values)),
+            ])
+        })
+        .collect();
+    Json::object(vec![
+        ("name", Json::from(table.name.as_str())),
+        ("columns", Json::Arr(columns)),
+    ])
+}
+
+/// `table` grown (or cut) to `rows` rows by cycling its own rows.
+fn cycled(table: &Table, rows: usize) -> Table {
+    let columns = table
+        .columns()
+        .iter()
+        .map(|col| {
+            let values = (0..rows)
+                .map(|r| col.values[r % col.values.len()].clone())
+                .collect();
+            Column::new(col.name.clone(), values)
+        })
+        .collect();
+    Table::new(table.name.clone(), columns).expect("cycled rows stay rectangular")
+}
+
+/// The fewest whole cycles of `table`'s rows whose wire JSON takes at
+/// least `bytes`.
+fn rows_for(table: &Table, bytes: usize) -> usize {
+    let mut rows = table.n_rows();
+    while to_json(&cycled(table, rows)).to_string().len() < bytes {
+        rows += table.n_rows();
+    }
+    rows
+}
+
+/// A recrawl `/annotate` body: `table` cycled to at least
+/// `base_bytes` of JSON as the `"base"`, and 1% more rows as the
+/// `"table"`.
+fn recrawl_body(table: &Table, base_bytes: usize) -> String {
+    let base_rows = rows_for(table, base_bytes);
+    format!(
+        r#"{{"table":{},"base":{}}}"#,
+        to_json(&cycled(table, base_rows + (base_rows / 100).max(1))),
+        to_json(&cycled(table, base_rows))
+    )
+}
+
+/// Layer 1 of a served request, the wire decode: the streaming
+/// decoder on a crawl's two body shapes, each iteration also freeing
+/// the decoded tables, as a worker does after its reply. A recrawl
+/// posted with its base (about 90 KB: a base of at least 40 KB) and a
+/// batch of four tables (about 250 KB: at least 55 KB each), each
+/// table the fixture's cycled to size.
+fn bench_wire_decode(c: &mut Criterion) {
+    use tu_server::wire::{AnnotateBody, BatchBody};
+
+    let f = BenchFixture::new();
+    let recrawl = recrawl_body(&f.corpus.tables[0].table, 40_000);
+    let tables: Vec<String> = f.corpus.tables[..4]
+        .iter()
+        .map(|at| to_json(&cycled(&at.table, rows_for(&at.table, 55_000))).to_string())
+        .collect();
+    let batch = format!(r#"{{"tables":[{}]}}"#, tables.join(","));
+    assert!(
+        (80_000..100_000).contains(&recrawl.len()),
+        "{} bytes",
+        recrawl.len()
+    );
+    assert!(
+        (225_000..275_000).contains(&batch.len()),
+        "{} bytes",
+        batch.len()
+    );
+    // The bodies decode, and to what the reference codec decodes.
+    let reference = |body: &str| jsonshim::Json::parse(body).expect("json");
+    assert_eq!(
+        AnnotateBody::stream(&recrawl),
+        AnnotateBody::from_json(&reference(&recrawl)).ok()
+    );
+    assert_eq!(
+        BatchBody::stream(&batch),
+        BatchBody::from_json(&reference(&batch)).ok()
+    );
+
+    let mut group = c.benchmark_group("pipeline/wire_decode");
+    group.sample_size(10);
+    group.bench_function("recrawl_body", |b| {
+        b.iter(|| AnnotateBody::stream(black_box(&recrawl)).expect("decodes"))
+    });
+    group.bench_function("batch_body", |b| {
+        b.iter(|| BatchBody::stream(black_box(&batch)).expect("decodes"))
+    });
+    group.finish();
+}
+
 /// The HTTP front-end tax: one table annotated directly vs over a
 /// loopback connection to the annotation server, single connection vs
 /// 8 concurrent connections. Before timing, the wire contract is
@@ -785,23 +891,6 @@ fn bench_server_roundtrip(c: &mut Criterion) {
     let f = BenchFixture::new();
     let typer = f.customer();
     let table = &f.corpus.tables[0].table;
-    let to_json = |table: &Table| {
-        let columns: Vec<Json> = table
-            .columns()
-            .iter()
-            .map(|col| {
-                let values: Vec<Json> = col.values.iter().map(|v| Json::from(v.render())).collect();
-                Json::object(vec![
-                    ("header", Json::from(col.name.as_str())),
-                    ("values", Json::Arr(values)),
-                ])
-            })
-            .collect();
-        Json::object(vec![
-            ("name", Json::from(table.name.as_str())),
-            ("columns", Json::Arr(columns)),
-        ])
-    };
     let table_json = to_json(table);
     let body = format!(r#"{{"table":{table_json}}}"#);
 
@@ -854,28 +943,7 @@ fn bench_server_roundtrip(c: &mut Criterion) {
     // previous crawl as `base` (at least 30 KB, the size of the crawl
     // workload's median request) to a server whose step cache already
     // holds the answer.
-    let cycled = |rows: usize| {
-        let columns = table
-            .columns()
-            .iter()
-            .map(|col| {
-                let values = (0..rows)
-                    .map(|r| col.values[r % col.values.len()].clone())
-                    .collect();
-                Column::new(col.name.clone(), values)
-            })
-            .collect();
-        Table::new(table.name.clone(), columns).expect("cycled rows stay rectangular")
-    };
-    let mut base_rows = table.n_rows();
-    while to_json(&cycled(base_rows)).to_string().len() < 15_500 {
-        base_rows += table.n_rows();
-    }
-    let recrawl_body = format!(
-        r#"{{"table":{},"base":{}}}"#,
-        to_json(&cycled(base_rows + (base_rows / 100).max(1))),
-        to_json(&cycled(base_rows))
-    );
+    let recrawl_body = recrawl_body(table, 15_500);
     assert!(recrawl_body.len() >= 30_000, "{} bytes", recrawl_body.len());
     let mut cached = f.customer();
     cached.set_step_cache(Some(Arc::new(ShardedLruCache::new(1 << 16))));
@@ -1143,6 +1211,7 @@ criterion_group!(
     bench_persistent_recrawl,
     bench_incremental_recrawl,
     bench_budgeted,
+    bench_wire_decode,
     bench_server_roundtrip,
     bench_load_lab,
     bench_feedback

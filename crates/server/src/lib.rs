@@ -362,7 +362,8 @@ impl<T> Body<T> {
 /// [`AnnotationService::annotate_batch_request_shaped`] and answer
 /// with `encode`'s body: `503` when admission sheds it, `500` when it
 /// panicked. The tenant is interned only now, after the tables
-/// decoded.
+/// decoded. The tables move into the job, so the worker frees them
+/// after this request has its answer.
 fn serve(
     state: &ServerState,
     lane: TrafficLane,

@@ -13,8 +13,9 @@ use std::sync::{mpsc, Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWr
 use std::thread::JoinHandle;
 
 /// What a job runs on its worker, given the read-locked service and
-/// the shaper.
-type Run<R> = Box<dyn FnOnce(&AnnotationService, &TrafficShaper) -> R + Send>;
+/// the shaper. `FnMut` rather than `FnOnce`, so running it leaves its
+/// captures alive for [`worker_loop`] to free after the reply.
+type Run<R> = Box<dyn FnMut(&AnnotationService, &TrafficShaper) -> R + Send>;
 
 /// An admitted job and the channel its submitter blocks on (`None`
 /// when the run panicked).
@@ -57,7 +58,10 @@ impl<R> Shared<R> {
 /// behind a bounded admission queue. Each job runs once, under the
 /// service's read lock; one that panics costs only itself: its
 /// submitter gets `None`, the pool counts the panic, and the worker
-/// pops the next job. Jobs answer with an `R`.
+/// pops the next job. Jobs answer with an `R`. A job's captures (the
+/// server's decoded request tables) are freed on its worker after its
+/// submitter has the answer, whether the job returned or panicked, so
+/// their free is off the request's latency.
 pub struct WorkerPool<R> {
     shared: Arc<Shared<R>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -103,14 +107,16 @@ impl<R: Send + 'static> WorkerPool<R> {
     }
 
     /// Admit `run` for `tenant` on `lane` and block until a worker has
-    /// run it: `Ok(Some(answer))` once it ran, `Ok(None)` when it
+    /// run it once: `Ok(Some(answer))` once it ran, `Ok(None)` when it
     /// panicked, `Err` when admission shed it (see
-    /// [`TrafficShaper::admit`]).
+    /// [`TrafficShaper::admit`]). The worker drops `run`, and what it
+    /// captured, after sending the answer; a capture's `Drop` must not
+    /// panic.
     pub fn submit(
         &self,
         lane: TrafficLane,
         tenant: TenantId,
-        run: impl FnOnce(&AnnotationService, &TrafficShaper) -> R + Send + 'static,
+        run: impl FnMut(&AnnotationService, &TrafficShaper) -> R + Send + 'static,
     ) -> Result<Option<R>, QueueRejection> {
         let (reply, answer) = mpsc::channel();
         let job = Job {
@@ -206,9 +212,10 @@ impl<R> Drop for WorkerPool<R> {
     }
 }
 
-/// One worker: pop until the queue closes and drains, run, reply.
+/// One worker: pop until the queue closes and drains, run, reply, and
+/// only then drop the job with its captures.
 fn worker_loop<R>(shared: &Shared<R>) {
-    while let Some(Job { run, reply }) = shared.queue.pop() {
+    while let Some(Job { mut run, reply }) = shared.queue.pop() {
         shared.in_flight.fetch_add(1, Ordering::SeqCst);
         let answer = shared.contain(|| run(&shared.service(), &shared.shaper));
         // Decrement before replying: a client that scrapes `/metrics`
@@ -216,5 +223,99 @@ fn worker_loop<R>(shared: &Shared<R>) {
         // request as still in flight.
         shared.in_flight.fetch_sub(1, Ordering::SeqCst);
         let _ = reply.send(answer);
+        // The submitter is answered; what the job captured (a recrawl's
+        // table and base, say) is freed here, off its latency.
+        drop(run);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sigmatyper::tenant::TenantRegistry;
+    use sigmatyper::{train_global, SigmaTyper, TrainingConfig};
+    use std::sync::Condvar;
+    use std::time::Duration;
+    use tu_corpus::{generate_corpus, CorpusConfig};
+    use tu_ontology::builtin_ontology;
+
+    fn one_worker_pool() -> WorkerPool<u32> {
+        let ontology = builtin_ontology();
+        let corpus = generate_corpus(&ontology, &CorpusConfig::database_like(7, 4));
+        let global = Arc::new(train_global(ontology, &corpus, &TrainingConfig::fast()));
+        let shaper = TrafficShaper::new(
+            Arc::new(TenantRegistry::new()),
+            None,
+            None,
+            Duration::from_secs(1),
+        );
+        let service = AnnotationService::for_customer(SigmaTyper::builder(global).build());
+        WorkerPool::start(service, shaper, 1, 4)
+    }
+
+    /// Set by a submitter once it holds its answer.
+    #[derive(Default)]
+    struct AnswerReceived {
+        received: Mutex<bool>,
+        signal: Condvar,
+    }
+
+    /// A job capture whose `Drop` waits, for at most 5 s, for its
+    /// submitter's answer, and reports whether the answer came first.
+    struct WaitsForAnswer {
+        answer: Arc<AnswerReceived>,
+        report: mpsc::Sender<bool>,
+    }
+
+    impl Drop for WaitsForAnswer {
+        fn drop(&mut self) {
+            let received = self
+                .answer
+                .received
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            let (received, _) = self
+                .answer
+                .signal
+                .wait_timeout_while(received, Duration::from_secs(5), |received| !*received)
+                .unwrap_or_else(PoisonError::into_inner);
+            let _ = self.report.send(*received);
+        }
+    }
+
+    /// A job's captures are freed on its worker after its submitter has
+    /// the answer, whether the job returned or panicked, and a panic
+    /// costs the worker nothing.
+    #[test]
+    fn a_jobs_captures_are_freed_after_its_submitter_has_the_answer() {
+        let pool = one_worker_pool();
+        let tenant = pool.shaper().registry().intern("anonymous");
+        for panics in [false, true] {
+            let answer = Arc::new(AnswerReceived::default());
+            let (report, freed) = mpsc::channel();
+            let guard = WaitsForAnswer {
+                answer: Arc::clone(&answer),
+                report,
+            };
+            let served = pool.submit(TrafficLane::Interactive, tenant, move |_, _| {
+                let _held = &guard;
+                assert!(!panics, "the job panics");
+                7
+            });
+            *answer.received.lock().expect("unpoisoned") = true;
+            answer.signal.notify_all();
+            assert_eq!(served, Ok((!panics).then_some(7)));
+            assert_eq!(
+                freed.recv_timeout(Duration::from_secs(10)),
+                Ok(true),
+                "captures freed before the answer (job panics: {panics})"
+            );
+        }
+        assert_eq!(pool.panics(), 1);
+        assert_eq!(
+            pool.submit(TrafficLane::Interactive, tenant, |_, _| 8),
+            Ok(Some(8)),
+            "the worker serves the next job"
+        );
     }
 }

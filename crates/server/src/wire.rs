@@ -35,9 +35,13 @@
 //! [`FeedbackBody::stream`] walk the body with jsonshim's
 //! [`JsonReader`] and type each cell through [`Value::infer`] straight
 //! from its slice of the body — one allocation per text cell, none per
-//! JSON node. Responses are written straight into one `String`
-//! ([`encode_outcome`], [`encode_outcomes`]) through jsonshim's own
-//! escape and float writers.
+//! JSON node. A column's values are read in [`JsonReader::cells`]' one
+//! loop over its strings and `null`s, into a `Vec` sized from the
+//! previous column of the same table. The server frees the decoded
+//! tables on its worker after the reply is sent (see
+//! [`WorkerPool`](crate::WorkerPool)). Responses are written straight
+//! into one `String` ([`encode_outcome`], [`encode_outcomes`]) through
+//! jsonshim's own escape and float writers.
 //!
 //! The **reference** codec builds a [`Json`] tree: [`table_from_json`],
 //! [`options_from_json`], the `from_json` decoders and
@@ -575,8 +579,12 @@ fn stream_columns(r: &mut JsonReader<'_>) -> Result<Option<Vec<Column>>, JsonErr
     let mut columns = Some(Vec::new());
     // Unescaped text of a cell that held escapes, reused across cells.
     let mut escaped = String::new();
+    // A table's columns are equally long, so each column's values are
+    // sized from the count of the `"values"` read before them in this
+    // table: never more cells than the body already held.
+    let mut rows = 0;
     r.array(|r| {
-        push_valid(&mut columns, stream_column(r, &mut escaped)?);
+        push_valid(&mut columns, stream_column(r, &mut escaped, &mut rows)?);
         Ok(())
     })?;
     Ok(columns)
@@ -585,6 +593,7 @@ fn stream_columns(r: &mut JsonReader<'_>) -> Result<Option<Vec<Column>>, JsonErr
 fn stream_column(
     r: &mut JsonReader<'_>,
     escaped: &mut String,
+    rows: &mut usize,
 ) -> Result<Option<Column>, JsonError> {
     if !next_is(r, ValueKind::Object)? {
         return Ok(None);
@@ -594,7 +603,7 @@ fn stream_column(
     r.object(|r, key| {
         match key {
             "header" if header.is_none() => header = Some(r.value()?),
-            "values" if values.is_none() => values = Some(stream_values(r, escaped)?),
+            "values" if values.is_none() => values = Some(stream_values(r, escaped, rows)?),
             _ => {
                 r.value()?;
             }
@@ -607,33 +616,24 @@ fn stream_column(
     })
 }
 
-/// Type each cell as [`table_from_json`] does: `null` is the empty
-/// cell, a string goes through [`Value::infer`], anything else makes
-/// the column invalid.
+/// Type each cell as [`table_from_json`] does, in [`JsonReader::cells`]'
+/// one loop: `null` is the empty cell, a string goes through
+/// [`Value::infer`], anything else makes the column invalid. `rows`
+/// sizes the values and is left holding their count.
 fn stream_values(
     r: &mut JsonReader<'_>,
     escaped: &mut String,
+    rows: &mut usize,
 ) -> Result<Option<Vec<Value>>, JsonError> {
     if !next_is(r, ValueKind::Array)? {
         return Ok(None);
     }
-    let mut values = Some(Vec::new());
-    r.array(|r| {
-        let cell = match r.peek_kind()? {
-            ValueKind::Str => Some(Value::infer(r.str(escaped)?)),
-            ValueKind::Null => {
-                r.value()?;
-                Some(Value::Null)
-            }
-            _ => {
-                r.value()?;
-                None
-            }
-        };
-        push_valid(&mut values, cell);
-        Ok(())
+    let mut values = Vec::with_capacity(*rows);
+    let typed = r.cells(escaped, |cell| {
+        values.push(cell.map_or(Value::Null, Value::infer));
     })?;
-    Ok(values)
+    *rows = values.len();
+    Ok(typed.then_some(values))
 }
 
 /// The `POST /annotate` response body: byte-identical to

@@ -236,41 +236,41 @@ impl Value {
     ///
     /// Inference order: empty → `Null`, then `Int`, `Float`, `Bool`
     /// (true/false, case-insensitive), `Date`, falling back to `Text`.
+    /// The cell is trimmed of Unicode whitespace first. One pass over
+    /// its bytes decides which number parse can succeed: a digit
+    /// string goes to `i64` (and to `f64` only past `i64`'s range), a
+    /// decimal or exponent straight to `f64`, anything else to neither.
     #[must_use]
     pub fn infer(raw: &str) -> Value {
-        let t = raw.trim();
+        let t = trim(raw);
         // Every form tried below starts with a digit, a sign, a dot, or
         // an ASCII `n`, `t` or `f` in either case; any other first
         // character is text, so most free-text cells skip the checks.
-        if let Some(&first) = t.as_bytes().first() {
-            let letter = first.is_ascii_alphabetic()
-                && !matches!(first.to_ascii_lowercase(), b'n' | b't' | b'f');
-            if letter || !first.is_ascii() {
-                return Value::Text(t.to_owned());
-            }
+        let Some(&first) = t.as_bytes().first() else {
+            return Value::Null;
+        };
+        let letter = first.is_ascii_alphabetic()
+            && !matches!(first.to_ascii_lowercase(), b'n' | b't' | b'f');
+        if letter || !first.is_ascii() {
+            return Value::Text(t.to_owned());
         }
-        if t.is_empty()
-            || t.eq_ignore_ascii_case("null")
+        if t.eq_ignore_ascii_case("null")
             || t.eq_ignore_ascii_case("na")
             || t.eq_ignore_ascii_case("n/a")
             || t.eq_ignore_ascii_case("none")
         {
             return Value::Null;
         }
-        // Keep leading-zero digit strings textual: "00156" is a zip code
-        // or identifier whose zeros are meaningful, not the number 156.
-        let has_leading_zero = {
-            let digits = t.strip_prefix(['+', '-']).unwrap_or(t);
-            digits.len() > 1 && digits.starts_with('0') && !digits.contains('.')
-        };
-        if !has_leading_zero {
-            if let Ok(i) = t.parse::<i64>() {
-                return Value::Int(i);
-            }
-            if looks_like_number(t) {
-                if let Ok(f) = t.parse::<f64>() {
-                    return Value::Float(f);
+        if let Some(shape) = number_shape(t) {
+            if shape == NumberShape::Int {
+                if let Ok(i) = t.parse::<i64>() {
+                    return Value::Int(i);
                 }
+            }
+            // A decimal or exponent, or a digit string past `i64`'s
+            // range (which `f64` always parses).
+            if let Ok(f) = t.parse::<f64>() {
+                return Value::Float(f);
             }
         }
         if t.eq_ignore_ascii_case("true") {
@@ -286,6 +286,68 @@ impl Value {
     }
 }
 
+/// `raw.trim()`, without its scan when both ends are ASCII and not
+/// whitespace (the common cell), since then it returns `raw` itself.
+fn trim(raw: &str) -> &str {
+    // `char::is_whitespace` on ASCII: space and `\t` through `\r`
+    // (vertical tab included, unlike `u8::is_ascii_whitespace`).
+    let kept = |b: u8| b.is_ascii() && b != b' ' && !(b'\t'..=b'\r').contains(&b);
+    match (raw.as_bytes().first(), raw.as_bytes().last()) {
+        (Some(&first), Some(&last)) if kept(first) && kept(last) => raw,
+        _ => raw.trim(),
+    }
+}
+
+/// Which number parse a trimmed cell can pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum NumberShape {
+    /// `[+-]?[0-9]+`: exactly the strings `i64::from_str` reads (when
+    /// in range).
+    Int,
+    /// Any other cell of the number rules below; `f64::from_str` may
+    /// still refuse it (`1e`).
+    Float,
+}
+
+/// One pass over `t`'s bytes under the number rules: an optional sign,
+/// then digits with at most one `.` before an optional exponent (`e`
+/// or `E` after a digit, optionally signed), and at least one digit.
+/// Those rules keep out what `f64::from_str` accepts but tables rarely
+/// mean as numbers (`nan`, `inf`, `infinity`). `None` also for a digit
+/// string with a leading zero and no `.` (`00156`, `-01`, `0e5`): a zip
+/// code or identifier whose zeros are meaningful, not the number 156.
+fn number_shape(t: &str) -> Option<NumberShape> {
+    let bytes = t.as_bytes();
+    let body = match bytes.first() {
+        Some(b'+' | b'-') => &bytes[1..],
+        _ => bytes,
+    };
+    let (mut digits, mut dot, mut exp) = (0usize, false, false);
+    let mut i = 0;
+    while let Some(&b) = body.get(i) {
+        match b {
+            b'0'..=b'9' => digits += 1,
+            b'.' if !dot && !exp => dot = true,
+            b'e' | b'E' if digits > 0 && !exp => {
+                exp = true;
+                if matches!(body.get(i + 1), Some(b'+' | b'-')) {
+                    i += 1;
+                }
+            }
+            _ => return None,
+        }
+        i += 1;
+    }
+    let leading_zero = body.len() > 1 && body[0] == b'0' && !dot;
+    if digits == 0 || leading_zero {
+        None
+    } else if dot || exp {
+        Some(NumberShape::Float)
+    } else {
+        Some(NumberShape::Int)
+    }
+}
+
 /// Writes exactly what [`Value::render`] returns, without allocating.
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -298,32 +360,6 @@ impl fmt::Display for Value {
             Value::Text(s) => f.write_str(s),
         }
     }
-}
-
-/// Avoid accepting strings like `nan`, `inf`, or `1e999` lookalikes that
-/// `f64::parse` is happy with but tables rarely mean as numbers.
-fn looks_like_number(s: &str) -> bool {
-    let mut chars = s.chars().peekable();
-    if matches!(chars.peek(), Some('+' | '-')) {
-        chars.next();
-    }
-    let mut digits = 0usize;
-    let mut dots = 0usize;
-    let mut exp = false;
-    while let Some(c) = chars.next() {
-        match c {
-            '0'..='9' => digits += 1,
-            '.' if dots == 0 && !exp => dots += 1,
-            'e' | 'E' if digits > 0 && !exp => {
-                exp = true;
-                if matches!(chars.peek(), Some('+' | '-')) {
-                    chars.next();
-                }
-            }
-            _ => return false,
-        }
-    }
-    digits > 0
 }
 
 /// Format a float without trailing noise: integers render with one decimal
@@ -347,11 +383,35 @@ fn write_float(out: &mut impl fmt::Write, f: f64) -> fmt::Result {
 mod tests {
     use super::*;
 
-    /// The text fast path at the top of `infer` changes no answer: the
-    /// rules as they stand below it, transcribed without the fast path,
-    /// agree on cells of every first character and shape.
+    /// The text fast path at the top of `infer`, the trim fast path and
+    /// the one-pass number shape change no answer: the rules as they
+    /// stood before them, transcribed, agree on cells of every first
+    /// character and shape.
     #[test]
     fn infer_fast_path_matches_the_full_rules() {
+        fn looks_like_number(s: &str) -> bool {
+            let mut chars = s.chars().peekable();
+            if matches!(chars.peek(), Some('+' | '-')) {
+                chars.next();
+            }
+            let mut digits = 0usize;
+            let mut dots = 0usize;
+            let mut exp = false;
+            while let Some(c) = chars.next() {
+                match c {
+                    '0'..='9' => digits += 1,
+                    '.' if dots == 0 && !exp => dots += 1,
+                    'e' | 'E' if digits > 0 && !exp => {
+                        exp = true;
+                        if matches!(chars.peek(), Some('+' | '-')) {
+                            chars.next();
+                        }
+                    }
+                    _ => return false,
+                }
+            }
+            digits > 0
+        }
         fn full_rules(raw: &str) -> Value {
             let t = raw.trim();
             if t.is_empty()

@@ -13,9 +13,12 @@
 //!   HTTP-equivalence suite relies on;
 //! * [`JsonReader`] — a pull reader over one document, with a depth
 //!   bound, full string-escape handling (`\uXXXX` incl. surrogate
-//!   pairs), and precise error offsets. Callers walk objects and arrays
-//!   through closures and read strings as borrowed slices of the input,
-//!   so a decoder can type cells without building a tree;
+//!   pairs), RFC 8259's grammar for numbers and `\u` escapes (no
+//!   leading zeros, no bare `.`, exactly four hex digits), and precise
+//!   error offsets. Callers walk objects and arrays through closures
+//!   and read strings as borrowed slices of the input, and
+//!   [`JsonReader::cells`] reads an array of string and `null` cells in
+//!   one loop, so a decoder can type cells without building a tree;
 //! * [`Json::parse`] — the same reader building a [`Json`] tree, so
 //!   both accept and reject exactly the same documents with the same
 //!   errors;
@@ -337,8 +340,10 @@ pub enum ValueKind {
 /// The caller walks the document value by value: [`peek_kind`] says
 /// what comes next, [`object`] and [`array`] hand each member or item
 /// to a closure, [`str`] reads a string as a slice of the input (or of
-/// a scratch buffer, when it held escapes), and [`value`] reads any
-/// value into a [`Json`] tree. Every read enforces the nesting bound
+/// a scratch buffer, when it held escapes), [`cells`] reads an array of
+/// strings and `null`s with no per-element dispatch (the server's
+/// column values), and [`value`] reads any value into a [`Json`] tree.
+/// Every read enforces the nesting bound
 /// and reports errors at the same offsets, with the same messages, as
 /// [`Json::parse`]. [`finish`] checks that nothing but whitespace
 /// follows the document.
@@ -369,6 +374,7 @@ pub enum ValueKind {
 /// [`object`]: JsonReader::object
 /// [`array`]: JsonReader::array
 /// [`str`]: JsonReader::str
+/// [`cells`]: JsonReader::cells
 /// [`value`]: JsonReader::value
 /// [`finish`]: JsonReader::finish
 #[derive(Debug)]
@@ -409,11 +415,9 @@ impl<'a> JsonReader<'a> {
     }
 
     fn skip_ws(&mut self) {
-        let rest = &self.bytes[self.at..];
-        self.at += rest
-            .iter()
-            .position(|c| !matches!(c, b' ' | b'\t' | b'\n' | b'\r'))
-            .unwrap_or(rest.len());
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
+            self.at += 1;
+        }
     }
 
     /// The kind of the next value. Fails, as [`Json::parse`] would
@@ -536,6 +540,61 @@ impl<'a> JsonReader<'a> {
         })
     }
 
+    /// Read the next value, which must be an array, as a column of
+    /// cells in one loop: `cell` gets `Some(text)` for each string
+    /// element (what [`str`](JsonReader::str) returns for it) and `None`
+    /// for each `null`. `Ok(true)` means every element was one of the
+    /// two. From the first element of any other kind on, each element
+    /// is read past as [`value`](JsonReader::value) reads it, with the
+    /// same errors and depth bound as [`Json::parse`], `cell` is not
+    /// called again, and the result is `Ok(false)`.
+    pub fn cells(
+        &mut self,
+        scratch: &mut String,
+        mut cell: impl FnMut(Option<&str>),
+    ) -> Result<bool, JsonError> {
+        self.expect_kind(ValueKind::Array, "expected an array")?;
+        self.at += 1; // consume `[`
+        self.depth += 1;
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.at += 1;
+            self.depth -= 1;
+            return Ok(true);
+        }
+        // Past the depth bound every element goes to `value`, which
+        // reports it, so `typing` is only ever `false` on `Ok` after an
+        // element of another kind.
+        let mut typing = self.depth <= MAX_DEPTH;
+        loop {
+            self.skip_ws();
+            match self.peek() {
+                Some(b'"') if typing => cell(Some(match self.scan_string(scratch)? {
+                    Some(raw) => raw,
+                    None => scratch.as_str(),
+                })),
+                Some(b'n') if typing && self.bytes[self.at..].starts_with(b"null") => {
+                    self.at += 4;
+                    cell(None);
+                }
+                _ => {
+                    self.value()?;
+                    typing = false;
+                }
+            }
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.at += 1,
+                Some(b']') => {
+                    self.at += 1;
+                    self.depth -= 1;
+                    return Ok(typing);
+                }
+                _ => return Err(self.error("expected `,` or `]` in array")),
+            }
+        }
+    }
+
     /// Read the next value, of any kind, into a [`Json`] tree.
     pub fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek_kind()? {
@@ -588,14 +647,21 @@ impl<'a> JsonReader<'a> {
         }
     }
 
+    /// Four ASCII hex digits, as RFC 8259 requires after `\u` (no sign,
+    /// no other character).
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let end = self.at + 4;
         let slice = self
             .bytes
             .get(self.at..end)
             .ok_or_else(|| self.error("truncated \\u escape"))?;
-        let s = std::str::from_utf8(slice).map_err(|_| self.error("invalid \\u escape"))?;
-        let code = u32::from_str_radix(s, 16).map_err(|_| self.error("invalid \\u escape"))?;
+        let mut code = 0;
+        for &c in slice {
+            let digit = char::from(c)
+                .to_digit(16)
+                .ok_or_else(|| self.error("invalid \\u escape"))?;
+            code = code * 16 + digit;
+        }
         self.at = end;
         Ok(code)
     }
@@ -685,21 +751,38 @@ impl<'a> JsonReader<'a> {
         char::from_u32(code).ok_or_else(|| self.error("invalid \\u code point"))
     }
 
+    /// Advance over a run of one or more ASCII digits.
+    fn digits(&mut self) -> Result<(), JsonError> {
+        if !self.peek().is_some_and(|c| c.is_ascii_digit()) {
+            return Err(self.error("invalid number"));
+        }
+        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
+            self.at += 1;
+        }
+        Ok(())
+    }
+
+    /// A number in RFC 8259's grammar,
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`: no leading
+    /// zero, no `+`, and a digit on both sides of a `.`.
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.at;
         if self.peek() == Some(b'-') {
             self.at += 1;
         }
-        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
+        if self.peek() == Some(b'0') {
             self.at += 1;
+            if self.peek().is_some_and(|c| c.is_ascii_digit()) {
+                return Err(self.error("invalid number"));
+            }
+        } else {
+            self.digits()?;
         }
         let mut integral = true;
         if self.peek() == Some(b'.') {
             integral = false;
             self.at += 1;
-            while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                self.at += 1;
-            }
+            self.digits()?;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             integral = false;
@@ -707,9 +790,7 @@ impl<'a> JsonReader<'a> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.at += 1;
             }
-            while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                self.at += 1;
-            }
+            self.digits()?;
         }
         // Only ASCII bytes were consumed since `start`.
         let text = &self.text[start..self.at];
@@ -901,6 +982,178 @@ mod tests {
         let mut reader = JsonReader::new(&ok);
         descend(&mut reader).unwrap();
         reader.finish().unwrap();
+    }
+
+    /// RFC 8259 forbids leading zeros, a `.` without a digit on each
+    /// side, and a `\u` escape of anything but four hex digits; every
+    /// reader entry point refuses them, and the forms it allows parse
+    /// as they always have.
+    #[test]
+    fn numbers_and_unicode_escapes_follow_rfc_8259() {
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            "01",
+            "-01",
+            "00",
+            "1.",
+            "-.5",
+            ".5",
+            "1.e5",
+            "1e",
+            "1e+",
+            "-",
+            "+1",
+        ] {
+            let err = Json::parse(bad).expect_err(bad);
+            for doc in [format!("[{bad}]"), format!(r#"{{"k":{bad}}}"#)] {
+                assert!(Json::parse(&doc).is_err(), "{doc:?} must fail");
+            }
+            if bad.starts_with('"') {
+                let mut scratch = String::new();
+                assert_eq!(JsonReader::new(bad).str(&mut scratch).unwrap_err(), err);
+            }
+        }
+        assert_eq!(Json::parse(r#""Aé""#).unwrap(), Json::from("Aé"));
+        assert_eq!(Json::parse(r#""😀""#).unwrap(), Json::from("😀"));
+        for (doc, want) in [
+            ("0", Json::UInt(0)),
+            ("-0", Json::Int(0)),
+            ("10", Json::UInt(10)),
+            ("0.5", Json::Float(0.5)),
+            ("1e5", Json::Float(1e5)),
+            ("1E+5", Json::Float(1e5)),
+            ("-1.5e-3", Json::Float(-1.5e-3)),
+            ("0e0", Json::Float(0.0)),
+            ("-0.0", Json::Float(-0.0)),
+        ] {
+            let got = Json::parse(doc).unwrap();
+            assert_eq!(got, want, "{doc}");
+            if let (Json::Float(a), Json::Float(b)) = (&got, &want) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{doc}");
+            }
+        }
+    }
+
+    /// The cells of an array as `cells` reads them, and whether all of
+    /// them were strings or `null`s.
+    type Cells = (Vec<Option<String>>, bool);
+
+    /// `cells` reads what `array` with `peek_kind`, `str` and `value`
+    /// reads, and fails where they fail, with the same error.
+    #[test]
+    fn cells_agree_with_array_and_str() {
+        fn via_cells(r: &mut JsonReader<'_>) -> Result<Cells, JsonError> {
+            let mut scratch = String::new();
+            let mut out = Vec::new();
+            let typed = r.cells(&mut scratch, |c| out.push(c.map(str::to_owned)))?;
+            Ok((out, typed))
+        }
+        fn via_array(r: &mut JsonReader<'_>) -> Result<Cells, JsonError> {
+            let mut scratch = String::new();
+            let (mut out, mut typed) = (Vec::new(), true);
+            r.array(|r| {
+                match r.peek_kind()? {
+                    ValueKind::Str if typed => out.push(Some(r.str(&mut scratch)?.to_owned())),
+                    ValueKind::Null if typed => {
+                        r.value()?;
+                        out.push(None);
+                    }
+                    _ => {
+                        r.value()?;
+                        typed = false;
+                    }
+                }
+                Ok(())
+            })?;
+            Ok((out, typed))
+        }
+        /// Read `doc` through `depth` enclosing arrays, then the cells.
+        fn read(
+            doc: &str,
+            depth: usize,
+            cells: fn(&mut JsonReader<'_>) -> Result<Cells, JsonError>,
+        ) -> Result<Cells, JsonError> {
+            fn descend(
+                r: &mut JsonReader<'_>,
+                depth: usize,
+                cells: fn(&mut JsonReader<'_>) -> Result<Cells, JsonError>,
+                out: &mut Option<Cells>,
+            ) -> Result<(), JsonError> {
+                if depth == 0 {
+                    *out = Some(cells(r)?);
+                    return Ok(());
+                }
+                r.array(|r| descend(r, depth - 1, cells, out))
+            }
+            let mut reader = JsonReader::new(doc);
+            let mut out = None;
+            descend(&mut reader, depth, cells, &mut out)?;
+            reader.finish()?;
+            Ok(out.expect("one innermost array"))
+        }
+        let docs = [
+            "[]",
+            " [ ] ",
+            r#"["a"]"#,
+            r#"[null]"#,
+            r#"[ "a" , null ,"" ,  "b\n" ]"#,
+            r#"["esc\"aped", "été", "😀", "tab\there", "\/"]"#,
+            r#"["a", 1, "b"]"#,
+            r#"[1.5e3, null, "x"]"#,
+            r#"["a", ["b"], "c"]"#,
+            r#"["a", {"k": [null]}, null]"#,
+            r#"[true, false]"#,
+            r#"["a",]"#,
+            r#"[,"a"]"#,
+            r#"["a" "b"]"#,
+            r#"["a", nul]"#,
+            r#"["a", nulll]"#,
+            r#"["a", 01]"#,
+            r#"["a\u+041"]"#,
+            r#"["unterminated]"#,
+            "[\"ctl\u{1}\"]",
+            r#"["a""#,
+            "[",
+        ];
+        for doc in docs {
+            for depth in [0, 1, 2, MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1] {
+                let nested = "[".repeat(depth) + doc + &"]".repeat(depth);
+                let got = read(&nested, depth, via_cells);
+                assert_eq!(
+                    got,
+                    read(&nested, depth, via_array),
+                    "{doc} at depth {depth}"
+                );
+                match got {
+                    Err(e) => assert_eq!(Json::parse(&nested).unwrap_err(), e, "{doc}"),
+                    Ok(_) => assert!(Json::parse(&nested).is_ok(), "{doc}"),
+                }
+            }
+        }
+        for not_an_array in ["{}", r#""a""#, "7", "null"] {
+            let got = read(not_an_array, 0, via_cells).unwrap_err();
+            assert_eq!(got, read(not_an_array, 0, via_array).unwrap_err());
+            assert_eq!(got.message, "expected an array");
+        }
+        // Strings past the bound fail; an empty array there does not.
+        let at_bound = |inner: &str| "[".repeat(MAX_DEPTH) + inner + &"]".repeat(MAX_DEPTH);
+        assert_eq!(
+            read(&at_bound(r#"["a"]"#), MAX_DEPTH, via_cells)
+                .unwrap_err()
+                .message,
+            "document nested too deeply"
+        );
+        assert_eq!(
+            read(&at_bound("[]"), MAX_DEPTH, via_cells),
+            Ok((vec![], true))
+        );
+        assert_eq!(
+            read(r#"["a", 7, "b", null]"#, 0, via_cells),
+            Ok((vec![Some("a".to_owned())], false)),
+            "no cell is handed out after an element of another kind"
+        );
     }
 
     #[test]

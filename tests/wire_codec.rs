@@ -11,7 +11,10 @@
 //!   Data* (empty and duplicate headers, ragged and all-null columns,
 //!   giant cells, escapes, non-string cells, unknown and duplicate keys,
 //!   truncated bodies) get the status and body the reference path
-//!   gives, and no request panics or hangs the server.
+//!   gives, and no request panics or hangs the server;
+//! * a number RFC 8259 forbids (`01`) gets the same 400 from both
+//!   codecs, and `Value::infer`, which types every decoded cell, equals
+//!   a transcription of its earlier rules on generated cells.
 
 use httpshim::HttpClient;
 use jsonshim::Json;
@@ -29,6 +32,7 @@ use tu_server::wire::{
     encode_outcome, encode_outcomes, outcome_to_json, AnnotateBody, BatchBody, FeedbackBody,
 };
 use tu_server::{AnnotationServer, ServerConfig};
+use tu_table::{Date, Value};
 
 fn lab() -> &'static Lab {
     static LAB: OnceLock<Lab> = OnceLock::new();
@@ -394,6 +398,183 @@ fn generated_bodies_exercise_both_outcomes() {
     let crawl = r#"{"table":{"name":"t","columns":[{"header":"a","values":["1","x",null]}]},
         "base":{"name":"t","columns":[{"header":"a","values":["1","x"]}]},"options":{"delta_sensitivity":0}}"#;
     assert!(check_decoders(Endpoint::Annotate, crawl));
+}
+
+/// RFC 8259 has no leading zeros: an `"options"` budget of `01` is not
+/// JSON, so both codecs refuse the body, and the server answers with
+/// the reference parse error.
+#[test]
+fn a_number_with_a_leading_zero_is_refused_by_both_codecs() {
+    let body =
+        r#"{"table":{"columns":[{"header":"a","values":["1"]}]},"options":{"budget_nanos":01}}"#;
+    assert!(!check_decoders(Endpoint::Annotate, body));
+    let legal = body.replace(":01}", ":1}");
+    assert!(check_decoders(Endpoint::Annotate, &legal));
+
+    let typer = lab().customer();
+    let server = AnnotationServer::start(
+        "127.0.0.1:0",
+        typer.clone(),
+        &ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("start server");
+    let mut client = HttpClient::connect(server.local_addr()).expect("connect");
+    let resp = client
+        .post_json("/annotate", body, &[])
+        .expect("the server answers");
+    let (status, expected) =
+        reference_answer(&typer, Endpoint::Annotate, body).expect("an annotate answer");
+    assert_eq!((resp.status, resp.body_str()), (status, expected));
+    assert_eq!(status, 400);
+    server.shutdown().expect("graceful shutdown");
+}
+
+// ---- Cell typing ----------------------------------------------------------
+
+/// `Value::infer` as it stood before the one-pass number shape and the
+/// trim fast path, transcribed.
+fn infer_reference(raw: &str) -> Value {
+    fn looks_like_number(s: &str) -> bool {
+        let mut chars = s.chars().peekable();
+        if matches!(chars.peek(), Some('+' | '-')) {
+            chars.next();
+        }
+        let mut digits = 0usize;
+        let mut dots = 0usize;
+        let mut exp = false;
+        while let Some(c) = chars.next() {
+            match c {
+                '0'..='9' => digits += 1,
+                '.' if dots == 0 && !exp => dots += 1,
+                'e' | 'E' if digits > 0 && !exp => {
+                    exp = true;
+                    if matches!(chars.peek(), Some('+' | '-')) {
+                        chars.next();
+                    }
+                }
+                _ => return false,
+            }
+        }
+        digits > 0
+    }
+    let t = raw.trim();
+    if let Some(&first) = t.as_bytes().first() {
+        let letter = first.is_ascii_alphabetic()
+            && !matches!(first.to_ascii_lowercase(), b'n' | b't' | b'f');
+        if letter || !first.is_ascii() {
+            return Value::Text(t.to_owned());
+        }
+    }
+    if t.is_empty()
+        || t.eq_ignore_ascii_case("null")
+        || t.eq_ignore_ascii_case("na")
+        || t.eq_ignore_ascii_case("n/a")
+        || t.eq_ignore_ascii_case("none")
+    {
+        return Value::Null;
+    }
+    let has_leading_zero = {
+        let digits = t.strip_prefix(['+', '-']).unwrap_or(t);
+        digits.len() > 1 && digits.starts_with('0') && !digits.contains('.')
+    };
+    if !has_leading_zero {
+        if let Ok(i) = t.parse::<i64>() {
+            return Value::Int(i);
+        }
+        if looks_like_number(t) {
+            if let Ok(f) = t.parse::<f64>() {
+                return Value::Float(f);
+            }
+        }
+    }
+    if t.eq_ignore_ascii_case("true") {
+        return Value::Bool(true);
+    }
+    if t.eq_ignore_ascii_case("false") {
+        return Value::Bool(false);
+    }
+    if let Some(d) = Date::parse(t) {
+        return Value::Date(d);
+    }
+    Value::Text(t.to_owned())
+}
+
+/// Cells built from what `Value::infer`'s rules turn on: digits, signs,
+/// `.`, exponents, `/`, the letters of its null and boolean words, every
+/// whitespace `str::trim` strips at the ASCII end and two it strips
+/// beyond it, a non-ASCII letter, and the `i64` edges.
+struct CellText;
+
+impl Strategy for CellText {
+    type Value = String;
+
+    fn generate(&self, rng: &mut TestRng) -> String {
+        const PIECES: &[&str] = &[
+            "0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "+", "-", ".", "e", "E", "/", "n",
+            "u", "l", "t", "r", "f", "a", "s", "N", "U", "L", "T", "\t", "\n", "\u{b}", "\u{c}",
+            "\r", " ", "\u{a0}", "\u{3000}", "é",
+        ];
+        const WHOLE: &[&str] = &[
+            "9223372036854775807",
+            "9223372036854775808",
+            "-9223372036854775808",
+            "-9223372036854775809",
+            "null",
+            "n/a",
+            "true",
+            "FALSE",
+            "2021-03-04",
+            "1e999",
+        ];
+        let mut cell = String::new();
+        for _ in 0..rng.usize_in(0, 9) {
+            if rng.usize_in(0, 8) == 0 {
+                cell.push_str(WHOLE[rng.usize_in(0, WHOLE.len())]);
+            } else {
+                cell.push_str(PIECES[rng.usize_in(0, PIECES.len())]);
+            }
+        }
+        cell
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(50_000))]
+
+    #[test]
+    fn infer_types_every_cell_as_it_always_has(cell in CellText) {
+        let (got, want) = (Value::infer(&cell), infer_reference(&cell));
+        match (&got, &want) {
+            (Value::Float(a), Value::Float(b)) => prop_assert_eq!(a.to_bits(), b.to_bits(), "{:?}", cell),
+            _ => prop_assert_eq!(got, want, "{:?}", cell),
+        }
+    }
+}
+
+/// The generator reaches every branch of the rules it checks.
+#[test]
+fn cell_text_reaches_every_value_kind() {
+    let mut rng = TestRng::from_name("cell_text_reaches_every_value_kind");
+    let mut kinds = std::collections::BTreeSet::new();
+    for _ in 0..50_000 {
+        kinds.insert(
+            infer_reference(&CellText.generate(&mut rng))
+                .data_type()
+                .name(),
+        );
+    }
+    assert_eq!(kinds.len(), 6, "{kinds:?}");
+    for edge in [
+        "9223372036854775807",
+        "9223372036854775808",
+        "-9223372036854775809",
+        " \u{b}12\u{3000}",
+    ] {
+        assert_eq!(Value::infer(edge), infer_reference(edge), "{edge:?}");
+    }
 }
 
 // ---- Encoder equivalence ------------------------------------------------
