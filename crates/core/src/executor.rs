@@ -350,7 +350,7 @@ impl CascadeExecutor {
             if let Some(b) = degrade {
                 if !frontier.is_empty() {
                     let remaining = b.ledger.remaining().unwrap_or(u64::MAX);
-                    let estimate = b.cost.and_then(|c| c.estimate(step.id()));
+                    let estimate = b.cost.estimate(step.id());
                     if let Some(est) = estimate {
                         let predicted = est.nanos_per_column * frontier.len() as f64;
                         if predicted > remaining as f64 {

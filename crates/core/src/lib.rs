@@ -88,9 +88,8 @@ pub use prediction::{
 };
 pub use regexbank::RegexBank;
 pub use request::{
-    forced_step_budget_nanos, AnnotationOutcome, AnnotationRequest, BudgetContext, BudgetLedger,
-    DegradationPolicy, DegradationReport, RequestOptions, SkipReason, SkippedStep,
-    TelemetryVerbosity,
+    AnnotationOutcome, AnnotationRequest, BudgetContext, BudgetLedger, DegradationPolicy,
+    DegradationReport, RequestOptions, SkipReason, SkippedStep, TelemetryVerbosity,
 };
 pub use service::{AnnotationService, BoundedQueue, LaneLedger, QueueRejection, TrafficLane};
 pub use step::{
@@ -99,6 +98,6 @@ pub use step::{
 };
 pub use system::{CustomTypeError, SigmaTyper, SigmaTyperBuilder};
 pub use tenant::{
-    admission_cutoff, LaneCounters, ShapedBudget, TenantId, TenantLaneSnapshot, TenantRegistry,
-    TenantSnapshot, TrafficShaper, ANONYMOUS_TENANT,
+    admission_cutoff, ShapedBudget, TenantId, TenantLaneSnapshot, TenantRegistry, TenantSnapshot,
+    TrafficShaper, ANONYMOUS_TENANT,
 };

@@ -44,21 +44,20 @@
 //! candidates or to abstention, exactly as if the step had been
 //! removed from the cascade.
 //!
-//! # Forced budgets (`SIGMATYPER_STEP_BUDGET_NANOS`)
+//! # Where a budget comes from
 //!
-//! Setting the `SIGMATYPER_STEP_BUDGET_NANOS` environment variable to
-//! a nanosecond count forces that budget onto every request that does
-//! not set one explicitly (including plain `annotate` calls), with
-//! `Strict` escalated to `DropTailSteps` so degradation actually
-//! engages. CI runs the degradation suite under a 1 ns forced budget
-//! to exercise these paths; it is an operational chaos knob, not a
-//! tuning surface — production callers should set budgets per request.
+//! A request's budget and policy are its own:
+//! [`RequestOptions::resolved`] returns them as the caller set them,
+//! and the default request is `Strict` and unbounded. A serving
+//! front-end may only narrow the budget: the
+//! [`TrafficShaper`](crate::tenant::TrafficShaper) grants the tightest
+//! of the request's budget, its lane window's remainder and its
+//! tenant's cap.
 
 use crate::cost::CostModel;
 use crate::prediction::{StepId, TableAnnotation};
 use crate::tenant::TenantId;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 use tu_table::Table;
 
 /// What the executor may do when a request's budget no longer covers
@@ -109,10 +108,10 @@ pub enum TelemetryVerbosity {
 /// [`AnnotationService`](crate::service::AnnotationService)'s share.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RequestOptions {
-    /// Nanosecond budget for this request (`None` = unbounded; see
-    /// [`resolved`](RequestOptions::resolved) for the
-    /// `SIGMATYPER_STEP_BUDGET_NANOS` fallback). For batch requests
-    /// this is the budget of the *whole batch*, shared by every table.
+    /// Nanosecond budget for this request (`None` = unbounded). For
+    /// batch requests this is the budget of the *whole batch*, shared
+    /// by every table. A traffic-shaped request may run under less
+    /// (see the [module docs](self)), never more.
     pub budget_nanos: Option<u64>,
     /// What to do when the budget no longer covers the remaining
     /// cascade.
@@ -179,66 +178,12 @@ impl RequestOptions {
         self
     }
 
-    /// The effective `(budget, policy)` after applying the
-    /// `SIGMATYPER_STEP_BUDGET_NANOS` fallback: an explicit
-    /// `budget_nanos` always wins; otherwise a forced environment
-    /// budget applies, escalating `Strict` to `DropTailSteps` so the
-    /// forced budget can actually degrade (see the [module
-    /// docs](self)).
+    /// The request's `(budget, policy)` pair, exactly as set: nothing
+    /// outside the request supplies a budget or changes its policy.
     #[must_use]
     pub fn resolved(&self) -> (Option<u64>, DegradationPolicy) {
-        if self.budget_nanos.is_some() {
-            return (self.budget_nanos, self.policy);
-        }
-        match forced_step_budget_nanos() {
-            Some(forced) => {
-                let policy = match self.policy {
-                    DegradationPolicy::Strict => DegradationPolicy::DropTailSteps,
-                    other => other,
-                };
-                (Some(forced), policy)
-            }
-            None => (None, self.policy),
-        }
+        (self.budget_nanos, self.policy)
     }
-}
-
-/// Parse a `SIGMATYPER_STEP_BUDGET_NANOS` value. An unparseable value
-/// is **loud**, not silent: a typo'd CI env var that quietly disabled
-/// the forced-budget leg would make that leg vacuously green. Returns
-/// `None` after one stderr warning (and, in debug builds, a
-/// `debug_assert` failure) so release binaries still start with the
-/// variable ignored rather than crashing serving.
-fn parse_step_budget(raw: &str) -> Option<u64> {
-    match raw.trim().parse::<u64>() {
-        Ok(nanos) => Some(nanos),
-        Err(err) => {
-            eprintln!(
-                "sigmatyper: ignoring unparseable SIGMATYPER_STEP_BUDGET_NANOS={raw:?}: {err} \
-                 (expected a nanosecond count, e.g. 2000000)"
-            );
-            debug_assert!(
-                false,
-                "unparseable SIGMATYPER_STEP_BUDGET_NANOS={raw:?}: {err}"
-            );
-            None
-        }
-    }
-}
-
-/// The forced budget from `SIGMATYPER_STEP_BUDGET_NANOS`, if the
-/// variable is set to a parseable nanosecond count (probed once per
-/// process).
-/// A set-but-unparseable value is ignored loudly: one stderr warning,
-/// plus a `debug_assert` so debug test runs fail fast.
-#[must_use]
-pub fn forced_step_budget_nanos() -> Option<u64> {
-    static FORCED: OnceLock<Option<u64>> = OnceLock::new();
-    *FORCED.get_or_init(|| {
-        std::env::var("SIGMATYPER_STEP_BUDGET_NANOS")
-            .ok()
-            .and_then(|v| parse_step_budget(&v))
-    })
 }
 
 /// One annotation request: a table plus [`RequestOptions`].
@@ -381,8 +326,7 @@ pub struct SkippedStep {
 /// which steps degraded, why, and where the ledger ended up.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DegradationReport {
-    /// The effective policy (after
-    /// [`RequestOptions::resolved`]'s environment fallback).
+    /// The request's policy ([`RequestOptions::policy`]).
     pub policy: DegradationPolicy,
     /// The effective budget (`None` = unbounded). For batch requests
     /// this is the whole batch's shared budget.
@@ -561,38 +505,15 @@ pub struct BudgetContext<'a> {
     pub ledger: &'a BudgetLedger,
     /// The effective degradation policy.
     pub policy: DegradationPolicy,
-    /// Cost estimates for predictive drops (`None` disables
-    /// prediction; exhaustion drops still apply).
-    pub cost: Option<&'a CostModel>,
+    /// The customer's cost estimates, for predictive drops: a step the
+    /// model has not observed yet is never dropped predictively, only
+    /// on exhaustion.
+    pub cost: &'a CostModel,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn step_budget_parses_valid_and_trimmed_values() {
-        assert_eq!(parse_step_budget("2000000"), Some(2_000_000));
-        assert_eq!(parse_step_budget("  1 \n"), Some(1));
-        assert_eq!(parse_step_budget("0"), Some(0));
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "unparseable SIGMATYPER_STEP_BUDGET_NANOS")]
-    fn unparseable_step_budget_is_loud_in_debug() {
-        let _ = parse_step_budget("2ms");
-    }
-
-    #[test]
-    #[cfg(not(debug_assertions))]
-    fn unparseable_step_budget_is_ignored_in_release() {
-        // Release builds warn on stderr and ignore the value instead
-        // of taking serving down.
-        assert_eq!(parse_step_budget("2ms"), None);
-        assert_eq!(parse_step_budget(""), None);
-        assert_eq!(parse_step_budget("-5"), None);
-    }
 
     #[test]
     fn default_options_are_strict_and_unbounded() {
@@ -625,37 +546,36 @@ mod tests {
 
     #[test]
     fn explicit_budget_wins_over_environment() {
-        // Whatever the environment says, an explicit budget resolves
-        // verbatim with its own policy.
-        let opts = RequestOptions::default()
-            .with_budget_nanos(123)
-            .with_policy(DegradationPolicy::Strict);
-        assert_eq!(opts.resolved(), (Some(123), DegradationPolicy::Strict));
+        // No environment variable budgets a request: an explicit budget
+        // resolves verbatim with its own policy, Strict included.
+        for policy in [
+            DegradationPolicy::Strict,
+            DegradationPolicy::DropTailSteps,
+            DegradationPolicy::BestEffort,
+        ] {
+            let opts = RequestOptions::default()
+                .with_budget_nanos(123)
+                .with_policy(policy);
+            assert_eq!(opts.resolved(), (Some(123), policy));
+        }
     }
 
     #[test]
     fn resolution_honors_the_forced_environment_budget() {
-        // This test must pass with and without
-        // SIGMATYPER_STEP_BUDGET_NANOS in the process environment (CI
-        // runs both legs), so it asserts consistency with the probe.
-        let opts = RequestOptions::default();
-        match forced_step_budget_nanos() {
-            Some(forced) => {
-                assert_eq!(
-                    opts.resolved(),
-                    (Some(forced), DegradationPolicy::DropTailSteps),
-                    "forced budgets must escalate Strict so they can degrade"
-                );
-                let best_effort = opts.with_policy(DegradationPolicy::BestEffort);
-                assert_eq!(
-                    best_effort.resolved(),
-                    (Some(forced), DegradationPolicy::BestEffort),
-                    "non-Strict policies keep their own semantics"
-                );
-            }
-            None => {
-                assert_eq!(opts.resolved(), (None, DegradationPolicy::Strict));
-            }
+        // The forced environment budget is gone, so resolution honours
+        // only the options' own pair: the default request stays Strict
+        // and unbounded, and an unbudgeted policy is not escalated.
+        assert_eq!(
+            RequestOptions::default().resolved(),
+            (None, DegradationPolicy::Strict)
+        );
+        for policy in [
+            DegradationPolicy::Strict,
+            DegradationPolicy::DropTailSteps,
+            DegradationPolicy::BestEffort,
+        ] {
+            let opts = RequestOptions::default().with_policy(policy);
+            assert_eq!(opts.resolved(), (None, policy));
         }
     }
 

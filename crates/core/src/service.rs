@@ -41,7 +41,7 @@ use crate::request::{AnnotationOutcome, BudgetLedger, RequestOptions};
 use crate::system::SigmaTyper;
 use crate::tenant::{TrafficShaper, ANONYMOUS_TENANT};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 use tu_table::Table;
@@ -97,9 +97,11 @@ impl TrafficLane {
 /// window opens. An unbudgeted lane (`window_budget == None`) never
 /// rolls and never degrades.
 ///
-/// Cumulative spend (all closed windows plus the live one) is kept for
-/// metrics: the serving front-end reports per-lane spend without
-/// resetting it.
+/// The ledger budgets a window and keeps no books: a lane's cumulative
+/// spend, like its served and shed counts, is the sum over its tenants
+/// in the [`TenantRegistry`](crate::tenant::TenantRegistry), which
+/// [`TrafficShaper::settle`](crate::tenant::TrafficShaper::settle)
+/// charges once per settled request.
 ///
 /// [`DegradationPolicy`]: crate::request::DegradationPolicy
 #[derive(Debug)]
@@ -108,9 +110,6 @@ pub struct LaneLedger {
     window_budget: Option<u64>,
     window: Duration,
     inner: Mutex<LaneWindow>,
-    /// Spend accumulated from closed windows (the live window's spend
-    /// lives in its ledger).
-    rolled_spent: AtomicU64,
 }
 
 #[derive(Debug)]
@@ -138,7 +137,6 @@ impl LaneLedger {
                 opened: Instant::now(),
                 seq: 0,
             }),
-            rolled_spent: AtomicU64::new(0),
         }
     }
 
@@ -186,8 +184,6 @@ impl LaneLedger {
             let elapsed = inner.opened.elapsed().as_nanos();
             let window = self.window.as_nanos().max(1);
             let rolls = u64::try_from(elapsed / window).unwrap_or(u64::MAX);
-            self.rolled_spent
-                .fetch_add(inner.ledger.spent(), Ordering::Relaxed);
             inner.ledger = Arc::new(BudgetLedger::from_budget(self.window_budget));
             inner.opened = Instant::now();
             inner.seq = inner.seq.saturating_add(rolls.max(1));
@@ -206,17 +202,6 @@ impl LaneLedger {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         Some(self.window.saturating_sub(inner.opened.elapsed()))
-    }
-
-    /// Cumulative nanoseconds charged on this lane across all windows
-    /// (closed windows plus the live one) — monotone, for metrics.
-    #[must_use]
-    pub fn total_spent_nanos(&self) -> u64 {
-        let inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        self.rolled_spent.load(Ordering::Relaxed) + inner.ledger.spent()
     }
 
     /// Nanoseconds left in the live window (`None` = unbudgeted).
@@ -464,21 +449,18 @@ impl AnnotationService {
     /// single-worker budget runs inline with no spawn at all, and a
     /// batch smaller than the budget hands the leftover threads to the
     /// column level instead of idling them.
+    ///
+    /// Every table runs as a default request (`Strict`, unbounded), so
+    /// the whole batch charges one unbounded ledger, which no table can
+    /// exhaust.
     #[must_use]
     pub fn annotate_batch(&self, tables: &[Table]) -> Vec<TableAnnotation> {
-        let defaults = RequestOptions::default();
-        let (budget, _) = defaults.resolved();
-        // Each table gets its own default-request ledger, exactly as a
-        // loop of `SigmaTyper::annotate` calls would.
-        two_level_run(tables.len(), self.threads, &|i, executor| {
-            self.typer.annotate_request_shared_with_base(
-                &tables[i],
-                None,
-                executor,
-                &defaults,
-                &BudgetLedger::from_budget(budget),
-            )
-        })
+        self.run_batch(
+            tables,
+            &[],
+            &RequestOptions::default(),
+            &BudgetLedger::unbounded(),
+        )
         .into_iter()
         .map(AnnotationOutcome::into_annotation)
         .collect()
@@ -531,8 +513,9 @@ impl AnnotationService {
     /// Traffic-shaped batch annotation: the batch runs as one request
     /// through [`TrafficShaper::serve`] — its budget granted from the
     /// lane window remainder, the tenant fairness cap and the explicit
-    /// request budget, its spend settled back into lane, tenant, and
-    /// serving counters. The tenant is taken from `options.tenant`,
+    /// request budget, its spend and counts settled into the tenant's
+    /// books (and a private grant's spend into the lane window). The
+    /// tenant is taken from `options.tenant`,
     /// defaulting to the shaper's [`ANONYMOUS_TENANT`] account; every
     /// returned [`DegradationReport`] echoes it. `bases` follows
     /// [`annotate_batch_request`](AnnotationService::annotate_batch_request).
@@ -1044,13 +1027,6 @@ mod tests {
 
     #[test]
     fn batch_request_with_defaults_matches_annotate_batch() {
-        use crate::request::forced_step_budget_nanos;
-        // The default request resolves the forced environment budget;
-        // equivalence with the unbudgeted path only holds without it
-        // (the forced-budget CI leg runs its own suite).
-        if forced_step_budget_nanos().is_some() {
-            return;
-        }
         let service = AnnotationService::new(global(), SigmaTyperConfig::default()).with_threads(4);
         let tables = batch(0xB0D6, 7);
         let plain = service.annotate_batch(&tables);
@@ -1178,17 +1154,18 @@ mod tests {
         a.charge(600);
         b.charge(600);
         assert!(a.exhausted() && b.exhausted());
-        assert_eq!(lane.total_spent_nanos(), 1_200);
+        assert_eq!(a.spent(), 1_200);
         assert_eq!(lane.remaining_nanos(), Some(0));
-        // After the window elapses the budget refills but cumulative
-        // spend is monotone.
+        // After the window elapses the lane hands out a fresh ledger;
+        // the closed window's ledger keeps what it was charged.
         std::thread::sleep(Duration::from_millis(15));
         let fresh = lane.ledger();
         assert!(!fresh.exhausted());
         assert_eq!(fresh.remaining(), Some(1_000));
-        assert_eq!(lane.total_spent_nanos(), 1_200);
+        assert_eq!(fresh.spent(), 0);
         fresh.charge(5);
-        assert_eq!(lane.total_spent_nanos(), 1_205);
+        assert_eq!(lane.ledger().spent(), 5);
+        assert_eq!(a.spent(), 1_200);
     }
 
     #[test]
@@ -1201,7 +1178,8 @@ mod tests {
         std::thread::sleep(Duration::from_millis(3));
         // Same live ledger after the "window": unbudgeted lanes keep
         // one cumulative ledger forever.
-        assert_eq!(lane.total_spent_nanos(), u64::MAX / 2);
+        assert!(Arc::ptr_eq(&ledger, &lane.ledger()));
+        assert_eq!(lane.ledger().spent(), u64::MAX / 2);
     }
 
     #[test]

@@ -620,7 +620,7 @@ impl SigmaTyper {
             Some(BudgetContext {
                 ledger,
                 policy,
-                cost: Some(&self.cost),
+                cost: &self.cost,
             }),
             delta_ctx,
         );

@@ -13,6 +13,8 @@
 //!   weighted deficit round-robin: every lane window grants each
 //!   tenant a quantum proportional to its fairness weight (with a
 //!   bounded burst carryover), and every request charge drains it.
+//!   These are the serving books: a lane's counts and spend are the
+//!   sums over its tenants.
 //! * [`TrafficShaper`] — the two [`LaneLedger`]s plus the registry,
 //!   consulted by both the server's admission path and the
 //!   [`AnnotationService`](crate::service::AnnotationService) batch
@@ -39,7 +41,6 @@
 use crate::request::{AnnotationOutcome, BudgetLedger};
 use crate::service::{BoundedQueue, LaneLedger, QueueRejection, TrafficLane};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -89,6 +90,17 @@ struct TenantLaneAccount {
     served: u64,
     shed: u64,
     degraded: u64,
+    delta_reused: u64,
+}
+
+impl TenantLaneAccount {
+    /// Drain the deficit (saturating) and grow the window's and the
+    /// cumulative spend by `nanos`.
+    fn charge(&mut self, nanos: u64) {
+        self.spent_nanos = self.spent_nanos.saturating_add(nanos);
+        self.window_spent_nanos = self.window_spent_nanos.saturating_add(nanos);
+        self.deficit_nanos = self.deficit_nanos.saturating_sub(nanos);
+    }
 }
 
 #[derive(Debug)]
@@ -121,7 +133,7 @@ struct RegistryInner {
 pub struct TenantLaneSnapshot {
     /// Which lane the counters belong to.
     pub lane: TrafficLane,
-    /// Cumulative charged step work.
+    /// Cumulative step work charged by settled requests.
     pub spent_nanos: u64,
     /// Deficit credit remaining.
     pub deficit_nanos: u64,
@@ -131,6 +143,10 @@ pub struct TenantLaneSnapshot {
     pub shed: u64,
     /// Outcomes that degraded (skipped or truncated steps).
     pub degraded: u64,
+    /// `(step, column)` pairs the served requests answered from the
+    /// base crawl's cached scores (the sum of their
+    /// [`DegradationReport::delta_reused`](crate::request::DegradationReport::delta_reused)).
+    pub delta_reused: u64,
     /// Whether the tenant is currently over quota on this lane.
     pub over_quota: bool,
 }
@@ -159,7 +175,6 @@ pub struct TenantSnapshot {
 #[derive(Debug)]
 pub struct TenantRegistry {
     inner: Mutex<RegistryInner>,
-    burst_windows: f64,
     fairness: bool,
 }
 
@@ -195,7 +210,6 @@ impl TenantRegistry {
                 lanes: [LaneShapingState::default(), LaneShapingState::default()],
                 total_weight: 0.0,
             }),
-            burst_windows: BURST_WINDOWS,
             fairness,
         }
     }
@@ -258,8 +272,7 @@ impl TenantRegistry {
         for lane in TrafficLane::ALL {
             if let Some(budget) = inner.lanes[lane_index(lane)].window_budget {
                 let quantum = quantum_nanos(budget, weight, total);
-                account.lanes[lane_index(lane)].deficit_nanos =
-                    scale_nanos(quantum, self.burst_windows);
+                account.lanes[lane_index(lane)].deficit_nanos = scale_nanos(quantum, BURST_WINDOWS);
             }
         }
         inner.accounts.push(account);
@@ -317,16 +330,16 @@ impl TenantRegistry {
         // A first observation (or a budget change) grants the full
         // burst; later rolls add one quantum per elapsed window. The
         // cap makes the distinction soft: nobody can hoard more than
-        // `burst_windows` quanta either way.
+        // `BURST_WINDOWS` quanta either way.
         let grants = if first {
-            self.burst_windows
+            BURST_WINDOWS
         } else {
-            (rolled as f64).min(self.burst_windows)
+            (rolled as f64).min(BURST_WINDOWS)
         };
         let total = inner.total_weight;
         for account in &mut inner.accounts {
             let quantum = quantum_nanos(budget, account.weight, total);
-            let cap = scale_nanos(quantum, self.burst_windows);
+            let cap = scale_nanos(quantum, BURST_WINDOWS);
             let grant = scale_nanos(quantum, grants);
             let lane_acct = &mut account.lanes[li];
             lane_acct.deficit_nanos = lane_acct.deficit_nanos.saturating_add(grant).min(cap);
@@ -338,14 +351,15 @@ impl TenantRegistry {
     /// deficit (saturating) and grows the window's and the cumulative
     /// spend.
     pub fn charge(&self, id: TenantId, lane: TrafficLane, nanos: u64) {
-        let mut inner = self.lock();
-        let Some(account) = inner.accounts.get_mut(id.index()) else {
-            return;
-        };
-        let lane_acct = &mut account.lanes[lane_index(lane)];
-        lane_acct.spent_nanos = lane_acct.spent_nanos.saturating_add(nanos);
-        lane_acct.window_spent_nanos = lane_acct.window_spent_nanos.saturating_add(nanos);
-        lane_acct.deficit_nanos = lane_acct.deficit_nanos.saturating_sub(nanos);
+        self.with_lane(id, lane, |acct| acct.charge(nanos));
+    }
+
+    /// Run `f` on `id`'s books for `lane` under the registry lock (a
+    /// no-op for a foreign id).
+    fn with_lane(&self, id: TenantId, lane: TrafficLane, f: impl FnOnce(&mut TenantLaneAccount)) {
+        if let Some(account) = self.lock().accounts.get_mut(id.index()) {
+            f(&mut account.lanes[lane_index(lane)]);
+        }
     }
 
     /// Is `id` over quota on `lane` — deficit fully drained on a
@@ -441,24 +455,32 @@ impl TenantRegistry {
         Some(scale_nanos(unreserved, share))
     }
 
-    /// Count one served request for `id` on `lane`, plus how many of
-    /// its outcomes degraded.
-    pub fn record_served(&self, id: TenantId, lane: TrafficLane, degraded_outcomes: u64) {
-        let mut inner = self.lock();
-        if let Some(account) = inner.accounts.get_mut(id.index()) {
-            let lane_acct = &mut account.lanes[lane_index(lane)];
-            lane_acct.served += 1;
-            lane_acct.degraded += degraded_outcomes;
-        }
+    /// Book one served request for `id` on `lane`: charge its
+    /// `spent_nanos` as [`charge`](TenantRegistry::charge) does, and
+    /// count it with how many of its outcomes degraded and how many
+    /// `(step, column)` pairs it answered from base-crawl scores. One
+    /// lock holds all of it, so a [`snapshot`](TenantRegistry::snapshot)
+    /// sees the whole request or none of it.
+    pub fn record_served(
+        &self,
+        id: TenantId,
+        lane: TrafficLane,
+        spent_nanos: u64,
+        degraded_outcomes: u64,
+        delta_reused: u64,
+    ) {
+        self.with_lane(id, lane, |acct| {
+            acct.charge(spent_nanos);
+            acct.served += 1;
+            acct.degraded += degraded_outcomes;
+            acct.delta_reused = acct.delta_reused.saturating_add(delta_reused);
+        });
     }
 
     /// Count one shed (refused at admission) request for `id` on
     /// `lane`.
     pub fn record_shed(&self, id: TenantId, lane: TrafficLane) {
-        let mut inner = self.lock();
-        if let Some(account) = inner.accounts.get_mut(id.index()) {
-            account.lanes[lane_index(lane)].shed += 1;
-        }
+        self.with_lane(id, lane, |acct| acct.shed += 1);
     }
 
     /// Point-in-time snapshots of every tenant, in intern order — the
@@ -484,6 +506,7 @@ impl TenantRegistry {
                         served: a.served,
                         shed: a.shed,
                         degraded: a.degraded,
+                        delta_reused: a.delta_reused,
                         over_quota: self.fairness
                             && inner.lanes[li].window_budget.is_some()
                             && a.deficit_nanos == 0,
@@ -514,56 +537,6 @@ pub fn admission_cutoff(lane: TrafficLane, over_quota: bool) -> f64 {
     }
 }
 
-/// Per-lane serving counters, shared by the HTTP server and the load
-/// lab's in-process driver. `served`/`shed` count *requests* (a batch
-/// is one request); together they account for every arrival.
-#[derive(Debug, Default)]
-pub struct LaneCounters {
-    served: AtomicU64,
-    shed: AtomicU64,
-    degraded: AtomicU64,
-    delta_reused: AtomicU64,
-}
-
-impl LaneCounters {
-    /// Count one served request with `degraded` degraded outcomes and
-    /// `delta_reused` base-crawl reuses among them.
-    pub fn record_served(&self, degraded: u64, delta_reused: u64) {
-        self.served.fetch_add(1, Ordering::Relaxed);
-        self.degraded.fetch_add(degraded, Ordering::Relaxed);
-        self.delta_reused.fetch_add(delta_reused, Ordering::Relaxed);
-    }
-
-    /// Count one request shed at admission.
-    pub fn record_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Requests served.
-    #[must_use]
-    pub fn served(&self) -> u64 {
-        self.served.load(Ordering::Relaxed)
-    }
-
-    /// Requests shed.
-    #[must_use]
-    pub fn shed(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
-    }
-
-    /// Outcomes that degraded.
-    #[must_use]
-    pub fn degraded(&self) -> u64 {
-        self.degraded.load(Ordering::Relaxed)
-    }
-
-    /// `(step, column)` pairs answered from base-crawl cache entries.
-    #[must_use]
-    pub fn delta_reused(&self) -> u64 {
-        self.delta_reused.load(Ordering::Relaxed)
-    }
-}
-
 /// How one shaped request should source its budget (see
 /// [`TrafficShaper::request_budget`]).
 #[derive(Debug)]
@@ -583,20 +556,15 @@ pub enum ShapedBudget {
     },
 }
 
-/// The two lane ledgers, their serving counters, and the tenant
-/// registry — one shaping decision surface, consulted by the serve
-/// loop the HTTP server and the load lab's in-process driver share
-/// (`tu_server::WorkerPool`), so both enforce the same policy.
+/// The two lane ledgers and the tenant registry — one shaping
+/// decision surface, consulted by the serve loop the HTTP server and
+/// the load lab's in-process driver share (`tu_server::WorkerPool`),
+/// so both enforce the same policy. The ledgers budget each lane's
+/// window; the registry keeps the books.
 #[derive(Debug)]
 pub struct TrafficShaper {
-    lanes: [ShapedLane; 2],
+    lanes: [LaneLedger; 2],
     registry: Arc<TenantRegistry>,
-}
-
-#[derive(Debug)]
-struct ShapedLane {
-    ledger: LaneLedger,
-    counters: LaneCounters,
 }
 
 impl TrafficShaper {
@@ -611,18 +579,8 @@ impl TrafficShaper {
     ) -> Self {
         TrafficShaper {
             lanes: [
-                ShapedLane {
-                    ledger: LaneLedger::new(
-                        TrafficLane::Interactive,
-                        interactive_budget_nanos,
-                        window,
-                    ),
-                    counters: LaneCounters::default(),
-                },
-                ShapedLane {
-                    ledger: LaneLedger::new(TrafficLane::Crawl, crawl_budget_nanos, window),
-                    counters: LaneCounters::default(),
-                },
+                LaneLedger::new(TrafficLane::Interactive, interactive_budget_nanos, window),
+                LaneLedger::new(TrafficLane::Crawl, crawl_budget_nanos, window),
             ],
             registry,
         }
@@ -637,22 +595,16 @@ impl TrafficShaper {
     /// The window ledger of `lane`.
     #[must_use]
     pub fn lane_ledger(&self, lane: TrafficLane) -> &LaneLedger {
-        &self.lanes[lane_index(lane)].ledger
-    }
-
-    /// The serving counters of `lane`.
-    #[must_use]
-    pub fn counters(&self, lane: TrafficLane) -> &LaneCounters {
-        &self.lanes[lane_index(lane)].counters
+        &self.lanes[lane_index(lane)]
     }
 
     /// Sync the registry's deficits with `lane`'s live window and
     /// return that window's shared ledger.
     fn synced_ledger(&self, lane: TrafficLane) -> Arc<BudgetLedger> {
-        let lane_state = &self.lanes[lane_index(lane)];
-        let (ledger, seq) = lane_state.ledger.ledger_with_seq();
+        let lane_ledger = self.lane_ledger(lane);
+        let (ledger, seq) = lane_ledger.ledger_with_seq();
         self.registry
-            .observe_window(lane, seq, lane_state.ledger.window_budget());
+            .observe_window(lane, seq, lane_ledger.window_budget());
         ledger
     }
 
@@ -667,8 +619,10 @@ impl TrafficShaper {
     /// Lane- and tenant-aware admission: shed once the queue is at
     /// least [`admission_cutoff`] full for this request class (the
     /// push itself backstops genuinely-full and closed queues). A shed
-    /// is counted against the lane and the tenant; an admitted job is
-    /// not counted until served.
+    /// is booked once, as the tenant's
+    /// ([`TenantRegistry::record_shed`]), which is where the lane's
+    /// shed count comes from too; an admitted job is not counted until
+    /// it settles.
     pub fn admit<T>(
         &self,
         queue: &BoundedQueue<T>,
@@ -684,7 +638,6 @@ impl TrafficShaper {
             queue.push(job).map_err(|(_, why)| why)
         };
         if result.is_err() {
-            self.counters(lane).record_shed();
             self.registry.record_shed(tenant, lane);
         }
         result
@@ -760,8 +713,12 @@ impl TrafficShaper {
 
     /// Account one served request: charge `spent_nanos` back to the
     /// lane window (only for [`ShapedBudget::Local`] runs — shared
-    /// runs charged the window ledger directly), charge the tenant's
-    /// deficit and spend, and bump the lane/tenant serving counters.
+    /// runs charged the window ledger directly), then book it once in
+    /// the tenant's books ([`TenantRegistry::record_served`]): spend,
+    /// deficit, served, degraded and reused counts. Those books are the
+    /// lane's too, so spend charged to a window that has since rolled
+    /// still counts, and a request that never settles (its run
+    /// panicked) counts in no lane or tenant.
     pub fn settle(
         &self,
         lane: TrafficLane,
@@ -774,10 +731,8 @@ impl TrafficShaper {
         if let ShapedBudget::Local { lane: ledger, .. } = budget {
             ledger.charge(spent_nanos);
         }
-        self.registry.charge(tenant, lane, spent_nanos);
-        self.registry.record_served(tenant, lane, degraded_outcomes);
-        self.counters(lane)
-            .record_served(degraded_outcomes, delta_reused);
+        self.registry
+            .record_served(tenant, lane, spent_nanos, degraded_outcomes, delta_reused);
     }
 }
 
@@ -1054,12 +1009,14 @@ mod tests {
             shaper.admit(&queue, TrafficLane::Interactive, light, 4),
             Ok(())
         );
-        assert_eq!(shaper.counters(TrafficLane::Crawl).shed(), 2);
-        assert_eq!(shaper.counters(TrafficLane::Interactive).shed(), 1);
+        // Each shed is booked once, against its tenant and lane.
         let snap = registry.snapshot();
         assert_eq!(snap[heavy.index()].lanes[1].shed, 1);
         assert_eq!(snap[heavy.index()].lanes[0].shed, 1);
         assert_eq!(snap[light.index()].lanes[1].shed, 1);
+        assert_eq!(snap[light.index()].lanes[0].shed, 0);
+        let lane_sheds = |li: usize| snap.iter().map(|t| t.lanes[li].shed).sum::<u64>();
+        assert_eq!((lane_sheds(0), lane_sheds(1)), (1, 2));
     }
 
     #[test]
@@ -1107,21 +1064,15 @@ mod tests {
         let (registry, shaper, t) = budgeted_shaper();
         let grant = shaper.request_budget(TrafficLane::Interactive, t, Some(4_000));
         shaper.settle(TrafficLane::Interactive, t, &grant, 2_500, 1, 3);
-        assert_eq!(
-            shaper
-                .lane_ledger(TrafficLane::Interactive)
-                .remaining_nanos(),
-            Some(7_500)
-        );
+        let window = shaper.lane_ledger(TrafficLane::Interactive).ledger();
+        assert_eq!(window.remaining(), Some(7_500));
+        assert_eq!(window.spent(), 2_500);
         let snap = registry.snapshot();
         let lane0 = &snap[t.index()].lanes[0];
         assert_eq!(lane0.spent_nanos, 2_500);
         assert_eq!(lane0.served, 1);
         assert_eq!(lane0.degraded, 1);
-        let counters = shaper.counters(TrafficLane::Interactive);
-        assert_eq!(counters.served(), 1);
-        assert_eq!(counters.degraded(), 1);
-        assert_eq!(counters.delta_reused(), 3);
+        assert_eq!(lane0.delta_reused, 3);
     }
 
     /// An outcome that charged `ledger` `spent` nanoseconds, reused
@@ -1186,7 +1137,7 @@ mod tests {
         });
         assert_eq!(outcomes.len(), 1);
         assert_eq!(shaper.lane_ledger(lane).remaining_nanos(), Some(7_500));
-        assert_eq!(shaper.lane_ledger(lane).total_spent_nanos(), 2_500);
+        assert_eq!(shaper.lane_ledger(lane).ledger().spent(), 2_500);
         let snap = registry.snapshot();
         assert_eq!(snap[t.index()].lanes[lane_index(lane)].spent_nanos, 2_500);
     }
@@ -1203,7 +1154,7 @@ mod tests {
             vec![outcome(ledger, 1_200, false, 0)]
         });
         assert_eq!(shaper.lane_ledger(lane).remaining_nanos(), Some(8_800));
-        assert_eq!(shaper.lane_ledger(lane).total_spent_nanos(), 1_200);
+        assert_eq!(shaper.lane_ledger(lane).ledger().spent(), 1_200);
         // The tenant is charged either way.
         let snap = registry.snapshot();
         assert_eq!(snap[t.index()].lanes[lane_index(lane)].spent_nanos, 1_200);
@@ -1221,14 +1172,11 @@ mod tests {
             ]
         });
         assert_eq!(outcomes.len(), 3, "every outcome comes back");
-        let counters = shaper.counters(lane);
-        assert_eq!(counters.served(), 1, "a batch is one served request");
-        assert_eq!(counters.degraded(), 2);
-        assert_eq!(counters.delta_reused(), 5);
-        assert_eq!(shaper.lane_ledger(lane).total_spent_nanos(), 600);
+        assert_eq!(shaper.lane_ledger(lane).ledger().spent(), 600);
         let snap = registry.snapshot();
         let account = &snap[t.index()].lanes[lane_index(lane)];
-        assert_eq!((account.served, account.degraded), (1, 2));
+        assert_eq!(account.served, 1, "a batch is one served request");
+        assert_eq!((account.degraded, account.delta_reused), (2, 5));
         assert_eq!(account.spent_nanos, 600);
     }
 }

@@ -15,8 +15,8 @@
 //! * **Admission** ([`WorkerPool`] + [`TrafficShaper`]): every
 //!   request is queued or shed — never buffered without bound. A full
 //!   queue answers `503 Service Unavailable` with a `Retry-After`
-//!   derived from the shedding lane's actual window-refill time (the
-//!   configured constant is the floor). Cutoffs are tiered by lane
+//!   derived from the shedding lane's actual window-refill time, never
+//!   below one second. Cutoffs are tiered by lane
 //!   *and* tenant standing: over-quota crawl sheds at a quarter of
 //!   capacity, in-quota crawl and over-quota interactive at half, and
 //!   in-quota interactive only when the queue is genuinely full —
@@ -38,7 +38,11 @@
 //!   are protected), so heavy tenants degrade first while light
 //!   tenants keep their entitlement.
 //!   Shaping never changes annotation results — only scheduling,
-//!   shedding, and which requests degrade.
+//!   shedding, and which requests degrade. The registry holds the one
+//!   set of serving books: `/metrics` reports each lane's served, shed,
+//!   degraded and reused counts and its spend as sums over its
+//!   tenants, from the same snapshot as the `tenants` section, so the
+//!   two agree within a scrape. Spend counts settled requests only.
 //! * **Workers** ([`WorkerPool`]): a fixed pool popping jobs and
 //!   driving one long-lived [`AnnotationService`]. Every served
 //!   request is one call to
@@ -68,7 +72,7 @@
 //! | POST   | `/annotate`       | `{"table": …, "options"?: …}` → one outcome |
 //! | POST   | `/annotate_batch` | `{"tables": […], "options"?: …}` → outcomes in order |
 //! | POST   | `/feedback`       | `{"table": …, "col_idx": n, "type": "name"}` → adaptation + epoch bump (header entries survive unless their `Wg` changed) |
-//! | GET    | `/metrics`        | queue depth, in-flight, panics, per-lane spend/shed, per-tenant counters, cache stats + delta |
+//! | GET    | `/metrics`        | queue depth, in-flight, panics, per-lane spend/shed (sums over the tenants), per-tenant counters, cache stats + delta |
 //! | GET    | `/healthz`        | liveness |
 //! | POST   | `/shutdown`       | request graceful drain (for operators/CI) |
 //!
@@ -89,7 +93,7 @@ use sigmatyper::cache::CacheStats;
 use sigmatyper::request::{AnnotationOutcome, RequestOptions};
 use sigmatyper::service::{AnnotationService, QueueRejection, TrafficLane};
 use sigmatyper::tenant::{
-    TenantId, TenantRegistry, TenantSnapshot, TrafficShaper, ANONYMOUS_TENANT,
+    TenantId, TenantLaneSnapshot, TenantRegistry, TenantSnapshot, TrafficShaper, ANONYMOUS_TENANT,
 };
 use sigmatyper::SigmaTyper;
 use std::io;
@@ -110,6 +114,10 @@ const MAX_TENANT_NAME_LEN: usize = 128;
 /// dilutes every other tenant's quantum with its weight.
 const MAX_TENANTS: usize = 1024;
 
+/// Fewest seconds a `503`'s `Retry-After` advertises. A budgeted lane
+/// advertises the time until its window refills when that is longer.
+const RETRY_AFTER_FLOOR_SECS: u64 = 1;
+
 /// Serving knobs of an [`AnnotationServer`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -127,10 +135,6 @@ pub struct ServerConfig {
     pub crawl_budget_nanos: Option<u64>,
     /// Length of one lane-budget window.
     pub budget_window: Duration,
-    /// Floor for the `Retry-After` seconds advertised on 503
-    /// responses. When the shedding lane is budgeted, the actual hint
-    /// is the time until that lane's window refills, never below this.
-    pub retry_after_secs: u32,
     /// Tenants registered at startup with explicit fairness weights
     /// (`(name, weight)`); weight is relative share of each lane's
     /// window. Tenants not listed here are interned on first sight at
@@ -148,7 +152,6 @@ impl Default for ServerConfig {
             interactive_budget_nanos: None,
             crawl_budget_nanos: None,
             budget_window: Duration::from_secs(1),
-            retry_after_secs: 1,
             tenant_weights: Vec::new(),
         }
     }
@@ -158,7 +161,6 @@ struct ServerState {
     /// The serve loop: admission queue, workers, the long-lived
     /// service and the shaper. A job answers with its response body.
     pool: WorkerPool<String>,
-    retry_after_secs: u32,
     shutdown_requested: AtomicBool,
     /// Baseline for the `/metrics` cache delta: stats at the previous
     /// scrape.
@@ -167,14 +169,13 @@ struct ServerState {
 
 impl ServerState {
     /// `Retry-After` for a shed on `lane`: time until the lane's
-    /// budget window refills (rounded up), floored at the configured
-    /// constant. Unbudgeted lanes have no refill event, so they
-    /// advertise the floor.
-    fn retry_after_secs(&self, lane: TrafficLane) -> u64 {
-        let floor = u64::from(self.retry_after_secs);
+    /// budget window refills (rounded up), floored at
+    /// [`RETRY_AFTER_FLOOR_SECS`]. Unbudgeted lanes have no refill
+    /// event, so they advertise the floor.
+    fn retry_after(&self, lane: TrafficLane) -> u64 {
         match self.pool.shaper().lane_ledger(lane).window_remaining() {
-            Some(left) => floor.max(left.as_secs_f64().ceil() as u64),
-            None => floor,
+            Some(left) => RETRY_AFTER_FLOOR_SECS.max(left.as_secs_f64().ceil() as u64),
+            None => RETRY_AFTER_FLOOR_SECS,
         }
     }
 
@@ -184,7 +185,7 @@ impl ServerState {
             QueueRejection::Closed => "server is draining for shutdown",
         };
         Response::status(503)
-            .with_header("Retry-After", &self.retry_after_secs(lane).to_string())
+            .with_header("Retry-After", &self.retry_after(lane).to_string())
             .with_json(
                 Json::object(vec![
                     ("error", Json::from(detail)),
@@ -232,7 +233,6 @@ impl AnnotationServer {
                 config.workers,
                 config.queue_capacity,
             ),
-            retry_after_secs: config.retry_after_secs,
             shutdown_requested: AtomicBool::new(false),
             metrics_baseline: Mutex::new(CacheStats::default()),
         });
@@ -489,15 +489,31 @@ fn handle_feedback(state: &ServerState, req: &Request) -> Response {
     )
 }
 
-fn lane_metrics(shaper: &TrafficShaper, lane: TrafficLane) -> Json {
-    let counters = shaper.counters(lane);
+/// Sum `of` over the tenants' books on every lane `on` accepts.
+fn books_sum(
+    tenants: &[TenantSnapshot],
+    on: impl Fn(TrafficLane) -> bool,
+    of: fn(&TenantLaneSnapshot) -> u64,
+) -> u64 {
+    tenants
+        .iter()
+        .flat_map(|t| &t.lanes)
+        .filter(|books| on(books.lane))
+        .map(of)
+        .fold(0, u64::saturating_add)
+}
+
+/// One lane's `/metrics` object: its counts and spend summed over the
+/// tenants' books in `tenants`, beside its live window.
+fn lane_metrics(shaper: &TrafficShaper, lane: TrafficLane, tenants: &[TenantSnapshot]) -> Json {
     let ledger = shaper.lane_ledger(lane);
+    let sum = |of| Json::from(books_sum(tenants, |l| l == lane, of));
     Json::object(vec![
-        ("served", Json::from(counters.served())),
-        ("shed", Json::from(counters.shed())),
-        ("degraded", Json::from(counters.degraded())),
-        ("delta_reused", Json::from(counters.delta_reused())),
-        ("spent_nanos", Json::from(ledger.total_spent_nanos())),
+        ("served", sum(|b| b.served)),
+        ("shed", sum(|b| b.shed)),
+        ("degraded", sum(|b| b.degraded)),
+        ("delta_reused", sum(|b| b.delta_reused)),
+        ("spent_nanos", sum(|b| b.spent_nanos)),
         ("window_budget_nanos", Json::from(ledger.window_budget())),
         (
             "window_remaining_nanos",
@@ -507,7 +523,8 @@ fn lane_metrics(shaper: &TrafficShaper, lane: TrafficLane) -> Json {
 }
 
 /// Per-tenant `/metrics` object: one entry per interned tenant with
-/// its fairness weight and per-lane spend/deficit/serving counters.
+/// its fairness weight and per-lane spend/deficit/serving counters,
+/// the books each lane's counts are summed from.
 fn tenant_metrics(snapshots: &[TenantSnapshot]) -> Json {
     Json::object(
         snapshots
@@ -525,6 +542,7 @@ fn tenant_metrics(snapshots: &[TenantSnapshot]) -> Json {
                                 ("served", Json::from(l.served)),
                                 ("shed", Json::from(l.shed)),
                                 ("degraded", Json::from(l.degraded)),
+                                ("delta_reused", Json::from(l.delta_reused)),
                                 ("over_quota", Json::from(l.over_quota)),
                             ]),
                         )
@@ -571,13 +589,9 @@ fn handle_metrics(state: &ServerState) -> Response {
         None => (Json::Null, Json::Null),
     };
     let shaper = pool.shaper();
-    let mut served = 0u64;
-    let mut shed = 0u64;
-    for lane in TrafficLane::ALL {
-        let c = shaper.counters(lane);
-        served += c.served();
-        shed += c.shed();
-    }
+    let tenants = shaper.registry().snapshot();
+    let served = books_sum(&tenants, |_| true, |b| b.served);
+    let shed = books_sum(&tenants, |_| true, |b| b.shed);
     let shed_rate = if served + shed == 0 {
         0.0
     } else {
@@ -595,16 +609,16 @@ fn handle_metrics(state: &ServerState) -> Response {
             Json::object(vec![
                 (
                     TrafficLane::Interactive.label(),
-                    lane_metrics(shaper, TrafficLane::Interactive),
+                    lane_metrics(shaper, TrafficLane::Interactive, &tenants),
                 ),
                 (
                     TrafficLane::Crawl.label(),
-                    lane_metrics(shaper, TrafficLane::Crawl),
+                    lane_metrics(shaper, TrafficLane::Crawl, &tenants),
                 ),
             ]),
         ),
         ("shed_rate", Json::from(shed_rate)),
-        ("tenants", tenant_metrics(&shaper.registry().snapshot())),
+        ("tenants", tenant_metrics(&tenants)),
         ("cache", cache_json),
         ("cache_delta", delta_json),
     ]);
@@ -637,5 +651,68 @@ fn route(state: &ServerState, req: &Request) -> Response {
             .with_json(Json::object(vec![("error", Json::from("method not allowed"))]).to_string()),
         _ => Response::status(404)
             .with_json(Json::object(vec![("error", Json::from("no such endpoint"))]).to_string()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sigmatyper::tenant::{lane_index, ShapedBudget};
+
+    const WINDOW: Duration = Duration::from_millis(10);
+
+    /// A shaper whose interactive lane grants 10 µs of step work per
+    /// 10 ms window, and its two tenants.
+    fn two_tenant_shaper() -> (TrafficShaper, TenantId, TenantId) {
+        let registry = Arc::new(TenantRegistry::new());
+        let (a, b) = (registry.intern("a"), registry.intern("b"));
+        (
+            TrafficShaper::new(registry, Some(10_000), None, WINDOW),
+            a,
+            b,
+        )
+    }
+
+    /// The interactive lane's `/metrics` spend, and tenant `t`'s.
+    fn spend(shaper: &TrafficShaper, t: TenantId) -> (u64, u64) {
+        let tenants = shaper.registry().snapshot();
+        let lane = lane_metrics(shaper, TrafficLane::Interactive, &tenants);
+        (
+            lane.get("spent_nanos")
+                .and_then(Json::as_u64)
+                .expect("lane spent_nanos"),
+            tenants[t.index()].lanes[lane_index(TrafficLane::Interactive)].spent_nanos,
+        )
+    }
+
+    /// A lane reports the spend its tenants were charged, also when
+    /// the window a request drew on rolled before it settled.
+    #[test]
+    fn lane_spend_counts_what_settles_after_a_window_rolls() {
+        let lane = TrafficLane::Interactive;
+
+        // An explicit budget runs on a private ledger; another request
+        // rolls the window before it settles.
+        let (shaper, a, b) = two_tenant_shaper();
+        let grant = shaper.request_budget(lane, a, Some(4_000));
+        assert!(matches!(grant, ShapedBudget::Local { .. }), "{grant:?}");
+        std::thread::sleep(WINDOW + Duration::from_millis(5));
+        let _ = shaper.request_budget(lane, b, None);
+        shaper.settle(lane, a, &grant, 2_500, 0, 0);
+        assert_eq!(spend(&shaper, a), (2_500, 2_500));
+
+        // A request on the shared window ledger is charged before and
+        // after another request rolls the window, then settles.
+        let (shaper, a, b) = two_tenant_shaper();
+        let grant = shaper.request_budget(lane, a, None);
+        let ShapedBudget::Shared(window) = &grant else {
+            panic!("an in-quota unbudgeted request shares the window: {grant:?}");
+        };
+        window.charge(100);
+        std::thread::sleep(WINDOW + Duration::from_millis(5));
+        let _ = shaper.request_budget(lane, b, None);
+        window.charge(500);
+        shaper.settle(lane, a, &grant, 600, 0, 0);
+        assert_eq!(spend(&shaper, a), (600, 600));
     }
 }

@@ -28,8 +28,8 @@ struct Shared<R> {
     /// The customer's one long-lived service: jobs run under the read
     /// lock, adaptation takes the write lock.
     service: RwLock<AnnotationService>,
-    /// Lane ledgers, lane/tenant counters and the tenant registry:
-    /// every admission and budget decision flows through here.
+    /// Lane ledgers and the tenant registry, the serving books: every
+    /// admission and budget decision flows through here.
     shaper: TrafficShaper,
     queue: BoundedQueue<Job<R>>,
     in_flight: AtomicUsize,

@@ -1,20 +1,12 @@
-//! Degradation-path suite for the budgeted request API.
-//!
-//! Every test here is written to pass **with or without** a forced
-//! `SIGMATYPER_STEP_BUDGET_NANOS` in the environment: CI runs this
-//! suite twice — once in the plain test leg, once with a 1 ns forced
-//! budget — so the degradation machinery (ledger exhaustion, tail
-//! drops, abstention guarantees, report accounting) is exercised under
-//! real duress, not just under hand-picked budgets. Tests that need a
-//! specific budget set one explicitly ([`RequestOptions::resolved`]
-//! gives explicit budgets precedence over the environment); tests
-//! probing the forced path branch on
-//! [`forced_step_budget_nanos`].
+//! Degradation-path suite for the budgeted request API: ledger
+//! exhaustion, tail drops, abstention guarantees and report
+//! accounting. A request's budget is its own, so every test that
+//! degrades sets its budget explicitly; the 1 ns `DropTailSteps` cases
+//! exercise the tightest budget a request can carry.
 
 use sigmatyper::{
-    forced_step_budget_nanos, train_global, AnnotationRequest, AnnotationService,
-    DegradationPolicy, GlobalModel, RequestOptions, SigmaTyper, SigmaTyperConfig, SkipReason,
-    TrainingConfig,
+    train_global, AnnotationRequest, AnnotationService, DegradationPolicy, GlobalModel,
+    RequestOptions, SigmaTyper, SigmaTyperConfig, SkipReason, TrainingConfig,
 };
 use std::sync::{Arc, OnceLock};
 use tu_corpus::{generate_corpus, CorpusConfig};
@@ -76,24 +68,17 @@ fn assert_identical(a: &sigmatyper::TableAnnotation, b: &sigmatyper::TableAnnota
     }
 }
 
-/// `annotate` is a thin wrapper over a default request: both resolve
-/// the environment identically, so the equivalence holds in the plain
-/// leg *and* under a forced budget (where both degrade identically).
+/// `annotate` is a thin wrapper over a default request (`Strict`,
+/// unbounded): the two answer bit-identically and the request's report
+/// echoes its own budget and policy.
 ///
-/// One warm-up call runs first because degradation is deliberately
-/// history-dependent: annotations feed the cost model, and under a
-/// tiny forced budget the first call's measurements teach the model to
-/// drop steps *predictively* on the next call. After the warm-up the
-/// model's decisions are stable (dropped steps produce no further
-/// observations), so the compared pair sees identical state.
+/// Warm-up calls run first so the compared pair sees a cost model
+/// that has observed every step: annotations feed the model, and the
+/// equivalence must hold whatever it has learned.
 #[test]
 fn annotate_is_the_default_request_in_every_environment() {
     let st = typer();
     for table in [opaque_table(3), clear_table()] {
-        // Each degraded warm-up seeds one more not-yet-observed step
-        // (predictive drops run the first unpriced step); after one
-        // pass per configured step every estimate exists and the
-        // decisions are stationary.
         for _ in 0..=st.cascade().len() {
             let _ = st.annotate(&table);
         }
@@ -106,52 +91,64 @@ fn annotate_is_the_default_request_in_every_environment() {
     }
 }
 
-/// The forced environment budget must engage degradation on default
-/// requests — and report its own accounting honestly.
+/// A 1 ns `DropTailSteps` budget cannot survive the first charged
+/// step, so the tail degrades and the report accounts for it honestly;
+/// the same request unbudgeted degrades nothing and reports no budget.
 #[test]
-fn forced_env_budget_degrades_default_requests() {
+fn one_nanosecond_budget_degrades_where_the_unbudgeted_request_does_not() {
     let st = typer();
     let table = opaque_table(3);
-    let outcome = st.annotate_request(&AnnotationRequest::new(&table));
-    match forced_step_budget_nanos() {
-        Some(forced) => {
-            assert_eq!(outcome.degradation.budget_nanos, Some(forced));
-            assert_eq!(outcome.degradation.policy, DegradationPolicy::DropTailSteps);
-            if forced < 1_000 {
-                // A nanoseconds-scale budget cannot survive the first
-                // charged step: the tail must degrade.
-                assert!(outcome.degraded(), "{:?}", outcome.degradation);
-                assert!(outcome.degradation.remaining_nanos == Some(0));
-            }
-        }
-        None => {
-            assert!(!outcome.degraded());
-            assert_eq!(outcome.degradation.budget_nanos, None);
-            assert_eq!(outcome.degradation.remaining_nanos, None);
-        }
-    }
+    let tight = st.annotate_request(
+        &AnnotationRequest::new(&table)
+            .with_budget_nanos(1)
+            .with_policy(DegradationPolicy::DropTailSteps),
+    );
+    assert!(tight.degraded(), "{:?}", tight.degradation);
+    assert_eq!(tight.degradation.policy, DegradationPolicy::DropTailSteps);
+    assert_eq!(tight.degradation.budget_nanos, Some(1));
+    assert_eq!(tight.degradation.remaining_nanos, Some(0));
+
+    let unbudgeted = st.annotate_request(
+        &AnnotationRequest::new(&table).with_policy(DegradationPolicy::DropTailSteps),
+    );
+    assert!(!unbudgeted.degraded(), "{:?}", unbudgeted.degradation);
+    assert_eq!(unbudgeted.degradation.budget_nanos, None);
+    assert_eq!(unbudgeted.degradation.remaining_nanos, None);
 }
 
-/// Degradation sheds *later* steps first: even under a 1 ns forced
-/// budget the first step runs (the ledger is charged after, not
-/// before), so header-resolved columns keep their predictions — the
-/// cheap-first cascade is exactly what makes degrade-don't-queue
-/// tolerable.
+/// Degradation sheds *later* steps first: unbudgeted and under a 1 ns
+/// `DropTailSteps` budget alike, a fresh customer runs the first step
+/// (the ledger is charged after, not before, and its cost model has
+/// not priced the step yet), so header-resolved columns keep their
+/// predictions — the cheap-first cascade is exactly what makes
+/// degrade-don't-queue tolerable.
 #[test]
 fn first_step_always_runs_so_clear_headers_survive() {
-    let st = typer();
-    let o = st.ontology().clone();
-    let ann = st.annotate(&clear_table());
-    assert_eq!(
-        ann.columns[0].predicted,
-        tu_ontology::builtin_id(&o, "salary")
-    );
-    assert_eq!(
-        ann.columns[1].predicted,
-        tu_ontology::builtin_id(&o, "city")
-    );
-    for col in &ann.columns {
-        assert!(!col.steps_run.is_empty(), "step 1 must have run");
+    let table = clear_table();
+    for options in [
+        RequestOptions::default(),
+        RequestOptions::default()
+            .with_budget_nanos(1)
+            .with_policy(DegradationPolicy::DropTailSteps),
+    ] {
+        let st = typer();
+        let o = st.ontology().clone();
+        let ann = st
+            .annotate_request(&AnnotationRequest::with_options(&table, options))
+            .into_annotation();
+        assert_eq!(
+            ann.columns[0].predicted,
+            tu_ontology::builtin_id(&o, "salary"),
+            "{options:?}"
+        );
+        assert_eq!(
+            ann.columns[1].predicted,
+            tu_ontology::builtin_id(&o, "city"),
+            "{options:?}"
+        );
+        for col in &ann.columns {
+            assert!(!col.steps_run.is_empty(), "step 1 must have run");
+        }
     }
 }
 
@@ -189,8 +186,8 @@ fn explicit_zero_budget_is_deterministic_in_every_environment() {
     }
 }
 
-/// Strict with an explicit budget never degrades — even while the
-/// environment is forcing budgets onto everything else.
+/// Strict with an explicit budget never degrades: an overrun is only
+/// reported.
 #[test]
 fn explicit_strict_budget_shields_a_request_from_the_environment() {
     let st = typer();
@@ -234,8 +231,7 @@ fn degraded_outcomes_never_fabricate() {
 }
 
 /// The batch front-end under a shared zero budget: every table
-/// degrades (degrade-don't-queue), order is preserved, nothing panics
-/// — in every environment.
+/// degrades (degrade-don't-queue), order is preserved, nothing panics.
 #[test]
 fn batch_requests_degrade_under_a_shared_exhausted_ledger() {
     let service = AnnotationService::new(global(), SigmaTyperConfig::default()).with_threads(3);
@@ -268,7 +264,7 @@ fn batch_requests_degrade_under_a_shared_exhausted_ledger() {
 }
 
 /// A generous explicit batch budget serves everything un-degraded —
-/// bit-identical to the plain batch path — regardless of environment.
+/// bit-identical to the plain batch path.
 #[test]
 fn generous_batch_budget_matches_the_unbudgeted_batch() {
     let service = AnnotationService::new(global(), SigmaTyperConfig::default()).with_threads(4);
@@ -282,8 +278,8 @@ fn generous_batch_budget_matches_the_unbudgeted_batch() {
         .with_budget_nanos(u64::MAX)
         .with_policy(DegradationPolicy::DropTailSteps);
     let outcomes = service.annotate_batch_request(&tables, &[], &options);
-    // The unbudgeted reference comes from per-table Strict requests
-    // (annotate_batch would re-resolve the environment).
+    // The reference comes from per-table Strict requests under the
+    // same budget.
     let strict = RequestOptions::default()
         .with_budget_nanos(u64::MAX)
         .with_policy(DegradationPolicy::Strict);

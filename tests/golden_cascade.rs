@@ -783,9 +783,7 @@ fn column_parallel_execution_matches_sequential_with_warm_cache() {
 // bit-identical to it — which the tests above prove bit-identical to
 // the literal seed transcription — for fresh, ablated, and
 // adaptation-heavy customers, cached and uncached, sequential and
-// column-parallel. (This suite does not run under a forced
-// `SIGMATYPER_STEP_BUDGET_NANOS`; the env-aware equivalence lives in
-// `tests/budgeted_annotation.rs`.)
+// column-parallel. `tests/budgeted_annotation.rs` covers budgeted requests.
 
 /// One assertion: the default request's annotation is bit-identical to
 /// `annotate`, its report clean, and — through `assert_golden` — the

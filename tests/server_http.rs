@@ -831,6 +831,82 @@ fn panicking_step_inside_feedback_fails_one_request() {
     server.shutdown().expect("shutdown");
 }
 
+/// Lanes and tenants keep one set of books. A request whose step
+/// panics after the header step charged the lane's shared window
+/// ledger settles nothing: `/metrics` counts it in `panics`, and each
+/// lane's spend and counts are the sums over its tenants.
+#[test]
+fn lane_books_are_the_sums_over_their_tenants() {
+    let (global, tables) = demo_global(46);
+    let typer = SigmaTyper::builder(global)
+        .step_at(1, PanicOnMarker)
+        .build();
+    // Capacity 1: crawl's half-capacity cutoff is 0, so crawl always
+    // sheds while interactive is served.
+    let server = AnnotationServer::start(
+        "127.0.0.1:0",
+        typer,
+        &ServerConfig {
+            workers: 1,
+            queue_capacity: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("start server");
+    let mut client = HttpClient::connect(server.local_addr()).expect("connect");
+
+    let marker = format!(
+        r#"{{"table":{{"name":"boom","columns":[{{"header":"{PANIC_MARKER}","values":["x","y"]}}]}}}}"#
+    );
+    let failed = client
+        .post_json("/annotate", &marker, &[])
+        .expect("marker request");
+    assert_eq!(failed.status, 500, "body: {}", failed.body_str());
+    let served = client
+        .post_json("/annotate", &annotate_body(&tables[0]), &[])
+        .expect("interactive request");
+    assert_eq!(served.status, 200, "body: {}", served.body_str());
+    let shed = client
+        .post_json(
+            "/annotate",
+            &annotate_body(&tables[1]),
+            &[("x-sigma-lane", "crawl"), ("x-sigma-tenant", "acme")],
+        )
+        .expect("crawl request");
+    assert_eq!(shed.status, 503, "body: {}", shed.body_str());
+
+    let m = Json::parse(&client.get("/metrics").expect("metrics").body_str()).expect("metrics");
+    assert_eq!(m.get("panics").and_then(Json::as_u64), Some(1), "{m}");
+    let Some(Json::Obj(tenants)) = m.get("tenants") else {
+        panic!("metrics tenants must be an object: {m}");
+    };
+    // The top level and each tenant hold `lanes.<lane>.<field>` alike.
+    let books = |owner: &Json, lane: &str, field: &str| {
+        owner
+            .get("lanes")
+            .and_then(|l| l.get(lane))
+            .and_then(|l| l.get(field))
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("metrics missing lanes.{lane}.{field}: {m}"))
+    };
+    for lane in ["interactive", "crawl"] {
+        for field in ["spent_nanos", "served", "shed", "degraded", "delta_reused"] {
+            let tenant_sum: u64 = tenants.iter().map(|(_, t)| books(t, lane, field)).sum();
+            assert_eq!(
+                books(&m, lane, field),
+                tenant_sum,
+                "lanes.{lane}.{field}: {m}"
+            );
+        }
+    }
+    let counts = |lane| (books(&m, lane, "served"), books(&m, lane, "shed"));
+    assert_eq!(counts("interactive"), (1, 0));
+    assert_eq!(counts("crawl"), (0, 1));
+    assert!(books(&m, "interactive", "spent_nanos") > 0, "{m}");
+
+    server.shutdown().expect("shutdown");
+}
+
 #[test]
 fn graceful_shutdown_drains_in_flight_and_leaves_disk_state_warm() {
     let scratch = Scratch::new("shutdown");
