@@ -5,7 +5,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sigmatyper::{
     AnnotationRequest, AnnotationService, AnnotationStep, DegradationPolicy, DurableEpochSource,
-    EmbeddingStep, RequestOptions, ShardedLruCache, SigmaTyper, StepContext, TieredStepCache,
+    EmbeddingStep, LookupStep, RequestOptions, ShardedLruCache, SigmaTyper, StepContext,
+    TieredStepCache,
 };
 use std::hint::black_box;
 use std::sync::Arc;
@@ -262,11 +263,13 @@ fn bench_parallel_table(c: &mut Criterion) {
 /// `after_feedback` times the first crawl after an epoch move: a warm
 /// customer takes one correction that overrides a global prediction,
 /// and each iteration calls `invalidate_cache` before crawling, so the
-/// lookup and embedding steps re-run while the header step reads the
-/// entries of every header whose `Wg` state the correction left alone.
-/// Before timing, the first post-feedback crawl is checked against an
-/// uncached customer given the same correction, and its header step
-/// must have run only under the corrected header.
+/// lookup and embedding steps miss every entry and run only their local
+/// combines on the global halves the earlier crawls stored, while the
+/// header step reads the entries of every header whose `Wg` state the
+/// correction left alone. Before timing, the first post-feedback crawl
+/// is checked against an uncached customer given the same correction:
+/// its header step must have run only under the corrected header, and
+/// its split steps must have found stored global halves.
 fn bench_cached_recrawl(c: &mut Criterion) {
     let f = BenchFixture::new();
     let tables: Vec<Table> = f.corpus.tables.iter().map(|at| at.table.clone()).collect();
@@ -356,7 +359,7 @@ fn bench_cached_recrawl(c: &mut Criterion) {
     adapted.feedback(table, col, ty, None);
     adapted_uncached.feedback(table, col, ty, None);
     let corrected = tu_text::normalize_header(table.headers()[col]);
-    let mut header_runs = 0usize;
+    let (mut header_runs, mut global_hits) = (0usize, 0usize);
     for table in &tables {
         let got = adapted.annotate(table);
         let want = adapted_uncached.annotate(table);
@@ -382,10 +385,16 @@ fn bench_cached_recrawl(c: &mut Criterion) {
             "the header step ran outside the corrected header"
         );
         header_runs += ran;
+        global_hits += got.timings.iter().map(|t| t.global_hits).sum::<usize>();
     }
     assert!(header_runs > 0, "the corrected header was matched again");
+    assert!(
+        global_hits > 0,
+        "the split steps reused stored global halves"
+    );
     println!(
-        "  after_feedback: header step re-ran on {header_runs} column(s), all under {corrected:?}"
+        "  after_feedback: header step re-ran on {header_runs} column(s), all under {corrected:?}; \
+         {global_hits} lookup/embedding column(s) ran only their combine"
     );
     group.bench_function("after_feedback", |b| {
         b.iter(|| {
@@ -1163,12 +1172,10 @@ fn bench_feedback(c: &mut Criterion) {
         .iter()
         .map(|h| tu_text::normalize_header(h))
         .collect();
-    let tentative = vec![tu_ontology::TypeId::UNKNOWN; at.table.n_cols()];
     let ctx = StepContext {
         table: &at.table,
         col_idx: 0,
         normalized_headers: &normalized_headers,
-        tentative: &tentative,
         best_so_far: 0.0,
         global: adapted.global(),
         local: adapted.local(),
@@ -1178,6 +1185,23 @@ fn bench_feedback(c: &mut Criterion) {
     c.bench_function("pipeline/step3_embedding_adapted", |b| {
         b.iter(|| EmbeddingStep.scorer(black_box(ctx))(0))
     });
+
+    // The same column through each split step's local combine alone, on
+    // its global half computed once: what the adapted customer pays for
+    // a column whose global half the step cache holds — after a
+    // feedback, say. The combine is built and called for the one
+    // column, as the executor does for a one-column frontier.
+    let split_steps: [(&str, &dyn AnnotationStep); 2] = [
+        ("pipeline/step2_value_lookup_local", &LookupStep),
+        ("pipeline/step3_embedding_local", &EmbeddingStep),
+    ];
+    for (name, step) in split_steps {
+        let split = step.split().expect("a split step");
+        let half = split.global_half(ctx)(0);
+        c.bench_function(name, |b| {
+            b.iter(|| split.combine(black_box(ctx))(0, black_box(&half)))
+        });
+    }
 }
 
 /// Crawl once; per step return `(name, columns_run, hits, inserts)`

@@ -11,7 +11,7 @@
 //!   the table (neighbor headers and values feed the lookup and
 //!   embedding steps, and custom steps may read anything in the
 //!   context), the ordered step ids of the cascade (earlier steps
-//!   shape the tentative types later steps see), the step-relevant
+//!   shape the confidence later steps gate on), the step-relevant
 //!   [`SigmaTyperConfig`] fields, and the customer's **cache epoch**;
 //! * a [`CacheKey`] combines a fingerprint with one [`StepId`];
 //! * a [`StepCache`] stores `CacheKey → StepScores`; the default
@@ -91,6 +91,26 @@
 //! epoch their key hashes, header entries with none, so disk-tier
 //! compaction drops dead column entries and keeps every header entry.
 //!
+//! # Global parts
+//!
+//! A third kind of entry serves [split](crate::step::SplitStep) steps
+//! — the built-in lookup and embedding steps — whose work divides into
+//! a global half, read from the column, the config and the global model
+//! alone, and a local combine with the customer's state.
+//! [`ShardedLruCache`] owns a [`GlobalPartStore`] (and the tiered cache
+//! serves its L1's), an in-memory LRU bounded at
+//! [`GLOBAL_PART_BYTES`] and never written to disk, that keeps the
+//! global halves under keys hashing the column's content hash (the one
+//! [`column_fingerprints`] absorbs), the config, the global model's
+//! identity in the process (see
+//! [Cache identity](crate::global::GlobalModel#cache-identity)) and,
+//! for the embedding step, the other columns' headers — no epoch.
+//! When a column's scores miss (after a feedback moved the epoch, say),
+//! the executor runs only the combine on a stored half, bit-identical to
+//! running the whole step. No adaptation retires a part; only eviction
+//! and [`StepCache::clear`] drop one. The store's traffic is counted
+//! apart from [`CacheStats`].
+//!
 //! [`CacheScope::Column`]: crate::step::CacheScope::Column
 //! [`CacheScope::Header`]: crate::step::CacheScope::Header
 //! [`StepContext`]: crate::step::StepContext
@@ -100,9 +120,10 @@ use crate::config::SigmaTyperConfig;
 use crate::global::GlobalModel;
 use crate::local::LocalModel;
 use crate::prediction::{StepId, StepScores};
+use crate::step::GlobalPart;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use tu_table::{Column, ColumnDelta, ColumnDeltaKind, Table, TableDelta, Value};
 
 /// A deterministic 128-bit streaming hasher (two FNV-1a/64 lanes with
@@ -395,10 +416,20 @@ fn finish_content_hash(hasher: &StableHasher, rows: usize) -> [u64; 2] {
     h.finish128()
 }
 
+/// Every column's content hash — its header, then each cell, then the
+/// row count — each cell hashed exactly once.
+pub(crate) fn column_content_hashes(table: &Table) -> Vec<[u64; 2]> {
+    table
+        .columns()
+        .iter()
+        .map(|col| ColumnHashState::of(col).content_hash())
+        .collect()
+}
+
 /// Shared-base fingerprint derivation from precomputed per-column
 /// content hashes (the common tail of [`column_fingerprints`] and
 /// [`column_fingerprints_chained`]).
-fn fingerprints_from_col_hashes(
+pub(crate) fn fingerprints_from_col_hashes(
     table: &Table,
     step_ids: &[StepId],
     config: &SigmaTyperConfig,
@@ -450,12 +481,7 @@ pub fn column_fingerprints(
     config: &SigmaTyperConfig,
     epoch: u64,
 ) -> Vec<ColumnFingerprint> {
-    // Per-column content hash: header + cells (hashed exactly once).
-    let col_hashes: Vec<[u64; 2]> = table
-        .columns()
-        .iter()
-        .map(|col| ColumnHashState::of(col).content_hash())
-        .collect();
+    let col_hashes = column_content_hashes(table);
     fingerprints_from_col_hashes(table, step_ids, config, epoch, &col_hashes)
 }
 
@@ -501,8 +527,9 @@ pub fn column_fingerprints_chained(
     fingerprints_from_col_hashes(table, step_ids, config, epoch, &col_hashes)
 }
 
-/// The fingerprints of a recrawl's `base` and new `table`, `(base,
-/// new)`, equal to [`column_fingerprints`] on each, with each new
+/// The fingerprints of a recrawl's `base`, equal to
+/// [`column_fingerprints`] on it, and the column content hashes of the
+/// new `table`, equal to [`column_content_hashes`] on it, with each new
 /// column hashed once.
 ///
 /// `delta` must be `TableDelta::between(base, table)`. Where it says a
@@ -520,7 +547,7 @@ pub(crate) fn recrawl_fingerprints(
     step_ids: &[StepId],
     config: &SigmaTyperConfig,
     epoch: u64,
-) -> (Vec<ColumnFingerprint>, Vec<ColumnFingerprint>) {
+) -> (Vec<ColumnFingerprint>, Vec<[u64; 2]>) {
     let mut base_hashes = Vec::with_capacity(table.n_cols());
     let mut new_hashes = Vec::with_capacity(table.n_cols());
     for ((base_col, col), d) in base
@@ -554,8 +581,63 @@ pub(crate) fn recrawl_fingerprints(
     }
     (
         fingerprints_from_col_hashes(base, step_ids, config, epoch, &base_hashes),
-        fingerprints_from_col_hashes(table, step_ids, config, epoch, &new_hashes),
+        new_hashes,
     )
+}
+
+/// Domain tag absorbed first by every global-part key (see
+/// [`GlobalPartKeys`]), renamed whenever the key's contents change.
+const GLOBAL_PART_KEY_DOMAIN: &str = "sigmatyper/global-part";
+
+/// The [`GlobalPartStore`] keys of one table's columns: exactly what a
+/// global half reads — the global model, by its identity in the process
+/// (see [Cache identity](GlobalModel#cache-identity)), the config,
+/// the column's content hash (its header and cells) and, for a half that
+/// reads them, the other columns' raw headers in table order. No epoch,
+/// table name or customer: one part serves the column wherever it
+/// appears with those inputs, for every customer of the model.
+pub(crate) struct GlobalPartKeys<'a> {
+    table: &'a Table,
+    content_hashes: &'a [[u64; 2]],
+    base: StableHasher,
+}
+
+impl<'a> GlobalPartKeys<'a> {
+    /// The keys of `table`, whose columns' content hashes (as
+    /// [`column_fingerprints`] absorbs them) are `content_hashes`.
+    pub(crate) fn new(
+        table: &'a Table,
+        content_hashes: &'a [[u64; 2]],
+        global: &GlobalModel,
+        config: &SigmaTyperConfig,
+    ) -> Self {
+        let mut base = StableHasher::new();
+        base.write_str(GLOBAL_PART_KEY_DOMAIN);
+        base.write_u64(global.id());
+        config.fingerprint_into(&mut base);
+        GlobalPartKeys {
+            table,
+            content_hashes,
+            base,
+        }
+    }
+
+    /// The key of `step`'s global half on column `ci`, hashing the other
+    /// columns' headers when `neighbor_headers` is set.
+    pub(crate) fn key(&self, ci: usize, step: StepId, neighbor_headers: bool) -> CacheKey {
+        let mut h = self.base.clone();
+        h.write_u64(self.content_hashes[ci][0]);
+        h.write_u64(self.content_hashes[ci][1]);
+        if neighbor_headers {
+            h.write_usize(self.table.n_cols() - 1);
+            for (j, col) in self.table.columns().iter().enumerate() {
+                if j != ci {
+                    h.write_str(&col.name);
+                }
+            }
+        }
+        CacheKey::for_step(ColumnFingerprint(h.finish128()), step)
+    }
 }
 
 /// Domain tag absorbed first by every header key, so a header key and
@@ -653,6 +735,15 @@ pub trait StepCache: std::fmt::Debug + Send + Sync {
     fn flush(&self) -> std::io::Result<()> {
         Ok(())
     }
+
+    /// The store of split steps' global halves this cache owns (see
+    /// [`GlobalPartStore`]): [`ShardedLruCache`] owns one, and the
+    /// tiered cache returns its L1's. Under a backend without one — the
+    /// default — a split step runs both of its halves on every column it
+    /// runs, as an uncached customer does.
+    fn global_parts(&self) -> Option<&GlobalPartStore> {
+        None
+    }
 }
 
 /// A borrowed cache plus the epoch to fingerprint with — what
@@ -738,32 +829,45 @@ impl CacheStats {
 /// Slot index marking "no neighbor" in the intrusive LRU list.
 const NIL: usize = usize::MAX;
 
-struct LruEntry {
+struct LruEntry<V> {
     key: CacheKey,
-    scores: StepScores,
+    /// `None` once the entry is evicted, so an evicted value is freed
+    /// at once, not when its slot is next taken.
+    value: Option<V>,
+    /// What the entry counts against the shard's capacity.
+    weight: usize,
     prev: usize,
     next: usize,
 }
 
-/// One mutex-guarded shard: a bounded LRU over an intrusive
-/// doubly-linked list threaded through a slot vector — O(1) get,
-/// insert, and eviction, no per-entry allocation beyond the scores.
-struct LruShard {
+/// One mutex-guarded shard: an LRU bounded in weight over an intrusive
+/// doubly-linked list threaded through a slot vector — O(1) get and
+/// insert, no per-entry allocation beyond the value. An evicted slot
+/// goes on a free list and the next insert takes it. The step cache
+/// weighs every entry 1, so its capacity is an entry count; the
+/// global-part store weighs each entry in bytes.
+struct LruShard<V> {
     map: HashMap<CacheKey, usize>,
-    entries: Vec<LruEntry>,
+    entries: Vec<LruEntry<V>>,
+    free: Vec<usize>,
     head: usize,
     tail: usize,
     capacity: usize,
+    used: usize,
 }
 
-impl LruShard {
-    fn new(capacity: usize) -> Self {
+impl<V: Clone> LruShard<V> {
+    /// A shard of `capacity` weight units, with room reserved for
+    /// `reserve` entries.
+    fn new(capacity: usize, reserve: usize) -> Self {
         LruShard {
-            map: HashMap::with_capacity(capacity),
-            entries: Vec::with_capacity(capacity),
+            map: HashMap::with_capacity(reserve),
+            entries: Vec::with_capacity(reserve),
+            free: Vec::new(),
             head: NIL,
             tail: NIL,
             capacity,
+            used: 0,
         }
     }
 
@@ -793,59 +897,141 @@ impl LruShard {
         }
     }
 
-    fn get(&mut self, key: &CacheKey) -> Option<StepScores> {
+    fn get(&mut self, key: &CacheKey) -> Option<V> {
         let i = *self.map.get(key)?;
         self.unlink(i);
         self.push_front(i);
-        Some(self.entries[i].scores.clone())
+        self.entries[i].value.clone()
     }
 
-    /// Insert; returns `true` when an entry was evicted to make room.
-    fn insert(&mut self, key: CacheKey, scores: StepScores) -> bool {
-        if let Some(&i) = self.map.get(&key) {
-            self.entries[i].scores = scores;
-            self.unlink(i);
-            self.push_front(i);
-            return false;
+    /// Insert `value` weighing `weight`, evicting least-recently-used
+    /// entries until it fits; returns how many were evicted. A value
+    /// heavier than the whole shard is not stored.
+    fn insert(&mut self, key: CacheKey, value: V, weight: usize) -> usize {
+        if weight > self.capacity {
+            return 0;
         }
-        if self.entries.len() < self.capacity {
-            let i = self.entries.len();
-            self.entries.push(LruEntry {
-                key,
-                scores,
-                prev: NIL,
-                next: NIL,
-            });
-            self.map.insert(key, i);
-            self.push_front(i);
-            return false;
+        if let Some(i) = self.map.remove(&key) {
+            self.release(i);
         }
-        // Full: reuse the least-recently-used slot.
-        let i = self.tail;
-        self.unlink(i);
-        self.map.remove(&self.entries[i].key);
-        self.entries[i].key = key;
-        self.entries[i].scores = scores;
+        let mut evicted = 0;
+        while self.used + weight > self.capacity {
+            let i = self.tail;
+            self.map.remove(&self.entries[i].key);
+            self.release(i);
+            evicted += 1;
+        }
+        let entry = LruEntry {
+            key,
+            value: Some(value),
+            weight,
+            prev: NIL,
+            next: NIL,
+        };
+        let i = match self.free.pop() {
+            Some(i) => {
+                self.entries[i] = entry;
+                i
+            }
+            None => {
+                self.entries.push(entry);
+                self.entries.len() - 1
+            }
+        };
         self.map.insert(key, i);
+        self.used += weight;
         self.push_front(i);
-        true
+        evicted
+    }
+
+    /// Unlink slot `i`, free its value and put it on the free list.
+    fn release(&mut self, i: usize) {
+        self.unlink(i);
+        self.used -= self.entries[i].weight;
+        self.entries[i].value = None;
+        self.free.push(i);
+    }
+
+    fn len(&self) -> usize {
+        self.map.len()
     }
 
     fn clear(&mut self) {
         self.map.clear();
         self.entries.clear();
+        self.free.clear();
         self.head = NIL;
         self.tail = NIL;
+        self.used = 0;
     }
 }
 
-impl std::fmt::Debug for LruShard {
+impl<V> std::fmt::Debug for LruShard<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LruShard")
-            .field("entries", &self.entries.len())
+            .field("entries", &self.map.len())
+            .field("used", &self.used)
             .field("capacity", &self.capacity)
             .finish()
     }
+}
+
+/// A key-sharded set of [`LruShard`]s, each behind its own mutex.
+struct Shards<V>(Box<[Mutex<LruShard<V>>]>);
+
+impl<V: Clone> Shards<V> {
+    /// `shards` (rounded up to a power of two: shard choice is a mask)
+    /// shards of `per_shard` weight units each, reserving room for
+    /// `reserve` entries per shard.
+    fn new(shards: usize, per_shard: usize, reserve: usize) -> Self {
+        let shards = shards.max(1).next_power_of_two();
+        Shards(
+            (0..shards)
+                .map(|_| Mutex::new(LruShard::new(per_shard, reserve)))
+                .collect(),
+        )
+    }
+
+    /// Lock the shard `key` belongs to, tolerating poisoning: a shard
+    /// holds plain data, so a panic in another thread mid-operation at
+    /// worst loses recency ordering, never integrity of returned
+    /// values. Keys are avalanche-mixed, so their low bits pick shards
+    /// uniformly.
+    fn lock(&self, key: &CacheKey) -> std::sync::MutexGuard<'_, LruShard<V>> {
+        lock(&self.0[(key.raw()[0] as usize) & (self.0.len() - 1)])
+    }
+
+    fn len(&self) -> usize {
+        self.0.iter().map(|s| lock(s).len()).sum()
+    }
+
+    fn used(&self) -> usize {
+        self.0.iter().map(|s| lock(s).used).sum()
+    }
+
+    fn capacity(&self) -> usize {
+        self.0.iter().map(|s| lock(s).capacity).sum()
+    }
+
+    fn clear(&self) {
+        for s in self.0.iter() {
+            lock(s).clear();
+        }
+    }
+}
+
+impl<V> std::fmt::Debug for Shards<V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Shards")
+            .field("shards", &self.0.len())
+            .finish()
+    }
+}
+
+fn lock<V>(shard: &Mutex<LruShard<V>>) -> std::sync::MutexGuard<'_, LruShard<V>> {
+    shard
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// The default [`StepCache`] backend: a capacity-bounded, in-memory
@@ -861,11 +1047,12 @@ impl std::fmt::Debug for LruShard {
 /// ```
 #[derive(Debug)]
 pub struct ShardedLruCache {
-    shards: Box<[Mutex<LruShard>]>,
+    shards: Shards<StepScores>,
     hits: AtomicU64,
     misses: AtomicU64,
     inserts: AtomicU64,
     evictions: AtomicU64,
+    parts: GlobalPartStore,
 }
 
 /// Default shard count (a power of two; shard choice masks low key
@@ -883,47 +1070,32 @@ impl ShardedLruCache {
     /// A cache with an explicit shard count. `capacity` is divided
     /// evenly; every shard holds at least one entry, so tiny
     /// capacities round up to `shards` total. `shards` is rounded up
-    /// to a power of two (shard choice is a mask).
+    /// to a power of two (shard choice is a mask). Either way the
+    /// cache owns a [`GlobalPartStore`] of [`GLOBAL_PART_BYTES`].
     #[must_use]
     pub fn with_shards(capacity: usize, shards: usize) -> Self {
         let shards = shards.max(1).next_power_of_two();
         let per_shard = capacity.div_ceil(shards).max(1);
-        let shards: Vec<Mutex<LruShard>> = (0..shards)
-            .map(|_| Mutex::new(LruShard::new(per_shard)))
-            .collect();
         ShardedLruCache {
-            shards: shards.into_boxed_slice(),
+            shards: Shards::new(shards, per_shard, per_shard),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            parts: GlobalPartStore::new(),
         }
     }
 
     /// Total entry capacity (sum over shards).
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.shards.len() * self.shards.first().map_or(0, |s| Self::lock(s).capacity)
-    }
-
-    fn shard(&self, key: &CacheKey) -> &Mutex<LruShard> {
-        // Keys are avalanche-mixed, so the low bits are uniform.
-        &self.shards[(key.raw()[0] as usize) & (self.shards.len() - 1)]
-    }
-
-    /// Lock a shard, tolerating poisoning: the cache holds plain data,
-    /// so a panic in another thread mid-operation at worst loses
-    /// recency ordering, never integrity of returned scores.
-    fn lock(shard: &Mutex<LruShard>) -> std::sync::MutexGuard<'_, LruShard> {
-        shard
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.shards.capacity()
     }
 }
 
 impl StepCache for ShardedLruCache {
     fn get(&self, key: &CacheKey) -> Option<StepScores> {
-        let found = Self::lock(self.shard(key)).get(key);
+        let found = self.shards.lock(key).get(key);
         match found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -932,24 +1104,25 @@ impl StepCache for ShardedLruCache {
     }
 
     fn insert(&self, key: CacheKey, scores: StepScores, _epoch: Option<u64>) {
-        let evicted = Self::lock(self.shard(&key)).insert(key, scores);
+        let evicted = self.shards.lock(&key).insert(key, scores, 1);
         self.inserts.fetch_add(1, Ordering::Relaxed);
-        if evicted {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+        if evicted > 0 {
+            self.evictions.fetch_add(evicted as u64, Ordering::Relaxed);
         }
     }
 
     fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| Self::lock(s).entries.len())
-            .sum()
+        self.shards.len()
     }
 
+    /// Drops the global parts too.
     fn clear(&self) {
-        for s in &self.shards {
-            Self::lock(s).clear();
-        }
+        self.shards.clear();
+        self.parts.clear();
+    }
+
+    fn global_parts(&self) -> Option<&GlobalPartStore> {
+        Some(&self.parts)
     }
 
     /// Real traffic counters (the trait default only knows the entry
@@ -965,11 +1138,114 @@ impl StepCache for ShardedLruCache {
     }
 }
 
+/// The byte budget of every [`GlobalPartStore`]. An embedding half,
+/// which holds a feature vector, counts about 0.8 KB with the default
+/// extractor and a 16-wide embedder, a lookup half about 0.2 KB: room
+/// for some 2,500 of the one or 10,000 of the other.
+pub const GLOBAL_PART_BYTES: usize = 2 << 20;
+
+/// What one stored part counts against its store besides
+/// [`GlobalPart::bytes`]: the LRU slot, the index entry and the `Arc`
+/// counts.
+const PART_ENTRY_BYTES: usize = std::mem::size_of::<LruEntry<Arc<GlobalPart>>>()
+    + std::mem::size_of::<(CacheKey, usize)>()
+    + 16;
+
+/// The global halves of split steps (see [`SplitStep`]), keyed by what
+/// a global half reads: an in-memory LRU bounded in bytes, owned by a
+/// [`StepCache`] backend, so every customer on that cache and one global
+/// model shares it. Its keys hash no epoch, table name or customer, so
+/// no adaptation retires a part; a part is dropped only by eviction or
+/// [`clear`](GlobalPartStore::clear).
+///
+/// Its traffic is its own: [`CacheStats`] and the
+/// [`StepTiming`](crate::prediction::StepTiming) cache counters never
+/// count it.
+///
+/// [`SplitStep`]: crate::step::SplitStep
+#[derive(Debug)]
+pub struct GlobalPartStore {
+    shards: Shards<Arc<GlobalPart>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+/// Counters of a [`GlobalPartStore`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GlobalPartStats {
+    /// Lookups that found a part.
+    pub hits: u64,
+    /// Lookups that found nothing.
+    pub misses: u64,
+    /// Parts currently stored.
+    pub entries: usize,
+    /// Bytes the stored parts count against the budget.
+    pub bytes: usize,
+}
+
+impl Default for GlobalPartStore {
+    fn default() -> Self {
+        GlobalPartStore::new()
+    }
+}
+
+impl GlobalPartStore {
+    /// A store holding at most [`GLOBAL_PART_BYTES`] bytes of parts,
+    /// split evenly over [`DEFAULT_SHARDS`](ShardedLruCache::with_shards)
+    /// shards.
+    #[must_use]
+    pub fn new() -> Self {
+        GlobalPartStore::with_bytes(GLOBAL_PART_BYTES)
+    }
+
+    /// A store holding at most `bytes` bytes of parts.
+    fn with_bytes(bytes: usize) -> Self {
+        GlobalPartStore {
+            shards: Shards::new(DEFAULT_SHARDS, bytes.div_ceil(DEFAULT_SHARDS), 0),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+
+    /// The part stored under `key`, refreshing its recency.
+    #[must_use]
+    pub(crate) fn get(&self, key: &CacheKey) -> Option<Arc<GlobalPart>> {
+        let found = self.shards.lock(key).get(key);
+        match found {
+            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
+            None => self.misses.fetch_add(1, Ordering::Relaxed),
+        };
+        found
+    }
+
+    /// Store `part` under `key`, evicting the least recently used parts
+    /// of its shard until it fits.
+    pub(crate) fn insert(&self, key: CacheKey, part: Arc<GlobalPart>) {
+        let bytes = part.bytes() + PART_ENTRY_BYTES;
+        self.shards.lock(&key).insert(key, part, bytes);
+    }
+
+    /// Drop every part.
+    pub fn clear(&self) {
+        self.shards.clear();
+    }
+
+    /// Traffic so far and what the store holds now.
+    #[must_use]
+    pub fn stats(&self) -> GlobalPartStats {
+        GlobalPartStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            entries: self.shards.len(),
+            bytes: self.shards.used(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::prediction::Candidate;
-    use std::sync::Arc;
     use tu_ontology::TypeId;
     use tu_table::Column;
 
@@ -1042,11 +1318,13 @@ mod tests {
         assert_ne!(base, column_fingerprints(&t, &steps, &tweaked, 0));
     }
 
-    /// The recrawl fingerprints equal `column_fingerprints` on both
-    /// crawls, whatever each column's delta: unchanged, appended,
-    /// truncated, rewritten, renamed, empty, appended onto an empty
-    /// base, and float zeros whose signs differ (equal under the
-    /// delta's `==`, different to the hash).
+    /// The recrawl's base fingerprints and new content hashes equal
+    /// what a full pass computes on each crawl (`column_fingerprints`
+    /// derives the new crawl's fingerprints from those hashes),
+    /// whatever each column's delta: unchanged, appended, truncated,
+    /// rewritten, renamed, empty, appended onto an empty base, and
+    /// float zeros whose signs differ (equal under the delta's `==`,
+    /// different to the hash).
     #[test]
     fn recrawl_fingerprints_equal_full_fingerprints_of_both_crawls() {
         let config = SigmaTyperConfig::default();
@@ -1106,18 +1384,14 @@ mod tests {
             let table = Table::new("t", new_cols).unwrap();
             let delta = TableDelta::between(&base, &table).unwrap();
             for epoch in [0, 7] {
-                let (base_fps, new_fps) =
+                let (base_fps, new_hashes) =
                     recrawl_fingerprints(&base, &table, &delta, &steps, &config, epoch);
                 assert_eq!(
                     base_fps,
                     column_fingerprints(&base, &steps, &config, epoch),
                     "{what}: base"
                 );
-                assert_eq!(
-                    new_fps,
-                    column_fingerprints(&table, &steps, &config, epoch),
-                    "{what}: new"
-                );
+                assert_eq!(new_hashes, column_content_hashes(&table), "{what}: new");
             }
         }
     }
@@ -1298,6 +1572,48 @@ mod tests {
         c.insert(key(1), scores(0.5), Some(7));
         assert!(c.flush().is_ok());
         assert_eq!(c.stats().entries, 0);
+    }
+
+    /// The store counts each part's bytes against its budget, evicts the
+    /// least recently used parts of a shard to fit a new one, refuses a
+    /// part larger than a shard, and counts its own traffic.
+    #[test]
+    fn global_part_store_stays_within_its_byte_budget() {
+        let part = |floats: usize| {
+            Arc::new(GlobalPart {
+                scores: scores(0.5),
+                features: vec![0.25; floats],
+            })
+        };
+        let weight = part(100).bytes() + PART_ENTRY_BYTES;
+        // Room for exactly three such parts per shard.
+        let store = GlobalPartStore::with_bytes(3 * weight * DEFAULT_SHARDS);
+        // Keys of one shard, so the recency order is fully observable.
+        let keys: Vec<CacheKey> = (0..)
+            .map(key)
+            .filter(|k| (k.raw()[0] as usize).is_multiple_of(DEFAULT_SHARDS))
+            .take(5)
+            .collect();
+        for k in &keys[..3] {
+            store.insert(*k, part(100));
+        }
+        assert_eq!(store.stats().bytes, 3 * weight);
+        assert!(store.get(&keys[0]).is_some());
+        store.insert(keys[3], part(100));
+        assert!(store.get(&keys[1]).is_none(), "the LRU part is evicted");
+        assert_eq!(store.get(&keys[0]).as_deref(), Some(&*part(100)));
+        // A part twice as large evicts two.
+        store.insert(keys[4], part(100 + weight / 4));
+        let stats = store.stats();
+        assert!(stats.bytes <= 3 * weight, "{stats:?}");
+        assert_eq!(stats.entries, 2);
+        assert_eq!((stats.hits, stats.misses), (2, 1));
+        // Larger than a whole shard: not stored.
+        store.insert(keys[1], part(4 * weight));
+        assert!(store.get(&keys[1]).is_none());
+        store.clear();
+        assert_eq!(store.stats().entries, 0);
+        assert_eq!(store.stats().bytes, 0);
     }
 
     #[test]

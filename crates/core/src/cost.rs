@@ -213,6 +213,7 @@ mod tests {
             chunks: usize::from(columns > 0),
             parallel_nanos: parallel,
             delta_reused: 0,
+            global_hits: 0,
         }
     }
 

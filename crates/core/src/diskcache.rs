@@ -55,7 +55,9 @@
 //! [`ShardedLruCache`]: crate::cache::ShardedLruCache
 //! [`SigmaTyper`]: crate::system::SigmaTyper
 
-use crate::cache::{CacheKey, CacheStats, ShardedLruCache, StableHasher, StepCache};
+use crate::cache::{
+    CacheKey, CacheStats, GlobalPartStore, ShardedLruCache, StableHasher, StepCache,
+};
 use crate::prediction::{Candidate, StepScores};
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
@@ -603,6 +605,11 @@ impl StepCache for TieredStepCache {
 
     fn flush(&self) -> io::Result<()> {
         self.l2.flush()
+    }
+
+    /// The L1's: global halves live in memory only.
+    fn global_parts(&self) -> Option<&GlobalPartStore> {
+        self.l1.global_parts()
     }
 }
 

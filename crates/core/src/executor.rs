@@ -24,7 +24,9 @@
 //!    `⌈frontier / min(threads, frontier)⌉` columns, at most `threads`
 //!    of them; every other frontier is one chunk. Sequential execution
 //!    is the single-chunk special case, so the same scorer serves both
-//!    paths.
+//!    paths. A [split](crate::step::SplitStep) step on a cache that owns
+//!    a [`GlobalPartStore`] builds its two halves instead, and runs only
+//!    the combine on a column whose global half the store holds.
 //! 3. **Workers.** Each chunk gets a worker of its own: the first runs
 //!    on the calling thread, the rest on [`std::thread::scope`]
 //!    threads, so a budget of `W` occupies at most `W` threads. Steps
@@ -40,7 +42,8 @@
 //! roadmap item needs.
 
 use crate::cache::{
-    column_fingerprints, header_fingerprints, CacheContext, CacheKey, ColumnFingerprint,
+    column_content_hashes, fingerprints_from_col_hashes, header_fingerprints, CacheContext,
+    CacheKey, ColumnFingerprint, GlobalPartKeys, GlobalPartStore,
 };
 use crate::cascade::{Cascade, CascadeTrace};
 use crate::config::SigmaTyperConfig;
@@ -48,10 +51,11 @@ use crate::global::GlobalModel;
 use crate::local::LocalModel;
 use crate::prediction::{StepId, StepScores, StepTiming};
 use crate::request::{BudgetContext, DegradationPolicy, SkipReason, SkippedStep};
-use crate::step::{AnnotationStep, CacheScope, ColumnState, StepContext};
-use std::sync::OnceLock;
+use crate::step::{CacheScope, ColumnState, SplitStep, StepContext};
+use std::borrow::Cow;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
-use tu_ontology::TypeId;
 use tu_table::Table;
 
 /// The narrowest step frontier the executor splits across threads.
@@ -60,13 +64,12 @@ use tu_table::Table;
 pub const MIN_PARALLEL_COLUMNS: usize = 12;
 
 /// Inputs for the delta-aware recrawl path of
-/// [`CascadeExecutor::run_budgeted`]: precomputed fingerprints for the
-/// new crawl and the base crawl, and how far each column's signal
-/// moved. The request core
+/// [`CascadeExecutor::run_budgeted`]: precomputed column content hashes
+/// of the new crawl, fingerprints of the base crawl, and how far each
+/// column's signal moved. The request core
 /// ([`SigmaTyper::annotate_request_shared_with_base`](crate::system::SigmaTyper::annotate_request_shared_with_base))
-/// computes both sets of fingerprints in one pass over the new
-/// crawl's cells, plus a full pass over each base column that is not
-/// a prefix of its new column.
+/// computes both in one pass over the new crawl's cells, plus a full
+/// pass over each base column that is not a prefix of its new column.
 ///
 /// With a delta context installed, a [`CacheScope::Column`] step that
 /// misses the exact cache for a column whose movement is at or below
@@ -82,14 +85,17 @@ pub const MIN_PARALLEL_COLUMNS: usize = 12;
 /// from unapproximated runs.
 #[derive(Debug, Clone, Copy)]
 pub struct DeltaContext<'a> {
-    /// Fingerprints of the new crawl's columns — must be bit-identical
-    /// to what
-    /// [`column_fingerprints`]
-    /// would compute for the table, so exact cache hits keep working
-    /// unchanged.
-    pub fingerprints: &'a [ColumnFingerprint],
+    /// Content hashes of the new crawl's columns — must be
+    /// bit-identical to what
+    /// [`ColumnHashState::content_hash`](crate::cache::ColumnHashState::content_hash)
+    /// computes for each, so exact cache hits keep working unchanged.
+    /// The executor derives the new crawl's fingerprints from them, and
+    /// the keys of split steps' global halves hash them (see
+    /// [`SplitStep`]).
+    pub content_hashes: &'a [[u64; 2]],
     /// Fingerprints of the base crawl's columns, for reuse lookups —
-    /// what [`column_fingerprints`] computes for the base.
+    /// what [`column_fingerprints`](crate::cache::column_fingerprints)
+    /// computes for the base.
     pub base_fingerprints: &'a [ColumnFingerprint],
     /// Per-column [`movement`](tu_table::ColumnDelta::movement), in
     /// column order of the new crawl.
@@ -172,7 +178,7 @@ impl CascadeExecutor {
     /// bit-identical to default requests.
     ///
     /// An optional [`DeltaContext`] engages the delta-aware recrawl
-    /// path (see its docs): precomputed fingerprints replace the
+    /// path (see its docs): precomputed content hashes replace the
     /// per-run rehash, and sufficiently still columns reuse the base
     /// crawl's cached scores. With `delta == None` — or a sensitivity
     /// of 0 — the walk is bit-identical to a from-scratch run.
@@ -199,22 +205,35 @@ impl CascadeExecutor {
         // its slices must cover every column.
         let delta = delta.filter(|d| {
             cache.is_some()
-                && d.fingerprints.len() == n
+                && d.content_hashes.len() == n
                 && d.base_fingerprints.len() == n
                 && d.movements.len() == n
         });
         // One pass over the table's cells, shared by every step — or,
-        // on the delta path, the fingerprints the caller computed with
-        // the base's (`recrawl_fingerprints`: each new cell hashed
-        // once, bit-identical to this pass).
-        let fingerprints: Option<Vec<ColumnFingerprint>> = cache.map(|cc| match delta {
-            Some(d) => d.fingerprints.to_vec(),
-            None => column_fingerprints(table, &cascade.step_ids(), config, cc.epoch),
+        // on the delta path, the content hashes the caller computed
+        // with the base's (`recrawl_fingerprints`: each new cell hashed
+        // once, bit-identical to this pass). Column keys and the keys
+        // of global halves both derive from them.
+        let content_hashes: Option<Cow<'_, [[u64; 2]]>> = cache.map(|_| match delta {
+            Some(d) => Cow::Borrowed(d.content_hashes),
+            None => Cow::Owned(column_content_hashes(table)),
         });
+        let fingerprints: Option<Vec<ColumnFingerprint>> =
+            cache.zip(content_hashes.as_deref()).map(|(cc, hashes)| {
+                fingerprints_from_col_hashes(table, &cascade.step_ids(), config, cc.epoch, hashes)
+            });
         // Keys of header-scoped steps: one short hash per header, of
         // the header text and its `Wg` state; no epoch.
         let header_keys: Option<Vec<ColumnFingerprint>> =
             cache.map(|_| header_fingerprints(table, &normalized, global, local, config));
+        // Split steps' global halves: the cache's store, and their keys
+        // over the same content hashes.
+        let parts = cache
+            .zip(content_hashes.as_deref())
+            .and_then(|(cc, hashes)| {
+                let store = cc.cache.global_parts()?;
+                Some((store, GlobalPartKeys::new(table, hashes, global, config)))
+            });
         let mut per_column: Vec<Vec<(StepId, StepScores)>> = vec![Vec::new(); n];
         let mut timings = Vec::with_capacity(cascade.len());
         let mut skipped: Vec<SkippedStep> = Vec::new();
@@ -231,11 +250,9 @@ impl CascadeExecutor {
 
         for step in cascade.steps() {
             let t0 = Instant::now();
-            // Tentative neighbor types from the best candidates of the
-            // steps executed so far, and per-column state (recomputed
-            // once per step, so every step sees the freshest
-            // cross-column context).
-            let tentative: Vec<TypeId> = per_column.iter().map(|steps| best_type(steps)).collect();
+            // Per-column state from the steps executed so far
+            // (recomputed once per step, so every step sees the
+            // freshest cross-column context).
             let states: Vec<ColumnState> = per_column
                 .iter()
                 .map(|steps| ColumnState {
@@ -246,7 +263,6 @@ impl CascadeExecutor {
                 table,
                 col_idx: ci,
                 normalized_headers: &normalized,
-                tentative: &tentative,
                 best_so_far: states[ci].best_so_far,
                 global,
                 local,
@@ -286,6 +302,7 @@ impl CascadeExecutor {
                         chunks: 0,
                         parallel_nanos: 0,
                         delta_reused: 0,
+                        global_hits: 0,
                     });
                     continue;
                 }
@@ -379,8 +396,27 @@ impl CascadeExecutor {
             }
 
             // Phase 2: run the uncached frontier in chunks, inline or
-            // column-parallel.
-            let run = self.run_frontier(step.as_ref(), &frontier, &ctx_for);
+            // column-parallel. A split step with a global-part store
+            // runs only its combine on a column whose global half is
+            // stored, and stores the halves it computes.
+            let global_hits = AtomicUsize::new(0);
+            let run = match frontier.first() {
+                None => FrontierRun::default(),
+                Some(&first) => {
+                    // Built once per (step, table) and shared by
+                    // reference across every chunk, including chunks
+                    // on other worker threads, so a step's table-level
+                    // setup is paid once however the frontier is split.
+                    let ctx = ctx_for(first);
+                    let score = match (step.split(), &parts) {
+                        (Some(split), Some((store, keys))) => {
+                            split_scorer(split, ctx, step.id(), store, keys, &global_hits)
+                        }
+                        _ => step.scorer(ctx),
+                    };
+                    self.run_frontier(&frontier, &*score)
+                }
+            };
 
             // Phase 3: write back — cache inserts, then the trace.
             // Each column gains at most one entry per step, so the
@@ -430,6 +466,7 @@ impl CascadeExecutor {
                 chunks: run.chunks,
                 parallel_nanos: run.busy_nanos,
                 delta_reused,
+                global_hits: global_hits.into_inner(),
             };
             if let Some(b) = budget {
                 // Charge the larger of wall-clock and summed in-chunk
@@ -449,26 +486,17 @@ impl CascadeExecutor {
         }
     }
 
-    /// Execute one step over its frontier, in the chunks
+    /// Score a non-empty frontier with `score`, in the chunks
     /// [`chunk_size`](Self::chunk_size) plans, one per worker: the first
     /// runs on the calling thread (which would otherwise just block in
     /// the scope join), so a single chunk spawns nothing. Every column
     /// of the frontier is scored.
-    fn run_frontier<'a>(
+    fn run_frontier(
         &self,
-        step: &dyn AnnotationStep,
         frontier: &[usize],
-        ctx_for: &(dyn Fn(usize) -> StepContext<'a> + Sync),
+        score: &(dyn Fn(usize) -> StepScores + Sync),
     ) -> FrontierRun {
         let mut run = FrontierRun::default();
-        let Some(&first_column) = frontier.first() else {
-            return run;
-        };
-        // Built once per (step, table) and shared by reference across
-        // every chunk, including chunks on other worker threads, so a
-        // step's table-level setup is paid once however the frontier
-        // is split.
-        let score = step.scorer(ctx_for(first_column));
         let run_chunk = |chunk: &[usize]| -> (Vec<StepScores>, u128) {
             let t0 = Instant::now();
             let scores = chunk.iter().map(|&ci| score(ci)).collect();
@@ -495,6 +523,39 @@ impl CascadeExecutor {
         });
         run
     }
+}
+
+/// The scorer of a split step over a store of global halves: a column
+/// whose half `store` holds under its key runs only the combine
+/// (counted in `global_hits`); any other computes its half, stores it,
+/// and combines it. Bit-identical to the step's own scorer by the
+/// [`SplitStep`] contract.
+fn split_scorer<'a>(
+    split: &'a dyn SplitStep,
+    ctx: StepContext<'a>,
+    step: StepId,
+    store: &'a GlobalPartStore,
+    keys: &'a GlobalPartKeys<'a>,
+    global_hits: &'a AtomicUsize,
+) -> Box<dyn Fn(usize) -> StepScores + Sync + 'a> {
+    let global = split.global_half(ctx);
+    let combine = split.combine(ctx);
+    let neighbor_headers = split.reads_neighbor_headers();
+    Box::new(move |ci| {
+        let key = keys.key(ci, step, neighbor_headers);
+        let part = match store.get(&key) {
+            Some(part) => {
+                global_hits.fetch_add(1, Ordering::Relaxed);
+                part
+            }
+            None => {
+                let part = Arc::new(global(ci));
+                store.insert(key, Arc::clone(&part));
+                part
+            }
+        };
+        combine(ci, &part)
+    })
 }
 
 /// What one [`CascadeExecutor::run_frontier`] call produced: the
@@ -540,16 +601,6 @@ fn best_so_far(steps: &[(StepId, StepScores)]) -> f64 {
         .iter()
         .map(|(_, s)| s.best_confidence())
         .fold(0.0, f64::max)
-}
-
-/// Type of the single highest-confidence candidate across all executed
-/// steps for one column (`UNKNOWN` when nothing scored).
-fn best_type(steps: &[(StepId, StepScores)]) -> TypeId {
-    steps
-        .iter()
-        .filter_map(|(_, s)| s.best())
-        .max_by(|a, b| a.confidence.partial_cmp(&b.confidence).expect("finite"))
-        .map_or(TypeId::UNKNOWN, |c| c.ty)
 }
 
 #[cfg(test)]

@@ -7,6 +7,7 @@ use crate::embedstep::{train_embedding_model, TableEmbeddingModel};
 use crate::headerstep::HeaderMatcher;
 use crate::lookupstep::ValueLookup;
 use crate::regexbank::RegexBank;
+use std::sync::atomic::{AtomicU64, Ordering};
 use tu_corpus::Corpus;
 use tu_dp::{LabelingFunction, LfKind, LfSource};
 use tu_embed::{Embedder, SkipGramConfig};
@@ -14,6 +15,23 @@ use tu_kb::KnowledgeBase;
 use tu_ontology::Ontology;
 
 /// The pretrained global model shared by all customers.
+///
+/// # Cache identity
+///
+/// Cache keys that customers share hash the model instead of an epoch.
+/// Header entries hash
+/// [`header_fingerprint`](GlobalModel::header_fingerprint), which
+/// [`train_global`] computes once and nothing updates: replacing or
+/// mutating the `ontology`, `embedder` or `header` field of a trained
+/// model leaves it as it was, so such a model's header entries could be
+/// taken for the trained model's. The global halves of split steps
+/// (see [`SplitStep`](crate::step::SplitStep)) hash the model's
+/// identity in this process instead, which `train_global` draws and
+/// every `clone` draws afresh: a clone changed through a public field
+/// (say, a shape added through `lookup.bank_mut()`) never reads the
+/// original's halves. A model mutated in place after it answered
+/// through a cache keeps its identity. Give a model changed after
+/// training in either way a step cache of its own.
 #[derive(Debug, Clone)]
 pub struct GlobalModel {
     /// The semantic type ontology (DBpedia role, §4.1).
@@ -30,24 +48,52 @@ pub struct GlobalModel {
     pub embedding: TableEmbeddingModel,
     /// See [`GlobalModel::header_fingerprint`].
     header_fingerprint: [u64; 2],
+    /// See [Cache identity](GlobalModel#cache-identity).
+    id: ModelId,
 }
 
 impl GlobalModel {
     /// A fingerprint of what the header step reads of this model
     /// besides the header and the config: every ontology surface form
     /// with its type id, and the embedder's state
-    /// ([`Embedder::absorb_state`]). [`train_global`] computes it once.
-    /// Equal training inputs give equal fingerprints in every process,
-    /// so the header step's cache entries survive restarts and are
-    /// shared by every customer of one global model (see
-    /// [`CacheScope::Header`](crate::step::CacheScope::Header)).
-    ///
-    /// Replacing the public `ontology`, `embedder` or `header` field
-    /// after training does not update it: give such a model a step
-    /// cache of its own.
+    /// ([`Embedder::absorb_state`]). Equal training inputs give equal
+    /// fingerprints in every process, so the header step's cache
+    /// entries survive restarts and are shared by every customer of one
+    /// global model (see
+    /// [`CacheScope::Header`](crate::step::CacheScope::Header)). See
+    /// [Cache identity](GlobalModel#cache-identity) for what it does
+    /// not track.
     #[must_use]
     pub fn header_fingerprint(&self) -> [u64; 2] {
         self.header_fingerprint
+    }
+
+    /// The model's identity in this process: what the keys of split
+    /// steps' global halves hash (see
+    /// [Cache identity](GlobalModel#cache-identity)).
+    pub(crate) fn id(&self) -> u64 {
+        self.id.0
+    }
+}
+
+/// A [`GlobalModel`]'s identity in this process, unique among the
+/// models [`train_global`] made and their clones. Keys that hash it are
+/// never stored beyond the process.
+#[derive(Debug)]
+struct ModelId(u64);
+
+impl ModelId {
+    fn fresh() -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        ModelId(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+/// A clone may be changed apart from its original, so it draws an
+/// identity of its own.
+impl Clone for ModelId {
+    fn clone(&self) -> Self {
+        ModelId::fresh()
     }
 }
 
@@ -160,6 +206,7 @@ pub fn train_global(ontology: Ontology, corpus: &Corpus, config: &TrainingConfig
         global_lfs,
         embedding,
         header_fingerprint,
+        id: ModelId::fresh(),
     }
 }
 

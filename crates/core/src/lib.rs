@@ -70,8 +70,8 @@ pub mod tenant;
 
 pub use cache::{
     column_fingerprints, column_fingerprints_chained, CacheContext, CacheKey, CacheStats,
-    ColumnFingerprint, ColumnHashState, ShardedLruCache, StableHasher, StepCache,
-    MAX_FINGERPRINT_CHAIN,
+    ColumnFingerprint, ColumnHashState, GlobalPartStats, GlobalPartStore, ShardedLruCache,
+    StableHasher, StepCache, GLOBAL_PART_BYTES, MAX_FINGERPRINT_CHAIN,
 };
 pub use cascade::Cascade;
 pub use config::{SigmaTyperConfig, TrainingConfig};
@@ -93,8 +93,8 @@ pub use request::{
 };
 pub use service::{AnnotationService, BoundedQueue, LaneLedger, QueueRejection, TrafficLane};
 pub use step::{
-    AnnotationStep, CacheScope, ColumnState, EmbeddingStep, HeaderStep, LookupStep, RegexOnlyStep,
-    StepContext,
+    AnnotationStep, CacheScope, ColumnState, EmbeddingStep, GlobalPart, HeaderStep, LookupStep,
+    RegexOnlyStep, SplitStep, StepContext,
 };
 pub use system::{CustomTypeError, SigmaTyper, SigmaTyperBuilder};
 pub use tenant::{

@@ -9,7 +9,7 @@
 use crate::config::SigmaTyperConfig;
 use crate::prediction::{Candidate, StepScores};
 use crate::regexbank::RegexBank;
-use tu_dp::{context, LabelingFunction, LfContext, LfKind};
+use tu_dp::{context, LabelingFunction, LfContext, LfKind, LfSource};
 use tu_kb::KnowledgeBase;
 use tu_ontology::TypeId;
 use tu_table::Column;
@@ -97,61 +97,176 @@ impl ValueLookup {
         config: &SigmaTyperConfig,
         global_weight: &dyn Fn(TypeId) -> f64,
     ) -> StepScores {
-        let mut cands: Vec<Candidate> = Vec::new();
-        let sample: Vec<String> = column
-            .sample(config.lookup_sample)
-            .into_iter()
-            .map(tu_table::Value::render)
-            .collect();
-        let ctx = if config.lookup_sample == tu_dp::lf::SAMPLE {
-            LfContext::with_sample(column, &sample, normalized_header, neighbor_types)
-        } else {
-            context(column, normalized_header, neighbor_types)
-        };
-
-        if !sample.is_empty() {
-            // Source 2: knowledge-base dictionaries.
-            for (ty, fraction) in self.kb.coverage(&sample) {
-                if fraction > 0.3 {
-                    cands.push(Candidate {
-                        ty,
-                        confidence: fraction * global_weight(ty),
-                    });
-                }
-            }
-            // Source 3: regex bank (shape rules).
-            cands.extend(self.bank.score_shapes(&sample, global_weight));
-            // Source 3b: numeric ranges — ambiguous alone, so scaled down
-            // to keep them from resolving the cascade unassisted.
-            cands.extend(self.bank.score_ranges(
-                ctx.numeric(),
-                config.range_lf_scale,
-                global_weight,
-            ));
-        }
-
-        // Source 1: labeling functions (global + local). Strong LFs carry
-        // full weight; contextual LFs are scaled like range rules.
-        let identity_lfs = lf_banks.iter().flat_map(|bank| bank.iter()).filter(|lf| {
-            matches!(
-                lf.kind,
-                LfKind::HeaderEquals(_) | LfKind::Dictionary(_) | LfKind::Pattern(_)
-            )
-        });
-        for lf in identity_lfs {
-            if let Some(ty) = lf.vote(&ctx) {
-                let mut confidence = 0.95;
-                if lf.source == tu_dp::LfSource::Global {
-                    confidence *= global_weight(ty);
-                }
-                cands.push(Candidate { ty, confidence });
-            }
-        }
-
-        let mut scores = StepScores::from_candidates(cands);
-        scores.candidates.truncate(config.top_k.max(8));
-        scores
+        let sample = render_sample(column, config);
+        let ctx = lf_context(column, &sample, normalized_header, neighbor_types, config);
+        let mut cands = self.value_candidates(&sample, ctx.numeric(), config, global_weight);
+        push_votes(
+            &mut cands,
+            lf_banks.iter().flat_map(|bank| bank.iter()),
+            &ctx,
+            global_weight,
+        );
+        truncated(StepScores::from_candidates(cands), config)
     }
+
+    /// The lookup step's global half (see
+    /// [`SplitStep`](crate::step::SplitStep)): the unweighted KB, shape,
+    /// range and global-LF candidates of [`lookup_weighted`], merged by
+    /// [`StepScores::from_candidates`] and not truncated. Only the LFs of
+    /// `global_lfs` whose source is [`LfSource::Global`] vote here; the
+    /// combine takes the others. No neighbor types: of the LFs that vote
+    /// at lookup time, none reads them.
+    ///
+    /// [`lookup_weighted`]: ValueLookup::lookup_weighted
+    #[must_use]
+    pub fn global_scores(
+        &self,
+        column: &Column,
+        normalized_header: &str,
+        global_lfs: &[LabelingFunction],
+        config: &SigmaTyperConfig,
+    ) -> StepScores {
+        let sample = render_sample(column, config);
+        let ctx = lf_context(column, &sample, normalized_header, &[], config);
+        let mut cands = self.value_candidates(&sample, ctx.numeric(), config, &|_| 1.0);
+        let global = global_lfs.iter().filter(|lf| lf.source == LfSource::Global);
+        push_votes(&mut cands, global, &ctx, &|_| 1.0);
+        StepScores::from_candidates(cands)
+    }
+
+    /// The lookup step's local combine: `global_weight` applied to every
+    /// candidate of `global` (a [`global_scores`] result), the votes of
+    /// `lfs` added — the customer's LFs plus any global-bank LF not
+    /// sourced [`LfSource::Global`], discounted by source as in
+    /// [`lookup_weighted`] — then merged and truncated.
+    ///
+    /// Equal to [`lookup_weighted`] over the global and local banks, bit
+    /// for bit, for any positive `global_weight` (such as `Wg`): it is
+    /// the last multiply on every global candidate, a positive factor
+    /// keeps the larger of two confidences the larger, and
+    /// [`StepScores::from_candidates`] does not depend on input order.
+    ///
+    /// [`global_scores`]: ValueLookup::global_scores
+    /// [`lookup_weighted`]: ValueLookup::lookup_weighted
+    #[must_use]
+    pub fn combine(
+        &self,
+        global: &StepScores,
+        column: &Column,
+        normalized_header: &str,
+        lfs: &[&LabelingFunction],
+        config: &SigmaTyperConfig,
+        global_weight: &dyn Fn(TypeId) -> f64,
+    ) -> StepScores {
+        let mut cands: Vec<Candidate> = global
+            .candidates
+            .iter()
+            .map(|c| Candidate {
+                ty: c.ty,
+                confidence: c.confidence * global_weight(c.ty),
+            })
+            .collect();
+        if !lfs.is_empty() {
+            let ctx = context(column, normalized_header, &[]);
+            push_votes(&mut cands, lfs.iter().copied(), &ctx, global_weight);
+        }
+        truncated(StepScores::from_candidates(cands), config)
+    }
+
+    /// Sources 2 and 3: knowledge-base dictionaries, shape rules and
+    /// numeric ranges over the rendered `sample` and the column's
+    /// numeric values, each candidate's confidence times
+    /// `global_weight` as its last multiply. Nothing for an empty
+    /// sample.
+    fn value_candidates(
+        &self,
+        sample: &[String],
+        numeric: &[f64],
+        config: &SigmaTyperConfig,
+        global_weight: &dyn Fn(TypeId) -> f64,
+    ) -> Vec<Candidate> {
+        let mut cands: Vec<Candidate> = Vec::new();
+        if sample.is_empty() {
+            return cands;
+        }
+        // Source 2: knowledge-base dictionaries.
+        for (ty, fraction) in self.kb.coverage(sample) {
+            if fraction > 0.3 {
+                cands.push(Candidate {
+                    ty,
+                    confidence: fraction * global_weight(ty),
+                });
+            }
+        }
+        // Source 3: regex bank (shape rules).
+        cands.extend(self.bank.score_shapes(sample, global_weight));
+        // Source 3b: numeric ranges — ambiguous alone, so scaled down
+        // to keep them from resolving the cascade unassisted.
+        cands.extend(
+            self.bank
+                .score_ranges(numeric, config.range_lf_scale, global_weight),
+        );
+        cands
+    }
+}
+
+/// Whether `lf` votes at lookup time (see
+/// [`ValueLookup::lookup_weighted`]): header, dictionary and pattern LFs.
+pub(crate) fn votes_at_lookup(lf: &LabelingFunction) -> bool {
+    matches!(
+        lf.kind,
+        LfKind::HeaderEquals(_) | LfKind::Dictionary(_) | LfKind::Pattern(_)
+    )
+}
+
+/// Source 1: the votes of the LFs among `lfs` that vote at lookup time,
+/// 0.95 each, times `global_weight` for a globally sourced LF.
+fn push_votes<'l>(
+    cands: &mut Vec<Candidate>,
+    lfs: impl Iterator<Item = &'l LabelingFunction>,
+    ctx: &LfContext<'_>,
+    global_weight: &dyn Fn(TypeId) -> f64,
+) {
+    for lf in lfs.filter(|lf| votes_at_lookup(lf)) {
+        if let Some(ty) = lf.vote(ctx) {
+            let mut confidence = 0.95;
+            if lf.source == LfSource::Global {
+                confidence *= global_weight(ty);
+            }
+            cands.push(Candidate { ty, confidence });
+        }
+    }
+}
+
+/// The column's `config.lookup_sample`-value sample, rendered.
+fn render_sample(column: &Column, config: &SigmaTyperConfig) -> Vec<String> {
+    column
+        .sample(config.lookup_sample)
+        .into_iter()
+        .map(tu_table::Value::render)
+        .collect()
+}
+
+/// The LF context of `column`, reusing the lookup's rendered `sample`
+/// when it has the LFs' size ([`tu_dp::lf::SAMPLE`]).
+fn lf_context<'a>(
+    column: &Column,
+    sample: &'a [String],
+    normalized_header: &'a str,
+    neighbor_types: &'a [TypeId],
+    config: &SigmaTyperConfig,
+) -> LfContext<'a> {
+    if config.lookup_sample == tu_dp::lf::SAMPLE {
+        LfContext::with_sample(column, sample, normalized_header, neighbor_types)
+    } else {
+        context(column, normalized_header, neighbor_types)
+    }
+}
+
+/// `scores` cut to the lookup's `max(top_k, 8)` candidates.
+fn truncated(mut scores: StepScores, config: &SigmaTyperConfig) -> StepScores {
+    scores.candidates.truncate(config.top_k.max(8));
+    scores
 }
 
 #[cfg(test)]

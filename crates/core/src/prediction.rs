@@ -214,6 +214,13 @@ pub struct StepTiming {
     /// which remain exact-fingerprint hits; always 0 outside
     /// delta-aware requests and at sensitivity 0.
     pub delta_reused: usize,
+    /// Columns a [split](crate::step::AnnotationStep::split) step
+    /// answered by running only its combine on a stored global half
+    /// (see [`GlobalPartStore`](crate::cache::GlobalPartStore)). Each is
+    /// also counted in `columns`, and in `cache_misses` when the cache
+    /// was consulted for its scores; never in `cache_hits`. Always 0
+    /// without a cache that owns a store.
+    pub global_hits: usize,
 }
 
 /// Final annotation of one column.
@@ -405,6 +412,7 @@ mod tests {
             chunks: 1,
             parallel_nanos: nanos,
             delta_reused: 0,
+            global_hits: 0,
         }
     }
 

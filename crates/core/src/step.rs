@@ -14,7 +14,10 @@ use crate::config::SigmaTyperConfig;
 use crate::embedstep::TableEmbeddingModel;
 use crate::global::GlobalModel;
 use crate::local::LocalModel;
+use crate::lookupstep::votes_at_lookup;
 use crate::prediction::{Candidate, StepId, StepScores};
+use std::sync::OnceLock;
+use tu_dp::{LabelingFunction, LfSource};
 use tu_ontology::TypeId;
 use tu_table::{Column, Table};
 
@@ -45,11 +48,6 @@ pub struct StepContext<'a> {
     pub col_idx: usize,
     /// Normalized headers for every column of the table.
     pub normalized_headers: &'a [String],
-    /// Tentative per-column types: for each column, the type of the
-    /// highest-confidence candidate any *earlier* step produced
-    /// (`TypeId::UNKNOWN` where nothing scored yet). Context for
-    /// co-occurrence signals.
-    pub tentative: &'a [TypeId],
     /// Best confidence any earlier step achieved for *this* column —
     /// the quantity the cascade threshold gates on.
     pub best_so_far: f64,
@@ -97,18 +95,6 @@ impl<'a> StepContext<'a> {
     #[must_use]
     pub fn normalized_header(&self) -> &'a str {
         &self.normalized_headers[self.col_idx]
-    }
-
-    /// Tentative types of the *other* columns (unknowns dropped) — the
-    /// neighbor context the lookup step feeds its co-occurrence LFs.
-    #[must_use]
-    pub fn neighbor_types(&self) -> Vec<TypeId> {
-        self.tentative
-            .iter()
-            .enumerate()
-            .filter(|(i, t)| *i != self.col_idx && !t.is_unknown())
-            .map(|(_, t)| *t)
-            .collect()
     }
 
     /// Raw headers of the *other* columns — the neighbor context the
@@ -186,19 +172,50 @@ pub trait AnnotationStep: std::fmt::Debug + Send + Sync {
     /// column, and shares the closure by reference across every chunk
     /// (hence `Sync`). That makes this the place for table-level setup
     /// a step wants paid once rather than once per column: compute it
-    /// here and move it into the closure. The built-in
-    /// [`EmbeddingStep`] encodes each header once here instead of once
-    /// per `(column, neighbor)` pair, and its closure featurizes each
-    /// column once for both of its heads.
+    /// here and move it into the closure. (With a global-part store,
+    /// the executor builds a split step's two halves the same way
+    /// instead; see [`split`](AnnotationStep::split).) The built-in
+    /// [`EmbeddingStep`]'s halves encode each header once per table
+    /// instead of once per `(column, neighbor)` pair, and featurize
+    /// each column once for both of its heads.
     ///
     /// The default runs [`run`](AnnotationStep::run) on
-    /// [`ctx.for_column(ci)`](StepContext::for_column). An override
-    /// **must** return, for every column, exactly what that default
+    /// [`ctx.for_column(ci)`](StepContext::for_column), or, for a step
+    /// with a [`split`](AnnotationStep::split), builds both halves once
+    /// for the table and combines each column's global half. An
+    /// override **must** return, for every column, exactly what `run`
     /// returns, in whatever order and on whatever thread the columns
     /// are scored; the golden-equivalence suite
     /// (`tests/golden_cascade.rs`) holds the built-ins to it.
     fn scorer<'a>(&'a self, ctx: StepContext<'a>) -> Box<dyn Fn(usize) -> StepScores + Sync + 'a> {
-        Box::new(move |ci| self.run(&ctx.for_column(ci)))
+        match self.split() {
+            Some(split) => {
+                let global = split.global_half(ctx);
+                let combine = split.combine(ctx);
+                Box::new(move |ci| combine(ci, &global(ci)))
+            }
+            None => Box::new(move |ci| self.run(&ctx.for_column(ci))),
+        }
+    }
+
+    /// This step's split into a customer-independent global half and a
+    /// local combine (see [`SplitStep`]), or `None` — the default — for
+    /// a step that is not split. The built-in [`LookupStep`] and
+    /// [`EmbeddingStep`] are split.
+    ///
+    /// With a step cache that owns a
+    /// [`GlobalPartStore`](crate::cache::GlobalPartStore), the executor
+    /// keeps the global halves of a split step there and, on a column
+    /// whose cached scores it cannot use (a feedback moved the epoch,
+    /// say), runs only the combine when the column's global half is
+    /// stored. A step without a split runs as it always has.
+    ///
+    /// A split must keep the answers bit-identical: for every column,
+    /// the combine of its global half — fresh, or stored long before by
+    /// another customer of the same global model — must equal `run`
+    /// (see [`SplitStep`] for what a global half may read).
+    fn split(&self) -> Option<&dyn SplitStep> {
+        None
     }
 
     /// What the executor keys this step's entries in the
@@ -235,6 +252,19 @@ pub trait AnnotationStep: std::fmt::Debug + Send + Sync {
 ///
 /// Both scopes share the cache's LRU, disk tier and compaction; they
 /// differ in what the key hashes, and so in what retires an entry.
+///
+/// A [split](AnnotationStep::split) step has a third kind of entry
+/// besides its scores: the global half of a column, kept in the cache's
+/// in-memory [`GlobalPartStore`](crate::cache::GlobalPartStore) under a
+/// key of the column's content, the config and the global model's
+/// identity in the process (plus the other columns' headers for a half
+/// that reads them) — no epoch, table name or customer. Nothing but
+/// eviction retires such an entry; a model mutated in place after
+/// training needs a cache of its own (see
+/// [Cache identity](GlobalModel#cache-identity)). When a column's scores
+/// miss under either scope, its stored global half still spares the
+/// step the global work: only the combine runs, and the scores are
+/// inserted under the step's scope as for any run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheScope {
     /// The column's [`ColumnFingerprint`](crate::cache::ColumnFingerprint):
@@ -259,14 +289,89 @@ pub enum CacheScope {
     /// So a step may declare this scope only when its scores depend on
     /// nothing but the header text, the config, the global model's
     /// header matcher and embedder, and `LocalModel::wg(_, normalized
-    /// header)` — no cell values, neighbors, tentative types,
-    /// `best_so_far` (the executor evaluates
-    /// [`skip`](AnnotationStep::skip) before it consults the cache),
-    /// other local state or customer ontology. The built-in
-    /// [`HeaderStep`] is the only step that declares it. Such steps
-    /// never take the delta-reuse path: an unchanged header is already
-    /// an exact hit.
+    /// header)` — no cell values, neighbors, `best_so_far` (the
+    /// executor evaluates [`skip`](AnnotationStep::skip) before it
+    /// consults the cache), other local state or customer ontology.
+    /// The built-in [`HeaderStep`] is the only step that declares it.
+    /// Such steps never take the delta-reuse path: an unchanged header
+    /// is already an exact hit.
     Header,
+}
+
+/// The global half of a [split](AnnotationStep::split) step's work on
+/// one column: what [`SplitStep::global_half`] computes and
+/// [`SplitStep::combine`] finishes.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct GlobalPart {
+    /// Scores from the global model alone, before any customer weight:
+    /// the lookup step's unweighted KB, shape, range and global-LF
+    /// candidates, merged and not truncated; the embedding step's
+    /// global head's scores.
+    pub scores: StepScores,
+    /// The column's feature vector, for a step that scores one (the
+    /// embedding step); empty otherwise.
+    pub features: Vec<f32>,
+}
+
+impl GlobalPart {
+    /// Bytes the part holds, inline and on the heap — what it counts
+    /// against a [`GlobalPartStore`](crate::cache::GlobalPartStore)'s
+    /// budget besides the store's own per-entry overhead.
+    #[must_use]
+    pub(crate) fn bytes(&self) -> usize {
+        std::mem::size_of::<GlobalPart>()
+            + self.scores.candidates.capacity() * std::mem::size_of::<Candidate>()
+            + self.features.capacity() * std::mem::size_of::<f32>()
+    }
+}
+
+/// A step split into a customer-independent **global half** and a
+/// **local combine** (paper Figure 2: one global model shared by every
+/// customer, a local model per customer).
+///
+/// The global half of a column may read only the column (its header
+/// and cells), the config, the global model, and — when
+/// [`reads_neighbor_headers`](SplitStep::reads_neighbor_headers) says
+/// so — the other columns' raw headers in table order: no cell of
+/// another column, no `best_so_far`, no local model.
+/// Its key hashes exactly those inputs, so customers on one cache and
+/// one global model share the halves, and a feedback, which moves only
+/// the customer's state, leaves them valid. The combine reads the half
+/// and anything else in the [`StepContext`], the local model included.
+///
+/// The contract is bit identity: for every column, in any order and on
+/// any thread, `combine(ci, &global_half(ci))` must equal
+/// [`AnnotationStep::run`] on [`ctx.for_column(ci)`](StepContext::for_column),
+/// whether the half was just computed or stored by another customer
+/// long before. Two steps that share a [`StepId`] on one cache must
+/// compute the same global halves: the key names the step by its id.
+pub trait SplitStep: Send + Sync {
+    /// Whether the global half reads the other columns' raw headers,
+    /// so their keys hash them (the embedding step's neighbor context).
+    fn reads_neighbor_headers(&self) -> bool;
+
+    /// Build the global half for one table: a closure from a column
+    /// index to that column's [`GlobalPart`], shared across chunks like
+    /// [`AnnotationStep::scorer`]'s.
+    fn global_half<'a>(
+        &'a self,
+        ctx: StepContext<'a>,
+    ) -> Box<dyn Fn(usize) -> GlobalPart + Sync + 'a>;
+
+    /// Build the local combine for one table: a closure from a column
+    /// index and its global half to the step's scores.
+    #[allow(clippy::type_complexity)] // `scorer`'s closure, given the half too
+    fn combine<'a>(
+        &'a self,
+        ctx: StepContext<'a>,
+    ) -> Box<dyn Fn(usize, &GlobalPart) -> StepScores + Sync + 'a>;
+}
+
+/// `run` of a split step on the context's own column: its combine of
+/// its global half.
+fn run_split(split: &dyn SplitStep, ctx: &StepContext<'_>) -> StepScores {
+    let global = split.global_half(*ctx);
+    split.combine(*ctx)(ctx.col_idx, &global(ctx.col_idx))
 }
 
 /// Built-in step 1: header matching (syntactic + semantic), with the
@@ -331,16 +436,69 @@ impl AnnotationStep for LookupStep {
         !ctx.config.enable_lookup || ctx.best_so_far >= ctx.config.cascade_threshold
     }
 
+    /// [`ValueLookup::lookup_weighted`](crate::lookupstep::ValueLookup::lookup_weighted)
+    /// over the global and local LF banks under the customer's `Wg`,
+    /// computed as the combine of the global half.
     fn run(&self, ctx: &StepContext<'_>) -> StepScores {
-        let neighbors = ctx.neighbor_types();
-        ctx.global.lookup.lookup_weighted(
-            ctx.column(),
-            ctx.normalized_header(),
-            &neighbors,
-            &[&ctx.global.global_lfs, &ctx.local.lfs],
-            ctx.config,
-            &|t| ctx.local.wg(t, ctx.normalized_header()),
-        )
+        run_split(self, ctx)
+    }
+
+    fn split(&self) -> Option<&dyn SplitStep> {
+        Some(self)
+    }
+}
+
+/// The global half is
+/// [`ValueLookup::global_scores`](crate::lookupstep::ValueLookup::global_scores):
+/// the KB, the shape and range rules and the global LFs, unweighted.
+/// The combine is
+/// [`ValueLookup::combine`](crate::lookupstep::ValueLookup::combine):
+/// `Wg` under the column's header, then the customer's LF votes.
+impl SplitStep for LookupStep {
+    fn reads_neighbor_headers(&self) -> bool {
+        false
+    }
+
+    fn global_half<'a>(
+        &'a self,
+        ctx: StepContext<'a>,
+    ) -> Box<dyn Fn(usize) -> GlobalPart + Sync + 'a> {
+        Box::new(move |ci| GlobalPart {
+            scores: ctx.global.lookup.global_scores(
+                ctx.table.column(ci).expect("column in range"),
+                &ctx.normalized_headers[ci],
+                &ctx.global.global_lfs,
+                ctx.config,
+            ),
+            features: Vec::new(),
+        })
+    }
+
+    fn combine<'a>(
+        &'a self,
+        ctx: StepContext<'a>,
+    ) -> Box<dyn Fn(usize, &GlobalPart) -> StepScores + Sync + 'a> {
+        // The LFs the global half left out, once per table: the
+        // customer's, and any global-bank LF not sourced globally.
+        let lfs: Vec<&LabelingFunction> = ctx
+            .global
+            .global_lfs
+            .iter()
+            .filter(|lf| lf.source != LfSource::Global)
+            .chain(&ctx.local.lfs)
+            .filter(|lf| votes_at_lookup(lf))
+            .collect();
+        Box::new(move |ci, part| {
+            let header = &ctx.normalized_headers[ci];
+            ctx.global.lookup.combine(
+                &part.scores,
+                ctx.table.column(ci).expect("column in range"),
+                header,
+                &lfs,
+                ctx.config,
+                &|t| ctx.local.wg(t, header),
+            )
+        })
     }
 }
 
@@ -363,82 +521,15 @@ impl AnnotationStep for EmbeddingStep {
         !ctx.config.enable_embedding || ctx.best_so_far >= ctx.config.cascade_threshold
     }
 
+    /// The global model's prediction on the column with its neighbor
+    /// headers, blended with the finetuned model's (when one exists),
+    /// computed as the combine of the global half.
     fn run(&self, ctx: &StepContext<'_>) -> StepScores {
-        let neighbors = ctx.neighbor_headers();
-        let scores_for = |model: &TableEmbeddingModel| model.predict(ctx.column(), &neighbors);
-        let global_scores = scores_for(&ctx.global.embedding);
-        match &ctx.local.finetuned {
-            Some(local_model) => {
-                let local_scores = scores_for(local_model);
-                blend(
-                    &global_scores,
-                    &local_scores,
-                    ctx.local,
-                    ctx.normalized_header(),
-                )
-            }
-            None => global_scores,
-        }
+        run_split(self, ctx)
     }
 
-    /// Each header's phrase vector is encoded once per table instead of
-    /// once per `(column, neighbor)` pair, and each column is
-    /// featurized once for both heads. When the finetuned model
-    /// [shares the global model's featurizer] — always, for one
-    /// [`LocalModel::add_training`] cloned — the header vectors, the
-    /// neighbor context and the feature vector are the same for both,
-    /// so the closure computes them once and runs each head's
-    /// [`Mlp::logits`] on that one vector. A finetuned model with a
-    /// featurizer of its own gets its own header vectors and feature
-    /// vectors, as in `run`. Either way the closure averages the
-    /// vectors in the order `run` encodes them, so its scores are
-    /// bit-identical to `run`'s.
-    ///
-    /// [shares the global model's featurizer]: TableEmbeddingModel::shares_featurizer
-    /// [`Mlp::logits`]: tu_ml::Mlp::logits
-    fn scorer<'a>(&'a self, ctx: StepContext<'a>) -> Box<dyn Fn(usize) -> StepScores + Sync + 'a> {
-        let headers = ctx.table.headers();
-        let encode = |model: &TableEmbeddingModel| -> Vec<Vec<f32>> {
-            headers.iter().map(|h| model.header_vector(h)).collect()
-        };
-        let global = &ctx.global.embedding;
-        let global_vecs = encode(global);
-        // The finetuned head, with header vectors of its own only when
-        // it featurizes through a featurizer of its own.
-        let local = ctx.local.finetuned.as_ref().map(|model| {
-            let own_vecs = (!model.shares_featurizer(global)).then(|| encode(model));
-            (model, own_vecs)
-        });
-        let features = move |model: &TableEmbeddingModel, vecs: &[Vec<f32>], ci: usize| {
-            let neighbors: Vec<&[f32]> = vecs
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != ci)
-                .map(|(_, v)| v.as_slice())
-                .collect();
-            let column = ctx.table.column(ci).expect("column in range");
-            model.features_with_context(column, &model.context_of(&neighbors))
-        };
-        let scores = |model: &TableEmbeddingModel, f: &[f32]| {
-            model.scores_from_logits(&model.mlp().logits(f))
-        };
-        Box::new(move |ci| {
-            let f = features(global, &global_vecs, ci);
-            let global_scores = scores(global, &f);
-            let Some((model, own_vecs)) = &local else {
-                return global_scores;
-            };
-            let local_scores = match own_vecs {
-                None => scores(model, &f),
-                Some(vecs) => scores(model, &features(model, vecs, ci)),
-            };
-            blend(
-                &global_scores,
-                &local_scores,
-                ctx.local,
-                &ctx.normalized_headers[ci],
-            )
-        })
+    fn split(&self) -> Option<&dyn SplitStep> {
+        Some(self)
     }
 
     /// The embedding signal is a mean over sampled cell vectors: a few
@@ -449,6 +540,100 @@ impl AnnotationStep for EmbeddingStep {
     fn sensitivity_factor(&self) -> f64 {
         2.0
     }
+}
+
+/// The global half is the column's feature vector and the global
+/// head's scores on it; the combine runs the finetuned head, when there
+/// is one, and blends.
+///
+/// Each header's phrase vector is encoded once per table, on the first
+/// column that needs it, instead of once per `(column, neighbor)` pair,
+/// and each column is featurized once for both heads. When the
+/// finetuned model [shares the global model's featurizer] — always, for
+/// one [`LocalModel::add_training`] cloned — the header vectors, the
+/// neighbor context and the feature vector are the same for both, so
+/// the combine runs the finetuned head's [`Mlp::logits`] on the global
+/// half's vector. A finetuned model with a featurizer of its own gets
+/// its own header vectors and feature vectors. Either way the vectors
+/// are averaged in table order, as training and
+/// [`TableEmbeddingModel::featurize`] average them.
+///
+/// [shares the global model's featurizer]: TableEmbeddingModel::shares_featurizer
+/// [`Mlp::logits`]: tu_ml::Mlp::logits
+impl SplitStep for EmbeddingStep {
+    fn reads_neighbor_headers(&self) -> bool {
+        true
+    }
+
+    fn global_half<'a>(
+        &'a self,
+        ctx: StepContext<'a>,
+    ) -> Box<dyn Fn(usize) -> GlobalPart + Sync + 'a> {
+        let global = &ctx.global.embedding;
+        let vecs = OnceLock::new();
+        Box::new(move |ci| {
+            let vecs = vecs.get_or_init(|| header_vectors(global, ctx.table));
+            let features = features(global, vecs, ctx.table, ci);
+            GlobalPart {
+                scores: head_scores(global, &features),
+                features,
+            }
+        })
+    }
+
+    fn combine<'a>(
+        &'a self,
+        ctx: StepContext<'a>,
+    ) -> Box<dyn Fn(usize, &GlobalPart) -> StepScores + Sync + 'a> {
+        let Some(model) = ctx.local.finetuned.as_ref() else {
+            return Box::new(|_, part| part.scores.clone());
+        };
+        // Header vectors of its own only when the finetuned head
+        // featurizes through a featurizer of its own.
+        let own = !model.shares_featurizer(&ctx.global.embedding);
+        let own_vecs = OnceLock::new();
+        Box::new(move |ci, part| {
+            let local_scores = if own {
+                let vecs = own_vecs.get_or_init(|| header_vectors(model, ctx.table));
+                head_scores(model, &features(model, vecs, ctx.table, ci))
+            } else {
+                head_scores(model, &part.features)
+            };
+            blend(
+                &part.scores,
+                &local_scores,
+                ctx.local,
+                &ctx.normalized_headers[ci],
+            )
+        })
+    }
+}
+
+/// Every header's phrase vector under `model`, in table order.
+fn header_vectors(model: &TableEmbeddingModel, table: &Table) -> Vec<Vec<f32>> {
+    table
+        .headers()
+        .iter()
+        .map(|h| model.header_vector(h))
+        .collect()
+}
+
+/// Column `ci`'s feature vector under `model`, its context the mean of
+/// the other columns' header vectors `vecs` in table order.
+fn features(model: &TableEmbeddingModel, vecs: &[Vec<f32>], table: &Table, ci: usize) -> Vec<f32> {
+    let neighbors: Vec<&[f32]> = vecs
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| *i != ci)
+        .map(|(_, v)| v.as_slice())
+        .collect();
+    let column = table.column(ci).expect("column in range");
+    model.features_with_context(column, &model.context_of(&neighbors))
+}
+
+/// `model`'s head on a feature vector: logits, then calibration.
+fn head_scores(model: &TableEmbeddingModel, features: &[f32]) -> StepScores {
+    model.scores_from_logits(&model.mlp().logits(features))
 }
 
 /// Blend global and local embedding scores with the per-type local
@@ -555,7 +740,6 @@ mod tests {
         table: &'a Table,
         col_idx: usize,
         normalized: &'a [String],
-        tentative: &'a [TypeId],
         global: &'a GlobalModel,
         local: &'a LocalModel,
         config: &'a SigmaTyperConfig,
@@ -564,7 +748,6 @@ mod tests {
             table,
             col_idx,
             normalized_headers: normalized,
-            tentative,
             best_so_far: 0.0,
             global,
             local,
@@ -592,8 +775,7 @@ mod tests {
         let config = SigmaTyperConfig::default();
         let table = Table::new("t", vec![Column::from_raw("x", &["1"])]).unwrap();
         let normalized = vec!["x".to_owned()];
-        let tentative = vec![TypeId::UNKNOWN];
-        let mut ctx = ctx_for(&table, 0, &normalized, &tentative, &g, &local, &config);
+        let mut ctx = ctx_for(&table, 0, &normalized, &g, &local, &config);
         assert!(!LookupStep.skip(&ctx));
         assert!(!RegexOnlyStep.skip(&ctx));
         ctx.best_so_far = config.cascade_threshold;
@@ -615,8 +797,7 @@ mod tests {
         };
         let table = Table::new("t", vec![Column::from_raw("x", &["1"])]).unwrap();
         let normalized = vec!["x".to_owned()];
-        let tentative = vec![TypeId::UNKNOWN];
-        let ctx = ctx_for(&table, 0, &normalized, &tentative, &g, &local, &config);
+        let ctx = ctx_for(&table, 0, &normalized, &g, &local, &config);
         assert!(HeaderStep.skip(&ctx));
         assert!(LookupStep.skip(&ctx));
         assert!(EmbeddingStep.skip(&ctx));
@@ -644,18 +825,17 @@ mod tests {
             .iter()
             .map(|h| tu_text::normalize_header(h))
             .collect();
-        let tentative = vec![TypeId::UNKNOWN; 3];
-        let email_ctx = ctx_for(&table, 0, &normalized, &tentative, &g, &local, &config);
+        let email_ctx = ctx_for(&table, 0, &normalized, &g, &local, &config);
         let s = RegexOnlyStep.run(&email_ctx);
         assert_eq!(s.best().unwrap().ty, builtin_id(o, "email"));
         assert!(s.best_confidence() > 0.9);
         // Numeric column: range rules fire, scaled below the threshold.
-        let num_ctx = ctx_for(&table, 1, &normalized, &tentative, &g, &local, &config);
+        let num_ctx = ctx_for(&table, 1, &normalized, &g, &local, &config);
         let s = RegexOnlyStep.run(&num_ctx);
         assert!(!s.candidates.is_empty());
         assert!(s.best_confidence() <= config.range_lf_scale + 1e-9);
         // Free text matches nothing.
-        let text_ctx = ctx_for(&table, 2, &normalized, &tentative, &g, &local, &config);
+        let text_ctx = ctx_for(&table, 2, &normalized, &g, &local, &config);
         assert!(RegexOnlyStep.run(&text_ctx).candidates.is_empty());
     }
 
@@ -700,7 +880,6 @@ mod tests {
             .iter()
             .map(|h| tu_text::normalize_header(h))
             .collect();
-        let tentative = vec![TypeId::UNKNOWN, TypeId(3), TypeId::UNKNOWN, TypeId(5)];
         let states: Vec<ColumnState> = [0.1, 0.4, 0.0, 0.2]
             .into_iter()
             .map(|best_so_far| ColumnState { best_so_far })
@@ -720,7 +899,7 @@ mod tests {
         let steps: [&dyn AnnotationStep; 4] =
             [&HeaderStep, &LookupStep, &EmbeddingStep, &RegexOnlyStep];
         for step in steps {
-            let mut ctx = ctx_for(&table, 2, &normalized, &tentative, &g, &local, &config);
+            let mut ctx = ctx_for(&table, 2, &normalized, &g, &local, &config);
             ctx.column_states = &states;
             let expected: Vec<StepScores> =
                 (0..4).map(|ci| step.run(&ctx.for_column(ci))).collect();
@@ -733,6 +912,108 @@ mod tests {
                         "{}: column {ci} in order {order:?}",
                         step.name()
                     );
+                }
+            }
+        }
+    }
+
+    /// Each split step's combine of a column's global half equals `run`
+    /// on that column, and `run` equals the unsplit computation
+    /// (`lookup_weighted` over both LF banks under `Wg`; both heads'
+    /// `predict`, blended), on every column in any order, for a fresh
+    /// customer and after corrections — with halves computed before
+    /// the corrections, as a stored half would have been.
+    #[test]
+    fn split_steps_combine_global_halves_into_run() {
+        let g = global();
+        let config = SigmaTyperConfig::default();
+        let corpus = generate_corpus(&g.ontology, &CorpusConfig::database_like(0x5EED, 6));
+        let table = corpus.tables[0].table.clone();
+        let n = table.n_cols();
+        let normalized: Vec<String> = table
+            .headers()
+            .iter()
+            .map(|h| tu_text::normalize_header(h))
+            .collect();
+        // Neighbour types that co-occurrence LFs would read in the
+        // unsplit lookup: they must change nothing.
+        let column_types: Vec<TypeId> = (0..n).map(|i| TypeId(i as u16 + 3)).collect();
+        let mut typer = crate::system::SigmaTyper::new(Arc::clone(&g), config);
+        let fresh = typer.local().clone();
+        for (k, at) in corpus.tables.iter().enumerate().skip(1) {
+            let col = k % at.table.n_cols();
+            if !at.labels[col].is_unknown() {
+                typer.feedback(&at.table, col, at.labels[col], None);
+            }
+        }
+        // One override on this table, so `Wg` discounts a header here.
+        let predicted = typer.annotate(&table).columns[0].predicted;
+        let other = TypeId(if predicted == TypeId(2) { 3 } else { 2 });
+        typer.feedback(&table, 0, other, None);
+        let adapted = typer.local().clone();
+        assert!(!adapted.lfs.is_empty() && adapted.finetuned.is_some());
+        assert!(
+            (0..g.ontology.len()).any(|t| adapted.wg(TypeId(t as u16), &normalized[0]) < 1.0),
+            "the override discounts a type under the first header"
+        );
+
+        // The default sample shares its rendering with the LF context;
+        // a 3-value sample makes the context render its own.
+        for config in &[
+            config,
+            SigmaTyperConfig {
+                lookup_sample: 3,
+                ..config
+            },
+        ] {
+            let ctx_of = |local| ctx_for(&table, 0, &normalized, &g, local, config);
+            let orders: [Vec<usize>; 2] = [(0..n).collect(), (0..n).rev().collect()];
+            for step in [&LookupStep as &dyn AnnotationStep, &EmbeddingStep] {
+                let split = step.split().expect("a split step");
+                let global = split.global_half(ctx_of(&fresh));
+                let mut halves: Vec<Option<GlobalPart>> = vec![None; n];
+                for &ci in &orders[1] {
+                    halves[ci] = Some(global(ci));
+                }
+                for local in [&fresh, &adapted] {
+                    let ctx = ctx_of(local);
+                    let combine = split.combine(ctx);
+                    for order in &orders {
+                        for &ci in order {
+                            let half = halves[ci].as_ref().expect("every half computed");
+                            let run = step.run(&ctx.for_column(ci));
+                            assert_eq!(combine(ci, half), run, "{}: column {ci}", step.name());
+                            let column = table.column(ci).expect("column in range");
+                            let header = normalized[ci].as_str();
+                            let unsplit = if step.id() == StepId::LOOKUP {
+                                let neighbor_types: Vec<TypeId> = (0..n)
+                                    .filter(|&j| j != ci)
+                                    .map(|j| column_types[j])
+                                    .collect();
+                                g.lookup.lookup_weighted(
+                                    column,
+                                    header,
+                                    &neighbor_types,
+                                    &[&g.global_lfs, &local.lfs],
+                                    config,
+                                    &|t| local.wg(t, header),
+                                )
+                            } else {
+                                let neighbors = ctx.for_column(ci).neighbor_headers();
+                                let global_scores = g.embedding.predict(column, &neighbors);
+                                match &local.finetuned {
+                                    Some(model) => blend(
+                                        &global_scores,
+                                        &model.predict(column, &neighbors),
+                                        local,
+                                        header,
+                                    ),
+                                    None => global_scores,
+                                }
+                            };
+                            assert_eq!(run, unsplit, "{}: column {ci}", step.name());
+                        }
+                    }
                 }
             }
         }
@@ -760,7 +1041,6 @@ mod tests {
             .iter()
             .map(|h| tu_text::normalize_header(h))
             .collect();
-        let tentative = vec![TypeId::UNKNOWN; 3];
         let mut local = LocalModel::new();
         local.add_training(&g.embedding, &table, 2, TypeId(2));
         let cloned = local
@@ -783,7 +1063,7 @@ mod tests {
         for ty in 0..g.embedding.n_classes() {
             local.record_feedback(TypeId(ty as u16));
         }
-        let ctx = ctx_for(&table, 0, &normalized, &tentative, &g, &local, &config);
+        let ctx = ctx_for(&table, 0, &normalized, &g, &local, &config);
         let score = EmbeddingStep.scorer(ctx);
         let mut differs = false;
         for (ci, column) in table.columns().iter().enumerate() {
@@ -831,19 +1111,18 @@ mod tests {
         )
         .unwrap();
         let normalized = vec!["a".to_owned(), "b".to_owned()];
-        let tentative = vec![TypeId::UNKNOWN; 2];
         let states = vec![
             ColumnState { best_so_far: 0.9 },
             ColumnState { best_so_far: 0.2 },
         ];
-        let mut ctx = ctx_for(&table, 0, &normalized, &tentative, &g, &local, &config);
+        let mut ctx = ctx_for(&table, 0, &normalized, &g, &local, &config);
         ctx.column_states = &states;
         let sibling = ctx.for_column(1);
         assert_eq!(sibling.col_idx, 1);
         assert_eq!(sibling.header(), "b");
         assert!((sibling.best_so_far - 0.2).abs() < f64::EPSILON);
         // Out-of-range / empty column_states fall back to the default.
-        let bare = ctx_for(&table, 0, &normalized, &tentative, &g, &local, &config);
+        let bare = ctx_for(&table, 0, &normalized, &g, &local, &config);
         assert_eq!(bare.for_column(1).best_so_far, 0.0);
     }
 
@@ -862,12 +1141,9 @@ mod tests {
         )
         .unwrap();
         let normalized = vec!["a".to_owned(), "b".to_owned(), "c".to_owned()];
-        let tentative = vec![TypeId(3), TypeId::UNKNOWN, TypeId(5)];
-        let ctx = ctx_for(&table, 0, &normalized, &tentative, &g, &local, &config);
+        let ctx = ctx_for(&table, 0, &normalized, &g, &local, &config);
         assert_eq!(ctx.header(), "a");
         assert_eq!(ctx.normalized_header(), "a");
         assert_eq!(ctx.neighbor_headers(), vec!["b", "c"]);
-        // Own tentative type and unknowns are excluded.
-        assert_eq!(ctx.neighbor_types(), vec![TypeId(5)]);
     }
 }

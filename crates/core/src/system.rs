@@ -257,7 +257,10 @@ impl SigmaTyperBuilder {
     /// unmutated clone of the other, i.e. while their models really
     /// are identical. Header-scoped entries are shared on purpose
     /// between instances of one global model whose `Wg` state under
-    /// the header is equal, because their header scores are too.
+    /// the header is equal, because their header scores are too, and
+    /// the lookup and embedding steps' global halves between every
+    /// instance built on one `Arc` of a global model (see
+    /// [`GlobalPartStore`](crate::cache::GlobalPartStore)).
     #[must_use]
     pub fn step_cache(mut self, cache: Arc<dyn StepCache>) -> Self {
         self.cache = Some(cache);
@@ -433,13 +436,15 @@ impl SigmaTyper {
         self.epoch
     }
 
-    /// Manually invalidate this customer's column-scoped cached step
-    /// results — for out-of-band changes the system cannot observe
-    /// (say, a process that mutated shared lookup data behind the
-    /// `Arc`). Entries are not freed, just unreachable; they age out of
-    /// the LRU. Header-scoped entries survive: their key hashes the
-    /// global model's header fingerprint and the `Wg` state they read,
-    /// not the epoch, and nothing out of band can change either.
+    /// Retire this customer's column-scoped cached step results, and
+    /// nothing else, by moving the epoch their keys hash. Entries are
+    /// not freed, just unreachable; they age out of the LRU. Header
+    /// entries and split steps' global halves survive it: their keys
+    /// hash the global model instead of the epoch (see
+    /// [`CacheScope`](crate::step::CacheScope)). So this cannot answer
+    /// for a change to the global model: those keys do not track it,
+    /// and a changed global model needs a fresh cache (see
+    /// [Cache identity](GlobalModel#cache-identity)).
     pub fn invalidate_cache(&mut self) {
         self.bump_epoch();
     }
@@ -573,15 +578,15 @@ impl SigmaTyper {
                 epoch: self.epoch,
             })
         };
-        // Delta-aware recrawl: diff against the base crawl,
-        // fingerprint both crawls with each new column hashed once,
-        // and hand the executor the base fingerprints + per-column
-        // movements for the sensitivity-gated reuse path. A shape
-        // change (column count) diffs to `None` and falls back to a
-        // full recompute. Owned backing for the borrowed
+        // Delta-aware recrawl: diff against the base crawl, hash both
+        // crawls with each new column hashed once, and hand the
+        // executor the new content hashes, the base fingerprints and
+        // per-column movements for the sensitivity-gated reuse path.
+        // A shape change (column count) diffs to `None` and falls back
+        // to a full recompute. Owned backing for the borrowed
         // `DeltaContext` handed to the executor below.
         struct DeltaData {
-            fingerprints: Vec<ColumnFingerprint>,
+            content_hashes: Vec<[u64; 2]>,
             base_fingerprints: Vec<ColumnFingerprint>,
             movements: Vec<f64>,
             sensitivity: f64,
@@ -589,15 +594,15 @@ impl SigmaTyper {
         let delta_data: Option<DeltaData> = match (base, cache_ctx) {
             (Some(base), Some(cc)) => TableDelta::between(base, table).map(|table_delta| {
                 let step_ids = self.cascade.step_ids();
-                let (base_fps, new_fps) =
+                let (base_fingerprints, content_hashes) =
                     recrawl_fingerprints(base, table, &table_delta, &step_ids, config, cc.epoch);
                 let sensitivity = options
                     .delta_sensitivity
                     .unwrap_or(config.delta_sensitivity)
                     .max(0.0);
                 DeltaData {
-                    fingerprints: new_fps,
-                    base_fingerprints: base_fps,
+                    content_hashes,
+                    base_fingerprints,
                     movements: table_delta.movements(),
                     sensitivity,
                 }
@@ -605,7 +610,7 @@ impl SigmaTyper {
             _ => None,
         };
         let delta_ctx = delta_data.as_ref().map(|d| DeltaContext {
-            fingerprints: &d.fingerprints,
+            content_hashes: &d.content_hashes,
             base_fingerprints: &d.base_fingerprints,
             movements: &d.movements,
             sensitivity: d.sensitivity,

@@ -72,7 +72,7 @@
 //! | POST   | `/annotate`       | `{"table": …, "options"?: …}` → one outcome |
 //! | POST   | `/annotate_batch` | `{"tables": […], "options"?: …}` → outcomes in order |
 //! | POST   | `/feedback`       | `{"table": …, "col_idx": n, "type": "name"}` → adaptation + epoch bump (header entries survive unless their `Wg` changed) |
-//! | GET    | `/metrics`        | queue depth, in-flight, panics, per-lane spend/shed (sums over the tenants), per-tenant counters, cache stats + delta |
+//! | GET    | `/metrics`        | queue depth, in-flight, panics, per-lane spend/shed (sums over the tenants), per-tenant counters, cache stats (global halves included) + delta |
 //! | GET    | `/healthz`        | liveness |
 //! | POST   | `/shutdown`       | request graceful drain (for operators/CI) |
 //!
@@ -89,7 +89,7 @@ pub use crate::pool::WorkerPool;
 use crate::wire::{AnnotateBody, BatchBody, FeedbackBody};
 use httpshim::{HttpServer, Request, Response};
 use jsonshim::Json;
-use sigmatyper::cache::CacheStats;
+use sigmatyper::cache::{CacheStats, GlobalPartStats, GlobalPartStore};
 use sigmatyper::request::{AnnotationOutcome, RequestOptions};
 use sigmatyper::service::{AnnotationService, QueueRejection, TrafficLane};
 use sigmatyper::tenant::{
@@ -560,20 +560,43 @@ fn tenant_metrics(snapshots: &[TenantSnapshot]) -> Json {
     )
 }
 
-fn cache_stats_json(stats: &CacheStats) -> Json {
-    Json::object(vec![
+/// A step cache's counters, as `/metrics` reports them.
+fn cache_stats_members(stats: &CacheStats) -> Vec<(&'static str, Json)> {
+    vec![
         ("hits", Json::from(stats.hits)),
         ("misses", Json::from(stats.misses)),
         ("inserts", Json::from(stats.inserts)),
         ("evictions", Json::from(stats.evictions)),
         ("entries", Json::from(stats.entries)),
-    ])
+    ]
+}
+
+/// The `cache` section: the step cache's counters plus, under
+/// `global_parts`, those of the store of global halves it owns (`null`
+/// for a backend without one).
+fn cache_json(stats: &CacheStats, parts: Option<GlobalPartStats>) -> Json {
+    let parts = parts.map_or(Json::Null, |p| {
+        Json::object(vec![
+            ("hits", Json::from(p.hits)),
+            ("misses", Json::from(p.misses)),
+            ("entries", Json::from(p.entries)),
+            ("bytes", Json::from(p.bytes)),
+        ])
+    });
+    let mut members = cache_stats_members(stats);
+    members.push(("global_parts", parts));
+    Json::object(members)
 }
 
 fn handle_metrics(state: &ServerState) -> Response {
     let pool = &state.pool;
     let service = pool.service();
     let cache = service.cache_stats();
+    let parts = service
+        .typer()
+        .step_cache()
+        .and_then(|cache| cache.global_parts())
+        .map(GlobalPartStore::stats);
     let epoch = service.typer().cache_epoch();
     drop(service);
     let (cache_json, delta_json) = match cache {
@@ -584,7 +607,10 @@ fn handle_metrics(state: &ServerState) -> Response {
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             let delta = stats.since(&baseline);
             *baseline = stats;
-            (cache_stats_json(&stats), cache_stats_json(&delta))
+            (
+                cache_json(&stats, parts),
+                Json::object(cache_stats_members(&delta)),
+            )
         }
         None => (Json::Null, Json::Null),
     };

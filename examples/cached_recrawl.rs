@@ -1,7 +1,9 @@
 //! Caching repeat crawls: attach the fingerprint-keyed step cache,
 //! crawl a warehouse twice, and watch the warm pass run no step at
 //! all — then adapt the customer and watch the epoch invalidate the
-//! lookup and embedding entries while the header entries survive.
+//! lookup and embedding entries while the header entries survive, and
+//! those two steps redo only their customer's half: the global halves
+//! the earlier crawls stored still hold.
 //!
 //! ```text
 //! cargo run --release --example cached_recrawl
@@ -72,11 +74,16 @@ fn main() {
 
     // Adaptation invalidates: after feedback, the customer's epoch
     // changes, every column fingerprint moves, and the next crawl
-    // re-runs the lookup and embedding steps with the adapted models —
+    // re-scores the lookup and embedding steps with the adapted models —
     // a warm cache can never serve their scores from before the
-    // correction. Header entries are keyed by the header's `Wg` state
-    // instead of the epoch, so the header step matches again only
-    // under a header whose `Wg` the correction changed.
+    // correction. What those steps read of the column and the global
+    // model alone — lookup's unweighted KB, rule and global-LF
+    // candidates; embedding's feature vector and global head — is kept
+    // as a global half keyed by no epoch, so they run only their local
+    // combine (`Wg`, the customer's LFs, the finetuned head). Header
+    // entries are keyed by the header's `Wg` state instead of the
+    // epoch, so the header step matches again only under a header
+    // whose `Wg` the correction changed.
     let o = service.typer().ontology().clone();
     let epoch_before = service.typer().cache_epoch();
     let correction = warehouse[1].clone();
@@ -90,16 +97,27 @@ fn main() {
     );
     let post = service.annotate_batch(&warehouse);
     let (post_runs, post_hits) = counts(&post);
-    let header_runs: usize = post
-        .iter()
-        .flat_map(|a| a.timings.iter())
+    let timings = || post.iter().flat_map(|a| a.timings.iter());
+    let header_runs: usize = timings()
         .filter(|t| t.step == StepId::HEADER)
         .map(|t| t.columns)
         .sum();
+    let (split_runs, global_hits) = timings()
+        .filter(|t| t.step == StepId::LOOKUP || t.step == StepId::EMBEDDING)
+        .fold((0, 0), |(runs, hits), t| {
+            (runs + t.columns, hits + t.global_hits)
+        });
     println!(
         "crawl 4 (adapted): {post_runs:>4} step-columns run ({header_runs} header matches), {post_hits:>4} cache hits"
     );
+    println!(
+        "                   {global_hits:>4} of {split_runs} lookup/embedding runs were combines on stored global halves"
+    );
     assert!(post_runs > 0, "adaptation must invalidate cached scores");
+    assert!(
+        global_hits > 0 && global_hits <= split_runs,
+        "the global halves survive the feedback"
+    );
     let (rewarm_runs, rewarm_hits) = counts(&service.annotate_batch(&warehouse));
     println!("crawl 5 (re-warm): {rewarm_runs:>4} step-columns run, {rewarm_hits:>4} cache hits");
     assert_eq!(rewarm_runs, 0, "adapted state re-warms");

@@ -557,13 +557,27 @@ fn feedback_bumps_epoch_and_invalidates_the_warm_cache() {
     // The same table recomputes now: its lookup and embedding steps
     // miss, and it answers what the adapted customer answers. Scraping
     // first leaves the feedback's own read out of the delta.
-    scrape(&mut client);
+    let before_third = scrape(&mut client);
     let third = client
         .post_json("/annotate", &annotate_body(table), &[])
         .expect("post-feedback annotate");
     assert_eq!(third.status, 200);
     assert_eq!(normalize_body(&third.body_str()), direct(&adapted, table));
     let after = scrape(&mut client);
+    // Those misses still find the global halves the reads before the
+    // feedback stored, which `cache.global_parts` counts apart.
+    let parts_field = |m: &Json, field: &str| {
+        m.get("cache")
+            .and_then(|c| c.get("global_parts"))
+            .and_then(|p| p.get(field))
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("metrics missing cache.global_parts.{field}"))
+    };
+    assert!(
+        parts_field(&after, "hits") > parts_field(&before_third, "hits"),
+        "post-feedback annotate must reuse stored global halves: {after}"
+    );
+    assert!(parts_field(&after, "misses") > 0 && parts_field(&after, "bytes") > 0);
     let (hits, misses) = expected_traffic(table);
     assert!(
         cache_field(&after, "cache_delta", "misses") > 0,
