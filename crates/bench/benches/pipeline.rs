@@ -1163,8 +1163,8 @@ fn bench_feedback(c: &mut Criterion) {
 
     // `pipeline/step3_embedding_predict`'s column through the embedding
     // step of the adapted customer, so the finetuned head runs beside
-    // the global one: the step's per-table scorer, built and called
-    // for that one column as the executor does for a one-column
+    // the global one: `run`, which builds both halves and combines them
+    // for that one column, as the executor does for a one-column
     // frontier.
     let normalized_headers: Vec<String> = at
         .table
@@ -1180,10 +1180,9 @@ fn bench_feedback(c: &mut Criterion) {
         global: adapted.global(),
         local: adapted.local(),
         config: adapted.config(),
-        column_states: &[],
     };
     c.bench_function("pipeline/step3_embedding_adapted", |b| {
-        b.iter(|| EmbeddingStep.scorer(black_box(ctx))(0))
+        b.iter(|| EmbeddingStep.run(black_box(&ctx)))
     });
 
     // The same column through each split step's local combine alone, on

@@ -488,9 +488,10 @@ pub fn column_fingerprints(
 /// [`column_fingerprints`] from retained [`ColumnHashState`]s instead
 /// of rehashing every cell. No request path calls it: recrawls take
 /// their fingerprints from `recrawl_fingerprints`. It stays public
-/// only because the serving benchmark's in-process twin still hashes
-/// through it, until that twin reads its layers from the server
-/// (ROADMAP item 7).
+/// only because the serving benchmark's in-process twin
+/// (`perfbench/src/twin.rs`) still hashes through it, until that twin
+/// reads its per-layer times from the server instead of re-running the
+/// layers itself.
 ///
 /// `states` must hold one state per column of `table`, already
 /// advanced over the deltas that produced this crawl (see
@@ -1060,20 +1061,21 @@ pub struct ShardedLruCache {
 const DEFAULT_SHARDS: usize = 8;
 
 impl ShardedLruCache {
-    /// A cache holding at most ~`capacity` entries across
-    /// [`DEFAULT_SHARDS`](ShardedLruCache::with_shards) shards.
+    /// A cache holding at most ~`capacity` entries, divided evenly
+    /// over eight shards; every shard holds at least one entry, so a
+    /// capacity under eight rounds up to eight. The cache owns a
+    /// [`GlobalPartStore`] of [`GLOBAL_PART_BYTES`].
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         ShardedLruCache::with_shards(capacity, DEFAULT_SHARDS)
     }
 
-    /// A cache with an explicit shard count. `capacity` is divided
-    /// evenly; every shard holds at least one entry, so tiny
-    /// capacities round up to `shards` total. `shards` is rounded up
-    /// to a power of two (shard choice is a mask). Either way the
-    /// cache owns a [`GlobalPartStore`] of [`GLOBAL_PART_BYTES`].
+    /// A cache with an explicit shard count, rounded up to a power of
+    /// two (shard choice is a mask); `capacity` is divided as in
+    /// [`new`](ShardedLruCache::new), so tiny capacities round up to
+    /// `shards` total.
     #[must_use]
-    pub fn with_shards(capacity: usize, shards: usize) -> Self {
+    fn with_shards(capacity: usize, shards: usize) -> Self {
         let shards = shards.max(1).next_power_of_two();
         let per_shard = capacity.div_ceil(shards).max(1);
         ShardedLruCache {
@@ -1191,8 +1193,8 @@ impl Default for GlobalPartStore {
 
 impl GlobalPartStore {
     /// A store holding at most [`GLOBAL_PART_BYTES`] bytes of parts,
-    /// split evenly over [`DEFAULT_SHARDS`](ShardedLruCache::with_shards)
-    /// shards.
+    /// split evenly over eight shards, as a [`ShardedLruCache`] splits
+    /// its entries.
     #[must_use]
     pub fn new() -> Self {
         GlobalPartStore::with_bytes(GLOBAL_PART_BYTES)

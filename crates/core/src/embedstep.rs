@@ -79,7 +79,7 @@ impl TableEmbeddingModel {
     /// the column featurized with that context
     /// ([`TableEmbeddingModel::features_with_context`]) — the same
     /// calls, in the same order, as training and the embedding step's
-    /// scorer, so the rows agree bit for bit.
+    /// halves, so the rows agree bit for bit.
     #[must_use]
     pub fn featurize(&self, column: &Column, neighbor_headers: &[&str]) -> Vec<f32> {
         let vecs: Vec<Vec<f32>> = neighbor_headers
@@ -99,11 +99,10 @@ impl TableEmbeddingModel {
 
     /// Phrase vector of one raw header under this model's embedder —
     /// the reusable unit of the neighbor-context encoding. The
-    /// embedding step's per-table [`scorer`], training and
-    /// [`TableEmbeddingModel::featurize`] encode each header of a table
-    /// once and share the vectors across its columns.
-    ///
-    /// [`scorer`]: crate::step::AnnotationStep::scorer
+    /// [embedding step](crate::step::EmbeddingStep)'s halves, built once
+    /// per table, training and [`TableEmbeddingModel::featurize`] encode
+    /// each header of a table once and share the vectors across its
+    /// columns.
     #[must_use]
     pub fn header_vector(&self, header: &str) -> Vec<f32> {
         header_vector(self.featurizer.extractor.embedder(), header)
@@ -118,11 +117,9 @@ impl TableEmbeddingModel {
 
     /// The exact feature vector every predict path scores: column
     /// features, the precomputed neighbor context appended, scaled
-    /// in place. The embedding step's per-table [`scorer`] calls it
-    /// once per column and scores every head that shares this model's
-    /// featurizer on that one vector.
-    ///
-    /// [`scorer`]: crate::step::AnnotationStep::scorer
+    /// in place. The [embedding step](crate::step::EmbeddingStep)'s
+    /// global half calls it once per column, and its combine scores
+    /// every head that shares this model's featurizer on that one vector.
     #[must_use]
     pub fn features_with_context(&self, column: &Column, context: &[f32]) -> Vec<f32> {
         let mut f = Vec::with_capacity(self.dim());
@@ -132,11 +129,9 @@ impl TableEmbeddingModel {
         f
     }
 
-    /// The MLP head, read-only: the embedding step's [`scorer`] runs
-    /// its [`Mlp::logits`] on a feature vector it computed once for
-    /// both heads.
-    ///
-    /// [`scorer`]: crate::step::AnnotationStep::scorer
+    /// The MLP head, read-only: the
+    /// [embedding step](crate::step::EmbeddingStep)'s halves run its
+    /// [`Mlp::logits`] on a feature vector computed once for both heads.
     #[must_use]
     pub fn mlp(&self) -> &Mlp {
         &self.mlp
@@ -144,11 +139,9 @@ impl TableEmbeddingModel {
 
     /// Calibrated candidate scores from raw logits: temperature
     /// scaling, the 0.01 probability floor, and top-8 truncation —
-    /// the one tail [`TableEmbeddingModel::predict`] and the embedding
-    /// step's [`scorer`] share, so their calibration and thresholding
-    /// cannot drift apart.
-    ///
-    /// [`scorer`]: crate::step::AnnotationStep::scorer
+    /// the one tail [`TableEmbeddingModel::predict`] and the
+    /// [embedding step](crate::step::EmbeddingStep)'s halves share, so
+    /// their calibration and thresholding cannot drift apart.
     #[must_use]
     pub fn scores_from_logits(&self, logits: &[f32]) -> StepScores {
         let probs = self.temperature.apply(logits);
@@ -400,7 +393,7 @@ mod tests {
         assert!(after > 0.3, "after {after}");
     }
 
-    /// The embedding step scorer's three calls on a precomputed context.
+    /// The embedding step's three calls on a precomputed context.
     fn scored(model: &TableEmbeddingModel, col: &Column, ctx: &[f32]) -> StepScores {
         let f = model.features_with_context(col, ctx);
         model.scores_from_logits(&model.mlp().logits(&f))

@@ -15,18 +15,23 @@
 //!    [`cache_scope`](crate::step::AnnotationStep::cache_scope) names;
 //!    hits enter the trace exactly like runs. What remains — not
 //!    skipped, not cached — is the step's *pending-column frontier*.
-//! 2. **Chunking.** The step builds its
-//!    [`scorer`](crate::step::AnnotationStep::scorer) once for the
-//!    table, paying any table-level setup there, and the frontier is
-//!    split into chunks whose columns are each scored by one call of
-//!    that closure. A frontier of at least [`MIN_PARALLEL_COLUMNS`]
-//!    columns on a thread budget of two or more splits into chunks of
+//! 2. **Chunking.** The frontier is split into chunks, and each of
+//!    its columns is scored in one of two ways. A step without a
+//!    [`split`](crate::step::AnnotationStep::split) is scored by its
+//!    [`run`](crate::step::AnnotationStep::run) on the column's
+//!    context. A [split](crate::step::SplitStep) step has its
+//!    [`global_half`](crate::step::SplitStep::global_half) and
+//!    [`combine`](crate::step::SplitStep::combine) built once for the
+//!    table, so its table-level work is paid once however the frontier
+//!    is split, and each column is scored as the combine of its global
+//!    half. On a cache that owns a [`GlobalPartStore`], a half the
+//!    store holds is read instead of computed, and a computed one is
+//!    stored. A frontier of at least [`MIN_PARALLEL_COLUMNS`] columns on
+//!    a thread budget of two or more splits into chunks of
 //!    `⌈frontier / min(threads, frontier)⌉` columns, at most `threads`
 //!    of them; every other frontier is one chunk. Sequential execution
-//!    is the single-chunk special case, so the same scorer serves both
-//!    paths. A [split](crate::step::SplitStep) step on a cache that owns
-//!    a [`GlobalPartStore`] builds its two halves instead, and runs only
-//!    the combine on a column whose global half the store holds.
+//!    is the single-chunk special case, so both paths score a column
+//!    the same way.
 //! 3. **Workers.** Each chunk gets a worker of its own: the first runs
 //!    on the calling thread, the rest on [`std::thread::scope`]
 //!    threads, so a budget of `W` occupies at most `W` threads. Steps
@@ -38,8 +43,9 @@
 //!
 //! Per step, the executor reports [`StepTiming`] telemetry including
 //! the chunk count and the summed in-chunk nanoseconds
-//! ([`StepTiming::parallel_nanos`]), the inputs the cost-aware-ordering
-//! roadmap item needs.
+//! ([`StepTiming::parallel_nanos`]), the cost the
+//! [`CostModel`](crate::cost::CostModel) averages to budget requests
+//! and to reorder the cascade.
 
 use crate::cache::{
     column_content_hashes, fingerprints_from_col_hashes, header_fingerprints, CacheContext,
@@ -51,7 +57,7 @@ use crate::global::GlobalModel;
 use crate::local::LocalModel;
 use crate::prediction::{StepId, StepScores, StepTiming};
 use crate::request::{BudgetContext, DegradationPolicy, SkipReason, SkippedStep};
-use crate::step::{CacheScope, ColumnState, SplitStep, StepContext};
+use crate::step::{CacheScope, SplitStep, StepContext};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -83,8 +89,8 @@ pub const MIN_PARALLEL_COLUMNS: usize = 12;
 /// under an approximated cross-column context, and the cache contract
 /// ("equal fingerprints ⇒ bit-identical scores") only admits entries
 /// from unapproximated runs.
-#[derive(Debug, Clone, Copy)]
-pub struct DeltaContext<'a> {
+#[derive(Debug, Clone)]
+pub struct DeltaContext {
     /// Content hashes of the new crawl's columns — must be
     /// bit-identical to what
     /// [`ColumnHashState::content_hash`](crate::cache::ColumnHashState::content_hash)
@@ -92,14 +98,14 @@ pub struct DeltaContext<'a> {
     /// The executor derives the new crawl's fingerprints from them, and
     /// the keys of split steps' global halves hash them (see
     /// [`SplitStep`]).
-    pub content_hashes: &'a [[u64; 2]],
+    pub content_hashes: Vec<[u64; 2]>,
     /// Fingerprints of the base crawl's columns, for reuse lookups —
     /// what [`column_fingerprints`](crate::cache::column_fingerprints)
     /// computes for the base.
-    pub base_fingerprints: &'a [ColumnFingerprint],
+    pub base_fingerprints: Vec<ColumnFingerprint>,
     /// Per-column [`movement`](tu_table::ColumnDelta::movement), in
     /// column order of the new crawl.
-    pub movements: &'a [f64],
+    pub movements: Vec<f64>,
     /// Base sensitivity threshold; `0.0` disables reuse entirely
     /// (bit-identical to a from-scratch run).
     pub sensitivity: f64,
@@ -193,7 +199,7 @@ impl CascadeExecutor {
         config: &SigmaTyperConfig,
         cache: Option<CacheContext<'_>>,
         budget: Option<BudgetContext<'_>>,
-        delta: Option<DeltaContext<'_>>,
+        delta: Option<&DeltaContext>,
     ) -> BudgetedTrace {
         let n = table.n_cols();
         let normalized: Vec<String> = table
@@ -215,7 +221,7 @@ impl CascadeExecutor {
         // once, bit-identical to this pass). Column keys and the keys
         // of global halves both derive from them.
         let content_hashes: Option<Cow<'_, [[u64; 2]]>> = cache.map(|_| match delta {
-            Some(d) => Cow::Borrowed(d.content_hashes),
+            Some(d) => Cow::Borrowed(d.content_hashes.as_slice()),
             None => Cow::Owned(column_content_hashes(table)),
         });
         let fingerprints: Option<Vec<ColumnFingerprint>> =
@@ -250,24 +256,18 @@ impl CascadeExecutor {
 
         for step in cascade.steps() {
             let t0 = Instant::now();
-            // Per-column state from the steps executed so far
-            // (recomputed once per step, so every step sees the
+            // Each column's best confidence from the steps executed so
+            // far (recomputed once per step, so every step sees the
             // freshest cross-column context).
-            let states: Vec<ColumnState> = per_column
-                .iter()
-                .map(|steps| ColumnState {
-                    best_so_far: best_so_far(steps),
-                })
-                .collect();
+            let best: Vec<f64> = per_column.iter().map(|steps| best_so_far(steps)).collect();
             let ctx_for = |ci: usize| StepContext {
                 table,
                 col_idx: ci,
                 normalized_headers: &normalized,
-                best_so_far: states[ci].best_so_far,
+                best_so_far: best[ci],
                 global,
                 local,
                 config,
-                column_states: &states,
             };
 
             // Degradation gate 1: an exhausted ledger drops the whole
@@ -277,11 +277,7 @@ impl CascadeExecutor {
             // one-record-per-step schema) with zero columns/chunks.
             if let Some(b) = degrade {
                 if b.ledger.exhausted() {
-                    let pending = states
-                        .iter()
-                        .enumerate()
-                        .filter(|(ci, _)| !step.skip(&ctx_for(*ci)))
-                        .count();
+                    let pending = (0..n).filter(|&ci| !step.skip(&ctx_for(ci))).count();
                     if pending > 0 {
                         skipped.push(SkippedStep {
                             step: step.id(),
@@ -396,25 +392,26 @@ impl CascadeExecutor {
             }
 
             // Phase 2: run the uncached frontier in chunks, inline or
-            // column-parallel. A split step with a global-part store
-            // runs only its combine on a column whose global half is
-            // stored, and stores the halves it computes.
+            // column-parallel: a step without a split by `run`, a split
+            // step by the combine of each column's global half, read
+            // from the global-part store when it holds the half.
             let global_hits = AtomicUsize::new(0);
-            let run = match frontier.first() {
-                None => FrontierRun::default(),
-                Some(&first) => {
+            let run = match (frontier.first(), step.split()) {
+                (None, _) => FrontierRun::default(),
+                (Some(_), None) => self.run_frontier(&frontier, &|ci| step.run(&ctx_for(ci))),
+                (Some(&first), Some(split)) => {
                     // Built once per (step, table) and shared by
                     // reference across every chunk, including chunks
                     // on other worker threads, so a step's table-level
-                    // setup is paid once however the frontier is split.
-                    let ctx = ctx_for(first);
-                    let score = match (step.split(), &parts) {
-                        (Some(split), Some((store, keys))) => {
-                            split_scorer(split, ctx, step.id(), store, keys, &global_hits)
-                        }
-                        _ => step.scorer(ctx),
-                    };
-                    self.run_frontier(&frontier, &*score)
+                    // work is paid once however the frontier is split.
+                    let score = split_scorer(
+                        split,
+                        ctx_for(first),
+                        step.id(),
+                        parts.as_ref(),
+                        &global_hits,
+                    );
+                    self.run_frontier(&frontier, &score)
                 }
             };
 
@@ -525,23 +522,26 @@ impl CascadeExecutor {
     }
 }
 
-/// The scorer of a split step over a store of global halves: a column
-/// whose half `store` holds under its key runs only the combine
-/// (counted in `global_hits`); any other computes its half, stores it,
-/// and combines it. Bit-identical to the step's own scorer by the
-/// [`SplitStep`] contract.
+/// A split step's scores for one table, by column index: the combine
+/// of the column's global half. With a store, a half the store holds
+/// under its key is read (counted in `global_hits`) and any other is
+/// computed and stored. Without one (no cache, a bypassed one, or a
+/// cache that owns no store), every half is computed. Equal to the
+/// step's `run` on each column by the [`SplitStep`] contract.
 fn split_scorer<'a>(
     split: &'a dyn SplitStep,
     ctx: StepContext<'a>,
     step: StepId,
-    store: &'a GlobalPartStore,
-    keys: &'a GlobalPartKeys<'a>,
+    parts: Option<&'a (&'a GlobalPartStore, GlobalPartKeys<'a>)>,
     global_hits: &'a AtomicUsize,
-) -> Box<dyn Fn(usize) -> StepScores + Sync + 'a> {
+) -> impl Fn(usize) -> StepScores + Sync + 'a {
     let global = split.global_half(ctx);
     let combine = split.combine(ctx);
     let neighbor_headers = split.reads_neighbor_headers();
-    Box::new(move |ci| {
+    move |ci| {
+        let Some((store, keys)) = parts else {
+            return combine(ci, &global(ci));
+        };
         let key = keys.key(ci, step, neighbor_headers);
         let part = match store.get(&key) {
             Some(part) => {
@@ -555,7 +555,7 @@ fn split_scorer<'a>(
             }
         };
         combine(ci, &part)
-    })
+    }
 }
 
 /// What one [`CascadeExecutor::run_frontier`] call produced: the

@@ -93,8 +93,8 @@ pub use request::{
 };
 pub use service::{AnnotationService, BoundedQueue, LaneLedger, QueueRejection, TrafficLane};
 pub use step::{
-    AnnotationStep, CacheScope, ColumnState, EmbeddingStep, GlobalPart, HeaderStep, LookupStep,
-    RegexOnlyStep, SplitStep, StepContext,
+    AnnotationStep, CacheScope, EmbeddingStep, GlobalPart, HeaderStep, LookupStep, RegexOnlyStep,
+    SplitStep, StepContext,
 };
 pub use system::{CustomTypeError, SigmaTyper, SigmaTyperBuilder};
 pub use tenant::{

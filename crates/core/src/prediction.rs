@@ -196,14 +196,13 @@ pub struct StepTiming {
     /// [`CascadeExecutor`](crate::executor::CascadeExecutor)).
     pub chunks: usize,
     /// Nanoseconds spent *inside* the step's chunks, scoring their
-    /// columns through the step's [`scorer`], summed across chunks —
-    /// a CPU-time proxy that leaves out building the scorer. On the column-parallel
-    /// path this exceeds the step's share of the wall-clock [`nanos`],
-    /// and the ratio `parallel_nanos / nanos` approximates the
-    /// intra-table speedup; the cost-aware-ordering roadmap item keys
-    /// off this field.
+    /// columns, summed across chunks — a CPU-time proxy that leaves out
+    /// building a split step's halves. On the column-parallel path this
+    /// exceeds the step's share of the wall-clock [`nanos`], and the
+    /// ratio `parallel_nanos / nanos` approximates the intra-table
+    /// speedup. The [`CostModel`](crate::cost::CostModel) takes this
+    /// field over `columns` as the step's cost per column.
     ///
-    /// [`scorer`]: crate::step::AnnotationStep::scorer
     /// [`nanos`]: StepTiming::nanos
     pub parallel_nanos: u128,
     /// Columns answered by reusing the *base crawl's* cached scores on

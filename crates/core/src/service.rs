@@ -46,8 +46,8 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 use tu_table::Table;
 
-/// The two production traffic classes of the serving front-end
-/// (ROADMAP item 5's two-lane scheduling): latency-sensitive
+/// The two production traffic classes of the serving front-end, each
+/// scheduled in a lane of its own: latency-sensitive
 /// interactive requests and throughput-oriented background crawls.
 /// Under load the **crawl lane degrades first** — it gets the tighter
 /// budget window and the earlier admission cutoff.

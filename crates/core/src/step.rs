@@ -21,21 +21,6 @@ use tu_dp::{LabelingFunction, LfSource};
 use tu_ontology::TypeId;
 use tu_table::{Column, Table};
 
-/// One column's cascade state at the current step: the quantities that
-/// vary per column while everything else in a [`StepContext`] is shared
-/// across the whole table.
-///
-/// The [`CascadeExecutor`](crate::executor::CascadeExecutor) recomputes
-/// one `ColumnState` per column before each step and exposes the full
-/// slice through [`StepContext::column_states`], which is what lets
-/// [`AnnotationStep::scorer`] derive exact per-column contexts via
-/// [`StepContext::for_column`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ColumnState {
-    /// Best confidence any earlier step achieved for this column.
-    pub best_so_far: f64,
-}
-
 /// Everything a step may consult when scoring one column.
 ///
 /// Borrowed per column per step by the cascade; steps must treat it as
@@ -57,12 +42,6 @@ pub struct StepContext<'a> {
     pub local: &'a LocalModel,
     /// The active configuration.
     pub config: &'a SigmaTyperConfig,
-    /// Per-column cascade state for *every* column of the table at
-    /// this step, indexed by column. The executor always fills this;
-    /// hand-constructed contexts (the fields are public for testing
-    /// custom steps) may leave it empty, in which case
-    /// [`StepContext::for_column`] falls back to a default state.
-    pub column_states: &'a [ColumnState],
 }
 
 impl<'a> StepContext<'a> {
@@ -96,45 +75,25 @@ impl<'a> StepContext<'a> {
     pub fn normalized_header(&self) -> &'a str {
         &self.normalized_headers[self.col_idx]
     }
-
-    /// Raw headers of the *other* columns — the neighbor context the
-    /// embedding step encodes.
-    #[must_use]
-    pub fn neighbor_headers(&self) -> Vec<&'a str> {
-        self.table
-            .columns()
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != self.col_idx)
-            .map(|(_, c)| c.name.as_str())
-            .collect()
-    }
-
-    /// The same table-level context re-focused on a sibling column:
-    /// everything shared stays shared, while `col_idx` and
-    /// `best_so_far` are taken from [`StepContext::column_states`].
-    /// This is how the default [`AnnotationStep::scorer`] derives the
-    /// exact per-column context the executor would have built.
-    ///
-    /// Hand-constructed contexts with an empty `column_states` slice
-    /// fall back to [`ColumnState::default`] (no prior confidence) for
-    /// columns the slice does not cover.
-    #[must_use]
-    pub fn for_column(&self, col_idx: usize) -> StepContext<'a> {
-        let state = self.column_states.get(col_idx).copied().unwrap_or_default();
-        StepContext {
-            col_idx,
-            best_so_far: state.best_so_far,
-            ..*self
-        }
-    }
 }
 
 /// One pluggable stage of the annotation cascade.
 ///
+/// A step implements [`id`](AnnotationStep::id),
+/// [`name`](AnnotationStep::name) and [`run`](AnnotationStep::run), and
+/// may override [`skip`](AnnotationStep::skip),
+/// [`split`](AnnotationStep::split),
+/// [`cache_scope`](AnnotationStep::cache_scope) and
+/// [`sensitivity_factor`](AnnotationStep::sensitivity_factor). The
+/// [`CascadeExecutor`](crate::executor::CascadeExecutor) scores a column
+/// the cache does not answer in one of two ways: a step without a split
+/// by `run` on the column's context, a split step by the combine of the
+/// column's global half (see [`SplitStep`]).
+///
 /// Implementations must be deterministic and read-only: `run` is called
 /// from multiple [`AnnotationService`](crate::service::AnnotationService)
-/// worker threads against one shared instance (hence `Send + Sync`).
+/// worker threads and column-parallel chunks against one shared
+/// instance (hence `Send + Sync`).
 pub trait AnnotationStep: std::fmt::Debug + Send + Sync {
     /// Stable identity of this step, used in [`ColumnAnnotation::steps_run`],
     /// vote weighting, telemetry, and builder addressing. Custom steps
@@ -162,53 +121,19 @@ pub trait AnnotationStep: std::fmt::Debug + Send + Sync {
     /// nothing" from "skipped").
     fn run(&self, ctx: &StepContext<'_>) -> StepScores;
 
-    /// Build this step's scorer for one table: a closure the
-    /// [`CascadeExecutor`](crate::executor::CascadeExecutor) calls once
-    /// per pending column, by column index, on whichever worker thread
-    /// runs that column's chunk.
-    ///
-    /// The executor calls `scorer` once per `(step, table)` with a
-    /// non-empty frontier, on the context of the frontier's first
-    /// column, and shares the closure by reference across every chunk
-    /// (hence `Sync`). That makes this the place for table-level setup
-    /// a step wants paid once rather than once per column: compute it
-    /// here and move it into the closure. (With a global-part store,
-    /// the executor builds a split step's two halves the same way
-    /// instead; see [`split`](AnnotationStep::split).) The built-in
-    /// [`EmbeddingStep`]'s halves encode each header once per table
-    /// instead of once per `(column, neighbor)` pair, and featurize
-    /// each column once for both of its heads.
-    ///
-    /// The default runs [`run`](AnnotationStep::run) on
-    /// [`ctx.for_column(ci)`](StepContext::for_column), or, for a step
-    /// with a [`split`](AnnotationStep::split), builds both halves once
-    /// for the table and combines each column's global half. An
-    /// override **must** return, for every column, exactly what `run`
-    /// returns, in whatever order and on whatever thread the columns
-    /// are scored; the golden-equivalence suite
-    /// (`tests/golden_cascade.rs`) holds the built-ins to it.
-    fn scorer<'a>(&'a self, ctx: StepContext<'a>) -> Box<dyn Fn(usize) -> StepScores + Sync + 'a> {
-        match self.split() {
-            Some(split) => {
-                let global = split.global_half(ctx);
-                let combine = split.combine(ctx);
-                Box::new(move |ci| combine(ci, &global(ci)))
-            }
-            None => Box::new(move |ci| self.run(&ctx.for_column(ci))),
-        }
-    }
-
     /// This step's split into a customer-independent global half and a
     /// local combine (see [`SplitStep`]), or `None` — the default — for
-    /// a step that is not split. The built-in [`LookupStep`] and
-    /// [`EmbeddingStep`] are split.
+    /// a step the executor scores by [`run`](AnnotationStep::run). The
+    /// built-in [`LookupStep`] and [`EmbeddingStep`] are split.
     ///
-    /// With a step cache that owns a
+    /// The executor scores a split step's columns by building both
+    /// halves once per table and combining each column's global half,
+    /// so a split is where a step puts table-level work it wants paid
+    /// once rather than once per column. With a step cache that owns a
     /// [`GlobalPartStore`](crate::cache::GlobalPartStore), the executor
-    /// keeps the global halves of a split step there and, on a column
-    /// whose cached scores it cannot use (a feedback moved the epoch,
-    /// say), runs only the combine when the column's global half is
-    /// stored. A step without a split runs as it always has.
+    /// keeps the global halves there and, on a column whose cached
+    /// scores it cannot use (a feedback moved the epoch, say), runs
+    /// only the combine when the column's global half is stored.
     ///
     /// A split must keep the answers bit-identical: for every column,
     /// the combine of its global half — fresh, or stored long before by
@@ -253,18 +178,19 @@ pub trait AnnotationStep: std::fmt::Debug + Send + Sync {
 /// Both scopes share the cache's LRU, disk tier and compaction; they
 /// differ in what the key hashes, and so in what retires an entry.
 ///
-/// A [split](AnnotationStep::split) step has a third kind of entry
-/// besides its scores: the global half of a column, kept in the cache's
-/// in-memory [`GlobalPartStore`](crate::cache::GlobalPartStore) under a
-/// key of the column's content, the config and the global model's
-/// identity in the process (plus the other columns' headers for a half
-/// that reads them) — no epoch, table name or customer. Nothing but
+/// A column whose scores miss under either scope is scored as the step
+/// is: by [`run`](AnnotationStep::run), or, for a
+/// [split](AnnotationStep::split) step, by the combine of its global
+/// half, and the scores are inserted under the step's scope. The global
+/// half is a third kind of entry, kept in the cache's in-memory
+/// [`GlobalPartStore`](crate::cache::GlobalPartStore) under a key of
+/// the column's content, the config and the global model's identity in
+/// the process (plus the other columns' headers for a half that reads
+/// them) — no epoch, table name or customer. A stored half spares the
+/// step the global work on a miss: only the combine runs. Nothing but
 /// eviction retires such an entry; a model mutated in place after
 /// training needs a cache of its own (see
-/// [Cache identity](GlobalModel#cache-identity)). When a column's scores
-/// miss under either scope, its stored global half still spares the
-/// step the global work: only the combine runs, and the scores are
-/// inserted under the step's scope as for any run.
+/// [Cache identity](GlobalModel#cache-identity)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheScope {
     /// The column's [`ColumnFingerprint`](crate::cache::ColumnFingerprint):
@@ -339,20 +265,27 @@ impl GlobalPart {
 /// the customer's state, leaves them valid. The combine reads the half
 /// and anything else in the [`StepContext`], the local model included.
 ///
-/// The contract is bit identity: for every column, in any order and on
-/// any thread, `combine(ci, &global_half(ci))` must equal
-/// [`AnnotationStep::run`] on [`ctx.for_column(ci)`](StepContext::for_column),
-/// whether the half was just computed or stored by another customer
-/// long before. Two steps that share a [`StepId`] on one cache must
-/// compute the same global halves: the key names the step by its id.
+/// The contract is bit identity: for every column `ci`, in any order
+/// and on any thread, `combine(ci, &global_half(ci))` must equal
+/// [`AnnotationStep::run`] on the context of column `ci`, whether the
+/// half was just computed or stored by another customer long before.
+/// Two steps that share a [`StepId`] on one cache must compute the same
+/// global halves: the key names the step by its id.
+///
+/// The executor builds both closures once per `(step, table)` with
+/// uncached columns, on the context of the first such column, and
+/// shares them by reference across every chunk, on whichever worker
+/// thread runs it (hence `Sync`). Neither closure may read that
+/// context's `col_idx` or `best_so_far`: the column is its argument.
 pub trait SplitStep: Send + Sync {
     /// Whether the global half reads the other columns' raw headers,
     /// so their keys hash them (the embedding step's neighbor context).
     fn reads_neighbor_headers(&self) -> bool;
 
     /// Build the global half for one table: a closure from a column
-    /// index to that column's [`GlobalPart`], shared across chunks like
-    /// [`AnnotationStep::scorer`]'s.
+    /// index to that column's [`GlobalPart`]. Table-level work the half
+    /// needs, such as the embedding step's header vectors, is paid here
+    /// once per table.
     fn global_half<'a>(
         &'a self,
         ctx: StepContext<'a>,
@@ -360,7 +293,7 @@ pub trait SplitStep: Send + Sync {
 
     /// Build the local combine for one table: a closure from a column
     /// index and its global half to the step's scores.
-    #[allow(clippy::type_complexity)] // `scorer`'s closure, given the half too
+    #[allow(clippy::type_complexity)] // a scoring closure given the half too
     fn combine<'a>(
         &'a self,
         ctx: StepContext<'a>,
@@ -752,7 +685,6 @@ mod tests {
             global,
             local,
             config,
-            column_states: &[],
         }
     }
 
@@ -857,66 +789,6 @@ mod tests {
         assert!(EmbeddingStep.sensitivity_factor() > 1.0);
     }
 
-    /// Every built-in step's scorer must return, for each column, what
-    /// `run` returns on `for_column(ci)`, whatever order the columns
-    /// are scored in: the executor hands one scorer to every chunk.
-    #[test]
-    fn builtin_scorers_match_run_in_any_column_order() {
-        let g = global();
-        let mut local = LocalModel::new();
-        let config = SigmaTyperConfig::default();
-        let table = Table::new(
-            "t",
-            vec![
-                Column::from_raw("xq_1", &["ada@x.com", "bob@y.org", "eve@z.net"]),
-                Column::from_raw("xq_2", &["Oslo", "Lima", "Kyiv"]),
-                Column::from_raw("xq_3", &["21", "34", "57"]),
-                Column::from_raw("xq_4", &["lorem", "ipsum", "dolor"]),
-            ],
-        )
-        .unwrap();
-        let normalized: Vec<String> = table
-            .headers()
-            .iter()
-            .map(|h| tu_text::normalize_header(h))
-            .collect();
-        let states: Vec<ColumnState> = [0.1, 0.4, 0.0, 0.2]
-            .into_iter()
-            .map(|best_so_far| ColumnState { best_so_far })
-            .collect();
-        // Engage the finetuned-blend path of the embedding step too:
-        // the first admitted example creates the finetuned model.
-        let example = Table::new(
-            "contacts",
-            vec![
-                Column::from_raw("name", &["Ada", "Bob"]),
-                Column::from_raw("contact", &["20000001", "20000002"]),
-            ],
-        )
-        .unwrap();
-        local.add_training(&g.embedding, &example, 1, TypeId(2));
-        assert!(local.finetuned.is_some());
-        let steps: [&dyn AnnotationStep; 4] =
-            [&HeaderStep, &LookupStep, &EmbeddingStep, &RegexOnlyStep];
-        for step in steps {
-            let mut ctx = ctx_for(&table, 2, &normalized, &g, &local, &config);
-            ctx.column_states = &states;
-            let expected: Vec<StepScores> =
-                (0..4).map(|ci| step.run(&ctx.for_column(ci))).collect();
-            let score = step.scorer(ctx);
-            for order in [[0, 1, 2, 3], [3, 1, 0, 2], [2, 2, 0, 3]] {
-                for ci in order {
-                    assert_eq!(
-                        score(ci),
-                        expected[ci],
-                        "{}: column {ci} in order {order:?}",
-                        step.name()
-                    );
-                }
-            }
-        }
-    }
-
     /// Each split step's combine of a column's global half equals `run`
     /// on that column, and `run` equals the unsplit computation
     /// (`lookup_weighted` over both LF banks under `Wg`; both heads'
@@ -981,7 +853,7 @@ mod tests {
                     for order in &orders {
                         for &ci in order {
                             let half = halves[ci].as_ref().expect("every half computed");
-                            let run = step.run(&ctx.for_column(ci));
+                            let run = step.run(&StepContext { col_idx: ci, ..ctx });
                             assert_eq!(combine(ci, half), run, "{}: column {ci}", step.name());
                             let column = table.column(ci).expect("column in range");
                             let header = normalized[ci].as_str();
@@ -999,7 +871,10 @@ mod tests {
                                     &|t| local.wg(t, header),
                                 )
                             } else {
-                                let neighbors = ctx.for_column(ci).neighbor_headers();
+                                let neighbors: Vec<&str> = (0..n)
+                                    .filter(|&j| j != ci)
+                                    .map(|j| table.columns()[j].name.as_str())
+                                    .collect();
                                 let global_scores = g.embedding.predict(column, &neighbors);
                                 match &local.finetuned {
                                     Some(model) => blend(
@@ -1020,9 +895,10 @@ mod tests {
     }
 
     /// The finetuned model `add_training` clones shares the global
-    /// featurizer, so the scorer featurizes each column once for both
+    /// featurizer, so the step featurizes each column once for both
     /// heads; a finetuned model assigned with a featurizer of its own
-    /// is still featurized through that one, as `run` does.
+    /// is still featurized through that one, by `run` and by halves
+    /// built once for the whole table, as the executor builds them.
     #[test]
     fn embedding_scorer_featurizes_through_each_heads_own_featurizer() {
         let g = global();
@@ -1064,7 +940,8 @@ mod tests {
             local.record_feedback(TypeId(ty as u16));
         }
         let ctx = ctx_for(&table, 0, &normalized, &g, &local, &config);
-        let score = EmbeddingStep.scorer(ctx);
+        let (global_half, combine) = (EmbeddingStep.global_half(ctx), EmbeddingStep.combine(ctx));
+        let score = |ci| combine(ci, &global_half(ci));
         let mut differs = false;
         for (ci, column) in table.columns().iter().enumerate() {
             let neighbors: Vec<&str> = headers
@@ -1083,7 +960,7 @@ mod tests {
             assert_eq!(score(ci), expected, "column {ci}");
             assert_eq!(
                 score(ci),
-                EmbeddingStep.run(&ctx.for_column(ci)),
+                EmbeddingStep.run(&StepContext { col_idx: ci, ..ctx }),
                 "column {ci}"
             );
             // Scoring the assigned head on the global featurizer's
@@ -1101,33 +978,7 @@ mod tests {
     }
 
     #[test]
-    fn for_column_refocuses_shared_context() {
-        let g = global();
-        let local = LocalModel::new();
-        let config = SigmaTyperConfig::default();
-        let table = Table::new(
-            "t",
-            vec![Column::from_raw("a", &["1"]), Column::from_raw("b", &["2"])],
-        )
-        .unwrap();
-        let normalized = vec!["a".to_owned(), "b".to_owned()];
-        let states = vec![
-            ColumnState { best_so_far: 0.9 },
-            ColumnState { best_so_far: 0.2 },
-        ];
-        let mut ctx = ctx_for(&table, 0, &normalized, &g, &local, &config);
-        ctx.column_states = &states;
-        let sibling = ctx.for_column(1);
-        assert_eq!(sibling.col_idx, 1);
-        assert_eq!(sibling.header(), "b");
-        assert!((sibling.best_so_far - 0.2).abs() < f64::EPSILON);
-        // Out-of-range / empty column_states fall back to the default.
-        let bare = ctx_for(&table, 0, &normalized, &g, &local, &config);
-        assert_eq!(bare.for_column(1).best_so_far, 0.0);
-    }
-
-    #[test]
-    fn context_neighbor_accessors_exclude_self() {
+    fn context_accessors_read_the_scored_column() {
         let g = global();
         let local = LocalModel::new();
         let config = SigmaTyperConfig::default();
@@ -1141,9 +992,9 @@ mod tests {
         )
         .unwrap();
         let normalized = vec!["a".to_owned(), "b".to_owned(), "c".to_owned()];
-        let ctx = ctx_for(&table, 0, &normalized, &g, &local, &config);
-        assert_eq!(ctx.header(), "a");
-        assert_eq!(ctx.normalized_header(), "a");
-        assert_eq!(ctx.neighbor_headers(), vec!["b", "c"]);
+        let ctx = ctx_for(&table, 1, &normalized, &g, &local, &config);
+        assert_eq!(ctx.header(), "b");
+        assert_eq!(ctx.normalized_header(), "b");
+        assert_eq!(ctx.column().values, table.columns()[1].values);
     }
 }

@@ -1,9 +1,7 @@
 //! The SigmaTyper orchestrator: cascade, aggregation, and adaptation.
 
 use crate::aggregate::{apply_tau, soft_majority_vote_with};
-use crate::cache::{
-    recrawl_fingerprints, CacheContext, ColumnFingerprint, ShardedLruCache, StepCache,
-};
+use crate::cache::{recrawl_fingerprints, CacheContext, ShardedLruCache, StepCache};
 use crate::cascade::Cascade;
 use crate::config::SigmaTyperConfig;
 use crate::cost::CostModel;
@@ -583,15 +581,8 @@ impl SigmaTyper {
         // executor the new content hashes, the base fingerprints and
         // per-column movements for the sensitivity-gated reuse path.
         // A shape change (column count) diffs to `None` and falls back
-        // to a full recompute. Owned backing for the borrowed
-        // `DeltaContext` handed to the executor below.
-        struct DeltaData {
-            content_hashes: Vec<[u64; 2]>,
-            base_fingerprints: Vec<ColumnFingerprint>,
-            movements: Vec<f64>,
-            sensitivity: f64,
-        }
-        let delta_data: Option<DeltaData> = match (base, cache_ctx) {
+        // to a full recompute.
+        let delta: Option<DeltaContext> = match (base, cache_ctx) {
             (Some(base), Some(cc)) => TableDelta::between(base, table).map(|table_delta| {
                 let step_ids = self.cascade.step_ids();
                 let (base_fingerprints, content_hashes) =
@@ -600,7 +591,7 @@ impl SigmaTyper {
                     .delta_sensitivity
                     .unwrap_or(config.delta_sensitivity)
                     .max(0.0);
-                DeltaData {
+                DeltaContext {
                     content_hashes,
                     base_fingerprints,
                     movements: table_delta.movements(),
@@ -609,12 +600,6 @@ impl SigmaTyper {
             }),
             _ => None,
         };
-        let delta_ctx = delta_data.as_ref().map(|d| DeltaContext {
-            content_hashes: &d.content_hashes,
-            base_fingerprints: &d.base_fingerprints,
-            movements: &d.movements,
-            sensitivity: d.sensitivity,
-        });
         let budgeted = executor.run_budgeted(
             &self.cascade,
             table,
@@ -627,7 +612,7 @@ impl SigmaTyper {
                 policy,
                 cost: &self.cost,
             }),
-            delta_ctx,
+            delta.as_ref(),
         );
         let (per_column, timings) = budgeted.trace;
 
@@ -848,7 +833,8 @@ mod tests {
     use crate::config::TrainingConfig;
     use crate::global::train_global;
     use crate::prediction::Step;
-    use crate::step::{RegexOnlyStep, StepContext};
+    use crate::step::{GlobalPart, RegexOnlyStep, SplitStep, StepContext};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use tu_corpus::{generate_corpus, CorpusConfig};
     use tu_ontology::{builtin_id, builtin_ontology};
     use tu_table::Column;
@@ -1857,59 +1843,100 @@ mod tests {
         }
     }
 
-    /// A step that counts how often its per-table scorer is built and
-    /// how many columns that scorer scored.
-    #[derive(Debug)]
-    struct ScorerCountingStep {
-        scorers: Arc<std::sync::atomic::AtomicUsize>,
-        columns: Arc<std::sync::atomic::AtomicUsize>,
+    /// Builds of a split step's two halves and the per-column calls of
+    /// each.
+    #[derive(Debug, Default)]
+    struct HalfCounts {
+        global_builds: AtomicUsize,
+        halves: AtomicUsize,
+        combine_builds: AtomicUsize,
+        combines: AtomicUsize,
     }
 
-    impl AnnotationStep for ScorerCountingStep {
+    impl HalfCounts {
+        fn get(&self) -> [usize; 4] {
+            [
+                &self.global_builds,
+                &self.halves,
+                &self.combine_builds,
+                &self.combines,
+            ]
+            .map(|c| c.load(Ordering::Relaxed))
+        }
+    }
+
+    /// A split step that counts its halves in [`HalfCounts`] and
+    /// scores a column by its header's length.
+    #[derive(Debug)]
+    struct CountingSplitStep(Arc<HalfCounts>);
+
+    fn header_length_scores(column: &Column) -> StepScores {
+        StepScores::from_candidates(vec![Candidate {
+            ty: TypeId(2),
+            confidence: 1.0 / (1.0 + column.name.len() as f64),
+        }])
+    }
+
+    impl AnnotationStep for CountingSplitStep {
         fn id(&self) -> StepId {
             StepId::custom(5)
         }
 
         fn name(&self) -> &str {
-            "scorer-counter"
+            "split-counter"
         }
 
         fn skip(&self, _ctx: &StepContext<'_>) -> bool {
             false
         }
 
-        fn run(&self, _ctx: &StepContext<'_>) -> StepScores {
-            StepScores::default()
+        fn run(&self, ctx: &StepContext<'_>) -> StepScores {
+            header_length_scores(ctx.column())
         }
 
-        fn scorer<'a>(
+        fn split(&self) -> Option<&dyn SplitStep> {
+            Some(self)
+        }
+    }
+
+    impl SplitStep for CountingSplitStep {
+        fn reads_neighbor_headers(&self) -> bool {
+            false
+        }
+
+        fn global_half<'a>(
             &'a self,
             ctx: StepContext<'a>,
-        ) -> Box<dyn Fn(usize) -> StepScores + Sync + 'a> {
-            self.scorers
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        ) -> Box<dyn Fn(usize) -> GlobalPart + Sync + 'a> {
+            self.0.global_builds.fetch_add(1, Ordering::Relaxed);
             Box::new(move |ci| {
-                self.columns
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                self.run(&ctx.for_column(ci))
+                self.0.halves.fetch_add(1, Ordering::Relaxed);
+                GlobalPart {
+                    scores: header_length_scores(&ctx.table.columns()[ci]),
+                    features: Vec::new(),
+                }
+            })
+        }
+
+        fn combine<'a>(
+            &'a self,
+            _ctx: StepContext<'a>,
+        ) -> Box<dyn Fn(usize, &GlobalPart) -> StepScores + Sync + 'a> {
+            self.0.combine_builds.fetch_add(1, Ordering::Relaxed);
+            Box::new(move |_, part| {
+                self.0.combines.fetch_add(1, Ordering::Relaxed);
+                part.scores.clone()
             })
         }
     }
 
-    /// The executor must build a step's scorer once per (step, table)
-    /// and share it across *all* chunks — including column-parallel
-    /// ones — instead of once per chunk, and call it once per column.
+    /// The executor builds a split step's two halves once per (step,
+    /// table) and shares them across *all* chunks — including
+    /// column-parallel ones — instead of once per chunk, calling each
+    /// once per column. On a cache, after the epoch moved, every column
+    /// finds its stored half and runs only the combine.
     #[test]
-    fn scorer_is_built_once_per_table_across_chunks() {
-        let scorers = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let columns = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let typer = SigmaTyper::builder(shared_global())
-            .step(ScorerCountingStep {
-                scorers: Arc::clone(&scorers),
-                columns: Arc::clone(&columns),
-            })
-            .column_threads(3)
-            .build();
+    fn split_halves_are_built_once_per_table_across_chunks() {
         let table = Table::new(
             "t",
             (0..12)
@@ -1917,23 +1944,42 @@ mod tests {
                 .collect(),
         )
         .unwrap();
-        let annotation = typer.annotate(&table);
-        let timing = annotation
-            .timings
-            .iter()
-            .find(|t| t.step == StepId::custom(5))
-            .expect("the counting step's timing");
+        let typer = |counts: &Arc<HalfCounts>| {
+            SigmaTyper::builder(shared_global())
+                .step(CountingSplitStep(Arc::clone(counts)))
+                .column_threads(3)
+        };
+        let timing = |annotation: &TableAnnotation| {
+            let timing = annotation
+                .timings
+                .iter()
+                .find(|t| t.step == StepId::custom(5));
+            let timing = timing.expect("the counting step's timing");
+            (timing.columns, timing.chunks, timing.global_hits)
+        };
+
+        let plain_counts = Arc::new(HalfCounts::default());
+        let plain = typer(&plain_counts).build();
+        let want = plain.annotate(&table);
         assert_eq!(
-            timing.chunks, 3,
-            "12 columns on a 3-thread budget are 3 chunks"
+            timing(&want),
+            (12, 3, 0),
+            "12 columns on 3 threads are 3 chunks"
         );
-        let count =
-            |c: &std::sync::atomic::AtomicUsize| c.load(std::sync::atomic::Ordering::Relaxed);
-        assert_eq!(count(&scorers), 1, "one scorer per table");
-        assert_eq!(count(&columns), 12, "one scorer call per column");
-        // A second table builds its own scorer exactly once more.
-        let _ = typer.annotate(&table);
-        assert_eq!((count(&scorers), count(&columns)), (2, 24));
+        assert_eq!(plain_counts.get(), [1, 12, 1, 12]);
+        // A second table builds its own halves exactly once more.
+        let _ = plain.annotate(&table);
+        assert_eq!(plain_counts.get(), [2, 24, 2, 24]);
+
+        let counts = Arc::new(HalfCounts::default());
+        let mut cached = typer(&counts).cached(1 << 12).build();
+        assert_same_annotation(&want, &cached.annotate(&table));
+        assert_eq!(counts.get(), [1, 12, 1, 12]);
+        cached.invalidate_cache();
+        let got = cached.annotate(&table);
+        assert_same_annotation(&want, &got);
+        assert_eq!(timing(&got), (12, 3, 12), "every half is a global hit");
+        assert_eq!(counts.get(), [2, 12, 2, 24], "no half computed again");
     }
 
     /// The one column-parallel rule, end to end through `annotate`: a

@@ -1,6 +1,6 @@
 //! Multi-tenant traffic shaping: per-tenant spend accounting with
 //! configurable fairness weights and a weighted deficit-style
-//! scheduler (ROADMAP item 5c).
+//! scheduler.
 //!
 //! The paper's deployment serves **many customers** from one shared
 //! engine; nothing in PRs 5–9 stopped a single abusive tenant from

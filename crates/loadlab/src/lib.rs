@@ -1,9 +1,9 @@
 //! # tu-loadlab
 //!
 //! The load lab: a **replayable workload harness** for the annotation
-//! stack, closing the loop on ROADMAP item 5 — once per-tenant traffic
-//! shaping exists, its fairness claims need an instrument that can
-//! reproduce the traffic that stresses them.
+//! stack, closing the loop on per-tenant traffic shaping: its fairness
+//! claims need an instrument that can reproduce the traffic that
+//! stresses them.
 //!
 //! Three pieces:
 //!

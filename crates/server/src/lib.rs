@@ -1,8 +1,8 @@
 //! Long-running HTTP/1.1 + JSON annotation server over the SigmaTyper
 //! sync core — the front-end that turns the engine of PRs 1–6 into the
 //! paper's actual deployment shape: one shared global model serving
-//! live traffic (§4), with the two-lane budgets of ROADMAP item 5 at
-//! the door.
+//! live traffic (§4), with the two-lane budgets (interactive and crawl)
+//! at the door.
 //!
 //! # Architecture
 //!

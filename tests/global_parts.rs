@@ -8,10 +8,12 @@
 //! given the same events answers.
 
 use sigmatyper::{
-    train_embedding_model, train_global, AnnotationStep, CacheContext, Cascade, CascadeExecutor,
-    GlobalModel, GlobalPartStats, LocalModel, ShardedLruCache, SigmaTyper, SigmaTyperConfig,
-    StepCache, StepContext, StepId, StepScores, TableAnnotation, TrainingConfig,
+    train_embedding_model, train_global, AnnotationRequest, AnnotationStep, CacheContext, Cascade,
+    CascadeExecutor, DiskCache, GlobalModel, GlobalPartStats, LocalModel, ShardedLruCache,
+    SigmaTyper, SigmaTyperConfig, StepCache, StepContext, StepId, StepScores, TableAnnotation,
+    TrainingConfig,
 };
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use tu_corpus::{generate_corpus, CorpusConfig, GenParams};
@@ -320,6 +322,94 @@ fn corrections_in_rotation_rerun_only_the_combine() {
         plain.feedback(t, col, labels[col], None);
     }
     assert!(rehits > 0);
+}
+
+/// A throwaway directory under the system temp dir, removed on drop.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(tag: &str) -> Scratch {
+        let nanos = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map_or(0, |d| d.as_nanos());
+        let dir = std::env::temp_dir().join(format!(
+            "sigmatyper-global-parts-{tag}-{}-{nanos}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        Scratch(dir)
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// (f) Split steps where no store serves the request: a customer on a
+/// standalone disk tier, whose `global_parts()` is the trait's `None`,
+/// and one whose every request bypasses its LRU cache. Fresh and after
+/// corrections, both compute every half, answer as an uncached
+/// customer, and count no global hit, and a bypassed request leaves
+/// the LRU's store — filled by another customer — as it found it.
+#[test]
+fn split_steps_without_a_store_compute_every_half() {
+    let g = global();
+    let tables = e_shaped_tables();
+    let dir = Scratch::new("disk");
+    let disk = DiskCache::open(&dir.0).expect("open the disk tier");
+    assert!(disk.global_parts().is_none());
+    let mut on_disk = SigmaTyper::builder(Arc::clone(&g))
+        .step_cache(Arc::new(disk) as Arc<dyn StepCache>)
+        .build();
+    let lru = Arc::new(ShardedLruCache::new(1 << 16));
+    let warm = cached_on(&g, &lru);
+    for (t, _) in &tables {
+        let _ = warm.annotate(t);
+    }
+    assert!(parts(&lru).entries > 0, "the store holds halves to read");
+    let mut bypassing = cached_on(&g, &lru);
+    let mut plain = uncached(&g);
+
+    let mut split_columns = 0;
+    for round in 0..=3 {
+        for (t, _) in &tables {
+            let want = plain.annotate(t);
+            let got = on_disk.annotate(t);
+            assert_same_annotation(&want, &got);
+            assert_eq!(split_counts(&got).map(|(_, hits)| hits), [0, 0]);
+            let before = parts(&lru);
+            let got = bypassing
+                .annotate_request(&AnnotationRequest::new(t).with_cache_bypassed())
+                .annotation;
+            assert_same_annotation(&want, &got);
+            assert_eq!(split_counts(&got).map(|(_, hits)| hits), [0, 0]);
+            assert_eq!(
+                parts(&lru),
+                before,
+                "round {round}: the store was consulted"
+            );
+            split_columns += split_counts(&got).iter().map(|(c, _)| c).sum::<usize>();
+        }
+        if round == 3 {
+            break;
+        }
+        // Correct the first labelled column of the next labelled table
+        // to its true type.
+        let (t, col, label) = tables
+            .iter()
+            .filter_map(|(t, labels)| {
+                let col = labels.iter().position(|l| !l.is_unknown())?;
+                Some((t, col, labels[col]))
+            })
+            .nth(round)
+            .expect("three labelled tables");
+        for typer in [&mut on_disk, &mut bypassing, &mut plain] {
+            typer.feedback(t, col, label, None);
+        }
+    }
+    assert!(split_columns > 0, "the split steps ran");
 }
 
 /// Four opaque headers, so every column walks on to the lookup step,
