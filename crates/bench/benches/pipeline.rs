@@ -12,6 +12,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tu_bench::BenchFixture;
+use tu_ml::Dataset;
 use tu_table::{Column, Table};
 
 /// Detected core count (1 when unknown).
@@ -1203,6 +1204,61 @@ fn bench_feedback(c: &mut Criterion) {
     }
 }
 
+/// The embedding head's own arithmetic at the shape a customer's local
+/// head has (`TrainingConfig::fast()`: 130 features, hidden 24, 79
+/// classes): one `partial_fit(.., 6)` over 64 featurized fixture
+/// columns with their true labels — the refit a 64th correction runs —
+/// and one forward pass. Each refit starts from a clone of the global
+/// head, as a customer's first local head does, so every iteration
+/// does the same work; a head trained on and on drifts into subnormal
+/// probabilities and moments, which no refit in serving reaches.
+fn bench_mlp(c: &mut Criterion) {
+    const ROWS: usize = 64;
+    let f = BenchFixture::new();
+    let model = &f.lab.global.embedding;
+    let (x, y): (Vec<Vec<f32>>, Vec<usize>) =
+        f.corpus
+            .tables
+            .iter()
+            .flat_map(|at| {
+                let headers = at.table.headers();
+                at.table.columns().iter().zip(&at.labels).enumerate().map(
+                    move |(ci, (col, label))| {
+                        let neighbors: Vec<&str> = headers
+                            .iter()
+                            .enumerate()
+                            .filter(|(i, _)| *i != ci)
+                            .map(|(_, h)| *h)
+                            .collect();
+                        (model.featurize(col, &neighbors), label.index())
+                    },
+                )
+            })
+            .take(ROWS)
+            .unzip();
+    assert_eq!(x.len(), ROWS, "the fixture has {ROWS} columns");
+    let rows = Dataset::new(x, y, model.n_classes());
+    let global_head = model.mlp();
+    let shape = (0..global_head.n_layers())
+        .map(|i| global_head.layer_params(i).0)
+        .map(|w| (w.rows, w.cols))
+        .collect::<Vec<_>>();
+    assert_eq!(shape, [(24, 130), (79, 24)], "the local head's shape");
+
+    let mut group = c.benchmark_group("pipeline/mlp");
+    group.bench_function("refit_64_rows", |b| {
+        b.iter(|| {
+            let mut head = global_head.clone();
+            head.partial_fit(black_box(&rows), 6);
+            head
+        })
+    });
+    group.bench_function("logits", |b| {
+        b.iter(|| global_head.logits(black_box(&rows.x[0])))
+    });
+    group.finish();
+}
+
 /// Crawl once; per step return `(name, columns_run, hits, inserts)`
 /// summed over the corpus.
 fn crawl_counts(
@@ -1237,6 +1293,7 @@ criterion_group!(
     bench_wire_decode,
     bench_server_roundtrip,
     bench_load_lab,
-    bench_feedback
+    bench_feedback,
+    bench_mlp
 );
 criterion_main!(benches);

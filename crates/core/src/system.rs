@@ -973,6 +973,45 @@ mod tests {
     }
 
     #[test]
+    fn feedback_on_huge_numbers_keeps_the_local_head_finite() {
+        // 160-digit ids read as floats near 1e159, whose squared
+        // deviations overflowed `num_std` to +inf; one refit on that
+        // row used to leave the finetuned head's weights NaN, after
+        // which it scored no candidate for any column.
+        let mut st = system();
+        let id = builtin_id(st.ontology(), "identifier");
+        let vals: Vec<String> = (1..=30)
+            .map(|i| format!("{i}{}", "3".repeat(159)))
+            .collect();
+        let huge = Table::new("ids", vec![Column::from_raw("id", &vals)]).unwrap();
+        st.feedback(&huge, 0, id, None);
+        let head = st
+            .local()
+            .finetuned
+            .as_ref()
+            .expect("feedback admitted a row");
+        for i in 0..head.mlp().n_layers() {
+            let (w, b) = head.mlp().layer_params(i);
+            assert!(
+                w.data().iter().chain(b).all(|v| v.is_finite()),
+                "layer {i} has a non-finite parameter"
+            );
+        }
+        let table = figure3_table();
+        let col = table.column(1).expect("income column");
+        assert!(!st
+            .global()
+            .embedding
+            .predict(col, &[])
+            .candidates
+            .is_empty());
+        assert!(
+            !head.predict(col, &[]).candidates.is_empty(),
+            "the local head must still score a normal column"
+        );
+    }
+
+    #[test]
     fn implicit_approval_grows_training() {
         let mut st = system();
         let table = figure3_table();

@@ -1,7 +1,7 @@
 //! Global column statistics (Sherlock's "global statistics" group).
 
 use std::fmt::Write as _;
-use tu_table::stats::{entropy_from_counts, first_seen_counts, mean, std_dev};
+use tu_table::stats::{entropy_from_counts, first_seen_counts, mean, mean_and_std, std_dev};
 use tu_table::{Column, DataType, Value};
 
 /// Number of features produced by [`global_features`].
@@ -135,7 +135,8 @@ pub(crate) fn global_features_into(column: &Column, rendered: &Rendered<'_>, out
 /// not finite. Its minimum is the first of the sorted copy and its
 /// maximum the last, and the sort is stable, so of values that compare
 /// equal (`0.0` and `-0.0`) the minimum is the first and the maximum
-/// the last in column order.
+/// the last in column order. Finite values give a finite mean and
+/// deviation (see [`mean_and_std`]).
 fn numeric_summary(column: &Column) -> (f64, f64, f64, f64) {
     let nums = || column.values.iter().filter_map(Value::as_f64);
     let mut count = 0usize;
@@ -155,9 +156,8 @@ fn numeric_summary(column: &Column) -> (f64, f64, f64, f64) {
     if count == 0 {
         return (0.0, 0.0, 0.0, 0.0);
     }
-    let mean = nums().sum::<f64>() / count as f64;
-    let var = nums().map(|v| (v - mean).powi(2)).sum::<f64>() / count as f64;
-    (mean, var.sqrt(), min, max)
+    let (mean, std) = mean_and_std(nums);
+    (mean, std, min, max)
 }
 
 /// Convenience: does the column parse mostly as `Value::Date`?
@@ -203,6 +203,43 @@ mod tests {
         let b = global_features(&Column::from_raw("b", &["100000", "200000"]));
         // Larger magnitudes must be visible in the slog features.
         assert!(b[11] > a[11]);
+    }
+
+    #[test]
+    fn huge_finite_numbers_give_finite_features() {
+        // A 160-digit id reads as a float near 1e159, whose squared
+        // deviations overflow; values near 1e308 overflow the sum too.
+        let id = |lead: char| format!("{lead}{}", "7".repeat(159));
+        let ids = [id('1'), id('3'), id('9')];
+        let ids: Vec<&str> = ids.iter().map(String::as_str).collect();
+        for vals in [
+            ids,
+            vec!["1e308", "1.5e308", "-1.7e308"],
+            vec!["1.7e308"; 4],
+        ] {
+            let c = Column::from_raw("c", &vals);
+            assert!(c
+                .values
+                .iter()
+                .all(|v| v.as_f64().is_some_and(f64::is_finite)));
+            let (mean, std, min, max) = numeric_summary(&c);
+            assert!(mean.is_finite() && std.is_finite(), "{vals:?}");
+            assert!((min..=max).contains(&mean), "{vals:?}: mean {mean}");
+            assert!(
+                std <= (max - min) / 2.0 * (1.0 + 1e-9),
+                "{vals:?}: std {std}"
+            );
+            let f = global_features(&c);
+            assert!(f.iter().all(|v| v.is_finite()), "{vals:?} → {f:?}");
+        }
+        let (mean, std, _, _) =
+            numeric_summary(&Column::from_raw("c", &["1e300", "3e300", "-1e300"]));
+        // Deviations 0, 2e300 and -2e300.
+        assert!((mean / 1e300 - 1.0).abs() < 1e-12, "mean {mean}");
+        assert!(
+            (std / 1e300 - (8.0f64 / 3.0).sqrt()).abs() < 1e-12,
+            "std {std}"
+        );
     }
 
     #[test]

@@ -1,7 +1,17 @@
 //! Dense row-major f32 matrices — just enough linear algebra for the
 //! classifiers in this crate.
 
+/// Outputs [`Matrix::matvec_into`] scores per pass over the input: the
+/// column-major copy pads each column to a multiple of this, so every
+/// block is full.
+const LANES: usize = 8;
+
 /// A dense row-major matrix.
+///
+/// It also keeps its values column-major, each column padded with zeros
+/// to a multiple of 8 rows, for [`Matrix::matvec_into`].
+/// [`Matrix::update`] is the one writer and rebuilds that copy, so
+/// [`Matrix::data`] is the one set of values.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     /// Number of rows.
@@ -9,17 +19,16 @@ pub struct Matrix {
     /// Number of columns.
     pub cols: usize,
     data: Vec<f32>,
+    /// `data` column-major: entry `(r, c)` at `c * stride + r`, where
+    /// `stride` is `rows` rounded up to a multiple of [`LANES`].
+    by_col: Vec<f32>,
 }
 
 impl Matrix {
     /// All-zero matrix.
     #[must_use]
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Matrix {
-            rows,
-            cols,
-            data: vec![0.0; rows * cols],
-        }
+        Matrix::from_vec(rows, cols, vec![0.0; rows * cols])
     }
 
     /// Build from a function of `(row, col)`.
@@ -31,7 +40,7 @@ impl Matrix {
                 data.push(f(r, c));
             }
         }
-        Matrix { rows, cols, data }
+        Matrix::from_vec(rows, cols, data)
     }
 
     /// Build from a flat row-major vector.
@@ -41,7 +50,14 @@ impl Matrix {
     #[must_use]
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
         assert_eq!(data.len(), rows * cols, "shape mismatch");
-        Matrix { rows, cols, data }
+        let mut m = Matrix {
+            rows,
+            cols,
+            data,
+            by_col: vec![0.0; rows.next_multiple_of(LANES) * cols],
+        };
+        m.fill_by_col();
+        m
     }
 
     /// Element accessor.
@@ -52,13 +68,6 @@ impl Matrix {
         self.data[r * self.cols + c]
     }
 
-    /// Element mutator.
-    #[inline]
-    pub fn set(&mut self, r: usize, c: usize, v: f32) {
-        debug_assert!(r < self.rows && c < self.cols);
-        self.data[r * self.cols + c] = v;
-    }
-
     /// Row slice.
     #[inline]
     #[must_use]
@@ -66,34 +75,71 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Mutable row slice.
-    #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Flat data view.
+    /// Flat row-major data view.
     #[must_use]
     pub fn data(&self) -> &[f32] {
         &self.data
     }
 
-    /// Flat mutable data view.
-    pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
+    /// Write the matrix: `f` gets the flat row-major data, and the
+    /// column-major copy [`Matrix::matvec_into`] reads is rebuilt from
+    /// it afterwards. The only way to change a value.
+    pub fn update(&mut self, f: impl FnOnce(&mut [f32])) {
+        f(&mut self.data);
+        self.fill_by_col();
     }
 
-    /// `self · x` for a vector `x` (length `cols`), into `out` (length `rows`).
+    fn fill_by_col(&mut self) {
+        if self.cols == 0 {
+            return;
+        }
+        let stride = self.rows.next_multiple_of(LANES);
+        for (r, row) in self.data.chunks_exact(self.cols).enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                self.by_col[c * stride + r] = v;
+            }
+        }
+    }
+
+    /// `self · x` for a vector `x` (length `cols`), into `out` (length
+    /// `rows`).
+    ///
+    /// Each output is `row.iter().zip(x).map(|(a, b)| a * b).sum()` to
+    /// the bit: its own accumulator starts from `-0.0` (where
+    /// `Iterator::sum` starts for `f32`) and adds its row's products
+    /// left to right. Blocks of outputs share one pass over `x`, reading
+    /// the column-major copy, so the adds of a block run side by side
+    /// instead of one dependent add per element.
     ///
     /// # Panics
     /// Panics on dimension mismatch.
     pub fn matvec_into(&self, x: &[f32], out: &mut [f32]) {
         assert_eq!(x.len(), self.cols, "matvec dim");
         assert_eq!(out.len(), self.rows, "matvec out dim");
-        for (r, o) in out.iter_mut().enumerate() {
-            let row = self.row(r);
-            *o = row.iter().zip(x).map(|(a, b)| a * b).sum();
+        let stride = self.rows.next_multiple_of(LANES);
+        let mut r0 = 0;
+        while r0 + 2 * LANES <= stride {
+            self.block::<{ 2 * LANES }>(stride, r0, x, out);
+            r0 += 2 * LANES;
         }
+        if r0 < stride {
+            self.block::<LANES>(stride, r0, x, out);
+        }
+    }
+
+    /// Outputs `r0..r0 + W` of [`Matrix::matvec_into`] (those below
+    /// `rows`; the rest are padding).
+    #[inline(always)]
+    fn block<const W: usize>(&self, stride: usize, r0: usize, x: &[f32], out: &mut [f32]) {
+        let mut acc = [-0.0f32; W];
+        for (col, &xc) in self.by_col.chunks_exact(stride).zip(x) {
+            let col: &[f32; W] = col[r0..r0 + W].try_into().expect("block inside the column");
+            for (a, &w) in acc.iter_mut().zip(col) {
+                *a += w * xc;
+            }
+        }
+        let end = self.rows.min(r0 + W);
+        out[r0..end].copy_from_slice(&acc[..end - r0]);
     }
 
     /// `selfᵀ · x` for a vector `x` (length `rows`), into `out` (length `cols`).
@@ -154,7 +200,7 @@ mod tests {
     #[test]
     fn construction_and_access() {
         let mut m = Matrix::zeros(2, 3);
-        m.set(1, 2, 5.0);
+        m.update(|d| d[5] = 5.0);
         assert_eq!(m.get(1, 2), 5.0);
         assert_eq!(m.row(0), &[0.0, 0.0, 0.0]);
         let f = Matrix::from_fn(2, 2, |r, c| (r * 2 + c) as f32);

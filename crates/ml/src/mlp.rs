@@ -66,6 +66,52 @@ impl Layer {
             w,
         }
     }
+
+    /// `z = W·input + b`: the products summed first, then the bias.
+    fn affine(&self, input: &[f32], z: &mut [f32]) {
+        self.w.matvec_into(input, z);
+        for (zi, &bi) in z.iter_mut().zip(&self.b) {
+            *zi += bi;
+        }
+    }
+}
+
+fn relu_inplace(z: &mut [f32]) {
+    for v in z {
+        *v = v.max(0.0);
+    }
+}
+
+/// The buffers backprop writes, sized once per `fit` or `partial_fit`
+/// call and reused by every example and minibatch in it.
+struct Scratch {
+    /// Per layer: pre-activations, then the layer's error signal.
+    pre: Vec<Vec<f32>>,
+    /// Per hidden layer: ReLU outputs, the next layer's input.
+    post: Vec<Vec<f32>>,
+    /// `Wᵀ·delta` on its way to the layer below.
+    back: Vec<f32>,
+    /// Per layer: the minibatch's summed weight gradients, row-major.
+    gw: Vec<Vec<f32>>,
+    /// Per layer: the minibatch's summed bias gradients.
+    gb: Vec<Vec<f32>>,
+}
+
+impl Scratch {
+    fn new(mlp: &Mlp) -> Self {
+        let outs = || mlp.layers.iter().map(|l| vec![0.0; l.b.len()]);
+        Scratch {
+            pre: outs().collect(),
+            post: outs().take(mlp.layers.len() - 1).collect(),
+            back: Vec::new(),
+            gw: mlp
+                .layers
+                .iter()
+                .map(|l| vec![0.0; l.w.rows * l.w.cols])
+                .collect(),
+            gb: outs().collect(),
+        }
+    }
 }
 
 /// The classifier.
@@ -139,10 +185,22 @@ impl Mlp {
     }
 
     /// Raw logits for one input.
+    ///
+    /// # Panics
+    /// Panics when `x.len() != dim()`.
     #[must_use]
     pub fn logits(&self, x: &[f32]) -> Vec<f32> {
-        let (acts, _) = self.forward(x);
-        acts.last().expect("at least one layer").clone()
+        assert_eq!(x.len(), self.dim, "input dim mismatch");
+        let mut act = Vec::new();
+        for (li, layer) in self.layers.iter().enumerate() {
+            let mut z = vec![0.0f32; layer.b.len()];
+            layer.affine(if li == 0 { x } else { &act }, &mut z);
+            if li + 1 < self.layers.len() {
+                relu_inplace(&mut z);
+            }
+            act = z;
+        }
+        act
     }
 
     /// Class probabilities for one input.
@@ -161,42 +219,13 @@ impl Mlp {
         (i, p[i])
     }
 
-    /// Forward pass: returns (pre-activations per layer incl. output
-    /// logits, post-activation hidden outputs).
-    fn forward(&self, x: &[f32]) -> (Vec<Vec<f32>>, Vec<Vec<f32>>) {
-        assert_eq!(x.len(), self.dim, "input dim mismatch");
-        let mut pre = Vec::with_capacity(self.layers.len());
-        let mut post = Vec::with_capacity(self.layers.len());
-        let mut cur: Vec<f32> = x.to_vec();
-        for (li, layer) in self.layers.iter().enumerate() {
-            let mut z = vec![0.0f32; layer.b.len()];
-            layer.w.matvec_into(&cur, &mut z);
-            for (zi, &bi) in z.iter_mut().zip(&layer.b) {
-                *zi += bi;
-            }
-            let is_last = li + 1 == self.layers.len();
-            if is_last {
-                pre.push(z.clone());
-                post.push(z);
-            } else {
-                pre.push(z.clone());
-                let h: Vec<f32> = z.iter().map(|&v| v.max(0.0)).collect(); // ReLU
-                cur = h.clone();
-                post.push(h);
-            }
-            if !is_last {
-                continue;
-            }
-        }
-        (pre, post)
-    }
-
     /// Train from scratch on a dataset (resets nothing; call on a fresh
     /// model). Returns final-epoch mean cross-entropy loss.
     pub fn fit(&mut self, ds: &Dataset) -> f32 {
+        let mut scratch = Scratch::new(self);
         let mut last = 0.0;
         for epoch in 0..self.config.epochs {
-            last = self.run_epoch(ds, self.config.seed ^ (epoch as u64 + 1));
+            last = self.run_epoch(ds, self.config.seed ^ (epoch as u64 + 1), &mut scratch);
         }
         last
     }
@@ -204,14 +233,19 @@ impl Mlp {
     /// One incremental pass over (possibly new) data — the finetuning
     /// primitive for local models. Returns mean loss of the pass.
     pub fn partial_fit(&mut self, ds: &Dataset, epochs: usize) -> f32 {
+        let mut scratch = Scratch::new(self);
         let mut last = 0.0;
         for epoch in 0..epochs {
-            last = self.run_epoch(ds, self.adam_t.wrapping_add(epoch as u64 + 17));
+            last = self.run_epoch(
+                ds,
+                self.adam_t.wrapping_add(epoch as u64 + 17),
+                &mut scratch,
+            );
         }
         last
     }
 
-    fn run_epoch(&mut self, ds: &Dataset, seed: u64) -> f32 {
+    fn run_epoch(&mut self, ds: &Dataset, seed: u64, scratch: &mut Scratch) -> f32 {
         if ds.is_empty() {
             return 0.0;
         }
@@ -223,79 +257,77 @@ impl Mlp {
         let order = ds.epoch_order(seed);
         let mut total_loss = 0.0f32;
         for chunk in order.chunks(self.config.batch.max(1)) {
-            total_loss += self.step_batch(ds, chunk);
+            total_loss += self.step_batch(ds, chunk, scratch);
         }
         total_loss / ds.len() as f32
     }
 
-    /// Backprop for one example, accumulating into `gw`/`gb`; returns the
-    /// example's cross-entropy loss. Shared by training and the
-    /// finite-difference gradient check.
-    fn accumulate_gradients(
-        &self,
-        x: &[f32],
-        y: usize,
-        gw: &mut [Vec<f32>],
-        gb: &mut [Vec<f32>],
-    ) -> f32 {
+    /// Backprop for one example, accumulating into `scratch.gw` and
+    /// `scratch.gb`; returns the example's cross-entropy loss. Shared by
+    /// training and the finite-difference gradient check.
+    ///
+    /// Each layer's error signal takes the place of its pre-activations
+    /// in `scratch.pre`: the output's become the probabilities and then
+    /// `p - onehot`, and a hidden layer's are needed only for the ReLU
+    /// mask that turns `Wᵀ·delta` into its own.
+    fn accumulate_gradients(&self, x: &[f32], y: usize, scratch: &mut Scratch) -> f32 {
+        let Scratch {
+            pre,
+            post,
+            back,
+            gw,
+            gb,
+        } = scratch;
         let n_layers = self.layers.len();
-        let (pre, post) = self.forward(x);
-        let mut probs = pre[n_layers - 1].clone();
-        softmax_inplace(&mut probs);
-        let loss = -(probs[y].max(1e-9)).ln();
-
-        // delta at output: p - onehot
-        let mut delta: Vec<f32> = probs;
+        for (li, layer) in self.layers.iter().enumerate() {
+            layer.affine(if li == 0 { x } else { &post[li - 1] }, &mut pre[li]);
+            if li + 1 < n_layers {
+                post[li].copy_from_slice(&pre[li]);
+                relu_inplace(&mut post[li]);
+            }
+        }
+        let delta = &mut pre[n_layers - 1];
+        softmax_inplace(delta);
+        let loss = -(delta[y].max(1e-9)).ln();
         delta[y] -= 1.0;
 
         for li in (0..n_layers).rev() {
             let input: &[f32] = if li == 0 { x } else { &post[li - 1] };
+            let delta = &pre[li];
             // Accumulate gradients: gw += delta ⊗ input, gb += delta.
-            let cols = self.layers[li].w.cols;
-            let g = &mut gw[li];
-            for (r, &d) in delta.iter().enumerate() {
+            let cols = input.len();
+            for (&d, row) in delta.iter().zip(gw[li].chunks_exact_mut(cols)) {
                 if d == 0.0 {
                     continue;
                 }
-                let row = &mut g[r * cols..(r + 1) * cols];
                 for (gv, &xi) in row.iter_mut().zip(input) {
                     *gv += d * xi;
                 }
             }
-            for (gbv, &d) in gb[li].iter_mut().zip(&delta) {
+            for (gbv, &d) in gb[li].iter_mut().zip(delta) {
                 *gbv += d;
             }
             if li > 0 {
                 // Propagate: delta_prev = Wᵀ·delta ⊙ ReLU'(pre_prev)
-                let mut prev = vec![0.0f32; cols];
-                self.layers[li].w.t_matvec_into(&delta, &mut prev);
-                for (p, &z) in prev.iter_mut().zip(&pre[li - 1]) {
-                    if z <= 0.0 {
-                        *p = 0.0;
-                    }
+                back.resize(cols, 0.0);
+                self.layers[li].w.t_matvec_into(delta, back);
+                for (z, &p) in pre[li - 1].iter_mut().zip(back.iter()) {
+                    *z = if *z <= 0.0 { 0.0 } else { p };
                 }
-                delta = prev;
             }
         }
         loss
     }
 
     /// One Adam step on a minibatch; returns summed loss.
-    fn step_batch(&mut self, ds: &Dataset, idx: &[usize]) -> f32 {
-        let n_layers = self.layers.len();
-        // Accumulated gradients per layer.
-        let mut gw: Vec<Vec<f32>> = self
-            .layers
-            .iter()
-            .map(|l| vec![0.0; l.w.rows * l.w.cols])
-            .collect();
-        let mut gb: Vec<Vec<f32>> = self.layers.iter().map(|l| vec![0.0; l.b.len()]).collect();
-        let mut loss_sum = 0.0f32;
-
-        for &i in idx {
-            loss_sum += self.accumulate_gradients(&ds.x[i], ds.y[i], &mut gw, &mut gb);
+    fn step_batch(&mut self, ds: &Dataset, idx: &[usize], scratch: &mut Scratch) -> f32 {
+        for g in scratch.gw.iter_mut().chain(&mut scratch.gb) {
+            g.fill(0.0);
         }
-        let _ = n_layers;
+        let mut loss_sum = 0.0f32;
+        for &i in idx {
+            loss_sum += self.accumulate_gradients(&ds.x[i], ds.y[i], scratch);
+        }
 
         // Adam update.
         self.adam_t += 1;
@@ -306,19 +338,28 @@ impl Mlp {
         let lr = self.config.lr;
         let l2 = self.config.l2;
         let scale = 1.0 / idx.len().max(1) as f32;
-        for (li, layer) in self.layers.iter_mut().enumerate() {
-            let wdata = layer.w.data_mut();
-            for (j, w) in wdata.iter_mut().enumerate() {
-                let g = gw[li][j] * scale + l2 * *w;
-                layer.mw[j] = b1 * layer.mw[j] + (1.0 - b1) * g;
-                layer.vw[j] = b2 * layer.vw[j] + (1.0 - b2) * g * g;
-                *w -= lr * (layer.mw[j] / bc1) / ((layer.vw[j] / bc2).sqrt() + eps);
-            }
-            for (j, b) in layer.b.iter_mut().enumerate() {
-                let g = gb[li][j] * scale;
-                layer.mb[j] = b1 * layer.mb[j] + (1.0 - b1) * g;
-                layer.vb[j] = b2 * layer.vb[j] + (1.0 - b2) * g * g;
-                *b -= lr * (layer.mb[j] / bc1) / ((layer.vb[j] / bc2).sqrt() + eps);
+        for ((layer, grad_w), grad_b) in self.layers.iter_mut().zip(&scratch.gw).zip(&scratch.gb) {
+            let Layer {
+                w,
+                b,
+                mw,
+                vw,
+                mb,
+                vb,
+            } = layer;
+            w.update(|data| {
+                for (((w, &gw), m), v) in data.iter_mut().zip(grad_w).zip(mw).zip(vw) {
+                    let g = gw * scale + l2 * *w;
+                    *m = b1 * *m + (1.0 - b1) * g;
+                    *v = b2 * *v + (1.0 - b2) * g * g;
+                    *w -= lr * (*m / bc1) / ((*v / bc2).sqrt() + eps);
+                }
+            });
+            for (((b, &gb), m), v) in b.iter_mut().zip(grad_b).zip(mb).zip(vb) {
+                let g = gb * scale;
+                *m = b1 * *m + (1.0 - b1) * g;
+                *v = b2 * *v + (1.0 - b2) * g * g;
+                *b -= lr * (*m / bc1) / ((*v / bc2).sqrt() + eps);
             }
         }
         loss_sum
@@ -491,13 +532,9 @@ mod tests {
                 seed: 9,
             },
         );
-        let mut gw: Vec<Vec<f32>> = model
-            .layers
-            .iter()
-            .map(|l| vec![0.0; l.w.rows * l.w.cols])
-            .collect();
-        let mut gb: Vec<Vec<f32>> = model.layers.iter().map(|l| vec![0.0; l.b.len()]).collect();
-        let _ = model.accumulate_gradients(&x, y, &mut gw, &mut gb);
+        let mut scratch = Scratch::new(&model);
+        let _ = model.accumulate_gradients(&x, y, &mut scratch);
+        let (gw, gb) = (scratch.gw, scratch.gb);
 
         let eps = 1e-3f32;
         for li in 0..model.layers.len() {
@@ -505,11 +542,9 @@ mod tests {
             for r in 0..rows {
                 for c in 0..cols {
                     let mut plus = model.clone();
-                    let v = plus.layers[li].w.get(r, c);
-                    plus.layers[li].w.set(r, c, v + eps);
+                    plus.layers[li].w.update(|w| w[r * cols + c] += eps);
                     let mut minus = model.clone();
-                    let v = minus.layers[li].w.get(r, c);
-                    minus.layers[li].w.set(r, c, v - eps);
+                    minus.layers[li].w.update(|w| w[r * cols + c] -= eps);
                     let numeric = (plus.loss(&ds) - minus.loss(&ds)) / (2.0 * eps);
                     let analytic = gw[li][r * cols + c];
                     assert!(

@@ -4,13 +4,15 @@
 //! transcriptions that still train through the library's own `Mlp`, so
 //! a change to its arithmetic or to the order of its operations moves
 //! both sides together. This suite pins the arithmetic itself: a
-//! literal transcription ([`RefMlp`]) of `Mlp::{new, forward,
-//! accumulate_gradients, step_batch, fit, partial_fit, logits}`, of the
-//! `Matrix` products they call, of the epoch shuffle and of
-//! `softmax_inplace`, compared bit for bit on every weight, bias, loss
-//! and logit — after `fit`, and after each call of a series of
-//! `partial_fit(.., 6)` calls on a training set that grows by one row
-//! per call, as a customer's local refit does.
+//! literal transcription ([`RefMlp`]) of the arithmetic of `Mlp::{new,
+//! fit, partial_fit, logits}` written the plain way (each output one
+//! `sum` over its row, fresh vectors per example and layer, the Adam
+//! step by index), of the `Matrix` products they call, of the epoch
+//! shuffle and of `softmax_inplace`, compared bit
+//! for bit on every weight, bias, loss and logit — after `fit`, and
+//! after each call of a series of `partial_fit(.., 6)` calls on a
+//! training set that grows by one row per call, as a customer's local
+//! refit does.
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -394,6 +396,18 @@ fn odd_shapes_are_bit_identical() {
             ..refit_config(9)
         };
         replay(7, 3, config, 23, 6);
+    }
+}
+
+#[test]
+fn every_small_width_is_bit_identical() {
+    // Hidden widths and class counts 1..=17 (and no hidden layer) hit
+    // every remainder of the forward kernel's blocks of outputs, in
+    // both layers, through `fit` and a short `partial_fit` series.
+    for hidden in 0..=17 {
+        for n_classes in 1..=17 {
+            replay(11, n_classes, refit_config(hidden), 9, 3);
+        }
     }
 }
 

@@ -1,10 +1,69 @@
-//! Property tests: probability and metric invariants.
+//! Property tests: probability and metric invariants, and the
+//! arithmetic contract of `Matrix::matvec_into`.
 
 use proptest::prelude::*;
+use rand::prelude::*;
+use rand::rngs::StdRng;
 use tu_ml::{
     accuracy, argmax, auroc, expected_calibration_error, fit_temperature, softmax_inplace, Dataset,
-    Temperature,
+    Matrix, Temperature,
 };
+
+/// A value for the kernel test: mostly ordinary, with signed zeros,
+/// subnormals and infinities mixed in.
+fn kernel_value(rng: &mut StdRng) -> f32 {
+    let sign = if rng.random_bool(0.5) { -1.0 } else { 1.0 };
+    match rng.random_range(0..20u32) {
+        0 => 0.0,
+        1 => -0.0,
+        2 => sign * f32::from_bits(rng.random_range(1..0x0080_0000u32)),
+        3 if rng.random_bool(0.1) => sign * f32::INFINITY,
+        _ => sign * rng.random::<f32>() * 4.0,
+    }
+}
+
+/// Equal bits, or both NaN: Rust leaves a NaN's sign and payload
+/// unspecified, so only NaN-ness is part of the contract.
+fn same_f32(a: f32, b: f32) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+#[test]
+fn matvec_matches_a_sum_per_row_on_every_shape() {
+    let mut rng = StdRng::seed_from_u64(0x6d76);
+    for rows in 1..=20 {
+        for cols in 1..=140 {
+            let data: Vec<f32> = (0..rows * cols).map(|_| kernel_value(&mut rng)).collect();
+            let x: Vec<f32> = (0..cols).map(|_| kernel_value(&mut rng)).collect();
+            let mut m = Matrix::from_vec(rows, cols, data);
+            // One row of zeros signed against `x`, so every product is
+            // -0.0 (NaN against an infinity): its sum must stay -0.0.
+            let zero_row = rng.random_range(0..rows);
+            m.update(|d| {
+                for (w, &xc) in d[zero_row * cols..(zero_row + 1) * cols].iter_mut().zip(&x) {
+                    *w = if xc.is_sign_negative() { 0.0 } else { -0.0 };
+                }
+            });
+            let mut out = vec![f32::NAN; rows];
+            m.matvec_into(&x, &mut out);
+            for (r, &got) in out.iter().enumerate() {
+                let want: f32 = m.row(r).iter().zip(&x).map(|(a, b)| a * b).sum();
+                assert!(
+                    same_f32(got, want),
+                    "{rows}x{cols} row {r}: kernel {got:e} ({:#x}), sum {want:e} ({:#x})",
+                    got.to_bits(),
+                    want.to_bits()
+                );
+            }
+            let zero = out[zero_row];
+            let infinite_x = x.iter().any(|v| v.is_infinite());
+            assert!(
+                infinite_x || zero.to_bits() == (-0.0f32).to_bits(),
+                "{rows}x{cols}: all -0.0 products summed to {zero:e}"
+            );
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]

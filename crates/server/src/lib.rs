@@ -57,7 +57,10 @@
 //!   lookup and embedding entries all miss, header entries only under
 //!   a header whose `Wg` the correction changed. A panic
 //!   inside the loop answers `500` and is counted in `/metrics`
-//!   `panics` too.
+//!   `panics` too. `/metrics` `feedback` counts the loops that
+//!   returned (`served`), their summed wall time inside the lock hold
+//!   (`nanos`), and the local training rows and labeling functions
+//!   (`training_rows`, `local_lfs`) the customer holds.
 //! * **Graceful shutdown** ([`AnnotationServer::shutdown`]): stop
 //!   accepting, drain every in-flight response, close the queue, join
 //!   the workers, [`flush`](AnnotationService::flush) the cache tier.
@@ -72,7 +75,7 @@
 //! | POST   | `/annotate`       | `{"table": …, "options"?: …}` → one outcome |
 //! | POST   | `/annotate_batch` | `{"tables": […], "options"?: …}` → outcomes in order |
 //! | POST   | `/feedback`       | `{"table": …, "col_idx": n, "type": "name"}` → adaptation + epoch bump (header entries survive unless their `Wg` changed) |
-//! | GET    | `/metrics`        | queue depth, in-flight, panics, per-lane spend/shed (sums over the tenants), per-tenant counters, cache stats (global halves included) + delta |
+//! | GET    | `/metrics`        | queue depth, in-flight, panics, per-lane spend/shed (sums over the tenants), per-tenant counters, cache stats (global halves included) + delta, feedback cost (served, adaptation-loop nanos, training rows, local LFs) |
 //! | GET    | `/healthz`        | liveness |
 //! | POST   | `/shutdown`       | request graceful drain (for operators/CI) |
 //!
@@ -98,9 +101,9 @@ use sigmatyper::tenant::{
 use sigmatyper::SigmaTyper;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tu_ontology::Ontology;
 use tu_table::Table;
 
@@ -165,6 +168,12 @@ struct ServerState {
     /// Baseline for the `/metrics` cache delta: stats at the previous
     /// scrape.
     metrics_baseline: Mutex<CacheStats>,
+    /// Feedbacks whose adaptation loop returned, and that loop's summed
+    /// wall time. Both move only under the service write lock and are
+    /// read under its read lock, which orders them with the local model
+    /// they describe.
+    feedback_served: AtomicU64,
+    feedback_nanos: AtomicU64,
 }
 
 impl ServerState {
@@ -235,6 +244,8 @@ impl AnnotationServer {
             ),
             shutdown_requested: AtomicBool::new(false),
             metrics_baseline: Mutex::new(CacheStats::default()),
+            feedback_served: AtomicU64::new(0),
+            feedback_nanos: AtomicU64::new(0),
         });
         let handler_state = Arc::clone(&state);
         let http = HttpServer::bind(addr, move |req: &Request| route(&handler_state, req))?;
@@ -475,6 +486,7 @@ fn handle_feedback(state: &ServerState, req: &Request) -> Response {
     };
     // Caught while the write guard is held, so the lock is never
     // poisoned, and counted in `/metrics` `panics`.
+    let started = Instant::now();
     if state
         .pool
         .contain(|| typer.feedback(&table, col_idx, ty, None))
@@ -483,6 +495,9 @@ fn handle_feedback(state: &ServerState, req: &Request) -> Response {
         typer.invalidate_cache();
         return internal_error();
     }
+    let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    state.feedback_served.fetch_add(1, Ordering::Relaxed);
+    state.feedback_nanos.fetch_add(nanos, Ordering::Relaxed);
     let epoch = typer.cache_epoch();
     Response::json(
         Json::object(vec![("ok", Json::from(true)), ("epoch", Json::from(epoch))]).to_string(),
@@ -598,6 +613,21 @@ fn handle_metrics(state: &ServerState) -> Response {
         .and_then(|cache| cache.global_parts())
         .map(GlobalPartStore::stats);
     let epoch = service.typer().cache_epoch();
+    let feedback = Json::object(vec![
+        (
+            "served",
+            Json::from(state.feedback_served.load(Ordering::Relaxed)),
+        ),
+        (
+            "nanos",
+            Json::from(state.feedback_nanos.load(Ordering::Relaxed)),
+        ),
+        (
+            "training_rows",
+            Json::from(service.typer().local().training.len()),
+        ),
+        ("local_lfs", Json::from(service.typer().local().lfs.len())),
+    ]);
     drop(service);
     let (cache_json, delta_json) = match cache {
         Some(stats) => {
@@ -647,6 +677,7 @@ fn handle_metrics(state: &ServerState) -> Response {
         ("tenants", tenant_metrics(&tenants)),
         ("cache", cache_json),
         ("cache_delta", delta_json),
+        ("feedback", feedback),
     ]);
     Response::json(body.to_string())
 }

@@ -36,9 +36,7 @@ impl NumericSummary {
             return None;
         }
         let count = values.len();
-        let mean = values.iter().sum::<f64>() / count as f64;
-        let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / count as f64;
-        let std = var.sqrt();
+        let (mean, std) = mean_and_std(|| values.iter().copied());
         let mut sorted = values.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         let (skewness, kurtosis) = if std > 1e-12 {
@@ -138,6 +136,36 @@ pub fn mean(values: &[f64]) -> f64 {
     } else {
         values.iter().sum::<f64>() / values.len() as f64
     }
+}
+
+/// Mean and population standard deviation of a non-empty sample of
+/// finite values, which `values` yields afresh on each call.
+///
+/// Finite values always give finite results. Where the plain sums stay
+/// finite they are used, to the bit. Where the sum or a squared
+/// deviation overflows (values past about `1e154`, such as long digit
+/// ids read as floats), both are taken over the values divided by the
+/// largest magnitude, then scaled back: a mean lies between the
+/// smallest and the largest value, and a deviation is at most half
+/// their distance, so neither overflows.
+#[must_use]
+pub fn mean_and_std<I: Iterator<Item = f64>>(values: impl Fn() -> I) -> (f64, f64) {
+    let count = values().count() as f64;
+    // Dividing by 1.0 is exact, so unscaled moments are the plain sums.
+    let moments = |scale: f64| {
+        let mean = values().map(|v| v / scale).sum::<f64>() / count;
+        let var = values().map(|v| (v / scale - mean).powi(2)).sum::<f64>() / count;
+        (mean, var)
+    };
+    let (mean, var) = moments(1.0);
+    if mean.is_finite() && var.is_finite() {
+        return (mean, var.sqrt());
+    }
+    let scale = values().fold(0.0, |m: f64, v| m.max(v.abs()));
+    let (mean, var) = moments(scale);
+    // The clamps only undo rounding, which could otherwise carry a
+    // result next to `f64::MAX` past it.
+    (mean.clamp(-1.0, 1.0) * scale, var.sqrt().min(1.0) * scale)
 }
 
 /// Population standard deviation; `0.0` when fewer than 2 items.

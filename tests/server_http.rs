@@ -409,6 +409,57 @@ fn tenant_over_quota_sheds_first_with_window_refill_retry_hint() {
 }
 
 #[test]
+fn metrics_report_what_corrections_cost() {
+    let (global, tables) = demo_global(47);
+    let typer = SigmaTyper::builder(Arc::clone(&global)).build();
+    let server =
+        AnnotationServer::start("127.0.0.1:0", typer, &ServerConfig::default()).expect("start");
+    let mut client = HttpClient::connect(server.local_addr()).expect("connect");
+    let feedback = |client: &mut HttpClient| -> Json {
+        let resp = client.get("/metrics").expect("metrics");
+        assert_eq!(resp.status, 200);
+        let m = Json::parse(&resp.body_str()).expect("metrics json");
+        m.get("feedback")
+            .cloned()
+            .unwrap_or_else(|| panic!("metrics missing feedback: {m}"))
+    };
+    let field = |f: &Json, name: &str| {
+        f.get(name)
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("feedback missing {name}: {f}"))
+    };
+    let idle = feedback(&mut client);
+    for name in ["served", "nanos", "training_rows", "local_lfs"] {
+        assert_eq!(field(&idle, name), 0, "{name} before any correction");
+    }
+
+    // Two corrections, replayed on an in-process customer for the
+    // local bank they leave.
+    let mut mirror = SigmaTyper::builder(global).build();
+    let name = mirror.ontology().lookup_exact("name").expect("name type");
+    for table in &tables[..2] {
+        mirror.feedback(&wire_table(table), 0, name, None);
+        let body = format!(
+            r#"{{"table":{},"col_idx":0,"type":"name"}}"#,
+            table_to_request_json(table)
+        );
+        let fb = client.post_json("/feedback", &body, &[]).expect("feedback");
+        assert_eq!(fb.status, 200, "body: {}", fb.body_str());
+    }
+    let after = feedback(&mut client);
+    assert_eq!(field(&after, "served"), 2);
+    assert_eq!(field(&after, "training_rows"), 2);
+    assert!(field(&after, "nanos") > 0);
+    assert_eq!(
+        field(&after, "local_lfs"),
+        mirror.local().lfs.len() as u64,
+        "local_lfs must count the bank the corrections left"
+    );
+
+    server.shutdown().expect("shutdown");
+}
+
+#[test]
 fn feedback_bumps_epoch_and_invalidates_the_warm_cache() {
     let scratch = Scratch::new("feedback");
     let (global, tables) = demo_global(43);
