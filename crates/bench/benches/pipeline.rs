@@ -1206,12 +1206,13 @@ fn bench_feedback(c: &mut Criterion) {
 
 /// The embedding head's own arithmetic at the shape a customer's local
 /// head has (`TrainingConfig::fast()`: 130 features, hidden 24, 79
-/// classes): one `partial_fit(.., 6)` over 64 featurized fixture
-/// columns with their true labels — the refit a 64th correction runs —
-/// and one forward pass. Each refit starts from a clone of the global
-/// head, as a customer's first local head does, so every iteration
-/// does the same work; a head trained on and on drifts into subnormal
-/// probabilities and moments, which no refit in serving reaches.
+/// classes): the refit a 64th correction runs, and one forward pass.
+/// As in `SigmaTyper::feedback`, the local head is a clone of the
+/// global head that the 1st to 63rd corrections each refit in turn,
+/// `partial_fit(.., 6)` over the rows admitted so far (here, featurized
+/// fixture columns with their true labels, one per correction). Each
+/// iteration clones that head and times its `partial_fit(.., 6)` over
+/// all 64 rows, so every iteration does the same work.
 fn bench_mlp(c: &mut Criterion) {
     const ROWS: usize = 64;
     let f = BenchFixture::new();
@@ -1245,10 +1246,18 @@ fn bench_mlp(c: &mut Criterion) {
         .collect::<Vec<_>>();
     assert_eq!(shape, [(24, 130), (79, 24)], "the local head's shape");
 
+    let mut local_head = global_head.clone();
+    let mut admitted = Dataset::new(Vec::new(), Vec::new(), rows.n_classes);
+    for (x, &y) in rows.x.iter().zip(&rows.y).take(ROWS - 1) {
+        admitted.x.push(x.clone());
+        admitted.y.push(y);
+        local_head.partial_fit(&admitted, 6);
+    }
+
     let mut group = c.benchmark_group("pipeline/mlp");
     group.bench_function("refit_64_rows", |b| {
         b.iter(|| {
-            let mut head = global_head.clone();
+            let mut head = local_head.clone();
             head.partial_fit(black_box(&rows), 6);
             head
         })

@@ -21,7 +21,7 @@
 //!   written before any adaptation. Adaptation moves the epoch in
 //!   memory only; the file is written when it is created or reseeded.
 //!
-//! # Segment format (version 2)
+//! # Segment format (version 3)
 //!
 //! ```text
 //! header  := b"SGTC" ‖ version:u32le ‖ reserved:[0u8; 8]      (16 bytes)
@@ -78,7 +78,12 @@ use tu_ontology::TypeId;
 /// the column content hash (enabling [`crate::cache::ColumnHashState`]
 /// delta chains), changing every fingerprint bit pattern — v1 segments
 /// hold keys no v2 process can ever look up, so they restart cold.
-pub const DISK_FORMAT_VERSION: u32 = 2;
+/// v2 → v3 changed what a numeric column of overflowing magnitudes
+/// (about 1e154 and up) featurizes to: its mean and deviation read
+/// finite where they were `+inf` or NaN, so the embedding step scores
+/// such a column differently under the same key. v2 segments may hold
+/// those stale scores, so they restart cold.
+pub const DISK_FORMAT_VERSION: u32 = 3;
 
 const SEGMENT_MAGIC: [u8; 4] = *b"SGTC";
 const EPOCH_MAGIC: [u8; 4] = *b"SGTE";

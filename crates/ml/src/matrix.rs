@@ -107,9 +107,9 @@ impl Matrix {
     /// Each output is `row.iter().zip(x).map(|(a, b)| a * b).sum()` to
     /// the bit: its own accumulator starts from `-0.0` (where
     /// `Iterator::sum` starts for `f32`) and adds its row's products
-    /// left to right. Blocks of outputs share one pass over `x`, reading
-    /// the column-major copy, so the adds of a block run side by side
-    /// instead of one dependent add per element.
+    /// left to right. Each block of 8 outputs shares one pass over `x`,
+    /// reading the column-major copy, so the adds of a block run side by
+    /// side instead of one dependent add per element.
     ///
     /// # Panics
     /// Panics on dimension mismatch.
@@ -117,28 +117,25 @@ impl Matrix {
         assert_eq!(x.len(), self.cols, "matvec dim");
         assert_eq!(out.len(), self.rows, "matvec out dim");
         let stride = self.rows.next_multiple_of(LANES);
-        let mut r0 = 0;
-        while r0 + 2 * LANES <= stride {
-            self.block::<{ 2 * LANES }>(stride, r0, x, out);
-            r0 += 2 * LANES;
-        }
-        if r0 < stride {
-            self.block::<LANES>(stride, r0, x, out);
+        for r0 in (0..stride).step_by(LANES) {
+            self.block(stride, r0, x, out);
         }
     }
 
-    /// Outputs `r0..r0 + W` of [`Matrix::matvec_into`] (those below
+    /// Outputs `r0..r0 + LANES` of [`Matrix::matvec_into`] (those below
     /// `rows`; the rest are padding).
     #[inline(always)]
-    fn block<const W: usize>(&self, stride: usize, r0: usize, x: &[f32], out: &mut [f32]) {
-        let mut acc = [-0.0f32; W];
+    fn block(&self, stride: usize, r0: usize, x: &[f32], out: &mut [f32]) {
+        let mut acc = [-0.0f32; LANES];
         for (col, &xc) in self.by_col.chunks_exact(stride).zip(x) {
-            let col: &[f32; W] = col[r0..r0 + W].try_into().expect("block inside the column");
+            let col: &[f32; LANES] = col[r0..r0 + LANES]
+                .try_into()
+                .expect("block inside the column");
             for (a, &w) in acc.iter_mut().zip(col) {
                 *a += w * xc;
             }
         }
-        let end = self.rows.min(r0 + W);
+        let end = self.rows.min(r0 + LANES);
         out[r0..end].copy_from_slice(&acc[..end - r0]);
     }
 
